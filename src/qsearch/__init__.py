@@ -10,7 +10,6 @@ from .circuit import (
     ResourceTally,
     gate,
     resource_tally,
-    schedule_layers,
     t_depth,
 )
 from .database import (
@@ -24,8 +23,6 @@ from .database import (
     pad_to_power_of_two,
 )
 from .decompose import (
-    AncillaLease,
-    StateContract,
     decompose_toffoli,
     lower_circuit,
     mcz_ladder,
@@ -66,7 +63,6 @@ from .resources import (
 )
 from .sim import (
     SparseState,
-    apply_circuit,
     basis_pattern,
     dense_statevector,
     index_distribution,

@@ -13,21 +13,27 @@ bit-reproducible:
   lower with :func:`qsearch.decompose.lower_circuit` first.
 
 Scheduling is as-soon-as-possible list scheduling over the gate-dependency
-DAG: a gate is placed in the earliest layer after every earlier gate that
-shares one of its qubits.  Two gates may share a layer only if they act on
-disjoint qubits.  The T-depth of a circuit is the number of layers that
-contain at least one T or TDG gate.  All of this is a pure function of the
-gate order, so results are deterministic and circuits are safe to share
-across workers.
+DAG, done by :func:`tally_flat`, the only scheduler: a gate is placed in
+the earliest layer after every earlier gate that shares one of its qubits.
+Two gates may share a layer only if they act on disjoint qubits.  The
+T-depth of a circuit is the number of layers that contain at least one T
+or TDG gate.  All of this is a pure function of the gate order, so results
+are deterministic and circuits are safe to share across workers.
 """
 from __future__ import annotations
 
 import enum
 import json
 import os
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple
 
-from .errors import CircuitError, DenseCapError, MacroGateError, OperandOverlapError
+from .errors import (
+    CircuitError,
+    DenseCapError,
+    InputError,
+    MacroGateError,
+    OperandOverlapError,
+)
 
 DEFAULT_DENSE_CAP = 14
 _DENSE_CAP_ENV = "QSEARCH_MAX_DENSE_QUBITS"
@@ -64,8 +70,6 @@ LOWERED_KINDS = frozenset(
     {GateKind.H, GateKind.X, GateKind.Z, GateKind.S, GateKind.SDG,
      GateKind.T, GateKind.TDG, GateKind.CNOT, GateKind.CZ}
 )
-MACRO_KINDS = frozenset({GateKind.TOFFOLI, GateKind.MCZ})
-T_KINDS = frozenset({GateKind.T, GateKind.TDG})
 
 _ARITY = {
     GateKind.H: 1, GateKind.X: 1, GateKind.Z: 1, GateKind.S: 1,
@@ -169,10 +173,6 @@ class Circuit:
     def is_lowered(self) -> bool:
         return all(g.kind in LOWERED_KINDS for g in self.gates)
 
-    def qubit_index(self, q: QubitId) -> int:
-        """Global position of a qubit under the fixed register-major order."""
-        return self._base[q.register] + q.offset
-
     def flat_gates(self) -> list[tuple[GateKind, tuple[int, ...]]]:
         base = self._base
         return [
@@ -264,7 +264,12 @@ def dense_cap() -> int:
     value = os.environ.get(_DENSE_CAP_ENV)
     if value is None:
         return DEFAULT_DENSE_CAP
-    return int(value)
+    try:
+        return int(value)
+    except ValueError:
+        raise InputError(
+            f"{_DENSE_CAP_ENV} must be an integer, got {value!r}"
+        ) from None
 
 
 class ResourceTally(NamedTuple):
@@ -272,15 +277,9 @@ class ResourceTally(NamedTuple):
 
     t_count: int
     t_depth: int
-    toffoli_count: int
     cnot_count: int
     total_qubits: int
     total_layers: int
-
-
-def _require_lowered_kind(kind: GateKind) -> None:
-    if kind in MACRO_KINDS:
-        raise MacroGateError(f"{kind.value} is a macro gate; lower the circuit first")
 
 
 def tally_flat(
@@ -316,28 +315,10 @@ def tally_flat(
     return ResourceTally(
         t_count=t_count,
         t_depth=len(t_layers),
-        toffoli_count=0,
         cnot_count=cnot_count,
         total_qubits=total_qubits,
         total_layers=max_layer,
     )
-
-
-def schedule_layers(circuit: Circuit) -> list[list[Gate]]:
-    """ASAP layering; gates in one layer act on pairwise disjoint qubits."""
-    avail = [0] * max(circuit.total_qubits, 1)
-    layers: list[list[Gate]] = []
-    base = circuit._base
-    for g in circuit.gates:
-        _require_lowered_kind(g.kind)
-        ops = [base[q.register] + q.offset for q in g.qubits]
-        layer = max((avail[i] for i in ops), default=0) + 1
-        for i in ops:
-            avail[i] = layer
-        while len(layers) < layer:
-            layers.append([])
-        layers[layer - 1].append(g)
-    return layers
 
 
 def t_depth(circuit: Circuit) -> int:

@@ -33,7 +33,6 @@ from .grover import (
 )
 from .qdam import NaiveLayout, QdamLayout, build_naive_qdam
 from .resources import (
-    ReportMode,
     bench_csv,
     bench_scaling,
     estimate_bounds,

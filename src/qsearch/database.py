@@ -17,16 +17,14 @@ verification never accepts them as solutions (the flag is not serialized).
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Mapping
 
 from .errors import (
     DatabaseFormatError,
     DuplicateKeyError,
     FieldWidthError,
     KeySpaceExhaustedError,
-    QueryError,
     UnknownFieldError,
 )
 
@@ -168,7 +166,7 @@ def load_database(document: str) -> Database:
             Record({str(k): str(v) for k, v in entry.items()})
             for entry in doc["records"]
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise DatabaseFormatError(f"malformed document: {exc}") from exc
     return Database(fields=fields, records=records, key_field=key_field)
 
@@ -177,7 +175,7 @@ def load_database_file(path: str) -> Database:
     try:
         with open(path, "r", encoding="ascii") as handle:
             return load_database(handle.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DatabaseFormatError(f"cannot read {path}: {exc}") from exc
 
 

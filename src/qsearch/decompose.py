@@ -16,39 +16,27 @@ Three building blocks:
   an AND chain of Toffolis into borrowed ancillas with a CCZ apex, then
   uncomputation.  Degenerate sizes emit Z / CZ / plain CCZ.
 
-``lower_circuit`` expands TOFFOLI and MCZ macros using these blocks; all
-emitted ancillas are returned to |0> on every input.
+:func:`lower_gates` is the only lowering: it expands TOFFOLI and MCZ macros
+using these blocks, gate by gate.  The fragments only permute their
+operands, so it accepts ``(kind, operands)`` pairs whose operands are
+either :class:`QubitId` values or flat qubit indices; the flat form lets the
+resource counter stream multi-million-gate circuits without building
+``QubitId`` objects.  All emitted ancillas are returned to |0> on every
+input.
 """
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .circuit import Circuit, Gate, GateKind, QubitId, Register, gate
+from .circuit import Circuit, Gate, GateKind, QubitId, gate
 from .errors import AncillaBudgetError, OperandOverlapError
 
-
-class StateContract(enum.Enum):
-    BORROWED_ZERO_RETURNED_ZERO = "borrowed"
-    PERSISTENT = "persistent"
-
-
-@dataclass(frozen=True)
-class AncillaLease:
-    """A slice of ancilla qubits handed to a decomposition."""
-
-    qubits: tuple[QubitId, ...]
-    state_contract: StateContract = StateContract.BORROWED_ZERO_RETURNED_ZERO
-
-    def __len__(self) -> int:
-        return len(self.qubits)
-
-
 _K = GateKind
+# A gate operand: a QubitId, or a flat qubit index on the counting path.
+Operand = QubitId | int
 
 
-def _ccz_gates(x: QubitId, y: QubitId, z: QubitId) -> list[Gate]:
+def _ccz_gates(x: Operand, y: Operand, z: Operand) -> list[Gate]:
     """Doubly-controlled Z, 7 T gates in three aligned T layers, no ancilla.
 
     Phase polynomial (eighth turns): a + b + c + (a^b^c) - (a^b) - (b^c)
@@ -81,36 +69,18 @@ def _ccz_gates(x: QubitId, y: QubitId, z: QubitId) -> list[Gate]:
     ]
 
 
-def _toffoli_gates(c1: QubitId, c2: QubitId, target: QubitId) -> list[Gate]:
+def decompose_toffoli(c1: Operand, c2: Operand, target: Operand) -> list[Gate]:
+    """Lowered Toffoli fragment: 7 T gates, measured T-depth 3, no ancilla."""
     if len({c1, c2, target}) != 3:
         raise OperandOverlapError("Toffoli operands must be distinct")
     h = Gate(_K.H, (target,))
     return [h, *_ccz_gates(c1, c2, target), h]
 
 
-def fragment_template(kind: GateKind) -> list[tuple[GateKind, tuple[int, ...]]]:
-    """Lowered fragment of a macro gate as (kind, operand-position) pairs,
-    for streaming flat expansion.  Positions index the macro's operand list."""
-    placeholders = [QubitId(Register.ANCILLA, i) for i in range(3)]
-    if kind is _K.TOFFOLI:
-        frag = _toffoli_gates(*placeholders)
-    elif kind is _K.MCZ:
-        frag = _ccz_gates(*placeholders)
-    else:
-        raise OperandOverlapError(f"{kind.value} is not a macro gate")
-    pos = {q: i for i, q in enumerate(placeholders)}
-    return [(g.kind, tuple(pos[q] for q in g.qubits)) for g in frag]
-
-
-def decompose_toffoli(c1: QubitId, c2: QubitId, target: QubitId) -> list[Gate]:
-    """Lowered Toffoli fragment: 7 T gates, measured T-depth 3, no ancilla."""
-    return _toffoli_gates(c1, c2, target)
-
-
 def shared_control_layer(
     shared_control: QubitId,
     pairs: Sequence[tuple[QubitId, QubitId]],
-    fanout_ancillas: AncillaLease | Sequence[QubitId] = (),
+    fanout_ancillas: Sequence[QubitId] = (),
 ) -> list[Gate]:
     """Toffolis ``(second_control, shared_control) -> target`` for each pair,
     emitted so the lowered block keeps a constant T-depth.
@@ -127,21 +97,13 @@ def shared_control_layer(
                 raise OperandOverlapError(f"operand {q.label()} reused in layer")
             seen.add(q)
 
-    ancillas = tuple(
-        fanout_ancillas.qubits
-        if isinstance(fanout_ancillas, AncillaLease)
-        else fanout_ancillas
-    )
+    ancillas = tuple(fanout_ancillas)
     needed = len(pairs) - 1
     if len(ancillas) < needed:
         raise AncillaBudgetError(
             f"shared-control layer over {len(pairs)} pairs needs {needed} "
             f"fan-out ancillas, got {len(ancillas)}"
         )
-
-    if len(pairs) == 1:
-        second, target = pairs[0]
-        return [gate(_K.TOFFOLI, second, shared_control, target)]
 
     gates: list[Gate] = []
     carriers = [shared_control]
@@ -207,8 +169,8 @@ def sync_touch(qubits: Sequence[QubitId]) -> list[Gate]:
 
 
 def mcz_ladder(
-    qubits: Sequence[QubitId],
-    ladder_ancillas: AncillaLease | Sequence[QubitId] = (),
+    qubits: Sequence[Operand],
+    ladder_ancillas: Sequence[Operand] = (),
 ) -> list[Gate]:
     """Phase flip of the |1...1> branch over ``qubits`` (k = c+1 qubits for a
     c-control Z).  Macro-level: chain TOFFOLIs + MCZ apex; uses k-3 borrowed
@@ -227,11 +189,7 @@ def mcz_ladder(
     if k == 3:
         return [gate(_K.MCZ, *qubits)]
 
-    ancillas = tuple(
-        ladder_ancillas.qubits
-        if isinstance(ladder_ancillas, AncillaLease)
-        else ladder_ancillas
-    )
+    ancillas = tuple(ladder_ancillas)
     needed = k - 3
     if len(ancillas) < needed:
         raise AncillaBudgetError(
@@ -251,31 +209,35 @@ def mcz_ladder(
 
 
 def lower_gates(
-    gates: Iterable[Gate],
-    ladder_ancillas: Sequence[QubitId] = (),
+    gates: Iterable[tuple[GateKind, tuple[Operand, ...]]],
+    ladder_ancillas: Sequence[Operand] = (),
 ) -> Iterator[Gate]:
-    """Expand macros to Clifford+T, streaming.
+    """Expand macros to Clifford+T, streaming, one input gate at a time.
 
-    MCZ of arity 3 becomes the direct CCZ fragment; larger MCZ gates expand
-    through :func:`mcz_ladder` using ``ladder_ancillas``.
+    ``gates`` holds ``(kind, operands)`` pairs -- :class:`Gate` values, or
+    the same pairs over flat qubit indices, in which case
+    ``ladder_ancillas`` must be flat too.  MCZ of arity 3 becomes the direct
+    CCZ fragment; larger MCZ gates expand through :func:`mcz_ladder` using
+    ``ladder_ancillas``.  Lowered gates pass through unchanged.
     """
+    # a ladder repeats its Toffolis for every MCZ over the same qubits (the
+    # naive loader thousands of times); lower each distinct Toffoli once
+    fragments: dict = {}
     for g in gates:
-        if g.kind is _K.TOFFOLI:
-            yield from _toffoli_gates(*g.qubits)
-        elif g.kind is _K.MCZ:
-            if len(g.qubits) == 3:
-                yield from _ccz_gates(*g.qubits)
-            else:
-                free = tuple(a for a in ladder_ancillas if a not in g.qubits)
-                for sub in mcz_ladder(g.qubits, free):
-                    if sub.kind is _K.TOFFOLI:
-                        yield from _toffoli_gates(*sub.qubits)
-                    elif sub.kind is _K.MCZ:
-                        yield from _ccz_gates(*sub.qubits)
-                    else:
-                        yield sub
-        else:
+        kind, ops = g
+        if kind is _K.TOFFOLI:
+            fragment = fragments.get(g)
+            if fragment is None:
+                fragment = fragments[g] = decompose_toffoli(*ops)
+            yield from fragment
+        elif kind is not _K.MCZ:
             yield g
+        elif len(ops) == 3:
+            yield from _ccz_gates(*ops)
+        else:
+            free = tuple(a for a in ladder_ancillas if a not in ops)
+            # the ladder holds only Toffolis and a 3-qubit MCZ apex
+            yield from lower_gates(mcz_ladder(ops, free))
 
 
 def lower_circuit(

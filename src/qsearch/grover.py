@@ -22,22 +22,19 @@ import numpy as np
 
 from .circuit import (
     Circuit,
-    Gate,
     GateKind,
     Register,
     gate,
     q_data,
     q_index,
-    resource_tally,
 )
 from .database import Database, SearchQuery, encode_key
 from .decompose import lower_circuit, mcz_ladder, sync_touch
 from .errors import CircuitError, InputError, QueryError
-from .qdam import QdamLayout, build_qdam
+from .qdam import QdamLayout
 from .sim import SparseState, index_distribution
 
 _K = GateKind
-REFLECTION_PHASE = math.pi  # both reflections; matching phases are required
 
 
 def optimal_iterations(database_size: int) -> int:
@@ -59,7 +56,6 @@ class SearchPlan:
     n: int
     m: int
     iterations: int
-    phase: float = REFLECTION_PHASE
 
     @property
     def database_size(self) -> int:
@@ -245,6 +241,8 @@ def run_search(
         raise QueryError("search needs at least 2 records")
     if mode is SearchMode.SAMPLED and seed is None:
         raise QueryError("sampled mode needs a seed")
+    if shots < 1:
+        raise QueryError(f"shots must be positive, got {shots}")
 
     plan = plan or SearchPlan.for_database(db)
     if plan.n != db.index_bits or plan.m != db.key_width:
@@ -294,7 +292,7 @@ def run_search(
         candidate = int(np.argmax(distribution))
     else:
         rng = np.random.default_rng(seed)
-        samples = rng.choice(big_n, size=max(1, shots), p=distribution / distribution.sum())
+        samples = rng.choice(big_n, size=shots, p=distribution / distribution.sum())
         counts = np.bincount(samples, minlength=big_n)
         candidate = int(np.argmax(counts))
     candidate_probability = float(distribution[candidate])

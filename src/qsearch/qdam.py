@@ -43,13 +43,7 @@ from .circuit import (
     q_onehot,
 )
 from .database import Database
-from .decompose import (
-    AncillaLease,
-    StateContract,
-    mcz_ladder,
-    shared_control_layer,
-    sync_touch,
-)
+from .decompose import mcz_ladder, shared_control_layer
 from .errors import CircuitError
 
 _K = GateKind
@@ -119,18 +113,13 @@ class QdamLayout:
     def ladder_qubit(self, k: int) -> QubitId:
         return q_ancilla(self.load_ancillas + self.fanout_ancillas + k)
 
-    def fanout_lease(self, start: int, count: int) -> AncillaLease:
+    def fanout_lease(self, start: int, count: int) -> tuple[QubitId, ...]:
         if start + count > self.fanout_ancillas:
             raise CircuitError("fan-out pool exhausted")
-        return AncillaLease(
-            tuple(self.fanout_qubit(start + i) for i in range(count))
-        )
+        return tuple(self.fanout_qubit(start + i) for i in range(count))
 
     def ladder_qubits(self) -> tuple[QubitId, ...]:
         return tuple(self.ladder_qubit(i) for i in range(self.ladder_ancillas))
-
-    def empty_circuit(self) -> Circuit:
-        return Circuit(self.register_sizes)
 
     @classmethod
     def for_database(cls, db: Database) -> "QdamLayout":
@@ -219,7 +208,7 @@ def build_m2(layout: QdamLayout, db: Database | Sequence[str]) -> Circuit:
             (layout.database_qubit(i, j), layout.load_qubit(i, j))
             for j in range(m)
         ]
-        lease = layout.fanout_lease(i * (m - 1), m - 1) if m > 1 else AncillaLease(())
+        lease = layout.fanout_lease(i * (m - 1), m - 1)
         gates.extend(shared_control_layer(q_onehot(i), pairs, lease))
     for j in range(m):
         column = [layout.load_qubit(i, j) for i in range(records)]

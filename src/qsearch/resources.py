@@ -7,16 +7,23 @@ Bound mode reports the constructive inequalities as equalities -- loader
 kernel = 2*loader + reflections, cost = iterations * kernel.  Measured
 mode schedules the actual lowered circuits and must come in at or under
 the bounds, subroutine by subroutine.
+
+:func:`measure_kernel` lowers each of the five subroutines once (stage 1,
+stage 2, target reflection, inverse loader, diffusion).  Lowering works
+gate by gate, so the lowered loader and kernel are the concatenations of
+the lowered parts; their tallies chain the parts' flat gate lists through
+:func:`tally_flat` instead of lowering the concatenated circuits again.
 """
 from __future__ import annotations
 
 import enum
 import io
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .circuit import resource_tally, tally_flat
-from .decompose import fragment_template, lower_circuit
+from .decompose import lower_circuit, lower_gates
 from .errors import InputError
 from .grover import (
     KernelCircuits,
@@ -138,15 +145,23 @@ def _zero_keys(n: int, m: int) -> list[str]:
 
 
 def measure_kernel(circuits: KernelCircuits, iterations: int) -> ResourceReport:
-    """Schedule the lowered subroutines of one kernel and tally them."""
+    """Schedule the lowered subroutines of one kernel and tally them; each
+    subroutine is lowered once and the loader and kernel are tallied as
+    chains of the parts."""
     layout = circuits.layout
     ladder = layout.ladder_qubits()
-    t_m1 = resource_tally(lower_circuit(circuits.stage1, ladder))
-    t_m2 = resource_tally(lower_circuit(circuits.stage2, ladder))
-    t_loader = resource_tally(lower_circuit(circuits.loader, ladder))
-    t_oracle = resource_tally(lower_circuit(circuits.target_reflection, ladder))
-    t_diff = resource_tally(lower_circuit(circuits.diffusion, ladder))
-    t_kernel = resource_tally(lower_circuit(circuits.kernel(), ladder))
+    total = layout.total_qubits
+    m1, m2, oracle, unload, diff = (
+        lower_circuit(part, ladder).flat_gates()
+        for part in (circuits.stage1, circuits.stage2, circuits.target_reflection,
+                     circuits.loader_inverse, circuits.diffusion)
+    )
+    t_m1 = tally_flat(m1, total)
+    t_m2 = tally_flat(m2, total)
+    t_loader = tally_flat(chain(m1, m2), total)
+    t_oracle = tally_flat(oracle, total)
+    t_diff = tally_flat(diff, total)
+    t_kernel = tally_flat(chain(m1, m2, oracle, unload, diff), total)
     return ResourceReport(
         n=layout.n,
         m=layout.m,
@@ -177,48 +192,25 @@ def measure(n: int, m: int, iterations: int | None = None) -> ResourceReport:
 
 
 def _expand_flat(macro_circuit, ladder_flat: tuple[int, ...]):
-    """Expand macros at the flat-index level, streaming.  Uses the
-    canonical fragment templates, so it lowers exactly like
-    :func:`qsearch.decompose.lower_gates` but without building gate
-    objects for multi-million-gate circuits."""
-    from .circuit import GateKind as K
-
-    tof_template = fragment_template(K.TOFFOLI)
-    ccz_template = fragment_template(K.MCZ)
+    """Lower a macro circuit at the flat-index level, lazily: the streamed
+    gates never exist as one list, which matters for multi-million-gate
+    naive loaders."""
     base = macro_circuit._base
-    for g in macro_circuit.gates:
-        flats = tuple(base[q.register] + q.offset for q in g.qubits)
-        if g.kind is K.TOFFOLI:
-            for kind, pos in tof_template:
-                yield kind, tuple(flats[p] for p in pos)
-        elif g.kind is K.MCZ:
-            if len(flats) == 3:
-                for kind, pos in ccz_template:
-                    yield kind, tuple(flats[p] for p in pos)
-            else:
-                free = tuple(a for a in ladder_flat if a not in flats)
-                chain = len(flats) - 3
-                acc = flats[0]
-                ups = []
-                for i in range(chain):
-                    ups.append((acc, flats[i + 1], free[i]))
-                    acc = free[i]
-                for trip in ups:
-                    for kind, pos in tof_template:
-                        yield kind, tuple(trip[p] for p in pos)
-                apex = (acc, flats[-2], flats[-1])
-                for kind, pos in ccz_template:
-                    yield kind, tuple(apex[p] for p in pos)
-                for trip in reversed(ups):
-                    for kind, pos in tof_template:
-                        yield kind, tuple(trip[p] for p in pos)
-        else:
-            yield g.kind, flats
+    return lower_gates(
+        ((g.kind, tuple(base[q.register] + q.offset for q in g.qubits))
+         for g in macro_circuit.gates),
+        ladder_flat,
+    )
 
 
-def _naive_loader_tally(n: int, m: int):
-    """Streaming tally of the lowered naive loader (it can be millions of
-    gates, so never materialize the lowered list)."""
+def measure_naive(n: int, m: int, iterations: int | None = None) -> ResourceReport:
+    """Measured report with the naive loader substituted for the optimized
+    one.  The lowered naive loader can be millions of gates, so it streams
+    into the scheduler and never exists as a list.  The kernel depth is
+    composed per subroutine (2*loader + both reflections); scheduling the
+    multi-million-gate concatenation twice would add nothing but runtime."""
+    if n < 1 or m < 1:
+        raise InputError("widths must be positive")
     layout = NaiveLayout(n, m)
     macro = build_naive_qdam(layout, _zero_keys(n, m))
     total = sum(layout.register_sizes.values())
@@ -226,17 +218,7 @@ def _naive_loader_tally(n: int, m: int):
     ladder_flat = tuple(
         base[q.register] + q.offset for q in layout.ladder_qubits()
     )
-    return tally_flat(_expand_flat(macro, ladder_flat), total), layout
-
-
-def measure_naive(n: int, m: int, iterations: int | None = None) -> ResourceReport:
-    """Measured report with the naive loader substituted for the optimized
-    one.  The kernel depth is composed per subroutine (2*loader + both
-    reflections); scheduling the multi-million-gate concatenation twice
-    would add nothing but runtime."""
-    if n < 1 or m < 1:
-        raise InputError("widths must be positive")
-    tally, layout = _naive_loader_tally(n, m)
+    tally = tally_flat(_expand_flat(macro, ladder_flat), total)
     ref_layout = QdamLayout(n, m)
     ladder = ref_layout.ladder_qubits()
     t_oracle = resource_tally(
@@ -258,7 +240,7 @@ def measure_naive(n: int, m: int, iterations: int | None = None) -> ResourceRepo
         query_count=k,
         t_cost=k * kernel_depth,
         mode=ReportMode.NAIVE_MEASURED,
-        qubit_total=sum(layout.register_sizes.values()),
+        qubit_total=total,
         t_count_total=2 * tally.t_count + t_oracle.t_count + t_diff.t_count,
     )
 

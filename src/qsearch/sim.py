@@ -15,7 +15,7 @@ cross-validation oracle for small circuits.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .circuit import (
     Register,
     REGISTER_ORDER,
     dense_cap,
-    tally_flat,
 )
 from .errors import CircuitError, DenseCapError, MacroGateError
 
@@ -183,11 +182,6 @@ class SparseState:
         out_state = SparseState(self.register_sizes, amps, self.tolerance)
         out_state.peak_support = max(peak, self.peak_support)
         return out_state
-
-
-def apply_circuit(state: SparseState, circuit: Circuit) -> SparseState:
-    """Functional form of :meth:`SparseState.apply`."""
-    return state.apply(circuit)
 
 
 def register_shift(register_sizes: Mapping[Register, int], register: Register) -> int:

@@ -13,13 +13,13 @@ from qsearch.circuit import (
     Register,
     gate,
     resource_tally,
-    schedule_layers,
     t_depth,
 )
 from qsearch.decompose import decompose_toffoli, lower_circuit
 from qsearch.errors import (
     CircuitError,
     DenseCapError,
+    InputError,
     MacroGateError,
     OperandOverlapError,
 )
@@ -74,15 +74,37 @@ def test_tally_two_disjoint_toffolis_merge_layers():
     assert tally.t_depth == 3
 
 
+def _reference_layers(circ):
+    """Gate-by-gate ASAP layering: each gate goes right after the last layer
+    holding a gate that shares one of its qubits."""
+    layers = []
+    for g in circ.gates:
+        layer = 0
+        for i, placed in enumerate(layers):
+            if any(set(h.qubits) & set(g.qubits) for h in placed):
+                layer = i + 1
+        if layer == len(layers):
+            layers.append([])
+        layers[layer].append(g)
+    return layers
+
+
 def test_scheduler_layers_never_share_qubits():
     rng = np.random.default_rng(7)
+    t_kinds = {GateKind.T, GateKind.TDG}
     for _ in range(20):
         circ = random_lowered_circuit(rng, 6, 60)
-        for layer in schedule_layers(circ):
+        layers = _reference_layers(circ)
+        for layer in layers:
             seen = set()
             for g in layer:
                 assert not seen.intersection(g.qubits)
                 seen.update(g.qubits)
+        tally = resource_tally(circ)
+        assert tally.total_layers == len(layers)
+        assert tally.t_depth == sum(
+            any(g.kind in t_kinds for g in layer) for layer in layers
+        )
 
 
 def test_metrics_are_deterministic():
@@ -142,7 +164,6 @@ def test_adjoint_involution_preserves_counts():
     circ = random_lowered_circuit(rng, 5, 100)
     fwd, bwd = resource_tally(circ), resource_tally(circ.inverted())
     assert fwd.t_count == bwd.t_count
-    assert fwd.toffoli_count == bwd.toffoli_count
     assert fwd.cnot_count == bwd.cnot_count
 
 
@@ -193,4 +214,10 @@ def test_dense_cap_is_enforced():
 def test_dense_cap_env_var(monkeypatch):
     monkeypatch.setenv("QSEARCH_MAX_DENSE_QUBITS", "2")
     with pytest.raises(DenseCapError):
+        Circuit({A: 3}).to_unitary()
+
+
+def test_dense_cap_env_var_must_be_an_integer(monkeypatch):
+    monkeypatch.setenv("QSEARCH_MAX_DENSE_QUBITS", "many")
+    with pytest.raises(InputError, match="QSEARCH_MAX_DENSE_QUBITS"):
         Circuit({A: 3}).to_unitary()

@@ -4,13 +4,17 @@ from __future__ import annotations
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import qsearch
 from qsearch.circuit import Circuit
 from qsearch.cli import main
 
 DATA_DB = os.path.join(os.path.dirname(__file__), "..", "data", "people.json")
+SRC_DIR = os.path.dirname(os.path.dirname(qsearch.__file__))
 
 
 def _run(capsys, *argv):
@@ -71,6 +75,43 @@ def test_search_malformed_database_exits_three(tmp_path, capsys):
                         "--key", "0101", "--return", "phone")
     assert code == 3
     assert "error" in err
+
+
+_GOOD_DOC = {
+    "version": 1,
+    "fields": [{"name": "id", "bit_width": 2}],
+    "key_field": "id",
+    "records": [{"id": "01"}, {"id": "10"}],
+}
+
+
+@pytest.mark.parametrize("content", [
+    json.dumps(dict(_GOOD_DOC, fields=[{"name": "id", "bit_width": "x"}])).encode(),
+    json.dumps(dict(_GOOD_DOC, fields=[{"name": "id", "bit_width": 1e999}])).encode(),
+    json.dumps(dict(_GOOD_DOC, records=[["01"], {"id": "10"}])).encode(),
+    json.dumps(dict(_GOOD_DOC, key_field="\u00e9"), ensure_ascii=False).encode(),
+], ids=["bit-width-not-a-number", "bit-width-infinite", "record-is-a-list",
+        "non-ascii-file"])
+def test_bad_database_file_exits_three_without_traceback(tmp_path, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    run = subprocess.run(
+        [sys.executable, "-m", "qsearch.cli", "search", "--db", str(bad),
+         "--key", "01", "--return", "id"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 3
+    assert run.stderr.startswith("error: ")
+    assert "Traceback" not in run.stderr
+
+
+def test_search_zero_shots_exits_three(capsys):
+    code, out, err = _run(capsys, "search", "--db", DATA_DB, "--key", "0101",
+                          "--return", "phone", "--shots", "0", "--seed", "7")
+    assert code == 3
+    assert out == ""
+    assert "shots" in err
 
 
 def test_search_duplicate_keys_exit_three(tmp_path, capsys):

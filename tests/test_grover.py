@@ -231,6 +231,13 @@ def test_sampled_mode_is_deterministic_given_seed():
         run_search(db, query, mode=SearchMode.SAMPLED)
 
 
+def test_sampled_mode_rejects_nonpositive_shots():
+    db = toy_db(3)
+    with pytest.raises(QueryError, match="shots"):
+        run_search(db, SearchQuery("101", "val"), mode=SearchMode.SAMPLED,
+                   seed=9, shots=0)
+
+
 def test_search_resources_are_attached_and_measured():
     db = toy_db(2)
     res = run_search(db, SearchQuery("10", "val"))

@@ -77,7 +77,7 @@ def test_m1_macro_count_and_depth_bound_n3():
 
 def test_m1_every_branch_has_hamming_weight_one():
     layout = QdamLayout(3, 1)
-    init = layout.empty_circuit().register_sizes
+    init = layout.register_sizes
     state = SparseState.zero(init)
     hs = [gate(GateKind.H, q_index(b)) for b in range(3)]
     from qsearch.circuit import Circuit

@@ -2,18 +2,26 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
 
+from qsearch import resources
+from qsearch.circuit import resource_tally
+from qsearch.decompose import lower_circuit
 from qsearch.errors import InputError
+from qsearch.grover import build_kernel_circuits
+from qsearch.qdam import NaiveLayout, QdamLayout, build_naive_qdam, build_qdam
 from qsearch.resources import (
     CSV_HEADER,
     ReportMode,
+    _expand_flat,
     bench_csv,
     bench_scaling,
     estimate_bounds,
     measure,
+    measure_kernel,
     measure_naive,
 )
 
@@ -153,3 +161,65 @@ def test_reports_serialize_deterministically():
     b = estimate_bounds(4, 3)
     assert a.to_json() == b.to_json()
     assert a.to_csv() == b.to_csv()
+
+
+def _random_keys(rng, n, m):
+    return ["".join(rng.choice("01") for _ in range(m)) for _ in range(1 << n)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_flat_expansion_equals_lowered_circuit(n):
+    rng = random.Random(100 + n)
+    for m in (1, 2, 3):
+        keys = _random_keys(rng, n, m)
+        naive = NaiveLayout(n, m)
+        optimized = QdamLayout(n, m)
+        for macro, ladder in ((build_naive_qdam(naive, keys), naive.ladder_qubits()),
+                              (build_qdam(optimized, keys), optimized.ladder_qubits())):
+            flat_ladder = tuple(macro._base[q.register] + q.offset for q in ladder)
+            assert (list(_expand_flat(macro, flat_ladder))
+                    == lower_circuit(macro, ladder).flat_gates())
+
+
+def _lower_each_and_tally(circuits, iterations):
+    """Report fields from one tally of each separately lowered circuit."""
+    ladder = circuits.layout.ladder_qubits()
+    m1, m2, loader, oracle, diff, kernel = (
+        resource_tally(lower_circuit(c, ladder))
+        for c in (circuits.stage1, circuits.stage2, circuits.loader,
+                  circuits.target_reflection, circuits.diffusion, circuits.kernel())
+    )
+    return (m1.t_depth, m2.t_depth, loader.t_depth, oracle.t_depth, diff.t_depth,
+            kernel.t_depth, iterations * kernel.t_depth, kernel.t_count)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_measure_kernel_equals_lowering_every_circuit(n):
+    rng = random.Random(200 + n)
+    for m in (1, 2, 3, 4):
+        layout = QdamLayout(n, m)
+        pattern = _random_keys(rng, 0, m)[0]
+        circuits = build_kernel_circuits(layout, _random_keys(rng, n, m), pattern)
+        report = measure_kernel(circuits, 3)
+        assert (report.t_depth_m1, report.t_depth_m2, report.t_depth_qdam,
+                report.t_depth_oracle_reflection, report.t_depth_diffusion,
+                report.t_depth_kernel, report.t_cost, report.t_count_total) \
+            == _lower_each_and_tally(circuits, 3)
+
+
+def test_measure_kernel_lowers_each_subroutine_once(monkeypatch):
+    circuits = build_kernel_circuits(QdamLayout(3, 2), ["01"] * 8, "01")
+    lowered = []
+
+    def counting(circuit, ladder=()):
+        lowered.append(circuit.gates)
+        return lower_circuit(circuit, ladder)
+
+    monkeypatch.setattr(resources, "lower_circuit", counting)
+    measure_kernel(circuits, 1)
+    parts = (circuits.stage1, circuits.stage2, circuits.target_reflection,
+             circuits.loader_inverse, circuits.diffusion)
+    assert len(lowered) == len(parts)
+    assert all(part.gates in lowered for part in parts)
+    assert circuits.loader.gates not in lowered
+    assert circuits.kernel().gates not in lowered

@@ -12,7 +12,6 @@ from qsearch.errors import CircuitError, DenseCapError, MacroGateError
 from qsearch.qdam import QdamLayout, build_qdam
 from qsearch.sim import (
     SparseState,
-    apply_circuit,
     basis_pattern,
     dense_statevector,
     index_distribution,

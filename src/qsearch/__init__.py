@@ -38,6 +38,7 @@ from .grover import (
     build_diffusion,
     build_kernel_circuits,
     build_target_reflection,
+    lower_kernel,
     optimal_iterations,
     run_search,
     success_probability_formula,
@@ -65,7 +66,6 @@ from .sim import (
     SparseState,
     basis_pattern,
     dense_statevector,
-    index_distribution,
 )
 
 __version__ = "0.1.0"

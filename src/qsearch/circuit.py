@@ -128,7 +128,7 @@ def adjoint_gate(g: Gate) -> Gate:
 class Circuit:
     """Ordered gate list over sized registers.  Immutable once built."""
 
-    __slots__ = ("register_sizes", "gates", "_base", "_total", "_compiled")
+    __slots__ = ("register_sizes", "gates", "_base", "_total")
 
     def __init__(
         self,
@@ -148,7 +148,6 @@ class Circuit:
             acc += sizes[reg]
         self._base = base
         self._total = acc
-        self._compiled = None
         if validate:
             self._validate()
 

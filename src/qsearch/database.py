@@ -146,29 +146,54 @@ class SearchQuery:
         db.field(self.return_field)
 
 
+_JSON_NAMES = {
+    type(None): "null", bool: "boolean", int: "integer", float: "number",
+    str: "string", list: "array", dict: "object",
+}
+
+
+def _typed(value, kind: type, where: str):
+    """``value`` if its JSON type is exactly ``kind``: a boolean is no
+    integer, and a number is no string."""
+    if type(value) is not kind:
+        raise DatabaseFormatError(
+            f"{where} must be a JSON {_JSON_NAMES[kind]}, "
+            f"got {_JSON_NAMES[type(value)]}"
+        )
+    return value
+
+
 def load_database(document: str) -> Database:
-    """Parse and validate a database JSON document."""
+    """Parse and validate a database JSON document.  Types are strict:
+    ``version`` and ``bit_width`` are integers, names, ``key_field`` and
+    record values are strings; nothing is coerced."""
     try:
         doc = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError also covers integers past the digit limit, and deep
+        # nesting exhausts the decoder's recursion
         raise DatabaseFormatError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DatabaseFormatError("top-level document must be an object")
-    if doc.get("version") != FORMAT_VERSION:
-        raise DatabaseFormatError(f"unsupported version {doc.get('version')!r}")
+    _typed(doc, dict, "top-level document")
+    version = doc.get("version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise DatabaseFormatError(f"unsupported version {version!r}")
     try:
-        fields = tuple(
-            FieldSpec(str(entry["name"]), int(entry["bit_width"]))
-            for entry in doc["fields"]
-        )
-        key_field = str(doc["key_field"])
+        fields = []
+        for i, entry in enumerate(_typed(doc["fields"], list, "fields")):
+            _typed(entry, dict, f"field {i}")
+            fields.append(FieldSpec(
+                _typed(entry["name"], str, f"field {i} name"),
+                _typed(entry["bit_width"], int, f"field {i} bit_width"),
+            ))
+        key_field = _typed(doc["key_field"], str, "key_field")
         records = tuple(
-            Record({str(k): str(v) for k, v in entry.items()})
-            for entry in doc["records"]
+            Record({name: _typed(value, str, f"record {i} field {name!r}")
+                    for name, value in _typed(entry, dict, f"record {i}").items()})
+            for i, entry in enumerate(_typed(doc["records"], list, "records"))
         )
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
-        raise DatabaseFormatError(f"malformed document: {exc}") from exc
-    return Database(fields=fields, records=records, key_field=key_field)
+    except KeyError as exc:
+        raise DatabaseFormatError(f"malformed document: missing key {exc}") from exc
+    return Database(fields=tuple(fields), records=records, key_field=key_field)
 
 
 def load_database_file(path: str) -> Database:

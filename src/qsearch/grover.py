@@ -1,15 +1,29 @@
 """Amplitude-amplification search driver.
 
 One kernel iteration applies loader, target reflection, inverse loader,
-then the reflection about the uniform index state; both reflections carry
-phase pi so the composed kernel equals the textbook amplification operator
-on the index register up to a global sign.  After the loader's inverse,
-everything but the binary index register is back to |0>, so iterating and
-measuring the index marginal is exact.
+then the reflection about the uniform index state.  The first three form
+the *block*; the driver proves it exact before it iterates anything.  It
+runs the block's macro circuits on every index branch at once, bit-sliced
+(:class:`qsearch.sim.SlicedState`), and checks that each branch comes back
+to its own index with every other qubit |0> and a phase of +1 or -1.  The
+block is then a +-1 diagonal, so nothing outside the index register is
+ever populated and the off-support probability is exactly 0.  The
+diffusion's middle is bit-sliced the same way, between two Walsh-Hadamard
+transforms.
 
-The driver verifies its measured candidate the honest way: it re-runs the
-loader on the candidate basis state, reads the data register, and compares
-against the queried key.  Sentinel (padding) records are never accepted.
+The K rounds run on 2^n Python ints: after r rounds the amplitude of
+branch q is ``v[q] * 2^(-n(2r+1)/2)``, so every probability is one
+correctly rounded integer division and ties are exact.
+
+The Clifford+T circuits tie the fast path to what is compiled.  Each
+subroutine is lowered once (:func:`lower_kernel`); the resource report
+schedules those lowered circuits, and the driver verifies its measured
+candidate the honest way: it re-runs the lowered loader on the candidate
+basis state with :class:`qsearch.sim.SparseState`, requires the bit-sliced
+loader's branch to agree, reads the data register, and compares against
+the queried key.  Sentinel (padding) records are never accepted.  The
+tests check the bit-sliced rounds against a SparseState run over the
+lowered subroutines.
 """
 from __future__ import annotations
 
@@ -32,7 +46,13 @@ from .database import Database, SearchQuery, encode_key
 from .decompose import lower_circuit, mcz_ladder, sync_touch
 from .errors import CircuitError, InputError, QueryError
 from .qdam import QdamLayout
-from .sim import SparseState, index_distribution
+from .sim import (
+    SlicedState,
+    SparseState,
+    diffusion_signs,
+    negate,
+    walsh_hadamard,
+)
 
 _K = GateKind
 
@@ -86,7 +106,8 @@ class SearchMode(enum.Enum):
 @dataclass
 class SearchTrace:
     """Per-round target amplitude magnitude, branch probability, and the
-    probability left outside the decoupled (index-only) subspace."""
+    probability left outside the decoupled (index-only) subspace, which is
+    exactly 0 because the driver proves the decoupling before any round."""
 
     target_amplitudes: list[float] = field(default_factory=list)
     success_probabilities: list[float] = field(default_factory=list)
@@ -120,7 +141,7 @@ class SearchResult:
     oracle_calls: int
     trace: SearchTrace
     resources: "object"  # ResourceReport; typed loosely to avoid an import cycle
-    peak_support: int = 0
+    peak_support: int = 0  # branches held: 2^n
 
     def to_json(self) -> dict:
         return {
@@ -211,14 +232,32 @@ def build_kernel_circuits(
     )
 
 
-def _off_index_probability(state: SparseState) -> float:
-    """Probability of any branch whose non-index registers deviate from |0>."""
-    shift = state.total_qubits - state.register_sizes[Register.BINARY_INDEX]
-    mask = (1 << shift) - 1
-    return sum(
-        (a * a.conjugate()).real
-        for k, a in state.amplitudes.items()
-        if k & mask
+@dataclass(frozen=True)
+class LoweredKernel:
+    """Clifford+T subroutines of one kernel iteration, each lowered once."""
+
+    layout: QdamLayout
+    stage1: Circuit
+    stage2: Circuit
+    target_reflection: Circuit
+    loader_inverse: Circuit
+    diffusion: Circuit
+
+    @property
+    def loader(self) -> Circuit:
+        """Lowering is gate by gate, so this equals the lowered loader."""
+        return self.stage1 + self.stage2
+
+
+def lower_kernel(circuits: KernelCircuits) -> LoweredKernel:
+    """Lower stage 1, stage 2, the target reflection, the inverse loader and
+    the diffusion, once each."""
+    ladder = circuits.layout.ladder_qubits()
+    return LoweredKernel(
+        circuits.layout,
+        *(lower_circuit(part, ladder)
+          for part in (circuits.stage1, circuits.stage2, circuits.target_reflection,
+                       circuits.loader_inverse, circuits.diffusion)),
     )
 
 
@@ -230,8 +269,9 @@ def run_search(
     seed: int | None = None,
     shots: int = 1,
 ) -> SearchResult:
-    """Execute the full search: exact sparse simulation of K kernel rounds,
-    index measurement, quantum re-load verification, and field return."""
+    """Execute the full search: exact bit-sliced simulation of K kernel
+    rounds, index measurement, quantum re-load verification, and field
+    return."""
     from . import resources  # local import to avoid a cycle
 
     query.validate(db)
@@ -251,56 +291,56 @@ def run_search(
     layout = QdamLayout.for_database(db)
     key_pattern = encode_key(db, query.key_value)
     circuits = build_kernel_circuits(layout, db, key_pattern)
-    ladder = layout.ladder_qubits()
-    loader = lower_circuit(circuits.loader, ladder)
-    loader_inv = lower_circuit(circuits.loader_inverse, ladder)
-    oracle_reflection = lower_circuit(circuits.target_reflection, ladder)
-    diffusion = lower_circuit(circuits.diffusion, ladder)
+    lowered = lower_kernel(circuits)
+
+    loaded = SlicedState(layout.register_sizes).run(circuits.loader)
+    marked = (loaded.run(circuits.target_reflection)
+              .run(circuits.loader_inverse).diagonal_signs())
+    reflected = diffusion_signs(circuits.diffusion)
 
     target = db.index_of_key(query.key_value)
     n = layout.n
     big_n = 1 << n
 
-    init = Circuit(
-        layout.register_sizes,
-        [gate(_K.H, q_index(b)) for b in range(n)],
-        validate=False,
-    )
-    state = SparseState.zero(layout.register_sizes).apply(init)
-
     trace = SearchTrace()
 
-    def record(st: SparseState) -> None:
-        dist = index_distribution(st)
-        p = float(dist[target]) if target is not None else 0.0
+    def record(values: list[int], rounds: int) -> None:
+        scale = 1 << (n * (2 * rounds + 1))
+        p = values[target] ** 2 / scale if target is not None else 0.0
         trace.target_amplitudes.append(math.sqrt(p))
         trace.success_probabilities.append(p)
-        trace.off_support_probabilities.append(_off_index_probability(st))
+        trace.off_support_probabilities.append(0)
 
-    record(state)
+    # H^n on |0>: every amplitude 2^(-n/2)
+    values = [1] * big_n
+    record(values, 0)
     oracle_calls = 0
-    for _ in range(plan.iterations):
-        state = state.apply(loader)
-        state = state.apply(oracle_reflection)
+    for rounds in range(1, plan.iterations + 1):
+        values = negate(values, marked)
         oracle_calls += 1
-        state = state.apply(loader_inv)
-        state = state.apply(diffusion)
-        record(state)
+        values = walsh_hadamard(negate(walsh_hadamard(values), reflected))
+        record(values, rounds)
 
-    distribution = index_distribution(state)
+    squares = [v * v for v in values]
+    scale = 1 << (n * (2 * plan.iterations + 1))
     if mode is SearchMode.EXACT_PROBABILITY:
-        candidate = int(np.argmax(distribution))
+        candidate = squares.index(max(squares))
     else:
+        distribution = np.array([s / scale for s in squares])
         rng = np.random.default_rng(seed)
         samples = rng.choice(big_n, size=shots, p=distribution / distribution.sum())
         counts = np.bincount(samples, minlength=big_n)
         candidate = int(np.argmax(counts))
-    candidate_probability = float(distribution[candidate])
+    candidate_probability = squares[candidate] / scale
 
     # verification: re-load on the candidate branch and read the data register
     probe = SparseState.basis(
         layout.register_sizes, candidate << (layout.total_qubits - n)
-    ).apply(loader)
+    ).apply(lowered.loader)
+    if list(probe.amplitudes) != [loaded.basis_label(candidate)]:
+        raise CircuitError(
+            f"lowered loader disagrees with the bit-sliced loader on branch {candidate}"
+        )
     pattern = next(iter(probe.amplitudes))
     measured_bits = format(
         probe.register_bits(pattern, Register.DATA), f"0{layout.m}b"
@@ -318,7 +358,7 @@ def run_search(
         status = SearchStatus.ALGORITHM_FAILURE
         returned = None
 
-    report = resources.measure_kernel(circuits, plan.iterations)
+    report = resources.measure_kernel(lowered, plan.iterations)
 
     return SearchResult(
         status=status,
@@ -329,5 +369,5 @@ def run_search(
         oracle_calls=oracle_calls,
         trace=trace,
         resources=report,
-        peak_support=state.peak_support,
+        peak_support=big_n,
     )

@@ -8,11 +8,13 @@ kernel = 2*loader + reflections, cost = iterations * kernel.  Measured
 mode schedules the actual lowered circuits and must come in at or under
 the bounds, subroutine by subroutine.
 
-:func:`measure_kernel` lowers each of the five subroutines once (stage 1,
-stage 2, target reflection, inverse loader, diffusion).  Lowering works
-gate by gate, so the lowered loader and kernel are the concatenations of
-the lowered parts; their tallies chain the parts' flat gate lists through
-:func:`tally_flat` instead of lowering the concatenated circuits again.
+:func:`measure_kernel` tallies the five subroutines that
+:func:`qsearch.grover.lower_kernel` lowers once each (stage 1, stage 2,
+target reflection, inverse loader, diffusion); the search driver reuses
+the same lowering.  Lowering works gate by gate, so the lowered loader and
+kernel are the concatenations of the lowered parts; their tallies chain
+the parts' flat gate lists through :func:`tally_flat` instead of lowering
+the concatenated circuits again.
 """
 from __future__ import annotations
 
@@ -26,10 +28,11 @@ from .circuit import resource_tally, tally_flat
 from .decompose import lower_circuit, lower_gates
 from .errors import InputError
 from .grover import (
-    KernelCircuits,
+    LoweredKernel,
     build_diffusion,
     build_kernel_circuits,
     build_target_reflection,
+    lower_kernel,
     optimal_iterations,
 )
 from .qdam import NaiveLayout, QdamLayout, build_naive_qdam
@@ -144,17 +147,15 @@ def _zero_keys(n: int, m: int) -> list[str]:
     return ["0" * m] * (1 << n)
 
 
-def measure_kernel(circuits: KernelCircuits, iterations: int) -> ResourceReport:
-    """Schedule the lowered subroutines of one kernel and tally them; each
-    subroutine is lowered once and the loader and kernel are tallied as
-    chains of the parts."""
-    layout = circuits.layout
-    ladder = layout.ladder_qubits()
+def measure_kernel(kernel: LoweredKernel, iterations: int) -> ResourceReport:
+    """Schedule the lowered subroutines of one kernel and tally them; the
+    loader and kernel are tallied as chains of the parts."""
+    layout = kernel.layout
     total = layout.total_qubits
     m1, m2, oracle, unload, diff = (
-        lower_circuit(part, ladder).flat_gates()
-        for part in (circuits.stage1, circuits.stage2, circuits.target_reflection,
-                     circuits.loader_inverse, circuits.diffusion)
+        part.flat_gates()
+        for part in (kernel.stage1, kernel.stage2, kernel.target_reflection,
+                     kernel.loader_inverse, kernel.diffusion)
     )
     t_m1 = tally_flat(m1, total)
     t_m2 = tally_flat(m2, total)
@@ -188,7 +189,7 @@ def measure(n: int, m: int, iterations: int | None = None) -> ResourceReport:
     keys = _zero_keys(n, m)
     circuits = build_kernel_circuits(layout, keys, "0" * m)
     k = iterations if iterations is not None else optimal_iterations(1 << n)
-    return measure_kernel(circuits, k)
+    return measure_kernel(lower_kernel(circuits), k)
 
 
 def _expand_flat(macro_circuit, ladder_flat: tuple[int, ...]):

@@ -1,12 +1,24 @@
 """Exact simulation backends.
 
+The search hot path never simulates Clifford+T gates.  Loader, target
+reflection and inverse loader are reversible permutations with phases, so
+:class:`SlicedState` runs their *macro* circuits on every index branch at
+once, bit-sliced as in bitslice DES (Biham, FSE 1997): each qubit is one
+Python int whose bit q belongs to index branch q.  X, CNOT and TOFFOLI are
+integer XOR/AND, and the diagonal gates add eighth turns to a per-branch
+counter mod 8 held in three bit-planes, so every phase is exact.  The only
+H gates sit at the two ends of the diffusion; :func:`diffusion_signs`
+splits them off as an unnormalised Walsh-Hadamard transform
+(:func:`walsh_hadamard`) and bit-slices the rest.
+
 ``SparseState`` stores a normalized amplitude map keyed by basis integers
-(bit conventions from :mod:`qsearch.circuit`), so register counts in the
-hundreds are fine as long as the support stays small -- which the search
-state does by construction.  Diagonal gates update phases in place;
-H splits/recombines support; X/CNOT permute keys.  Amplitudes below the
-drop tolerance (default 1e-14) are pruned so destructive interference does
-not pollute the support.
+(bit conventions from :mod:`qsearch.circuit`) and applies *lowered*
+circuits.  It is the reference the bit-sliced path is tested against on
+Clifford+T, and the search's reload check: one branch through the lowered
+loader.  Diagonal gates update phases in place; H splits/recombines
+support; X/CNOT permute keys.  Amplitudes below the drop tolerance
+(default 1e-14) are pruned so destructive interference does not pollute
+the support.
 
 The dense backend applies the same gates to a full numpy state vector (or
 to a batch of columns for unitary extraction) and exists as a
@@ -25,6 +37,8 @@ from .circuit import (
     Register,
     REGISTER_ORDER,
     dense_cap,
+    gate,
+    q_index,
 )
 from .errors import CircuitError, DenseCapError, MacroGateError
 
@@ -44,15 +58,14 @@ _OP_H, _OP_X, _OP_PHASE, _OP_CNOT, _OP_CZ = range(5)
 
 
 def _compile(circuit: Circuit) -> list[tuple]:
-    """Turn a lowered circuit into mask-based instructions (cached)."""
-    if circuit._compiled is not None:
-        return circuit._compiled
+    """Turn a lowered circuit into mask-based instructions."""
     if not circuit.is_lowered:
         raise MacroGateError("simulation requires a lowered circuit")
     total = circuit.total_qubits
+    bit = [1 << (total - 1 - f) for f in range(total)]
     ops: list[tuple] = []
     for kind, flats in circuit.flat_gates():
-        masks = tuple(1 << (total - 1 - f) for f in flats)
+        masks = [bit[f] for f in flats]
         if kind is GateKind.H:
             ops.append((_OP_H, masks[0]))
         elif kind is GateKind.X:
@@ -63,7 +76,6 @@ def _compile(circuit: Circuit) -> list[tuple]:
             ops.append((_OP_CZ, masks[0] | masks[1]))
         else:
             ops.append((_OP_PHASE, masks[0], _PHASES[kind]))
-    circuit._compiled = ops
     return ops
 
 
@@ -212,16 +224,133 @@ def basis_pattern(
     return pattern
 
 
-def index_distribution(state: SparseState) -> np.ndarray:
-    """Marginal probability over the binary-index register."""
-    n = state.register_sizes[Register.BINARY_INDEX]
-    if n == 0:
-        raise CircuitError("state has no binary-index register")
-    shift = state.total_qubits - n
-    dist = np.zeros(1 << n, dtype=np.float64)
-    for k, a in state.amplitudes.items():
-        dist[k >> shift] += (a * a.conjugate()).real
-    return dist
+# -- bit-sliced backend ----------------------------------------------------
+
+# eighth turns each diagonal gate adds to the branches it acts on
+_EIGHTHS = {
+    GateKind.Z: 4, GateKind.CZ: 4, GateKind.MCZ: 4,
+    GateKind.S: 2, GateKind.SDG: 6, GateKind.T: 1, GateKind.TDG: 7,
+}
+
+
+class SlicedState:
+    """Every index branch of a permutation-with-phases circuit at once.
+
+    ``columns[f]`` holds flat qubit f in every branch: bit q is its value
+    in index branch q.  ``phase`` holds each branch's phase in eighth turns
+    mod 8 as three bit-planes, least significant first.  Branch q starts
+    as |q> on the binary-index register, every other qubit |0>, phase 0.
+    Macro gates are welcome; H is not.  Value-semantic: ``run`` returns a
+    new state and leaves the input untouched.
+    """
+
+    __slots__ = ("register_sizes", "columns", "phase", "_all", "_index")
+
+    def __init__(self, register_sizes: Mapping[Register, int]):
+        self.register_sizes = {reg: int(register_sizes.get(reg, 0))
+                               for reg in REGISTER_ORDER}
+        n = self.register_sizes[Register.BINARY_INDEX]
+        if n == 0:
+            raise CircuitError("state has no binary-index register")
+        branches = range(1 << n)
+        self._all = (1 << (1 << n)) - 1
+        # the binary-index register comes first in the global qubit order;
+        # its offset b carries weight 2^(n-1-b) in the branch's index
+        self._index = tuple(
+            sum(1 << q for q in branches if q >> (n - 1 - b) & 1)
+            for b in range(n)
+        )
+        self.columns = [*self._index] + [0] * (sum(self.register_sizes.values()) - n)
+        self.phase = [0, 0, 0]
+
+    def run(self, circuit: Circuit) -> "SlicedState":
+        if circuit.register_sizes != self.register_sizes:
+            raise CircuitError("circuit registers do not match the state")
+        out = SlicedState.__new__(SlicedState)
+        out.register_sizes, out._all, out._index = (
+            self.register_sizes, self._all, self._index)
+        cols = out.columns = list(self.columns)
+        planes = out.phase = list(self.phase)
+        full = self._all
+        k_x, k_cnot, k_toffoli = GateKind.X, GateKind.CNOT, GateKind.TOFFOLI
+        for kind, flats in circuit.flat_gates():
+            if kind is k_cnot:
+                cols[flats[1]] ^= cols[flats[0]]
+            elif kind is k_toffoli:
+                cols[flats[2]] ^= cols[flats[0]] & cols[flats[1]]
+            elif kind is k_x:
+                cols[flats[0]] ^= full
+            else:
+                turns = _EIGHTHS.get(kind)
+                if turns is None:
+                    raise CircuitError(
+                        f"{kind.value} is not a permutation with phases"
+                    )
+                mask = full
+                for f in flats:
+                    mask &= cols[f]
+                # ripple-carry add of ``turns`` on the masked branches
+                carry = 0
+                for i in range(3):
+                    add = mask if turns >> i & 1 else 0
+                    plane = planes[i]
+                    planes[i] = plane ^ add ^ carry
+                    carry = (plane & add) | (carry & (plane ^ add))
+        return out
+
+    def basis_label(self, branch: int) -> int:
+        """Basis label of one branch, bit conventions of :mod:`qsearch.circuit`."""
+        label = 0
+        for col in self.columns:
+            label = label << 1 | (col >> branch & 1)
+        return label
+
+    def diagonal_signs(self) -> int:
+        """Mask of the negated branches, once it is proven exactly that the
+        circuits run so far act as a +-1 diagonal on the binary index:
+        every index column unchanged, every other column 0 and every branch
+        phase 0 or 4 eighth turns.  Raises :class:`CircuitError` otherwise."""
+        n = len(self._index)
+        if tuple(self.columns[:n]) != self._index or any(self.columns[n:]):
+            raise CircuitError("circuit does not return every branch to the index register")
+        if self.phase[0] or self.phase[1]:
+            raise CircuitError("circuit leaves a branch phase other than +1 or -1")
+        return self.phase[2]
+
+
+def walsh_hadamard(values: list[int]) -> list[int]:
+    """Unnormalised Walsh-Hadamard transform: 2^(n/2) H^n, exactly, on a
+    vector of 2^n integer amplitudes."""
+    out = list(values)
+    size = len(out)
+    half = 1
+    while half < size:
+        for start in range(0, size, 2 * half):
+            for i in range(start, start + half):
+                a, b = out[i], out[i + half]
+                out[i], out[i + half] = a + b, a - b
+        half <<= 1
+    return out
+
+
+def negate(values: list[int], mask: int) -> list[int]:
+    """Flip the sign of every entry whose bit is set in ``mask``."""
+    return [-v if mask >> q & 1 else v for q, v in enumerate(values)]
+
+
+def diffusion_signs(circuit: Circuit) -> int:
+    """Sign mask of D in a diffusion circuit H^n D H^n: one H on every
+    binary-index qubit at each end, and between them a permutation with
+    phases that acts as a +-1 diagonal.  Raises :class:`CircuitError` on
+    any other shape."""
+    n = circuit.register_sizes[Register.BINARY_INDEX]
+    hs = {gate(GateKind.H, q_index(b)) for b in range(n)}
+    gates = circuit.gates
+    # n gates whose set is the n distinct H gates: each qubit exactly once
+    if len(gates) < 2 * n or set(gates[:n]) != hs or set(gates[len(gates) - n:]) != hs:
+        raise CircuitError("diffusion must start and end with H on every index qubit")
+    middle = Circuit(circuit.register_sizes, gates[n:len(gates) - n], validate=False)
+    return SlicedState(circuit.register_sizes).run(middle).diagonal_signs()
 
 
 # -- dense backend ---------------------------------------------------------

@@ -133,7 +133,7 @@ def test_criterion_3_exponential_vs_logarithmic_separation():
 @pytest.fixture(scope="module")
 def search_runs():
     runs = {}
-    for n in (2, 3, 4, 5, 6):
+    for n in (2, 3, 4, 5, 6, 7):
         db = toy_db(n)
         target = (1 << n) - 2
         runs[1 << n] = run_search(db, SearchQuery(format(target, f"0{n}b"), "val"))
@@ -155,7 +155,7 @@ def test_criterion_4_search_dynamics(search_runs):
     elapsed = time.time() - start
     assert elapsed < 120
     _passed(4, "probabilities match the closed form to 1e-9 for N in "
-               f"{{4,8,16,32,64}}; N=4 exact ({elapsed:.1f}s)")
+               f"{{4,8,16,32,64,128}}; N=4 exact ({elapsed:.1f}s)")
 
 
 def test_criterion_5_decoupling(search_runs):

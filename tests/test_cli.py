@@ -6,12 +6,17 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qsearch
 from qsearch.circuit import Circuit
 from qsearch.cli import main
+from qsearch.database import load_database
+from qsearch.errors import QsearchError
 
 DATA_DB = os.path.join(os.path.dirname(__file__), "..", "data", "people.json")
 SRC_DIR = os.path.dirname(os.path.dirname(qsearch.__file__))
@@ -90,8 +95,10 @@ _GOOD_DOC = {
     json.dumps(dict(_GOOD_DOC, fields=[{"name": "id", "bit_width": 1e999}])).encode(),
     json.dumps(dict(_GOOD_DOC, records=[["01"], {"id": "10"}])).encode(),
     json.dumps(dict(_GOOD_DOC, key_field="\u00e9"), ensure_ascii=False).encode(),
+    b"[" * 100_000,
+    b'{"version": ' + b"1" * 5000 + b"}",
 ], ids=["bit-width-not-a-number", "bit-width-infinite", "record-is-a-list",
-        "non-ascii-file"])
+        "non-ascii-file", "deep-nesting", "integer-digit-limit"])
 def test_bad_database_file_exits_three_without_traceback(tmp_path, content):
     bad = tmp_path / "bad.json"
     bad.write_bytes(content)
@@ -104,6 +111,72 @@ def test_bad_database_file_exits_three_without_traceback(tmp_path, content):
     assert run.returncode == 3
     assert run.stderr.startswith("error: ")
     assert "Traceback" not in run.stderr
+
+
+_FUZZ_DOC = {
+    "version": 1,
+    "fields": [{"name": "id", "bit_width": 2}, {"name": "val", "bit_width": 2}],
+    "key_field": "id",
+    "records": [{"id": "00", "val": "01"}, {"id": "01", "val": "10"},
+                {"id": "11", "val": "11"}],
+}
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 5) | st.floats(allow_nan=False)
+    | st.text("01a", max_size=3) | st.sampled_from(["id", "val", "key_field"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["id", "val", "name", "bit_width"]), inner,
+                      max_size=3),
+    max_leaves=5,
+)
+
+
+def _slots(node):
+    """Every (container, key) pair inside a JSON document."""
+    keys = node.keys() if isinstance(node, dict) else range(len(node))
+    out = []
+    for key in list(keys):
+        out.append((node, key))
+        if isinstance(node[key], (dict, list)):
+            out.extend(_slots(node[key]))
+    return out
+
+
+@st.composite
+def _mutated_documents(draw):
+    doc = json.loads(json.dumps(_FUZZ_DOC))
+    for _ in range(draw(st.integers(1, 3))):
+        slots = _slots(doc)
+        if not slots:
+            break
+        node, key = slots[draw(st.integers(0, len(slots) - 1))]
+        if draw(st.booleans()):
+            node[key] = draw(_JSON_VALUES)
+        else:
+            del node[key]
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mutated_documents(), st.sampled_from(["00", "11", "10", "0"]))
+def test_fuzzed_documents_load_or_fail_cleanly(doc, key):
+    text = json.dumps(doc)
+    try:
+        db = load_database(text)
+    except QsearchError:
+        db = None
+    if db is not None:
+        # nothing was coerced: the database writes back the document's values
+        back = json.loads(db.to_json())
+        fields = [{"name": f["name"], "bit_width": f["bit_width"]} for f in doc["fields"]]
+        assert json.dumps(back) == json.dumps(dict(
+            version=doc["version"], fields=fields, key_field=doc["key_field"],
+            records=doc["records"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "db.json")
+        with open(path, "w", encoding="ascii") as handle:
+            handle.write(text)
+        code = main(["search", "--db", path, "--key", key, "--return", "val"])
+    assert code in (0, 2, 3)
 
 
 def test_search_zero_shots_exits_three(capsys):

@@ -194,3 +194,44 @@ def test_query_validation():
         SearchQuery("10", "val").validate(db)
     with pytest.raises(UnknownFieldError):
         SearchQuery("1010", "nope").validate(db)
+
+
+def _valid():
+    return json.loads(_doc([{"id": "0000", "val": "01"}, {"id": "0001", "val": "10"}]))
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: d["fields"][0].update(bit_width=True),
+    lambda d: d["fields"][0].update(bit_width=1.9),
+    lambda d: d["fields"][0].update(bit_width=4.0),
+    lambda d: d["fields"][0].update(bit_width="4"),
+    lambda d: d["fields"][0].update(name=1),
+    lambda d: d.update(key_field=["id"]),
+    lambda d: d["records"][0].update(id=1),
+    lambda d: d["records"][0].update(val=None),
+    lambda d: d.update(version=True),
+    lambda d: d.update(version=1.0),
+    lambda d: d.update(fields={"name": "id", "bit_width": 4}),
+    lambda d: d["fields"].__setitem__(0, ["id", 4]),
+    lambda d: d["fields"].__setitem__(1, {}),
+    lambda d: d.update(records="0000"),
+    lambda d: d["records"].__setitem__(1, ["0001", "10"]),
+], ids=["width-bool", "width-float", "width-integral-float", "width-string",
+        "name-int", "key-field-list", "value-int", "value-null", "version-bool",
+        "version-float", "fields-object", "field-array", "field-empty",
+        "records-string", "record-array"])
+def test_json_types_are_strict(mutate):
+    doc = _valid()
+    assert load_database(json.dumps(doc)).size == 2
+    mutate(doc)
+    with pytest.raises(DatabaseFormatError):
+        load_database(json.dumps(doc))
+
+
+@pytest.mark.parametrize("text", [
+    '{"version": 1, "n": ' + "9" * 5000 + "}",
+    "[" * 100_000,
+], ids=["digit-limit", "deep-nesting"])
+def test_undecodable_json_is_a_format_error(text):
+    with pytest.raises(DatabaseFormatError):
+        load_database(text)

@@ -1,15 +1,17 @@
 """Reflections, iteration planning, and the full search driver."""
 from __future__ import annotations
 
+import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
 
-from qsearch.circuit import Register, resource_tally
+from qsearch.circuit import Circuit, GateKind, Register, gate, q_index, resource_tally
 from qsearch.database import SearchQuery, pad_to_power_of_two
 from qsearch.decompose import lower_circuit
-from qsearch.errors import InputError, QueryError
+from qsearch.errors import CircuitError, InputError, QueryError
 from qsearch.grover import (
     SearchMode,
     SearchPlan,
@@ -17,12 +19,20 @@ from qsearch.grover import (
     build_diffusion,
     build_kernel_circuits,
     build_target_reflection,
+    lower_kernel,
     optimal_iterations,
     run_search,
     success_probability_formula,
 )
 from qsearch.qdam import QdamLayout
-from qsearch.sim import SparseState, basis_pattern
+from qsearch.sim import (
+    SlicedState,
+    SparseState,
+    basis_pattern,
+    diffusion_signs,
+    negate,
+    walsh_hadamard,
+)
 
 from conftest import toy_db
 
@@ -253,3 +263,181 @@ def test_search_rejects_unpadded_database():
     odd = Database(fields=db.fields, records=db.records[:3], key_field="key")
     with pytest.raises(QueryError):
         run_search(odd, SearchQuery("01", "val"))
+
+
+# -- the bit-sliced rounds against Clifford+T --------------------------------
+
+
+def _random_db(rng, n, m, count):
+    """``count`` records with distinct random m-bit keys, padded to 2^n."""
+    from qsearch.database import Database, FieldSpec, Record
+
+    keys = rng.sample(range(1 << m), count)
+    db = Database(
+        fields=(FieldSpec("key", m), FieldSpec("val", 3)),
+        records=tuple(Record({"key": format(k, f"0{m}b"),
+                              "val": format(rng.randrange(8), "03b")}) for k in keys),
+        key_field="key",
+    )
+    padded = pad_to_power_of_two(db)
+    assert padded.index_bits == n
+    return padded
+
+
+def _reference_rounds(db, key, iterations):
+    """Index marginal and off-index probability after each round, from a
+    SparseState run over the lowered subroutines."""
+    layout = QdamLayout.for_database(db)
+    circuits = build_kernel_circuits(layout, db, key)
+    ladder = layout.ladder_qubits()
+    kernel = [lower_circuit(c, ladder) for c in (
+        circuits.loader, circuits.target_reflection, circuits.loader_inverse,
+        circuits.diffusion)]
+    sizes = layout.register_sizes
+    n = layout.n
+    shift = layout.total_qubits - n
+    state = SparseState.zero(sizes).apply(
+        Circuit(sizes, [gate(GateKind.H, q_index(b)) for b in range(n)]))
+
+    def marginal(st):
+        dist, off = np.zeros(1 << n), 0.0
+        for label, amp in st.amplitudes.items():
+            p = abs(amp) ** 2
+            if label & ((1 << shift) - 1):
+                off += p
+            else:
+                dist[label >> shift] += p
+        return dist, off
+
+    rounds = [marginal(state)]
+    for _ in range(iterations):
+        for part in kernel:
+            state = state.apply(part)
+        rounds.append(marginal(state))
+    return rounds
+
+
+def _oracle_cases():
+    rng = random.Random(2211)
+    cases = []
+    for n in (1, 2, 3, 4, 5):
+        m = n + 1
+        db = _random_db(rng, n, m, (1 << (n - 1)) + 1)
+        keys = set(db.keys())
+        present = next(r.values["key"] for r in db.records if not r.is_sentinel)
+        absent = next(format(k, f"0{m}b") for k in range(1 << m)
+                      if format(k, f"0{m}b") not in keys)
+        cases.append((db, present, None))
+        cases.append((db, absent, None))
+        if n <= 4:
+            sentinel = next((r.values["key"] for r in db.records if r.is_sentinel), None)
+            if sentinel is not None:
+                cases.append((db, sentinel, None))
+            cases.append((db, present, optimal_iterations(db.size) + 2))
+    return cases
+
+
+@pytest.mark.parametrize("db,key,iterations", _oracle_cases())
+def test_bit_sliced_trace_agrees_with_clifford_t_run(db, key, iterations):
+    plan = SearchPlan.for_database(db, iterations=iterations)
+    res = run_search(db, SearchQuery(key, "val"), plan)
+    reference = _reference_rounds(db, key, plan.iterations)
+    target = db.index_of_key(key)
+    assert len(res.trace.success_probabilities) == plan.iterations + 1
+    for r, (dist, off) in enumerate(reference):
+        want = dist[target] if target is not None else 0.0
+        assert abs(res.trace.success_probabilities[r] - want) < 1e-12
+        assert abs(res.trace.target_amplitudes[r] - math.sqrt(want)) < 1e-12
+        assert off < 1e-12 and res.trace.off_support_probabilities[r] == 0
+    final = reference[-1][0]
+    assert abs(res.success_probability - final[res.candidate_index]) < 1e-12
+    assert final[res.candidate_index] > final.max() - 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_lowered_block_is_the_bit_sliced_sign_diagonal(n):
+    rng = random.Random(40 + n)
+    for m in (1, 2, 3):
+        keys = [format(rng.randrange(1 << m), f"0{m}b") for _ in range(1 << n)]
+        pattern = keys[rng.randrange(1 << n)]
+        layout = QdamLayout(n, m)
+        circuits = build_kernel_circuits(layout, keys, pattern)
+        sizes = layout.register_sizes
+        signs = (SlicedState(sizes).run(circuits.loader)
+                 .run(circuits.target_reflection).run(circuits.loader_inverse)
+                 .diagonal_signs())
+        kernel = lower_kernel(circuits)
+        block = kernel.loader + kernel.target_reflection + kernel.loader_inverse
+        for q in range(1 << n):
+            label = basis_pattern(sizes, {B: q})
+            out = SparseState.basis(sizes, label).apply(block)
+            assert list(out.amplitudes) == [label]
+            sign = -1 if signs >> q & 1 else 1
+            assert abs(out.amplitude(label) - sign) < 1e-12
+            assert (sign == -1) == (keys[q] == pattern)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_block_with_a_dropped_stage2_gate_is_rejected(m):
+    # all-ones keys: every stage-2 gate acts on some branch
+    layout = QdamLayout(2, m)
+    circuits = build_kernel_circuits(layout, ["1" * m] * 4, "1" * m)
+    sizes = layout.register_sizes
+    stage2 = circuits.stage2.gates
+    for i in range(len(stage2)):
+        dropped = circuits.stage1 + Circuit(sizes, stage2[:i] + stage2[i + 1:])
+        state = (SlicedState(sizes).run(dropped).run(circuits.target_reflection)
+                 .run(circuits.loader_inverse))
+        with pytest.raises(CircuitError):
+            state.diagonal_signs()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sliced_diffusion_is_the_lowered_reflection_about_uniform(n):
+    layout = QdamLayout(n, 1)
+    circuits = build_kernel_circuits(layout, ["0"] * (1 << n), "0")
+    signs = diffusion_signs(circuits.diffusion)
+    size = 1 << n
+    columns = [walsh_hadamard(negate(walsh_hadamard(
+        [int(row == col) for row in range(size)]), signs)) for col in range(size)]
+    sliced = np.array(columns, dtype=float).T / size
+    lowered = _register_block(
+        layout, lower_circuit(circuits.diffusion, layout.ladder_qubits()), B, n)
+    assert np.abs(sliced - lowered).max() < 1e-12
+    assert np.abs(sliced - (np.eye(size) - 2 * np.full((size, size), 1 / size))).max() < 1e-12
+
+
+def test_diffusion_of_another_shape_is_rejected():
+    layout = QdamLayout(2, 1)
+    diffusion = build_diffusion(layout)
+    sizes = layout.register_sizes
+    for gates in (diffusion.gates[1:], diffusion.gates[:-1],
+                  diffusion.gates[:2] + diffusion.gates[:2] + diffusion.gates[2:],
+                  diffusion.gates[:3] + (gate(GateKind.H, q_index(1)),) + diffusion.gates[3:]):
+        with pytest.raises(CircuitError):
+            diffusion_signs(Circuit(sizes, gates))
+
+
+def test_ties_are_exact():
+    two = run_search(toy_db(1), SearchQuery("1", "val"))
+    assert two.trace.success_probabilities == [0.5, 0.5]
+    assert two.success_probability == 0.5 and two.candidate_index == 0
+    plan = SearchPlan.for_database(toy_db(2), iterations=2)
+    for q in range(4):
+        res = run_search(toy_db(2), SearchQuery(format(q, "02b"), "val"), plan)
+        assert res.trace.success_probabilities[-1] == 0.25
+        assert res.success_probability == 0.25 and res.candidate_index == 0
+
+
+def test_reload_check_rejects_a_lowered_loader_that_disagrees(monkeypatch):
+    from qsearch import grover
+
+    real = grover.lower_kernel
+
+    def without_stage2(circuits):
+        kernel = real(circuits)
+        return dataclasses.replace(kernel, stage2=Circuit(kernel.stage2.register_sizes))
+
+    monkeypatch.setattr(grover, "lower_kernel", without_stage2)
+    with pytest.raises(CircuitError, match="bit-sliced"):
+        run_search(toy_db(2), SearchQuery("10", "val"))

@@ -18,7 +18,7 @@ from qsearch.qdam import (
     build_naive_qdam,
     build_qdam,
 )
-from qsearch.sim import SparseState, basis_pattern, index_distribution
+from qsearch.sim import SparseState, basis_pattern
 
 from conftest import toy_db
 

@@ -7,11 +7,12 @@ import random
 import numpy as np
 import pytest
 
-from qsearch import resources
+from qsearch import grover
 from qsearch.circuit import resource_tally
 from qsearch.decompose import lower_circuit
 from qsearch.errors import InputError
-from qsearch.grover import build_kernel_circuits
+from qsearch.database import SearchQuery
+from qsearch.grover import build_kernel_circuits, lower_kernel, run_search
 from qsearch.qdam import NaiveLayout, QdamLayout, build_naive_qdam, build_qdam
 from qsearch.resources import (
     CSV_HEADER,
@@ -24,6 +25,8 @@ from qsearch.resources import (
     measure_kernel,
     measure_naive,
 )
+
+from conftest import toy_db
 
 _DEPTH_FIELDS = (
     "t_depth_m1",
@@ -200,26 +203,50 @@ def test_measure_kernel_equals_lowering_every_circuit(n):
         layout = QdamLayout(n, m)
         pattern = _random_keys(rng, 0, m)[0]
         circuits = build_kernel_circuits(layout, _random_keys(rng, n, m), pattern)
-        report = measure_kernel(circuits, 3)
+        report = measure_kernel(lower_kernel(circuits), 3)
         assert (report.t_depth_m1, report.t_depth_m2, report.t_depth_qdam,
                 report.t_depth_oracle_reflection, report.t_depth_diffusion,
                 report.t_depth_kernel, report.t_cost, report.t_count_total) \
             == _lower_each_and_tally(circuits, 3)
 
 
-def test_measure_kernel_lowers_each_subroutine_once(monkeypatch):
-    circuits = build_kernel_circuits(QdamLayout(3, 2), ["01"] * 8, "01")
+def _count_lowerings(monkeypatch):
+    """Record the gates of every circuit lowered through ``grover``."""
     lowered = []
 
     def counting(circuit, ladder=()):
         lowered.append(circuit.gates)
         return lower_circuit(circuit, ladder)
 
-    monkeypatch.setattr(resources, "lower_circuit", counting)
-    measure_kernel(circuits, 1)
+    monkeypatch.setattr(grover, "lower_circuit", counting)
+    return lowered
+
+
+def test_measure_kernel_lowers_each_subroutine_once(monkeypatch):
+    circuits = build_kernel_circuits(QdamLayout(3, 2), ["01"] * 8, "01")
+    lowered = _count_lowerings(monkeypatch)
+    measure_kernel(lower_kernel(circuits), 1)
     parts = (circuits.stage1, circuits.stage2, circuits.target_reflection,
              circuits.loader_inverse, circuits.diffusion)
     assert len(lowered) == len(parts)
     assert all(part.gates in lowered for part in parts)
     assert circuits.loader.gates not in lowered
     assert circuits.kernel().gates not in lowered
+
+
+def test_run_search_lowers_five_times(monkeypatch):
+    lowered = _count_lowerings(monkeypatch)
+    run_search(toy_db(3), SearchQuery("101", "val"))
+    assert len(lowered) == 5
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_lowered_stages_concatenate_to_the_lowered_loader(n):
+    rng = random.Random(300 + n)
+    for m in (1, 2, 3):
+        layout = QdamLayout(n, m)
+        keys = _random_keys(rng, n, m)
+        circuits = build_kernel_circuits(layout, keys, keys[0])
+        kernel = lower_kernel(circuits)
+        assert (kernel.loader.gates
+                == lower_circuit(circuits.loader, layout.ladder_qubits()).gates)

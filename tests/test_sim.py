@@ -13,8 +13,10 @@ from qsearch.qdam import QdamLayout, build_qdam
 from qsearch.sim import (
     SparseState,
     basis_pattern,
+    SlicedState,
     dense_statevector,
-    index_distribution,
+    negate,
+    walsh_hadamard,
 )
 
 from conftest import random_lowered_circuit, toy_db
@@ -64,16 +66,18 @@ def test_full_qdam_on_uniform_index_state_has_support_eight():
         assert abs(abs(amp) - 1 / math.sqrt(8)) < 1e-12
 
 
-def test_index_distribution_uniform_and_phase_invariant():
+def test_index_probabilities_uniform_and_phase_invariant():
     sizes = {Register.BINARY_INDEX: 2, A: 1}
     state = SparseState.zero(sizes).apply(
         Circuit(sizes, [gate(GateKind.H, q_index(0)), gate(GateKind.H, q_index(1))])
     )
-    dist = index_distribution(state)
+    labels = [basis_pattern(sizes, {Register.BINARY_INDEX: q}) for q in range(4)]
+    dist = np.array([state.probability(k) for k in labels])
     assert np.abs(dist - 0.25).max() < 1e-10
     phased = state.apply(Circuit(sizes, [gate(GateKind.Z, q_index(0)),
                                          gate(GateKind.T, q_index(1))]))
-    assert np.abs(index_distribution(phased) - 0.25).max() < 1e-10
+    dist = np.array([phased.probability(k) for k in labels])
+    assert np.abs(dist - 0.25).max() < 1e-10
 
 
 def test_norm_is_preserved():
@@ -130,6 +134,80 @@ def test_basis_pattern_composition():
     assert state.register_bits(pattern, Register.DATA) == 0b011
 
 
-def test_index_distribution_requires_index_register():
+def test_sliced_state_requires_index_register():
     with pytest.raises(CircuitError):
-        index_distribution(SparseState.zero({A: 2}))
+        SlicedState({A: 2})
+
+
+# -- bit-sliced backend ------------------------------------------------------
+
+
+def _branch_phase(state, branch):
+    """Eighth turns of one branch, read from the three phase bit-planes."""
+    return sum((plane >> branch & 1) << i for i, plane in enumerate(state.phase))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sliced_state_matches_sparse_on_every_branch(seed):
+    rng = np.random.default_rng(seed)
+    n, anc = 3, 4
+    sizes = {Register.BINARY_INDEX: n, A: anc + 1}  # the last one for ladders
+    qubits = [q_index(b) for b in range(n)] + [_anc(i) for i in range(anc)]
+    kinds = [GateKind.X, GateKind.Z, GateKind.S, GateKind.SDG, GateKind.T,
+             GateKind.TDG, GateKind.CNOT, GateKind.CZ, GateKind.TOFFOLI,
+             GateKind.MCZ]
+    arity = {GateKind.CNOT: 2, GateKind.CZ: 2, GateKind.TOFFOLI: 3}
+    gates = []
+    for _ in range(60):
+        kind = kinds[rng.integers(len(kinds))]
+        width = arity.get(kind, int(rng.integers(2, 5)) if kind is GateKind.MCZ else 1)
+        picked = rng.choice(len(qubits), size=width, replace=False)
+        gates.append(gate(kind, *(qubits[i] for i in picked)))
+    macro = Circuit(sizes, gates)
+    sliced = SlicedState(sizes).run(macro)
+    lowered = lower_circuit(macro, [_anc(anc)])
+    for q in range(1 << n):
+        out = SparseState.basis(sizes, basis_pattern(sizes, {Register.BINARY_INDEX: q}))
+        out = out.apply(lowered)
+        assert list(out.amplitudes) == [sliced.basis_label(q)]
+        turns = _branch_phase(sliced, q)
+        expected = complex(math.cos(math.pi * turns / 4), math.sin(math.pi * turns / 4))
+        assert abs(out.amplitude(sliced.basis_label(q)) - expected) < 1e-12
+
+
+def test_sliced_state_is_value_semantic_and_rejects_h():
+    sizes = {Register.BINARY_INDEX: 2, A: 1}
+    start = SlicedState(sizes)
+    flipped = start.run(Circuit(sizes, [gate(GateKind.X, _anc(0))]))
+    assert start.columns[-1] == 0 and flipped.columns[-1] == 0b1111
+    with pytest.raises(CircuitError):
+        flipped.diagonal_signs()
+    with pytest.raises(CircuitError):
+        start.run(Circuit(sizes, [gate(GateKind.H, q_index(0))]))
+    with pytest.raises(CircuitError):
+        start.run(Circuit({A: 3}, []))
+
+
+def test_diagonal_signs_require_a_sign_diagonal():
+    sizes = {Register.BINARY_INDEX: 2, A: 1}
+    # CZ on the two index qubits negates branch 3 only
+    cz = Circuit(sizes, [gate(GateKind.CZ, q_index(0), q_index(1))])
+    assert SlicedState(sizes).run(cz).diagonal_signs() == 0b1000
+    # S on index qubit 1 is a quarter turn on branches 1 and 3
+    s = Circuit(sizes, [gate(GateKind.S, q_index(1))])
+    with pytest.raises(CircuitError):
+        SlicedState(sizes).run(s).diagonal_signs()
+    eight_t = Circuit(sizes, [gate(GateKind.T, q_index(1))] * 8)
+    assert SlicedState(sizes).run(eight_t).diagonal_signs() == 0
+
+
+def test_walsh_hadamard_is_the_unnormalised_hadamard_transform():
+    n = 3
+    values = [3, -1, 4, 1, -5, 9, 2, -6]
+    hadamard = np.array([[1, 1], [1, -1]])
+    full = hadamard
+    for _ in range(n - 1):
+        full = np.kron(full, hadamard)
+    assert walsh_hadamard(values) == [int(v) for v in full @ np.array(values)]
+    assert walsh_hadamard(walsh_hadamard(values)) == [v << n for v in values]
+    assert negate([1, 2, 3], 0b101) == [-1, 2, -3]

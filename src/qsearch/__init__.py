@@ -38,7 +38,6 @@ from .grover import (
     build_diffusion,
     build_kernel_circuits,
     build_target_reflection,
-    lower_kernel,
     optimal_iterations,
     run_search,
     success_probability_formula,

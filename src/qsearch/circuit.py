@@ -9,20 +9,26 @@ bit-reproducible:
 * In basis labels the first qubit in that order is the most significant bit,
   so basis index ``b`` assigns qubit ``g`` the bit ``(b >> (total-1-g)) & 1``.
 * TOFFOLI and MCZ are macro gates.  They are first-class in the IR so
-  builders stay readable, but every metric and simulator rejects them;
-  lower with :func:`qsearch.decompose.lower_circuit` first.
+  builders stay readable.  The dense and sparse simulators reject them
+  (lower with :func:`qsearch.decompose.lower_circuit` first); the metrics
+  accept TOFFOLI and 3-operand MCZ and count them as their Clifford+T
+  fragments.
 
 Scheduling is as-soon-as-possible list scheduling over the gate-dependency
 DAG, done by :func:`tally_flat`, the only scheduler: a gate is placed in
 the earliest layer after every earlier gate that shares one of its qubits.
 Two gates may share a layer only if they act on disjoint qubits.  The
 T-depth of a circuit is the number of layers that contain at least one T
-or TDG gate.  All of this is a pure function of the gate order, so results
-are deterministic and circuits are safe to share across workers.
+or TDG gate.  A macro is scheduled in one step, through a max-plus
+template derived once from its lowered fragment, and lands exactly where
+the fragment's gates would.  All of this is a pure function of the gate
+order, so results are deterministic and circuits are safe to share across
+workers.
 """
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import os
 from typing import Iterable, Mapping, NamedTuple
@@ -48,6 +54,10 @@ class Register(enum.Enum):
     DATABASE = "DATABASE"
     ANCILLA = "ANCILLA"
 
+    # members compare by identity; Enum's own hash runs in Python on every
+    # dict lookup and set insert, which flattening does per operand
+    __hash__ = object.__hash__
+
 
 REGISTER_ORDER: tuple[Register, ...] = tuple(Register)
 
@@ -64,6 +74,8 @@ class GateKind(enum.Enum):
     CZ = "CZ"
     TOFFOLI = "TOFFOLI"  # macro
     MCZ = "MCZ"  # macro, arity >= 2
+
+    __hash__ = object.__hash__  # as in Register
 
 
 LOWERED_KINDS = frozenset(
@@ -272,7 +284,8 @@ def dense_cap() -> int:
 
 
 class ResourceTally(NamedTuple):
-    """Exact gate-count and layering metrics of a lowered circuit."""
+    """Exact gate-count and layering metrics of a circuit, with every macro
+    counted as its lowered fragment."""
 
     t_count: int
     t_depth: int
@@ -281,10 +294,64 @@ class ResourceTally(NamedTuple):
     total_layers: int
 
 
+class _Template(NamedTuple):
+    """ASAP timing of one macro's Clifford+T fragment, as max-plus rows over
+    the entry times ``e_j`` of its three operands."""
+
+    exit: tuple[tuple[float, ...], ...]  # avail[op_i] = max_j(e_j + exit[i][j])
+    t_layers: tuple[tuple[float, ...], ...]  # one row per distinct T layer
+    t_count: int
+    cnot_count: int
+
+
+def _derive_template(fragment: Iterable[Gate]) -> _Template:
+    """Schedule a fragment over operands 0, 1, 2 symbolically: each qubit's
+    availability is a row of offsets from the three entry times (-inf where
+    it does not depend on one), and a gate's layer row is the elementwise
+    max of its qubits' rows plus 1 -- the scheduler's own step, in max-plus
+    arithmetic."""
+    neg = float("-inf")
+    rows = [tuple(0 if i == j else neg for j in range(3)) for i in range(3)]
+    t_layers: dict[tuple[float, ...], None] = {}
+    t_count = cnot_count = 0
+    for kind, ops in fragment:
+        layer = tuple(max(col) + 1 for col in zip(*(rows[i] for i in ops)))
+        for i in ops:
+            rows[i] = layer
+        if kind is GateKind.T or kind is GateKind.TDG:
+            t_count += 1
+            t_layers[layer] = None
+        elif kind is GateKind.CNOT:
+            cnot_count += 1
+    return _Template(tuple(rows), tuple(t_layers), t_count, cnot_count)
+
+
+@functools.cache
+def _macro_templates() -> dict[GateKind, _Template]:
+    """TOFFOLI and 3-operand MCZ templates, derived on first use from the
+    fragments that :func:`qsearch.decompose.lower_gates` emits."""
+    from . import decompose  # local import; decompose depends on this module
+
+    return {
+        GateKind.TOFFOLI: _derive_template(decompose.decompose_toffoli(0, 1, 2)),
+        GateKind.MCZ: _derive_template(decompose._ccz_gates(0, 1, 2)),
+    }
+
+
 def tally_flat(
     flat: Iterable[tuple[GateKind, tuple[int, ...]]], total_qubits: int
 ) -> ResourceTally:
-    """ASAP-schedule a flattened gate stream and tally it in one pass."""
+    """ASAP-schedule a flattened gate stream and tally it in one pass.
+
+    TOFFOLI and 3-operand MCZ gates are scheduled as their lowered
+    fragments would be, through the fragments' max-plus templates: ASAP is
+    a fold of max and +1 over per-qubit availability, so a fragment's
+    T layers and exit times are exact max-plus functions of its operands'
+    entry times, and the tally equals that of the lowered stream.  A wider
+    MCZ raises :class:`MacroGateError`: its ladder needs ancillas that only
+    :func:`qsearch.decompose.lower_circuit` is given.
+    """
+    templates = _macro_templates()
     avail = [0] * total_qubits
     t_layers: set[int] = set()
     t_count = cnot_count = 0
@@ -294,23 +361,38 @@ def tally_flat(
     k_toffoli, k_mcz = GateKind.TOFFOLI, GateKind.MCZ
     for kind, ops in flat:
         if kind is k_toffoli or kind is k_mcz:
-            raise MacroGateError(
-                f"{kind.value} is a macro gate; lower the circuit first"
-            )
-        layer = avail[ops[0]]
-        for i in ops:
-            if avail[i] > layer:
-                layer = avail[i]
-        layer += 1
-        for i in ops:
-            avail[i] = layer
+            if len(ops) != 3:
+                raise MacroGateError(
+                    f"{len(ops)}-operand {kind.value} needs ladder ancillas; "
+                    "lower the circuit first"
+                )
+            template = templates[kind]
+            a, b, c = ops
+            ea, eb, ec = avail[a], avail[b], avail[c]
+            for la, lb, lc in template.t_layers:
+                add_t_layer(max(ea + la, eb + lb, ec + lc))
+            (da, db, dc), (fa, fb, fc), (ga, gb, gc) = template.exit
+            avail[a] = max(ea + da, eb + db, ec + dc)
+            avail[b] = max(ea + fa, eb + fb, ec + fc)
+            avail[c] = max(ea + ga, eb + gb, ec + gc)
+            layer = max(avail[a], avail[b], avail[c])
+            t_count += template.t_count
+            cnot_count += template.cnot_count
+        else:
+            layer = avail[ops[0]]
+            for i in ops:
+                if avail[i] > layer:
+                    layer = avail[i]
+            layer += 1
+            for i in ops:
+                avail[i] = layer
+            if kind is k_t or kind is k_tdg:
+                t_count += 1
+                add_t_layer(layer)
+            elif kind is k_cnot:
+                cnot_count += 1
         if layer > max_layer:
             max_layer = layer
-        if kind is k_t or kind is k_tdg:
-            t_count += 1
-            add_t_layer(layer)
-        elif kind is k_cnot:
-            cnot_count += 1
     return ResourceTally(
         t_count=t_count,
         t_depth=len(t_layers),

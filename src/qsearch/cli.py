@@ -13,6 +13,10 @@ Exit codes: 0 on success, 2 when a search ends in ALGORITHM_FAILURE or
 KEY_NOT_PRESENT, 3 on any input problem (bad file, width mismatch,
 duplicate keys, bad flags).  Outputs are byte-deterministic for fixed
 inputs and seed.
+
+A two-record database is a tie: after the one round both indices are
+exactly equally likely, ``search`` measures index 0, and a key stored at
+index 1 exits 2 with ALGORITHM_FAILURE.
 """
 from __future__ import annotations
 

@@ -18,11 +18,11 @@ Three building blocks:
 
 :func:`lower_gates` is the only lowering: it expands TOFFOLI and MCZ macros
 using these blocks, gate by gate.  The fragments only permute their
-operands, so it accepts ``(kind, operands)`` pairs whose operands are
-either :class:`QubitId` values or flat qubit indices; the flat form lets the
-resource counter stream multi-million-gate circuits without building
-``QubitId`` objects.  All emitted ancillas are returned to |0> on every
-input.
+operands, so they accept :class:`QubitId` values or flat qubit indices;
+the scheduler derives its macro templates from the fragments over the
+flat operands 0, 1, 2 (:func:`qsearch.circuit.tally_flat`), so what it
+counts is what this module emits.  All emitted ancillas are returned to
+|0> on every input.
 """
 from __future__ import annotations
 

@@ -15,15 +15,16 @@ The K rounds run on 2^n Python ints: after r rounds the amplitude of
 branch q is ``v[q] * 2^(-n(2r+1)/2)``, so every probability is one
 correctly rounded integer division and ties are exact.
 
-The Clifford+T circuits tie the fast path to what is compiled.  Each
-subroutine is lowered once (:func:`lower_kernel`); the resource report
-schedules those lowered circuits, and the driver verifies its measured
-candidate the honest way: it re-runs the lowered loader on the candidate
-basis state with :class:`qsearch.sim.SparseState`, requires the bit-sliced
-loader's branch to agree, reads the data register, and compares against
-the queried key.  Sentinel (padding) records are never accepted.  The
-tests check the bit-sliced rounds against a SparseState run over the
-lowered subroutines.
+The Clifford+T circuits tie the fast path to what is compiled.  The
+resource report schedules the macro subroutines through the scheduler's
+fragment templates, which count each macro exactly as its lowering, so
+only the loader is lowered: the driver verifies its measured candidate the
+honest way, re-running the lowered loader on the candidate basis state
+with :class:`qsearch.sim.SparseState`, requiring the bit-sliced loader's
+branch to agree, reading the data register, and comparing against the
+queried key.  Sentinel (padding) records are never accepted.  The tests
+check the bit-sliced rounds against a SparseState run over the lowered
+subroutines.
 """
 from __future__ import annotations
 
@@ -232,35 +233,6 @@ def build_kernel_circuits(
     )
 
 
-@dataclass(frozen=True)
-class LoweredKernel:
-    """Clifford+T subroutines of one kernel iteration, each lowered once."""
-
-    layout: QdamLayout
-    stage1: Circuit
-    stage2: Circuit
-    target_reflection: Circuit
-    loader_inverse: Circuit
-    diffusion: Circuit
-
-    @property
-    def loader(self) -> Circuit:
-        """Lowering is gate by gate, so this equals the lowered loader."""
-        return self.stage1 + self.stage2
-
-
-def lower_kernel(circuits: KernelCircuits) -> LoweredKernel:
-    """Lower stage 1, stage 2, the target reflection, the inverse loader and
-    the diffusion, once each."""
-    ladder = circuits.layout.ladder_qubits()
-    return LoweredKernel(
-        circuits.layout,
-        *(lower_circuit(part, ladder)
-          for part in (circuits.stage1, circuits.stage2, circuits.target_reflection,
-                       circuits.loader_inverse, circuits.diffusion)),
-    )
-
-
 def run_search(
     db: Database,
     query: SearchQuery,
@@ -271,7 +243,13 @@ def run_search(
 ) -> SearchResult:
     """Execute the full search: exact bit-sliced simulation of K kernel
     rounds, index measurement, quantum re-load verification, and field
-    return."""
+    return.
+
+    The exact mode measures the most probable index, the first one on a
+    tie.  At N=2 every round leaves both indices at probability exactly
+    0.5, so the candidate is always index 0, and a key stored at index 1
+    ends in ``ALGORITHM_FAILURE``.
+    """
     from . import resources  # local import to avoid a cycle
 
     query.validate(db)
@@ -291,7 +269,6 @@ def run_search(
     layout = QdamLayout.for_database(db)
     key_pattern = encode_key(db, query.key_value)
     circuits = build_kernel_circuits(layout, db, key_pattern)
-    lowered = lower_kernel(circuits)
 
     loaded = SlicedState(layout.register_sizes).run(circuits.loader)
     marked = (loaded.run(circuits.target_reflection)
@@ -336,7 +313,7 @@ def run_search(
     # verification: re-load on the candidate branch and read the data register
     probe = SparseState.basis(
         layout.register_sizes, candidate << (layout.total_qubits - n)
-    ).apply(lowered.loader)
+    ).apply(lower_circuit(circuits.loader, layout.ladder_qubits()))
     if list(probe.amplitudes) != [loaded.basis_label(candidate)]:
         raise CircuitError(
             f"lowered loader disagrees with the bit-sliced loader on branch {candidate}"
@@ -358,7 +335,7 @@ def run_search(
         status = SearchStatus.ALGORITHM_FAILURE
         returned = None
 
-    report = resources.measure_kernel(lowered, plan.iterations)
+    report = resources.measure_kernel(circuits, plan.iterations)
 
     return SearchResult(
         status=status,

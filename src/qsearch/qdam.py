@@ -259,6 +259,9 @@ def build_naive_qdam(
                 gates.append(gate(_K.X, layout.database_qubit(i, j)))
     index_qubits = [q_index(b) for b in range(n)]
     ladder = layout.ladder_qubits()
+    # every ladder repeats the same Toffoli chain over the index qubits;
+    # keep one copy of each equal gate
+    shared: dict[Gate, Gate] = {}
     for i, key in enumerate(keys):
         pattern = format(i, f"0{n}b")
         conjugate = [
@@ -269,7 +272,7 @@ def build_naive_qdam(
             target = q_data(j)
             gates.append(gate(_K.H, target))
             gates.extend(
-                mcz_ladder(
+                shared.setdefault(g, g) for g in mcz_ladder(
                     (*index_qubits, layout.database_qubit(i, j), target), ladder
                 )
             )

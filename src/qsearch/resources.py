@@ -5,16 +5,18 @@ Bound mode reports the constructive inequalities as equalities -- loader
 4n (4(n-1) for the index coupling plus 4 for the load block), reflections
 6(m-1) and 6(n-1) with degenerate clamps (0 at width <= 2, 3 at width 3),
 kernel = 2*loader + reflections, cost = iterations * kernel.  Measured
-mode schedules the actual lowered circuits and must come in at or under
-the bounds, subroutine by subroutine.
+mode schedules the actual circuits and must come in at or under the
+bounds, subroutine by subroutine.
 
-:func:`measure_kernel` tallies the five subroutines that
-:func:`qsearch.grover.lower_kernel` lowers once each (stage 1, stage 2,
-target reflection, inverse loader, diffusion); the search driver reuses
-the same lowering.  Lowering works gate by gate, so the lowered loader and
-kernel are the concatenations of the lowered parts; their tallies chain
-the parts' flat gate lists through :func:`tally_flat` instead of lowering
-the concatenated circuits again.
+:func:`tally_flat` schedules TOFFOLI and 3-operand MCZ macros through
+max-plus templates of their Clifford+T fragments, so a macro circuit's
+tally equals its lowering's by construction, and measuring the kernel
+lowers nothing.  :func:`measure_kernel` tallies the five macro subroutines
+(stage 1, stage 2, target reflection, inverse loader, diffusion); the
+loader and kernel tallies chain the parts' flat gate lists through
+:func:`tally_flat` instead of concatenating circuits.  The naive report
+streams its macro loader the same way and tallies its two reflections, a
+few hundred gates, on their lowering.
 """
 from __future__ import annotations
 
@@ -25,14 +27,13 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 from .circuit import resource_tally, tally_flat
-from .decompose import lower_circuit, lower_gates
+from .decompose import lower_circuit
 from .errors import InputError
 from .grover import (
-    LoweredKernel,
+    KernelCircuits,
     build_diffusion,
     build_kernel_circuits,
     build_target_reflection,
-    lower_kernel,
     optimal_iterations,
 )
 from .qdam import NaiveLayout, QdamLayout, build_naive_qdam
@@ -142,20 +143,26 @@ def estimate_bounds(n: int, m: int) -> ResourceReport:
 
 
 def _zero_keys(n: int, m: int) -> list[str]:
-    """Content-free key patterns for structure-only measurements; the gate
-    structure does not depend on key bits."""
+    """All-zero key patterns, the reference database of a measured report.
+
+    The gate structure does depend on the key bits: ``build_m2`` prepares
+    the database with one X per 1 bit, which shifts the scheduler's entry
+    times into the stage-2 Toffolis.  With m=1 some keys measure a stage-2
+    T-depth above its bound, so a zero-key report does not bound every
+    database (ROADMAP item 4)."""
     return ["0" * m] * (1 << n)
 
 
-def measure_kernel(kernel: LoweredKernel, iterations: int) -> ResourceReport:
-    """Schedule the lowered subroutines of one kernel and tally them; the
-    loader and kernel are tallied as chains of the parts."""
-    layout = kernel.layout
+def measure_kernel(circuits: KernelCircuits, iterations: int) -> ResourceReport:
+    """Schedule the macro subroutines of one kernel and tally them as their
+    Clifford+T lowering; the loader and kernel are tallied as chains of the
+    parts."""
+    layout = circuits.layout
     total = layout.total_qubits
     m1, m2, oracle, unload, diff = (
         part.flat_gates()
-        for part in (kernel.stage1, kernel.stage2, kernel.target_reflection,
-                     kernel.loader_inverse, kernel.diffusion)
+        for part in (circuits.stage1, circuits.stage2, circuits.target_reflection,
+                     circuits.loader_inverse, circuits.diffusion)
     )
     t_m1 = tally_flat(m1, total)
     t_m2 = tally_flat(m2, total)
@@ -189,37 +196,31 @@ def measure(n: int, m: int, iterations: int | None = None) -> ResourceReport:
     keys = _zero_keys(n, m)
     circuits = build_kernel_circuits(layout, keys, "0" * m)
     k = iterations if iterations is not None else optimal_iterations(1 << n)
-    return measure_kernel(lower_kernel(circuits), k)
+    return measure_kernel(circuits, k)
 
 
-def _expand_flat(macro_circuit, ladder_flat: tuple[int, ...]):
-    """Lower a macro circuit at the flat-index level, lazily: the streamed
-    gates never exist as one list, which matters for multi-million-gate
-    naive loaders."""
+def _expand_flat(macro_circuit):
+    """Flatten a macro circuit lazily: the streamed ``(kind, flat operands)``
+    pairs never exist as one list, which keeps the naive loader's peak
+    memory down."""
     base = macro_circuit._base
-    return lower_gates(
-        ((g.kind, tuple(base[q.register] + q.offset for q in g.qubits))
-         for g in macro_circuit.gates),
-        ladder_flat,
-    )
+    return ((g.kind, tuple(base[q.register] + q.offset for q in g.qubits))
+            for g in macro_circuit.gates)
 
 
 def measure_naive(n: int, m: int, iterations: int | None = None) -> ResourceReport:
     """Measured report with the naive loader substituted for the optimized
-    one.  The lowered naive loader can be millions of gates, so it streams
-    into the scheduler and never exists as a list.  The kernel depth is
-    composed per subroutine (2*loader + both reflections); scheduling the
-    multi-million-gate concatenation twice would add nothing but runtime."""
+    one.  The naive loader's macro gates stream into the scheduler; its
+    MCZ ladders are built into the circuit, so every macro is a TOFFOLI or
+    a 3-operand MCZ.  The kernel depth is composed per subroutine
+    (2*loader + both reflections); scheduling the concatenation twice would
+    add nothing but runtime."""
     if n < 1 or m < 1:
         raise InputError("widths must be positive")
     layout = NaiveLayout(n, m)
     macro = build_naive_qdam(layout, _zero_keys(n, m))
     total = sum(layout.register_sizes.values())
-    base = macro._base
-    ladder_flat = tuple(
-        base[q.register] + q.offset for q in layout.ladder_qubits()
-    )
-    tally = tally_flat(_expand_flat(macro, ladder_flat), total)
+    tally = tally_flat(_expand_flat(macro), total)
     ref_layout = QdamLayout(n, m)
     ladder = ref_layout.ladder_qubits()
     t_oracle = resource_tally(

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsearch.circuit import (
     Circuit,
@@ -14,6 +16,7 @@ from qsearch.circuit import (
     gate,
     resource_tally,
     t_depth,
+    tally_flat,
 )
 from qsearch.decompose import decompose_toffoli, lower_circuit
 from qsearch.errors import (
@@ -113,13 +116,54 @@ def test_metrics_are_deterministic():
     assert resource_tally(circ) == resource_tally(circ)
 
 
-def test_macro_gates_are_rejected_by_metrics():
-    circ = Circuit({A: 3}, [gate(GateKind.TOFFOLI, _q[0], _q[1], _q[2])])
+def test_metrics_schedule_macros_as_their_lowering():
+    circ = Circuit({A: 4}, [gate(GateKind.T, _q[1]),
+                            gate(GateKind.TOFFOLI, _q[0], _q[1], _q[2]),
+                            gate(GateKind.MCZ, _q[3], _q[2], _q[0])])
     assert not circ.is_lowered
+    lowered = lower_circuit(circ)
+    assert t_depth(circ) == t_depth(lowered)
+    assert resource_tally(circ) == resource_tally(lowered)
+    # a wider MCZ needs ladder ancillas the scheduler is never given
+    wide = Circuit({A: 4}, [gate(GateKind.MCZ, *_q[:4])])
     with pytest.raises(MacroGateError):
-        t_depth(circ)
+        t_depth(wide)
     with pytest.raises(MacroGateError):
         circ.to_unitary()
+
+
+_MACRO_MIX = [GateKind.TOFFOLI, GateKind.MCZ, GateKind.CNOT, GateKind.CZ,
+              GateKind.H, GateKind.X, GateKind.S, GateKind.SDG, GateKind.T,
+              GateKind.TDG]
+_LOWERED_MIX = _MACRO_MIX[2:]
+_MIX_ARITY = {GateKind.TOFFOLI: 3, GateKind.MCZ: 3, GateKind.CNOT: 2,
+              GateKind.CZ: 2}
+
+
+@st.composite
+def _macro_circuits(draw):
+    """A random lowered prefix, to stagger the entry times, then a random
+    mix of macro and lowered gates, on 3 to 8 qubits."""
+    width = draw(st.integers(3, 8))
+    qubits = [QubitId(A, i) for i in range(width)]
+
+    def gates(kinds, max_size):
+        out = []
+        for kind in draw(st.lists(st.sampled_from(kinds), max_size=max_size)):
+            order = draw(st.permutations(range(width)))
+            out.append(gate(kind, *(qubits[i] for i in
+                                    order[:_MIX_ARITY.get(kind, 1)])))
+        return out
+
+    return Circuit({A: width}, gates(_LOWERED_MIX, 24) + gates(_MACRO_MIX, 32))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_macro_circuits())
+def test_macro_tally_equals_the_lowered_tally(circ):
+    total = circ.total_qubits
+    assert (tally_flat(circ.flat_gates(), total)
+            == tally_flat(lower_circuit(circ).flat_gates(), total))
 
 
 def test_gate_operands_must_be_distinct():

@@ -1,7 +1,6 @@
 """Reflections, iteration planning, and the full search driver."""
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 
@@ -19,12 +18,11 @@ from qsearch.grover import (
     build_diffusion,
     build_kernel_circuits,
     build_target_reflection,
-    lower_kernel,
     optimal_iterations,
     run_search,
     success_probability_formula,
 )
-from qsearch.qdam import QdamLayout
+from qsearch.qdam import QdamLayout, build_m1, build_m2
 from qsearch.sim import (
     SlicedState,
     SparseState,
@@ -366,8 +364,10 @@ def test_lowered_block_is_the_bit_sliced_sign_diagonal(n):
         signs = (SlicedState(sizes).run(circuits.loader)
                  .run(circuits.target_reflection).run(circuits.loader_inverse)
                  .diagonal_signs())
-        kernel = lower_kernel(circuits)
-        block = kernel.loader + kernel.target_reflection + kernel.loader_inverse
+        block = lower_circuit(
+            circuits.loader + circuits.target_reflection + circuits.loader_inverse,
+            layout.ladder_qubits(),
+        )
         for q in range(1 << n):
             label = basis_pattern(sizes, {B: q})
             out = SparseState.basis(sizes, label).apply(block)
@@ -432,12 +432,14 @@ def test_ties_are_exact():
 def test_reload_check_rejects_a_lowered_loader_that_disagrees(monkeypatch):
     from qsearch import grover
 
-    real = grover.lower_kernel
+    real = grover.lower_circuit
 
-    def without_stage2(circuits):
-        kernel = real(circuits)
-        return dataclasses.replace(kernel, stage2=Circuit(kernel.stage2.register_sizes))
+    def without_stage2(circuit, ladder=()):
+        layout = QdamLayout(2, 2)
+        assert circuit.gates == build_m1(layout).gates + build_m2(
+            layout, toy_db(2)).gates
+        return real(build_m1(layout), ladder)
 
-    monkeypatch.setattr(grover, "lower_kernel", without_stage2)
+    monkeypatch.setattr(grover, "lower_circuit", without_stage2)
     with pytest.raises(CircuitError, match="bit-sliced"):
         run_search(toy_db(2), SearchQuery("10", "val"))

@@ -7,12 +7,18 @@ import random
 import numpy as np
 import pytest
 
-from qsearch import grover
-from qsearch.circuit import resource_tally
+from qsearch import decompose
+from qsearch.circuit import resource_tally, tally_flat
 from qsearch.decompose import lower_circuit
 from qsearch.errors import InputError
 from qsearch.database import SearchQuery
-from qsearch.grover import build_kernel_circuits, lower_kernel, run_search
+from qsearch.grover import (
+    build_diffusion,
+    build_kernel_circuits,
+    build_target_reflection,
+    optimal_iterations,
+    run_search,
+)
 from qsearch.qdam import NaiveLayout, QdamLayout, build_naive_qdam, build_qdam
 from qsearch.resources import (
     CSV_HEADER,
@@ -90,6 +96,14 @@ def test_measured_fits_under_bounds(n, m):
     assert measured.mode is ReportMode.MEASURED
     for field in _DEPTH_FIELDS:
         assert getattr(measured, field) <= getattr(bound, field), field
+
+
+def test_measured_headline_n10_m8_within_bounds():
+    measured = measure(10, 8)
+    bound = estimate_bounds(10, 8)
+    for field in (*_DEPTH_FIELDS, "t_cost"):
+        assert getattr(measured, field) <= getattr(bound, field), field
+    assert measured.query_count == bound.query_count == 25
 
 
 def test_measured_qdam_n2_m2():
@@ -179,9 +193,35 @@ def test_flat_expansion_equals_lowered_circuit(n):
         optimized = QdamLayout(n, m)
         for macro, ladder in ((build_naive_qdam(naive, keys), naive.ladder_qubits()),
                               (build_qdam(optimized, keys), optimized.ladder_qubits())):
-            flat_ladder = tuple(macro._base[q.register] + q.offset for q in ladder)
-            assert (list(_expand_flat(macro, flat_ladder))
-                    == lower_circuit(macro, ladder).flat_gates())
+            stream = _expand_flat(macro)
+            assert iter(stream) is stream  # lazy: a generator, not a list
+            assert list(stream) == macro.flat_gates()
+            total = macro.total_qubits
+            assert (tally_flat(_expand_flat(macro), total)
+                    == tally_flat(lower_circuit(macro, ladder).flat_gates(), total))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_measure_naive_equals_the_gate_level_stream(n):
+    for m in (1, 2):
+        naive = NaiveLayout(n, m)
+        macro = build_naive_qdam(naive, ["0" * m] * (1 << n))
+        loader = resource_tally(lower_circuit(macro, naive.ladder_qubits()))
+        layout = QdamLayout(n, m)
+        ladder = layout.ladder_qubits()
+        oracle = resource_tally(
+            lower_circuit(build_target_reflection(layout, "0" * m), ladder))
+        diff = resource_tally(lower_circuit(build_diffusion(layout), ladder))
+        kernel = 2 * loader.t_depth + oracle.t_depth + diff.t_depth
+        k = optimal_iterations(1 << n)
+        report = measure_naive(n, m)
+        assert (report.t_depth_m2, report.t_depth_qdam,
+                report.t_depth_oracle_reflection, report.t_depth_diffusion,
+                report.t_depth_kernel, report.t_cost, report.t_count_total,
+                report.qubit_total) == (
+            loader.t_depth, loader.t_depth, oracle.t_depth, diff.t_depth, kernel,
+            k * kernel, 2 * loader.t_count + oracle.t_count + diff.t_count,
+            macro.total_qubits)
 
 
 def _lower_each_and_tally(circuits, iterations):
@@ -196,14 +236,14 @@ def _lower_each_and_tally(circuits, iterations):
             kernel.t_depth, iterations * kernel.t_depth, kernel.t_count)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_measure_kernel_equals_lowering_every_circuit(n):
     rng = random.Random(200 + n)
-    for m in (1, 2, 3, 4):
+    for m in (1, 2, 3, 4, 5, 6):
         layout = QdamLayout(n, m)
         pattern = _random_keys(rng, 0, m)[0]
         circuits = build_kernel_circuits(layout, _random_keys(rng, n, m), pattern)
-        report = measure_kernel(lower_kernel(circuits), 3)
+        report = measure_kernel(circuits, 3)
         assert (report.t_depth_m1, report.t_depth_m2, report.t_depth_qdam,
                 report.t_depth_oracle_reflection, report.t_depth_diffusion,
                 report.t_depth_kernel, report.t_cost, report.t_count_total) \
@@ -211,33 +251,32 @@ def test_measure_kernel_equals_lowering_every_circuit(n):
 
 
 def _count_lowerings(monkeypatch):
-    """Record the gates of every circuit lowered through ``grover``."""
+    """Record the gates of every stream lowered anywhere: every lowering,
+    ``lower_circuit`` included, goes through ``decompose.lower_gates``."""
     lowered = []
+    real = decompose.lower_gates
 
-    def counting(circuit, ladder=()):
-        lowered.append(circuit.gates)
-        return lower_circuit(circuit, ladder)
+    def counting(gates, ladder_ancillas=()):
+        lowered.append(gates)
+        return real(gates, ladder_ancillas)
 
-    monkeypatch.setattr(grover, "lower_circuit", counting)
+    monkeypatch.setattr(decompose, "lower_gates", counting)
     return lowered
 
 
-def test_measure_kernel_lowers_each_subroutine_once(monkeypatch):
+def test_measure_lowers_nothing(monkeypatch):
     circuits = build_kernel_circuits(QdamLayout(3, 2), ["01"] * 8, "01")
     lowered = _count_lowerings(monkeypatch)
-    measure_kernel(lower_kernel(circuits), 1)
-    parts = (circuits.stage1, circuits.stage2, circuits.target_reflection,
-             circuits.loader_inverse, circuits.diffusion)
-    assert len(lowered) == len(parts)
-    assert all(part.gates in lowered for part in parts)
-    assert circuits.loader.gates not in lowered
-    assert circuits.kernel().gates not in lowered
+    measure_kernel(circuits, 1)
+    measure(3, 2)
+    assert lowered == []
 
 
-def test_run_search_lowers_five_times(monkeypatch):
+def test_run_search_lowers_only_the_loader(monkeypatch):
     lowered = _count_lowerings(monkeypatch)
     run_search(toy_db(3), SearchQuery("101", "val"))
-    assert len(lowered) == 5
+    circuits = build_kernel_circuits(QdamLayout(3, 3), toy_db(3), "101")
+    assert lowered == [circuits.loader.gates]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -247,6 +286,7 @@ def test_lowered_stages_concatenate_to_the_lowered_loader(n):
         layout = QdamLayout(n, m)
         keys = _random_keys(rng, n, m)
         circuits = build_kernel_circuits(layout, keys, keys[0])
-        kernel = lower_kernel(circuits)
-        assert (kernel.loader.gates
-                == lower_circuit(circuits.loader, layout.ladder_qubits()).gates)
+        ladder = layout.ladder_qubits()
+        assert (lower_circuit(circuits.stage1, ladder).gates
+                + lower_circuit(circuits.stage2, ladder).gates
+                == lower_circuit(circuits.loader, ladder).gates)

@@ -30,7 +30,6 @@ from .decompose import (
     sync_touch,
 )
 from .grover import (
-    SearchMode,
     SearchPlan,
     SearchResult,
     SearchStatus,

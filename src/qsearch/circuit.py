@@ -30,19 +30,16 @@ from __future__ import annotations
 import enum
 import functools
 import json
-import os
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
     CircuitError,
     DenseCapError,
-    InputError,
     MacroGateError,
     OperandOverlapError,
 )
 
 DEFAULT_DENSE_CAP = 14
-_DENSE_CAP_ENV = "QSEARCH_MAX_DENSE_QUBITS"
 
 
 class Register(enum.Enum):
@@ -248,14 +245,14 @@ class Circuit:
     def to_unitary(self, max_qubits: int | None = None):
         """Dense unitary of a lowered circuit, column ordering as documented.
 
-        Only for small circuits; above the cap (default 14 qubits, env var
-        QSEARCH_MAX_DENSE_QUBITS) raises :class:`DenseCapError`.
+        Only for small circuits; above the cap (``max_qubits``, default
+        ``DEFAULT_DENSE_CAP`` = 14 qubits) raises :class:`DenseCapError`.
         """
         from . import sim  # local import; sim depends on this module
 
         if not self.is_lowered:
             raise MacroGateError("to_unitary requires a lowered circuit")
-        cap = max_qubits if max_qubits is not None else dense_cap()
+        cap = max_qubits if max_qubits is not None else DEFAULT_DENSE_CAP
         if self._total > cap:
             raise DenseCapError(
                 f"{self._total} qubits exceeds dense cap {cap}; "
@@ -269,18 +266,6 @@ class Circuit:
     def __repr__(self) -> str:
         regs = {r.value: s for r, s in self.register_sizes.items() if s > 0}
         return f"Circuit(registers={regs}, gates={len(self.gates)})"
-
-
-def dense_cap() -> int:
-    value = os.environ.get(_DENSE_CAP_ENV)
-    if value is None:
-        return DEFAULT_DENSE_CAP
-    try:
-        return int(value)
-    except ValueError:
-        raise InputError(
-            f"{_DENSE_CAP_ENV} must be an integer, got {value!r}"
-        ) from None
 
 
 class ResourceTally(NamedTuple):

@@ -29,7 +29,6 @@ from .database import SearchQuery, load_database_file, pad_to_power_of_two
 from .decompose import lower_circuit
 from .errors import InputError, QsearchError
 from .grover import (
-    SearchMode,
     SearchPlan,
     SearchStatus,
     build_kernel_circuits,
@@ -120,11 +119,7 @@ def _cmd_search(args) -> int:
     db = pad_to_power_of_two(load_database_file(args.db))
     query = SearchQuery(key_value=args.key, return_field=args.return_field)
     plan = SearchPlan.for_database(db, iterations=args.iterations)
-    if args.shots is not None:
-        result = run_search(db, query, plan, mode=SearchMode.SAMPLED,
-                            seed=args.seed, shots=args.shots)
-    else:
-        result = run_search(db, query, plan)
+    result = run_search(db, query, plan, seed=args.seed, shots=args.shots)
     _emit(json.dumps(result.to_json(), indent=2) + "\n", args.out)
     if args.out is not None:
         status = result.status.value
@@ -179,9 +174,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "compile":
             return _cmd_compile(args)
         return _cmd_bench(args)
-    except InputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
     except QsearchError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT

@@ -220,8 +220,9 @@ def lower_gates(
     CCZ fragment; larger MCZ gates expand through :func:`mcz_ladder` using
     ``ladder_ancillas``.  Lowered gates pass through unchanged.
     """
-    # a ladder repeats its Toffolis for every MCZ over the same qubits (the
-    # naive loader thousands of times); lower each distinct Toffoli once
+    # a ladder repeats its Toffolis for every MCZ over the same qubits, and
+    # ``compile --part naive --lowered`` lowers the naive loader, whose
+    # ladders do so thousands of times; lower each distinct Toffoli once
     fragments: dict = {}
     for g in gates:
         kind, ops = g

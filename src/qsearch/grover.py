@@ -99,11 +99,6 @@ class SearchStatus(enum.Enum):
     KEY_NOT_PRESENT = "KEY_NOT_PRESENT"
 
 
-class SearchMode(enum.Enum):
-    EXACT_PROBABILITY = "exact"
-    SAMPLED = "sampled"
-
-
 @dataclass
 class SearchTrace:
     """Per-round target amplitude magnitude, branch probability, and the
@@ -142,7 +137,7 @@ class SearchResult:
     oracle_calls: int
     trace: SearchTrace
     resources: "object"  # ResourceReport; typed loosely to avoid an import cycle
-    peak_support: int = 0  # branches held: 2^n
+    peak_support: int = 0  # largest support of the reload check's SparseState
 
     def to_json(self) -> dict:
         return {
@@ -237,18 +232,19 @@ def run_search(
     db: Database,
     query: SearchQuery,
     plan: SearchPlan | None = None,
-    mode: SearchMode = SearchMode.EXACT_PROBABILITY,
     seed: int | None = None,
-    shots: int = 1,
+    shots: int | None = None,
 ) -> SearchResult:
     """Execute the full search: exact bit-sliced simulation of K kernel
     rounds, index measurement, quantum re-load verification, and field
     return.
 
-    The exact mode measures the most probable index, the first one on a
-    tie.  At N=2 every round leaves both indices at probability exactly
-    0.5, so the candidate is always index 0, and a key stored at index 1
-    ends in ``ALGORITHM_FAILURE``.
+    Without ``shots`` the search measures the most probable index, the
+    first one on a tie.  At N=2 every round leaves both indices at
+    probability exactly 0.5, so the candidate is always index 0, and a key
+    stored at index 1 ends in ``ALGORITHM_FAILURE``.  With ``shots``, which
+    needs a ``seed``, it samples the index that many times and takes the
+    most frequent one.
     """
     from . import resources  # local import to avoid a cycle
 
@@ -257,10 +253,11 @@ def run_search(
         raise QueryError("database must be padded to a power of two")
     if db.size < 2:
         raise QueryError("search needs at least 2 records")
-    if mode is SearchMode.SAMPLED and seed is None:
-        raise QueryError("sampled mode needs a seed")
-    if shots < 1:
-        raise QueryError(f"shots must be positive, got {shots}")
+    if shots is not None:
+        if seed is None:
+            raise QueryError("sampled mode needs a seed")
+        if shots < 1:
+            raise QueryError(f"shots must be positive, got {shots}")
 
     plan = plan or SearchPlan.for_database(db)
     if plan.n != db.index_bits or plan.m != db.key_width:
@@ -300,7 +297,7 @@ def run_search(
 
     squares = [v * v for v in values]
     scale = 1 << (n * (2 * plan.iterations + 1))
-    if mode is SearchMode.EXACT_PROBABILITY:
+    if shots is None:
         candidate = squares.index(max(squares))
     else:
         distribution = np.array([s / scale for s in squares])
@@ -346,5 +343,5 @@ def run_search(
         oracle_calls=oracle_calls,
         trace=trace,
         resources=report,
-        peak_support=big_n,
+        peak_support=probe.peak_support,
     )

@@ -1,4 +1,6 @@
-"""Exact simulation backends.
+"""Exact simulation backends.  Each one runs a circuit in a single pass
+over its gates (``Circuit.flat_gates``), dispatching on the gate kind;
+there is no compile step.
 
 The search hot path never simulates Clifford+T gates.  Loader, target
 reflection and inverse loader are reversible permutations with phases, so
@@ -13,12 +15,12 @@ splits them off as an unnormalised Walsh-Hadamard transform
 
 ``SparseState`` stores a normalized amplitude map keyed by basis integers
 (bit conventions from :mod:`qsearch.circuit`) and applies *lowered*
-circuits.  It is the reference the bit-sliced path is tested against on
+circuits; a macro gate raises :class:`MacroGateError` when the pass
+reaches it.  It is the reference the bit-sliced path is tested against on
 Clifford+T, and the search's reload check: one branch through the lowered
 loader.  Diagonal gates update phases in place; H splits/recombines
-support; X/CNOT permute keys.  Amplitudes below the drop tolerance
-(default 1e-14) are pruned so destructive interference does not pollute
-the support.
+support; X/CNOT permute keys.  Amplitudes at or below ``DROP_TOLERANCE``
+are pruned so destructive interference does not pollute the support.
 
 The dense backend applies the same gates to a full numpy state vector (or
 to a batch of columns for unitary extraction) and exists as a
@@ -33,10 +35,10 @@ import numpy as np
 
 from .circuit import (
     Circuit,
+    DEFAULT_DENSE_CAP,
     GateKind,
     Register,
     REGISTER_ORDER,
-    dense_cap,
     gate,
     q_index,
 )
@@ -53,49 +55,20 @@ _PHASES = {
     GateKind.TDG: complex(_SQRT_HALF, -_SQRT_HALF),
 }
 
-# compiled opcodes
-_OP_H, _OP_X, _OP_PHASE, _OP_CNOT, _OP_CZ = range(5)
-
-
-def _compile(circuit: Circuit) -> list[tuple]:
-    """Turn a lowered circuit into mask-based instructions."""
-    if not circuit.is_lowered:
-        raise MacroGateError("simulation requires a lowered circuit")
-    total = circuit.total_qubits
-    bit = [1 << (total - 1 - f) for f in range(total)]
-    ops: list[tuple] = []
-    for kind, flats in circuit.flat_gates():
-        masks = [bit[f] for f in flats]
-        if kind is GateKind.H:
-            ops.append((_OP_H, masks[0]))
-        elif kind is GateKind.X:
-            ops.append((_OP_X, masks[0]))
-        elif kind is GateKind.CNOT:
-            ops.append((_OP_CNOT, masks[0], masks[1]))
-        elif kind is GateKind.CZ:
-            ops.append((_OP_CZ, masks[0] | masks[1]))
-        else:
-            ops.append((_OP_PHASE, masks[0], _PHASES[kind]))
-    return ops
-
-
 class SparseState:
     """Amplitude map over the registers' basis labels.  Value-semantic:
     ``apply`` returns a new state and leaves the input untouched."""
 
-    __slots__ = ("register_sizes", "total_qubits", "amplitudes", "tolerance",
-                 "peak_support")
+    __slots__ = ("register_sizes", "total_qubits", "amplitudes", "peak_support")
 
     def __init__(
         self,
         register_sizes: Mapping[Register, int],
         amplitudes: Mapping[int, complex] | None = None,
-        tolerance: float = DROP_TOLERANCE,
     ):
         self.register_sizes = {reg: int(register_sizes.get(reg, 0))
                                for reg in REGISTER_ORDER}
         self.total_qubits = sum(self.register_sizes.values())
-        self.tolerance = tolerance
         if amplitudes is None:
             amplitudes = {0: 1.0 + 0.0j}
         self.amplitudes = dict(amplitudes)
@@ -131,7 +104,7 @@ class SparseState:
         return (pattern >> shift) & ((1 << size) - 1)
 
     def to_dense(self) -> np.ndarray:
-        if self.total_qubits > dense_cap():
+        if self.total_qubits > DEFAULT_DENSE_CAP:
             raise DenseCapError(
                 f"{self.total_qubits} qubits exceeds the dense cap"
             )
@@ -143,27 +116,24 @@ class SparseState:
     # -- evolution -------------------------------------------------------
 
     def apply(self, circuit: Circuit) -> "SparseState":
+        """Run a lowered circuit.  Raises :class:`MacroGateError` at the
+        first macro gate, with the input state untouched."""
         if circuit.total_qubits != self.total_qubits:
             raise CircuitError("circuit registers do not match the state")
-        ops = _compile(circuit)
+        total = self.total_qubits
+        bit = [1 << (total - 1 - f) for f in range(total)]
         amps = dict(self.amplitudes)
-        tol = self.tolerance
         peak = len(amps)
-        for op in ops:
-            code = op[0]
-            if code == _OP_PHASE:
-                _, mask, phase = op
-                for k, a in amps.items():
-                    if k & mask:
-                        amps[k] = a * phase
-            elif code == _OP_CNOT:
-                _, cmask, tmask = op
+        k_h, k_x, k_cnot, k_cz = GateKind.H, GateKind.X, GateKind.CNOT, GateKind.CZ
+        for kind, flats in circuit.flat_gates():
+            if kind is k_cnot:
+                cmask, tmask = bit[flats[0]], bit[flats[1]]
                 amps = {
                     (k ^ tmask) if (k & cmask) else k: a
                     for k, a in amps.items()
                 }
-            elif code == _OP_H:
-                _, mask = op
+            elif kind is k_h:
+                mask = bit[flats[0]]
                 out: dict[int, complex] = {}
                 get = out.get
                 for k, a in amps.items():
@@ -180,18 +150,28 @@ class SparseState:
                         out[k0] = ar if v0 is None else v0 + ar
                         v1 = get(k1)
                         out[k1] = ar if v1 is None else v1 + ar
-                amps = {k: a for k, a in out.items() if abs(a) > tol}
+                amps = {k: a for k, a in out.items() if abs(a) > DROP_TOLERANCE}
                 if len(amps) > peak:
                     peak = len(amps)
-            elif code == _OP_X:
-                _, mask = op
+            elif kind is k_x:
+                mask = bit[flats[0]]
                 amps = {k ^ mask: a for k, a in amps.items()}
-            else:  # _OP_CZ
-                _, mask = op
+            elif kind is k_cz:
+                mask = bit[flats[0]] | bit[flats[1]]
                 for k, a in amps.items():
                     if (k & mask) == mask:
                         amps[k] = -a
-        out_state = SparseState(self.register_sizes, amps, self.tolerance)
+            else:
+                phase = _PHASES.get(kind)
+                if phase is None:
+                    raise MacroGateError(
+                        f"simulation requires a lowered circuit, got {kind.value}"
+                    )
+                mask = bit[flats[0]]
+                for k, a in amps.items():
+                    if k & mask:
+                        amps[k] = a * phase
+        out_state = SparseState(self.register_sizes, amps)
         out_state.peak_support = max(peak, self.peak_support)
         return out_state
 
@@ -357,15 +337,14 @@ def diffusion_signs(circuit: Circuit) -> int:
 
 
 def _dense_apply(circuit: Circuit, array: np.ndarray) -> np.ndarray:
-    """Apply a lowered circuit to axis 0 of ``array`` (vector or matrix)."""
-    if not circuit.is_lowered:
-        raise MacroGateError("simulation requires a lowered circuit")
+    """Apply a lowered circuit to axis 0 of ``array`` (vector or matrix),
+    in place.  Raises :class:`MacroGateError` at the first macro gate."""
     k = circuit.total_qubits
     dim = 1 << k
     if array.shape[0] != dim:
         raise CircuitError("state dimension does not match the circuit")
     batch = array.reshape(dim, -1)
-    idx_cache: dict[int, np.ndarray] = {}
+    idx = np.arange(dim)
 
     def pair_view(g: int) -> np.ndarray:
         return batch.reshape(1 << g, 2, -1)
@@ -387,10 +366,6 @@ def _dense_apply(circuit: Circuit, array: np.ndarray) -> np.ndarray:
             v[:, 1] = v[:, 1] * _PHASES[kind]
         elif kind is GateKind.CNOT:
             c, t = flats
-            idx = idx_cache.get(-1)
-            if idx is None:
-                idx = np.arange(dim)
-                idx_cache[-1] = idx
             cbit = 1 << (k - 1 - c)
             tbit = 1 << (k - 1 - t)
             sel = (idx & cbit).astype(bool) & ~(idx & tbit).astype(bool)
@@ -399,15 +374,15 @@ def _dense_apply(circuit: Circuit, array: np.ndarray) -> np.ndarray:
             tmp = batch[src].copy()
             batch[src] = batch[dst]
             batch[dst] = tmp
-        else:  # CZ
+        elif kind is GateKind.CZ:
             c, t = flats
-            idx = idx_cache.get(-1)
-            if idx is None:
-                idx = np.arange(dim)
-                idx_cache[-1] = idx
             mask = (1 << (k - 1 - c)) | (1 << (k - 1 - t))
             sel = (idx & mask) == mask
             batch[sel] = -batch[sel]
+        else:
+            raise MacroGateError(
+                f"simulation requires a lowered circuit, got {kind.value}"
+            )
     return batch.reshape(array.shape)
 
 
@@ -419,7 +394,7 @@ def dense_statevector(
     """Run a lowered circuit on a dense vector; ``initial`` is a basis label
     or a prepared vector.  ``max_qubits`` overrides the default cap."""
     k = circuit.total_qubits
-    cap = max_qubits if max_qubits is not None else dense_cap()
+    cap = max_qubits if max_qubits is not None else DEFAULT_DENSE_CAP
     if k > cap:
         raise DenseCapError(f"{k} qubits exceeds the dense cap {cap}")
     if isinstance(initial, np.ndarray):

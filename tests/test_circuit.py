@@ -22,7 +22,6 @@ from qsearch.decompose import decompose_toffoli, lower_circuit
 from qsearch.errors import (
     CircuitError,
     DenseCapError,
-    InputError,
     MacroGateError,
     OperandOverlapError,
 )
@@ -253,15 +252,3 @@ def test_dense_cap_is_enforced():
     Circuit({A: 4}).to_unitary(max_qubits=4)
     with pytest.raises(DenseCapError):
         Circuit({A: 4}).to_unitary(max_qubits=3)
-
-
-def test_dense_cap_env_var(monkeypatch):
-    monkeypatch.setenv("QSEARCH_MAX_DENSE_QUBITS", "2")
-    with pytest.raises(DenseCapError):
-        Circuit({A: 3}).to_unitary()
-
-
-def test_dense_cap_env_var_must_be_an_integer(monkeypatch):
-    monkeypatch.setenv("QSEARCH_MAX_DENSE_QUBITS", "many")
-    with pytest.raises(InputError, match="QSEARCH_MAX_DENSE_QUBITS"):
-        Circuit({A: 3}).to_unitary()

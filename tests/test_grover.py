@@ -12,7 +12,6 @@ from qsearch.database import SearchQuery, pad_to_power_of_two
 from qsearch.decompose import lower_circuit
 from qsearch.errors import CircuitError, InputError, QueryError
 from qsearch.grover import (
-    SearchMode,
     SearchPlan,
     SearchStatus,
     build_diffusion,
@@ -179,6 +178,13 @@ def test_search_n16_matches_closed_form():
     assert abs(expected - 0.9613) < 1e-3
 
 
+@pytest.mark.parametrize("n, key", [(2, "10"), (4, "0111")])
+def test_search_reports_the_reload_check_peak_support(n, key):
+    # one basis branch through the lowered loader: an H inside a Toffoli
+    # fragment splits it in two and the fragment's closing H joins it again
+    assert run_search(toy_db(n), SearchQuery(key, "val")).peak_support == 2
+
+
 def test_search_absent_key_reports_not_present():
     # 4 records with 3-bit keys, padded to 8: "111" stays absent
     from qsearch.database import Database, FieldSpec, Record
@@ -231,19 +237,18 @@ def test_search_forced_failure_with_overridden_iterations():
 def test_sampled_mode_is_deterministic_given_seed():
     db = toy_db(3)
     query = SearchQuery("101", "val")
-    first = run_search(db, query, mode=SearchMode.SAMPLED, seed=9, shots=32)
-    second = run_search(db, query, mode=SearchMode.SAMPLED, seed=9, shots=32)
+    first = run_search(db, query, seed=9, shots=32)
+    second = run_search(db, query, seed=9, shots=32)
     assert first.candidate_index == second.candidate_index
     assert first.to_json() == second.to_json()
     with pytest.raises(QueryError):
-        run_search(db, query, mode=SearchMode.SAMPLED)
+        run_search(db, query, shots=32)
 
 
 def test_sampled_mode_rejects_nonpositive_shots():
     db = toy_db(3)
     with pytest.raises(QueryError, match="shots"):
-        run_search(db, SearchQuery("101", "val"), mode=SearchMode.SAMPLED,
-                   seed=9, shots=0)
+        run_search(db, SearchQuery("101", "val"), seed=9, shots=0)
 
 
 def test_search_resources_are_attached_and_measured():

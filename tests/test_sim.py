@@ -112,6 +112,20 @@ def test_sparse_rejects_macro_circuits():
         SparseState.zero({A: 3}).apply(circ)
 
 
+def test_simulators_reject_a_macro_gate_mid_stream():
+    state = SparseState.zero({A: 3}).apply(Circuit({A: 3}, [gate(GateKind.H, _anc(0))]))
+    before = dict(state.amplitudes)
+    lowered = [gate(GateKind.X, _anc(2)), gate(GateKind.T, _anc(0)),
+               gate(GateKind.CNOT, _anc(0), _anc(1)), gate(GateKind.H, _anc(2)),
+               gate(GateKind.CZ, _anc(1), _anc(2))]
+    circ = Circuit({A: 3}, lowered + [gate(GateKind.TOFFOLI, _anc(0), _anc(1), _anc(2))])
+    with pytest.raises(MacroGateError):
+        state.apply(circ)
+    assert state.amplitudes == before
+    with pytest.raises(MacroGateError):
+        dense_statevector(circ, 0)
+
+
 def test_register_mismatch_rejected():
     circ = Circuit({A: 3}, [gate(GateKind.X, _anc(0))])
     with pytest.raises(CircuitError):

@@ -5,7 +5,6 @@ from .circuit import (
     Circuit,
     Gate,
     GateKind,
-    QubitId,
     Register,
     ResourceTally,
     gate,
@@ -39,7 +38,6 @@ from .grover import (
     build_target_reflection,
     optimal_iterations,
     run_search,
-    success_probability_formula,
 )
 from .qdam import (
     NaiveLayout,
@@ -47,7 +45,6 @@ from .qdam import (
     build_m1,
     build_m2,
     build_naive_qdam,
-    build_qdam,
 )
 from .resources import (
     BenchRow,
@@ -60,10 +57,6 @@ from .resources import (
     measure_kernel,
     measure_naive,
 )
-from .sim import (
-    SparseState,
-    basis_pattern,
-    dense_statevector,
-)
+from .sim import SparseState, basis_pattern
 
 __version__ = "0.1.0"

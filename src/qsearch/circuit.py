@@ -1,18 +1,21 @@
-"""Gate-level circuit IR over named registers, with ASAP layer scheduling.
+"""Gate-level circuit IR over flat qubit indices, with ASAP layer scheduling.
 
-Conventions, fixed once so every exported pattern and unitary is
+Conventions, fixed once so every exported pattern and basis label is
 bit-reproducible:
 
-* Qubits are addressed as ``(register, offset)``.  The global qubit order is
-  register-major in the order BINARY_INDEX, ONEHOT_INDEX, DATA, DATABASE,
-  ANCILLA, with offsets ascending inside each register.
-* In basis labels the first qubit in that order is the most significant bit,
-  so basis index ``b`` assigns qubit ``g`` the bit ``(b >> (total-1-g)) & 1``.
+* A circuit's qubits are the flat indices ``0 .. total-1`` of its named
+  registers, laid out register-major in the order BINARY_INDEX,
+  ONEHOT_INDEX, DATA, DATABASE, ANCILLA, with offsets ascending inside each
+  register.  The layouts in :mod:`qsearch.qdam` name the qubits; the IR
+  stores only the indices, and :meth:`Circuit.export_json` turns them back
+  into ``"REGISTER:offset"`` labels.
+* In basis labels the first qubit is the most significant bit: flat qubit
+  ``g`` is bit ``total-1-g``, so basis index ``b`` assigns it
+  ``(b >> (total-1-g)) & 1``.
 * TOFFOLI and MCZ are macro gates.  They are first-class in the IR so
-  builders stay readable.  The dense and sparse simulators reject them
-  (lower with :func:`qsearch.decompose.lower_circuit` first); the metrics
-  accept TOFFOLI and 3-operand MCZ and count them as their Clifford+T
-  fragments.
+  builders stay readable.  The sparse simulator rejects them (lower with
+  :func:`qsearch.decompose.lower_circuit` first); the metrics accept
+  TOFFOLI and 3-operand MCZ and count them as their Clifford+T fragments.
 
 Scheduling is as-soon-as-possible list scheduling over the gate-dependency
 DAG, done by :func:`tally_flat`, the only scheduler: a gate is placed in
@@ -32,14 +35,7 @@ import functools
 import json
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import (
-    CircuitError,
-    DenseCapError,
-    MacroGateError,
-    OperandOverlapError,
-)
-
-DEFAULT_DENSE_CAP = 14
+from .errors import CircuitError, MacroGateError, OperandOverlapError
 
 
 class Register(enum.Enum):
@@ -50,10 +46,6 @@ class Register(enum.Enum):
     DATA = "DATA"
     DATABASE = "DATABASE"
     ANCILLA = "ANCILLA"
-
-    # members compare by identity; Enum's own hash runs in Python on every
-    # dict lookup and set insert, which flattening does per operand
-    __hash__ = object.__hash__
 
 
 REGISTER_ORDER: tuple[Register, ...] = tuple(Register)
@@ -72,7 +64,9 @@ class GateKind(enum.Enum):
     TOFFOLI = "TOFFOLI"  # macro
     MCZ = "MCZ"  # macro, arity >= 2
 
-    __hash__ = object.__hash__  # as in Register
+    # members compare by identity; Enum's own hash runs in Python on every
+    # dict lookup, which the simulators and the lowering do per gate
+    __hash__ = object.__hash__
 
 
 LOWERED_KINDS = frozenset(
@@ -94,31 +88,14 @@ _ADJOINT = {
 # Export names; macros use the conventional CCX / MCZ spellings.
 _EXPORT_NAME = {kind: kind.value for kind in GateKind}
 _EXPORT_NAME[GateKind.TOFFOLI] = "CCX"
-_IMPORT_NAME = {name: kind for kind, name in _EXPORT_NAME.items()}
-
-
-class QubitId(NamedTuple):
-    register: Register
-    offset: int
-
-    def label(self) -> str:
-        return f"{self.register.value}:{self.offset}"
-
-    @staticmethod
-    def parse(text: str) -> "QubitId":
-        reg, _, off = text.partition(":")
-        try:
-            return QubitId(Register(reg), int(off))
-        except (ValueError, KeyError) as exc:
-            raise CircuitError(f"bad qubit label {text!r}") from exc
 
 
 class Gate(NamedTuple):
     kind: GateKind
-    qubits: tuple[QubitId, ...]
+    qubits: tuple[int, ...]  # flat qubit indices; controls precede the target
 
 
-def gate(kind: GateKind, *qubits: QubitId) -> Gate:
+def gate(kind: GateKind, *qubits: int) -> Gate:
     """Build a validated gate; controls precede the target."""
     arity = _ARITY.get(kind)
     if arity is not None and len(qubits) != arity:
@@ -130,14 +107,10 @@ def gate(kind: GateKind, *qubits: QubitId) -> Gate:
     return Gate(kind, tuple(qubits))
 
 
-def adjoint_gate(g: Gate) -> Gate:
-    return Gate(_ADJOINT.get(g.kind, g.kind), g.qubits)
-
-
 class Circuit:
     """Ordered gate list over sized registers.  Immutable once built."""
 
-    __slots__ = ("register_sizes", "gates", "_base", "_total")
+    __slots__ = ("register_sizes", "gates", "total_qubits")
 
     def __init__(
         self,
@@ -150,49 +123,26 @@ class Circuit:
             raise CircuitError("register sizes must be nonnegative")
         self.register_sizes: dict[Register, int] = sizes
         self.gates: tuple[Gate, ...] = tuple(gates)
-        base = {}
-        acc = 0
-        for reg in REGISTER_ORDER:
-            base[reg] = acc
-            acc += sizes[reg]
-        self._base = base
-        self._total = acc
+        self.total_qubits: int = sum(sizes.values())
         if validate:
             self._validate()
 
     def _validate(self) -> None:
-        sizes = self.register_sizes
+        total = self.total_qubits
         for g in self.gates:
             if len(set(g.qubits)) != len(g.qubits):
                 raise OperandOverlapError(f"duplicate operands: {g}")
             for q in g.qubits:
-                if not 0 <= q.offset < sizes[q.register]:
-                    raise CircuitError(
-                        f"{q.label()} outside register of size {sizes[q.register]}"
-                    )
-
-    # -- shape ----------------------------------------------------------
-
-    @property
-    def total_qubits(self) -> int:
-        return self._total
+                if not 0 <= q < total:
+                    raise CircuitError(f"qubit {q} outside the {total} qubits of {self!r}")
 
     @property
     def is_lowered(self) -> bool:
         return all(g.kind in LOWERED_KINDS for g in self.gates)
 
-    def flat_gates(self) -> list[tuple[GateKind, tuple[int, ...]]]:
-        base = self._base
-        return [
-            (g.kind, tuple(base[q.register] + q.offset for q in g.qubits))
-            for g in self.gates
-        ]
-
-    def macro_counts(self) -> dict[GateKind, int]:
-        counts: dict[GateKind, int] = {}
-        for g in self.gates:
-            counts[g.kind] = counts.get(g.kind, 0) + 1
-        return counts
+    def flat_gates(self) -> tuple[Gate, ...]:
+        # the gates are flat already; the benchmark's tracer patches this name
+        return self.gates
 
     # -- composition ----------------------------------------------------
 
@@ -207,15 +157,21 @@ class Circuit:
         Macro gates are self-adjoint, so inverting a macro-level circuit and
         lowering afterwards reuses the forward (depth-aligned) fragments.
         """
+        adjoint = _ADJOINT.get
         return Circuit(
             self.register_sizes,
-            tuple(adjoint_gate(g) for g in reversed(self.gates)),
+            tuple(Gate(adjoint(kind, kind), ops) for kind, ops in reversed(self.gates)),
             validate=False,
         )
 
     # -- export ---------------------------------------------------------
 
     def export_json(self) -> str:
+        labels = [
+            f"{reg.value}:{offset}"
+            for reg, size in self.register_sizes.items()
+            for offset in range(size)
+        ]
         doc = {
             "registers": {
                 reg.value: size
@@ -223,42 +179,11 @@ class Circuit:
                 if size > 0
             },
             "gates": [
-                {"gate": _EXPORT_NAME[g.kind], "qubits": [q.label() for q in g.qubits]}
+                {"gate": _EXPORT_NAME[g.kind], "qubits": [labels[q] for q in g.qubits]}
                 for g in self.gates
             ],
         }
         return json.dumps(doc, indent=2) + "\n"
-
-    @staticmethod
-    def from_json(text: str) -> "Circuit":
-        doc = json.loads(text)
-        sizes = {Register(name): size for name, size in doc["registers"].items()}
-        gates = [
-            gate(_IMPORT_NAME[entry["gate"]],
-                 *(QubitId.parse(q) for q in entry["qubits"]))
-            for entry in doc["gates"]
-        ]
-        return Circuit(sizes, gates)
-
-    # -- dense extraction -------------------------------------------------
-
-    def to_unitary(self, max_qubits: int | None = None):
-        """Dense unitary of a lowered circuit, column ordering as documented.
-
-        Only for small circuits; above the cap (``max_qubits``, default
-        ``DEFAULT_DENSE_CAP`` = 14 qubits) raises :class:`DenseCapError`.
-        """
-        from . import sim  # local import; sim depends on this module
-
-        if not self.is_lowered:
-            raise MacroGateError("to_unitary requires a lowered circuit")
-        cap = max_qubits if max_qubits is not None else DEFAULT_DENSE_CAP
-        if self._total > cap:
-            raise DenseCapError(
-                f"{self._total} qubits exceeds dense cap {cap}; "
-                "use the sparse simulator instead"
-            )
-        return sim.circuit_unitary(self)
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -319,14 +244,15 @@ def _macro_templates() -> dict[GateKind, _Template]:
 
     return {
         GateKind.TOFFOLI: _derive_template(decompose.decompose_toffoli(0, 1, 2)),
-        GateKind.MCZ: _derive_template(decompose._ccz_gates(0, 1, 2)),
+        GateKind.MCZ: _derive_template(decompose.ccz_gates(0, 1, 2)),
     }
 
 
 def tally_flat(
-    flat: Iterable[tuple[GateKind, tuple[int, ...]]], total_qubits: int
+    gates: Iterable[tuple[GateKind, tuple[int, ...]]], total_qubits: int
 ) -> ResourceTally:
-    """ASAP-schedule a flattened gate stream and tally it in one pass.
+    """ASAP-schedule a stream of gates over flat qubit indices and tally it
+    in one pass.
 
     TOFFOLI and 3-operand MCZ gates are scheduled as their lowered
     fragments would be, through the fragments' max-plus templates: ASAP is
@@ -344,7 +270,7 @@ def tally_flat(
     add_t_layer = t_layers.add
     k_t, k_tdg, k_cnot = GateKind.T, GateKind.TDG, GateKind.CNOT
     k_toffoli, k_mcz = GateKind.TOFFOLI, GateKind.MCZ
-    for kind, ops in flat:
+    for kind, ops in gates:
         if kind is k_toffoli or kind is k_mcz:
             if len(ops) != 3:
                 raise MacroGateError(
@@ -393,27 +319,9 @@ def t_depth(circuit: Circuit) -> int:
 
 
 def resource_tally(circuit: Circuit) -> ResourceTally:
-    return tally_flat(circuit.flat_gates(), max(circuit.total_qubits, 1))
+    return tally_flat(circuit.gates, max(circuit.total_qubits, 1))
 
 
-# -- register helpers used across builders --------------------------------
-
-
-def q_index(offset: int) -> QubitId:
-    return QubitId(Register.BINARY_INDEX, offset)
-
-
-def q_onehot(offset: int) -> QubitId:
-    return QubitId(Register.ONEHOT_INDEX, offset)
-
-
-def q_data(offset: int) -> QubitId:
-    return QubitId(Register.DATA, offset)
-
-
-def q_database(offset: int) -> QubitId:
-    return QubitId(Register.DATABASE, offset)
-
-
-def q_ancilla(offset: int) -> QubitId:
-    return QubitId(Register.ANCILLA, offset)
+def q_index(offset: int) -> int:
+    # the binary index is register 0; kept for the benchmark's tracer
+    return offset

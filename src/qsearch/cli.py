@@ -6,7 +6,7 @@ Subcommands::
     search   --db PATH --key BITS --return FIELD [--iterations INT]
              [--shots INT --seed INT] [--out PATH]
     compile  --db PATH --key BITS [--part m1|m2|qdam|oracle|diffusion|kernel|naive]
-             --out PATH
+             [--lowered] --out PATH
     bench    --n-min INT --n-max INT --m INT --out PATH
 
 Exit codes: 0 on success, 2 when a search ends in ALGORITHM_FAILURE or

@@ -17,26 +17,23 @@ Three building blocks:
   uncomputation.  Degenerate sizes emit Z / CZ / plain CCZ.
 
 :func:`lower_gates` is the only lowering: it expands TOFFOLI and MCZ macros
-using these blocks, gate by gate.  The fragments only permute their
-operands, so they accept :class:`QubitId` values or flat qubit indices;
-the scheduler derives its macro templates from the fragments over the
-flat operands 0, 1, 2 (:func:`qsearch.circuit.tally_flat`), so what it
-counts is what this module emits.  All emitted ancillas are returned to
-|0> on every input.
+using these blocks, gate by gate.  Operands are flat qubit indices, as
+everywhere in :mod:`qsearch.circuit`.  The scheduler derives its macro
+templates from the fragments over the operands 0, 1, 2
+(:func:`qsearch.circuit.tally_flat`), so what it counts is what this
+module emits.  All emitted ancillas are returned to |0> on every input.
 """
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .circuit import Circuit, Gate, GateKind, QubitId, gate
+from .circuit import Circuit, Gate, GateKind, gate
 from .errors import AncillaBudgetError, OperandOverlapError
 
 _K = GateKind
-# A gate operand: a QubitId, or a flat qubit index on the counting path.
-Operand = QubitId | int
 
 
-def _ccz_gates(x: Operand, y: Operand, z: Operand) -> list[Gate]:
+def ccz_gates(x: int, y: int, z: int) -> list[Gate]:
     """Doubly-controlled Z, 7 T gates in three aligned T layers, no ancilla.
 
     Phase polynomial (eighth turns): a + b + c + (a^b^c) - (a^b) - (b^c)
@@ -69,18 +66,18 @@ def _ccz_gates(x: Operand, y: Operand, z: Operand) -> list[Gate]:
     ]
 
 
-def decompose_toffoli(c1: Operand, c2: Operand, target: Operand) -> list[Gate]:
+def decompose_toffoli(c1: int, c2: int, target: int) -> list[Gate]:
     """Lowered Toffoli fragment: 7 T gates, measured T-depth 3, no ancilla."""
     if len({c1, c2, target}) != 3:
         raise OperandOverlapError("Toffoli operands must be distinct")
     h = Gate(_K.H, (target,))
-    return [h, *_ccz_gates(c1, c2, target), h]
+    return [h, *ccz_gates(c1, c2, target), h]
 
 
 def shared_control_layer(
-    shared_control: QubitId,
-    pairs: Sequence[tuple[QubitId, QubitId]],
-    fanout_ancillas: Sequence[QubitId] = (),
+    shared_control: int,
+    pairs: Sequence[tuple[int, int]],
+    fanout_ancillas: Sequence[int] = (),
 ) -> list[Gate]:
     """Toffolis ``(second_control, shared_control) -> target`` for each pair,
     emitted so the lowered block keeps a constant T-depth.
@@ -94,7 +91,7 @@ def shared_control_layer(
     for second, target in pairs:
         for q in (second, target):
             if q in seen:
-                raise OperandOverlapError(f"operand {q.label()} reused in layer")
+                raise OperandOverlapError(f"operand {q} reused in layer")
             seen.add(q)
 
     ancillas = tuple(fanout_ancillas)
@@ -137,7 +134,7 @@ def shared_control_layer(
     return gates
 
 
-def sync_touch(qubits: Sequence[QubitId]) -> list[Gate]:
+def sync_touch(qubits: Sequence[int]) -> list[Gate]:
     """CNOT-pair gossip that equalizes the scheduler's last-touch layer of
     every listed qubit.  Net identity on all of them; Clifford only, so T
     metrics are unaffected.  Requires a power-of-two qubit count (pad the
@@ -169,8 +166,8 @@ def sync_touch(qubits: Sequence[QubitId]) -> list[Gate]:
 
 
 def mcz_ladder(
-    qubits: Sequence[Operand],
-    ladder_ancillas: Sequence[Operand] = (),
+    qubits: Sequence[int],
+    ladder_ancillas: Sequence[int] = (),
 ) -> list[Gate]:
     """Phase flip of the |1...1> branch over ``qubits`` (k = c+1 qubits for a
     c-control Z).  Macro-level: chain TOFFOLIs + MCZ apex; uses k-3 borrowed
@@ -209,16 +206,14 @@ def mcz_ladder(
 
 
 def lower_gates(
-    gates: Iterable[tuple[GateKind, tuple[Operand, ...]]],
-    ladder_ancillas: Sequence[Operand] = (),
+    gates: Iterable[Gate],
+    ladder_ancillas: Sequence[int] = (),
 ) -> Iterator[Gate]:
     """Expand macros to Clifford+T, streaming, one input gate at a time.
 
-    ``gates`` holds ``(kind, operands)`` pairs -- :class:`Gate` values, or
-    the same pairs over flat qubit indices, in which case
-    ``ladder_ancillas`` must be flat too.  MCZ of arity 3 becomes the direct
-    CCZ fragment; larger MCZ gates expand through :func:`mcz_ladder` using
-    ``ladder_ancillas``.  Lowered gates pass through unchanged.
+    MCZ of arity 3 becomes the direct CCZ fragment; larger MCZ gates expand
+    through :func:`mcz_ladder` using ``ladder_ancillas``.  Lowered gates
+    pass through unchanged.
     """
     # a ladder repeats its Toffolis for every MCZ over the same qubits, and
     # ``compile --part naive --lowered`` lowers the naive loader, whose
@@ -234,7 +229,7 @@ def lower_gates(
         elif kind is not _K.MCZ:
             yield g
         elif len(ops) == 3:
-            yield from _ccz_gates(*ops)
+            yield from ccz_gates(*ops)
         else:
             free = tuple(a for a in ladder_ancillas if a not in ops)
             # the ladder holds only Toffolis and a 3-qubit MCZ apex
@@ -242,7 +237,7 @@ def lower_gates(
 
 
 def lower_circuit(
-    circuit: Circuit, ladder_ancillas: Sequence[QubitId] = ()
+    circuit: Circuit, ladder_ancillas: Sequence[int] = ()
 ) -> Circuit:
     """Lowered copy of ``circuit``; identity if already lowered."""
     if circuit.is_lowered:

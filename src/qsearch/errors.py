@@ -28,11 +28,6 @@ class AncillaBudgetError(CircuitError):
     """A decomposition was given fewer ancilla qubits than it needs."""
 
 
-class DenseCapError(CircuitError):
-    """Dense simulation requested above the qubit cap; use the sparse
-    simulator instead."""
-
-
 class InputError(QsearchError):
     """Invalid user-supplied input (database file, query, CLI flags)."""
 

@@ -8,8 +8,9 @@ runs the block's macro circuits on every index branch at once, bit-sliced
 to its own index with every other qubit |0> and a phase of +1 or -1.  The
 block is then a +-1 diagonal, so nothing outside the index register is
 ever populated and the off-support probability is exactly 0.  The
-diffusion's middle is bit-sliced the same way, between two Walsh-Hadamard
-transforms.
+diffusion's middle is bit-sliced the same way and must flip exactly index
+branch 0; the diffusion is then the closed form
+:func:`qsearch.sim.reflect_about_uniform`.
 
 The K rounds run on 2^n Python ints: after r rounds the amplitude of
 branch q is ``v[q] * 2^(-n(2r+1)/2)``, so every probability is one
@@ -35,14 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuit import (
-    Circuit,
-    GateKind,
-    Register,
-    gate,
-    q_data,
-    q_index,
-)
+from .circuit import Circuit, GateKind, Register, gate
 from .database import Database, SearchQuery, encode_key
 from .decompose import lower_circuit, mcz_ladder, sync_touch
 from .errors import CircuitError, InputError, QueryError
@@ -52,7 +46,7 @@ from .sim import (
     SparseState,
     diffusion_signs,
     negate,
-    walsh_hadamard,
+    reflect_about_uniform,
 )
 
 _K = GateKind
@@ -64,12 +58,6 @@ def optimal_iterations(database_size: int) -> int:
         raise InputError("search needs at least 2 records")
     theta = math.asin(1.0 / math.sqrt(database_size))
     return max(1, math.floor(math.pi / (4.0 * theta)))
-
-
-def success_probability_formula(database_size: int, iterations: int) -> float:
-    """Closed-form branch probability after ``iterations`` kernel rounds."""
-    theta = math.asin(1.0 / math.sqrt(database_size))
-    return math.sin((2 * iterations + 1) * theta) ** 2
 
 
 @dataclass(frozen=True)
@@ -164,9 +152,10 @@ def build_target_reflection(layout: QdamLayout, key_pattern: str) -> Circuit:
     """
     if len(key_pattern) != layout.m or any(c not in "01" for c in key_pattern):
         raise QueryError(f"pattern {key_pattern!r} does not fit {layout.m} data qubits")
-    flips = [gate(_K.X, q_data(j)) for j, c in enumerate(key_pattern) if c == "0"]
-    ladder = mcz_ladder([q_data(j) for j in range(layout.m)], layout.ladder_qubits())
-    sync_set = [q_data(j) for j in range(layout.m)]
+    data = [layout.data_qubit(j) for j in range(layout.m)]
+    flips = [gate(_K.X, data[j]) for j, c in enumerate(key_pattern) if c == "0"]
+    ladder = mcz_ladder(data, layout.ladder_qubits())
+    sync_set = list(data)
     pad = (1 << (layout.m - 1).bit_length()) - layout.m
     sync_set.extend(layout.ladder_qubits()[:pad])
     return Circuit(
@@ -178,10 +167,11 @@ def build_target_reflection(layout: QdamLayout, key_pattern: str) -> Circuit:
 
 def build_diffusion(layout: QdamLayout) -> Circuit:
     """Reflection about the uniform index state: H then X conjugation of a
-    phase flip on the all-ones index branch."""
-    hs = [gate(_K.H, q_index(b)) for b in range(layout.n)]
-    xs = [gate(_K.X, q_index(b)) for b in range(layout.n)]
-    ladder = mcz_ladder([q_index(b) for b in range(layout.n)], layout.ladder_qubits())
+    phase flip on the all-ones index branch.  The binary index qubits are
+    flat qubits 0 .. n-1."""
+    hs = [gate(_K.H, b) for b in range(layout.n)]
+    xs = [gate(_K.X, b) for b in range(layout.n)]
+    ladder = mcz_ladder(range(layout.n), layout.ladder_qubits())
     return Circuit(
         layout.register_sizes, [*hs, *xs, *ladder, *xs, *hs], validate=False
     )
@@ -189,21 +179,16 @@ def build_diffusion(layout: QdamLayout) -> Circuit:
 
 @dataclass(frozen=True)
 class KernelCircuits:
-    """Macro-level subroutine circuits for one kernel iteration."""
+    """Macro-level subroutine circuits for one kernel iteration; the loader
+    is stage 1 then stage 2."""
 
     layout: QdamLayout
     stage1: Circuit
     stage2: Circuit
+    loader: Circuit
+    loader_inverse: Circuit
     target_reflection: Circuit
     diffusion: Circuit
-
-    @property
-    def loader(self) -> Circuit:
-        return self.stage1 + self.stage2
-
-    @property
-    def loader_inverse(self) -> Circuit:
-        return self.loader.inverted()
 
     def kernel(self) -> Circuit:
         return (
@@ -217,12 +202,17 @@ class KernelCircuits:
 def build_kernel_circuits(
     layout: QdamLayout, db: Database | Sequence[str], key_pattern: str
 ) -> KernelCircuits:
+    # a call-time import: the benchmark's tracer patches these on qsearch.qdam
     from .qdam import build_m1, build_m2
 
+    stage1, stage2 = build_m1(layout), build_m2(layout, db)
+    loader = stage1 + stage2
     return KernelCircuits(
         layout=layout,
-        stage1=build_m1(layout),
-        stage2=build_m2(layout, db),
+        stage1=stage1,
+        stage2=stage2,
+        loader=loader,
+        loader_inverse=loader.inverted(),
         target_reflection=build_target_reflection(layout, key_pattern),
         diffusion=build_diffusion(layout),
     )
@@ -270,7 +260,8 @@ def run_search(
     loaded = SlicedState(layout.register_sizes).run(circuits.loader)
     marked = (loaded.run(circuits.target_reflection)
               .run(circuits.loader_inverse).diagonal_signs())
-    reflected = diffusion_signs(circuits.diffusion)
+    if diffusion_signs(circuits.diffusion) != 1:
+        raise CircuitError("the diffusion's middle must flip exactly index branch 0")
 
     target = db.index_of_key(query.key_value)
     n = layout.n
@@ -290,9 +281,8 @@ def run_search(
     record(values, 0)
     oracle_calls = 0
     for rounds in range(1, plan.iterations + 1):
-        values = negate(values, marked)
+        values = reflect_about_uniform(negate(values, marked))
         oracle_calls += 1
-        values = walsh_hadamard(negate(walsh_hadamard(values), reflected))
         record(values, rounds)
 
     squares = [v * v for v in values]

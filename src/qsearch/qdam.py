@@ -29,19 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .circuit import (
-    Circuit,
-    Gate,
-    GateKind,
-    QubitId,
-    Register,
-    gate,
-    q_ancilla,
-    q_data,
-    q_database,
-    q_index,
-    q_onehot,
-)
+from .circuit import Circuit, Gate, GateKind, Register, gate
 from .database import Database
 from .decompose import mcz_ladder, shared_control_layer
 from .errors import CircuitError
@@ -54,7 +42,9 @@ class QdamLayout:
     """Qubit allocation for the optimized loader.
 
     Ancilla region, in offset order: m*2^n load qubits (E), then the
-    fan-out pool, then the ladder pool used by the reflections.
+    fan-out pool, then the ladder pool used by the reflections.  The
+    ``*_qubit`` methods return flat indices in the register order of
+    :mod:`qsearch.circuit`; binary index qubit b is flat qubit b.
     """
 
     n: int
@@ -99,26 +89,32 @@ class QdamLayout:
     def total_qubits(self) -> int:
         return sum(self.register_sizes.values())
 
-    # -- named qubits ------------------------------------------------------
+    # -- named qubits, as flat indices --------------------------------------
 
-    def database_qubit(self, record: int, bit: int) -> QubitId:
-        return q_database(record * self.m + bit)
+    def onehot_qubit(self, i: int) -> int:
+        return self.n + i
 
-    def load_qubit(self, record: int, bit: int) -> QubitId:
-        return q_ancilla(record * self.m + bit)
+    def data_qubit(self, j: int) -> int:
+        return self.n + self.onehot_size + j
 
-    def fanout_qubit(self, k: int) -> QubitId:
-        return q_ancilla(self.load_ancillas + k)
+    def database_qubit(self, record: int, bit: int) -> int:
+        return self.data_qubit(0) + self.m + record * self.m + bit
 
-    def ladder_qubit(self, k: int) -> QubitId:
-        return q_ancilla(self.load_ancillas + self.fanout_ancillas + k)
+    def load_qubit(self, record: int, bit: int) -> int:
+        return self.database_qubit(0, 0) + self.database_qubits + record * self.m + bit
 
-    def fanout_lease(self, start: int, count: int) -> tuple[QubitId, ...]:
+    def fanout_qubit(self, k: int) -> int:
+        return self.load_qubit(0, 0) + self.load_ancillas + k
+
+    def ladder_qubit(self, k: int) -> int:
+        return self.fanout_qubit(0) + self.fanout_ancillas + k
+
+    def fanout_lease(self, start: int, count: int) -> tuple[int, ...]:
         if start + count > self.fanout_ancillas:
             raise CircuitError("fan-out pool exhausted")
         return tuple(self.fanout_qubit(start + i) for i in range(count))
 
-    def ladder_qubits(self) -> tuple[QubitId, ...]:
+    def ladder_qubits(self) -> tuple[int, ...]:
         return tuple(self.ladder_qubit(i) for i in range(self.ladder_ancillas))
 
     @classmethod
@@ -131,7 +127,8 @@ class QdamLayout:
 @dataclass(frozen=True)
 class NaiveLayout:
     """Allocation for the baseline loader: no one-hot or load region, just
-    enough ladder ancillas for (n+1)-control flips."""
+    enough ladder ancillas for (n+1)-control flips.  Qubits are flat
+    indices, as in :class:`QdamLayout`."""
 
     n: int
     m: int
@@ -154,11 +151,15 @@ class NaiveLayout:
             Register.ANCILLA: self.ladder_ancillas,
         }
 
-    def database_qubit(self, record: int, bit: int) -> QubitId:
-        return q_database(record * self.m + bit)
+    def data_qubit(self, j: int) -> int:
+        return self.n + j
 
-    def ladder_qubits(self) -> tuple[QubitId, ...]:
-        return tuple(q_ancilla(i) for i in range(self.ladder_ancillas))
+    def database_qubit(self, record: int, bit: int) -> int:
+        return self.data_qubit(0) + self.m + record * self.m + bit
+
+    def ladder_qubits(self) -> tuple[int, ...]:
+        first = self.database_qubit(0, 0) + self.database_qubits
+        return tuple(range(first, first + self.ladder_ancillas))
 
 
 def _key_bits(layout_n: int, layout_m: int, source: Database | Sequence[str]) -> list[str]:
@@ -176,19 +177,20 @@ def _key_bits(layout_n: int, layout_m: int, source: Database | Sequence[str]) ->
 def build_m1(layout: QdamLayout) -> Circuit:
     """Stage 1: |v>|0...0> -> |v>|one-hot at offset v>."""
     n = layout.n
-    gates: list[Gate] = [gate(_K.X, q_onehot(0))]
+    onehot = layout.onehot_qubit
+    gates: list[Gate] = [gate(_K.X, onehot(0))]
     for level in range(1, n + 1):
         span = 1 << (level - 1)
-        ctrl = q_index(n - level)  # weight 2^(level-1)
+        ctrl = n - level  # the binary index qubit of weight 2^(level-1)
         if level == 1:
-            gates.append(gate(_K.CNOT, ctrl, q_onehot(1)))
+            gates.append(gate(_K.CNOT, ctrl, onehot(1)))
         else:
-            pairs = [(q_onehot(j), q_onehot(j + span)) for j in range(span)]
+            pairs = [(onehot(j), onehot(j + span)) for j in range(span)]
             gates.extend(
                 shared_control_layer(ctrl, pairs, layout.fanout_lease(0, span - 1))
             )
         for j in range(span):
-            gates.append(gate(_K.CNOT, q_onehot(j + span), q_onehot(j)))
+            gates.append(gate(_K.CNOT, onehot(j + span), onehot(j)))
     return Circuit(layout.register_sizes, gates, validate=False)
 
 
@@ -209,14 +211,14 @@ def build_m2(layout: QdamLayout, db: Database | Sequence[str]) -> Circuit:
             for j in range(m)
         ]
         lease = layout.fanout_lease(i * (m - 1), m - 1)
-        gates.extend(shared_control_layer(q_onehot(i), pairs, lease))
+        gates.extend(shared_control_layer(layout.onehot_qubit(i), pairs, lease))
     for j in range(m):
         column = [layout.load_qubit(i, j) for i in range(records)]
-        gates.extend(_fold_fan_in(column, q_data(j)))
+        gates.extend(_fold_fan_in(column, layout.data_qubit(j)))
     return Circuit(layout.register_sizes, gates, validate=False)
 
 
-def _fold_fan_in(column: list[QubitId], target: QubitId) -> list[Gate]:
+def _fold_fan_in(column: list[int], target: int) -> list[Gate]:
     """XOR the (power-of-two) column into ``target`` by folding the column
     onto its first qubit, copying out, and unfolding.
 
@@ -241,11 +243,6 @@ def _fold_fan_in(column: list[QubitId], target: QubitId) -> list[Gate]:
     return gates
 
 
-def build_qdam(layout: QdamLayout, db: Database | Sequence[str]) -> Circuit:
-    """Full loader: stage 1 then stage 2."""
-    return build_m1(layout) + build_m2(layout, db)
-
-
 def build_naive_qdam(
     layout: NaiveLayout, db: Database | Sequence[str]
 ) -> Circuit:
@@ -257,23 +254,21 @@ def build_naive_qdam(
         for j, bit in enumerate(key):
             if bit == "1":
                 gates.append(gate(_K.X, layout.database_qubit(i, j)))
-    index_qubits = [q_index(b) for b in range(n)]
     ladder = layout.ladder_qubits()
     # every ladder repeats the same Toffoli chain over the index qubits;
     # keep one copy of each equal gate
     shared: dict[Gate, Gate] = {}
     for i, key in enumerate(keys):
         pattern = format(i, f"0{n}b")
-        conjugate = [
-            gate(_K.X, index_qubits[b]) for b in range(n) if pattern[b] == "0"
-        ]
+        conjugate = [gate(_K.X, b) for b in range(n) if pattern[b] == "0"]
         gates.extend(conjugate)
         for j in range(m):
-            target = q_data(j)
+            target = layout.data_qubit(j)
             gates.append(gate(_K.H, target))
             gates.extend(
                 shared.setdefault(g, g) for g in mcz_ladder(
-                    (*index_qubits, layout.database_qubit(i, j), target), ladder
+                    # the binary index qubits are flat qubits 0 .. n-1
+                    (*range(n), layout.database_qubit(i, j), target), ladder
                 )
             )
             gates.append(gate(_K.H, target))

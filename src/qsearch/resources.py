@@ -13,8 +13,8 @@ max-plus templates of their Clifford+T fragments, so a macro circuit's
 tally equals its lowering's by construction, and measuring the kernel
 lowers nothing.  :func:`measure_kernel` tallies the five macro subroutines
 (stage 1, stage 2, target reflection, inverse loader, diffusion); the
-loader and kernel tallies chain the parts' flat gate lists through
-:func:`tally_flat` instead of concatenating circuits.  The naive report
+kernel tally chains the parts' gate lists through :func:`tally_flat`
+instead of concatenating circuits.  The naive report
 streams its macro loader the same way and tallies its two reflections, a
 few hundred gates, on their lowering.
 """
@@ -106,10 +106,25 @@ def _reflection_toffoli_equivalents(width: int) -> int:
     return 2 * width - 5
 
 
-def estimate_bounds(n: int, m: int) -> ResourceReport:
-    """Closed-form report; the constructive inequalities taken as equalities."""
+# the largest index width each report can be computed for: the closed
+# forms take sqrt(2^n) as a float, and a measured report builds m * 2^n
+# Toffolis
+MAX_BOUND_N = 1023
+MAX_MEASURED_N = 20
+
+
+def _check_widths(n: int, m: int, max_n: int) -> None:
+    """Reject report widths below 1, or an index width above ``max_n``,
+    with :class:`InputError`."""
     if n < 1 or m < 1:
         raise InputError("widths must be positive")
+    if n > max_n:
+        raise InputError(f"this report supports n <= {max_n}, got {n}")
+
+
+def estimate_bounds(n: int, m: int) -> ResourceReport:
+    """Closed-form report; the constructive inequalities taken as equalities."""
+    _check_widths(n, m, MAX_BOUND_N)
     big_n = 1 << n
     td_m1 = 4 * (n - 1)
     td_m2 = 4
@@ -149,27 +164,27 @@ def _zero_keys(n: int, m: int) -> list[str]:
     the database with one X per 1 bit, which shifts the scheduler's entry
     times into the stage-2 Toffolis.  With m=1 some keys measure a stage-2
     T-depth above its bound, so a zero-key report does not bound every
-    database (ROADMAP item 4)."""
+    database (ROADMAP item 2)."""
     return ["0" * m] * (1 << n)
 
 
 def measure_kernel(circuits: KernelCircuits, iterations: int) -> ResourceReport:
     """Schedule the macro subroutines of one kernel and tally them as their
-    Clifford+T lowering; the loader and kernel are tallied as chains of the
-    parts."""
+    Clifford+T lowering; the kernel is tallied as a chain of the parts."""
     layout = circuits.layout
     total = layout.total_qubits
-    m1, m2, oracle, unload, diff = (
-        part.flat_gates()
-        for part in (circuits.stage1, circuits.stage2, circuits.target_reflection,
-                     circuits.loader_inverse, circuits.diffusion)
+    m1, m2, loader, oracle, unload, diff = (
+        part.gates
+        for part in (circuits.stage1, circuits.stage2, circuits.loader,
+                     circuits.target_reflection, circuits.loader_inverse,
+                     circuits.diffusion)
     )
     t_m1 = tally_flat(m1, total)
     t_m2 = tally_flat(m2, total)
-    t_loader = tally_flat(chain(m1, m2), total)
+    t_loader = tally_flat(loader, total)
     t_oracle = tally_flat(oracle, total)
     t_diff = tally_flat(diff, total)
-    t_kernel = tally_flat(chain(m1, m2, oracle, unload, diff), total)
+    t_kernel = tally_flat(chain(loader, oracle, unload, diff), total)
     return ResourceReport(
         n=layout.n,
         m=layout.m,
@@ -190,8 +205,7 @@ def measure_kernel(circuits: KernelCircuits, iterations: int) -> ResourceReport:
 
 def measure(n: int, m: int, iterations: int | None = None) -> ResourceReport:
     """Measured report for the optimized kernel at the given widths."""
-    if n < 1 or m < 1:
-        raise InputError("widths must be positive")
+    _check_widths(n, m, MAX_MEASURED_N)
     layout = QdamLayout(n, m)
     keys = _zero_keys(n, m)
     circuits = build_kernel_circuits(layout, keys, "0" * m)
@@ -200,12 +214,8 @@ def measure(n: int, m: int, iterations: int | None = None) -> ResourceReport:
 
 
 def _expand_flat(macro_circuit):
-    """Flatten a macro circuit lazily: the streamed ``(kind, flat operands)``
-    pairs never exist as one list, which keeps the naive loader's peak
-    memory down."""
-    base = macro_circuit._base
-    return ((g.kind, tuple(base[q.register] + q.offset for q in g.qubits))
-            for g in macro_circuit.gates)
+    # a bare iterator over the gates; the benchmark's tracer times its pulls
+    return iter(macro_circuit.gates)
 
 
 def measure_naive(n: int, m: int, iterations: int | None = None) -> ResourceReport:
@@ -215,8 +225,7 @@ def measure_naive(n: int, m: int, iterations: int | None = None) -> ResourceRepo
     a 3-operand MCZ.  The kernel depth is composed per subroutine
     (2*loader + both reflections); scheduling the concatenation twice would
     add nothing but runtime."""
-    if n < 1 or m < 1:
-        raise InputError("widths must be positive")
+    _check_widths(n, m, MAX_MEASURED_N)
     layout = NaiveLayout(n, m)
     macro = build_naive_qdam(layout, _zero_keys(n, m))
     total = sum(layout.register_sizes.values())

@@ -1,6 +1,7 @@
 """Exact simulation backends.  Each one runs a circuit in a single pass
-over its gates (``Circuit.flat_gates``), dispatching on the gate kind;
-there is no compile step.
+over its gates, dispatching on the gate kind; there is no compile step.
+Gate operands are flat qubit indices, and flat qubit g is bit ``total-1-g``
+of a basis label (conventions of :mod:`qsearch.circuit`).
 
 The search hot path never simulates Clifford+T gates.  Loader, target
 reflection and inverse loader are reversible permutations with phases, so
@@ -10,39 +11,26 @@ Python int whose bit q belongs to index branch q.  X, CNOT and TOFFOLI are
 integer XOR/AND, and the diagonal gates add eighth turns to a per-branch
 counter mod 8 held in three bit-planes, so every phase is exact.  The only
 H gates sit at the two ends of the diffusion; :func:`diffusion_signs`
-splits them off as an unnormalised Walsh-Hadamard transform
-(:func:`walsh_hadamard`) and bit-slices the rest.
+splits them off and bit-slices the rest, and when the rest flips index
+branch 0 alone the whole diffusion is the closed form
+:func:`reflect_about_uniform`.
 
 ``SparseState`` stores a normalized amplitude map keyed by basis integers
-(bit conventions from :mod:`qsearch.circuit`) and applies *lowered*
-circuits; a macro gate raises :class:`MacroGateError` when the pass
-reaches it.  It is the reference the bit-sliced path is tested against on
-Clifford+T, and the search's reload check: one branch through the lowered
-loader.  Diagonal gates update phases in place; H splits/recombines
-support; X/CNOT permute keys.  Amplitudes at or below ``DROP_TOLERANCE``
-are pruned so destructive interference does not pollute the support.
-
-The dense backend applies the same gates to a full numpy state vector (or
-to a batch of columns for unitary extraction) and exists as a
-cross-validation oracle for small circuits.
+and applies *lowered* circuits; a macro gate raises
+:class:`MacroGateError` when the pass reaches it.  It is the reference the
+bit-sliced path is tested against on Clifford+T, and the search's reload
+check: one branch through the lowered loader.  Diagonal gates update
+phases in place; H splits/recombines support; X/CNOT permute keys.
+Amplitudes at or below ``DROP_TOLERANCE`` are pruned so destructive
+interference does not pollute the support.
 """
 from __future__ import annotations
 
 import math
 from typing import Mapping
 
-import numpy as np
-
-from .circuit import (
-    Circuit,
-    DEFAULT_DENSE_CAP,
-    GateKind,
-    Register,
-    REGISTER_ORDER,
-    gate,
-    q_index,
-)
-from .errors import CircuitError, DenseCapError, MacroGateError
+from .circuit import Circuit, GateKind, Register, REGISTER_ORDER, gate
+from .errors import CircuitError, MacroGateError
 
 DROP_TOLERANCE = 1e-14
 
@@ -87,9 +75,6 @@ class SparseState:
     def support(self) -> int:
         return len(self.amplitudes)
 
-    def norm(self) -> float:
-        return math.sqrt(sum((a * a.conjugate()).real for a in self.amplitudes.values()))
-
     def amplitude(self, pattern: int) -> complex:
         return self.amplitudes.get(pattern, 0.0 + 0.0j)
 
@@ -103,16 +88,6 @@ class SparseState:
         shift = register_shift(self.register_sizes, register)
         return (pattern >> shift) & ((1 << size) - 1)
 
-    def to_dense(self) -> np.ndarray:
-        if self.total_qubits > DEFAULT_DENSE_CAP:
-            raise DenseCapError(
-                f"{self.total_qubits} qubits exceeds the dense cap"
-            )
-        vec = np.zeros(1 << self.total_qubits, dtype=np.complex128)
-        for k, a in self.amplitudes.items():
-            vec[k] = a
-        return vec
-
     # -- evolution -------------------------------------------------------
 
     def apply(self, circuit: Circuit) -> "SparseState":
@@ -125,7 +100,7 @@ class SparseState:
         amps = dict(self.amplitudes)
         peak = len(amps)
         k_h, k_x, k_cnot, k_cz = GateKind.H, GateKind.X, GateKind.CNOT, GateKind.CZ
-        for kind, flats in circuit.flat_gates():
+        for kind, flats in circuit.gates:
             if kind is k_cnot:
                 cmask, tmask = bit[flats[0]], bit[flats[1]]
                 amps = {
@@ -253,7 +228,7 @@ class SlicedState:
         planes = out.phase = list(self.phase)
         full = self._all
         k_x, k_cnot, k_toffoli = GateKind.X, GateKind.CNOT, GateKind.TOFFOLI
-        for kind, flats in circuit.flat_gates():
+        for kind, flats in circuit.gates:
             if kind is k_cnot:
                 cols[flats[1]] ^= cols[flats[0]]
             elif kind is k_toffoli:
@@ -298,24 +273,21 @@ class SlicedState:
         return self.phase[2]
 
 
-def walsh_hadamard(values: list[int]) -> list[int]:
-    """Unnormalised Walsh-Hadamard transform: 2^(n/2) H^n, exactly, on a
-    vector of 2^n integer amplitudes."""
-    out = list(values)
-    size = len(out)
-    half = 1
-    while half < size:
-        for start in range(0, size, 2 * half):
-            for i in range(start, start + half):
-                a, b = out[i], out[i + half]
-                out[i], out[i + half] = a + b, a - b
-        half <<= 1
-    return out
-
-
 def negate(values: list[int], mask: int) -> list[int]:
     """Flip the sign of every entry whose bit is set in ``mask``."""
     return [-v if mask >> q & 1 else v for q, v in enumerate(values)]
+
+
+def reflect_about_uniform(values: list[int]) -> list[int]:
+    """The diffusion H^n D H^n, with D the flip of index branch 0, on 2^n
+    integer amplitudes, scaled by 2^n so it stays exact: v <- 2^n v - 2 sum(v).
+
+    Over integers H^n is the unnormalised Walsh-Hadamard transform W, and
+    W W = 2^n I, so W D W v = W W v - 2 (W v)[0] W e_0 = 2^n v - 2 sum(v) 1.
+    """
+    size = len(values)
+    twice_sum = 2 * sum(values)
+    return [size * v - twice_sum for v in values]
 
 
 def diffusion_signs(circuit: Circuit) -> int:
@@ -324,88 +296,10 @@ def diffusion_signs(circuit: Circuit) -> int:
     phases that acts as a +-1 diagonal.  Raises :class:`CircuitError` on
     any other shape."""
     n = circuit.register_sizes[Register.BINARY_INDEX]
-    hs = {gate(GateKind.H, q_index(b)) for b in range(n)}
+    hs = {gate(GateKind.H, b) for b in range(n)}  # binary index: flat 0 .. n-1
     gates = circuit.gates
     # n gates whose set is the n distinct H gates: each qubit exactly once
     if len(gates) < 2 * n or set(gates[:n]) != hs or set(gates[len(gates) - n:]) != hs:
         raise CircuitError("diffusion must start and end with H on every index qubit")
     middle = Circuit(circuit.register_sizes, gates[n:len(gates) - n], validate=False)
     return SlicedState(circuit.register_sizes).run(middle).diagonal_signs()
-
-
-# -- dense backend ---------------------------------------------------------
-
-
-def _dense_apply(circuit: Circuit, array: np.ndarray) -> np.ndarray:
-    """Apply a lowered circuit to axis 0 of ``array`` (vector or matrix),
-    in place.  Raises :class:`MacroGateError` at the first macro gate."""
-    k = circuit.total_qubits
-    dim = 1 << k
-    if array.shape[0] != dim:
-        raise CircuitError("state dimension does not match the circuit")
-    batch = array.reshape(dim, -1)
-    idx = np.arange(dim)
-
-    def pair_view(g: int) -> np.ndarray:
-        return batch.reshape(1 << g, 2, -1)
-
-    for kind, flats in circuit.flat_gates():
-        if kind is GateKind.H:
-            v = pair_view(flats[0])
-            a = v[:, 0].copy()
-            b = v[:, 1].copy()
-            v[:, 0] = (a + b) * _SQRT_HALF
-            v[:, 1] = (a - b) * _SQRT_HALF
-        elif kind is GateKind.X:
-            v = pair_view(flats[0])
-            a = v[:, 0].copy()
-            v[:, 0] = v[:, 1]
-            v[:, 1] = a
-        elif kind in _PHASES:
-            v = pair_view(flats[0])
-            v[:, 1] = v[:, 1] * _PHASES[kind]
-        elif kind is GateKind.CNOT:
-            c, t = flats
-            cbit = 1 << (k - 1 - c)
-            tbit = 1 << (k - 1 - t)
-            sel = (idx & cbit).astype(bool) & ~(idx & tbit).astype(bool)
-            src = idx[sel]
-            dst = src ^ tbit
-            tmp = batch[src].copy()
-            batch[src] = batch[dst]
-            batch[dst] = tmp
-        elif kind is GateKind.CZ:
-            c, t = flats
-            mask = (1 << (k - 1 - c)) | (1 << (k - 1 - t))
-            sel = (idx & mask) == mask
-            batch[sel] = -batch[sel]
-        else:
-            raise MacroGateError(
-                f"simulation requires a lowered circuit, got {kind.value}"
-            )
-    return batch.reshape(array.shape)
-
-
-def dense_statevector(
-    circuit: Circuit,
-    initial: int | np.ndarray = 0,
-    max_qubits: int | None = None,
-) -> np.ndarray:
-    """Run a lowered circuit on a dense vector; ``initial`` is a basis label
-    or a prepared vector.  ``max_qubits`` overrides the default cap."""
-    k = circuit.total_qubits
-    cap = max_qubits if max_qubits is not None else DEFAULT_DENSE_CAP
-    if k > cap:
-        raise DenseCapError(f"{k} qubits exceeds the dense cap {cap}")
-    if isinstance(initial, np.ndarray):
-        vec = initial.astype(np.complex128, copy=True)
-    else:
-        vec = np.zeros(1 << k, dtype=np.complex128)
-        vec[initial] = 1.0
-    return _dense_apply(circuit, vec)
-
-
-def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Full unitary by running the dense backend on identity columns."""
-    dim = 1 << circuit.total_qubits
-    return _dense_apply(circuit, np.eye(dim, dtype=np.complex128))

@@ -5,8 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qsearch.circuit import Circuit, Gate, GateKind, QubitId, Register, gate
+from qsearch.circuit import Circuit, Gate, GateKind, Register, gate
 from qsearch.database import Database, FieldSpec, Record
+
+from oracles import to_unitary
 
 LOWERED_1Q = [GateKind.H, GateKind.X, GateKind.Z, GateKind.S, GateKind.SDG,
               GateKind.T, GateKind.TDG]
@@ -28,7 +30,7 @@ def toy_db(n: int, value_width: int = 4) -> Database:
 
 def random_lowered_circuit(rng: np.random.Generator, n_qubits: int,
                            n_gates: int) -> Circuit:
-    qubits = [QubitId(Register.ANCILLA, i) for i in range(n_qubits)]
+    qubits = list(range(n_qubits))  # flat indices of the ANCILLA register
     gates: list[Gate] = []
     for _ in range(n_gates):
         if n_qubits >= 2 and rng.random() < 0.4:
@@ -66,7 +68,7 @@ def ideal_mcz_matrix(k: int) -> np.ndarray:
 def columns_on_zero_ancilla(lowered: Circuit, n_main: int, n_anc: int) -> np.ndarray:
     """Operator block on the first ``n_main`` qubits for inputs with all
     trailing ancillas |0>; asserts the ancillas come back clean."""
-    unitary = lowered.to_unitary()
+    unitary = to_unitary(lowered)
     dim = 1 << n_main
     anc_mask = (1 << n_anc) - 1
     block = np.zeros((dim, dim), dtype=complex)

@@ -17,13 +17,13 @@ from qsearch.circuit import Register, resource_tally
 from qsearch.cli import main as cli_main
 from qsearch.database import SearchQuery
 from qsearch.decompose import lower_circuit
-from qsearch.errors import DenseCapError
 from qsearch.grover import optimal_iterations, run_search
-from qsearch.qdam import QdamLayout, build_qdam
+from qsearch.qdam import QdamLayout
 from qsearch.resources import bench_scaling, estimate_bounds, measure, measure_naive
-from qsearch.sim import SparseState, basis_pattern, dense_statevector
+from qsearch.sim import SparseState, basis_pattern
 
 from conftest import random_lowered_circuit, toy_db
+from oracles import build_qdam, dense_statevector, to_dense
 
 DATA_DB = os.path.join(os.path.dirname(__file__), "..", "data", "people.json")
 
@@ -212,7 +212,7 @@ def test_criterion_8_dense_sparse_cross_validation():
         circuit = random_lowered_circuit(rng, n_qubits, n_gates)
         dense = dense_statevector(circuit, 0)
         sparse = SparseState.zero({Register.ANCILLA: n_qubits}).apply(circuit)
-        assert np.abs(dense - sparse.to_dense()).max() < 1e-10, i
+        assert np.abs(dense - to_dense(sparse)).max() < 1e-10, i
     elapsed = time.time() - start
     assert elapsed < 60
     _passed(8, f"100 random circuits, dense vs sparse within 1e-10 ({elapsed:.1f}s)")

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from qsearch.circuit import (
     Circuit,
     GateKind,
-    QubitId,
     Register,
     gate,
     resource_tally,
@@ -21,15 +20,15 @@ from qsearch.circuit import (
 from qsearch.decompose import decompose_toffoli, lower_circuit
 from qsearch.errors import (
     CircuitError,
-    DenseCapError,
     MacroGateError,
     OperandOverlapError,
 )
 
 from conftest import ideal_toffoli_matrix, random_lowered_circuit
+from oracles import DenseCapError, dense_statevector, from_json, to_unitary
 
 A = Register.ANCILLA
-_q = [QubitId(A, i) for i in range(6)]
+_q = list(range(6))  # flat indices of circuits over the ANCILLA register alone
 
 
 def _circ(gates, n=6):
@@ -128,7 +127,7 @@ def test_metrics_schedule_macros_as_their_lowering():
     with pytest.raises(MacroGateError):
         t_depth(wide)
     with pytest.raises(MacroGateError):
-        circ.to_unitary()
+        to_unitary(circ)
 
 
 _MACRO_MIX = [GateKind.TOFFOLI, GateKind.MCZ, GateKind.CNOT, GateKind.CZ,
@@ -144,7 +143,7 @@ def _macro_circuits(draw):
     """A random lowered prefix, to stagger the entry times, then a random
     mix of macro and lowered gates, on 3 to 8 qubits."""
     width = draw(st.integers(3, 8))
-    qubits = [QubitId(A, i) for i in range(width)]
+    qubits = list(range(width))
 
     def gates(kinds, max_size):
         out = []
@@ -161,8 +160,8 @@ def _macro_circuits(draw):
 @given(_macro_circuits())
 def test_macro_tally_equals_the_lowered_tally(circ):
     total = circ.total_qubits
-    assert (tally_flat(circ.flat_gates(), total)
-            == tally_flat(lower_circuit(circ).flat_gates(), total))
+    assert (tally_flat(circ.gates, total)
+            == tally_flat(lower_circuit(circ).gates, total))
 
 
 def test_gate_operands_must_be_distinct():
@@ -176,20 +175,20 @@ def test_operands_must_fit_registers():
 
 
 def test_unitary_single_hadamard():
-    unitary = _circ([gate(GateKind.H, _q[0])], n=1).to_unitary()
+    unitary = to_unitary(_circ([gate(GateKind.H, _q[0])], n=1))
     expected = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
     assert np.abs(unitary - expected).max() < 1e-12
 
 
 def test_unitary_cnot_maps_10_to_11():
-    unitary = _circ([gate(GateKind.CNOT, _q[0], _q[1])], n=2).to_unitary()
+    unitary = to_unitary(_circ([gate(GateKind.CNOT, _q[0], _q[1])], n=2))
     column = unitary[:, 0b10]
     assert abs(column[0b11] - 1) < 1e-12
     assert np.abs(np.delete(column, 0b11)).max() < 1e-12
 
 
 def test_unitary_lowered_toffoli_matches_ideal_permutation():
-    unitary = _circ(decompose_toffoli(_q[0], _q[1], _q[2]), n=3).to_unitary()
+    unitary = to_unitary(_circ(decompose_toffoli(_q[0], _q[1], _q[2]), n=3))
     assert np.abs(unitary - ideal_toffoli_matrix(3, 0, 1, 2)).max() < 1e-12
 
 
@@ -197,7 +196,7 @@ def test_emitted_unitaries_are_unitary():
     rng = np.random.default_rng(3)
     for _ in range(10):
         circ = random_lowered_circuit(rng, 5, 60)
-        unitary = circ.to_unitary()
+        unitary = to_unitary(circ)
         dev = unitary.conj().T @ unitary - np.eye(1 << 5)
         assert np.abs(dev).max() < 1e-12
 
@@ -213,16 +212,15 @@ def test_adjoint_involution_preserves_counts():
 def test_circuit_composed_with_its_inverse_is_identity():
     rng = np.random.default_rng(13)
     circ = random_lowered_circuit(rng, 4, 50)
-    unitary = (circ + circ.inverted()).to_unitary()
+    unitary = to_unitary(circ + circ.inverted())
     assert np.abs(unitary - np.eye(1 << 4)).max() < 1e-10
 
 
 def test_qubit_ordering_is_register_major_msb_first():
     sizes = {Register.BINARY_INDEX: 1, Register.DATA: 1}
-    circ = Circuit(sizes, [gate(GateKind.X, QubitId(Register.BINARY_INDEX, 0))])
+    circ = Circuit(sizes, [gate(GateKind.X, 0)])  # BINARY_INDEX:0 is flat qubit 0
     vec = np.zeros(4, dtype=complex)
     vec[0] = 1
-    from qsearch.sim import dense_statevector
 
     out = dense_statevector(circ, 0)
     assert abs(out[0b10] - 1) < 1e-12  # first register flips the MSB
@@ -232,23 +230,23 @@ def test_export_json_round_trip_and_names():
     circ = Circuit(
         {Register.BINARY_INDEX: 2, A: 3},
         [
-            gate(GateKind.H, QubitId(Register.BINARY_INDEX, 0)),
-            gate(GateKind.TOFFOLI, _q[0], _q[1], _q[2]),
-            gate(GateKind.MCZ, _q[0], _q[1], _q[2]),
-            gate(GateKind.TDG, _q[1]),
+            gate(GateKind.H, 0),  # BINARY_INDEX:0; ANCILLA:i is flat 2 + i
+            gate(GateKind.TOFFOLI, 2, 3, 4),
+            gate(GateKind.MCZ, 2, 3, 4),
+            gate(GateKind.TDG, 3),
         ],
     )
     doc = circ.export_json()
     assert '"CCX"' in doc and '"MCZ"' in doc and '"TDG"' in doc
-    back = Circuit.from_json(doc)
+    back = from_json(doc)
     assert back.gates == circ.gates
     assert back.register_sizes == circ.register_sizes
 
 
 def test_dense_cap_is_enforced():
     with pytest.raises(DenseCapError):
-        Circuit({A: 15}).to_unitary()
+        to_unitary(Circuit({A: 15}))
     # explicit override wins over the default
-    Circuit({A: 4}).to_unitary(max_qubits=4)
+    to_unitary(Circuit({A: 4}), max_qubits=4)
     with pytest.raises(DenseCapError):
-        Circuit({A: 4}).to_unitary(max_qubits=3)
+        to_unitary(Circuit({A: 4}), max_qubits=3)

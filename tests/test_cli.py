@@ -13,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsearch
-from qsearch.circuit import Circuit
 from qsearch.cli import main
 from qsearch.database import load_database
 from qsearch.errors import QsearchError
+
+from oracles import from_json
 
 DATA_DB = os.path.join(os.path.dirname(__file__), "..", "data", "people.json")
 SRC_DIR = os.path.dirname(os.path.dirname(qsearch.__file__))
@@ -240,7 +241,7 @@ def test_compile_exports_every_part(tmp_path, capsys, part):
     code, _, _ = _run(capsys, "compile", "--db", DATA_DB, "--key", "0101",
                       "--part", part, "--out", str(out_path))
     assert code == 0
-    circuit = Circuit.from_json(out_path.read_text())
+    circuit = from_json(out_path.read_text())
     assert len(circuit.gates) > 0
 
 
@@ -249,7 +250,7 @@ def test_compile_lowered_export(tmp_path, capsys):
     code, _, _ = _run(capsys, "compile", "--db", DATA_DB, "--key", "0101",
                       "--part", "qdam", "--lowered", "--out", str(out_path))
     assert code == 0
-    circuit = Circuit.from_json(out_path.read_text())
+    circuit = from_json(out_path.read_text())
     assert circuit.is_lowered
 
 
@@ -269,3 +270,15 @@ def test_bad_flags_exit_three(capsys):
     code, _, _ = _run(capsys, "bench", "--n-min", "4", "--n-max", "2",
                       "--m", "1", "--out", "/tmp/x.csv")
     assert code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "1024", "--m", "1"],
+    ["--n", "64", "--m", "1", "--mode", "measured"],
+    ["--n", "64", "--m", "1", "--mode", "naive"],
+], ids=["bound", "measured", "naive"])
+def test_estimate_above_the_width_limit_exits_three(capsys, argv):
+    code, out, err = _run(capsys, "estimate", *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "n <=" in err

@@ -8,7 +8,6 @@ import pytest
 from qsearch.circuit import (
     Circuit,
     GateKind,
-    QubitId,
     Register,
     gate,
     resource_tally,
@@ -21,20 +20,22 @@ from qsearch.decompose import (
     sync_touch,
 )
 from qsearch.errors import AncillaBudgetError, OperandOverlapError
-from qsearch.sim import dense_statevector
 
 from conftest import columns_on_zero_ancilla, ideal_mcz_matrix, ideal_toffoli_matrix
+from oracles import dense_statevector, macro_counts, to_unitary
 
 D = Register.DATA
 A = Register.ANCILLA
 
 
 def _d(i):
-    return QubitId(D, i)
+    """Flat index of DATA:i; DATA is the first register of these circuits."""
+    return i
 
 
-def _a(i):
-    return QubitId(A, i)
+def _a(i, data_bits):
+    """Flat index of ANCILLA:i after ``data_bits`` DATA qubits."""
+    return data_bits + i
 
 
 # -- single Toffoli ---------------------------------------------------------
@@ -60,7 +61,7 @@ def test_toffoli_tally_seven_t_depth_three():
 
 def test_toffoli_matches_ideal_unitary():
     circ = Circuit({D: 3}, decompose_toffoli(_d(0), _d(1), _d(2)))
-    assert np.abs(circ.to_unitary() - ideal_toffoli_matrix(3, 0, 1, 2)).max() < 1e-12
+    assert np.abs(to_unitary(circ) - ideal_toffoli_matrix(3, 0, 1, 2)).max() < 1e-12
 
 
 def test_toffoli_depth_three_survives_entry_staggering():
@@ -83,7 +84,7 @@ def _layer_circuit(pairs_count: int) -> Circuit:
     regs = {D: 2 * pairs_count + 1, A: max(0, pairs_count - 1)}
     shared = _d(0)
     pairs = [(_d(2 * i + 1), _d(2 * i + 2)) for i in range(pairs_count)]
-    ancillas = [_a(i) for i in range(pairs_count - 1)]
+    ancillas = [_a(i, 2 * pairs_count + 1) for i in range(pairs_count - 1)]
     return Circuit(
         regs, shared_control_layer(shared, pairs, ancillas), validate=False
     )
@@ -91,8 +92,8 @@ def _layer_circuit(pairs_count: int) -> Circuit:
 
 def test_single_pair_degenerates_to_plain_toffoli():
     circ = _layer_circuit(1)
-    assert circ.macro_counts()[GateKind.TOFFOLI] == 1
-    assert GateKind.CNOT not in circ.macro_counts()
+    assert macro_counts(circ)[GateKind.TOFFOLI] == 1
+    assert GateKind.CNOT not in macro_counts(circ)
     assert resource_tally(lower_circuit(circ)).t_depth == 3
 
 
@@ -126,7 +127,7 @@ def test_layer_restores_borrowed_ancillas():
 
 def test_layer_rejects_overlapping_pairs():
     with pytest.raises(OperandOverlapError):
-        shared_control_layer(_d(0), [(_d(1), _d(2)), (_d(2), _d(3))], [_a(0)])
+        shared_control_layer(_d(0), [(_d(1), _d(2)), (_d(2), _d(3))], [_a(0, 4)])
 
 
 def test_layer_rejects_insufficient_ancillas():
@@ -153,14 +154,14 @@ def test_ladder_three_qubits_is_direct_ccz():
     circ = lower_circuit(Circuit({D: 3}, mcz_ladder([_d(i) for i in range(3)])))
     tally = resource_tally(circ)
     assert tally.t_depth == 3
-    assert np.abs(circ.to_unitary() - ideal_mcz_matrix(3)).max() < 1e-12
+    assert np.abs(to_unitary(circ) - ideal_mcz_matrix(3)).max() < 1e-12
 
 
 @pytest.mark.parametrize("k", [4, 5, 6])
 def test_ladder_matches_ideal_phase_flip(k):
     n_anc = k - 3
     qubits = [_d(i) for i in range(k)]
-    ancillas = [_a(i) for i in range(n_anc)]
+    ancillas = [_a(i, k) for i in range(n_anc)]
     circ = Circuit({D: k, A: n_anc}, mcz_ladder(qubits, ancillas), validate=False)
     lowered = lower_circuit(circ, ancillas)
     block = columns_on_zero_ancilla(lowered, k, n_anc)
@@ -172,7 +173,7 @@ def test_ladder_bounds(k):
     c = k - 1
     n_anc = max(0, k - 3)
     qubits = [_d(i) for i in range(k)]
-    ancillas = [_a(i) for i in range(n_anc)]
+    ancillas = [_a(i, k) for i in range(n_anc)]
     circ = Circuit({D: k, A: n_anc}, mcz_ladder(qubits, ancillas), validate=False)
     tally = resource_tally(lower_circuit(circ, ancillas))
     assert tally.t_depth <= 6 * c
@@ -181,7 +182,7 @@ def test_ladder_bounds(k):
 
 def test_ladder_rejects_insufficient_ancillas():
     with pytest.raises(AncillaBudgetError):
-        mcz_ladder([_d(i) for i in range(5)], [_a(0)])
+        mcz_ladder([_d(i) for i in range(5)], [_a(0, 5)])
 
 
 # -- sync block -------------------------------------------------------------
@@ -193,10 +194,10 @@ def test_sync_touch_is_identity_and_equalizes_timing():
     prefix = [gate(GateKind.X, _d(0)), gate(GateKind.H, _d(1)),
               gate(GateKind.S, _d(1)), gate(GateKind.X, _d(3))]
     circ = Circuit({D: 4}, prefix + sync_touch(qubits))
-    unitary_prefix = Circuit({D: 4}, prefix).to_unitary()
-    assert np.abs(circ.to_unitary() - unitary_prefix).max() < 1e-12
+    unitary_prefix = to_unitary(Circuit({D: 4}, prefix))
+    assert np.abs(to_unitary(circ) - unitary_prefix).max() < 1e-12
     avail = [0, 0, 0, 0]
-    for _, ops in circ.flat_gates():
+    for _, ops in circ.gates:
         layer = max(avail[i] for i in ops) + 1
         for i in ops:
             avail[i] = layer

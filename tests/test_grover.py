@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from qsearch.circuit import Circuit, GateKind, Register, gate, q_index, resource_tally
+from qsearch.circuit import Circuit, GateKind, Register, gate, resource_tally
 from qsearch.database import SearchQuery, pad_to_power_of_two
 from qsearch.decompose import lower_circuit
 from qsearch.errors import CircuitError, InputError, QueryError
@@ -19,7 +19,6 @@ from qsearch.grover import (
     build_target_reflection,
     optimal_iterations,
     run_search,
-    success_probability_formula,
 )
 from qsearch.qdam import QdamLayout, build_m1, build_m2
 from qsearch.sim import (
@@ -28,10 +27,10 @@ from qsearch.sim import (
     basis_pattern,
     diffusion_signs,
     negate,
-    walsh_hadamard,
 )
 
 from conftest import toy_db
+from oracles import success_probability_formula, walsh_hadamard
 
 B = Register.BINARY_INDEX
 D = Register.DATA
@@ -300,7 +299,7 @@ def _reference_rounds(db, key, iterations):
     n = layout.n
     shift = layout.total_qubits - n
     state = SparseState.zero(sizes).apply(
-        Circuit(sizes, [gate(GateKind.H, q_index(b)) for b in range(n)]))
+        Circuit(sizes, [gate(GateKind.H, b) for b in range(n)]))
 
     def marginal(st):
         dist, off = np.zeros(1 << n), 0.0
@@ -418,9 +417,27 @@ def test_diffusion_of_another_shape_is_rejected():
     sizes = layout.register_sizes
     for gates in (diffusion.gates[1:], diffusion.gates[:-1],
                   diffusion.gates[:2] + diffusion.gates[:2] + diffusion.gates[2:],
-                  diffusion.gates[:3] + (gate(GateKind.H, q_index(1)),) + diffusion.gates[3:]):
+                  diffusion.gates[:3] + (gate(GateKind.H, 1),) + diffusion.gates[3:]):
         with pytest.raises(CircuitError):
             diffusion_signs(Circuit(sizes, gates))
+
+
+def test_search_rejects_a_diffusion_that_flips_another_branch(monkeypatch):
+    from qsearch import grover
+
+    def without_x_conjugation(layout):
+        # H^n, a flip of the all-ones index branch, H^n: a reflection, but
+        # not the one whose closed form the rounds use
+        n = layout.n
+        middle = build_diffusion(layout).gates[2 * n:-2 * n]
+        hs = [gate(GateKind.H, b) for b in range(n)]
+        return Circuit(layout.register_sizes, [*hs, *middle, *hs])
+
+    layout = QdamLayout(2, 2)
+    assert diffusion_signs(without_x_conjugation(layout)) == 0b1000
+    monkeypatch.setattr(grover, "build_diffusion", without_x_conjugation)
+    with pytest.raises(CircuitError, match="branch 0"):
+        run_search(toy_db(2), SearchQuery("10", "val"))
 
 
 def test_ties_are_exact():

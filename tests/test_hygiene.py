@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module imports is used in that module, and
-every name the benchmark's tracer patches exists."""
+"""Source hygiene: every name a module imports is used in that module, no
+module reads another module's private names, and every name the
+benchmark's tracer patches exists."""
 from __future__ import annotations
 
 import ast
@@ -43,6 +44,70 @@ def test_no_unused_imports(path):
     unused = {name: line for name, line in _imported_names(tree).items()
               if name not in used}
     assert not unused, f"{path.name}: imported but never used: {unused}"
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _defined_private_names(tree: ast.Module) -> set[str]:
+    """Private names a module defines: functions, classes, assigned names
+    and attributes, and ``__slots__`` entries."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+        elif (isinstance(node, ast.Assign)
+              and any(getattr(t, "id", None) == "__slots__" for t in node.targets)):
+            names.update(elt.value for elt in getattr(node.value, "elts", ()))
+    return {name for name in names if _is_private(name)}
+
+
+def _read_private_names(tree: ast.Module) -> dict[str, int]:
+    """Private name -> line of every attribute read and ``from`` import."""
+    reads = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            if _is_private(node.attr):
+                reads.setdefault(node.attr, node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if _is_private(alias.name):
+                    reads.setdefault(alias.name, node.lineno)
+    return reads
+
+
+def _foreign_private_reads(sources: dict[str, str]) -> dict[str, dict[str, int]]:
+    """Per module, the private names it reads that it does not define but
+    another of the modules does."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    defined = {name: _defined_private_names(tree) for name, tree in trees.items()}
+    out = {}
+    for name, tree in trees.items():
+        others = set().union(*(d for other, d in defined.items() if other != name))
+        foreign = {attr: line for attr, line in _read_private_names(tree).items()
+                   if attr not in defined[name] and attr in others}
+        if foreign:
+            out[name] = foreign
+    return out
+
+
+def test_no_module_reads_another_modules_private_names():
+    sources = {p.name: p.read_text() for p in MODULES}
+    assert _foreign_private_reads(sources) == {}
+    # the check sees both kinds of read
+    sources["probe.py"] = ("from . import decompose\n"
+                           "from .circuit import _ARITY\n"
+                           "def f(circuit):\n"
+                           "    return decompose.ccz_gates, circuit._validate\n")
+    sources["decompose.py"] = sources["decompose.py"].replace("ccz_gates", "_ccz_gates")
+    sources["probe.py"] = sources["probe.py"].replace("ccz_gates", "_ccz_gates")
+    assert _foreign_private_reads(sources) == {
+        "probe.py": {"_ARITY": 2, "_ccz_gates": 4, "_validate": 4}}
 
 
 def _traced_sites() -> list[tuple[str, str]]:

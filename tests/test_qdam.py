@@ -2,12 +2,13 @@
 naive baseline."""
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from qsearch.circuit import GateKind, Register, gate, q_index, resource_tally
+from qsearch.circuit import Circuit, GateKind, Register, gate, resource_tally
 from qsearch.decompose import lower_circuit
 from qsearch.errors import CircuitError
 from qsearch.qdam import (
@@ -16,11 +17,11 @@ from qsearch.qdam import (
     build_m1,
     build_m2,
     build_naive_qdam,
-    build_qdam,
 )
 from qsearch.sim import SparseState, basis_pattern
 
 from conftest import toy_db
+from oracles import build_qdam, macro_counts
 
 B = Register.BINARY_INDEX
 U = Register.ONEHOT_INDEX
@@ -41,6 +42,42 @@ def test_layout_region_sizes():
     assert layout.fanout_ancillas == max(4, 16) - 1
     assert layout.ladder_ancillas == 1
     assert layout.total_qubits == 3 + 8 + 2 + 16 + 16 + 15 + 1
+
+
+def _labels(layout):
+    """Export label of every flat qubit of a layout, read back from the JSON
+    boundary: one X gate per qubit."""
+    total = sum(layout.register_sizes.values())
+    doc = json.loads(Circuit(layout.register_sizes,
+                             [gate(GateKind.X, q) for q in range(total)]).export_json())
+    return [entry["qubits"][0] for entry in doc["gates"]]
+
+
+def test_layout_qubits_are_the_flat_indices_of_their_labels():
+    layout = QdamLayout(2, 3)
+    label = _labels(layout)
+    assert [label[b] for b in range(2)] == ["BINARY_INDEX:0", "BINARY_INDEX:1"]
+    assert [label[layout.onehot_qubit(i)] for i in range(4)] == [
+        f"ONEHOT_INDEX:{i}" for i in range(4)]
+    assert [label[layout.data_qubit(j)] for j in range(3)] == [
+        f"DATA:{j}" for j in range(3)]
+    for i in range(4):
+        for j in range(3):
+            assert label[layout.database_qubit(i, j)] == f"DATABASE:{i * 3 + j}"
+            assert label[layout.load_qubit(i, j)] == f"ANCILLA:{i * 3 + j}"
+    load, fanout = layout.load_ancillas, layout.fanout_ancillas
+    assert [label[layout.fanout_qubit(k)] for k in range(fanout)] == [
+        f"ANCILLA:{load + k}" for k in range(fanout)]
+    assert [label[q] for q in layout.ladder_qubits()] == [
+        f"ANCILLA:{load + fanout + k}" for k in range(layout.ladder_ancillas)]
+    assert layout.ladder_qubits()[-1] == layout.total_qubits - 1
+
+    naive = NaiveLayout(3, 2)
+    label = _labels(naive)
+    assert [label[naive.data_qubit(j)] for j in range(2)] == ["DATA:0", "DATA:1"]
+    assert [label[naive.database_qubit(i, j)] for i in range(8) for j in range(2)] == [
+        f"DATABASE:{k}" for k in range(16)]
+    assert [label[q] for q in naive.ladder_qubits()] == ["ANCILLA:0", "ANCILLA:1"]
 
 
 def test_layout_rejects_zero_widths():
@@ -71,7 +108,7 @@ def test_m1_two_bit_onehot_ordering():
 def test_m1_macro_count_and_depth_bound_n3():
     layout = QdamLayout(3, 1)
     circ = build_m1(layout)
-    assert circ.macro_counts()[GateKind.TOFFOLI] == 6  # 2 + 4
+    assert macro_counts(circ)[GateKind.TOFFOLI] == 6  # 2 + 4
     assert resource_tally(lower_circuit(circ)).t_depth <= 8  # 4(n-1)
 
 
@@ -79,7 +116,7 @@ def test_m1_every_branch_has_hamming_weight_one():
     layout = QdamLayout(3, 1)
     init = layout.register_sizes
     state = SparseState.zero(init)
-    hs = [gate(GateKind.H, q_index(b)) for b in range(3)]
+    hs = [gate(GateKind.H, b) for b in range(3)]
     from qsearch.circuit import Circuit
 
     state = state.apply(Circuit(init, hs))
@@ -103,7 +140,7 @@ def test_m2_loads_spec_example_keys():
 def test_m2_zero_keys_leave_data_null_with_toffolis_present():
     layout = QdamLayout(2, 2)
     circ = build_m2(layout, ["00"] * 4)
-    assert circ.macro_counts()[GateKind.TOFFOLI] == 8
+    assert macro_counts(circ)[GateKind.TOFFOLI] == 8
     lowered = lower_circuit(circ)
     assert resource_tally(lowered).t_depth <= 4
     out = _index_state(layout, 2).apply(lowered)
@@ -114,7 +151,7 @@ def test_m2_zero_keys_leave_data_null_with_toffolis_present():
 def test_m2_macro_count_and_block_depth_n3m2():
     layout = QdamLayout(3, 2)
     circ = build_m2(layout, ["00"] * 8)
-    assert circ.macro_counts()[GateKind.TOFFOLI] == 16
+    assert macro_counts(circ)[GateKind.TOFFOLI] == 16
     assert resource_tally(lower_circuit(circ)).t_depth <= 4
 
 
@@ -131,7 +168,7 @@ def test_qdam_on_uniform_state_yields_equal_branches():
     from qsearch.circuit import Circuit
 
     state = SparseState.zero(sizes)
-    state = state.apply(Circuit(sizes, [gate(GateKind.H, q_index(b)) for b in range(3)]))
+    state = state.apply(Circuit(sizes, [gate(GateKind.H, b) for b in range(3)]))
     state = state.apply(lower_circuit(build_qdam(layout, db)))
     assert state.support() == 8
     amp = 1 / math.sqrt(8)
@@ -180,7 +217,7 @@ def test_naive_matches_optimized_on_index_data_marginals():
 def test_naive_macro_count():
     layout = NaiveLayout(3, 2)
     circ = build_naive_qdam(layout, ["00"] * 8)
-    assert circ.macro_counts()[GateKind.MCZ] == 16  # m * 2^n
+    assert macro_counts(circ)[GateKind.MCZ] == 16  # m * 2^n
 
 
 def test_shape_mismatch_rejected():

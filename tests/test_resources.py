@@ -19,7 +19,7 @@ from qsearch.grover import (
     optimal_iterations,
     run_search,
 )
-from qsearch.qdam import NaiveLayout, QdamLayout, build_naive_qdam, build_qdam
+from qsearch.qdam import NaiveLayout, QdamLayout, build_naive_qdam
 from qsearch.resources import (
     CSV_HEADER,
     ReportMode,
@@ -33,6 +33,7 @@ from qsearch.resources import (
 )
 
 from conftest import toy_db
+from oracles import build_qdam
 
 _DEPTH_FIELDS = (
     "t_depth_m1",
@@ -76,6 +77,16 @@ def test_bound_clamp_at_width_three():
 def test_bound_rejects_nonpositive_widths():
     with pytest.raises(InputError):
         estimate_bounds(0, 1)
+
+
+def test_reports_reject_index_widths_above_their_limit():
+    # the closed forms hold up to the largest width whose sqrt(2^n) is a float
+    assert estimate_bounds(1023, 1).query_count > 1 << 500
+    with pytest.raises(InputError):
+        estimate_bounds(1024, 1)
+    for report in (measure, measure_naive):
+        with pytest.raises(InputError):
+            report(21, 1)
 
 
 def test_kernel_identity_in_bound_mode():
@@ -195,10 +206,10 @@ def test_flat_expansion_equals_lowered_circuit(n):
                               (build_qdam(optimized, keys), optimized.ladder_qubits())):
             stream = _expand_flat(macro)
             assert iter(stream) is stream  # lazy: a generator, not a list
-            assert list(stream) == macro.flat_gates()
+            assert list(stream) == list(macro.gates)
             total = macro.total_qubits
             assert (tally_flat(_expand_flat(macro), total)
-                    == tally_flat(lower_circuit(macro, ladder).flat_gates(), total))
+                    == tally_flat(lower_circuit(macro, ladder).gates, total))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])

@@ -6,26 +6,34 @@ import math
 import numpy as np
 import pytest
 
-from qsearch.circuit import Circuit, GateKind, QubitId, Register, gate, q_index
+from qsearch.circuit import Circuit, GateKind, Register, gate
 from qsearch.decompose import lower_circuit
-from qsearch.errors import CircuitError, DenseCapError, MacroGateError
-from qsearch.qdam import QdamLayout, build_qdam
+from qsearch.errors import CircuitError, MacroGateError
+from qsearch.qdam import QdamLayout
 from qsearch.sim import (
     SparseState,
     basis_pattern,
     SlicedState,
-    dense_statevector,
     negate,
-    walsh_hadamard,
+    reflect_about_uniform,
 )
 
 from conftest import random_lowered_circuit, toy_db
+from oracles import (
+    DenseCapError,
+    build_qdam,
+    dense_statevector,
+    norm,
+    to_dense,
+    walsh_hadamard,
+)
 
 A = Register.ANCILLA
 
 
-def _anc(i):
-    return QubitId(A, i)
+def _anc(i, index_bits=0):
+    """Flat index of ANCILLA:i after ``index_bits`` binary index qubits."""
+    return index_bits + i
 
 
 def test_hadamard_splits_support():
@@ -59,7 +67,7 @@ def test_full_qdam_on_uniform_index_state_has_support_eight():
     db = toy_db(3, value_width=2)
     sizes = layout.register_sizes
     state = SparseState.zero(sizes)
-    state = state.apply(Circuit(sizes, [gate(GateKind.H, q_index(b)) for b in range(3)]))
+    state = state.apply(Circuit(sizes, [gate(GateKind.H, b) for b in range(3)]))
     state = state.apply(lower_circuit(build_qdam(layout, db)))
     assert state.support() == 8
     for amp in state.amplitudes.values():
@@ -69,13 +77,13 @@ def test_full_qdam_on_uniform_index_state_has_support_eight():
 def test_index_probabilities_uniform_and_phase_invariant():
     sizes = {Register.BINARY_INDEX: 2, A: 1}
     state = SparseState.zero(sizes).apply(
-        Circuit(sizes, [gate(GateKind.H, q_index(0)), gate(GateKind.H, q_index(1))])
+        Circuit(sizes, [gate(GateKind.H, 0), gate(GateKind.H, 1)])
     )
     labels = [basis_pattern(sizes, {Register.BINARY_INDEX: q}) for q in range(4)]
     dist = np.array([state.probability(k) for k in labels])
     assert np.abs(dist - 0.25).max() < 1e-10
-    phased = state.apply(Circuit(sizes, [gate(GateKind.Z, q_index(0)),
-                                         gate(GateKind.T, q_index(1))]))
+    phased = state.apply(Circuit(sizes, [gate(GateKind.Z, 0),
+                                         gate(GateKind.T, 1)]))
     dist = np.array([phased.probability(k) for k in labels])
     assert np.abs(dist - 0.25).max() < 1e-10
 
@@ -84,7 +92,7 @@ def test_norm_is_preserved():
     rng = np.random.default_rng(42)
     circ = random_lowered_circuit(rng, 6, 400)
     state = SparseState.zero({A: 6}).apply(circ)
-    assert abs(state.norm() - 1.0) < 1e-10
+    assert abs(norm(state) - 1.0) < 1e-10
 
 
 def test_interference_prunes_support():
@@ -102,7 +110,7 @@ def test_dense_and_sparse_agree_elementwise():
         n = int(rng.integers(2, 7))
         circ = random_lowered_circuit(rng, n, 80)
         dense = dense_statevector(circ, 0)
-        sparse = SparseState.zero({A: n}).apply(circ).to_dense()
+        sparse = to_dense(SparseState.zero({A: n}).apply(circ))
         assert np.abs(dense - sparse).max() < 1e-10
 
 
@@ -135,7 +143,7 @@ def test_register_mismatch_rejected():
 def test_to_dense_cap():
     state = SparseState.zero({A: 40})
     with pytest.raises(DenseCapError):
-        state.to_dense()
+        to_dense(state)
 
 
 def test_basis_pattern_composition():
@@ -166,7 +174,7 @@ def test_sliced_state_matches_sparse_on_every_branch(seed):
     rng = np.random.default_rng(seed)
     n, anc = 3, 4
     sizes = {Register.BINARY_INDEX: n, A: anc + 1}  # the last one for ladders
-    qubits = [q_index(b) for b in range(n)] + [_anc(i) for i in range(anc)]
+    qubits = list(range(n + anc))  # index qubits, then ancillas
     kinds = [GateKind.X, GateKind.Z, GateKind.S, GateKind.SDG, GateKind.T,
              GateKind.TDG, GateKind.CNOT, GateKind.CZ, GateKind.TOFFOLI,
              GateKind.MCZ]
@@ -179,7 +187,7 @@ def test_sliced_state_matches_sparse_on_every_branch(seed):
         gates.append(gate(kind, *(qubits[i] for i in picked)))
     macro = Circuit(sizes, gates)
     sliced = SlicedState(sizes).run(macro)
-    lowered = lower_circuit(macro, [_anc(anc)])
+    lowered = lower_circuit(macro, [_anc(anc, n)])
     for q in range(1 << n):
         out = SparseState.basis(sizes, basis_pattern(sizes, {Register.BINARY_INDEX: q}))
         out = out.apply(lowered)
@@ -192,12 +200,12 @@ def test_sliced_state_matches_sparse_on_every_branch(seed):
 def test_sliced_state_is_value_semantic_and_rejects_h():
     sizes = {Register.BINARY_INDEX: 2, A: 1}
     start = SlicedState(sizes)
-    flipped = start.run(Circuit(sizes, [gate(GateKind.X, _anc(0))]))
+    flipped = start.run(Circuit(sizes, [gate(GateKind.X, _anc(0, 2))]))
     assert start.columns[-1] == 0 and flipped.columns[-1] == 0b1111
     with pytest.raises(CircuitError):
         flipped.diagonal_signs()
     with pytest.raises(CircuitError):
-        start.run(Circuit(sizes, [gate(GateKind.H, q_index(0))]))
+        start.run(Circuit(sizes, [gate(GateKind.H, 0)]))
     with pytest.raises(CircuitError):
         start.run(Circuit({A: 3}, []))
 
@@ -205,13 +213,13 @@ def test_sliced_state_is_value_semantic_and_rejects_h():
 def test_diagonal_signs_require_a_sign_diagonal():
     sizes = {Register.BINARY_INDEX: 2, A: 1}
     # CZ on the two index qubits negates branch 3 only
-    cz = Circuit(sizes, [gate(GateKind.CZ, q_index(0), q_index(1))])
+    cz = Circuit(sizes, [gate(GateKind.CZ, 0, 1)])
     assert SlicedState(sizes).run(cz).diagonal_signs() == 0b1000
     # S on index qubit 1 is a quarter turn on branches 1 and 3
-    s = Circuit(sizes, [gate(GateKind.S, q_index(1))])
+    s = Circuit(sizes, [gate(GateKind.S, 1)])
     with pytest.raises(CircuitError):
         SlicedState(sizes).run(s).diagonal_signs()
-    eight_t = Circuit(sizes, [gate(GateKind.T, q_index(1))] * 8)
+    eight_t = Circuit(sizes, [gate(GateKind.T, 1)] * 8)
     assert SlicedState(sizes).run(eight_t).diagonal_signs() == 0
 
 
@@ -225,3 +233,12 @@ def test_walsh_hadamard_is_the_unnormalised_hadamard_transform():
     assert walsh_hadamard(values) == [int(v) for v in full @ np.array(values)]
     assert walsh_hadamard(walsh_hadamard(values)) == [v << n for v in values]
     assert negate([1, 2, 3], 0b101) == [-1, 2, -3]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 10])
+def test_closed_form_diffusion_equals_the_walsh_hadamard_rounds(n):
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        values = [int(v) for v in rng.integers(-1000, 1000, size=1 << n)]
+        assert (reflect_about_uniform(values)
+                == walsh_hadamard(negate(walsh_hadamard(values), 1)))

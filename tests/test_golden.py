@@ -3,8 +3,8 @@ sha256, so that a refactor that claims byte-identical output is checked
 against the outputs of the code before it.
 
 Each command runs in a fresh directory and writes under a fixed relative
-name, because ``compile`` and ``bench`` print their ``--out`` path.  To
-re-pin after an intended output change, print ``_digests`` for every
+name, because ``compile`` and ``bench`` print their ``--out`` path; the
+directory also holds ``five.json``, an unpadded database.  To re-pin after an intended output change, print ``_digests`` for every
 command and paste the new values.
 """
 from __future__ import annotations
@@ -32,7 +32,39 @@ COMMANDS = {
     "search": ["search", "--db", DATA_DB, "--key", "0101", "--return", "phone"],
     "search-sampled": ["search", "--db", DATA_DB, "--key", "0101", "--return",
                        "phone", "--shots", "16", "--seed", "7"],
+    "search-absent": ["search", "--db", DATA_DB, "--key", "1111", "--return", "phone"],
+    **{f"search-iterations-{k}": ["search", "--db", DATA_DB, "--key", "0101",
+                                  "--return", "phone", "--iterations", str(k)]
+       for k in (1, 5)},
+    "search-shots-3": ["search", "--db", DATA_DB, "--key", "0101", "--return",
+                       "phone", "--shots", "3", "--seed", "5"],
+    "search-padded": ["search", "--db", "five.json", "--key", "0011", "--return",
+                      "room"],
+    "search-padded-sentinel": ["search", "--db", "five.json", "--key", "0101",
+                               "--return", "phone"],
+    "search-padded-out": ["search", "--db", "five.json", "--key", "0100",
+                          "--return", "phone", "--out", "out.json"],
 }
+
+# the first five records of data/people.json: search pads them to eight,
+# with sentinel keys 0101, 0110 and 0111
+FIVE_DB = """{
+  "version": 1,
+  "fields": [
+    {"name": "id", "bit_width": 4},
+    {"name": "phone", "bit_width": 8},
+    {"name": "room", "bit_width": 3}
+  ],
+  "key_field": "id",
+  "records": [
+    {"id": "0000", "phone": "10010110", "room": "001"},
+    {"id": "0001", "phone": "01100011", "room": "010"},
+    {"id": "0010", "phone": "11010001", "room": "011"},
+    {"id": "0011", "phone": "00101110", "room": "100"},
+    {"id": "0100", "phone": "10111010", "room": "101"}
+  ]
+}
+"""
 
 # name -> (exit code, sha256 of stdout, sha256 of the written file or None)
 GOLDEN = {
@@ -93,7 +125,28 @@ GOLDEN = {
     "search": (
         0, "6bbc3408d55b192ba5c3d0cef0e2f0ce692c3695c5c029d0044865f782366286",
         None),
+    "search-absent": (
+        2, "0adf6402a0ef8a96020e5761b979f378a9f6dc3b1f0c98146b09942e7e2cd2a6",
+        None),
+    "search-iterations-1": (
+        0, "b7d46ba6378c2e45ef4b7a124b1596a85206d059a9878552a025fe86ac3ae2a8",
+        None),
+    "search-iterations-5": (
+        0, "393e757a1d55989bc95870bb9f680d349ff25fd9fccf83c232f7ffee667643f8",
+        None),
+    "search-padded": (
+        0, "93efd9d171a2b029465b6f99ad5e26f04058c91fd321e73c31d471a5fa414f75",
+        None),
+    "search-padded-out": (
+        0, "bb626457fea0466e894b25b3cc52d7342cea4593d1c40422011213d80ac1a543",
+        "bfa57210aa821e149852689afb83388bf1e954b5014dac7c27beaee55161c8f2"),
+    "search-padded-sentinel": (
+        2, "8f947cdeb91bacd505ed5552c2c940b058da810a55606c575ffec256edcb50e4",
+        None),
     "search-sampled": (
+        0, "6bbc3408d55b192ba5c3d0cef0e2f0ce692c3695c5c029d0044865f782366286",
+        None),
+    "search-shots-3": (
         0, "6bbc3408d55b192ba5c3d0cef0e2f0ce692c3695c5c029d0044865f782366286",
         None),
 }
@@ -112,11 +165,12 @@ def _digests(argv, workdir: Path, capsys) -> tuple[int, str, str | None]:
 
 
 def test_every_command_is_pinned():
-    assert len(COMMANDS) == 20
+    assert len(COMMANDS) == 27
     assert set(GOLDEN) == set(COMMANDS)
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_cli_output_is_byte_identical(name, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "five.json").write_text(FIVE_DB)
     assert _digests(COMMANDS[name], tmp_path, capsys) == GOLDEN[name]

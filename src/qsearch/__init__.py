@@ -9,14 +9,12 @@ from .circuit import (
     ResourceTally,
     gate,
     resource_tally,
-    t_depth,
 )
 from .database import (
     Database,
     FieldSpec,
     Record,
     SearchQuery,
-    encode_key,
     load_database,
     load_database_file,
     pad_to_power_of_two,
@@ -29,10 +27,8 @@ from .decompose import (
     sync_touch,
 )
 from .grover import (
-    SearchPlan,
     SearchResult,
     SearchStatus,
-    SearchTrace,
     build_diffusion,
     build_kernel_circuits,
     build_target_reflection,

@@ -313,11 +313,6 @@ def tally_flat(
     )
 
 
-def t_depth(circuit: Circuit) -> int:
-    """Number of ASAP layers containing at least one T/TDG gate."""
-    return resource_tally(circuit).t_depth
-
-
 def resource_tally(circuit: Circuit) -> ResourceTally:
     return tally_flat(circuit.gates, max(circuit.total_qubits, 1))
 

@@ -28,12 +28,7 @@ from typing import Sequence
 from .database import SearchQuery, load_database_file, pad_to_power_of_two
 from .decompose import lower_circuit
 from .errors import InputError, QsearchError
-from .grover import (
-    SearchPlan,
-    SearchStatus,
-    build_kernel_circuits,
-    run_search,
-)
+from .grover import SearchStatus, build_kernel_circuits, run_search
 from .qdam import NaiveLayout, QdamLayout, build_naive_qdam
 from .resources import (
     bench_csv,
@@ -93,12 +88,18 @@ def _build_parser() -> _Parser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="ascii") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _cmd_estimate(args) -> int:
@@ -118,8 +119,7 @@ def _cmd_estimate(args) -> int:
 def _cmd_search(args) -> int:
     db = pad_to_power_of_two(load_database_file(args.db))
     query = SearchQuery(key_value=args.key, return_field=args.return_field)
-    plan = SearchPlan.for_database(db, iterations=args.iterations)
-    result = run_search(db, query, plan, seed=args.seed, shots=args.shots)
+    result = run_search(db, query, args.iterations, seed=args.seed, shots=args.shots)
     _emit(json.dumps(result.to_json(), indent=2) + "\n", args.out)
     if args.out is not None:
         status = result.status.value
@@ -164,9 +164,8 @@ def _cmd_bench(args) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         if args.command == "estimate":
             return _cmd_estimate(args)
         if args.command == "search":

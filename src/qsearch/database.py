@@ -1,5 +1,5 @@
 """Classical data model: fixed-width bit-field records with a distinct key
-field, JSON (de)serialization, power-of-two padding, and key encoding.
+field, JSON (de)serialization, and power-of-two padding.
 
 The file format is normative and bit-exact::
 
@@ -111,9 +111,6 @@ class Database:
             if f.name == name:
                 return f
         raise UnknownFieldError(f"unknown field {name!r}")
-
-    def key_of(self, index: int) -> str:
-        return self.records[index].values[self.key_field]
 
     def keys(self) -> list[str]:
         return [r.values[self.key_field] for r in self.records]
@@ -236,9 +233,3 @@ def pad_to_power_of_two(db: Database) -> Database:
         sentinels.append(Record(values, is_sentinel=True))
     return replace(db, records=db.records + tuple(sentinels))
 
-
-def encode_key(db: Database, value: str) -> str:
-    """Data-qubit pattern for a key value: identity mapping, leftmost
-    character on data qubit offset 0."""
-    _check_bits(value, db.key_width, "key")
-    return value

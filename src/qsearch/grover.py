@@ -1,5 +1,11 @@
 """Amplitude-amplification search driver.
 
+:func:`run_search` takes the database, the query and the round count K
+(default :func:`optimal_iterations`).  The result stores K once, with the
+key's exact probability after each round; the JSON derives the oracle
+calls, the per-round amplitudes and, in the resource report, the cost
+K * kernel T-depth from them.
+
 One kernel iteration applies loader, target reflection, inverse loader,
 then the reflection about the uniform index state.  The first three form
 the *block*; the driver proves it exact before it iterates anything.  It
@@ -31,13 +37,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .circuit import Circuit, GateKind, Register, gate
-from .database import Database, SearchQuery, encode_key
+from .database import Database, SearchQuery
 from .decompose import lower_circuit, mcz_ladder, sync_touch
 from .errors import CircuitError, InputError, QueryError
 from .qdam import QdamLayout
@@ -51,6 +55,9 @@ from .sim import (
 
 _K = GateKind
 
+# the most index samples a sampled search draws; numpy holds them all at once
+MAX_SHOTS = 1 << 20
+
 
 def optimal_iterations(database_size: int) -> int:
     """Iteration count floor(pi / (4 asin(1/sqrt(N)))), at least 1."""
@@ -60,27 +67,6 @@ def optimal_iterations(database_size: int) -> int:
     return max(1, math.floor(math.pi / (4.0 * theta)))
 
 
-@dataclass(frozen=True)
-class SearchPlan:
-    n: int
-    m: int
-    iterations: int
-
-    @property
-    def database_size(self) -> int:
-        return 1 << self.n
-
-    @classmethod
-    def for_database(cls, db: Database, iterations: int | None = None) -> "SearchPlan":
-        n = db.index_bits
-        if not db.is_power_of_two or db.size < 2:
-            raise CircuitError("plan requires a padded database with >= 2 records")
-        k = iterations if iterations is not None else optimal_iterations(db.size)
-        if k < 1:
-            raise InputError("iteration count must be positive")
-        return cls(n=n, m=db.key_width, iterations=k)
-
-
 class SearchStatus(enum.Enum):
     SOLVED = "SOLVED"
     ALGORITHM_FAILURE = "ALGORITHM_FAILURE"
@@ -88,42 +74,18 @@ class SearchStatus(enum.Enum):
 
 
 @dataclass
-class SearchTrace:
-    """Per-round target amplitude magnitude, branch probability, and the
-    probability left outside the decoupled (index-only) subspace, which is
-    exactly 0 because the driver proves the decoupling before any round."""
-
-    target_amplitudes: list[float] = field(default_factory=list)
-    success_probabilities: list[float] = field(default_factory=list)
-    off_support_probabilities: list[float] = field(default_factory=list)
-
-    def to_json(self) -> list[dict]:
-        return [
-            {
-                "k": k,
-                "target_amplitude": a,
-                "success_probability": p,
-                "off_support_probability": r,
-            }
-            for k, (a, p, r) in enumerate(
-                zip(
-                    self.target_amplitudes,
-                    self.success_probabilities,
-                    self.off_support_probabilities,
-                )
-            )
-        ]
-
-
-@dataclass
 class SearchResult:
+    """``probabilities[r]`` is the key's exact probability after r rounds.
+    The trace's amplitude is its square root, and its off-support
+    probability is 0 because the driver proves the decoupling before any
+    round."""
+
     status: SearchStatus
     candidate_index: int | None
     returned_value: str | None
     success_probability: float
     iterations: int
-    oracle_calls: int
-    trace: SearchTrace
+    probabilities: list[float]
     resources: "object"  # ResourceReport; typed loosely to avoid an import cycle
     peak_support: int = 0  # largest support of the reload check's SparseState
 
@@ -134,8 +96,16 @@ class SearchResult:
             "returned_value": self.returned_value,
             "success_probability": self.success_probability,
             "iterations": self.iterations,
-            "oracle_calls": self.oracle_calls,
-            "trace": self.trace.to_json(),
+            "oracle_calls": self.iterations,
+            "trace": [
+                {
+                    "k": k,
+                    "target_amplitude": math.sqrt(p),
+                    "success_probability": p,
+                    "off_support_probability": 0,
+                }
+                for k, p in enumerate(self.probabilities)
+            ],
             "resources": self.resources.to_json() if self.resources else None,
         }
 
@@ -221,20 +191,20 @@ def build_kernel_circuits(
 def run_search(
     db: Database,
     query: SearchQuery,
-    plan: SearchPlan | None = None,
+    iterations: int | None = None,
     seed: int | None = None,
     shots: int | None = None,
 ) -> SearchResult:
-    """Execute the full search: exact bit-sliced simulation of K kernel
-    rounds, index measurement, quantum re-load verification, and field
-    return.
+    """Execute the full search: exact bit-sliced simulation of
+    ``iterations`` kernel rounds (default :func:`optimal_iterations`),
+    index measurement, quantum re-load verification, and field return.
 
     Without ``shots`` the search measures the most probable index, the
     first one on a tie.  At N=2 every round leaves both indices at
     probability exactly 0.5, so the candidate is always index 0, and a key
-    stored at index 1 ends in ``ALGORITHM_FAILURE``.  With ``shots``, which
-    needs a ``seed``, it samples the index that many times and takes the
-    most frequent one.
+    stored at index 1 ends in ``ALGORITHM_FAILURE``.  With ``shots``, at
+    most :data:`MAX_SHOTS` and with a non-negative ``seed``, it samples the
+    index that many times and takes the most frequent one.
     """
     from . import resources  # local import to avoid a cycle
 
@@ -244,18 +214,18 @@ def run_search(
     if db.size < 2:
         raise QueryError("search needs at least 2 records")
     if shots is not None:
-        if seed is None:
-            raise QueryError("sampled mode needs a seed")
-        if shots < 1:
-            raise QueryError(f"shots must be positive, got {shots}")
-
-    plan = plan or SearchPlan.for_database(db)
-    if plan.n != db.index_bits or plan.m != db.key_width:
-        raise QueryError("plan does not match the database")
+        if seed is None or seed < 0:
+            raise QueryError("sampled mode needs a non-negative seed")
+        if not 1 <= shots <= MAX_SHOTS:
+            raise QueryError(f"shots must be in 1..{MAX_SHOTS}, got {shots}")
+    if iterations is None:
+        iterations = optimal_iterations(db.size)
+    if iterations < 1:
+        raise InputError("iteration count must be positive")
 
     layout = QdamLayout.for_database(db)
-    key_pattern = encode_key(db, query.key_value)
-    circuits = build_kernel_circuits(layout, db, key_pattern)
+    key = query.key_value
+    circuits = build_kernel_circuits(layout, db, key)
 
     loaded = SlicedState(layout.register_sizes).run(circuits.loader)
     marked = (loaded.run(circuits.target_reflection)
@@ -263,33 +233,29 @@ def run_search(
     if diffusion_signs(circuits.diffusion) != 1:
         raise CircuitError("the diffusion's middle must flip exactly index branch 0")
 
-    target = db.index_of_key(query.key_value)
+    target = db.index_of_key(key)
     n = layout.n
     big_n = 1 << n
 
-    trace = SearchTrace()
-
-    def record(values: list[int], rounds: int) -> None:
-        scale = 1 << (n * (2 * rounds + 1))
-        p = values[target] ** 2 / scale if target is not None else 0.0
-        trace.target_amplitudes.append(math.sqrt(p))
-        trace.success_probabilities.append(p)
-        trace.off_support_probabilities.append(0)
+    def probability(values: list[int], rounds: int) -> float:
+        if target is None:
+            return 0.0
+        return values[target] ** 2 / (1 << (n * (2 * rounds + 1)))
 
     # H^n on |0>: every amplitude 2^(-n/2)
     values = [1] * big_n
-    record(values, 0)
-    oracle_calls = 0
-    for rounds in range(1, plan.iterations + 1):
+    probabilities = [probability(values, 0)]
+    for rounds in range(1, iterations + 1):
         values = reflect_about_uniform(negate(values, marked))
-        oracle_calls += 1
-        record(values, rounds)
+        probabilities.append(probability(values, rounds))
 
     squares = [v * v for v in values]
-    scale = 1 << (n * (2 * plan.iterations + 1))
+    scale = 1 << (n * (2 * iterations + 1))
     if shots is None:
         candidate = squares.index(max(squares))
     else:
+        import numpy as np  # only sampled mode needs it
+
         distribution = np.array([s / scale for s in squares])
         rng = np.random.default_rng(seed)
         samples = rng.choice(big_n, size=shots, p=distribution / distribution.sum())
@@ -311,7 +277,7 @@ def run_search(
     )
 
     record_obj = db.records[candidate]
-    matches = measured_bits == key_pattern
+    matches = measured_bits == key
     if matches and not record_obj.is_sentinel:
         status = SearchStatus.SOLVED
         returned = record_obj.values[query.return_field]
@@ -322,16 +288,13 @@ def run_search(
         status = SearchStatus.ALGORITHM_FAILURE
         returned = None
 
-    report = resources.measure_kernel(circuits, plan.iterations)
-
     return SearchResult(
         status=status,
         candidate_index=candidate,
         returned_value=returned,
         success_probability=candidate_probability,
-        iterations=plan.iterations,
-        oracle_calls=oracle_calls,
-        trace=trace,
-        resources=report,
+        iterations=iterations,
+        probabilities=probabilities,
+        resources=resources.measure_kernel(circuits, iterations),
         peak_support=probe.peak_support,
     )

@@ -51,7 +51,6 @@ class ReportMode(enum.Enum):
 class ResourceReport:
     n: int
     m: int
-    database_size: int
     t_depth_m1: int
     t_depth_m2: int
     t_depth_qdam: int
@@ -59,10 +58,17 @@ class ResourceReport:
     t_depth_diffusion: int
     t_depth_kernel: int
     query_count: int
-    t_cost: int
     mode: ReportMode
     qubit_total: int
     t_count_total: int
+
+    @property
+    def database_size(self) -> int:
+        return 1 << self.n
+
+    @property
+    def t_cost(self) -> int:
+        return self.query_count * self.t_depth_kernel
 
     def to_json(self) -> dict:
         return {
@@ -132,7 +138,6 @@ def estimate_bounds(n: int, m: int) -> ResourceReport:
     td_oracle = reflection_depth_bound(m)
     td_diff = reflection_depth_bound(n)
     td_kernel = 2 * td_qdam + td_oracle + td_diff
-    k = optimal_iterations(big_n)
     loader_toffolis = (big_n - 2) + m * big_n
     kernel_t_count = 7 * (
         2 * loader_toffolis
@@ -142,15 +147,13 @@ def estimate_bounds(n: int, m: int) -> ResourceReport:
     return ResourceReport(
         n=n,
         m=m,
-        database_size=big_n,
         t_depth_m1=td_m1,
         t_depth_m2=td_m2,
         t_depth_qdam=td_qdam,
         t_depth_oracle_reflection=td_oracle,
         t_depth_diffusion=td_diff,
         t_depth_kernel=td_kernel,
-        query_count=k,
-        t_cost=k * td_kernel,
+        query_count=optimal_iterations(big_n),
         mode=ReportMode.BOUND_FORMULA,
         qubit_total=QdamLayout(n, m).total_qubits,
         t_count_total=kernel_t_count,
@@ -188,7 +191,6 @@ def measure_kernel(circuits: KernelCircuits, iterations: int) -> ResourceReport:
     return ResourceReport(
         n=layout.n,
         m=layout.m,
-        database_size=1 << layout.n,
         t_depth_m1=t_m1.t_depth,
         t_depth_m2=t_m2.t_depth,
         t_depth_qdam=t_loader.t_depth,
@@ -196,21 +198,19 @@ def measure_kernel(circuits: KernelCircuits, iterations: int) -> ResourceReport:
         t_depth_diffusion=t_diff.t_depth,
         t_depth_kernel=t_kernel.t_depth,
         query_count=iterations,
-        t_cost=iterations * t_kernel.t_depth,
         mode=ReportMode.MEASURED,
         qubit_total=layout.total_qubits,
         t_count_total=t_kernel.t_count,
     )
 
 
-def measure(n: int, m: int, iterations: int | None = None) -> ResourceReport:
+def measure(n: int, m: int) -> ResourceReport:
     """Measured report for the optimized kernel at the given widths."""
     _check_widths(n, m, MAX_MEASURED_N)
     layout = QdamLayout(n, m)
     keys = _zero_keys(n, m)
     circuits = build_kernel_circuits(layout, keys, "0" * m)
-    k = iterations if iterations is not None else optimal_iterations(1 << n)
-    return measure_kernel(circuits, k)
+    return measure_kernel(circuits, optimal_iterations(1 << n))
 
 
 def _expand_flat(macro_circuit):
@@ -218,7 +218,7 @@ def _expand_flat(macro_circuit):
     return iter(macro_circuit.gates)
 
 
-def measure_naive(n: int, m: int, iterations: int | None = None) -> ResourceReport:
+def measure_naive(n: int, m: int) -> ResourceReport:
     """Measured report with the naive loader substituted for the optimized
     one.  The naive loader's macro gates stream into the scheduler; its
     MCZ ladders are built into the circuit, so every macro is a TOFFOLI or
@@ -236,20 +236,16 @@ def measure_naive(n: int, m: int, iterations: int | None = None) -> ResourceRepo
         lower_circuit(build_target_reflection(ref_layout, "0" * m), ladder)
     )
     t_diff = resource_tally(lower_circuit(build_diffusion(ref_layout), ladder))
-    k = iterations if iterations is not None else optimal_iterations(1 << n)
-    kernel_depth = 2 * tally.t_depth + t_oracle.t_depth + t_diff.t_depth
     return ResourceReport(
         n=n,
         m=m,
-        database_size=1 << n,
         t_depth_m1=0,
         t_depth_m2=tally.t_depth,
         t_depth_qdam=tally.t_depth,
         t_depth_oracle_reflection=t_oracle.t_depth,
         t_depth_diffusion=t_diff.t_depth,
-        t_depth_kernel=kernel_depth,
-        query_count=k,
-        t_cost=k * kernel_depth,
+        t_depth_kernel=2 * tally.t_depth + t_oracle.t_depth + t_diff.t_depth,
+        query_count=optimal_iterations(1 << n),
         mode=ReportMode.NAIVE_MEASURED,
         qubit_total=total,
         t_count_total=2 * tally.t_count + t_oracle.t_count + t_diff.t_count,

@@ -146,8 +146,8 @@ def test_criterion_4_search_dynamics(search_runs):
     for big_n, result in search_runs.items():
         theta = math.asin(1 / math.sqrt(big_n))
         k_max = optimal_iterations(big_n)
-        assert len(result.trace.success_probabilities) == k_max + 1
-        for k, prob in enumerate(result.trace.success_probabilities):
+        assert len(result.probabilities) == k_max + 1
+        for k, prob in enumerate(result.probabilities):
             expected = math.sin((2 * k + 1) * theta) ** 2
             assert abs(prob - expected) < 1e-9, (big_n, k)
         assert result.peak_support <= 4 * big_n
@@ -161,8 +161,8 @@ def test_criterion_4_search_dynamics(search_runs):
 def test_criterion_5_decoupling(search_runs):
     """Probability outside the index-only subspace < 1e-12 at boundaries."""
     for big_n in (4, 8, 16):
-        residuals = search_runs[big_n].trace.off_support_probabilities
-        assert all(r < 1e-12 for r in residuals), big_n
+        trace = search_runs[big_n].to_json()["trace"]
+        assert all(step["off_support_probability"] < 1e-12 for step in trace), big_n
     _passed(5, "off-support probability < 1e-12 at every iteration boundary "
                "for N in {4,8,16}")
 
@@ -173,7 +173,7 @@ def test_criterion_6_query_count(search_runs):
     for big_n, k in expected.items():
         independent = math.floor(math.pi / (4 * math.asin(big_n ** -0.5)))
         assert k == max(1, independent)
-        assert search_runs[big_n].oracle_calls == k
+        assert search_runs[big_n].to_json()["oracle_calls"] == k
         assert search_runs[big_n].iterations == k
         assert k <= math.ceil((math.pi / 4) * math.sqrt(big_n))
     _passed(6, "oracle calls K in {1,2,3,4,6} for N in {4,8,16,32,64}")

@@ -14,7 +14,6 @@ from qsearch.circuit import (
     Register,
     gate,
     resource_tally,
-    t_depth,
     tally_flat,
 )
 from qsearch.decompose import decompose_toffoli, lower_circuit
@@ -36,11 +35,13 @@ def _circ(gates, n=6):
 
 
 def test_t_depth_disjoint_qubits_share_a_layer():
-    assert t_depth(_circ([gate(GateKind.T, _q[0]), gate(GateKind.T, _q[1])])) == 1
+    circ = _circ([gate(GateKind.T, _q[0]), gate(GateKind.T, _q[1])])
+    assert resource_tally(circ).t_depth == 1
 
 
 def test_t_depth_same_qubit_serializes():
-    assert t_depth(_circ([gate(GateKind.T, _q[0]), gate(GateKind.T, _q[0])])) == 2
+    circ = _circ([gate(GateKind.T, _q[0]), gate(GateKind.T, _q[0])])
+    assert resource_tally(circ).t_depth == 2
 
 
 def test_t_depth_cnot_orders_the_two_t_gates():
@@ -49,7 +50,7 @@ def test_t_depth_cnot_orders_the_two_t_gates():
         gate(GateKind.CNOT, _q[0], _q[1]),
         gate(GateKind.T, _q[1]),
     ])
-    assert t_depth(circ) == 2
+    assert resource_tally(circ).t_depth == 2
 
 
 def test_tally_empty_circuit_is_all_zero():
@@ -120,12 +121,12 @@ def test_metrics_schedule_macros_as_their_lowering():
                             gate(GateKind.MCZ, _q[3], _q[2], _q[0])])
     assert not circ.is_lowered
     lowered = lower_circuit(circ)
-    assert t_depth(circ) == t_depth(lowered)
+    assert resource_tally(circ).t_depth == resource_tally(lowered).t_depth
     assert resource_tally(circ) == resource_tally(lowered)
     # a wider MCZ needs ladder ancillas the scheduler is never given
     wide = Circuit({A: 4}, [gate(GateKind.MCZ, *_q[:4])])
     with pytest.raises(MacroGateError):
-        t_depth(wide)
+        resource_tally(wide)
     with pytest.raises(MacroGateError):
         to_unitary(circ)
 

@@ -83,6 +83,17 @@ def test_search_malformed_database_exits_three(tmp_path, capsys):
     assert "error" in err
 
 
+def _assert_exits_three_without_traceback(argv):
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    run = subprocess.run(
+        [sys.executable, "-m", "qsearch.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 3
+    assert run.stderr.startswith("error: ")
+    assert "Traceback" not in run.stderr
+
+
 _GOOD_DOC = {
     "version": 1,
     "fields": [{"name": "id", "bit_width": 2}],
@@ -103,15 +114,35 @@ _GOOD_DOC = {
 def test_bad_database_file_exits_three_without_traceback(tmp_path, content):
     bad = tmp_path / "bad.json"
     bad.write_bytes(content)
+    _assert_exits_three_without_traceback(
+        ["search", "--db", str(bad), "--key", "01", "--return", "id"])
+
+
+_SEARCH = ["search", "--db", DATA_DB, "--key", "0101", "--return", "phone"]
+_UNWRITABLE = os.path.join(os.path.dirname(DATA_DB), "no-such-dir", "x.json")
+
+
+@pytest.mark.parametrize("argv", [
+    [*_SEARCH, "--shots", "3", "--seed", "-1"],
+    [*_SEARCH, "--shots", "1000000000000", "--seed", "1"],
+    [*_SEARCH, "--out", _UNWRITABLE],
+    ["compile", "--db", DATA_DB, "--key", "0101", "--out", _UNWRITABLE],
+    ["bench", "--n-min", "2", "--n-max", "2", "--m", "1", "--out", _UNWRITABLE],
+], ids=["negative-seed", "too-many-shots", "search-out-dir-missing",
+        "compile-out-dir-missing", "bench-out-dir-missing"])
+def test_bad_arguments_exit_three_without_traceback(argv):
+    _assert_exits_three_without_traceback(argv)
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    # numpy is imported only by a sampled search
     env = dict(os.environ, PYTHONPATH=SRC_DIR)
     run = subprocess.run(
-        [sys.executable, "-m", "qsearch.cli", "search", "--db", str(bad),
-         "--key", "01", "--return", "id"],
+        [sys.executable, "-c",
+         "import sys, qsearch.cli; print('numpy' in sys.modules)"],
         capture_output=True, text=True, env=env, timeout=120,
     )
-    assert run.returncode == 3
-    assert run.stderr.startswith("error: ")
-    assert "Traceback" not in run.stderr
+    assert run.stdout == "False\n"
 
 
 _FUZZ_DOC = {

@@ -12,7 +12,6 @@ from qsearch.database import (
     FieldSpec,
     Record,
     SearchQuery,
-    encode_key,
     load_database,
     pad_to_power_of_two,
 )
@@ -44,7 +43,7 @@ def test_load_four_records():
     ]))
     assert db.size == 4
     assert db.key_width == 4
-    assert db.key_of(2) == "0010"
+    assert db.keys()[2] == "0010"
 
 
 def test_duplicate_key_values_rejected():
@@ -173,25 +172,12 @@ def test_round_trip_random_databases(keys, data):
     assert load_database(db.to_json()) == db
 
 
-def test_encode_key_is_identity_mapping():
-    db = load_database(_doc([{"id": "1010", "val": "00"}]))
-    assert encode_key(db, "0000") == "0000"
-    assert encode_key(db, "1010") == "1010"
-
-
-def test_encode_key_rejects_bad_width():
-    db = load_database(_doc([{"id": "1010", "val": "00"}]))
-    with pytest.raises(FieldWidthError):
-        encode_key(db, "")
-    with pytest.raises(FieldWidthError):
-        encode_key(db, "10100")
-
-
 def test_query_validation():
     db = load_database(_doc([{"id": "1010", "val": "00"}]))
     SearchQuery("1010", "val").validate(db)
-    with pytest.raises(FieldWidthError):
-        SearchQuery("10", "val").validate(db)
+    for key in ("10", "", "10100"):
+        with pytest.raises(FieldWidthError):
+            SearchQuery(key, "val").validate(db)
     with pytest.raises(UnknownFieldError):
         SearchQuery("1010", "nope").validate(db)
 

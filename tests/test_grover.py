@@ -12,7 +12,7 @@ from qsearch.database import SearchQuery, pad_to_power_of_two
 from qsearch.decompose import lower_circuit
 from qsearch.errors import CircuitError, InputError, QueryError
 from qsearch.grover import (
-    SearchPlan,
+    MAX_SHOTS,
     SearchStatus,
     build_diffusion,
     build_kernel_circuits,
@@ -165,7 +165,7 @@ def test_search_n4_is_exact():
     assert res.candidate_index == 2
     assert res.returned_value == db.records[2].values["val"]
     assert abs(res.success_probability - 1.0) < 1e-9
-    assert res.iterations == 1 and res.oracle_calls == 1
+    assert res.iterations == 1 and res.to_json()["oracle_calls"] == 1
 
 
 def test_search_n16_matches_closed_form():
@@ -196,7 +196,7 @@ def test_search_absent_key_reports_not_present():
     res = run_search(db, SearchQuery("111", "val"))
     assert res.status is SearchStatus.KEY_NOT_PRESENT
     assert res.returned_value is None
-    assert all(a == 0.0 for a in res.trace.target_amplitudes)
+    assert all(step["target_amplitude"] == 0.0 for step in res.to_json()["trace"])
 
 
 def test_search_sentinel_key_is_never_a_solution():
@@ -218,7 +218,7 @@ def test_search_sentinel_key_is_never_a_solution():
 def test_search_amplitude_growth_is_monotonic():
     db = toy_db(4)
     res = run_search(db, SearchQuery("0011", "val"))
-    amps = res.trace.target_amplitudes
+    amps = [step["target_amplitude"] for step in res.to_json()["trace"]]
     assert all(b > a for a, b in zip(amps, amps[1:]))
 
 
@@ -226,11 +226,10 @@ def test_search_forced_failure_with_overridden_iterations():
     # at N=4, two kernel rounds land back on the uniform distribution, so
     # argmax picks index 0 and verification rejects it
     db = toy_db(2)
-    plan = SearchPlan.for_database(db, iterations=2)
-    res = run_search(db, SearchQuery("10", "val"), plan)
+    res = run_search(db, SearchQuery("10", "val"), iterations=2)
     assert res.status is SearchStatus.ALGORITHM_FAILURE
     assert res.returned_value is None
-    assert res.oracle_calls == 2
+    assert res.to_json()["oracle_calls"] == 2
 
 
 def test_sampled_mode_is_deterministic_given_seed():
@@ -248,6 +247,19 @@ def test_sampled_mode_rejects_nonpositive_shots():
     db = toy_db(3)
     with pytest.raises(QueryError, match="shots"):
         run_search(db, SearchQuery("101", "val"), seed=9, shots=0)
+
+
+def test_sampled_mode_rejects_a_negative_seed_and_too_many_shots():
+    db = toy_db(3)
+    with pytest.raises(QueryError, match="seed"):
+        run_search(db, SearchQuery("101", "val"), seed=-1, shots=3)
+    with pytest.raises(QueryError, match="shots"):
+        run_search(db, SearchQuery("101", "val"), seed=1, shots=MAX_SHOTS + 1)
+
+
+def test_search_rejects_a_nonpositive_iteration_count():
+    with pytest.raises(InputError, match="iteration"):
+        run_search(toy_db(2), SearchQuery("10", "val"), iterations=0)
 
 
 def test_search_resources_are_attached_and_measured():
@@ -341,16 +353,16 @@ def _oracle_cases():
 
 @pytest.mark.parametrize("db,key,iterations", _oracle_cases())
 def test_bit_sliced_trace_agrees_with_clifford_t_run(db, key, iterations):
-    plan = SearchPlan.for_database(db, iterations=iterations)
-    res = run_search(db, SearchQuery(key, "val"), plan)
-    reference = _reference_rounds(db, key, plan.iterations)
+    res = run_search(db, SearchQuery(key, "val"), iterations=iterations)
+    reference = _reference_rounds(db, key, res.iterations)
     target = db.index_of_key(key)
-    assert len(res.trace.success_probabilities) == plan.iterations + 1
+    trace = res.to_json()["trace"]
+    assert len(trace) == res.iterations + 1
     for r, (dist, off) in enumerate(reference):
         want = dist[target] if target is not None else 0.0
-        assert abs(res.trace.success_probabilities[r] - want) < 1e-12
-        assert abs(res.trace.target_amplitudes[r] - math.sqrt(want)) < 1e-12
-        assert off < 1e-12 and res.trace.off_support_probabilities[r] == 0
+        assert abs(trace[r]["success_probability"] - want) < 1e-12
+        assert abs(trace[r]["target_amplitude"] - math.sqrt(want)) < 1e-12
+        assert off < 1e-12 and trace[r]["off_support_probability"] == 0
     final = reference[-1][0]
     assert abs(res.success_probability - final[res.candidate_index]) < 1e-12
     assert final[res.candidate_index] > final.max() - 1e-12
@@ -442,12 +454,11 @@ def test_search_rejects_a_diffusion_that_flips_another_branch(monkeypatch):
 
 def test_ties_are_exact():
     two = run_search(toy_db(1), SearchQuery("1", "val"))
-    assert two.trace.success_probabilities == [0.5, 0.5]
+    assert two.probabilities == [0.5, 0.5]
     assert two.success_probability == 0.5 and two.candidate_index == 0
-    plan = SearchPlan.for_database(toy_db(2), iterations=2)
     for q in range(4):
-        res = run_search(toy_db(2), SearchQuery(format(q, "02b"), "val"), plan)
-        assert res.trace.success_probabilities[-1] == 0.25
+        res = run_search(toy_db(2), SearchQuery(format(q, "02b"), "val"), iterations=2)
+        assert res.probabilities[-1] == 0.25
         assert res.success_probability == 0.25 and res.candidate_index == 0
 
 

@@ -176,7 +176,7 @@ def test_qdam_on_uniform_state_yields_equal_branches():
         assert abs(abs(value) - amp) < 1e-12
         index = state.register_bits(key, B)
         data = format(state.register_bits(key, D), "03b")
-        assert data == db.key_of(index)
+        assert data == db.keys()[index]
 
 
 def test_qdam_inverse_restores_every_basis_input():

@@ -172,12 +172,21 @@ def test_round_trip_random_databases(keys, data):
     assert load_database(db.to_json()) == db
 
 
+def test_encode_key_rejects_bad_width():
+    # A key is encoded on the data qubits as its own bit string, so the
+    # width check in SearchQuery.validate is the whole of key encoding.
+    db = load_database(_doc([{"id": "1010", "val": "00"}]))
+    with pytest.raises(FieldWidthError):
+        SearchQuery("", "val").validate(db)
+    with pytest.raises(FieldWidthError):
+        SearchQuery("10100", "val").validate(db)
+
+
 def test_query_validation():
     db = load_database(_doc([{"id": "1010", "val": "00"}]))
     SearchQuery("1010", "val").validate(db)
-    for key in ("10", "", "10100"):
-        with pytest.raises(FieldWidthError):
-            SearchQuery(key, "val").validate(db)
+    with pytest.raises(FieldWidthError):
+        SearchQuery("10", "val").validate(db)
     with pytest.raises(UnknownFieldError):
         SearchQuery("1010", "nope").validate(db)
 

@@ -18,15 +18,17 @@ bit-reproducible:
   TOFFOLI and 3-operand MCZ and count them as their Clifford+T fragments.
 
 Scheduling is as-soon-as-possible list scheduling over the gate-dependency
-DAG, done by :func:`tally_flat`, the only scheduler: a gate is placed in
-the earliest layer after every earlier gate that shares one of its qubits.
-Two gates may share a layer only if they act on disjoint qubits.  The
-T-depth of a circuit is the number of layers that contain at least one T
-or TDG gate.  A macro is scheduled in one step, through a max-plus
-template derived once from its lowered fragment, and lands exactly where
-the fragment's gates would.  All of this is a pure function of the gate
-order, so results are deterministic and circuits are safe to share across
-workers.
+DAG, done by :class:`Schedule`, the only scheduler; :func:`tally_flat` is
+its one-shot form.  A gate is placed in the earliest layer after every
+earlier gate that shares one of its qubits.  Two gates may share a layer
+only if they act on disjoint qubits.  The T-depth of a circuit is the
+number of layers that contain at least one T or TDG gate.  A macro is
+scheduled in one step, through a max-plus template derived once from its
+lowered fragment, and lands exactly where the fragment's gates would.  A
+schedule can be fed in segments and tallied after each, and each such
+snapshot is the tally of the prefix fed so far.  All of this is a pure
+function of the gate order, so results are deterministic and circuits are
+safe to share across workers.
 """
 from __future__ import annotations
 
@@ -248,11 +250,14 @@ def _macro_templates() -> dict[GateKind, _Template]:
     }
 
 
-def tally_flat(
-    gates: Iterable[tuple[GateKind, tuple[int, ...]]], total_qubits: int
-) -> ResourceTally:
-    """ASAP-schedule a stream of gates over flat qubit indices and tally it
-    in one pass.
+class Schedule:
+    """ASAP schedule of a gate stream over flat qubit indices, fed in
+    segments: per-qubit availability, the set of T layers, the T and CNOT
+    counts and the deepest layer.
+
+    ``feed`` extends the stream and ``tally`` reads it at that point, so a
+    tally taken between two feeds is exactly the tally of the prefix fed so
+    far (a prefix's T-layer set is the stream's set at that moment).
 
     TOFFOLI and 3-operand MCZ gates are scheduled as their lowered
     fragments would be, through the fragments' max-plus templates: ASAP is
@@ -262,55 +267,80 @@ def tally_flat(
     MCZ raises :class:`MacroGateError`: its ladder needs ancillas that only
     :func:`qsearch.decompose.lower_circuit` is given.
     """
-    templates = _macro_templates()
-    avail = [0] * total_qubits
-    t_layers: set[int] = set()
-    t_count = cnot_count = 0
-    max_layer = 0
-    add_t_layer = t_layers.add
-    k_t, k_tdg, k_cnot = GateKind.T, GateKind.TDG, GateKind.CNOT
-    k_toffoli, k_mcz = GateKind.TOFFOLI, GateKind.MCZ
-    for kind, ops in gates:
-        if kind is k_toffoli or kind is k_mcz:
-            if len(ops) != 3:
-                raise MacroGateError(
-                    f"{len(ops)}-operand {kind.value} needs ladder ancillas; "
-                    "lower the circuit first"
-                )
-            template = templates[kind]
-            a, b, c = ops
-            ea, eb, ec = avail[a], avail[b], avail[c]
-            for la, lb, lc in template.t_layers:
-                add_t_layer(max(ea + la, eb + lb, ec + lc))
-            (da, db, dc), (fa, fb, fc), (ga, gb, gc) = template.exit
-            avail[a] = max(ea + da, eb + db, ec + dc)
-            avail[b] = max(ea + fa, eb + fb, ec + fc)
-            avail[c] = max(ea + ga, eb + gb, ec + gc)
-            layer = max(avail[a], avail[b], avail[c])
-            t_count += template.t_count
-            cnot_count += template.cnot_count
-        else:
-            layer = avail[ops[0]]
-            for i in ops:
-                if avail[i] > layer:
-                    layer = avail[i]
-            layer += 1
-            for i in ops:
-                avail[i] = layer
-            if kind is k_t or kind is k_tdg:
-                t_count += 1
-                add_t_layer(layer)
-            elif kind is k_cnot:
-                cnot_count += 1
-        if layer > max_layer:
-            max_layer = layer
-    return ResourceTally(
-        t_count=t_count,
-        t_depth=len(t_layers),
-        cnot_count=cnot_count,
-        total_qubits=total_qubits,
-        total_layers=max_layer,
-    )
+
+    __slots__ = ("total_qubits", "_avail", "_t_layers", "_t_count",
+                 "_cnot_count", "_max_layer")
+
+    def __init__(self, total_qubits: int):
+        self.total_qubits = total_qubits
+        self._avail = [0] * total_qubits
+        self._t_layers: set[int] = set()
+        self._t_count = self._cnot_count = self._max_layer = 0
+
+    def feed(self, gates: Iterable[tuple[GateKind, tuple[int, ...]]]) -> "Schedule":
+        """Schedule ``gates`` after everything fed so far."""
+        templates = _macro_templates()
+        avail = self._avail
+        add_t_layer = self._t_layers.add
+        t_count, cnot_count = self._t_count, self._cnot_count
+        max_layer = self._max_layer
+        k_t, k_tdg, k_cnot = GateKind.T, GateKind.TDG, GateKind.CNOT
+        k_toffoli, k_mcz = GateKind.TOFFOLI, GateKind.MCZ
+        for kind, ops in gates:
+            if kind is k_toffoli or kind is k_mcz:
+                if len(ops) != 3:
+                    raise MacroGateError(
+                        f"{len(ops)}-operand {kind.value} needs ladder ancillas; "
+                        "lower the circuit first"
+                    )
+                template = templates[kind]
+                a, b, c = ops
+                ea, eb, ec = avail[a], avail[b], avail[c]
+                for la, lb, lc in template.t_layers:
+                    add_t_layer(max(ea + la, eb + lb, ec + lc))
+                (da, db, dc), (fa, fb, fc), (ga, gb, gc) = template.exit
+                avail[a] = max(ea + da, eb + db, ec + dc)
+                avail[b] = max(ea + fa, eb + fb, ec + fc)
+                avail[c] = max(ea + ga, eb + gb, ec + gc)
+                layer = max(avail[a], avail[b], avail[c])
+                t_count += template.t_count
+                cnot_count += template.cnot_count
+            else:
+                layer = avail[ops[0]]
+                for i in ops:
+                    if avail[i] > layer:
+                        layer = avail[i]
+                layer += 1
+                for i in ops:
+                    avail[i] = layer
+                if kind is k_t or kind is k_tdg:
+                    t_count += 1
+                    add_t_layer(layer)
+                elif kind is k_cnot:
+                    cnot_count += 1
+            if layer > max_layer:
+                max_layer = layer
+        self._t_count, self._cnot_count = t_count, cnot_count
+        self._max_layer = max_layer
+        return self
+
+    def tally(self) -> ResourceTally:
+        """The tally of the stream fed so far."""
+        return ResourceTally(
+            t_count=self._t_count,
+            t_depth=len(self._t_layers),
+            cnot_count=self._cnot_count,
+            total_qubits=self.total_qubits,
+            total_layers=self._max_layer,
+        )
+
+
+def tally_flat(
+    gates: Iterable[tuple[GateKind, tuple[int, ...]]], total_qubits: int
+) -> ResourceTally:
+    """ASAP-schedule a stream of gates over flat qubit indices and tally it
+    in one pass: the one-shot form of :class:`Schedule`."""
+    return Schedule(total_qubits).feed(gates).tally()
 
 
 def resource_tally(circuit: Circuit) -> ResourceTally:

@@ -139,13 +139,12 @@ def _cmd_compile(args) -> int:
         layout = QdamLayout.for_database(db)
         circuits = build_kernel_circuits(layout, db, args.key)
         ladder = layout.ladder_qubits()
-        circuit = {
+        circuit = circuits.kernel() if args.part == "kernel" else {
             "m1": circuits.stage1,
             "m2": circuits.stage2,
             "qdam": circuits.loader,
             "oracle": circuits.target_reflection,
             "diffusion": circuits.diffusion,
-            "kernel": circuits.kernel(),
         }[args.part]
     if args.lowered:
         circuit = lower_circuit(circuit, ladder)

@@ -20,7 +20,7 @@ Three building blocks:
 using these blocks, gate by gate.  Operands are flat qubit indices, as
 everywhere in :mod:`qsearch.circuit`.  The scheduler derives its macro
 templates from the fragments over the operands 0, 1, 2
-(:func:`qsearch.circuit.tally_flat`), so what it counts is what this
+(:class:`qsearch.circuit.Schedule`), so what it counts is what this
 module emits.  All emitted ancillas are returned to |0> on every input.
 """
 from __future__ import annotations
@@ -84,6 +84,9 @@ def shared_control_layer(
 
     Returns macro-level gates (CNOT fan-out + TOFFOLI macros + fan-in).
     Needs ``len(pairs) - 1`` borrowed ancillas; they are restored to |0>.
+    The shared control, the pair operands and the ancillas used must be
+    pairwise distinct, else :class:`OperandOverlapError`; the gates are
+    then distinct-operand by construction and emitted unchecked.
     """
     if not pairs:
         return []
@@ -94,17 +97,21 @@ def shared_control_layer(
                 raise OperandOverlapError(f"operand {q} reused in layer")
             seen.add(q)
 
-    ancillas = tuple(fanout_ancillas)
     needed = len(pairs) - 1
+    ancillas = tuple(fanout_ancillas)[:needed]
     if len(ancillas) < needed:
         raise AncillaBudgetError(
             f"shared-control layer over {len(pairs)} pairs needs {needed} "
             f"fan-out ancillas, got {len(ancillas)}"
         )
+    for a in ancillas:
+        if a in seen:
+            raise OperandOverlapError(f"fan-out ancilla {a} overlaps an operand")
+        seen.add(a)
 
     gates: list[Gate] = []
     carriers = [shared_control]
-    fresh = list(ancillas[:needed])
+    fresh = iter(ancillas)
     pad_sdg: list[Gate] = []
     # Doubling rounds keep every carrier last-touched in the same layer; a
     # partial final round leaves some sources one layer behind, fixed by an
@@ -115,18 +122,18 @@ def shared_control_layer(
         idle = carriers[len(sources):]
         new = []
         for src in sources:
-            dst = fresh.pop(0)
-            gates.append(gate(_K.CNOT, src, dst))
+            dst = next(fresh)
+            gates.append(Gate(_K.CNOT, (src, dst)))
             new.append(dst)
         if room < len(carriers):
             for q in idle:
-                gates.append(gate(_K.S, q))
-                pad_sdg.append(gate(_K.SDG, q))
+                gates.append(Gate(_K.S, (q,)))
+                pad_sdg.append(Gate(_K.SDG, (q,)))
         carriers.extend(new)
 
     fanout = list(gates)
     for (second, target), carrier in zip(pairs, carriers):
-        gates.append(gate(_K.TOFFOLI, second, carrier, target))
+        gates.append(Gate(_K.TOFFOLI, (second, carrier, target)))
     gates.extend(pad_sdg)
     for g in reversed(fanout):
         if g.kind is _K.CNOT:

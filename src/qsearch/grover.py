@@ -36,6 +36,7 @@ subroutines.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -150,15 +151,22 @@ def build_diffusion(layout: QdamLayout) -> Circuit:
 @dataclass(frozen=True)
 class KernelCircuits:
     """Macro-level subroutine circuits for one kernel iteration; the loader
-    is stage 1 then stage 2."""
+    is stage 1 then stage 2.
+
+    The inverse loader is built lazily, at most once, on first read: the
+    simulator and the kernel export need its phases, while the resource
+    report tallies the loader's reversed gate stream instead."""
 
     layout: QdamLayout
     stage1: Circuit
     stage2: Circuit
     loader: Circuit
-    loader_inverse: Circuit
     target_reflection: Circuit
     diffusion: Circuit
+
+    @functools.cached_property
+    def loader_inverse(self) -> Circuit:
+        return self.loader.inverted()
 
     def kernel(self) -> Circuit:
         return (
@@ -176,13 +184,11 @@ def build_kernel_circuits(
     from .qdam import build_m1, build_m2
 
     stage1, stage2 = build_m1(layout), build_m2(layout, db)
-    loader = stage1 + stage2
     return KernelCircuits(
         layout=layout,
         stage1=stage1,
         stage2=stage2,
-        loader=loader,
-        loader_inverse=loader.inverted(),
+        loader=stage1 + stage2,
         target_reflection=build_target_reflection(layout, key_pattern),
         diffusion=build_diffusion(layout),
     )
@@ -196,8 +202,9 @@ def run_search(
     shots: int | None = None,
 ) -> SearchResult:
     """Execute the full search: exact bit-sliced simulation of
-    ``iterations`` kernel rounds (default :func:`optimal_iterations`),
-    index measurement, quantum re-load verification, and field return.
+    ``iterations`` kernel rounds (default :func:`optimal_iterations` K, at
+    most 4K + 4), index measurement, quantum re-load verification, and
+    field return.
 
     Without ``shots`` the search measures the most probable index, the
     first one on a tie.  At N=2 every round leaves both indices at
@@ -218,10 +225,17 @@ def run_search(
             raise QueryError("sampled mode needs a non-negative seed")
         if not 1 <= shots <= MAX_SHOTS:
             raise QueryError(f"shots must be in 1..{MAX_SHOTS}, got {shots}")
+    optimal = optimal_iterations(db.size)
     if iterations is None:
-        iterations = optimal_iterations(db.size)
+        iterations = optimal
     if iterations < 1:
         raise InputError("iteration count must be positive")
+    # 4K rounds turn the Grover angle through a full circle; more rounds
+    # only repeat states that fewer reach, at a cost quadratic in the count
+    if iterations > 4 * optimal + 4:
+        raise QueryError(
+            f"at most {4 * optimal + 4} iterations at N={db.size}, got {iterations}"
+        )
 
     layout = QdamLayout.for_database(db)
     key = query.key_value

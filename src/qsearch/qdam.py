@@ -112,7 +112,8 @@ class QdamLayout:
     def fanout_lease(self, start: int, count: int) -> tuple[int, ...]:
         if start + count > self.fanout_ancillas:
             raise CircuitError("fan-out pool exhausted")
-        return tuple(self.fanout_qubit(start + i) for i in range(count))
+        first = self.fanout_qubit(start)
+        return tuple(range(first, first + count))
 
     def ladder_qubits(self) -> tuple[int, ...]:
         return tuple(self.ladder_qubit(i) for i in range(self.ladder_ancillas))
@@ -200,25 +201,27 @@ def build_m2(layout: QdamLayout, db: Database | Sequence[str]) -> Circuit:
     keys = _key_bits(layout.n, layout.m, db)
     n, m = layout.n, layout.m
     records = 1 << n
-    gates: list[Gate] = []
-    for i, key in enumerate(keys):
-        for j, bit in enumerate(key):
-            if bit == "1":
-                gates.append(gate(_K.X, layout.database_qubit(i, j)))
+    # database bit (i, j) and load ancilla E(i, j) sit at offset i*m + j of
+    # their regions
+    database, load = layout.database_qubit(0, 0), layout.load_qubit(0, 0)
+    gates: list[Gate] = [
+        Gate(_K.X, (database + i * m + j,))
+        for i, key in enumerate(keys)
+        for j, bit in enumerate(key)
+        if bit == "1"
+    ]
     for i in range(records):
-        pairs = [
-            (layout.database_qubit(i, j), layout.load_qubit(i, j))
-            for j in range(m)
-        ]
+        row = i * m
+        pairs = [(database + row + j, load + row + j) for j in range(m)]
         lease = layout.fanout_lease(i * (m - 1), m - 1)
         gates.extend(shared_control_layer(layout.onehot_qubit(i), pairs, lease))
     for j in range(m):
-        column = [layout.load_qubit(i, j) for i in range(records)]
+        column = range(load + j, load + records * m, m)
         gates.extend(_fold_fan_in(column, layout.data_qubit(j)))
     return Circuit(layout.register_sizes, gates, validate=False)
 
 
-def _fold_fan_in(column: list[int], target: int) -> list[Gate]:
+def _fold_fan_in(column: Sequence[int], target: int) -> list[Gate]:
     """XOR the (power-of-two) column into ``target`` by folding the column
     onto its first qubit, copying out, and unfolding.
 
@@ -227,19 +230,20 @@ def _fold_fan_in(column: list[int], target: int) -> list[Gate]:
     inverse loader would smear the uncompute Toffolis' T gates over as many
     layers.  The fold tree's final unfold round touches every column qubit
     in a single layer, so the inverse loader re-enters time-aligned.
+    The column's qubits and ``target`` must be distinct.
     """
     k = len(column)
     gates: list[Gate] = []
     span = 1
     while span < k:
         for i in range(0, k, 2 * span):
-            gates.append(gate(_K.CNOT, column[i + span], column[i]))
+            gates.append(Gate(_K.CNOT, (column[i + span], column[i])))
         span <<= 1
-    gates.append(gate(_K.CNOT, column[0], target))
+    gates.append(Gate(_K.CNOT, (column[0], target)))
     while span > 1:
         span >>= 1
         for i in range(0, k, 2 * span):
-            gates.append(gate(_K.CNOT, column[i + span], column[i]))
+            gates.append(Gate(_K.CNOT, (column[i + span], column[i])))
     return gates
 
 

@@ -8,25 +8,27 @@ kernel = 2*loader + reflections, cost = iterations * kernel.  Measured
 mode schedules the actual circuits and must come in at or under the
 bounds, subroutine by subroutine.
 
-:func:`tally_flat` schedules TOFFOLI and 3-operand MCZ macros through
-max-plus templates of their Clifford+T fragments, so a macro circuit's
-tally equals its lowering's by construction, and measuring the kernel
-lowers nothing.  :func:`measure_kernel` tallies the five macro subroutines
-(stage 1, stage 2, target reflection, inverse loader, diffusion); the
-kernel tally chains the parts' gate lists through :func:`tally_flat`
-instead of concatenating circuits.  The naive report
-streams its macro loader the same way and tallies its two reflections, a
-few hundred gates, on their lowering.
+:class:`~qsearch.circuit.Schedule` schedules TOFFOLI and 3-operand MCZ
+macros through max-plus templates of their Clifford+T fragments, so a
+macro circuit's tally equals its lowering's by construction, and measuring
+the kernel lowers nothing.  :func:`measure_kernel` schedules the kernel in
+one pass and reads stage 1, the loader and the kernel off it as prefix
+snapshots; stage 2 and the two reflections, whose depths start from an
+empty schedule, get one :func:`tally_flat` each.  The inverse loader is
+tallied as the loader's gates in reverse order: the scheduler treats T
+like TDG and S like SDG, and the macros are self-adjoint, so the reversed
+stream tallies exactly as the adjoint circuit, which is never built.  The
+naive report streams its macro loader through :func:`tally_flat` and
+tallies its two reflections, a few hundred gates, on their lowering.
 """
 from __future__ import annotations
 
 import enum
 import io
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Sequence
 
-from .circuit import resource_tally, tally_flat
+from .circuit import Schedule, resource_tally, tally_flat
 from .decompose import lower_circuit
 from .errors import InputError
 from .grover import (
@@ -173,21 +175,24 @@ def _zero_keys(n: int, m: int) -> list[str]:
 
 def measure_kernel(circuits: KernelCircuits, iterations: int) -> ResourceReport:
     """Schedule the macro subroutines of one kernel and tally them as their
-    Clifford+T lowering; the kernel is tallied as a chain of the parts."""
+    Clifford+T lowering.
+
+    One schedule takes the kernel in order: stage 1 (snapshot: stage 1),
+    stage 2 (snapshot: the loader), then the target reflection, the
+    loader's gates reversed as the inverse loader, and the diffusion
+    (snapshot: the kernel).  Stage 2 and the two reflections are also
+    tallied on their own, from an empty schedule."""
     layout = circuits.layout
     total = layout.total_qubits
-    m1, m2, loader, oracle, unload, diff = (
-        part.gates
-        for part in (circuits.stage1, circuits.stage2, circuits.loader,
-                     circuits.target_reflection, circuits.loader_inverse,
-                     circuits.diffusion)
-    )
-    t_m1 = tally_flat(m1, total)
-    t_m2 = tally_flat(m2, total)
-    t_loader = tally_flat(loader, total)
-    t_oracle = tally_flat(oracle, total)
-    t_diff = tally_flat(diff, total)
-    t_kernel = tally_flat(chain(loader, oracle, unload, diff), total)
+    kernel = Schedule(total)
+    t_m1 = kernel.feed(circuits.stage1.gates).tally()
+    t_loader = kernel.feed(circuits.stage2.gates).tally()
+    t_kernel = (kernel.feed(circuits.target_reflection.gates)
+                .feed(reversed(circuits.loader.gates))
+                .feed(circuits.diffusion.gates).tally())
+    t_m2 = tally_flat(circuits.stage2.gates, total)
+    t_oracle = tally_flat(circuits.target_reflection.gates, total)
+    t_diff = tally_flat(circuits.diffusion.gates, total)
     return ResourceReport(
         n=layout.n,
         m=layout.m,

@@ -12,6 +12,7 @@ from qsearch.circuit import (
     Circuit,
     GateKind,
     Register,
+    Schedule,
     gate,
     resource_tally,
     tally_flat,
@@ -163,6 +164,26 @@ def test_macro_tally_equals_the_lowered_tally(circ):
     total = circ.total_qubits
     assert (tally_flat(circ.gates, total)
             == tally_flat(lower_circuit(circ).gates, total))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_macro_circuits(), st.integers(0, 56), st.integers(0, 56))
+def test_schedule_snapshots_equal_the_prefix_tallies(circ, cut1, cut2):
+    gates, total = circ.gates, circ.total_qubits
+    cuts = sorted((min(cut1, len(gates)), min(cut2, len(gates))))
+    bounds = [0, *cuts, len(gates)]
+    schedule = Schedule(total)
+    for start, stop in zip(bounds, bounds[1:]):
+        snapshot = schedule.feed(gates[start:stop]).tally()
+        assert snapshot == tally_flat(gates[:stop], total)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_macro_circuits())
+def test_reversed_stream_tallies_as_the_inverse(circ):
+    total = circ.total_qubits
+    assert (tally_flat(reversed(circ.gates), total)
+            == tally_flat(circ.inverted().gates, total))
 
 
 def test_gate_operands_must_be_distinct():

@@ -128,8 +128,9 @@ _UNWRITABLE = os.path.join(os.path.dirname(DATA_DB), "no-such-dir", "x.json")
     [*_SEARCH, "--out", _UNWRITABLE],
     ["compile", "--db", DATA_DB, "--key", "0101", "--out", _UNWRITABLE],
     ["bench", "--n-min", "2", "--n-max", "2", "--m", "1", "--out", _UNWRITABLE],
+    [*_SEARCH, "--iterations", "100000"],
 ], ids=["negative-seed", "too-many-shots", "search-out-dir-missing",
-        "compile-out-dir-missing", "bench-out-dir-missing"])
+        "compile-out-dir-missing", "bench-out-dir-missing", "too-many-iterations"])
 def test_bad_arguments_exit_three_without_traceback(argv):
     _assert_exits_three_without_traceback(argv)
 

@@ -130,6 +130,23 @@ def test_layer_rejects_overlapping_pairs():
         shared_control_layer(_d(0), [(_d(1), _d(2)), (_d(2), _d(3))], [_a(0, 4)])
 
 
+@pytest.mark.parametrize("ancilla", [_d(0), _d(3), _d(4)],
+                         ids=["shared-control", "second-control", "target"])
+def test_layer_rejects_a_fanout_ancilla_that_overlaps_an_operand(ancilla):
+    with pytest.raises(OperandOverlapError):
+        shared_control_layer(_d(0), [(_d(1), _d(2)), (_d(3), _d(4))], [ancilla])
+
+
+def test_layer_rejects_ancillas_that_no_single_gate_repeats():
+    # an ancilla carrying pair 2 that is pair 1's target, and one ancilla
+    # leased twice: every emitted gate would have distinct operands
+    with pytest.raises(OperandOverlapError):
+        shared_control_layer(_d(0), [(_d(1), _d(2)), (_d(3), _d(4))], [_d(2)])
+    with pytest.raises(OperandOverlapError):
+        shared_control_layer(_d(0), [(_d(1), _d(2)), (_d(3), _d(4)), (_d(5), _d(6))],
+                             [_a(0, 7), _a(0, 7)])
+
+
 def test_layer_rejects_insufficient_ancillas():
     with pytest.raises(AncillaBudgetError):
         shared_control_layer(_d(0), [(_d(1), _d(2)), (_d(3), _d(4))], [])

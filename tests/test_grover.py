@@ -262,6 +262,15 @@ def test_search_rejects_a_nonpositive_iteration_count():
         run_search(toy_db(2), SearchQuery("10", "val"), iterations=0)
 
 
+def test_search_caps_iterations_at_a_full_rotation():
+    db = toy_db(3)
+    bound = 4 * optimal_iterations(db.size) + 4
+    res = run_search(db, SearchQuery("101", "val"), iterations=bound)
+    assert res.iterations == bound and len(res.probabilities) == bound + 1
+    with pytest.raises(QueryError, match="iterations"):
+        run_search(db, SearchQuery("101", "val"), iterations=bound + 1)
+
+
 def test_search_resources_are_attached_and_measured():
     db = toy_db(2)
     res = run_search(db, SearchQuery("10", "val"))

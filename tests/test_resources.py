@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qsearch import decompose
-from qsearch.circuit import resource_tally, tally_flat
+from qsearch.circuit import Circuit, resource_tally, tally_flat
 from qsearch.decompose import lower_circuit
 from qsearch.errors import InputError
 from qsearch.database import SearchQuery
@@ -288,6 +288,39 @@ def test_run_search_lowers_only_the_loader(monkeypatch):
     run_search(toy_db(3), SearchQuery("101", "val"))
     circuits = build_kernel_circuits(QdamLayout(3, 3), toy_db(3), "101")
     assert lowered == [circuits.loader.gates]
+
+
+def test_measure_builds_no_inverse_loader(monkeypatch):
+    layout = QdamLayout(6, 3)
+    circuits = build_kernel_circuits(layout, ["000"] * 64, "000")
+    expected = _lower_each_and_tally(circuits, optimal_iterations(64))
+
+    def refuse(circuit):
+        raise AssertionError("the report built an inverse circuit")
+
+    monkeypatch.setattr(Circuit, "inverted", refuse)
+    report = measure(6, 3)
+    assert (report.t_depth_m1, report.t_depth_m2, report.t_depth_qdam,
+            report.t_depth_oracle_reflection, report.t_depth_diffusion,
+            report.t_depth_kernel, report.t_cost, report.t_count_total) == expected
+
+
+def test_run_search_builds_the_inverse_loader_once(monkeypatch):
+    inversions = []
+    real = Circuit.inverted
+
+    def counting(circuit):
+        inversions.append(circuit)
+        return real(circuit)
+
+    monkeypatch.setattr(Circuit, "inverted", counting)
+    run_search(toy_db(3), SearchQuery("101", "val"))
+    assert len(inversions) == 1
+    circuits = build_kernel_circuits(QdamLayout(3, 3), toy_db(3), "101")
+    first = circuits.loader_inverse
+    circuits.kernel()
+    assert circuits.loader_inverse is first
+    assert inversions[1:] == [circuits.loader]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -130,21 +130,19 @@ def test_layer_rejects_overlapping_pairs():
         shared_control_layer(_d(0), [(_d(1), _d(2)), (_d(2), _d(3))], [_a(0, 4)])
 
 
-@pytest.mark.parametrize("ancilla", [_d(0), _d(3), _d(4)],
-                         ids=["shared-control", "second-control", "target"])
-def test_layer_rejects_a_fanout_ancilla_that_overlaps_an_operand(ancilla):
-    with pytest.raises(OperandOverlapError):
-        shared_control_layer(_d(0), [(_d(1), _d(2)), (_d(3), _d(4))], [ancilla])
+_THREE_PAIRS = [(_d(1), _d(2)), (_d(3), _d(4)), (_d(5), _d(6))]
 
 
-def test_layer_rejects_ancillas_that_no_single_gate_repeats():
-    # an ancilla carrying pair 2 that is pair 1's target, and one ancilla
-    # leased twice: every emitted gate would have distinct operands
+# the last two no single emitted gate repeats: pair 2's carrier is pair 1's
+# target, and one ancilla is leased twice
+@pytest.mark.parametrize("ancillas", [
+    [_d(0), _a(0, 7)], [_d(3), _a(0, 7)], [_a(0, 7), _d(6)],
+    [_d(2), _a(0, 7)], [_a(0, 7), _a(0, 7)],
+], ids=["shared-control", "second-control", "target", "other-pair-target",
+        "leased-twice"])
+def test_layer_rejects_a_fanout_ancilla_that_overlaps_an_operand(ancillas):
     with pytest.raises(OperandOverlapError):
-        shared_control_layer(_d(0), [(_d(1), _d(2)), (_d(3), _d(4))], [_d(2)])
-    with pytest.raises(OperandOverlapError):
-        shared_control_layer(_d(0), [(_d(1), _d(2)), (_d(3), _d(4)), (_d(5), _d(6))],
-                             [_a(0, 7), _a(0, 7)])
+        shared_control_layer(_d(0), _THREE_PAIRS, ancillas)
 
 
 def test_layer_rejects_insufficient_ancillas():

@@ -24,11 +24,13 @@ earlier gate that shares one of its qubits.  Two gates may share a layer
 only if they act on disjoint qubits.  The T-depth of a circuit is the
 number of layers that contain at least one T or TDG gate.  A macro is
 scheduled in one step, through a max-plus template derived once from its
-lowered fragment, and lands exactly where the fragment's gates would.  A
-schedule can be fed in segments and tallied after each, and each such
-snapshot is the tally of the prefix fed so far.  All of this is a pure
-function of the gate order, so results are deterministic and circuits are
-safe to share across workers.
+lowered fragment, and lands exactly where the fragment's gates would.  The
+templates are rank one, which the derivation checks: a macro costs one
+``max`` of three entry terms plus constants.  A schedule can be fed in
+segments and tallied after each, and each such snapshot is the tally of
+the prefix fed so far.  All of this is a pure function of the gate order,
+so results are deterministic and circuits are safe to share across
+workers.
 """
 from __future__ import annotations
 
@@ -207,11 +209,14 @@ class ResourceTally(NamedTuple):
 
 
 class _Template(NamedTuple):
-    """ASAP timing of one macro's Clifford+T fragment, as max-plus rows over
-    the entry times ``e_j`` of its three operands."""
+    """ASAP timing of one macro's Clifford+T fragment in rank-one max-plus
+    form: every exit and T layer is ``E = max_j(e_j + entry[j])`` over the
+    operands' entry times ``e_j``, plus a constant; one ``max`` per macro."""
 
-    exit: tuple[tuple[float, ...], ...]  # avail[op_i] = max_j(e_j + exit[i][j])
-    t_layers: tuple[tuple[float, ...], ...]  # one row per distinct T layer
+    entry: tuple[int, int, int]  # E = max_j(e_j + entry[j])
+    exit: tuple[int, int, int]  # avail[op_i] = E + exit[i]
+    last: int  # max(exit): the fragment's deepest layer is E + last
+    t_layers: tuple[int, ...]  # one constant per distinct T layer
     t_count: int
     cnot_count: int
 
@@ -221,7 +226,8 @@ def _derive_template(fragment: Iterable[Gate]) -> _Template:
     availability is a row of offsets from the three entry times (-inf where
     it does not depend on one), and a gate's layer row is the elementwise
     max of its qubits' rows plus 1 -- the scheduler's own step, in max-plus
-    arithmetic."""
+    arithmetic.  Only rank one makes one ``max`` per macro exact, so a row
+    not equal to entry offsets plus a constant raises :class:`CircuitError`."""
     neg = float("-inf")
     rows = [tuple(0 if i == j else neg for j in range(3)) for i in range(3)]
     t_layers: dict[tuple[float, ...], None] = {}
@@ -235,7 +241,15 @@ def _derive_template(fragment: Iterable[Gate]) -> _Template:
             t_layers[layer] = None
         elif kind is GateKind.CNOT:
             cnot_count += 1
-    return _Template(tuple(rows), tuple(t_layers), t_count, cnot_count)
+    entry = tuple(x - max(rows[0]) for x in rows[0])
+    constants = []
+    for row in (*rows, *t_layers):
+        offsets = {x - u for x, u in zip(row, entry)}
+        if neg in row or len(offsets) != 1:
+            raise CircuitError(f"fragment row {row} is not rank one over {entry}")
+        constants.append(offsets.pop())
+    exits, t_constants = tuple(constants[:3]), tuple(constants[3:])
+    return _Template(entry, exits, max(exits), t_constants, t_count, cnot_count)
 
 
 @functools.cache
@@ -260,11 +274,10 @@ class Schedule:
     far (a prefix's T-layer set is the stream's set at that moment).
 
     TOFFOLI and 3-operand MCZ gates are scheduled as their lowered
-    fragments would be, through the fragments' max-plus templates: ASAP is
-    a fold of max and +1 over per-qubit availability, so a fragment's
-    T layers and exit times are exact max-plus functions of its operands'
-    entry times, and the tally equals that of the lowered stream.  A wider
-    MCZ raises :class:`MacroGateError`: its ladder needs ancillas that only
+    fragments would be, through the fragments' rank-one max-plus templates
+    (:class:`_Template`): one ``max`` of three entry terms plus constants
+    per macro, so the tally equals that of the lowered stream.  A wider MCZ
+    raises :class:`MacroGateError`: its ladder needs ancillas that only
     :func:`qsearch.decompose.lower_circuit` is given.
     """
 
@@ -293,18 +306,16 @@ class Schedule:
                         f"{len(ops)}-operand {kind.value} needs ladder ancillas; "
                         "lower the circuit first"
                     )
-                template = templates[kind]
+                (ua, ub, uc), (xa, xb, xc), last, t_layers, t_n, cnot_n = (
+                    templates[kind])
                 a, b, c = ops
-                ea, eb, ec = avail[a], avail[b], avail[c]
-                for la, lb, lc in template.t_layers:
-                    add_t_layer(max(ea + la, eb + lb, ec + lc))
-                (da, db, dc), (fa, fb, fc), (ga, gb, gc) = template.exit
-                avail[a] = max(ea + da, eb + db, ec + dc)
-                avail[b] = max(ea + fa, eb + fb, ec + fc)
-                avail[c] = max(ea + ga, eb + gb, ec + gc)
-                layer = max(avail[a], avail[b], avail[c])
-                t_count += template.t_count
-                cnot_count += template.cnot_count
+                entry = max(avail[a] + ua, avail[b] + ub, avail[c] + uc)
+                for t in t_layers:
+                    add_t_layer(entry + t)
+                avail[a], avail[b], avail[c] = entry + xa, entry + xb, entry + xc
+                layer = entry + last
+                t_count += t_n
+                cnot_count += cnot_n
             else:
                 layer = avail[ops[0]]
                 for i in ops:

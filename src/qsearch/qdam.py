@@ -22,7 +22,8 @@ layer, which in turn lets every stage-2 group share its three T layers.
 
 The naive baseline writes each record bit with a multi-controlled X over
 all n index qubits plus the database bit, sequentially; it exists to
-witness the exponential T-depth separation.
+witness the exponential T-depth separation.  Its m*2^n ladders share one
+AND chain over the index qubits and differ only in their apex.
 """
 from __future__ import annotations
 
@@ -202,14 +203,10 @@ def build_m2(layout: QdamLayout, db: Database | Sequence[str]) -> Circuit:
     n, m = layout.n, layout.m
     records = 1 << n
     # database bit (i, j) and load ancilla E(i, j) sit at offset i*m + j of
-    # their regions
+    # their regions, the offset of bit j of key i in the joined keys
     database, load = layout.database_qubit(0, 0), layout.load_qubit(0, 0)
-    gates: list[Gate] = [
-        Gate(_K.X, (database + i * m + j,))
-        for i, key in enumerate(keys)
-        for j, bit in enumerate(key)
-        if bit == "1"
-    ]
+    gates: list[Gate] = [Gate(_K.X, (database + k,))
+                         for k, bit in enumerate("".join(keys)) if bit == "1"]
     for i in range(records):
         row = i * m
         pairs = [(database + row + j, load + row + j) for j in range(m)]
@@ -247,34 +244,26 @@ def _fold_fan_in(column: Sequence[int], target: int) -> list[Gate]:
     return gates
 
 
-def build_naive_qdam(
-    layout: NaiveLayout, db: Database | Sequence[str]
-) -> Circuit:
-    """Baseline loader: one (n+1)-control X per record bit, sequential."""
+def build_naive_qdam(layout: NaiveLayout, db: Database | Sequence[str]) -> Circuit:
+    """Baseline loader: one (n+1)-control X per record bit, sequential.
+    The ladders share one index AND chain, built and checked once by
+    :func:`mcz_ladder`, and differ only in their apex."""
     keys = _key_bits(layout.n, layout.m, db)
     n, m = layout.n, layout.m
-    gates: list[Gate] = []
-    for i, key in enumerate(keys):
-        for j, bit in enumerate(key):
-            if bit == "1":
-                gates.append(gate(_K.X, layout.database_qubit(i, j)))
-    ladder = layout.ladder_qubits()
-    # every ladder repeats the same Toffoli chain over the index qubits;
-    # keep one copy of each equal gate
-    shared: dict[Gate, Gate] = {}
-    for i, key in enumerate(keys):
-        pattern = format(i, f"0{n}b")
-        conjugate = [gate(_K.X, b) for b in range(n) if pattern[b] == "0"]
+    database, data = layout.database_qubit(0, 0), layout.data_qubit(0)
+    # the binary index qubits are flat qubits 0 .. n-1
+    ladder = mcz_ladder((*range(n), database, data), layout.ladder_qubits())
+    up, acc, down = ladder[:n - 1], ladder[n - 1].qubits[0], ladder[n:]
+    flips = [Gate(_K.X, (b,)) for b in range(n)]
+    hadamards = [Gate(_K.H, (data + j,)) for j in range(m)]
+    gates: list[Gate] = [Gate(_K.X, (database + k,))
+                         for k, bit in enumerate("".join(keys)) if bit == "1"]
+    for i in range(len(keys)):
+        # X on the index qubits that are 0 in i, most significant first
+        conjugate = [flips[b] for b in range(n) if not i >> (n - 1 - b) & 1]
         gates.extend(conjugate)
-        for j in range(m):
-            target = layout.data_qubit(j)
-            gates.append(gate(_K.H, target))
-            gates.extend(
-                shared.setdefault(g, g) for g in mcz_ladder(
-                    # the binary index qubits are flat qubits 0 .. n-1
-                    (*range(n), layout.database_qubit(i, j), target), ladder
-                )
-            )
-            gates.append(gate(_K.H, target))
+        for j, h in enumerate(hadamards):
+            apex = Gate(_K.MCZ, (acc, database + i * m + j, data + j))
+            gates.extend((h, *up, apex, *down, h))
         gates.extend(conjugate)
     return Circuit(layout.register_sizes, gates, validate=False)

@@ -1,5 +1,6 @@
 """Test-only oracles: a dense state-vector backend, the Walsh-Hadamard
-transform, the full loader, and the circuit helpers that only tests use.
+transform, the full loader, the naive loader built one ladder per record
+bit, and the circuit helpers that only tests use.
 
 The dense backend applies lowered gates to a full numpy state vector (or
 to a batch of columns for unitary extraction).  It shares no code with
@@ -15,7 +16,8 @@ import math
 
 import numpy as np
 
-from qsearch.circuit import REGISTER_ORDER, Circuit, GateKind, Register, gate
+from qsearch.circuit import REGISTER_ORDER, Circuit, Gate, GateKind, Register, gate
+from qsearch.decompose import mcz_ladder
 from qsearch.errors import CircuitError, MacroGateError
 from qsearch.qdam import build_m1, build_m2
 
@@ -175,6 +177,30 @@ def success_probability_formula(database_size: int, iterations: int) -> float:
 def build_qdam(layout, db) -> Circuit:
     """Full loader: stage 1 then stage 2."""
     return build_m1(layout) + build_m2(layout, db)
+
+
+def naive_loader_gates(layout, keys) -> tuple[Gate, ...]:
+    """The naive loader's gates, built one record bit at a time: a
+    validated X per 1 bit of the database, then for record i the X
+    conjugation of its 0 index bits around one :func:`mcz_ladder` call
+    over ``(*index, database(i, j), data_j)`` per bit j, between two H."""
+    n, m = layout.n, layout.m
+    gates = [gate(GateKind.X, layout.database_qubit(i, j))
+             for i, key in enumerate(keys)
+             for j, bit in enumerate(key) if bit == "1"]
+    ladder = layout.ladder_qubits()
+    for i in range(len(keys)):
+        pattern = format(i, f"0{n}b")
+        conjugate = [gate(GateKind.X, b) for b in range(n) if pattern[b] == "0"]
+        gates.extend(conjugate)
+        for j in range(m):
+            target = layout.data_qubit(j)
+            gates.append(gate(GateKind.H, target))
+            gates.extend(mcz_ladder(
+                (*range(n), layout.database_qubit(i, j), target), ladder))
+            gates.append(gate(GateKind.H, target))
+        gates.extend(conjugate)
+    return tuple(gates)
 
 
 def macro_counts(circuit: Circuit) -> dict[GateKind, int]:

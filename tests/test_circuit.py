@@ -10,14 +10,16 @@ from hypothesis import strategies as st
 
 from qsearch.circuit import (
     Circuit,
+    Gate,
     GateKind,
     Register,
     Schedule,
+    _derive_template,
     gate,
     resource_tally,
     tally_flat,
 )
-from qsearch.decompose import decompose_toffoli, lower_circuit
+from qsearch.decompose import ccz_gates, decompose_toffoli, lower_circuit
 from qsearch.errors import (
     CircuitError,
     MacroGateError,
@@ -184,6 +186,28 @@ def test_reversed_stream_tallies_as_the_inverse(circ):
     total = circ.total_qubits
     assert (tally_flat(reversed(circ.gates), total)
             == tally_flat(circ.inverted().gates, total))
+
+
+def test_macro_templates_are_rank_one():
+    toffoli = _derive_template(decompose_toffoli(0, 1, 2))
+    mcz = _derive_template(ccz_gates(0, 1, 2))
+    assert (toffoli.entry, toffoli.exit, toffoli.t_layers) == (
+        (0, 0, 0), (12, 10, 13), (4, 7, 10))
+    assert (mcz.entry, mcz.exit, mcz.t_layers) == (
+        (0, 0, -1), (12, 10, 12), (4, 7, 10))
+    assert (toffoli.last, mcz.last) == (13, 12)
+
+
+def test_template_derivation_rejects_fragments_that_are_not_rank_one():
+    t, cnot = GateKind.T, GateKind.CNOT
+    # qubit 0's row never depends on operands 1 and 2
+    with pytest.raises(CircuitError):
+        _derive_template([Gate(t, (0,)), Gate(cnot, (1, 2))])
+    # every row depends on all three operands, but qubit 0 leaves (4, 4, 3)
+    # and qubit 1 (2, 2, 2): no shared entry offsets
+    with pytest.raises(CircuitError):
+        _derive_template([Gate(t, (2,)), Gate(cnot, (0, 1)), Gate(cnot, (1, 2)),
+                          Gate(t, (0,)), Gate(t, (0,)), Gate(cnot, (0, 2))])
 
 
 def test_gate_operands_must_be_distinct():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from qsearch.qdam import (
 from qsearch.sim import SparseState, basis_pattern
 
 from conftest import toy_db
-from oracles import build_qdam, macro_counts
+from oracles import build_qdam, macro_counts, naive_loader_gates
 
 B = Register.BINARY_INDEX
 U = Register.ONEHOT_INDEX
@@ -218,6 +219,22 @@ def test_naive_macro_count():
     layout = NaiveLayout(3, 2)
     circ = build_naive_qdam(layout, ["00"] * 8)
     assert macro_counts(circ)[GateKind.MCZ] == 16  # m * 2^n
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_naive_loader_equals_one_ladder_per_record_bit(n):
+    rng = random.Random(400 + n)
+    for m in (1, 2, 3):
+        layout = NaiveLayout(n, m)
+        keys = ["".join(rng.choice("01") for _ in range(m)) for _ in range(1 << n)]
+        flipped = ["".join("1" if b == "0" else "0" for b in key) for key in keys]
+        for pattern in (keys, flipped):  # between them, every database X
+            circ = build_naive_qdam(layout, pattern)
+            assert circ.gates == naive_loader_gates(layout, pattern)
+            # n = 1 has no chain; each further index bit adds an up and a
+            # down Toffoli to every one of the m * 2^n ladders
+            assert macro_counts(circ).get(GateKind.TOFFOLI, 0) == (
+                2 * (n - 1) * m << n)
 
 
 def test_shape_mismatch_rejected():

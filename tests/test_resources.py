@@ -235,6 +235,22 @@ def test_measure_naive_equals_the_gate_level_stream(n):
             macro.total_qubits)
 
 
+@pytest.mark.parametrize(("n", "m", "expected"), [
+    (7, 1, (4992, 10011, 23359)),
+    (7, 2, (9984, 19995, 46655)),
+    (8, 1, (11520, 23073, 53837)),
+    (8, 2, (23040, 46113, 107597)),
+    (9, 1, (26112, 52263, 121947)),
+    (9, 2, (52224, 104487, 243803)),
+])
+def test_naive_report_at_the_benchmark_widths(n, m, expected):
+    # the widths of the benchmark's naive workload, above what the gate-level
+    # comparisons reach
+    report = measure_naive(n, m)
+    assert (report.t_depth_qdam, report.t_depth_kernel,
+            report.t_count_total) == expected
+
+
 def _lower_each_and_tally(circuits, iterations):
     """Report fields from one tally of each separately lowered circuit."""
     ladder = circuits.layout.ladder_qubits()

@@ -9,6 +9,9 @@ bit-reproducible:
   register.  The layouts in :mod:`qsearch.qdam` name the qubits; the IR
   stores only the indices, and :meth:`Circuit.export_json` turns them back
   into ``"REGISTER:offset"`` labels.
+* A gate is a plain ``(kind, qubits)`` tuple, built as a literal: a tuple
+  costs about a tenth of a NamedTuple to make, and the builders and the
+  lowering make one per gate.  Readers unpack it as ``kind, ops``.
 * In basis labels the first qubit is the most significant bit: flat qubit
   ``g`` is bit ``total-1-g``, so basis index ``b`` assigns it
   ``(b >> (total-1-g)) & 1``.
@@ -94,9 +97,9 @@ _EXPORT_NAME = {kind: kind.value for kind in GateKind}
 _EXPORT_NAME[GateKind.TOFFOLI] = "CCX"
 
 
-class Gate(NamedTuple):
-    kind: GateKind
-    qubits: tuple[int, ...]  # flat qubit indices; controls precede the target
+# (kind, flat qubits), controls before the target: a plain tuple, since a
+# NamedTuple or tuple subclass pays a Python-level ``__new__`` per gate
+Gate = tuple[GateKind, tuple[int, ...]]
 
 
 def gate(kind: GateKind, *qubits: int) -> Gate:
@@ -108,7 +111,7 @@ def gate(kind: GateKind, *qubits: int) -> Gate:
         raise CircuitError("MCZ takes at least 2 qubits")
     if len(set(qubits)) != len(qubits):
         raise OperandOverlapError(f"duplicate operands in {kind.value}: {qubits}")
-    return Gate(kind, tuple(qubits))
+    return (kind, tuple(qubits))
 
 
 class Circuit:
@@ -133,16 +136,16 @@ class Circuit:
 
     def _validate(self) -> None:
         total = self.total_qubits
-        for g in self.gates:
-            if len(set(g.qubits)) != len(g.qubits):
-                raise OperandOverlapError(f"duplicate operands: {g}")
-            for q in g.qubits:
+        for kind, ops in self.gates:
+            if len(set(ops)) != len(ops):
+                raise OperandOverlapError(f"duplicate operands in {kind.value}: {ops}")
+            for q in ops:
                 if not 0 <= q < total:
                     raise CircuitError(f"qubit {q} outside the {total} qubits of {self!r}")
 
     @property
     def is_lowered(self) -> bool:
-        return all(g.kind in LOWERED_KINDS for g in self.gates)
+        return all(kind in LOWERED_KINDS for kind, _ in self.gates)
 
     def flat_gates(self) -> tuple[Gate, ...]:
         # the gates are flat already; the benchmark's tracer patches this name
@@ -164,7 +167,7 @@ class Circuit:
         adjoint = _ADJOINT.get
         return Circuit(
             self.register_sizes,
-            tuple(Gate(adjoint(kind, kind), ops) for kind, ops in reversed(self.gates)),
+            tuple((adjoint(kind, kind), ops) for kind, ops in reversed(self.gates)),
             validate=False,
         )
 
@@ -183,8 +186,8 @@ class Circuit:
                 if size > 0
             },
             "gates": [
-                {"gate": _EXPORT_NAME[g.kind], "qubits": [labels[q] for q in g.qubits]}
-                for g in self.gates
+                {"gate": _EXPORT_NAME[kind], "qubits": [labels[q] for q in ops]}
+                for kind, ops in self.gates
             ],
         }
         return json.dumps(doc, indent=2) + "\n"
@@ -290,7 +293,7 @@ class Schedule:
         self._t_layers: set[int] = set()
         self._t_count = self._cnot_count = self._max_layer = 0
 
-    def feed(self, gates: Iterable[tuple[GateKind, tuple[int, ...]]]) -> "Schedule":
+    def feed(self, gates: Iterable[Gate]) -> "Schedule":
         """Schedule ``gates`` after everything fed so far."""
         templates = _macro_templates()
         avail = self._avail
@@ -347,7 +350,7 @@ class Schedule:
 
 
 def tally_flat(
-    gates: Iterable[tuple[GateKind, tuple[int, ...]]], total_qubits: int
+    gates: Iterable[Gate], total_qubits: int
 ) -> ResourceTally:
     """ASAP-schedule a stream of gates over flat qubit indices and tally it
     in one pass: the one-shot form of :class:`Schedule`."""

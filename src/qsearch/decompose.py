@@ -42,27 +42,27 @@ def ccz_gates(x: int, y: int, z: int) -> list[Gate]:
     schedule padding and cancel exactly.
     """
     return [
-        Gate(_K.CNOT, (x, y)),   # y = a^b
-        Gate(_K.CNOT, (y, z)),   # z = a^b^c
-        Gate(_K.CNOT, (z, x)),   # x = b^c
-        Gate(_K.SDG, (y,)),
-        Gate(_K.TDG, (x,)),      # -(b^c)
-        Gate(_K.T, (y,)),        # SDG+T = -(a^b)
-        Gate(_K.T, (z,)),        # +(a^b^c)
-        Gate(_K.CNOT, (z, x)),   # x = a
-        Gate(_K.CNOT, (x, y)),   # y = b
-        Gate(_K.S, (z,)),
-        Gate(_K.T, (x,)),        # +a
-        Gate(_K.T, (y,)),        # +b
-        Gate(_K.SDG, (z,)),      # cancels the S pad
-        Gate(_K.CNOT, (y, z)),   # z = a^c
-        Gate(_K.CNOT, (z, x)),   # x = c
-        Gate(_K.S, (y,)),
-        Gate(_K.T, (x,)),        # +c
-        Gate(_K.TDG, (z,)),      # -(a^c)
-        Gate(_K.SDG, (y,)),      # cancels the S pad
-        Gate(_K.CNOT, (z, x)),   # x = a
-        Gate(_K.CNOT, (x, z)),   # z = c
+        (_K.CNOT, (x, y)),   # y = a^b
+        (_K.CNOT, (y, z)),   # z = a^b^c
+        (_K.CNOT, (z, x)),   # x = b^c
+        (_K.SDG, (y,)),
+        (_K.TDG, (x,)),      # -(b^c)
+        (_K.T, (y,)),        # SDG+T = -(a^b)
+        (_K.T, (z,)),        # +(a^b^c)
+        (_K.CNOT, (z, x)),   # x = a
+        (_K.CNOT, (x, y)),   # y = b
+        (_K.S, (z,)),
+        (_K.T, (x,)),        # +a
+        (_K.T, (y,)),        # +b
+        (_K.SDG, (z,)),      # cancels the S pad
+        (_K.CNOT, (y, z)),   # z = a^c
+        (_K.CNOT, (z, x)),   # x = c
+        (_K.S, (y,)),
+        (_K.T, (x,)),        # +c
+        (_K.TDG, (z,)),      # -(a^c)
+        (_K.SDG, (y,)),      # cancels the S pad
+        (_K.CNOT, (z, x)),   # x = a
+        (_K.CNOT, (x, z)),   # z = c
     ]
 
 
@@ -70,7 +70,7 @@ def decompose_toffoli(c1: int, c2: int, target: int) -> list[Gate]:
     """Lowered Toffoli fragment: 7 T gates, measured T-depth 3, no ancilla."""
     if len({c1, c2, target}) != 3:
         raise OperandOverlapError("Toffoli operands must be distinct")
-    h = Gate(_K.H, (target,))
+    h = (_K.H, (target,))
     return [h, *ccz_gates(c1, c2, target), h]
 
 
@@ -123,21 +123,19 @@ def shared_control_layer(
         new = []
         for src in sources:
             dst = next(fresh)
-            gates.append(Gate(_K.CNOT, (src, dst)))
+            gates.append((_K.CNOT, (src, dst)))
             new.append(dst)
         if room < len(carriers):
             for q in idle:
-                gates.append(Gate(_K.S, (q,)))
-                pad_sdg.append(Gate(_K.SDG, (q,)))
+                gates.append((_K.S, (q,)))
+                pad_sdg.append((_K.SDG, (q,)))
         carriers.extend(new)
 
     fanout = list(gates)
     for (second, target), carrier in zip(pairs, carriers):
-        gates.append(Gate(_K.TOFFOLI, (second, carrier, target)))
+        gates.append((_K.TOFFOLI, (second, carrier, target)))
     gates.extend(pad_sdg)
-    for g in reversed(fanout):
-        if g.kind is _K.CNOT:
-            gates.append(g)
+    gates.extend(g for g in reversed(fanout) if g[0] is _K.CNOT)
     return gates
 
 

@@ -39,7 +39,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .circuit import Circuit, GateKind, Register, gate
 from .database import Database, SearchQuery
@@ -53,6 +53,9 @@ from .sim import (
     negate,
     reflect_about_uniform,
 )
+
+if TYPE_CHECKING:  # resources imports this module; annotations only
+    from .resources import ResourceReport
 
 _K = GateKind
 
@@ -87,7 +90,7 @@ class SearchResult:
     success_probability: float
     iterations: int
     probabilities: list[float]
-    resources: "object"  # ResourceReport; typed loosely to avoid an import cycle
+    resources: ResourceReport
     peak_support: int = 0  # largest support of the reload check's SparseState
 
     def to_json(self) -> dict:
@@ -107,7 +110,7 @@ class SearchResult:
                 }
                 for k, p in enumerate(self.probabilities)
             ],
-            "resources": self.resources.to_json() if self.resources else None,
+            "resources": self.resources.to_json(),
         }
 
 

@@ -14,7 +14,10 @@ The optimized loader runs in two stages:
   and CNOT fan-in copies E into the data register.  All m*2^n Toffolis act
   on disjoint triples after control fan-out, so the whole block costs one
   Toffoli of T-depth.  The E ancillas keep their (branch-deterministic)
-  values until the inverse loader uncomputes them.
+  values until the inverse loader uncomputes them.  Every record's block
+  has one shape: record 0's is built and validated once, and record i's
+  is it with each operand moved i strides of its region (one-hot 1,
+  database and load m, fan-out m - 1).
 
 Emission order is chosen so the lowered blocks merge their T layers: the
 clearing CNOTs leave all one-hot qubits last-touched in a common scheduler
@@ -198,20 +201,26 @@ def build_m1(layout: QdamLayout) -> Circuit:
 
 def build_m2(layout: QdamLayout, db: Database | Sequence[str]) -> Circuit:
     """Stage 2: prepare the database region and load key bits into data
-    qubits through the one-hot register."""
+    qubits through the one-hot register.  One validated record block is
+    repeated with per-region strides; the last record's fan-out lease is
+    checked, so each moved block stays in its regions and distinct-operand."""
     keys = _key_bits(layout.n, layout.m, db)
     n, m = layout.n, layout.m
     records = 1 << n
     # database bit (i, j) and load ancilla E(i, j) sit at offset i*m + j of
     # their regions, the offset of bit j of key i in the joined keys
     database, load = layout.database_qubit(0, 0), layout.load_qubit(0, 0)
-    gates: list[Gate] = [Gate(_K.X, (database + k,))
+    gates: list[Gate] = [(_K.X, (database + k,))
                          for k, bit in enumerate("".join(keys)) if bit == "1"]
+    layout.fanout_lease((records - 1) * (m - 1), m - 1)
+    control, lease = layout.onehot_qubit(0), layout.fanout_lease(0, m - 1)
+    pairs = [(database + j, load + j) for j in range(m)]
+    block = shared_control_layer(control, pairs, lease)
+    stride = {control: 1, **dict.fromkeys(lease, m - 1),
+              **{q: m for pair in pairs for q in pair}}
     for i in range(records):
-        row = i * m
-        pairs = [(database + row + j, load + row + j) for j in range(m)]
-        lease = layout.fanout_lease(i * (m - 1), m - 1)
-        gates.extend(shared_control_layer(layout.onehot_qubit(i), pairs, lease))
+        moved = {q: q + i * step for q, step in stride.items()}.__getitem__
+        gates.extend([(kind, tuple(map(moved, ops))) for kind, ops in block])
     for j in range(m):
         column = range(load + j, load + records * m, m)
         gates.extend(_fold_fan_in(column, layout.data_qubit(j)))
@@ -234,13 +243,13 @@ def _fold_fan_in(column: Sequence[int], target: int) -> list[Gate]:
     span = 1
     while span < k:
         for i in range(0, k, 2 * span):
-            gates.append(Gate(_K.CNOT, (column[i + span], column[i])))
+            gates.append((_K.CNOT, (column[i + span], column[i])))
         span <<= 1
-    gates.append(Gate(_K.CNOT, (column[0], target)))
+    gates.append((_K.CNOT, (column[0], target)))
     while span > 1:
         span >>= 1
         for i in range(0, k, 2 * span):
-            gates.append(Gate(_K.CNOT, (column[i + span], column[i])))
+            gates.append((_K.CNOT, (column[i + span], column[i])))
     return gates
 
 
@@ -253,17 +262,17 @@ def build_naive_qdam(layout: NaiveLayout, db: Database | Sequence[str]) -> Circu
     database, data = layout.database_qubit(0, 0), layout.data_qubit(0)
     # the binary index qubits are flat qubits 0 .. n-1
     ladder = mcz_ladder((*range(n), database, data), layout.ladder_qubits())
-    up, acc, down = ladder[:n - 1], ladder[n - 1].qubits[0], ladder[n:]
-    flips = [Gate(_K.X, (b,)) for b in range(n)]
-    hadamards = [Gate(_K.H, (data + j,)) for j in range(m)]
-    gates: list[Gate] = [Gate(_K.X, (database + k,))
+    up, acc, down = ladder[:n - 1], ladder[n - 1][1][0], ladder[n:]
+    flips = [(_K.X, (b,)) for b in range(n)]
+    hadamards = [(_K.H, (data + j,)) for j in range(m)]
+    gates: list[Gate] = [(_K.X, (database + k,))
                          for k, bit in enumerate("".join(keys)) if bit == "1"]
     for i in range(len(keys)):
         # X on the index qubits that are 0 in i, most significant first
         conjugate = [flips[b] for b in range(n) if not i >> (n - 1 - b) & 1]
         gates.extend(conjugate)
         for j, h in enumerate(hadamards):
-            apex = Gate(_K.MCZ, (acc, database + i * m + j, data + j))
+            apex = (_K.MCZ, (acc, database + i * m + j, data + j))
             gates.extend((h, *up, apex, *down, h))
         gates.extend(conjugate)
     return Circuit(layout.register_sizes, gates, validate=False)

@@ -116,18 +116,20 @@ def _reflection_toffoli_equivalents(width: int) -> int:
 
 # the largest index width each report can be computed for: the closed
 # forms take sqrt(2^n) as a float, and a measured report builds m * 2^n
-# Toffolis
+# Toffolis, so it also caps m * 2^n at what n <= MAX_MEASURED_N allows at m = 1
 MAX_BOUND_N = 1023
 MAX_MEASURED_N = 20
 
 
-def _check_widths(n: int, m: int, max_n: int) -> None:
-    """Reject report widths below 1, or an index width above ``max_n``,
-    with :class:`InputError`."""
+def _check_widths(n: int, m: int, max_n: int, max_bits: int | None = None) -> None:
+    """Reject report widths below 1, an index width above ``max_n``, or more
+    than ``max_bits`` record bits m * 2^n, with :class:`InputError`."""
     if n < 1 or m < 1:
         raise InputError("widths must be positive")
     if n > max_n:
         raise InputError(f"this report supports n <= {max_n}, got {n}")
+    if max_bits is not None and m << n > max_bits:
+        raise InputError(f"this report supports m * 2^n <= {max_bits}, got {m} * 2^{n}")
 
 
 def estimate_bounds(n: int, m: int) -> ResourceReport:
@@ -211,7 +213,7 @@ def measure_kernel(circuits: KernelCircuits, iterations: int) -> ResourceReport:
 
 def measure(n: int, m: int) -> ResourceReport:
     """Measured report for the optimized kernel at the given widths."""
-    _check_widths(n, m, MAX_MEASURED_N)
+    _check_widths(n, m, MAX_MEASURED_N, 1 << MAX_MEASURED_N)
     layout = QdamLayout(n, m)
     keys = _zero_keys(n, m)
     circuits = build_kernel_circuits(layout, keys, "0" * m)
@@ -230,7 +232,7 @@ def measure_naive(n: int, m: int) -> ResourceReport:
     a 3-operand MCZ.  The kernel depth is composed per subroutine
     (2*loader + both reflections); scheduling the concatenation twice would
     add nothing but runtime."""
-    _check_widths(n, m, MAX_MEASURED_N)
+    _check_widths(n, m, MAX_MEASURED_N, 1 << MAX_MEASURED_N)
     layout = NaiveLayout(n, m)
     macro = build_naive_qdam(layout, _zero_keys(n, m))
     total = sum(layout.register_sizes.values())

@@ -17,9 +17,9 @@ import math
 import numpy as np
 
 from qsearch.circuit import REGISTER_ORDER, Circuit, Gate, GateKind, Register, gate
-from qsearch.decompose import mcz_ladder
+from qsearch.decompose import mcz_ladder, shared_control_layer
 from qsearch.errors import CircuitError, MacroGateError
-from qsearch.qdam import build_m1, build_m2
+from qsearch.qdam import _fold_fan_in, build_m1, build_m2
 
 DEFAULT_DENSE_CAP = 14
 
@@ -179,6 +179,26 @@ def build_qdam(layout, db) -> Circuit:
     return build_m1(layout) + build_m2(layout, db)
 
 
+def stage2_per_record_gates(layout, keys) -> tuple[Gate, ...]:
+    """Stage 2 built one record at a time: a validated X per 1 bit of the
+    database, then for record i one :func:`shared_control_layer` call on
+    one-hot i over its pairs (database(i, j), load(i, j)) and its own fan-out
+    lease, then the fan-in of each data bit."""
+    m = layout.m
+    gates = [gate(GateKind.X, layout.database_qubit(i, j))
+             for i, key in enumerate(keys)
+             for j, bit in enumerate(key) if bit == "1"]
+    for i in range(len(keys)):
+        pairs = [(layout.database_qubit(i, j), layout.load_qubit(i, j))
+                 for j in range(m)]
+        lease = layout.fanout_lease(i * (m - 1), m - 1)
+        gates.extend(shared_control_layer(layout.onehot_qubit(i), pairs, lease))
+    for j in range(m):
+        column = [layout.load_qubit(i, j) for i in range(len(keys))]
+        gates.extend(_fold_fan_in(column, layout.data_qubit(j)))
+    return tuple(gates)
+
+
 def naive_loader_gates(layout, keys) -> tuple[Gate, ...]:
     """The naive loader's gates, built one record bit at a time: a
     validated X per 1 bit of the database, then for record i the X
@@ -205,8 +225,8 @@ def naive_loader_gates(layout, keys) -> tuple[Gate, ...]:
 
 def macro_counts(circuit: Circuit) -> dict[GateKind, int]:
     counts: dict[GateKind, int] = {}
-    for g in circuit.gates:
-        counts[g.kind] = counts.get(g.kind, 0) + 1
+    for kind, _ in circuit.gates:
+        counts[kind] = counts.get(kind, 0) + 1
     return counts
 
 

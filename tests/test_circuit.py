@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from qsearch.circuit import (
     Circuit,
-    Gate,
     GateKind,
     Register,
     Schedule,
@@ -86,7 +85,7 @@ def _reference_layers(circ):
     for g in circ.gates:
         layer = 0
         for i, placed in enumerate(layers):
-            if any(set(h.qubits) & set(g.qubits) for h in placed):
+            if any(set(h[1]) & set(g[1]) for h in placed):
                 layer = i + 1
         if layer == len(layers):
             layers.append([])
@@ -102,13 +101,13 @@ def test_scheduler_layers_never_share_qubits():
         layers = _reference_layers(circ)
         for layer in layers:
             seen = set()
-            for g in layer:
-                assert not seen.intersection(g.qubits)
-                seen.update(g.qubits)
+            for _, ops in layer:
+                assert not seen.intersection(ops)
+                seen.update(ops)
         tally = resource_tally(circ)
         assert tally.total_layers == len(layers)
         assert tally.t_depth == sum(
-            any(g.kind in t_kinds for g in layer) for layer in layers
+            any(kind in t_kinds for kind, _ in layer) for layer in layers
         )
 
 
@@ -202,12 +201,12 @@ def test_template_derivation_rejects_fragments_that_are_not_rank_one():
     t, cnot = GateKind.T, GateKind.CNOT
     # qubit 0's row never depends on operands 1 and 2
     with pytest.raises(CircuitError):
-        _derive_template([Gate(t, (0,)), Gate(cnot, (1, 2))])
+        _derive_template([(t, (0,)), (cnot, (1, 2))])
     # every row depends on all three operands, but qubit 0 leaves (4, 4, 3)
     # and qubit 1 (2, 2, 2): no shared entry offsets
     with pytest.raises(CircuitError):
-        _derive_template([Gate(t, (2,)), Gate(cnot, (0, 1)), Gate(cnot, (1, 2)),
-                          Gate(t, (0,)), Gate(t, (0,)), Gate(cnot, (0, 2))])
+        _derive_template([(t, (2,)), (cnot, (0, 1)), (cnot, (1, 2)),
+                          (t, (0,)), (t, (0,)), (cnot, (0, 2))])
 
 
 def test_gate_operands_must_be_distinct():

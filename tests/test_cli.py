@@ -304,13 +304,24 @@ def test_bad_flags_exit_three(capsys):
     assert code == 3
 
 
-@pytest.mark.parametrize("argv", [
-    ["--n", "1024", "--m", "1"],
-    ["--n", "64", "--m", "1", "--mode", "measured"],
-    ["--n", "64", "--m", "1", "--mode", "naive"],
-], ids=["bound", "measured", "naive"])
-def test_estimate_above_the_width_limit_exits_three(capsys, argv):
-    code, out, err = _run(capsys, "estimate", *argv)
+_HUGE_M = ["--m", "100000000"]
+
+
+@pytest.mark.parametrize("argv, limit", [
+    (["estimate", "--n", "1024", "--m", "1"], "n <="),
+    (["estimate", "--n", "64", "--m", "1", "--mode", "measured"], "n <="),
+    (["estimate", "--n", "64", "--m", "1", "--mode", "naive"], "n <="),
+    # a measured report builds m * 2^n Toffolis, so m is capped with n
+    (["estimate", "--n", "1", *_HUGE_M, "--mode", "measured"], "m * 2^n <="),
+    (["estimate", "--n", "1", *_HUGE_M, "--mode", "naive"], "m * 2^n <="),
+    (["bench", "--n-min", "1", "--n-max", "1", *_HUGE_M, "--out", _UNWRITABLE],
+     "m * 2^n <="),
+    (["estimate", "--n", "20", "--m", "2", "--mode", "measured"], "m * 2^n <="),
+], ids=["bound", "measured", "naive", "measured-m", "naive-m", "bench-m",
+        "measured-one-over"])
+def test_estimate_above_the_width_limit_exits_three(capsys, argv, limit):
+    code, out, err = _run(capsys, *argv)
     assert code == 3
     assert out == ""
-    assert err.startswith("error: ") and "n <=" in err
+    assert err.startswith("error: ") and limit in err
+

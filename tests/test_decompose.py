@@ -155,13 +155,13 @@ def test_layer_rejects_insufficient_ancillas():
 
 def test_ladder_single_qubit_is_plain_z():
     frag = mcz_ladder([_d(0)])
-    assert [g.kind for g in frag] == [GateKind.Z]
+    assert [kind for kind, _ in frag] == [GateKind.Z]
     assert resource_tally(Circuit({D: 1}, frag)).t_depth == 0
 
 
 def test_ladder_two_qubits_is_clifford_cz():
     frag = mcz_ladder([_d(0), _d(1)])
-    assert [g.kind for g in frag] == [GateKind.CZ]
+    assert [kind for kind, _ in frag] == [GateKind.CZ]
     assert resource_tally(Circuit({D: 2}, frag)).t_depth == 0
 
 

@@ -12,6 +12,7 @@ import pytest
 from qsearch.circuit import Circuit, GateKind, Register, gate, resource_tally
 from qsearch.decompose import lower_circuit
 from qsearch.errors import CircuitError
+from qsearch.grover import build_kernel_circuits
 from qsearch.qdam import (
     NaiveLayout,
     QdamLayout,
@@ -22,7 +23,12 @@ from qsearch.qdam import (
 from qsearch.sim import SparseState, basis_pattern
 
 from conftest import toy_db
-from oracles import build_qdam, macro_counts, naive_loader_gates
+from oracles import (
+    build_qdam,
+    macro_counts,
+    naive_loader_gates,
+    stage2_per_record_gates,
+)
 
 B = Register.BINARY_INDEX
 U = Register.ONEHOT_INDEX
@@ -235,6 +241,30 @@ def test_naive_loader_equals_one_ladder_per_record_bit(n):
             # down Toffoli to every one of the m * 2^n ladders
             assert macro_counts(circ).get(GateKind.TOFFOLI, 0) == (
                 2 * (n - 1) * m << n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_stage2_record_block_equals_one_layer_per_record(n):
+    rng = random.Random(500 + n)
+    for m in (1, 2, 3, 4):  # m = 1 has no fan-out lease
+        layout = QdamLayout(n, m)
+        keys = ["".join(rng.choice("01") for _ in range(m)) for _ in range(1 << n)]
+        assert build_m2(layout, keys).gates == stage2_per_record_gates(layout, keys)
+
+
+def test_every_builder_emits_plain_tuple_gates():
+    # a NamedTuple or tuple subclass would cost a Python-level __new__ per gate
+    layout = QdamLayout(3, 2)
+    keys = ["01", "10", "11", "00", "01", "10", "11", "00"]
+    circuits = build_kernel_circuits(layout, keys, "10")
+    streams = [
+        circuits.stage1, circuits.stage2, circuits.loader,
+        circuits.target_reflection, circuits.diffusion, circuits.kernel(),
+        circuits.loader.inverted(), lower_circuit(circuits.loader),
+        build_naive_qdam(NaiveLayout(3, 2), keys),
+    ]
+    for circuit in streams:
+        assert all(type(g) is tuple and type(g[1]) is tuple for g in circuit.gates)
 
 
 def test_shape_mismatch_rejected():

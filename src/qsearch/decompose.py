@@ -1,6 +1,6 @@
 """Lowering of macro gates to Clifford+T.
 
-Three building blocks:
+Four building blocks:
 
 * :func:`decompose_toffoli` -- a 7-T fragment whose three T stages land in
   exactly three scheduler layers.  The stage boundaries are CNOT pairs that
@@ -14,12 +14,16 @@ Three building blocks:
   its SDG after the block) to stay aligned.
 * :func:`mcz_ladder` -- phase flip on the all-ones subspace of k qubits:
   an AND chain of Toffolis into borrowed ancillas with a CCZ apex, then
-  uncomputation.  Degenerate sizes emit Z / CZ / plain CCZ.
+  uncomputation.  Degenerate sizes emit Z / CZ / plain CCZ.  T-depth
+  linear in k; the naive loader and the lowering of a wide MCZ use it.
+* :func:`mcz_tree` -- the same phase flip with as many Toffolis into the
+  same ancillas, arranged as a balanced AND tree, so its T-depth grows as
+  log k.  The reflections of the search kernel use it.
 
 :func:`lower_gates` is the only lowering: it expands TOFFOLI and MCZ macros
-using these blocks, gate by gate.  Operands are flat qubit indices, as
-everywhere in :mod:`qsearch.circuit`.  The scheduler derives its macro
-templates from the fragments over the operands 0, 1, 2
+gate by gate, a wide MCZ through :func:`mcz_ladder`.  Operands are flat
+qubit indices, as everywhere in :mod:`qsearch.circuit`.  The scheduler
+derives its macro templates from the fragments over the operands 0, 1, 2
 (:class:`qsearch.circuit.Schedule`), so what it counts is what this
 module emits.  All emitted ancillas are returned to |0> on every input.
 """
@@ -170,44 +174,97 @@ def sync_touch(qubits: Sequence[int]) -> list[Gate]:
     return gates
 
 
+# the flip over at most three qubits needs no ancilla
+_SMALL_FLIP = {1: _K.Z, 2: _K.CZ, 3: _K.MCZ}
+
+
+def _borrowed(qubits: Sequence[int], ancillas: Sequence[int]) -> tuple[int, ...]:
+    """The k-3 ancillas a k-qubit phase flip borrows (none below k = 4),
+    checked against its operands."""
+    if len(set(qubits)) != len(qubits):
+        raise OperandOverlapError("phase-flip qubits must be distinct")
+    k = len(qubits)
+    if k == 0:
+        raise OperandOverlapError("phase flip needs at least one qubit")
+    needed = max(0, k - 3)
+    borrowed = tuple(ancillas)[:needed]
+    if len(borrowed) < needed:
+        raise AncillaBudgetError(
+            f"{k - 1}-control Z needs {needed} ladder ancillas, got {len(borrowed)}"
+        )
+    if set(borrowed) & set(qubits):
+        raise OperandOverlapError("ladder ancilla overlaps an operand")
+    return borrowed
+
+
 def mcz_ladder(
     qubits: Sequence[int],
     ladder_ancillas: Sequence[int] = (),
 ) -> list[Gate]:
     """Phase flip of the |1...1> branch over ``qubits`` (k = c+1 qubits for a
     c-control Z).  Macro-level: chain TOFFOLIs + MCZ apex; uses k-3 borrowed
-    ancillas for k >= 4, none below.
+    ancillas for k >= 4, none below.  Standalone T-depth 3(2k-5) for k >= 4.
     """
     qubits = tuple(qubits)
-    if len(set(qubits)) != len(qubits):
-        raise OperandOverlapError("ladder qubits must be distinct")
-    k = len(qubits)
-    if k == 0:
-        raise OperandOverlapError("ladder needs at least one qubit")
-    if k == 1:
-        return [gate(_K.Z, qubits[0])]
-    if k == 2:
-        return [gate(_K.CZ, qubits[0], qubits[1])]
-    if k == 3:
-        return [gate(_K.MCZ, *qubits)]
-
-    ancillas = tuple(ladder_ancillas)
-    needed = k - 3
-    if len(ancillas) < needed:
-        raise AncillaBudgetError(
-            f"{k - 1}-control Z needs {needed} ladder ancillas, got {len(ancillas)}"
-        )
-    for a in ancillas[:needed]:
-        if a in qubits:
-            raise OperandOverlapError("ladder ancilla overlaps an operand")
-
+    ancillas = _borrowed(qubits, ladder_ancillas)
+    if len(qubits) <= 3:
+        return [(_SMALL_FLIP[len(qubits)], qubits)]
     up: list[Gate] = []
     acc = qubits[0]
-    for i in range(needed):
-        up.append(gate(_K.TOFFOLI, acc, qubits[i + 1], ancillas[i]))
-        acc = ancillas[i]
-    apex = gate(_K.MCZ, acc, qubits[k - 2], qubits[k - 1])
-    return up + [apex] + [g for g in reversed(up)]
+    for i, a in enumerate(ancillas):
+        up.append((_K.TOFFOLI, (acc, qubits[i + 1], a)))
+        acc = a
+    apex = (_K.MCZ, (acc, qubits[-2], qubits[-1]))
+    return up + [apex] + up[::-1]
+
+
+def mcz_tree(qubits: Sequence[int], ancillas: Sequence[int] = ()) -> list[Gate]:
+    """The phase flip of :func:`mcz_ladder`, with as many Toffolis into the
+    same k-3 borrowed ancillas, as a balanced AND tree.
+
+    The operands split into three near-equal groups, each halved
+    recursively, so no group has more than 2^L leaves, L = ceil(log2(k/3)).
+    Toffolis AND pairs of nodes into fresh ancillas, a CCZ apex flips the
+    three roots, and the Toffolis are undone in reverse.  From operands
+    that enter the schedule together, the T-depth is 3(2L + 1) for k >= 4
+    (three layers for each compute level, the apex and each uncompute
+    level) against the ladder's 3(2k - 5).
+
+    A fragment frees its middle operand two layers before the other two,
+    so in the uncompute a middle-slot ancilla would re-enter early and
+    miss its level's T layers.  The middle slot takes a leaf where a node
+    has one; an ancilla there gets an S then SDG (identity) after the
+    fragment that frees it.
+    """
+    qubits = tuple(qubits)
+    borrowed = _borrowed(qubits, ancillas)
+    k = len(qubits)
+    if k <= 3:
+        return [(_SMALL_FLIP[k], qubits)]
+    fresh = iter(borrowed)
+    up: list[Gate] = []
+
+    def node(leaves: tuple[int, ...]) -> int:
+        if len(leaves) == 1:
+            return leaves[0]
+        half = (len(leaves) + 1) // 2  # the larger half first: a leaf is last
+        x, y = node(leaves[:half]), node(leaves[half:])
+        target = next(fresh)
+        up.append((_K.TOFFOLI, (x, y, target)))
+        return target
+
+    g1, g2 = k // 3 + (k % 3 > 0), k // 3 + (k % 3 > 1)  # the largest first
+    r1, r2, r3 = node(qubits[:g1]), node(qubits[g1:g1 + g2]), node(qubits[g1 + g2:])
+    # the deepest root enters the apex last, where an operand may enter one
+    # layer late, and the smallest group takes the middle slot
+    mirror: list[Gate] = []
+    pool = set(borrowed)
+    for g in [(_K.MCZ, (r2, r3, r1)), *reversed(up)]:
+        mirror.append(g)
+        middle = g[1][1]
+        if middle in pool:
+            mirror += [(_K.S, (middle,)), (_K.SDG, (middle,))]
+    return up + mirror
 
 
 def lower_gates(

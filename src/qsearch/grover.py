@@ -41,9 +41,9 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .circuit import Circuit, GateKind, Register, gate
+from .circuit import Circuit, Gate, GateKind, Register, gate
 from .database import Database, SearchQuery
-from .decompose import lower_circuit, mcz_ladder, sync_touch
+from .decompose import lower_circuit, mcz_tree, sync_touch
 from .errors import CircuitError, InputError, QueryError
 from .qdam import QdamLayout
 from .sim import (
@@ -114,40 +114,56 @@ class SearchResult:
         }
 
 
+def _sync_block(layout: QdamLayout, qubits: Sequence[int]) -> list[Gate]:
+    """:func:`sync_touch` over ``qubits``, padded to a power of two with
+    ladder ancillas, which it leaves as it found them.  The pool always
+    has room: w qubits need 2^ceil(log2 w) - w <= w - 2 pads for w >= 2,
+    and the pool holds max(n, m) - 2 for the w = m data or w = n index
+    qubits."""
+    pad = (1 << (len(qubits) - 1).bit_length()) - len(qubits)
+    return sync_touch([*qubits, *layout.ladder_qubits()[:pad]])
+
+
 def build_target_reflection(layout: QdamLayout, key_pattern: str) -> Circuit:
     """Phase flip of the data-register branch matching ``key_pattern``:
-    X where the pattern bit is 0, a phase flip on all-ones, X again.
+    X where the pattern bit is 0, a phase flip on all-ones through
+    :func:`~qsearch.decompose.mcz_tree`, X again.
 
-    Ends with a sync block over the data register (padded to a power of two
-    with restored ladder ancillas): the control ladder leaves the data
-    qubits' scheduler times staggered, which would otherwise smear the
-    inverse loader's T layers.  The padding always fits: for m >= 3 it
-    needs at most m-2 qubits and the ladder pool holds max(n, m) - 2.
+    A sync block over the data register follows each round of flips.  The
+    first puts every data qubit in one scheduler layer before the tree,
+    whatever the key: the flips touch only the 0 bits, and a tree, unlike
+    a serial ladder, needs its leaves to enter together for its levels to
+    merge their T layers.  The closing one does the same for the inverse
+    loader, whose uncompute Toffolis the tree's leaves would otherwise
+    enter staggered.
     """
     if len(key_pattern) != layout.m or any(c not in "01" for c in key_pattern):
         raise QueryError(f"pattern {key_pattern!r} does not fit {layout.m} data qubits")
     data = [layout.data_qubit(j) for j in range(layout.m)]
     flips = [gate(_K.X, data[j]) for j, c in enumerate(key_pattern) if c == "0"]
-    ladder = mcz_ladder(data, layout.ladder_qubits())
-    sync_set = list(data)
-    pad = (1 << (layout.m - 1).bit_length()) - layout.m
-    sync_set.extend(layout.ladder_qubits()[:pad])
+    sync = _sync_block(layout, data)
+    tree = mcz_tree(data, layout.ladder_qubits())
     return Circuit(
-        layout.register_sizes,
-        [*flips, *ladder, *flips, *sync_touch(sync_set)],
-        validate=False,
+        layout.register_sizes, [*flips, *sync, *tree, *flips, *sync], validate=False
     )
 
 
 def build_diffusion(layout: QdamLayout) -> Circuit:
     """Reflection about the uniform index state: H then X conjugation of a
     phase flip on the all-ones index branch.  The binary index qubits are
-    flat qubits 0 .. n-1."""
-    hs = [gate(_K.H, b) for b in range(layout.n)]
-    xs = [gate(_K.X, b) for b in range(layout.n)]
-    ladder = mcz_ladder(range(layout.n), layout.ladder_qubits())
+    flat qubits 0 .. n-1.
+
+    From n = 4 the flip is a tree of Toffolis, and a sync block over the
+    index register lines its leaves up first: the inverse loader leaves
+    them staggered, which in a kernel would smear the tree's T layers.
+    Narrower flips are a single fragment and get none."""
+    index = range(layout.n)
+    hs = [gate(_K.H, b) for b in index]
+    xs = [gate(_K.X, b) for b in index]
+    sync = _sync_block(layout, index) if layout.n >= 4 else []
+    tree = mcz_tree(index, layout.ladder_qubits())
     return Circuit(
-        layout.register_sizes, [*hs, *xs, *ladder, *xs, *hs], validate=False
+        layout.register_sizes, [*hs, *xs, *sync, *tree, *xs, *hs], validate=False
     )
 
 

@@ -22,6 +22,9 @@ The optimized loader runs in two stages:
 Emission order is chosen so the lowered blocks merge their T layers: the
 clearing CNOTs leave all one-hot qubits last-touched in a common scheduler
 layer, which in turn lets every stage-2 group share its three T layers.
+Stage 2 leases its fan-out ancillas past the 2^(n-1) - 1 that stage 1
+uses, so no record block waits for stage 1's last use of one, and the
+loader's T-depth is stage 1's plus those three layers.
 
 The naive baseline writes each record bit with a multi-controlled X over
 all n index qubits plus the database bit, sequentially; it exists to
@@ -212,8 +215,9 @@ def build_m2(layout: QdamLayout, db: Database | Sequence[str]) -> Circuit:
     database, load = layout.database_qubit(0, 0), layout.load_qubit(0, 0)
     gates: list[Gate] = [(_K.X, (database + k,))
                          for k, bit in enumerate("".join(keys)) if bit == "1"]
-    layout.fanout_lease((records - 1) * (m - 1), m - 1)
-    control, lease = layout.onehot_qubit(0), layout.fanout_lease(0, m - 1)
+    base = (records >> 1) - 1  # past stage 1's fan-out ancillas
+    layout.fanout_lease(base + (records - 1) * (m - 1), m - 1)
+    control, lease = layout.onehot_qubit(0), layout.fanout_lease(base, m - 1)
     pairs = [(database + j, load + j) for j in range(m)]
     block = shared_control_layer(control, pairs, lease)
     stride = {control: 1, **dict.fromkeys(lease, m - 1),

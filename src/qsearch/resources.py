@@ -4,9 +4,12 @@ scaling benches against the naive loader.
 Bound mode reports the constructive inequalities as equalities -- loader
 4n (4(n-1) for the index coupling plus 4 for the load block), reflections
 6(m-1) and 6(n-1) with degenerate clamps (0 at width <= 2, 3 at width 3),
-kernel = 2*loader + reflections, cost = iterations * kernel.  Measured
-mode schedules the actual circuits and must come in at or under the
-bounds, subroutine by subroutine.
+kernel = 2*loader + reflections, cost = iterations * kernel.  These are
+the paper's forms, linear in the reflection width.  Measured mode
+schedules the actual circuits and must come in at or under the bounds,
+subroutine by subroutine; its reflections are AND trees
+(:func:`qsearch.decompose.mcz_tree`), so their measured T-depth grows as
+the logarithm of the width.
 
 :class:`~qsearch.circuit.Schedule` schedules TOFFOLI and 3-operand MCZ
 macros through max-plus templates of their Clifford+T fragments, so a
@@ -169,9 +172,10 @@ def _zero_keys(n: int, m: int) -> list[str]:
 
     The gate structure does depend on the key bits: ``build_m2`` prepares
     the database with one X per 1 bit, which shifts the scheduler's entry
-    times into the stage-2 Toffolis.  With m=1 some keys measure a stage-2
-    T-depth above its bound, so a zero-key report does not bound every
-    database (ROADMAP item 2)."""
+    times into the stage-2 Toffolis.  From m = 2 a fan-out round re-aligns
+    them and every depth is the zero-key one; with m = 1 some keys measure
+    a stage-2 T-depth above its bound, so there a zero-key report does not
+    bound every database (ROADMAP item 4)."""
     return ["0" * m] * (1 << n)
 
 

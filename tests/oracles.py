@@ -183,15 +183,17 @@ def stage2_per_record_gates(layout, keys) -> tuple[Gate, ...]:
     """Stage 2 built one record at a time: a validated X per 1 bit of the
     database, then for record i one :func:`shared_control_layer` call on
     one-hot i over its pairs (database(i, j), load(i, j)) and its own fan-out
-    lease, then the fan-in of each data bit."""
+    lease, past the 2^(n-1) - 1 that stage 1 leases, then the fan-in of each
+    data bit."""
     m = layout.m
+    base = (1 << (layout.n - 1)) - 1
     gates = [gate(GateKind.X, layout.database_qubit(i, j))
              for i, key in enumerate(keys)
              for j, bit in enumerate(key) if bit == "1"]
     for i in range(len(keys)):
         pairs = [(layout.database_qubit(i, j), layout.load_qubit(i, j))
                  for j in range(m)]
-        lease = layout.fanout_lease(i * (m - 1), m - 1)
+        lease = layout.fanout_lease(base + i * (m - 1), m - 1)
         gates.extend(shared_control_layer(layout.onehot_qubit(i), pairs, lease))
     for j in range(m):
         column = [layout.load_qubit(i, j) for i in range(len(keys))]

@@ -1,6 +1,8 @@
 """Macro lowering: Toffoli fragment, shared-control layers, control
-ladders, and the scheduler-sync block."""
+ladders and trees, and the scheduler-sync block."""
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -16,10 +18,12 @@ from qsearch.decompose import (
     decompose_toffoli,
     lower_circuit,
     mcz_ladder,
+    mcz_tree,
     shared_control_layer,
     sync_touch,
 )
 from qsearch.errors import AncillaBudgetError, OperandOverlapError
+from qsearch.sim import SlicedState
 
 from conftest import columns_on_zero_ancilla, ideal_mcz_matrix, ideal_toffoli_matrix
 from oracles import dense_statevector, macro_counts, to_unitary
@@ -198,6 +202,75 @@ def test_ladder_bounds(k):
 def test_ladder_rejects_insufficient_ancillas():
     with pytest.raises(AncillaBudgetError):
         mcz_ladder([_d(i) for i in range(5)], [_a(0, 5)])
+
+
+# -- control trees ----------------------------------------------------------
+
+
+def _tree_depth(k: int) -> int:
+    """The closed form of :func:`mcz_tree`'s docstring: 3(2L + 1) with
+    L = ceil(log2(k/3)), for k >= 4."""
+    return 3 * (2 * math.ceil(math.log2(k / 3)) + 1)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_tree_and_ladder_flip_the_same_branch(k):
+    # the k operands are the binary index, so every branch is one input
+    # with clean ancillas; diagonal_signs proves each comes back to itself
+    # with the ancillas |0> and a phase of +-1, and returns the flipped ones
+    sizes = {Register.BINARY_INDEX: k, A: max(0, k - 3)}
+    ancillas = range(k, k + max(0, k - 3))
+    signs = [
+        SlicedState(sizes).run(Circuit(sizes, build(range(k), ancillas))).diagonal_signs()
+        for build in (mcz_tree, mcz_ladder)
+    ]
+    assert signs == [1 << (1 << k) - 1] * 2  # the all-ones branch only
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_lowered_tree_matches_ideal_phase_flip(k):
+    n_anc = max(0, k - 3)
+    qubits = [_d(i) for i in range(k)]
+    ancillas = [_a(i, k) for i in range(n_anc)]
+    circ = Circuit({D: k, A: n_anc}, mcz_tree(qubits, ancillas))
+    lowered = lower_circuit(circ)
+    assert lowered.is_lowered
+    block = columns_on_zero_ancilla(lowered, k, n_anc)
+    assert np.abs(block - ideal_mcz_matrix(k)).max() < 1e-12
+
+
+def test_tree_t_depth_meets_its_closed_form():
+    depths = []
+    for k in range(4, 17):
+        circ = Circuit({D: k, A: k - 3},
+                       mcz_tree(range(k), [_a(i, k) for i in range(k - 3)]))
+        tally = resource_tally(circ)
+        assert tally.t_depth == _tree_depth(k), k
+        assert tally.t_count == 7 * (2 * (k - 3) + 1)  # the ladder's T-count
+        if k >= 5:
+            assert tally.t_depth < 3 * (2 * k - 5), k  # the ladder's depth
+        depths.append(tally.t_depth)
+    assert depths == sorted(depths)
+
+
+def test_tree_uses_the_ladders_toffolis_and_ancillas():
+    k = 9
+    ancillas = [_a(i, k) for i in range(k - 1)]  # more than it borrows
+    tree, ladder = mcz_tree(range(k), ancillas), mcz_ladder(range(k), ancillas)
+    for frag in (tree, ladder):
+        assert [kind for kind, _ in frag].count(GateKind.TOFFOLI) == 2 * (k - 3)
+    targets = {ops[2] for frag in (tree, ladder)
+               for kind, ops in frag if kind is GateKind.TOFFOLI}
+    assert targets == set(ancillas[:k - 3])
+
+
+def test_tree_rejects_bad_operands():
+    with pytest.raises(AncillaBudgetError):
+        mcz_tree([_d(i) for i in range(5)], [_a(0, 5)])
+    with pytest.raises(OperandOverlapError):
+        mcz_tree([_d(i) for i in range(5)], [_a(0, 5), _d(0)])
+    with pytest.raises(OperandOverlapError):
+        mcz_tree([_d(0), _d(0)])
 
 
 # -- sync block -------------------------------------------------------------

@@ -4,13 +4,20 @@ against the outputs of the code before it.
 
 Each command runs in a fresh directory and writes under a fixed relative
 name, because ``compile`` and ``bench`` print their ``--out`` path; the
-directory also holds ``five.json``, an unpadded database.  To re-pin after an intended output change, print ``_digests`` for every
-command and paste the new values.
+directory also holds ``five.json``, an unpadded database.  To re-pin after
+an intended output change, print the table for the current code with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and paste only the entries whose output was meant to change.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import os
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -70,7 +77,7 @@ FIVE_DB = """{
 GOLDEN = {
     "bench": (
         0, "47708c284360b72efd5043bbcd680412e085639c33d1cf37540cdc26062ec198",
-        "b7e2210fd07c63e887ffe30f50f396b149833d9d9df4349d2817e4bc61191129"),
+        "c5509124bb02ce79941d6621f990ab7c194ccd70dd5d60c5256f1ac613549c99"),
     "compile-diffusion": (
         0, "6f6c7f8c502efaaf9d716065aea57d8d2e9f8fd923252f0414ef8520baab1f4f",
         "755e88d10225623b4dfd49d5508772f9c89af132c1cddb690cc98d8cfe38d2bf"),
@@ -78,11 +85,11 @@ GOLDEN = {
         0, "09459525981e9d0445e4ee94bc632584470cdf513b343f514ed1c3eaf18e716d",
         "8d5cda80d6f3d32df25abdaead9f634ce9b7a45a91d8a24a33615d893ae3bd1d"),
     "compile-kernel": (
-        0, "0ccd1b1a3d9d13889df4ff194c6bdd7140b003bdc2af78eb96b52fe66cb1dba1",
-        "ce3a4ecc926a866f17dd35408228092247c9062ff2184cca0e140228b8d5c355"),
+        0, "c3fd18531c3c471e02f21c4bd8ae948934d35927e8f52063f48439d870735f59",
+        "d7ee2b03381ae81baa0a5a00155a0ef0479fb0495b6531ab00f471bc80e445aa"),
     "compile-kernel-lowered": (
-        0, "c093cfb8411082e140eec2ff27129a1b8a414cffc631e414e5b4822137a8cbfa",
-        "bc88b3ed89310ff4d0d572d23670515845aee4f37ce8a794727fdf3bad83bce9"),
+        0, "54ef2726187a9247ebe205122685e793ac4d97768fa194ad50c46b9e542b9232",
+        "42e0f788c14d28df696ed1816c6670ad6f0e01bd508540a20d3aaef3ee548727"),
     "compile-m1": (
         0, "7c119692f797cdf295aaea6840dd8766eabba945546d0aef63810e33398e5bae",
         "12e8ef55550b916eabf27e3a54cba03b43b0d57ad2c07485914541a87e1f5e1e"),
@@ -91,10 +98,10 @@ GOLDEN = {
         "62507cf9809ff1dc0507e030a67b34ceda2a9f4788b54c18b41e498b21c4a75e"),
     "compile-m2": (
         0, "447b7da8608a9e0bcfbb5c57ff34ec6f02fd9d5bb9088361f4e28d4d54bd735b",
-        "e17188134506b915281bdc2f06e3a11f4109514ff2c545553fc0632684b46844"),
+        "b5597242f593e312df4eaa56f1ebe5160aa35152b6b4629944b6e5239aba2f98"),
     "compile-m2-lowered": (
         0, "ba619aed6c056b7079d7cb83e12285669c73d57a3b97e424a2cbd77221b91a94",
-        "5f36403a2f8189a58ee80008fe3269bfe68a8a718fdc0f7b60c564bec7d1dfc9"),
+        "f47b02b8139b9e47e1b09727bfaebf903d27efcd6683f6b37b2980564bacd7b7"),
     "compile-naive": (
         0, "21ffb53e8a46f90648e467376300e6374ebaa88b21e321db1a26f298689df4bd",
         "0d1501391df2cf40d881a1d23d6e746a50fbb671742a77e9f521e07ad0473cc4"),
@@ -102,25 +109,25 @@ GOLDEN = {
         0, "58dd6996f6791a4cbb20ef24a87ddf65b9bf5e2ae1e7f77ad8207c24904e2f86",
         "c7afc4656c3b1a1af05b7ec7ff38818f47976732e9a60b70d002bc2c0eb23061"),
     "compile-oracle": (
-        0, "e1696911d4f196ed35e501f3eabfc31c0f7d4e0da3071b30023f2a88d34f0d83",
-        "0de23aaf9f2eba3c9223dca8a89a7c5365d625c13fef465cdf98f3a32fcd67f9"),
+        0, "2677bbe726a1e28fc9a7199a430af3b8f6c71a0760da06dc0c5a0fc964c80f50",
+        "9b27c5960ecf664446fca145f009b989178c97e2f3507e9abcb406aa8f31c94c"),
     "compile-oracle-lowered": (
-        0, "944e394ed5a27d4b0c63a2ebb273d7fd5206804f28cac2bc7a48908076ca3c42",
-        "0194828d0f9b32dffd5ce33ab031d7cbfb89c4051abc85269281933b5409be53"),
+        0, "b68d4b438d56f0e9c7fe91d99ba79ee30555b6ae0c377a4c18848507fb02fc6b",
+        "5f8f8228ca137fd0d855cdcf3bb79e155b0daad31dddf9949428e7883610f31f"),
     "compile-qdam": (
         0, "45012c0cc77b9c9690ce41f310c13f5f1cc63c6c4c230b53cde83e2d139b851f",
-        "820b9cb64b625cdeafb1373ca6653375b01903b9b38527c189c6713cc0f4f423"),
+        "0192fcc611a7e7af72a620d0af37d1b93a6b990596624e71ace8f786d7e87e9f"),
     "compile-qdam-lowered": (
         0, "4ee719df2568027ea6616c0c3e745ff7b87def5cfa837ef6dc894022044cc76a",
-        "53c6c55c4de2ed15291b0b7adb4e2c579288819eb358999b177e6b5a4111e0cb"),
+        "532d5803d5833dd9047a3efa938876cb0562d0c02d9bf2789fe0ae8eeaa3484a"),
     "estimate-bound": (
         0, "28d4af850a7f621143978e9101bff8a94f5d2111ac279910ec77e6f4fa495da7",
         None),
     "estimate-measured": (
-        0, "377a2345900dd4ab91c2e314bf7704e03d665297dcbe07c1c5f7960ed2f05613",
+        0, "0683d40e0e5f9414dc203f444224a8790f705e7eef64fcddab10eebf4adf0c81",
         None),
     "estimate-naive": (
-        0, "6f271bc43129fccf7387fe3bd094d5bec3b6188e83f19275ebdc126bb2f0292d",
+        0, "a23d49462c9ddd91296ecc030ed3b4fb4aa3ff0346e6977b31d615d147079ca1",
         None),
     "search": (
         0, "6bbc3408d55b192ba5c3d0cef0e2f0ce692c3695c5c029d0044865f782366286",
@@ -156,12 +163,18 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _digests(argv, workdir: Path, capsys) -> tuple[int, str, str | None]:
-    code = main(argv)
-    out = capsys.readouterr().out
+def _digests(name: str, workdir: Path) -> tuple[int, str, str | None]:
+    """Run one command from ``workdir``, the current directory, beside
+    ``five.json``: its exit code and the digests of what it printed and
+    wrote."""
+    (workdir / "five.json").write_text(FIVE_DB)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(COMMANDS[name])
     written = [p for p in workdir.iterdir() if p.name.startswith("out.")]
     assert len(written) <= 1
-    return code, _sha(out.encode()), _sha(written[0].read_bytes()) if written else None
+    return (code, _sha(out.getvalue().encode()),
+            _sha(written[0].read_bytes()) if written else None)
 
 
 def test_every_command_is_pinned():
@@ -170,7 +183,20 @@ def test_every_command_is_pinned():
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_cli_output_is_byte_identical(name, tmp_path, monkeypatch, capsys):
+def test_cli_output_is_byte_identical(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "five.json").write_text(FIVE_DB)
-    assert _digests(COMMANDS[name], tmp_path, capsys) == GOLDEN[name]
+    assert _digests(name, tmp_path) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    # print the GOLDEN table for the current code
+    home = os.getcwd()
+    print("GOLDEN = {")
+    for name in sorted(COMMANDS):
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            code, out, written = _digests(name, Path(tmp))
+            os.chdir(home)
+        written = f'"{written}"' if written else "None"
+        print(f'    "{name}": (\n        {code}, "{out}",\n        {written}),')
+    print("}")

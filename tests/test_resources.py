@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsearch import decompose
 from qsearch.circuit import Circuit, resource_tally, tally_flat
@@ -109,12 +111,45 @@ def test_measured_fits_under_bounds(n, m):
         assert getattr(measured, field) <= getattr(bound, field), field
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_measured_fits_under_bounds_in_every_small_cell(n):
+    # every key width up to 8 with m * 2^n <= 2^12
+    for m in range(1, min(8, (1 << 12) >> n) + 1):
+        measured, bound = measure(n, m), estimate_bounds(n, m)
+        for field in (*_DEPTH_FIELDS, "t_cost"):
+            assert getattr(measured, field) <= getattr(bound, field), (m, field)
+
+
 def test_measured_headline_n10_m8_within_bounds():
     measured = measure(10, 8)
     bound = estimate_bounds(10, 8)
     for field in (*_DEPTH_FIELDS, "t_cost"):
         assert getattr(measured, field) <= getattr(bound, field), field
     assert measured.query_count == bound.query_count == 25
+    assert (measured.t_depth_qdam, measured.t_depth_oracle_reflection,
+            measured.t_depth_diffusion, measured.t_depth_kernel,
+            measured.t_cost) == (30, 15, 15, 90, 2250)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_stage2_starts_as_stage1_ends(n):
+    # stage 2 leases fan-out ancillas past stage 1's, so its T layers follow
+    # stage 1's without a gap
+    for m in range(2, 7):
+        report = measure(n, m)
+        assert report.t_depth_qdam == report.t_depth_m1 + report.t_depth_m2, m
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), m=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+def test_measured_depths_do_not_depend_on_the_keys(n, m, seed):
+    # m = 1 is left out: its stage-2 depth does depend on the keys
+    rng = random.Random(seed)
+    keys, (query,) = _random_keys(rng, n, m), _random_keys(rng, 0, m)
+    report = measure_kernel(build_kernel_circuits(QdamLayout(n, m), keys, query), 1)
+    reference = measure(n, m)
+    for field in _DEPTH_FIELDS:
+        assert getattr(report, field) == getattr(reference, field), field
 
 
 def test_measured_qdam_n2_m2():
@@ -236,12 +271,12 @@ def test_measure_naive_equals_the_gate_level_stream(n):
 
 
 @pytest.mark.parametrize(("n", "m", "expected"), [
-    (7, 1, (4992, 10011, 23359)),
-    (7, 2, (9984, 19995, 46655)),
-    (8, 1, (11520, 23073, 53837)),
-    (8, 2, (23040, 46113, 107597)),
-    (9, 1, (26112, 52263, 121947)),
-    (9, 2, (52224, 104487, 243803)),
+    (7, 1, (4992, 9999, 23359)),
+    (7, 2, (9984, 19983, 46655)),
+    (8, 1, (11520, 23055, 53837)),
+    (8, 2, (23040, 46095, 107597)),
+    (9, 1, (26112, 52239, 121947)),
+    (9, 2, (52224, 104463, 243803)),
 ])
 def test_naive_report_at_the_benchmark_widths(n, m, expected):
     # the widths of the benchmark's naive workload, above what the gate-level

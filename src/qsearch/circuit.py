@@ -34,6 +34,10 @@ segments and tallied after each, and each such snapshot is the tally of
 the prefix fed so far.  All of this is a pure function of the gate order,
 so results are deterministic and circuits are safe to share across
 workers.
+
+A :class:`Tiling` is disjoint copies of one block of gates, each operand
+moved by its own stride per copy; :meth:`Schedule.feed_tiled` schedules
+them without building them, each distinct vector of entry times once.
 """
 from __future__ import annotations
 
@@ -200,6 +204,42 @@ class Circuit:
         return f"Circuit(registers={regs}, gates={len(self.gates)})"
 
 
+class Tiling:
+    """``copies`` copies of one block of gates: copy i moves each operand q
+    of the block to ``q + i * strides[q]``.  The copies are checked to be
+    pairwise disjoint and inside ``total_qubits``, so they commute."""
+
+    def __init__(self, block: Iterable[Gate], strides: Mapping[int, int],
+                 copies: int, total_qubits: int):
+        if copies < 1:
+            raise CircuitError("a tiling needs at least one copy")
+        self.block, self.copies = tuple(block), copies
+        # one copy moves nowhere, so its strides are immaterial
+        self.strides = {q: strides[q] if copies > 1 else 1
+                        for _, ops in self.block for q in ops}
+        used = bytearray(total_qubits)
+        for q, step in self.strides.items():
+            span = slice(q, q + copies * step, step)
+            if step < 1 or q < 0 or len(used[span]) < copies or 1 in used[span]:
+                raise OperandOverlapError(f"copies of qubit {q} overlap or leave the circuit")
+            used[span] = b"\1" * copies
+
+    def gates(self) -> list[Gate]:
+        """The copies' gates, copy by copy."""
+        copies, strides = self.copies, self.strides
+        kinds = [kind for kind, _ in self.block]
+        # each gate's operands in every copy, as one zip of ranges
+        moved = [zip(*(range(q, q + copies * strides[q], strides[q]) for q in ops))
+                 for _, ops in self.block]
+        return [g for ops in zip(*moved) for g in zip(kinds, ops)]
+
+    @functools.cached_property
+    def local_block(self) -> tuple[Gate, ...]:
+        """The block over local qubits 0, 1, ... in operand order."""
+        index = {q: k for k, q in enumerate(self.strides)}.__getitem__
+        return tuple((kind, tuple(map(index, ops))) for kind, ops in self.block)
+
+
 class ResourceTally(NamedTuple):
     """Exact gate-count and layering metrics of a circuit, with every macro
     counted as its lowered fragment."""
@@ -336,6 +376,32 @@ class Schedule:
                 max_layer = layer
         self._t_count, self._cnot_count = t_count, cnot_count
         self._max_layer = max_layer
+        return self
+
+    def feed_tiled(self, tiling: Tiling, reverse: bool = False) -> "Schedule":
+        """Feed the copies of ``tiling`` (each reversed if ``reverse``) as
+        feeding them one by one would.  Copy i's operand q enters at
+        ``avail[q + i * stride]``; a local schedule over the block's qubits
+        takes each distinct entry vector once, adding its T layers to this
+        schedule's, and the exits go back by slice assignment."""
+        copies, strides = tiling.copies, tiling.strides
+        if copies == 1:
+            return self.feed(tiling.block[::-1] if reverse else tiling.block)
+        block = tiling.local_block[::-1] if reverse else tiling.local_block
+        avail = self._avail
+        spans = [slice(q, q + copies * step, step) for q, step in strides.items()]
+        entries = list(zip(*map(avail.__getitem__, spans)))
+        local = Schedule(0)
+        local._t_layers, local._max_layer = self._t_layers, self._max_layer
+        exits = {}
+        for entry in dict.fromkeys(entries):
+            local._avail = list(entry)
+            exits[entry] = local.feed(block)._avail
+        for span, column in zip(spans, zip(*map(exits.__getitem__, entries))):
+            avail[span] = column
+        self._max_layer = local._max_layer
+        self._t_count += copies * local._t_count // len(exits)
+        self._cnot_count += copies * local._cnot_count // len(exits)
         return self
 
     def tally(self) -> ResourceTally:

@@ -45,7 +45,8 @@ from .circuit import Circuit, Gate, GateKind, Register, gate
 from .database import Database, SearchQuery
 from .decompose import lower_circuit, mcz_tree, sync_touch
 from .errors import CircuitError, InputError, QueryError
-from .qdam import QdamLayout
+from . import qdam  # builders looked up at call time: the benchmark's tracer patches them
+from .qdam import QdamLayout, Stage2Parts
 from .sim import (
     SlicedState,
     SparseState,
@@ -172,16 +173,25 @@ class KernelCircuits:
     """Macro-level subroutine circuits for one kernel iteration; the loader
     is stage 1 then stage 2.
 
-    The inverse loader is built lazily, at most once, on first read: the
-    simulator and the kernel export need its phases, while the resource
-    report tallies the loader's reversed gate stream instead."""
+    Stage 2 is kept as its parts (:class:`~qsearch.qdam.Stage2Parts`), two
+    of them tilings, which the resource report schedules forward and in
+    reverse without building them.  ``stage2``, the loader and the inverse
+    loader are built lazily, at most once each, for the simulator, the
+    lowering and ``compile``."""
 
     layout: QdamLayout
     stage1: Circuit
-    stage2: Circuit
-    loader: Circuit
+    stage2_parts: Stage2Parts
     target_reflection: Circuit
     diffusion: Circuit
+
+    @functools.cached_property
+    def stage2(self) -> Circuit:
+        return qdam.build_m2(self.layout, self.stage2_parts)
+
+    @functools.cached_property
+    def loader(self) -> Circuit:
+        return self.stage1 + self.stage2
 
     @functools.cached_property
     def loader_inverse(self) -> Circuit:
@@ -199,15 +209,10 @@ class KernelCircuits:
 def build_kernel_circuits(
     layout: QdamLayout, db: Database | Sequence[str], key_pattern: str
 ) -> KernelCircuits:
-    # a call-time import: the benchmark's tracer patches these on qsearch.qdam
-    from .qdam import build_m1, build_m2
-
-    stage1, stage2 = build_m1(layout), build_m2(layout, db)
     return KernelCircuits(
         layout=layout,
-        stage1=stage1,
-        stage2=stage2,
-        loader=stage1 + stage2,
+        stage1=qdam.build_m1(layout),
+        stage2_parts=qdam.stage2_parts(layout, db),
         target_reflection=build_target_reflection(layout, key_pattern),
         diffusion=build_diffusion(layout),
     )

@@ -15,9 +15,11 @@ The optimized loader runs in two stages:
   on disjoint triples after control fan-out, so the whole block costs one
   Toffoli of T-depth.  The E ancillas keep their (branch-deterministic)
   values until the inverse loader uncomputes them.  Every record's block
-  has one shape: record 0's is built and validated once, and record i's
-  is it with each operand moved i strides of its region (one-hot 1,
-  database and load m, fan-out m - 1).
+  has one shape, so :func:`stage2_parts` describes the records as one
+  :class:`~qsearch.circuit.Tiling` of record 0's block, with each operand
+  moved i strides of its region in record i (one-hot 1, database and load
+  m, fan-out m - 1), and the fan-in as a tiling of data bit 0's column;
+  :func:`build_m2` materializes them.
 
 Emission order is chosen so the lowered blocks merge their T layers: the
 clearing CNOTs leave all one-hot qubits last-touched in a common scheduler
@@ -34,9 +36,9 @@ AND chain over the index qubits and differ only in their apex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .circuit import Circuit, Gate, GateKind, Register, gate
+from .circuit import Circuit, Gate, GateKind, Register, Tiling, gate
 from .database import Database
 from .decompose import mcz_ladder, shared_control_layer
 from .errors import CircuitError
@@ -202,32 +204,44 @@ def build_m1(layout: QdamLayout) -> Circuit:
     return Circuit(layout.register_sizes, gates, validate=False)
 
 
-def build_m2(layout: QdamLayout, db: Database | Sequence[str]) -> Circuit:
-    """Stage 2: prepare the database region and load key bits into data
-    qubits through the one-hot register.  One validated record block is
-    repeated with per-region strides; the last record's fan-out lease is
-    checked, so each moved block stays in its regions and distinct-operand."""
+class Stage2Parts(NamedTuple):
+    """Stage 2 in order: database preparation, record blocks and fan-in."""
+
+    prepare: tuple[Gate, ...]
+    records: Tiling
+    fan_in: Tiling
+
+
+def stage2_parts(layout: QdamLayout, db: Database | Sequence[str]) -> Stage2Parts:
+    """Stage 2 without its gate list.  The last record's fan-out lease is
+    checked, so every copy of the record block stays in its regions; data
+    bit j's fan-in is column 0's fold moved j qubits on."""
     keys = _key_bits(layout.n, layout.m, db)
     n, m = layout.n, layout.m
-    records = 1 << n
+    count, total = 1 << n, layout.total_qubits
     # database bit (i, j) and load ancilla E(i, j) sit at offset i*m + j of
     # their regions, the offset of bit j of key i in the joined keys
     database, load = layout.database_qubit(0, 0), layout.load_qubit(0, 0)
-    gates: list[Gate] = [(_K.X, (database + k,))
-                         for k, bit in enumerate("".join(keys)) if bit == "1"]
-    base = (records >> 1) - 1  # past stage 1's fan-out ancillas
-    layout.fanout_lease(base + (records - 1) * (m - 1), m - 1)
+    prepare = tuple((_K.X, (database + k,))
+                    for k, bit in enumerate("".join(keys)) if bit == "1")
+    base = (count >> 1) - 1  # past stage 1's fan-out ancillas
+    layout.fanout_lease(base + (count - 1) * (m - 1), m - 1)
     control, lease = layout.onehot_qubit(0), layout.fanout_lease(base, m - 1)
     pairs = [(database + j, load + j) for j in range(m)]
-    block = shared_control_layer(control, pairs, lease)
     stride = {control: 1, **dict.fromkeys(lease, m - 1),
               **{q: m for pair in pairs for q in pair}}
-    for i in range(records):
-        moved = {q: q + i * step for q, step in stride.items()}.__getitem__
-        gates.extend([(kind, tuple(map(moved, ops))) for kind, ops in block])
-    for j in range(m):
-        column = range(load + j, load + records * m, m)
-        gates.extend(_fold_fan_in(column, layout.data_qubit(j)))
+    block = shared_control_layer(control, pairs, lease)
+    column, data = range(load, load + count * m, m), layout.data_qubit(0)
+    fan_in = _fold_fan_in(column, data)
+    return Stage2Parts(prepare, Tiling(block, stride, count, total),
+                       Tiling(fan_in, dict.fromkeys((*column, data), 1), m, total))
+
+
+def build_m2(layout: QdamLayout, db: Database | Sequence[str] | Stage2Parts) -> Circuit:
+    """Stage 2 as a circuit: the parts of :func:`stage2_parts`, given or
+    planned here, materialized."""
+    parts = db if isinstance(db, Stage2Parts) else stage2_parts(layout, db)
+    gates = [*parts.prepare, *parts.records.gates(), *parts.fan_in.gates()]
     return Circuit(layout.register_sizes, gates, validate=False)
 
 

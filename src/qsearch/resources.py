@@ -17,10 +17,13 @@ macro circuit's tally equals its lowering's by construction, and measuring
 the kernel lowers nothing.  :func:`measure_kernel` schedules the kernel in
 one pass and reads stage 1, the loader and the kernel off it as prefix
 snapshots; stage 2 and the two reflections, whose depths start from an
-empty schedule, get one :func:`tally_flat` each.  The inverse loader is
-tallied as the loader's gates in reverse order: the scheduler treats T
-like TDG and S like SDG, and the macros are self-adjoint, so the reversed
-stream tallies exactly as the adjoint circuit, which is never built.  The
+empty schedule, are also tallied alone.  The inverse loader is tallied as
+the loader's gates in reverse order: the scheduler treats T like TDG and S
+like SDG, and the macros are self-adjoint, so the reversed stream tallies
+exactly as the adjoint circuit, which is never built.  Stage 2 is fed as
+its parts, whose record blocks and fan-in are tilings
+(:class:`~qsearch.circuit.Tiling`): the scheduler takes about one record
+block per pass, not m * 2^n, and stage 2's gate list is never built.  The
 naive report streams its macro loader through :func:`tally_flat` and
 tallies its two reflections, a few hundred gates, on their lowering.
 """
@@ -41,7 +44,7 @@ from .grover import (
     build_target_reflection,
     optimal_iterations,
 )
-from .qdam import NaiveLayout, QdamLayout, build_naive_qdam
+from .qdam import NaiveLayout, QdamLayout, Stage2Parts, build_naive_qdam
 
 CSV_HEADER = "N,K,td_opt,td_naive,tcost_opt,tcost_naive"
 
@@ -118,10 +121,12 @@ def _reflection_toffoli_equivalents(width: int) -> int:
 
 
 # the largest index width each report can be computed for: the closed
-# forms take sqrt(2^n) as a float, and a measured report builds m * 2^n
-# Toffolis, so it also caps m * 2^n at what n <= MAX_MEASURED_N allows at m = 1
+# forms take sqrt(2^n) as a float, and a measured report schedules m * 2^n
+# Toffolis, so it also caps m * 2^n at what n <= MAX_MEASURED_N allows at m = 1;
+# the naive report holds m * 2^n ladders (316 MB at n = 15, m = 1)
 MAX_BOUND_N = 1023
 MAX_MEASURED_N = 20
+MAX_NAIVE_BITS = 1 << 15
 
 
 def _check_widths(n: int, m: int, max_n: int, max_bits: int | None = None) -> None:
@@ -179,6 +184,14 @@ def _zero_keys(n: int, m: int) -> list[str]:
     return ["0" * m] * (1 << n)
 
 
+def _feed_stage2(schedule: Schedule, parts: Stage2Parts, reverse: bool = False) -> Schedule:
+    """Feed stage 2 from its parts, or its gates in reverse order."""
+    if reverse:
+        return (schedule.feed_tiled(parts.fan_in, reverse=True)
+                .feed_tiled(parts.records, reverse=True).feed(parts.prepare[::-1]))
+    return schedule.feed(parts.prepare).feed_tiled(parts.records).feed_tiled(parts.fan_in)
+
+
 def measure_kernel(circuits: KernelCircuits, iterations: int) -> ResourceReport:
     """Schedule the macro subroutines of one kernel and tally them as their
     Clifford+T lowering.
@@ -187,16 +200,16 @@ def measure_kernel(circuits: KernelCircuits, iterations: int) -> ResourceReport:
     stage 2 (snapshot: the loader), then the target reflection, the
     loader's gates reversed as the inverse loader, and the diffusion
     (snapshot: the kernel).  Stage 2 and the two reflections are also
-    tallied on their own, from an empty schedule."""
-    layout = circuits.layout
+    tallied on their own, from an empty schedule; stage 2 from its parts."""
+    layout, parts = circuits.layout, circuits.stage2_parts
     total = layout.total_qubits
     kernel = Schedule(total)
     t_m1 = kernel.feed(circuits.stage1.gates).tally()
-    t_loader = kernel.feed(circuits.stage2.gates).tally()
-    t_kernel = (kernel.feed(circuits.target_reflection.gates)
-                .feed(reversed(circuits.loader.gates))
-                .feed(circuits.diffusion.gates).tally())
-    t_m2 = tally_flat(circuits.stage2.gates, total)
+    t_loader = _feed_stage2(kernel, parts).tally()
+    kernel.feed(circuits.target_reflection.gates)
+    _feed_stage2(kernel, parts, reverse=True).feed(reversed(circuits.stage1.gates))
+    t_kernel = kernel.feed(circuits.diffusion.gates).tally()
+    t_m2 = _feed_stage2(Schedule(total), parts).tally()
     t_oracle = tally_flat(circuits.target_reflection.gates, total)
     t_diff = tally_flat(circuits.diffusion.gates, total)
     return ResourceReport(
@@ -236,7 +249,7 @@ def measure_naive(n: int, m: int) -> ResourceReport:
     a 3-operand MCZ.  The kernel depth is composed per subroutine
     (2*loader + both reflections); scheduling the concatenation twice would
     add nothing but runtime."""
-    _check_widths(n, m, MAX_MEASURED_N, 1 << MAX_MEASURED_N)
+    _check_widths(n, m, MAX_MEASURED_N, MAX_NAIVE_BITS)
     layout = NaiveLayout(n, m)
     macro = build_naive_qdam(layout, _zero_keys(n, m))
     total = sum(layout.register_sizes.values())

@@ -1,6 +1,7 @@
 """Test-only oracles: a dense state-vector backend, the Walsh-Hadamard
 transform, the full loader, the naive loader built one ladder per record
-bit, and the circuit helpers that only tests use.
+bit, the kernel measurement over built gate lists, and the circuit helpers
+that only tests use.
 
 The dense backend applies lowered gates to a full numpy state vector (or
 to a batch of columns for unitary extraction).  It shares no code with
@@ -16,10 +17,20 @@ import math
 
 import numpy as np
 
-from qsearch.circuit import REGISTER_ORDER, Circuit, Gate, GateKind, Register, gate
+from qsearch.circuit import (
+    REGISTER_ORDER,
+    Circuit,
+    Gate,
+    GateKind,
+    Register,
+    Schedule,
+    gate,
+    tally_flat,
+)
 from qsearch.decompose import mcz_ladder, shared_control_layer
 from qsearch.errors import CircuitError, MacroGateError
 from qsearch.qdam import _fold_fan_in, build_m1, build_m2
+from qsearch.resources import ReportMode, ResourceReport
 
 DEFAULT_DENSE_CAP = 14
 
@@ -223,6 +234,37 @@ def naive_loader_gates(layout, keys) -> tuple[Gate, ...]:
             gates.append(gate(GateKind.H, target))
         gates.extend(conjugate)
     return tuple(gates)
+
+
+def flat_measure_kernel(circuits, iterations: int) -> ResourceReport:
+    """:func:`qsearch.resources.measure_kernel` over the built gate lists:
+    stage 2's materialized gates forward and standalone, and the loader's
+    gates reversed as the inverse loader."""
+    layout = circuits.layout
+    total = layout.total_qubits
+    kernel = Schedule(total)
+    t_m1 = kernel.feed(circuits.stage1.gates).tally()
+    t_loader = kernel.feed(circuits.stage2.gates).tally()
+    t_kernel = (kernel.feed(circuits.target_reflection.gates)
+                .feed(reversed(circuits.loader.gates))
+                .feed(circuits.diffusion.gates).tally())
+    t_m2 = tally_flat(circuits.stage2.gates, total)
+    t_oracle = tally_flat(circuits.target_reflection.gates, total)
+    t_diff = tally_flat(circuits.diffusion.gates, total)
+    return ResourceReport(
+        n=layout.n,
+        m=layout.m,
+        t_depth_m1=t_m1.t_depth,
+        t_depth_m2=t_m2.t_depth,
+        t_depth_qdam=t_loader.t_depth,
+        t_depth_oracle_reflection=t_oracle.t_depth,
+        t_depth_diffusion=t_diff.t_depth,
+        t_depth_kernel=t_kernel.t_depth,
+        query_count=iterations,
+        mode=ReportMode.MEASURED,
+        qubit_total=layout.total_qubits,
+        t_count_total=t_kernel.t_count,
+    )
 
 
 def macro_counts(circuit: Circuit) -> dict[GateKind, int]:

@@ -13,6 +13,7 @@ from qsearch.circuit import (
     GateKind,
     Register,
     Schedule,
+    Tiling,
     _derive_template,
     gate,
     resource_tally,
@@ -185,6 +186,65 @@ def test_reversed_stream_tallies_as_the_inverse(circ):
     total = circ.total_qubits
     assert (tally_flat(reversed(circ.gates), total)
             == tally_flat(circ.inverted().gates, total))
+
+
+_TILE_MIX = [GateKind.TOFFOLI, GateKind.MCZ, GateKind.CNOT, GateKind.T,
+             GateKind.TDG, GateKind.S, GateKind.SDG, GateKind.H, GateKind.X]
+
+
+@st.composite
+def _tilings(draw):
+    """A random block on 3 to 6 operands, each with a random stride and
+    placed at the first start from a random offset where its copies miss
+    every qubit already used, and a random prior stream over all qubits
+    to stagger the copies' entry times (or none, so that they repeat)."""
+    width, copies = draw(st.integers(3, 6)), draw(st.integers(1, 5))
+    used: set[int] = set()
+    operands, strides = [], {}
+    for _ in range(width):
+        step, start = draw(st.integers(1, 7)), draw(st.integers(0, 12))
+        while any(start + i * step in used for i in range(copies)):
+            start += 1
+        used.update(start + i * step for i in range(copies))
+        operands.append(start)
+        strides[start] = step
+    total = max(used) + 1 + draw(st.integers(0, 3))
+    block = []
+    for kind in draw(st.lists(st.sampled_from(_TILE_MIX), min_size=1, max_size=12)):
+        order = draw(st.permutations(operands))
+        block.append(gate(kind, *order[:_MIX_ARITY.get(kind, 1)]))
+    prior = []
+    for kind in draw(st.lists(st.sampled_from(_TILE_MIX), max_size=20)):
+        order = draw(st.permutations(range(total)))
+        prior.append(gate(kind, *order[:_MIX_ARITY.get(kind, 1)]))
+    return block, strides, copies, total, prior
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tilings(), st.booleans())
+def test_feed_tiled_equals_feeding_the_copies(case, reverse):
+    block, strides, copies, total, prior = case
+    tiling = Tiling(block, strides, copies, total)
+    copied = [(kind, tuple(q + i * strides[q] for q in ops))
+              for i in range(copies) for kind, ops in block]
+    assert list(tiling.gates()) == copied
+    tiled = Schedule(total).feed(prior).feed_tiled(tiling, reverse=reverse)
+    flat = Schedule(total).feed(prior).feed(copied[::-1] if reverse else copied)
+    assert tiled.tally() == flat.tally()
+    assert tiled._avail == flat._avail
+
+
+def test_tiling_rejects_overlapping_copies():
+    block = [gate(GateKind.CNOT, 0, 2)]
+    Tiling(block, {0: 1, 2: 1}, 2, 4)  # copies {0, 2} and {1, 3}
+    with pytest.raises(CircuitError):  # copy 1 moves qubit 0 onto qubit 2
+        Tiling(block, {0: 2, 2: 1}, 2, 4)
+    with pytest.raises(CircuitError):  # a zero stride repeats every copy
+        Tiling(block, {0: 0, 2: 1}, 2, 4)
+    with pytest.raises(CircuitError):  # copy 2 of qubit 2 is qubit 4
+        Tiling(block, {0: 1, 2: 1}, 3, 4)
+    with pytest.raises(CircuitError):
+        Tiling(block, {0: 1, 2: 1}, 0, 4)
 
 
 def test_macro_templates_are_rank_one():

@@ -317,8 +317,11 @@ _HUGE_M = ["--m", "100000000"]
     (["bench", "--n-min", "1", "--n-max", "1", *_HUGE_M, "--out", _UNWRITABLE],
      "m * 2^n <="),
     (["estimate", "--n", "20", "--m", "2", "--mode", "measured"], "m * 2^n <="),
+    # the naive report holds its whole loader, so its own cap is lower
+    (["estimate", "--n", "20", "--m", "1", "--mode", "naive"], "m * 2^n <="),
+    (["estimate", "--n", "15", "--m", "2", "--mode", "naive"], "m * 2^n <="),
 ], ids=["bound", "measured", "naive", "measured-m", "naive-m", "bench-m",
-        "measured-one-over"])
+        "measured-one-over", "naive-n20", "naive-one-over"])
 def test_estimate_above_the_width_limit_exits_three(capsys, argv, limit):
     code, out, err = _run(capsys, *argv)
     assert code == 3

@@ -1,10 +1,11 @@
 """Source hygiene: every name a module imports is used in that module, no
-module reads another module's private names, and every name the
-benchmark's tracer patches exists."""
+module reads another module's private names, every name the benchmark's
+tracer patches exists, and the tracer can trace one op of each workload."""
 from __future__ import annotations
 
 import ast
 import importlib
+import importlib.util
 import pathlib
 
 import pytest
@@ -13,7 +14,8 @@ import qsearch
 
 PACKAGE_DIR = pathlib.Path(qsearch.__file__).parent
 MODULES = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
-TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -132,3 +134,36 @@ def test_every_traced_call_site_resolves():
     missing = [f"{module}.{attr}" for module, attr in sites
                if not hasattr(importlib.import_module(module), attr)]
     assert not missing, f"the benchmark tracer patches missing names: {missing}"
+
+
+_SEARCH_KEY = "0101"
+_TRACED_OPS = {
+    "measured": ["estimate", "--n", "6", "--m", "3", "--mode", "measured"],
+    "naive": ["estimate", "--n", "7", "--m", "1", "--mode", "naive"],
+    "search": ["search", "--db", str(ROOT / "data" / "people.json"),
+               "--key", _SEARCH_KEY, "--return", "phone"],
+}
+
+
+@pytest.mark.parametrize("workload", sorted(_TRACED_OPS))
+def test_the_benchmark_tracer_traces_one_op(workload, capsys):
+    # the tracer's own tests sit outside the tier-1 paths; this one op per
+    # workload fails here when a source change breaks what the tracer wraps
+    from qsearch import cli
+
+    spec = importlib.util.spec_from_file_location("traced_bench", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    argv = _TRACED_OPS[workload]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        if workload == "search":
+            tracer.expect_search(argv[2], _SEARCH_KEY)
+        span = tracer.begin_op(0)
+        code = cli.main(argv)
+        tracer.end_op(span)
+    finally:
+        tracer.uninstall()
+    assert code == 0, capsys.readouterr().err
+    assert tracer.spans and all(span["end"] is not None for span in tracer.spans)

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsearch import decompose
-from qsearch.circuit import Circuit, resource_tally, tally_flat
+from qsearch import decompose, qdam
+from qsearch.circuit import Circuit, Schedule, Tiling, resource_tally, tally_flat
 from qsearch.decompose import lower_circuit
 from qsearch.errors import InputError
 from qsearch.database import SearchQuery
@@ -21,7 +21,7 @@ from qsearch.grover import (
     optimal_iterations,
     run_search,
 )
-from qsearch.qdam import NaiveLayout, QdamLayout, build_naive_qdam
+from qsearch.qdam import NaiveLayout, QdamLayout, build_m2, build_naive_qdam
 from qsearch.resources import (
     CSV_HEADER,
     ReportMode,
@@ -35,7 +35,7 @@ from qsearch.resources import (
 )
 
 from conftest import toy_db
-from oracles import build_qdam
+from oracles import build_qdam, flat_measure_kernel
 
 _DEPTH_FIELDS = (
     "t_depth_m1",
@@ -372,6 +372,80 @@ def test_run_search_builds_the_inverse_loader_once(monkeypatch):
     circuits.kernel()
     assert circuits.loader_inverse is first
     assert inversions[1:] == [circuits.loader]
+
+
+def _zero_key_circuits(n, m):
+    return build_kernel_circuits(QdamLayout(n, m), ["0" * m] * (1 << n), "0" * m)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_measure_equals_the_flat_oracle_in_every_small_cell(n):
+    # the grid of the bounds test: every key width up to 8 with m * 2^n <= 2^12
+    for m in range(1, min(8, (1 << 12) >> n) + 1):
+        expected = flat_measure_kernel(_zero_key_circuits(n, m),
+                                       optimal_iterations(1 << n))
+        assert measure(n, m) == expected, m
+
+
+def test_measure_equals_the_flat_oracle_at_the_headline_widths():
+    assert measure(10, 8) == flat_measure_kernel(_zero_key_circuits(10, 8), 25)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), m=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_measure_kernel_equals_the_flat_oracle_on_random_keys(n, m, seed):
+    rng = random.Random(seed)
+    keys, (query,) = _random_keys(rng, n, m), _random_keys(rng, 0, m)
+    circuits = build_kernel_circuits(QdamLayout(n, m), keys, query)
+    assert measure_kernel(circuits, 2) == flat_measure_kernel(circuits, 2)
+
+
+def _refuse_to_materialize(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the report materialized stage 2")
+
+    monkeypatch.setattr(qdam, "build_m2", refuse)
+    monkeypatch.setattr(Tiling, "gates", refuse)
+
+
+def test_measure_never_materializes_stage_two(monkeypatch):
+    keys = _random_keys(random.Random(7), 4, 3)
+    expected = flat_measure_kernel(build_kernel_circuits(QdamLayout(4, 3), keys, "011"), 3)
+    circuits = build_kernel_circuits(QdamLayout(4, 3), keys, "011")
+    _refuse_to_materialize(monkeypatch)
+    assert measure_kernel(circuits, 3) == expected
+    for n, m in ((1, 1), (3, 2), (6, 3), (8, 5)):
+        measure(n, m)
+
+
+def test_measure_schedules_fewer_gates_than_stage_two_holds(monkeypatch):
+    stage2 = build_m2(QdamLayout(8, 5), ["00000"] * 256)
+    fed = []
+    real = Schedule.feed
+
+    def counting(schedule, gates):
+        gates = list(gates)
+        fed.append(len(gates))
+        return real(schedule, gates)
+
+    monkeypatch.setattr(Schedule, "feed", counting)
+    measure(8, 5)
+    # the report feeds stage 1 twice, the reflections twice each and about
+    # one record block and one fan-in column per stage-2 pass
+    assert sum(fed) < len(stage2)
+
+
+def test_run_search_materializes_stage_two_once(monkeypatch):
+    built = []
+    real = qdam.build_m2
+
+    def counting(layout, db):
+        built.append(db)
+        return real(layout, db)
+
+    monkeypatch.setattr(qdam, "build_m2", counting)
+    run_search(toy_db(3), SearchQuery("101", "val"))
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

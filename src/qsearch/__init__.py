@@ -41,6 +41,7 @@ from .qdam import (
     build_m1,
     build_m2,
     build_naive_qdam,
+    stage2_parts,
 )
 from .resources import (
     BenchRow,

@@ -36,8 +36,9 @@ so results are deterministic and circuits are safe to share across
 workers.
 
 A :class:`Tiling` is disjoint copies of one block of gates, each operand
-moved by its own stride per copy; :meth:`Schedule.feed_tiled` schedules
-them without building them, each distinct vector of entry times once.
+moved by its own stride per copy; :meth:`Schedule.feed_tiled` schedules a
+sequence of tilings, forward or reversed, without building them, each
+distinct vector of entry times once.
 """
 from __future__ import annotations
 
@@ -207,16 +208,24 @@ class Circuit:
 class Tiling:
     """``copies`` copies of one block of gates: copy i moves each operand q
     of the block to ``q + i * strides[q]``.  The copies are checked to be
-    pairwise disjoint and inside ``total_qubits``, so they commute."""
+    pairwise disjoint and inside ``total_qubits``, so they commute.  A
+    one-copy tiling is its block as is; its strides are never read.  A
+    sequence of tilings is a gate stream, tiling by tiling; its reverse
+    takes the last tiling first, each copy's block reversed."""
 
     def __init__(self, block: Iterable[Gate], strides: Mapping[int, int],
                  copies: int, total_qubits: int):
         if copies < 1:
             raise CircuitError("a tiling needs at least one copy")
         self.block, self.copies = tuple(block), copies
-        # one copy moves nowhere, so its strides are immaterial
+        # one copy moves nowhere: its strides are immaterial, and the block
+        # need only fit in the circuit
         self.strides = {q: strides[q] if copies > 1 else 1
                         for _, ops in self.block for q in ops}
+        if copies == 1:
+            if not all(0 <= q < total_qubits for q in self.strides):
+                raise CircuitError("the block leaves the circuit")
+            return
         used = bytearray(total_qubits)
         for q, step in self.strides.items():
             span = slice(q, q + copies * step, step)
@@ -227,6 +236,8 @@ class Tiling:
     def gates(self) -> list[Gate]:
         """The copies' gates, copy by copy."""
         copies, strides = self.copies, self.strides
+        if copies == 1:
+            return list(self.block)
         kinds = [kind for kind, _ in self.block]
         # each gate's operands in every copy, as one zip of ranges
         moved = [zip(*(range(q, q + copies * strides[q], strides[q]) for q in ops))
@@ -241,14 +252,11 @@ class Tiling:
 
 
 class ResourceTally(NamedTuple):
-    """Exact gate-count and layering metrics of a circuit, with every macro
-    counted as its lowered fragment."""
+    """Exact T count and T-depth of a circuit, with every macro counted as
+    its lowered fragment."""
 
     t_count: int
     t_depth: int
-    cnot_count: int
-    total_qubits: int
-    total_layers: int
 
 
 class _Template(NamedTuple):
@@ -258,10 +266,8 @@ class _Template(NamedTuple):
 
     entry: tuple[int, int, int]  # E = max_j(e_j + entry[j])
     exit: tuple[int, int, int]  # avail[op_i] = E + exit[i]
-    last: int  # max(exit): the fragment's deepest layer is E + last
     t_layers: tuple[int, ...]  # one constant per distinct T layer
     t_count: int
-    cnot_count: int
 
 
 def _derive_template(fragment: Iterable[Gate]) -> _Template:
@@ -274,7 +280,7 @@ def _derive_template(fragment: Iterable[Gate]) -> _Template:
     neg = float("-inf")
     rows = [tuple(0 if i == j else neg for j in range(3)) for i in range(3)]
     t_layers: dict[tuple[float, ...], None] = {}
-    t_count = cnot_count = 0
+    t_count = 0
     for kind, ops in fragment:
         layer = tuple(max(col) + 1 for col in zip(*(rows[i] for i in ops)))
         for i in ops:
@@ -282,8 +288,6 @@ def _derive_template(fragment: Iterable[Gate]) -> _Template:
         if kind is GateKind.T or kind is GateKind.TDG:
             t_count += 1
             t_layers[layer] = None
-        elif kind is GateKind.CNOT:
-            cnot_count += 1
     entry = tuple(x - max(rows[0]) for x in rows[0])
     constants = []
     for row in (*rows, *t_layers):
@@ -292,7 +296,7 @@ def _derive_template(fragment: Iterable[Gate]) -> _Template:
             raise CircuitError(f"fragment row {row} is not rank one over {entry}")
         constants.append(offsets.pop())
     exits, t_constants = tuple(constants[:3]), tuple(constants[3:])
-    return _Template(entry, exits, max(exits), t_constants, t_count, cnot_count)
+    return _Template(entry, exits, t_constants, t_count)
 
 
 @functools.cache
@@ -309,8 +313,7 @@ def _macro_templates() -> dict[GateKind, _Template]:
 
 class Schedule:
     """ASAP schedule of a gate stream over flat qubit indices, fed in
-    segments: per-qubit availability, the set of T layers, the T and CNOT
-    counts and the deepest layer.
+    segments: per-qubit availability, the set of T layers and the T count.
 
     ``feed`` extends the stream and ``tally`` reads it at that point, so a
     tally taken between two feeds is exactly the tally of the prefix fed so
@@ -324,23 +327,20 @@ class Schedule:
     :func:`qsearch.decompose.lower_circuit` is given.
     """
 
-    __slots__ = ("total_qubits", "_avail", "_t_layers", "_t_count",
-                 "_cnot_count", "_max_layer")
+    __slots__ = ("_avail", "_t_layers", "_t_count")
 
     def __init__(self, total_qubits: int):
-        self.total_qubits = total_qubits
         self._avail = [0] * total_qubits
         self._t_layers: set[int] = set()
-        self._t_count = self._cnot_count = self._max_layer = 0
+        self._t_count = 0
 
     def feed(self, gates: Iterable[Gate]) -> "Schedule":
         """Schedule ``gates`` after everything fed so far."""
         templates = _macro_templates()
         avail = self._avail
         add_t_layer = self._t_layers.add
-        t_count, cnot_count = self._t_count, self._cnot_count
-        max_layer = self._max_layer
-        k_t, k_tdg, k_cnot = GateKind.T, GateKind.TDG, GateKind.CNOT
+        t_count = self._t_count
+        k_t, k_tdg = GateKind.T, GateKind.TDG
         k_toffoli, k_mcz = GateKind.TOFFOLI, GateKind.MCZ
         for kind, ops in gates:
             if kind is k_toffoli or kind is k_mcz:
@@ -349,16 +349,13 @@ class Schedule:
                         f"{len(ops)}-operand {kind.value} needs ladder ancillas; "
                         "lower the circuit first"
                     )
-                (ua, ub, uc), (xa, xb, xc), last, t_layers, t_n, cnot_n = (
-                    templates[kind])
+                (ua, ub, uc), (xa, xb, xc), t_layers, t_n = templates[kind]
                 a, b, c = ops
                 entry = max(avail[a] + ua, avail[b] + ub, avail[c] + uc)
                 for t in t_layers:
                     add_t_layer(entry + t)
                 avail[a], avail[b], avail[c] = entry + xa, entry + xb, entry + xc
-                layer = entry + last
                 t_count += t_n
-                cnot_count += cnot_n
             else:
                 layer = avail[ops[0]]
                 for i in ops:
@@ -370,49 +367,40 @@ class Schedule:
                 if kind is k_t or kind is k_tdg:
                     t_count += 1
                     add_t_layer(layer)
-                elif kind is k_cnot:
-                    cnot_count += 1
-            if layer > max_layer:
-                max_layer = layer
-        self._t_count, self._cnot_count = t_count, cnot_count
-        self._max_layer = max_layer
+        self._t_count = t_count
         return self
 
-    def feed_tiled(self, tiling: Tiling, reverse: bool = False) -> "Schedule":
-        """Feed the copies of ``tiling`` (each reversed if ``reverse``) as
-        feeding them one by one would.  Copy i's operand q enters at
-        ``avail[q + i * stride]``; a local schedule over the block's qubits
-        takes each distinct entry vector once, adding its T layers to this
-        schedule's, and the exits go back by slice assignment."""
-        copies, strides = tiling.copies, tiling.strides
-        if copies == 1:
-            return self.feed(tiling.block[::-1] if reverse else tiling.block)
-        block = tiling.local_block[::-1] if reverse else tiling.local_block
-        avail = self._avail
-        spans = [slice(q, q + copies * step, step) for q, step in strides.items()]
-        entries = list(zip(*map(avail.__getitem__, spans)))
-        local = Schedule(0)
-        local._t_layers, local._max_layer = self._t_layers, self._max_layer
-        exits = {}
-        for entry in dict.fromkeys(entries):
-            local._avail = list(entry)
-            exits[entry] = local.feed(block)._avail
-        for span, column in zip(spans, zip(*map(exits.__getitem__, entries))):
-            avail[span] = column
-        self._max_layer = local._max_layer
-        self._t_count += copies * local._t_count // len(exits)
-        self._cnot_count += copies * local._cnot_count // len(exits)
+    def feed_tiled(self, *tilings: Tiling, reverse: bool = False) -> "Schedule":
+        """Feed the copies of ``tilings`` in order as feeding them one by
+        one would, or with ``reverse`` that stream reversed: the last
+        tiling first, each copy's block reversed.  Copy i's operand q
+        enters at ``avail[q + i * stride]``; a local schedule over the
+        block's qubits takes each distinct entry vector once, adding its T
+        layers to this schedule's, and the exits go back by slice
+        assignment."""
+        for tiling in reversed(tilings) if reverse else tilings:
+            copies, strides = tiling.copies, tiling.strides
+            if copies == 1:
+                self.feed(tiling.block[::-1] if reverse else tiling.block)
+                continue
+            block = tiling.local_block[::-1] if reverse else tiling.local_block
+            avail = self._avail
+            spans = [slice(q, q + copies * step, step) for q, step in strides.items()]
+            entries = list(zip(*map(avail.__getitem__, spans)))
+            local = Schedule(0)
+            local._t_layers = self._t_layers
+            exits = {}
+            for entry in dict.fromkeys(entries):
+                local._avail = list(entry)
+                exits[entry] = local.feed(block)._avail
+            for span, column in zip(spans, zip(*map(exits.__getitem__, entries))):
+                avail[span] = column
+            self._t_count += copies * local._t_count // len(exits)
         return self
 
     def tally(self) -> ResourceTally:
         """The tally of the stream fed so far."""
-        return ResourceTally(
-            t_count=self._t_count,
-            t_depth=len(self._t_layers),
-            cnot_count=self._cnot_count,
-            total_qubits=self.total_qubits,
-            total_layers=self._max_layer,
-        )
+        return ResourceTally(t_count=self._t_count, t_depth=len(self._t_layers))
 
 
 def tally_flat(
@@ -424,7 +412,7 @@ def tally_flat(
 
 
 def resource_tally(circuit: Circuit) -> ResourceTally:
-    return tally_flat(circuit.gates, max(circuit.total_qubits, 1))
+    return tally_flat(circuit.gates, circuit.total_qubits)
 
 
 def q_index(offset: int) -> int:

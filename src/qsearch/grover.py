@@ -41,12 +41,12 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .circuit import Circuit, Gate, GateKind, Register, gate
+from .circuit import Circuit, Gate, GateKind, Register, Tiling, gate
 from .database import Database, SearchQuery
 from .decompose import lower_circuit, mcz_tree, sync_touch
 from .errors import CircuitError, InputError, QueryError
 from . import qdam  # builders looked up at call time: the benchmark's tracer patches them
-from .qdam import QdamLayout, Stage2Parts
+from .qdam import QdamLayout
 from .sim import (
     SlicedState,
     SparseState,
@@ -173,15 +173,15 @@ class KernelCircuits:
     """Macro-level subroutine circuits for one kernel iteration; the loader
     is stage 1 then stage 2.
 
-    Stage 2 is kept as its parts (:class:`~qsearch.qdam.Stage2Parts`), two
-    of them tilings, which the resource report schedules forward and in
-    reverse without building them.  ``stage2``, the loader and the inverse
-    loader are built lazily, at most once each, for the simulator, the
-    lowering and ``compile``."""
+    Stage 2 is kept as the three tilings of
+    :func:`~qsearch.qdam.stage2_parts`, which the resource report schedules
+    forward and in reverse without building them.  ``stage2``, the loader
+    and the inverse loader are built lazily, at most once each, for the
+    simulator, the lowering and ``compile``."""
 
     layout: QdamLayout
     stage1: Circuit
-    stage2_parts: Stage2Parts
+    stage2_parts: tuple[Tiling, ...]
     target_reflection: Circuit
     diffusion: Circuit
 

@@ -15,11 +15,12 @@ The optimized loader runs in two stages:
   on disjoint triples after control fan-out, so the whole block costs one
   Toffoli of T-depth.  The E ancillas keep their (branch-deterministic)
   values until the inverse loader uncomputes them.  Every record's block
-  has one shape, so :func:`stage2_parts` describes the records as one
-  :class:`~qsearch.circuit.Tiling` of record 0's block, with each operand
-  moved i strides of its region in record i (one-hot 1, database and load
-  m, fan-out m - 1), and the fan-in as a tiling of data bit 0's column;
-  :func:`build_m2` materializes them.
+  has one shape, so :func:`stage2_parts` describes stage 2 as three
+  tilings (:class:`~qsearch.circuit.Tiling`) in order: the preparation as a
+  one-copy tiling, the records as a tiling of record 0's block, with each
+  operand moved i strides of its region in record i (one-hot 1, database
+  and load m, fan-out m - 1), and the fan-in as a tiling of data bit 0's
+  column; :func:`build_m2` materializes them.
 
 Emission order is chosen so the lowered blocks merge their T layers: the
 clearing CNOTs leave all one-hot qubits last-touched in a common scheduler
@@ -36,7 +37,8 @@ AND chain over the index qubits and differ only in their apex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from itertools import chain
+from typing import Sequence
 
 from .circuit import Circuit, Gate, GateKind, Register, Tiling, gate
 from .database import Database
@@ -204,16 +206,11 @@ def build_m1(layout: QdamLayout) -> Circuit:
     return Circuit(layout.register_sizes, gates, validate=False)
 
 
-class Stage2Parts(NamedTuple):
-    """Stage 2 in order: database preparation, record blocks and fan-in."""
-
-    prepare: tuple[Gate, ...]
-    records: Tiling
-    fan_in: Tiling
-
-
-def stage2_parts(layout: QdamLayout, db: Database | Sequence[str]) -> Stage2Parts:
-    """Stage 2 without its gate list.  The last record's fan-out lease is
+def stage2_parts(layout: QdamLayout,
+                 db: Database | Sequence[str]) -> tuple[Tiling, ...]:
+    """Stage 2 without its gate list, as three tilings in order: the
+    database preparation (one X per 1 bit) as a one-copy tiling, the
+    record blocks and the fan-in.  The last record's fan-out lease is
     checked, so every copy of the record block stays in its regions; data
     bit j's fan-in is column 0's fold moved j qubits on."""
     keys = _key_bits(layout.n, layout.m, db)
@@ -233,15 +230,14 @@ def stage2_parts(layout: QdamLayout, db: Database | Sequence[str]) -> Stage2Part
     block = shared_control_layer(control, pairs, lease)
     column, data = range(load, load + count * m, m), layout.data_qubit(0)
     fan_in = _fold_fan_in(column, data)
-    return Stage2Parts(prepare, Tiling(block, stride, count, total),
-                       Tiling(fan_in, dict.fromkeys((*column, data), 1), m, total))
+    return (Tiling(prepare, {}, 1, total), Tiling(block, stride, count, total),
+            Tiling(fan_in, dict.fromkeys((*column, data), 1), m, total))
 
 
-def build_m2(layout: QdamLayout, db: Database | Sequence[str] | Stage2Parts) -> Circuit:
-    """Stage 2 as a circuit: the parts of :func:`stage2_parts`, given or
-    planned here, materialized."""
-    parts = db if isinstance(db, Stage2Parts) else stage2_parts(layout, db)
-    gates = [*parts.prepare, *parts.records.gates(), *parts.fan_in.gates()]
+def build_m2(layout: QdamLayout, parts: Sequence[Tiling]) -> Circuit:
+    """Stage 2 as a circuit: the tilings of :func:`stage2_parts`
+    materialized in order."""
+    gates = list(chain.from_iterable(tiling.gates() for tiling in parts))
     return Circuit(layout.register_sizes, gates, validate=False)
 
 

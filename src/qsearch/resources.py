@@ -21,11 +21,11 @@ empty schedule, are also tallied alone.  The inverse loader is tallied as
 the loader's gates in reverse order: the scheduler treats T like TDG and S
 like SDG, and the macros are self-adjoint, so the reversed stream tallies
 exactly as the adjoint circuit, which is never built.  Stage 2 is fed as
-its parts, whose record blocks and fan-in are tilings
-(:class:`~qsearch.circuit.Tiling`): the scheduler takes about one record
-block per pass, not m * 2^n, and stage 2's gate list is never built.  The
-naive report streams its macro loader through :func:`tally_flat` and
-tallies its two reflections, a few hundred gates, on their lowering.
+its three tilings (:class:`~qsearch.circuit.Tiling`) in one call per pass:
+the scheduler takes about one record block per pass, not m * 2^n, and
+stage 2's gate list is never built.  The naive report streams its macro
+loader through :func:`tally_flat` and tallies its two reflections, a few
+hundred gates, on their lowering.
 """
 from __future__ import annotations
 
@@ -44,7 +44,7 @@ from .grover import (
     build_target_reflection,
     optimal_iterations,
 )
-from .qdam import NaiveLayout, QdamLayout, Stage2Parts, build_naive_qdam
+from .qdam import NaiveLayout, QdamLayout, build_naive_qdam
 
 CSV_HEADER = "N,K,td_opt,td_naive,tcost_opt,tcost_naive"
 
@@ -175,21 +175,13 @@ def estimate_bounds(n: int, m: int) -> ResourceReport:
 def _zero_keys(n: int, m: int) -> list[str]:
     """All-zero key patterns, the reference database of a measured report.
 
-    The gate structure does depend on the key bits: ``build_m2`` prepares
-    the database with one X per 1 bit, which shifts the scheduler's entry
+    The gate structure does depend on the key bits: stage 2 prepares the
+    database with one X per 1 bit, which shifts the scheduler's entry
     times into the stage-2 Toffolis.  From m = 2 a fan-out round re-aligns
     them and every depth is the zero-key one; with m = 1 some keys measure
     a stage-2 T-depth above its bound, so there a zero-key report does not
     bound every database (ROADMAP item 4)."""
     return ["0" * m] * (1 << n)
-
-
-def _feed_stage2(schedule: Schedule, parts: Stage2Parts, reverse: bool = False) -> Schedule:
-    """Feed stage 2 from its parts, or its gates in reverse order."""
-    if reverse:
-        return (schedule.feed_tiled(parts.fan_in, reverse=True)
-                .feed_tiled(parts.records, reverse=True).feed(parts.prepare[::-1]))
-    return schedule.feed(parts.prepare).feed_tiled(parts.records).feed_tiled(parts.fan_in)
 
 
 def measure_kernel(circuits: KernelCircuits, iterations: int) -> ResourceReport:
@@ -200,16 +192,16 @@ def measure_kernel(circuits: KernelCircuits, iterations: int) -> ResourceReport:
     stage 2 (snapshot: the loader), then the target reflection, the
     loader's gates reversed as the inverse loader, and the diffusion
     (snapshot: the kernel).  Stage 2 and the two reflections are also
-    tallied on their own, from an empty schedule; stage 2 from its parts."""
+    tallied on their own, from an empty schedule; stage 2 from its tilings."""
     layout, parts = circuits.layout, circuits.stage2_parts
     total = layout.total_qubits
     kernel = Schedule(total)
     t_m1 = kernel.feed(circuits.stage1.gates).tally()
-    t_loader = _feed_stage2(kernel, parts).tally()
+    t_loader = kernel.feed_tiled(*parts).tally()
     kernel.feed(circuits.target_reflection.gates)
-    _feed_stage2(kernel, parts, reverse=True).feed(reversed(circuits.stage1.gates))
+    kernel.feed_tiled(*parts, reverse=True).feed(reversed(circuits.stage1.gates))
     t_kernel = kernel.feed(circuits.diffusion.gates).tally()
-    t_m2 = _feed_stage2(Schedule(total), parts).tally()
+    t_m2 = Schedule(total).feed_tiled(*parts).tally()
     t_oracle = tally_flat(circuits.target_reflection.gates, total)
     t_diff = tally_flat(circuits.diffusion.gates, total)
     return ResourceReport(

@@ -29,7 +29,7 @@ from qsearch.circuit import (
 )
 from qsearch.decompose import mcz_ladder, shared_control_layer
 from qsearch.errors import CircuitError, MacroGateError
-from qsearch.qdam import _fold_fan_in, build_m1, build_m2
+from qsearch.qdam import _fold_fan_in, build_m1, build_m2, stage2_parts
 from qsearch.resources import ReportMode, ResourceReport
 
 DEFAULT_DENSE_CAP = 14
@@ -187,7 +187,7 @@ def success_probability_formula(database_size: int, iterations: int) -> float:
 
 def build_qdam(layout, db) -> Circuit:
     """Full loader: stage 1 then stage 2."""
-    return build_m1(layout) + build_m2(layout, db)
+    return build_m1(layout) + build_m2(layout, stage2_parts(layout, db))
 
 
 def stage2_per_record_gates(layout, keys) -> tuple[Gate, ...]:

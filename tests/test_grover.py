@@ -20,7 +20,7 @@ from qsearch.grover import (
     optimal_iterations,
     run_search,
 )
-from qsearch.qdam import QdamLayout, build_m1, build_m2
+from qsearch.qdam import QdamLayout, build_m1, build_m2, stage2_parts
 from qsearch.sim import (
     SlicedState,
     SparseState,
@@ -479,7 +479,7 @@ def test_reload_check_rejects_a_lowered_loader_that_disagrees(monkeypatch):
     def without_stage2(circuit, ladder=()):
         layout = QdamLayout(2, 2)
         assert circuit.gates == build_m1(layout).gates + build_m2(
-            layout, toy_db(2)).gates
+            layout, stage2_parts(layout, toy_db(2))).gates
         return real(build_m1(layout), ladder)
 
     monkeypatch.setattr(grover, "lower_circuit", without_stage2)

@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is used in that module, no
-module reads another module's private names, every name the benchmark's
-tracer patches exists, and the tracer can trace one op of each workload."""
+module reads another module's private names, every field of a public
+record type is read somewhere, every name the benchmark's tracer patches
+exists, and the tracer can trace one op of each workload."""
 from __future__ import annotations
 
 import ast
@@ -110,6 +111,44 @@ def test_no_module_reads_another_modules_private_names():
     sources["probe.py"] = sources["probe.py"].replace("ccz_gates", "_ccz_gates")
     assert _foreign_private_reads(sources) == {
         "probe.py": {"_ARITY": 2, "_ccz_gates": 4, "_validate": 4}}
+
+
+def _record_fields(tree: ast.Module) -> list[str]:
+    """``Class.field`` of every annotated field of a public NamedTuple or
+    dataclass the module defines."""
+    fields = []
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef) or _is_private(node.name):
+            continue
+        bases = {ast.unparse(base) for base in node.bases}
+        decorators = {ast.unparse(d).partition("(")[0] for d in node.decorator_list}
+        if "NamedTuple" in bases or "dataclass" in decorators:
+            fields += [f"{node.name}.{stmt.target.id}" for stmt in node.body
+                       if isinstance(stmt, ast.AnnAssign)
+                       and isinstance(stmt.target, ast.Name)]
+    return fields
+
+
+def _unread_fields(defining: list[str], reading: list[str]) -> tuple[int, list[str]]:
+    """How many record fields the ``defining`` sources declare, and those
+    that no attribute read in the ``reading`` sources names."""
+    fields = [f for text in defining for f in _record_fields(ast.parse(text))]
+    read = {node.attr for text in reading for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return len(fields), [f for f in fields if f.partition(".")[2] not in read]
+
+
+def test_every_record_field_is_read():
+    # a field nothing reads is dead API: the package or the benchmark must use it
+    package = [p.read_text() for p in sorted(PACKAGE_DIR.glob("*.py"))]
+    benchmark = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    checked, unread = _unread_fields(package, package + benchmark)
+    assert checked > 40 and not unread, f"record fields never read: {unread}"
+    probe = ("from typing import NamedTuple\n"
+             "class Probe(NamedTuple):\n    used: int\n    dead_field: int\n"
+             "class _Private(NamedTuple):\n    hidden_field: int\n"
+             "def f(p):\n    return p.used\n")
+    assert _unread_fields([probe], [probe]) == (2, ["Probe.dead_field"])
 
 
 def _traced_sites() -> list[tuple[str, str]]:

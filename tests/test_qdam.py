@@ -19,6 +19,7 @@ from qsearch.qdam import (
     build_m1,
     build_m2,
     build_naive_qdam,
+    stage2_parts,
 )
 from qsearch.sim import SparseState, basis_pattern
 
@@ -146,7 +147,7 @@ def test_m2_loads_spec_example_keys():
 
 def test_m2_zero_keys_leave_data_null_with_toffolis_present():
     layout = QdamLayout(2, 2)
-    circ = build_m2(layout, ["00"] * 4)
+    circ = build_m2(layout, stage2_parts(layout, ["00"] * 4))
     assert macro_counts(circ)[GateKind.TOFFOLI] == 8
     lowered = lower_circuit(circ)
     assert resource_tally(lowered).t_depth <= 4
@@ -157,7 +158,7 @@ def test_m2_zero_keys_leave_data_null_with_toffolis_present():
 
 def test_m2_macro_count_and_block_depth_n3m2():
     layout = QdamLayout(3, 2)
-    circ = build_m2(layout, ["00"] * 8)
+    circ = build_m2(layout, stage2_parts(layout, ["00"] * 8))
     assert macro_counts(circ)[GateKind.TOFFOLI] == 16
     assert resource_tally(lower_circuit(circ)).t_depth <= 4
 
@@ -249,7 +250,8 @@ def test_stage2_record_block_equals_one_layer_per_record(n):
     for m in (1, 2, 3, 4):  # m = 1 has no fan-out lease
         layout = QdamLayout(n, m)
         keys = ["".join(rng.choice("01") for _ in range(m)) for _ in range(1 << n)]
-        assert build_m2(layout, keys).gates == stage2_per_record_gates(layout, keys)
+        stage2 = build_m2(layout, stage2_parts(layout, keys))
+        assert stage2.gates == stage2_per_record_gates(layout, keys)
 
 
 def test_every_builder_emits_plain_tuple_gates():
@@ -270,6 +272,6 @@ def test_every_builder_emits_plain_tuple_gates():
 def test_shape_mismatch_rejected():
     layout = QdamLayout(2, 2)
     with pytest.raises(CircuitError):
-        build_m2(layout, ["00"] * 3)
+        stage2_parts(layout, ["00"] * 3)
     with pytest.raises(CircuitError):
-        build_m2(layout, ["000"] * 4)
+        stage2_parts(layout, ["000"] * 4)

@@ -21,7 +21,7 @@ from qsearch.grover import (
     optimal_iterations,
     run_search,
 )
-from qsearch.qdam import NaiveLayout, QdamLayout, build_m2, build_naive_qdam
+from qsearch.qdam import NaiveLayout, QdamLayout, build_m2, build_naive_qdam, stage2_parts
 from qsearch.resources import (
     CSV_HEADER,
     ReportMode,
@@ -419,7 +419,8 @@ def test_measure_never_materializes_stage_two(monkeypatch):
 
 
 def test_measure_schedules_fewer_gates_than_stage_two_holds(monkeypatch):
-    stage2 = build_m2(QdamLayout(8, 5), ["00000"] * 256)
+    layout = QdamLayout(8, 5)
+    stage2 = build_m2(layout, stage2_parts(layout, ["00000"] * 256))
     fed = []
     real = Schedule.feed
 

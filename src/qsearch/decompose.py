@@ -20,16 +20,17 @@ Four building blocks:
   same ancillas, arranged as a balanced AND tree, so its T-depth grows as
   log k.  The reflections of the search kernel use it.
 
-:func:`lower_gates` is the only lowering: it expands TOFFOLI and MCZ macros
-gate by gate, a wide MCZ through :func:`mcz_ladder`.  Operands are flat
-qubit indices, as everywhere in :mod:`qsearch.circuit`.  The scheduler
-derives its macro templates from the fragments over the operands 0, 1, 2
-(:class:`qsearch.circuit.Schedule`), so what it counts is what this
-module emits.  All emitted ancillas are returned to |0> on every input.
+:func:`lower_gates` is the only lowering: it expands TOFFOLI and MCZ
+macros into one gate list, a wide MCZ through :func:`mcz_ladder`.
+Operands are flat qubit indices, as everywhere in :mod:`qsearch.circuit`.
+The scheduler derives its macro templates from the fragments over the
+operands 0, 1, 2 (:class:`qsearch.circuit.Schedule`), so what it counts
+is what this module emits.  All emitted ancillas are returned to |0> on
+every input.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .circuit import Circuit, Gate, GateKind, gate
 from .errors import AncillaBudgetError, OperandOverlapError
@@ -43,30 +44,34 @@ def ccz_gates(x: int, y: int, z: int) -> list[Gate]:
     Phase polynomial (eighth turns): a + b + c + (a^b^c) - (a^b) - (b^c)
     - (a^c).  The -(a^b) term is realized as SDG+T so the first T layer
     needs only one CNOT-pair boundary; S/SDG pairs elsewhere are pure
-    schedule padding and cancel exactly.
+    schedule padding and cancel exactly.  The 21 gates share 7 operand
+    tuples, built once per call.
     """
+    cnot, s, sdg, t, tdg = _K.CNOT, _K.S, _K.SDG, _K.T, _K.TDG
+    xy, yz, zx, xz = (x, y), (y, z), (z, x), (x, z)
+    qx, qy, qz = (x,), (y,), (z,)
     return [
-        (_K.CNOT, (x, y)),   # y = a^b
-        (_K.CNOT, (y, z)),   # z = a^b^c
-        (_K.CNOT, (z, x)),   # x = b^c
-        (_K.SDG, (y,)),
-        (_K.TDG, (x,)),      # -(b^c)
-        (_K.T, (y,)),        # SDG+T = -(a^b)
-        (_K.T, (z,)),        # +(a^b^c)
-        (_K.CNOT, (z, x)),   # x = a
-        (_K.CNOT, (x, y)),   # y = b
-        (_K.S, (z,)),
-        (_K.T, (x,)),        # +a
-        (_K.T, (y,)),        # +b
-        (_K.SDG, (z,)),      # cancels the S pad
-        (_K.CNOT, (y, z)),   # z = a^c
-        (_K.CNOT, (z, x)),   # x = c
-        (_K.S, (y,)),
-        (_K.T, (x,)),        # +c
-        (_K.TDG, (z,)),      # -(a^c)
-        (_K.SDG, (y,)),      # cancels the S pad
-        (_K.CNOT, (z, x)),   # x = a
-        (_K.CNOT, (x, z)),   # z = c
+        (cnot, xy),   # y = a^b
+        (cnot, yz),   # z = a^b^c
+        (cnot, zx),   # x = b^c
+        (sdg, qy),
+        (tdg, qx),    # -(b^c)
+        (t, qy),      # SDG+T = -(a^b)
+        (t, qz),      # +(a^b^c)
+        (cnot, zx),   # x = a
+        (cnot, xy),   # y = b
+        (s, qz),
+        (t, qx),      # +a
+        (t, qy),      # +b
+        (sdg, qz),    # cancels the S pad
+        (cnot, yz),   # z = a^c
+        (cnot, zx),   # x = c
+        (s, qy),
+        (t, qx),      # +c
+        (tdg, qz),    # -(a^c)
+        (sdg, qy),    # cancels the S pad
+        (cnot, zx),   # x = a
+        (cnot, xz),   # z = c
     ]
 
 
@@ -270,8 +275,8 @@ def mcz_tree(qubits: Sequence[int], ancillas: Sequence[int] = ()) -> list[Gate]:
 def lower_gates(
     gates: Iterable[Gate],
     ladder_ancillas: Sequence[int] = (),
-) -> Iterator[Gate]:
-    """Expand macros to Clifford+T, streaming, one input gate at a time.
+) -> list[Gate]:
+    """Expand macros to Clifford+T, into one list in input order.
 
     MCZ of arity 3 becomes the direct CCZ fragment; larger MCZ gates expand
     through :func:`mcz_ladder` using ``ladder_ancillas``.  Lowered gates
@@ -281,21 +286,24 @@ def lower_gates(
     # ``compile --part naive --lowered`` lowers the naive loader, whose
     # ladders do so thousands of times; lower each distinct Toffoli once
     fragments: dict = {}
+    out: list[Gate] = []
+    append, extend = out.append, out.extend
     for g in gates:
         kind, ops = g
         if kind is _K.TOFFOLI:
             fragment = fragments.get(g)
             if fragment is None:
                 fragment = fragments[g] = decompose_toffoli(*ops)
-            yield from fragment
+            extend(fragment)
         elif kind is not _K.MCZ:
-            yield g
+            append(g)
         elif len(ops) == 3:
-            yield from ccz_gates(*ops)
+            extend(ccz_gates(*ops))
         else:
             free = tuple(a for a in ladder_ancillas if a not in ops)
             # the ladder holds only Toffolis and a 3-qubit MCZ apex
-            yield from lower_gates(mcz_ladder(ops, free))
+            extend(lower_gates(mcz_ladder(ops, free)))
+    return out
 
 
 def lower_circuit(

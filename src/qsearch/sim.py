@@ -1,7 +1,6 @@
-"""Exact simulation backends.  Each one runs a circuit in a single pass
-over its gates, dispatching on the gate kind; there is no compile step.
-Gate operands are flat qubit indices, and flat qubit g is bit ``total-1-g``
-of a basis label (conventions of :mod:`qsearch.circuit`).
+"""Exact simulation backends, each dispatching on the gate kind.  Gate
+operands are flat qubit indices, and flat qubit g is bit ``total-1-g`` of
+a basis label (conventions of :mod:`qsearch.circuit`).
 
 The search hot path never simulates Clifford+T gates.  Loader, target
 reflection and inverse loader are reversible permutations with phases, so
@@ -17,19 +16,23 @@ branch 0 alone the whole diffusion is the closed form
 
 ``SparseState`` stores a normalized amplitude map keyed by basis integers
 and applies *lowered* circuits; a macro gate raises
-:class:`MacroGateError` when the pass reaches it.  It is the reference the
-bit-sliced path is tested against on Clifford+T, and the search's reload
-check: one branch through the lowered loader.  Diagonal gates update
-phases in place; H splits/recombines support; X/CNOT permute keys.
-Amplitudes at or below ``DROP_TOLERANCE`` are pruned so destructive
-interference does not pollute the support.
+:class:`MacroGateError`.  It is the reference the bit-sliced path is
+tested against on Clifford+T, and the search's reload check: one branch
+through the lowered loader.  It makes one pass per H-free run of the
+circuit: every gate but H maps a basis label to one label times a phase,
+so each label goes through the whole run in one inner loop, and only H
+splits and recombines the support.  Amplitudes at or below
+``DROP_TOLERANCE`` are pruned so destructive interference does not
+pollute the support.
 """
 from __future__ import annotations
 
 import math
 from typing import Mapping
 
-from .circuit import Circuit, GateKind, Register, REGISTER_ORDER, gate
+from .circuit import (
+    Circuit, GateKind, LOWERED_KINDS, Register, REGISTER_ORDER, gate,
+)
 from .errors import CircuitError, MacroGateError
 
 DROP_TOLERANCE = 1e-14
@@ -42,6 +45,8 @@ _PHASES = {
     GateKind.T: complex(_SQRT_HALF, _SQRT_HALF),
     GateKind.TDG: complex(_SQRT_HALF, -_SQRT_HALF),
 }
+# lowered kinds that map one basis label to one label times a phase
+_RUN_KINDS = LOWERED_KINDS - {GateKind.H}
 
 class SparseState:
     """Amplitude map over the registers' basis labels.  Value-semantic:
@@ -91,61 +96,70 @@ class SparseState:
     # -- evolution -------------------------------------------------------
 
     def apply(self, circuit: Circuit) -> "SparseState":
-        """Run a lowered circuit.  Raises :class:`MacroGateError` at the
-        first macro gate, with the input state untouched."""
+        """Run a lowered circuit, one H-free run at a time: each label goes
+        through the whole run in one inner loop, and the run writes one new
+        map.  Phases multiply in gate order, as they would gate by gate.
+        Raises :class:`MacroGateError` if the circuit holds a macro gate,
+        with the input state untouched."""
         if circuit.total_qubits != self.total_qubits:
             raise CircuitError("circuit registers do not match the state")
         total = self.total_qubits
         bit = [1 << (total - 1 - f) for f in range(total)]
-        amps = dict(self.amplitudes)
+        gates = circuit.gates
+        # the H gates and any macro end a run
+        stops = [i for i, (kind, _) in enumerate(gates) if kind not in _RUN_KINDS]
+        stops.append(len(gates))
+        amps = self.amplitudes
         peak = len(amps)
+        phases = _PHASES
         k_h, k_x, k_cnot, k_cz = GateKind.H, GateKind.X, GateKind.CNOT, GateKind.CZ
-        for kind, flats in circuit.gates:
-            if kind is k_cnot:
-                cmask, tmask = bit[flats[0]], bit[flats[1]]
-                amps = {
-                    (k ^ tmask) if (k & cmask) else k: a
-                    for k, a in amps.items()
-                }
-            elif kind is k_h:
-                mask = bit[flats[0]]
-                out: dict[int, complex] = {}
-                get = out.get
+        start = 0
+        for stop in stops:
+            if stop > start:
+                run = gates[start:stop]
+                moved: dict[int, complex] = {}
                 for k, a in amps.items():
-                    ar = a * _SQRT_HALF
-                    k0 = k & ~mask
-                    k1 = k | mask
-                    if k & mask:
-                        v0 = get(k0)
-                        out[k0] = ar if v0 is None else v0 + ar
-                        v1 = get(k1)
-                        out[k1] = -ar if v1 is None else v1 - ar
-                    else:
-                        v0 = get(k0)
-                        out[k0] = ar if v0 is None else v0 + ar
-                        v1 = get(k1)
-                        out[k1] = ar if v1 is None else v1 + ar
-                amps = {k: a for k, a in out.items() if abs(a) > DROP_TOLERANCE}
-                if len(amps) > peak:
-                    peak = len(amps)
-            elif kind is k_x:
-                mask = bit[flats[0]]
-                amps = {k ^ mask: a for k, a in amps.items()}
-            elif kind is k_cz:
-                mask = bit[flats[0]] | bit[flats[1]]
-                for k, a in amps.items():
-                    if (k & mask) == mask:
-                        amps[k] = -a
-            else:
-                phase = _PHASES.get(kind)
-                if phase is None:
-                    raise MacroGateError(
-                        f"simulation requires a lowered circuit, got {kind.value}"
-                    )
-                mask = bit[flats[0]]
-                for k, a in amps.items():
-                    if k & mask:
-                        amps[k] = a * phase
+                    for kind, flats in run:
+                        if kind is k_cnot:
+                            if k & bit[flats[0]]:
+                                k ^= bit[flats[1]]
+                        elif kind is k_x:
+                            k ^= bit[flats[0]]
+                        elif kind is k_cz:
+                            if k & bit[flats[0]] and k & bit[flats[1]]:
+                                a = -a
+                        elif k & bit[flats[0]]:
+                            a = a * phases[kind]
+                    moved[k] = a
+                amps = moved
+            if stop == len(gates):
+                break
+            kind, flats = gates[stop]
+            if kind is not k_h:
+                raise MacroGateError(
+                    f"simulation requires a lowered circuit, got {kind.value}"
+                )
+            mask = bit[flats[0]]
+            out: dict[int, complex] = {}
+            get = out.get
+            for k, a in amps.items():
+                ar = a * _SQRT_HALF
+                k0 = k & ~mask
+                k1 = k | mask
+                if k & mask:
+                    v0 = get(k0)
+                    out[k0] = ar if v0 is None else v0 + ar
+                    v1 = get(k1)
+                    out[k1] = -ar if v1 is None else v1 - ar
+                else:
+                    v0 = get(k0)
+                    out[k0] = ar if v0 is None else v0 + ar
+                    v1 = get(k1)
+                    out[k1] = ar if v1 is None else v1 + ar
+            amps = {k: a for k, a in out.items() if abs(a) > DROP_TOLERANCE}
+            if len(amps) > peak:
+                peak = len(amps)
+            start = stop + 1
         out_state = SparseState(self.register_sizes, amps)
         out_state.peak_support = max(peak, self.peak_support)
         return out_state

@@ -1,7 +1,7 @@
-"""Test-only oracles: a dense state-vector backend, the Walsh-Hadamard
-transform, the full loader, the naive loader built one ladder per record
-bit, the kernel measurement over built gate lists, and the circuit helpers
-that only tests use.
+"""Test-only oracles: a dense state-vector backend, the sparse simulator
+run one gate at a time, the Walsh-Hadamard transform, the full loader, the
+naive loader built one ladder per record bit, the kernel measurement over
+built gate lists, and the circuit helpers that only tests use.
 
 The dense backend applies lowered gates to a full numpy state vector (or
 to a batch of columns for unitary extraction).  It shares no code with
@@ -31,6 +31,7 @@ from qsearch.decompose import mcz_ladder, shared_control_layer
 from qsearch.errors import CircuitError, MacroGateError
 from qsearch.qdam import _fold_fan_in, build_m1, build_m2, stage2_parts
 from qsearch.resources import ReportMode, ResourceReport
+from qsearch.sim import DROP_TOLERANCE, SparseState
 
 DEFAULT_DENSE_CAP = 14
 
@@ -156,6 +157,61 @@ def to_dense(state) -> np.ndarray:
 
 def norm(state) -> float:
     return math.sqrt(sum((a * a.conjugate()).real for a in state.amplitudes.values()))
+
+
+def gatewise_apply(state: SparseState, circuit: Circuit) -> SparseState:
+    """:meth:`qsearch.sim.SparseState.apply` one gate at a time: a new
+    amplitude map per X, CNOT and H, phases updated in place.  The same
+    phase products in the same order, so it must agree with ``apply``
+    exactly, key order and ``peak_support`` included.  Raises
+    :class:`MacroGateError` at the first macro gate, with ``state``
+    untouched."""
+    if circuit.total_qubits != state.total_qubits:
+        raise CircuitError("circuit registers do not match the state")
+    total = state.total_qubits
+    bit = [1 << (total - 1 - f) for f in range(total)]
+    amps = dict(state.amplitudes)
+    peak = len(amps)
+    for kind, flats in circuit.gates:
+        if kind is GateKind.CNOT:
+            cmask, tmask = bit[flats[0]], bit[flats[1]]
+            amps = {(k ^ tmask) if (k & cmask) else k: a for k, a in amps.items()}
+        elif kind is GateKind.H:
+            mask = bit[flats[0]]
+            out: dict[int, complex] = {}
+            for k, a in amps.items():
+                ar = a * _SQRT_HALF
+                k0, k1 = k & ~mask, k | mask
+                v0 = out.get(k0)
+                out[k0] = ar if v0 is None else v0 + ar
+                v1 = out.get(k1)
+                if k & mask:
+                    out[k1] = -ar if v1 is None else v1 - ar
+                else:
+                    out[k1] = ar if v1 is None else v1 + ar
+            amps = {k: a for k, a in out.items() if abs(a) > DROP_TOLERANCE}
+            peak = max(peak, len(amps))
+        elif kind is GateKind.X:
+            mask = bit[flats[0]]
+            amps = {k ^ mask: a for k, a in amps.items()}
+        elif kind is GateKind.CZ:
+            mask = bit[flats[0]] | bit[flats[1]]
+            for k, a in amps.items():
+                if (k & mask) == mask:
+                    amps[k] = -a
+        else:
+            phase = _PHASES.get(kind)
+            if phase is None:
+                raise MacroGateError(
+                    f"simulation requires a lowered circuit, got {kind.value}"
+                )
+            mask = bit[flats[0]]
+            for k, a in amps.items():
+                if k & mask:
+                    amps[k] = a * phase
+    out_state = SparseState(state.register_sizes, amps)
+    out_state.peak_support = max(peak, state.peak_support)
+    return out_state
 
 
 # -- integer rounds -----------------------------------------------------------

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsearch.circuit import Circuit, GateKind, Register, gate
 from qsearch.decompose import lower_circuit
@@ -23,6 +25,7 @@ from oracles import (
     DenseCapError,
     build_qdam,
     dense_statevector,
+    gatewise_apply,
     norm,
     to_dense,
     walsh_hadamard,
@@ -122,16 +125,84 @@ def test_sparse_rejects_macro_circuits():
 
 def test_simulators_reject_a_macro_gate_mid_stream():
     state = SparseState.zero({A: 3}).apply(Circuit({A: 3}, [gate(GateKind.H, _anc(0))]))
-    before = dict(state.amplitudes)
+    before = list(state.amplitudes.items())
     lowered = [gate(GateKind.X, _anc(2)), gate(GateKind.T, _anc(0)),
                gate(GateKind.CNOT, _anc(0), _anc(1)), gate(GateKind.H, _anc(2)),
                gate(GateKind.CZ, _anc(1), _anc(2))]
-    circ = Circuit({A: 3}, lowered + [gate(GateKind.TOFFOLI, _anc(0), _anc(1), _anc(2))])
-    with pytest.raises(MacroGateError):
-        state.apply(circ)
-    assert state.amplitudes == before
-    with pytest.raises(MacroGateError):
-        dense_statevector(circ, 0)
+    toffoli = gate(GateKind.TOFFOLI, _anc(0), _anc(1), _anc(2))
+    for gates in (
+        lowered + [toffoli],                   # the last gate
+        [toffoli] + lowered,                   # in the first H-free run
+        lowered[:4] + [toffoli] + lowered[4:],  # right after an H
+        lowered[:3] + [gate(GateKind.MCZ, _anc(0), _anc(2))] + lowered[3:],
+    ):
+        circ = Circuit({A: 3}, gates)
+        with pytest.raises(MacroGateError):
+            state.apply(circ)
+        assert list(state.amplitudes.items()) == before
+        with pytest.raises(MacroGateError):
+            gatewise_apply(state, circ)
+        with pytest.raises(MacroGateError):
+            dense_statevector(circ, 0)
+
+
+def _assert_exactly_equal(got, expected):
+    """Same keys in the same order, bitwise-equal amplitudes, same peak.
+    ``repr`` round-trips a float exactly and tells -0.0 from 0.0."""
+    assert ([(k, repr(a)) for k, a in got.amplitudes.items()]
+            == [(k, repr(a)) for k, a in expected.amplitudes.items()])
+    assert got.peak_support == expected.peak_support
+
+
+@pytest.mark.parametrize("gates", [
+    [],
+    [gate(GateKind.H, _anc(q)) for q in (0, 1, 2, 0, 2, 1, 1)],
+], ids=["empty", "h-only"])
+def test_apply_on_edge_circuits_equals_the_gatewise_oracle(gates):
+    start = SparseState({A: 3}, {0b000: 0.6 + 0j, 0b101: -0.8j, 0b011: 0.1 + 0j})
+    circ = Circuit({A: 3}, gates)
+    _assert_exactly_equal(start.apply(circ), gatewise_apply(start, circ))
+
+
+# every lowered kind, with H drawn four times as often as any other
+_RUN_MIX = [GateKind.X, GateKind.Z, GateKind.S, GateKind.SDG, GateKind.T,
+            GateKind.TDG, GateKind.CNOT, GateKind.CZ] + [GateKind.H] * 4
+
+
+@st.composite
+def _lowered_runs(draw):
+    width = draw(st.integers(1, 6))
+    kinds = _RUN_MIX if width > 1 else [k for k in _RUN_MIX
+                                        if k not in (GateKind.CNOT, GateKind.CZ)]
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=40)):
+        arity = 2 if kind in (GateKind.CNOT, GateKind.CZ) else 1
+        order = draw(st.permutations(range(width)))
+        gates.append(gate(kind, *order[:arity]))
+    labels = draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1,
+                           max_size=8, unique=True))
+    parts = st.floats(-1, 1, allow_nan=False)
+    amps = {k: complex(draw(parts), draw(parts)) for k in labels}
+    return SparseState({A: width}, amps), Circuit({A: width}, gates)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lowered_runs())
+def test_apply_equals_the_gatewise_oracle(case):
+    start, circ = case
+    before = list(start.amplitudes.items())
+    _assert_exactly_equal(start.apply(circ), gatewise_apply(start, circ))
+    assert list(start.amplitudes.items()) == before
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_apply_equals_the_gatewise_oracle_on_every_loader_branch(n):
+    layout = QdamLayout(n, n)
+    sizes = layout.register_sizes
+    lowered = lower_circuit(build_qdam(layout, toy_db(n)), layout.ladder_qubits())
+    for q in range(1 << n):
+        start = SparseState.basis(sizes, basis_pattern(sizes, {Register.BINARY_INDEX: q}))
+        _assert_exactly_equal(start.apply(lowered), gatewise_apply(start, lowered))
 
 
 def test_register_mismatch_rejected():

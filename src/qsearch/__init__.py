@@ -22,7 +22,6 @@ from .database import (
 from .decompose import (
     decompose_toffoli,
     lower_circuit,
-    mcz_ladder,
     shared_control_layer,
     sync_touch,
 )

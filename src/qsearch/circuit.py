@@ -15,10 +15,12 @@ bit-reproducible:
 * In basis labels the first qubit is the most significant bit: flat qubit
   ``g`` is bit ``total-1-g``, so basis index ``b`` assigns it
   ``(b >> (total-1-g)) & 1``.
-* TOFFOLI and MCZ are macro gates.  They are first-class in the IR so
-  builders stay readable.  The sparse simulator rejects them (lower with
-  :func:`qsearch.decompose.lower_circuit` first); the metrics accept
-  TOFFOLI and 3-operand MCZ and count them as their Clifford+T fragments.
+* TOFFOLI and MCZ (a CCZ) are three-qubit macro gates.  They are
+  first-class in the IR so builders stay readable, and this module
+  defines their Clifford+T fragments, :func:`decompose_toffoli` and
+  :func:`ccz_gates`.  The sparse simulator rejects macros (lower with
+  :func:`qsearch.decompose.lower_circuit` first); the metrics count each
+  as its fragment.
 
 Scheduling is as-soon-as-possible list scheduling over the gate-dependency
 DAG, done by :class:`Schedule`, the only scheduler; :func:`tally_flat` is
@@ -26,8 +28,8 @@ its one-shot form.  A gate is placed in the earliest layer after every
 earlier gate that shares one of its qubits.  Two gates may share a layer
 only if they act on disjoint qubits.  The T-depth of a circuit is the
 number of layers that contain at least one T or TDG gate.  A macro is
-scheduled in one step, through a max-plus template derived once from its
-lowered fragment, and lands exactly where the fragment's gates would.  The
+scheduled in one step, through a max-plus template derived from its
+fragment at import, and lands exactly where the fragment's gates would.  The
 templates are rank one, which the derivation checks: a macro costs one
 ``max`` of three entry terms plus constants.  A schedule can be fed in
 segments and tallied after each, and each such snapshot is the tally of
@@ -47,7 +49,7 @@ import functools
 import json
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import CircuitError, MacroGateError, OperandOverlapError
+from .errors import CircuitError, OperandOverlapError
 
 
 class Register(enum.Enum):
@@ -74,7 +76,7 @@ class GateKind(enum.Enum):
     CNOT = "CNOT"
     CZ = "CZ"
     TOFFOLI = "TOFFOLI"  # macro
-    MCZ = "MCZ"  # macro, arity >= 2
+    MCZ = "MCZ"  # macro: a CCZ
 
     # members compare by identity; Enum's own hash runs in Python on every
     # dict lookup, which the simulators and the lowering do per gate
@@ -89,7 +91,7 @@ LOWERED_KINDS = frozenset(
 _ARITY = {
     GateKind.H: 1, GateKind.X: 1, GateKind.Z: 1, GateKind.S: 1,
     GateKind.SDG: 1, GateKind.T: 1, GateKind.TDG: 1,
-    GateKind.CNOT: 2, GateKind.CZ: 2, GateKind.TOFFOLI: 3,
+    GateKind.CNOT: 2, GateKind.CZ: 2, GateKind.TOFFOLI: 3, GateKind.MCZ: 3,
 }
 
 _ADJOINT = {
@@ -109,11 +111,9 @@ Gate = tuple[GateKind, tuple[int, ...]]
 
 def gate(kind: GateKind, *qubits: int) -> Gate:
     """Build a validated gate; controls precede the target."""
-    arity = _ARITY.get(kind)
-    if arity is not None and len(qubits) != arity:
+    arity = _ARITY[kind]
+    if len(qubits) != arity:
         raise CircuitError(f"{kind.value} takes {arity} qubits, got {len(qubits)}")
-    if kind is GateKind.MCZ and len(qubits) < 2:
-        raise CircuitError("MCZ takes at least 2 qubits")
     if len(set(qubits)) != len(qubits):
         raise OperandOverlapError(f"duplicate operands in {kind.value}: {qubits}")
     return (kind, tuple(qubits))
@@ -299,16 +299,56 @@ def _derive_template(fragment: Iterable[Gate]) -> _Template:
     return _Template(entry, exits, t_constants, t_count)
 
 
-@functools.cache
-def _macro_templates() -> dict[GateKind, _Template]:
-    """TOFFOLI and 3-operand MCZ templates, derived on first use from the
-    fragments that :func:`qsearch.decompose.lower_gates` emits."""
-    from . import decompose  # local import; decompose depends on this module
+def ccz_gates(x: int, y: int, z: int) -> list[Gate]:
+    """Doubly-controlled Z, 7 T gates in three aligned T layers, no ancilla.
 
-    return {
-        GateKind.TOFFOLI: _derive_template(decompose.decompose_toffoli(0, 1, 2)),
-        GateKind.MCZ: _derive_template(decompose.ccz_gates(0, 1, 2)),
-    }
+    Phase polynomial (eighth turns): a + b + c + (a^b^c) - (a^b) - (b^c)
+    - (a^c).  The -(a^b) term is realized as SDG+T so the first T layer
+    needs only one CNOT-pair boundary; S/SDG pairs elsewhere are pure
+    schedule padding and cancel exactly.  The 21 gates share 7 operand
+    tuples, built once per call.
+    """
+    cnot, s, sdg, t, tdg = (GateKind.CNOT, GateKind.S, GateKind.SDG,
+                            GateKind.T, GateKind.TDG)
+    xy, yz, zx, xz = (x, y), (y, z), (z, x), (x, z)
+    qx, qy, qz = (x,), (y,), (z,)
+    return [
+        (cnot, xy),   # y = a^b
+        (cnot, yz),   # z = a^b^c
+        (cnot, zx),   # x = b^c
+        (sdg, qy),
+        (tdg, qx),    # -(b^c)
+        (t, qy),      # SDG+T = -(a^b)
+        (t, qz),      # +(a^b^c)
+        (cnot, zx),   # x = a
+        (cnot, xy),   # y = b
+        (s, qz),
+        (t, qx),      # +a
+        (t, qy),      # +b
+        (sdg, qz),    # cancels the S pad
+        (cnot, yz),   # z = a^c
+        (cnot, zx),   # x = c
+        (s, qy),
+        (t, qx),      # +c
+        (tdg, qz),    # -(a^c)
+        (sdg, qy),    # cancels the S pad
+        (cnot, zx),   # x = a
+        (cnot, xz),   # z = c
+    ]
+
+
+def decompose_toffoli(c1: int, c2: int, target: int) -> list[Gate]:
+    """Lowered Toffoli fragment: 7 T gates, measured T-depth 3, no ancilla."""
+    if len({c1, c2, target}) != 3:
+        raise OperandOverlapError("Toffoli operands must be distinct")
+    h = (GateKind.H, (target,))
+    return [h, *ccz_gates(c1, c2, target), h]
+
+
+_TEMPLATES = {
+    GateKind.TOFFOLI: _derive_template(decompose_toffoli(0, 1, 2)),
+    GateKind.MCZ: _derive_template(ccz_gates(0, 1, 2)),
+}
 
 
 class Schedule:
@@ -319,12 +359,10 @@ class Schedule:
     tally taken between two feeds is exactly the tally of the prefix fed so
     far (a prefix's T-layer set is the stream's set at that moment).
 
-    TOFFOLI and 3-operand MCZ gates are scheduled as their lowered
-    fragments would be, through the fragments' rank-one max-plus templates
-    (:class:`_Template`): one ``max`` of three entry terms plus constants
-    per macro, so the tally equals that of the lowered stream.  A wider MCZ
-    raises :class:`MacroGateError`: its ladder needs ancillas that only
-    :func:`qsearch.decompose.lower_circuit` is given.
+    TOFFOLI and MCZ gates are scheduled as their fragments would be,
+    through the fragments' rank-one max-plus templates (:class:`_Template`):
+    one ``max`` of three entry terms plus constants per macro, so the tally
+    equals that of the lowered stream.
     """
 
     __slots__ = ("_avail", "_t_layers", "_t_count")
@@ -336,7 +374,7 @@ class Schedule:
 
     def feed(self, gates: Iterable[Gate]) -> "Schedule":
         """Schedule ``gates`` after everything fed so far."""
-        templates = _macro_templates()
+        templates = _TEMPLATES
         avail = self._avail
         add_t_layer = self._t_layers.add
         t_count = self._t_count
@@ -344,11 +382,6 @@ class Schedule:
         k_toffoli, k_mcz = GateKind.TOFFOLI, GateKind.MCZ
         for kind, ops in gates:
             if kind is k_toffoli or kind is k_mcz:
-                if len(ops) != 3:
-                    raise MacroGateError(
-                        f"{len(ops)}-operand {kind.value} needs ladder ancillas; "
-                        "lower the circuit first"
-                    )
                 (ua, ub, uc), (xa, xb, xc), t_layers, t_n = templates[kind]
                 a, b, c = ops
                 entry = max(avail[a] + ua, avail[b] + ub, avail[c] + uc)

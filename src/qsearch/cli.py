@@ -134,11 +134,9 @@ def _cmd_compile(args) -> int:
     if args.part == "naive":
         layout = NaiveLayout(max(db.index_bits, 1), db.key_width)
         circuit = build_naive_qdam(layout, db.keys())
-        ladder = layout.ladder_qubits()
     else:
         layout = QdamLayout.for_database(db)
         circuits = build_kernel_circuits(layout, db, args.key)
-        ladder = layout.ladder_qubits()
         circuit = circuits.kernel() if args.part == "kernel" else {
             "m1": circuits.stage1,
             "m2": circuits.stage2,
@@ -147,7 +145,7 @@ def _cmd_compile(args) -> int:
             "diffusion": circuits.diffusion,
         }[args.part]
     if args.lowered:
-        circuit = lower_circuit(circuit, ladder)
+        circuit = lower_circuit(circuit)
     _emit(circuit.export_json(), args.out)
     sys.stdout.write(f"wrote {args.part} ({len(circuit)} gates) to {args.out}\n")
     return EXIT_OK

@@ -1,86 +1,38 @@
 """Lowering of macro gates to Clifford+T.
 
-Four building blocks:
+The two three-qubit fragments, :func:`~qsearch.circuit.decompose_toffoli`
+(a 7-T Toffoli whose three T stages land in exactly three scheduler
+layers, whatever the operands' entry timing, so parallel fragments merge
+their T layers) and :func:`~qsearch.circuit.ccz_gates`, live beside the
+scheduler that derives its templates from them, and are imported here.
+Three building blocks make the macro-level subroutines:
 
-* :func:`decompose_toffoli` -- a 7-T fragment whose three T stages land in
-  exactly three scheduler layers.  The stage boundaries are CNOT pairs that
-  touch both T carriers, plus S/SDG padding on the third qubit, so the
-  alignment survives arbitrary entry timing on the operands.  This matters:
-  parallel fragments merge their T layers only if the stages line up.
 * :func:`shared_control_layer` -- many Toffolis sharing one control, made
   disjoint by fanning the control out onto borrowed ancillas (CNOTs are
   free in T-depth).  Fan-out is by doubling rounds so every control copy is
   last touched in the same layer; a partial final round gets an S pad (with
   its SDG after the block) to stay aligned.
-* :func:`mcz_ladder` -- phase flip on the all-ones subspace of k qubits:
-  an AND chain of Toffolis into borrowed ancillas with a CCZ apex, then
-  uncomputation.  Degenerate sizes emit Z / CZ / plain CCZ.  T-depth
-  linear in k; the naive loader and the lowering of a wide MCZ use it.
-* :func:`mcz_tree` -- the same phase flip with as many Toffolis into the
-  same ancillas, arranged as a balanced AND tree, so its T-depth grows as
-  log k.  The reflections of the search kernel use it.
+* :func:`sync_touch` -- a CNOT-pair block that equalizes the scheduler
+  timing of a set of qubits.
+* :func:`mcz_tree` -- phase flip on the all-ones subspace of k qubits: a
+  balanced AND tree of Toffolis into k - 3 borrowed ancillas with a CCZ
+  apex, then uncomputation, so its T-depth grows as log k.  Degenerate
+  sizes emit Z / CZ / plain CCZ.  The reflections of the search kernel
+  use it.
 
-:func:`lower_gates` is the only lowering: it expands TOFFOLI and MCZ
-macros into one gate list, a wide MCZ through :func:`mcz_ladder`.
-Operands are flat qubit indices, as everywhere in :mod:`qsearch.circuit`.
-The scheduler derives its macro templates from the fragments over the
-operands 0, 1, 2 (:class:`qsearch.circuit.Schedule`), so what it counts
-is what this module emits.  All emitted ancillas are returned to |0> on
-every input.
+:func:`lower_gates` is the only lowering: it maps each TOFFOLI and MCZ
+macro to its fragment, into one gate list.  Operands are flat qubit
+indices, as everywhere in :mod:`qsearch.circuit`.  All emitted ancillas
+are returned to |0> on every input.
 """
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .circuit import Circuit, Gate, GateKind, gate
+from .circuit import Circuit, Gate, GateKind, ccz_gates, decompose_toffoli, gate
 from .errors import AncillaBudgetError, OperandOverlapError
 
 _K = GateKind
-
-
-def ccz_gates(x: int, y: int, z: int) -> list[Gate]:
-    """Doubly-controlled Z, 7 T gates in three aligned T layers, no ancilla.
-
-    Phase polynomial (eighth turns): a + b + c + (a^b^c) - (a^b) - (b^c)
-    - (a^c).  The -(a^b) term is realized as SDG+T so the first T layer
-    needs only one CNOT-pair boundary; S/SDG pairs elsewhere are pure
-    schedule padding and cancel exactly.  The 21 gates share 7 operand
-    tuples, built once per call.
-    """
-    cnot, s, sdg, t, tdg = _K.CNOT, _K.S, _K.SDG, _K.T, _K.TDG
-    xy, yz, zx, xz = (x, y), (y, z), (z, x), (x, z)
-    qx, qy, qz = (x,), (y,), (z,)
-    return [
-        (cnot, xy),   # y = a^b
-        (cnot, yz),   # z = a^b^c
-        (cnot, zx),   # x = b^c
-        (sdg, qy),
-        (tdg, qx),    # -(b^c)
-        (t, qy),      # SDG+T = -(a^b)
-        (t, qz),      # +(a^b^c)
-        (cnot, zx),   # x = a
-        (cnot, xy),   # y = b
-        (s, qz),
-        (t, qx),      # +a
-        (t, qy),      # +b
-        (sdg, qz),    # cancels the S pad
-        (cnot, yz),   # z = a^c
-        (cnot, zx),   # x = c
-        (s, qy),
-        (t, qx),      # +c
-        (tdg, qz),    # -(a^c)
-        (sdg, qy),    # cancels the S pad
-        (cnot, zx),   # x = a
-        (cnot, xz),   # z = c
-    ]
-
-
-def decompose_toffoli(c1: int, c2: int, target: int) -> list[Gate]:
-    """Lowered Toffoli fragment: 7 T gates, measured T-depth 3, no ancilla."""
-    if len({c1, c2, target}) != 3:
-        raise OperandOverlapError("Toffoli operands must be distinct")
-    h = (_K.H, (target,))
-    return [h, *ccz_gates(c1, c2, target), h]
 
 
 def shared_control_layer(
@@ -183,49 +135,10 @@ def sync_touch(qubits: Sequence[int]) -> list[Gate]:
 _SMALL_FLIP = {1: _K.Z, 2: _K.CZ, 3: _K.MCZ}
 
 
-def _borrowed(qubits: Sequence[int], ancillas: Sequence[int]) -> tuple[int, ...]:
-    """The k-3 ancillas a k-qubit phase flip borrows (none below k = 4),
-    checked against its operands."""
-    if len(set(qubits)) != len(qubits):
-        raise OperandOverlapError("phase-flip qubits must be distinct")
-    k = len(qubits)
-    if k == 0:
-        raise OperandOverlapError("phase flip needs at least one qubit")
-    needed = max(0, k - 3)
-    borrowed = tuple(ancillas)[:needed]
-    if len(borrowed) < needed:
-        raise AncillaBudgetError(
-            f"{k - 1}-control Z needs {needed} ladder ancillas, got {len(borrowed)}"
-        )
-    if set(borrowed) & set(qubits):
-        raise OperandOverlapError("ladder ancilla overlaps an operand")
-    return borrowed
-
-
-def mcz_ladder(
-    qubits: Sequence[int],
-    ladder_ancillas: Sequence[int] = (),
-) -> list[Gate]:
-    """Phase flip of the |1...1> branch over ``qubits`` (k = c+1 qubits for a
-    c-control Z).  Macro-level: chain TOFFOLIs + MCZ apex; uses k-3 borrowed
-    ancillas for k >= 4, none below.  Standalone T-depth 3(2k-5) for k >= 4.
-    """
-    qubits = tuple(qubits)
-    ancillas = _borrowed(qubits, ladder_ancillas)
-    if len(qubits) <= 3:
-        return [(_SMALL_FLIP[len(qubits)], qubits)]
-    up: list[Gate] = []
-    acc = qubits[0]
-    for i, a in enumerate(ancillas):
-        up.append((_K.TOFFOLI, (acc, qubits[i + 1], a)))
-        acc = a
-    apex = (_K.MCZ, (acc, qubits[-2], qubits[-1]))
-    return up + [apex] + up[::-1]
-
-
 def mcz_tree(qubits: Sequence[int], ancillas: Sequence[int] = ()) -> list[Gate]:
-    """The phase flip of :func:`mcz_ladder`, with as many Toffolis into the
-    same k-3 borrowed ancillas, as a balanced AND tree.
+    """Phase flip of the |1...1> branch over ``qubits`` (k = c+1 qubits for
+    a c-control Z), as a balanced AND tree of Toffolis into the first k-3
+    of ``ancillas`` (none below k = 4).
 
     The operands split into three near-equal groups, each halved
     recursively, so no group has more than 2^L leaves, L = ceil(log2(k/3)).
@@ -233,7 +146,7 @@ def mcz_tree(qubits: Sequence[int], ancillas: Sequence[int] = ()) -> list[Gate]:
     three roots, and the Toffolis are undone in reverse.  From operands
     that enter the schedule together, the T-depth is 3(2L + 1) for k >= 4
     (three layers for each compute level, the apex and each uncompute
-    level) against the ladder's 3(2k - 5).
+    level) against a serial AND chain's 3(2k - 5).
 
     A fragment frees its middle operand two layers before the other two,
     so in the uncompute a middle-slot ancilla would re-enter early and
@@ -242,8 +155,17 @@ def mcz_tree(qubits: Sequence[int], ancillas: Sequence[int] = ()) -> list[Gate]:
     fragment that frees it.
     """
     qubits = tuple(qubits)
-    borrowed = _borrowed(qubits, ancillas)
     k = len(qubits)
+    if k == 0 or len(set(qubits)) != k:
+        raise OperandOverlapError("phase flip needs one or more distinct qubits")
+    needed = max(0, k - 3)
+    borrowed = tuple(ancillas)[:needed]
+    if len(borrowed) < needed:
+        raise AncillaBudgetError(
+            f"{k - 1}-control Z needs {needed} ladder ancillas, got {len(borrowed)}"
+        )
+    if set(borrowed) & set(qubits):
+        raise OperandOverlapError("ladder ancilla overlaps an operand")
     if k <= 3:
         return [(_SMALL_FLIP[k], qubits)]
     fresh = iter(borrowed)
@@ -272,19 +194,13 @@ def mcz_tree(qubits: Sequence[int], ancillas: Sequence[int] = ()) -> list[Gate]:
     return up + mirror
 
 
-def lower_gates(
-    gates: Iterable[Gate],
-    ladder_ancillas: Sequence[int] = (),
-) -> list[Gate]:
-    """Expand macros to Clifford+T, into one list in input order.
-
-    MCZ of arity 3 becomes the direct CCZ fragment; larger MCZ gates expand
-    through :func:`mcz_ladder` using ``ladder_ancillas``.  Lowered gates
-    pass through unchanged.
-    """
-    # a ladder repeats its Toffolis for every MCZ over the same qubits, and
-    # ``compile --part naive --lowered`` lowers the naive loader, whose
-    # ladders do so thousands of times; lower each distinct Toffoli once
+def lower_gates(gates: Iterable[Gate]) -> list[Gate]:
+    """Expand macros to Clifford+T, into one list in input order: each
+    TOFFOLI becomes :func:`decompose_toffoli`'s fragment and each MCZ
+    :func:`ccz_gates`'.  Lowered gates pass through unchanged."""
+    # the naive loader repeats its index AND chain for every record bit,
+    # thousands of times in ``compile --part naive --lowered``; lower each
+    # distinct Toffoli once
     fragments: dict = {}
     out: list[Gate] = []
     append, extend = out.append, out.extend
@@ -295,25 +211,20 @@ def lower_gates(
             if fragment is None:
                 fragment = fragments[g] = decompose_toffoli(*ops)
             extend(fragment)
-        elif kind is not _K.MCZ:
-            append(g)
-        elif len(ops) == 3:
+        elif kind is _K.MCZ:
             extend(ccz_gates(*ops))
         else:
-            free = tuple(a for a in ladder_ancillas if a not in ops)
-            # the ladder holds only Toffolis and a 3-qubit MCZ apex
-            extend(lower_gates(mcz_ladder(ops, free)))
+            append(g)
     return out
 
 
 def lower_circuit(
     circuit: Circuit, ladder_ancillas: Sequence[int] = ()
 ) -> Circuit:
-    """Lowered copy of ``circuit``; identity if already lowered."""
+    """Lowered copy of ``circuit``; identity if already lowered.
+    ``ladder_ancillas`` is ignored: every macro lowers without ancillas,
+    and the parameter stays only for the benchmark's tracer, which passes
+    it positionally."""
     if circuit.is_lowered:
         return circuit
-    return Circuit(
-        circuit.register_sizes,
-        lower_gates(circuit.gates, ladder_ancillas),
-        validate=False,
-    )
+    return Circuit(circuit.register_sizes, lower_gates(circuit.gates), validate=False)

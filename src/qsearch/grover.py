@@ -304,7 +304,7 @@ def run_search(
     # verification: re-load on the candidate branch and read the data register
     probe = SparseState.basis(
         layout.register_sizes, candidate << (layout.total_qubits - n)
-    ).apply(lower_circuit(circuits.loader, layout.ladder_qubits()))
+    ).apply(lower_circuit(circuits.loader))
     if list(probe.amplitudes) != [loaded.basis_label(candidate)]:
         raise CircuitError(
             f"lowered loader disagrees with the bit-sliced loader on branch {candidate}"

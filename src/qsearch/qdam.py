@@ -31,8 +31,10 @@ loader's T-depth is stage 1's plus those three layers.
 
 The naive baseline writes each record bit with a multi-controlled X over
 all n index qubits plus the database bit, sequentially; it exists to
-witness the exponential T-depth separation.  Its m*2^n ladders share one
-AND chain over the index qubits and differ only in their apex.
+witness the exponential T-depth separation.  Each is a serial ladder: one
+AND chain of Toffolis over the index qubits into the n-1 ladder
+ancillas, shared by all m*2^n of them, around a CCZ apex on the chain's
+end, the database bit and the data bit, between two H.
 """
 from __future__ import annotations
 
@@ -42,7 +44,7 @@ from typing import Sequence
 
 from .circuit import Circuit, Gate, GateKind, Register, Tiling, gate
 from .database import Database
-from .decompose import mcz_ladder, shared_control_layer
+from .decompose import shared_control_layer
 from .errors import CircuitError
 
 _K = GateKind
@@ -269,14 +271,16 @@ def _fold_fan_in(column: Sequence[int], target: int) -> list[Gate]:
 
 def build_naive_qdam(layout: NaiveLayout, db: Database | Sequence[str]) -> Circuit:
     """Baseline loader: one (n+1)-control X per record bit, sequential.
-    The ladders share one index AND chain, built and checked once by
-    :func:`mcz_ladder`, and differ only in their apex."""
+    The ladders share one index AND chain and differ only in their apex."""
     keys = _key_bits(layout.n, layout.m, db)
     n, m = layout.n, layout.m
     database, data = layout.database_qubit(0, 0), layout.data_qubit(0)
-    # the binary index qubits are flat qubits 0 .. n-1
-    ladder = mcz_ladder((*range(n), database, data), layout.ladder_qubits())
-    up, acc, down = ladder[:n - 1], ladder[n - 1][1][0], ladder[n:]
+    # the binary index qubits are flat qubits 0 .. n-1; the chain ANDs
+    # qubit b into ladder ancilla b-1, and its last target is the apex's
+    ladder = layout.ladder_qubits()
+    ands = (0, *ladder)
+    up = [(_K.TOFFOLI, (ands[b - 1], b, ands[b])) for b in range(1, n)]
+    acc, down = ands[-1], up[::-1]
     flips = [(_K.X, (b,)) for b in range(n)]
     hadamards = [(_K.H, (data + j,)) for j in range(m)]
     gates: list[Gate] = [(_K.X, (database + k,))

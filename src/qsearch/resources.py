@@ -11,7 +11,7 @@ subroutine by subroutine; its reflections are AND trees
 (:func:`qsearch.decompose.mcz_tree`), so their measured T-depth grows as
 the logarithm of the width.
 
-:class:`~qsearch.circuit.Schedule` schedules TOFFOLI and 3-operand MCZ
+:class:`~qsearch.circuit.Schedule` schedules the TOFFOLI and MCZ (CCZ)
 macros through max-plus templates of their Clifford+T fragments, so a
 macro circuit's tally equals its lowering's by construction, and measuring
 the kernel lowers nothing.  :func:`measure_kernel` schedules the kernel in
@@ -236,9 +236,9 @@ def _expand_flat(macro_circuit):
 
 def measure_naive(n: int, m: int) -> ResourceReport:
     """Measured report with the naive loader substituted for the optimized
-    one.  The naive loader's macro gates stream into the scheduler; its
-    MCZ ladders are built into the circuit, so every macro is a TOFFOLI or
-    a 3-operand MCZ.  The kernel depth is composed per subroutine
+    one.  The naive loader's macro gates (its ladders' Toffolis and CCZ
+    apexes) stream into the scheduler, and the two reflections are tallied
+    on their lowering.  The kernel depth is composed per subroutine
     (2*loader + both reflections); scheduling the concatenation twice would
     add nothing but runtime."""
     _check_widths(n, m, MAX_MEASURED_N, MAX_NAIVE_BITS)
@@ -247,11 +247,9 @@ def measure_naive(n: int, m: int) -> ResourceReport:
     total = sum(layout.register_sizes.values())
     tally = tally_flat(_expand_flat(macro), total)
     ref_layout = QdamLayout(n, m)
-    ladder = ref_layout.ladder_qubits()
     t_oracle = resource_tally(
-        lower_circuit(build_target_reflection(ref_layout, "0" * m), ladder)
-    )
-    t_diff = resource_tally(lower_circuit(build_diffusion(ref_layout), ladder))
+        lower_circuit(build_target_reflection(ref_layout, "0" * m)))
+    t_diff = resource_tally(lower_circuit(build_diffusion(ref_layout)))
     return ResourceReport(
         n=n,
         m=m,

@@ -1,6 +1,7 @@
 """Test-only oracles: a dense state-vector backend, the sparse simulator
 run one gate at a time, the Walsh-Hadamard transform, the full loader, the
-naive loader built one ladder per record bit, the kernel measurement over
+serial multi-controlled-Z ladder and the naive loader built one ladder per
+record bit from it, the kernel measurement over
 built gate lists, and the circuit helpers that only tests use.
 
 The dense backend applies lowered gates to a full numpy state vector (or
@@ -27,7 +28,7 @@ from qsearch.circuit import (
     gate,
     tally_flat,
 )
-from qsearch.decompose import mcz_ladder, shared_control_layer
+from qsearch.decompose import shared_control_layer
 from qsearch.errors import CircuitError, MacroGateError
 from qsearch.qdam import _fold_fan_in, build_m1, build_m2, stage2_parts
 from qsearch.resources import ReportMode, ResourceReport
@@ -266,6 +267,25 @@ def stage2_per_record_gates(layout, keys) -> tuple[Gate, ...]:
         column = [layout.load_qubit(i, j) for i in range(len(keys))]
         gates.extend(_fold_fan_in(column, layout.data_qubit(j)))
     return tuple(gates)
+
+
+def mcz_ladder(qubits, ancillas=()) -> list[Gate]:
+    """Phase flip of the |1...1> branch over the k ``qubits``, as a serial
+    ladder: an AND chain of Toffolis from qubit 0 into the first k-3
+    ``ancillas``, a CCZ apex on the chain's end and the last two qubits,
+    and the chain undone.  Z, CZ and CCZ below k = 4.  The reference the
+    naive loader and :func:`qsearch.decompose.mcz_tree` are checked
+    against."""
+    qubits = tuple(qubits)
+    if len(qubits) <= 3:
+        kind = {1: GateKind.Z, 2: GateKind.CZ, 3: GateKind.MCZ}[len(qubits)]
+        return [gate(kind, *qubits)]
+    ancillas = tuple(ancillas)[:len(qubits) - 3]
+    assert len(ancillas) == len(qubits) - 3, "too few ladder ancillas"
+    chain = (qubits[0], *ancillas)
+    up = [gate(GateKind.TOFFOLI, chain[i], qubits[i + 1], chain[i + 1])
+          for i in range(len(ancillas))]
+    return [*up, gate(GateKind.MCZ, chain[-1], *qubits[-2:]), *up[::-1]]
 
 
 def naive_loader_gates(layout, keys) -> tuple[Gate, ...]:

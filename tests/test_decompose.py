@@ -1,5 +1,5 @@
 """Macro lowering: Toffoli fragment, shared-control layers, control
-ladders and trees, and the scheduler-sync block."""
+trees against the serial reference ladder, and the scheduler-sync block."""
 from __future__ import annotations
 
 import math
@@ -17,7 +17,6 @@ from qsearch.circuit import (
 from qsearch.decompose import (
     decompose_toffoli,
     lower_circuit,
-    mcz_ladder,
     mcz_tree,
     shared_control_layer,
     sync_touch,
@@ -26,7 +25,7 @@ from qsearch.errors import AncillaBudgetError, OperandOverlapError
 from qsearch.sim import SlicedState
 
 from conftest import columns_on_zero_ancilla, ideal_mcz_matrix, ideal_toffoli_matrix
-from oracles import dense_statevector, macro_counts, to_unitary
+from oracles import dense_statevector, macro_counts, mcz_ladder, to_unitary
 
 D = Register.DATA
 A = Register.ANCILLA
@@ -154,7 +153,8 @@ def test_layer_rejects_insufficient_ancillas():
         shared_control_layer(_d(0), [(_d(1), _d(2)), (_d(3), _d(4))], [])
 
 
-# -- control ladders --------------------------------------------------------
+# -- the serial reference ladder --------------------------------------------
+# the naive loader's ladders and the tree tests compare against it
 
 
 def test_ladder_single_qubit_is_plain_z():
@@ -182,7 +182,7 @@ def test_ladder_matches_ideal_phase_flip(k):
     qubits = [_d(i) for i in range(k)]
     ancillas = [_a(i, k) for i in range(n_anc)]
     circ = Circuit({D: k, A: n_anc}, mcz_ladder(qubits, ancillas), validate=False)
-    lowered = lower_circuit(circ, ancillas)
+    lowered = lower_circuit(circ)
     block = columns_on_zero_ancilla(lowered, k, n_anc)
     assert np.abs(block - ideal_mcz_matrix(k)).max() < 1e-12
 
@@ -194,14 +194,9 @@ def test_ladder_bounds(k):
     qubits = [_d(i) for i in range(k)]
     ancillas = [_a(i, k) for i in range(n_anc)]
     circ = Circuit({D: k, A: n_anc}, mcz_ladder(qubits, ancillas), validate=False)
-    tally = resource_tally(lower_circuit(circ, ancillas))
+    tally = resource_tally(lower_circuit(circ))
     assert tally.t_depth <= 6 * c
     assert tally.t_count <= 14 * c
-
-
-def test_ladder_rejects_insufficient_ancillas():
-    with pytest.raises(AncillaBudgetError):
-        mcz_ladder([_d(i) for i in range(5)], [_a(0, 5)])
 
 
 # -- control trees ----------------------------------------------------------

@@ -77,9 +77,7 @@ def test_reflection_m2_pattern_10():
 @pytest.mark.parametrize("pattern", ["000", "101", "111"])
 def test_reflection_m3_depth_and_action(pattern):
     layout = QdamLayout(1, 3)
-    lowered = lower_circuit(
-        build_target_reflection(layout, pattern), layout.ladder_qubits()
-    )
+    lowered = lower_circuit(build_target_reflection(layout, pattern))
     assert resource_tally(lowered).t_depth <= 12  # 6(m-1)
     block = _register_block(layout, lowered, D, 3)
     expected = np.eye(8, dtype=complex)
@@ -115,7 +113,7 @@ def test_diffusion_n2_matches_outer_product_formula():
 
 def test_diffusion_n4_depth_bound():
     layout = QdamLayout(4, 1)
-    lowered = lower_circuit(build_diffusion(layout), layout.ladder_qubits())
+    lowered = lower_circuit(build_diffusion(layout))
     assert resource_tally(lowered).t_depth <= 18  # 6(n-1)
 
 
@@ -144,7 +142,7 @@ def test_kernel_equals_textbook_operator_up_to_global_phase(n, m):
     keys = [format(i, f"0{m}b")[-m:] for i in range(1 << n)]
     target = (1 << n) - 1
     circuits = build_kernel_circuits(layout, keys, keys[target])
-    lowered = lower_circuit(circuits.kernel(), layout.ladder_qubits())
+    lowered = lower_circuit(circuits.kernel())
     block = _register_block(layout, lowered, B, n)
     size = 1 << n
     oracle = np.eye(size)
@@ -312,8 +310,7 @@ def _reference_rounds(db, key, iterations):
     SparseState run over the lowered subroutines."""
     layout = QdamLayout.for_database(db)
     circuits = build_kernel_circuits(layout, db, key)
-    ladder = layout.ladder_qubits()
-    kernel = [lower_circuit(c, ladder) for c in (
+    kernel = [lower_circuit(c) for c in (
         circuits.loader, circuits.target_reflection, circuits.loader_inverse,
         circuits.diffusion)]
     sizes = layout.register_sizes
@@ -390,9 +387,7 @@ def test_lowered_block_is_the_bit_sliced_sign_diagonal(n):
                  .run(circuits.target_reflection).run(circuits.loader_inverse)
                  .diagonal_signs())
         block = lower_circuit(
-            circuits.loader + circuits.target_reflection + circuits.loader_inverse,
-            layout.ladder_qubits(),
-        )
+            circuits.loader + circuits.target_reflection + circuits.loader_inverse)
         for q in range(1 << n):
             label = basis_pattern(sizes, {B: q})
             out = SparseState.basis(sizes, label).apply(block)
@@ -427,7 +422,7 @@ def test_sliced_diffusion_is_the_lowered_reflection_about_uniform(n):
         [int(row == col) for row in range(size)]), signs)) for col in range(size)]
     sliced = np.array(columns, dtype=float).T / size
     lowered = _register_block(
-        layout, lower_circuit(circuits.diffusion, layout.ladder_qubits()), B, n)
+        layout, lower_circuit(circuits.diffusion), B, n)
     assert np.abs(sliced - lowered).max() < 1e-12
     assert np.abs(sliced - (np.eye(size) - 2 * np.full((size, size), 1 / size))).max() < 1e-12
 
@@ -476,11 +471,11 @@ def test_reload_check_rejects_a_lowered_loader_that_disagrees(monkeypatch):
 
     real = grover.lower_circuit
 
-    def without_stage2(circuit, ladder=()):
+    def without_stage2(circuit):
         layout = QdamLayout(2, 2)
         assert circuit.gates == build_m1(layout).gates + build_m2(
             layout, stage2_parts(layout, toy_db(2))).gates
-        return real(build_m1(layout), ladder)
+        return real(build_m1(layout))
 
     monkeypatch.setattr(grover, "lower_circuit", without_stage2)
     with pytest.raises(CircuitError, match="bit-sliced"):

@@ -8,6 +8,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsearch.circuit import Circuit, GateKind, Register, gate, resource_tally
 from qsearch.decompose import lower_circuit
@@ -206,10 +208,8 @@ def test_naive_matches_optimized_on_index_data_marginals():
     db = toy_db(1, value_width=2)
     opt_layout = QdamLayout(1, 1)
     naive_layout = NaiveLayout(1, 1)
-    opt = lower_circuit(build_qdam(opt_layout, db), opt_layout.ladder_qubits())
-    naive = lower_circuit(
-        build_naive_qdam(naive_layout, db), naive_layout.ladder_qubits()
-    )
+    opt = lower_circuit(build_qdam(opt_layout, db))
+    naive = lower_circuit(build_naive_qdam(naive_layout, db))
     for value in range(2):
         out_o = _index_state(opt_layout, value).apply(opt)
         key_o = next(iter(out_o.amplitudes))
@@ -226,6 +226,19 @@ def test_naive_macro_count():
     layout = NaiveLayout(3, 2)
     circ = build_naive_qdam(layout, ["00"] * 8)
     assert macro_counts(circ)[GateKind.MCZ] == 16  # m * 2^n
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 4), st.randoms(use_true_random=False))
+def test_every_macro_has_three_distinct_operands(n, m, rng):
+    # the builders emit macro literals past ``gate()``, and the scheduler
+    # unpacks every TOFFOLI and MCZ as three operands
+    keys = ["".join(rng.choice("01") for _ in range(m)) for _ in range(1 << n)]
+    kernel = build_kernel_circuits(QdamLayout(n, m), keys, rng.choice(keys)).kernel()
+    naive = build_naive_qdam(NaiveLayout(n, m), keys)
+    macros = [ops for circ in (kernel, naive) for kind, ops in circ.gates
+              if kind is GateKind.TOFFOLI or kind is GateKind.MCZ]
+    assert macros and all(len(set(ops)) == len(ops) == 3 for ops in macros)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

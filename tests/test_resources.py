@@ -237,14 +237,13 @@ def test_flat_expansion_equals_lowered_circuit(n):
         keys = _random_keys(rng, n, m)
         naive = NaiveLayout(n, m)
         optimized = QdamLayout(n, m)
-        for macro, ladder in ((build_naive_qdam(naive, keys), naive.ladder_qubits()),
-                              (build_qdam(optimized, keys), optimized.ladder_qubits())):
+        for macro in (build_naive_qdam(naive, keys), build_qdam(optimized, keys)):
             stream = _expand_flat(macro)
             assert iter(stream) is stream  # lazy: a generator, not a list
             assert list(stream) == list(macro.gates)
             total = macro.total_qubits
             assert (tally_flat(_expand_flat(macro), total)
-                    == tally_flat(lower_circuit(macro, ladder).gates, total))
+                    == tally_flat(lower_circuit(macro).gates, total))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -252,12 +251,11 @@ def test_measure_naive_equals_the_gate_level_stream(n):
     for m in (1, 2):
         naive = NaiveLayout(n, m)
         macro = build_naive_qdam(naive, ["0" * m] * (1 << n))
-        loader = resource_tally(lower_circuit(macro, naive.ladder_qubits()))
+        loader = resource_tally(lower_circuit(macro))
         layout = QdamLayout(n, m)
-        ladder = layout.ladder_qubits()
         oracle = resource_tally(
-            lower_circuit(build_target_reflection(layout, "0" * m), ladder))
-        diff = resource_tally(lower_circuit(build_diffusion(layout), ladder))
+            lower_circuit(build_target_reflection(layout, "0" * m)))
+        diff = resource_tally(lower_circuit(build_diffusion(layout)))
         kernel = 2 * loader.t_depth + oracle.t_depth + diff.t_depth
         k = optimal_iterations(1 << n)
         report = measure_naive(n, m)
@@ -288,9 +286,8 @@ def test_naive_report_at_the_benchmark_widths(n, m, expected):
 
 def _lower_each_and_tally(circuits, iterations):
     """Report fields from one tally of each separately lowered circuit."""
-    ladder = circuits.layout.ladder_qubits()
     m1, m2, loader, oracle, diff, kernel = (
-        resource_tally(lower_circuit(c, ladder))
+        resource_tally(lower_circuit(c))
         for c in (circuits.stage1, circuits.stage2, circuits.loader,
                   circuits.target_reflection, circuits.diffusion, circuits.kernel())
     )
@@ -318,9 +315,9 @@ def _count_lowerings(monkeypatch):
     lowered = []
     real = decompose.lower_gates
 
-    def counting(gates, ladder_ancillas=()):
+    def counting(gates):
         lowered.append(gates)
-        return real(gates, ladder_ancillas)
+        return real(gates)
 
     monkeypatch.setattr(decompose, "lower_gates", counting)
     return lowered
@@ -456,7 +453,6 @@ def test_lowered_stages_concatenate_to_the_lowered_loader(n):
         layout = QdamLayout(n, m)
         keys = _random_keys(rng, n, m)
         circuits = build_kernel_circuits(layout, keys, keys[0])
-        ladder = layout.ladder_qubits()
-        assert (lower_circuit(circuits.stage1, ladder).gates
-                + lower_circuit(circuits.stage2, ladder).gates
-                == lower_circuit(circuits.loader, ladder).gates)
+        assert (lower_circuit(circuits.stage1).gates
+                + lower_circuit(circuits.stage2).gates
+                == lower_circuit(circuits.loader).gates)

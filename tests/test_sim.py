@@ -134,7 +134,7 @@ def test_simulators_reject_a_macro_gate_mid_stream():
         lowered + [toffoli],                   # the last gate
         [toffoli] + lowered,                   # in the first H-free run
         lowered[:4] + [toffoli] + lowered[4:],  # right after an H
-        lowered[:3] + [gate(GateKind.MCZ, _anc(0), _anc(2))] + lowered[3:],
+        lowered[:3] + [gate(GateKind.MCZ, _anc(0), _anc(2), _anc(1))] + lowered[3:],
     ):
         circ = Circuit({A: 3}, gates)
         with pytest.raises(MacroGateError):
@@ -199,7 +199,7 @@ def test_apply_equals_the_gatewise_oracle(case):
 def test_apply_equals_the_gatewise_oracle_on_every_loader_branch(n):
     layout = QdamLayout(n, n)
     sizes = layout.register_sizes
-    lowered = lower_circuit(build_qdam(layout, toy_db(n)), layout.ladder_qubits())
+    lowered = lower_circuit(build_qdam(layout, toy_db(n)))
     for q in range(1 << n):
         start = SparseState.basis(sizes, basis_pattern(sizes, {Register.BINARY_INDEX: q}))
         _assert_exactly_equal(start.apply(lowered), gatewise_apply(start, lowered))
@@ -244,21 +244,21 @@ def _branch_phase(state, branch):
 def test_sliced_state_matches_sparse_on_every_branch(seed):
     rng = np.random.default_rng(seed)
     n, anc = 3, 4
-    sizes = {Register.BINARY_INDEX: n, A: anc + 1}  # the last one for ladders
+    sizes = {Register.BINARY_INDEX: n, A: anc}
     qubits = list(range(n + anc))  # index qubits, then ancillas
     kinds = [GateKind.X, GateKind.Z, GateKind.S, GateKind.SDG, GateKind.T,
              GateKind.TDG, GateKind.CNOT, GateKind.CZ, GateKind.TOFFOLI,
              GateKind.MCZ]
-    arity = {GateKind.CNOT: 2, GateKind.CZ: 2, GateKind.TOFFOLI: 3}
+    arity = {GateKind.CNOT: 2, GateKind.CZ: 2, GateKind.TOFFOLI: 3, GateKind.MCZ: 3}
     gates = []
     for _ in range(60):
         kind = kinds[rng.integers(len(kinds))]
-        width = arity.get(kind, int(rng.integers(2, 5)) if kind is GateKind.MCZ else 1)
+        width = arity.get(kind, 1)
         picked = rng.choice(len(qubits), size=width, replace=False)
         gates.append(gate(kind, *(qubits[i] for i in picked)))
     macro = Circuit(sizes, gates)
     sliced = SlicedState(sizes).run(macro)
-    lowered = lower_circuit(macro, [_anc(anc, n)])
+    lowered = lower_circuit(macro)
     for q in range(1 << n):
         out = SparseState.basis(sizes, basis_pattern(sizes, {Register.BINARY_INDEX: q}))
         out = out.apply(lowered)

@@ -55,7 +55,9 @@ class QdamLayout:
     """Qubit allocation for the optimized loader.
 
     Ancilla region, in offset order: m*2^n load qubits (E), then the
-    fan-out pool, then the ladder pool used by the reflections.  The
+    fan-out pool, exactly what the loader leases (2^(n-1) - 1 for stage 1,
+    then m - 1 per record for stage 2), then the ladder pool used by the
+    reflections.  The
     ``*_qubit`` methods return flat indices in the register order of
     :mod:`qsearch.circuit`; binary index qubit b is flat qubit b.
     """
@@ -81,7 +83,7 @@ class QdamLayout:
 
     @property
     def fanout_ancillas(self) -> int:
-        return max(1 << (self.n - 1), self.m << self.n) - 1
+        return (1 << (self.n - 1)) - 1 + (self.m - 1 << self.n)
 
     @property
     def ladder_ancillas(self) -> int:

@@ -80,28 +80,28 @@ GOLDEN = {
         "c5509124bb02ce79941d6621f990ab7c194ccd70dd5d60c5256f1ac613549c99"),
     "compile-diffusion": (
         0, "6f6c7f8c502efaaf9d716065aea57d8d2e9f8fd923252f0414ef8520baab1f4f",
-        "755e88d10225623b4dfd49d5508772f9c89af132c1cddb690cc98d8cfe38d2bf"),
+        "489e4d9fce79d58b12406b14f8fa35795bef203ea290564ac5246a0ff0ad53ba"),
     "compile-diffusion-lowered": (
         0, "09459525981e9d0445e4ee94bc632584470cdf513b343f514ed1c3eaf18e716d",
-        "8d5cda80d6f3d32df25abdaead9f634ce9b7a45a91d8a24a33615d893ae3bd1d"),
+        "07273de2c365589632063890c68a217fe323dd68532eb68654857699426318ba"),
     "compile-kernel": (
         0, "c3fd18531c3c471e02f21c4bd8ae948934d35927e8f52063f48439d870735f59",
-        "d7ee2b03381ae81baa0a5a00155a0ef0479fb0495b6531ab00f471bc80e445aa"),
+        "f215e95fd5ccfc0f7b90c2f897a85562b8aa5d9a710627c3494fa4507acda88b"),
     "compile-kernel-lowered": (
         0, "54ef2726187a9247ebe205122685e793ac4d97768fa194ad50c46b9e542b9232",
-        "42e0f788c14d28df696ed1816c6670ad6f0e01bd508540a20d3aaef3ee548727"),
+        "7d49d64c49e8c916295b3b7db3b18d791dd9cc121f03a42c16239f6ab21789f5"),
     "compile-m1": (
         0, "7c119692f797cdf295aaea6840dd8766eabba945546d0aef63810e33398e5bae",
-        "12e8ef55550b916eabf27e3a54cba03b43b0d57ad2c07485914541a87e1f5e1e"),
+        "19d7e61f91275fdb128eb7d53df05677796eb22bb48f71bcc16ef58514d7de9c"),
     "compile-m1-lowered": (
         0, "0e3a1b2f60ae4170c9b3e0070e7874d5550ad76f5b75f99318bca3c2996da2ec",
-        "62507cf9809ff1dc0507e030a67b34ceda2a9f4788b54c18b41e498b21c4a75e"),
+        "a57dd16715cc188cfc2e73fda773356bf3d4f3ad8ef4e7b3a6ae031f1fbfeba2"),
     "compile-m2": (
         0, "447b7da8608a9e0bcfbb5c57ff34ec6f02fd9d5bb9088361f4e28d4d54bd735b",
-        "b5597242f593e312df4eaa56f1ebe5160aa35152b6b4629944b6e5239aba2f98"),
+        "eb42b76e70bbd9b1cf56d8b35c890354020bf7d053c66d663503cf8e74a30039"),
     "compile-m2-lowered": (
         0, "ba619aed6c056b7079d7cb83e12285669c73d57a3b97e424a2cbd77221b91a94",
-        "f47b02b8139b9e47e1b09727bfaebf903d27efcd6683f6b37b2980564bacd7b7"),
+        "5dde43842e1548b1f521d171f3a6e51e94929472fe13033dabae1d28856f0afc"),
     "compile-naive": (
         0, "21ffb53e8a46f90648e467376300e6374ebaa88b21e321db1a26f298689df4bd",
         "0d1501391df2cf40d881a1d23d6e746a50fbb671742a77e9f521e07ad0473cc4"),
@@ -110,51 +110,51 @@ GOLDEN = {
         "c7afc4656c3b1a1af05b7ec7ff38818f47976732e9a60b70d002bc2c0eb23061"),
     "compile-oracle": (
         0, "2677bbe726a1e28fc9a7199a430af3b8f6c71a0760da06dc0c5a0fc964c80f50",
-        "9b27c5960ecf664446fca145f009b989178c97e2f3507e9abcb406aa8f31c94c"),
+        "af952a1ac06a9ba2f365562dc6a02ac296b6ebb951f10df52bad6738559f4c19"),
     "compile-oracle-lowered": (
         0, "b68d4b438d56f0e9c7fe91d99ba79ee30555b6ae0c377a4c18848507fb02fc6b",
-        "5f8f8228ca137fd0d855cdcf3bb79e155b0daad31dddf9949428e7883610f31f"),
+        "c2e01712534ad4ec2717e3745c22de351808b21fde5a46580d991e0412e2367f"),
     "compile-qdam": (
         0, "45012c0cc77b9c9690ce41f310c13f5f1cc63c6c4c230b53cde83e2d139b851f",
-        "0192fcc611a7e7af72a620d0af37d1b93a6b990596624e71ace8f786d7e87e9f"),
+        "d68678e97ba34c4762c5d0bdc517ea30205db3e04d1145c92b1e34f54909ac77"),
     "compile-qdam-lowered": (
         0, "4ee719df2568027ea6616c0c3e745ff7b87def5cfa837ef6dc894022044cc76a",
-        "532d5803d5833dd9047a3efa938876cb0562d0c02d9bf2789fe0ae8eeaa3484a"),
+        "e71b21bf06146a9d88225d47a157766acc37005e0a53c1a10bdd24c703ebbd12"),
     "estimate-bound": (
-        0, "28d4af850a7f621143978e9101bff8a94f5d2111ac279910ec77e6f4fa495da7",
+        0, "e447ed1fc81bbdf18161bc8efe68ba92757a95af667671d1c881fe05cec7c5e6",
         None),
     "estimate-measured": (
-        0, "0683d40e0e5f9414dc203f444224a8790f705e7eef64fcddab10eebf4adf0c81",
+        0, "b9957775affb989282e58f69a03a5154315291296c3f1e26adf4894f2b4557e6",
         None),
     "estimate-naive": (
         0, "a23d49462c9ddd91296ecc030ed3b4fb4aa3ff0346e6977b31d615d147079ca1",
         None),
     "search": (
-        0, "6bbc3408d55b192ba5c3d0cef0e2f0ce692c3695c5c029d0044865f782366286",
+        0, "c05578e7ef7f9b0d8e5ccd20acad0f5c85ca4de2de71557a30162e6a0a91199d",
         None),
     "search-absent": (
-        2, "0adf6402a0ef8a96020e5761b979f378a9f6dc3b1f0c98146b09942e7e2cd2a6",
+        2, "bf00777b7faa8321aad5f09f566c8d866f260cda16ed964eb6f60921a4b544a6",
         None),
     "search-iterations-1": (
-        0, "b7d46ba6378c2e45ef4b7a124b1596a85206d059a9878552a025fe86ac3ae2a8",
+        0, "1e1f402f06be7fbff3b9d99de7886815a7ac037bf60607355c7bd161a9737043",
         None),
     "search-iterations-5": (
-        0, "393e757a1d55989bc95870bb9f680d349ff25fd9fccf83c232f7ffee667643f8",
+        0, "ad38f5c6a56903a85db76effd147abcbd34448e02db24a027bd56a0118ca1ec4",
         None),
     "search-padded": (
-        0, "93efd9d171a2b029465b6f99ad5e26f04058c91fd321e73c31d471a5fa414f75",
+        0, "eb443db008d9959fd05961e69a78b5de42f3d6625946a8f73d505091b5910be7",
         None),
     "search-padded-out": (
         0, "bb626457fea0466e894b25b3cc52d7342cea4593d1c40422011213d80ac1a543",
-        "bfa57210aa821e149852689afb83388bf1e954b5014dac7c27beaee55161c8f2"),
+        "84263dce2a41f8c43c658a10285fc7dcd7aab1e77c89a56a4fbe141c2a418b0b"),
     "search-padded-sentinel": (
-        2, "8f947cdeb91bacd505ed5552c2c940b058da810a55606c575ffec256edcb50e4",
+        2, "33f63e575032178cd11249f866de202038dbea4082b6ed9ea6a36e68a78c2e18",
         None),
     "search-sampled": (
-        0, "6bbc3408d55b192ba5c3d0cef0e2f0ce692c3695c5c029d0044865f782366286",
+        0, "c05578e7ef7f9b0d8e5ccd20acad0f5c85ca4de2de71557a30162e6a0a91199d",
         None),
     "search-shots-3": (
-        0, "6bbc3408d55b192ba5c3d0cef0e2f0ce692c3695c5c029d0044865f782366286",
+        0, "c05578e7ef7f9b0d8e5ccd20acad0f5c85ca4de2de71557a30162e6a0a91199d",
         None),
 }
 

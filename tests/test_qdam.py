@@ -49,9 +49,20 @@ def test_layout_region_sizes():
     assert layout.onehot_size == 8
     assert layout.database_qubits == 16
     assert layout.load_ancillas == 16
-    assert layout.fanout_ancillas == max(4, 16) - 1
+    assert layout.fanout_ancillas == 3 + 8  # stage 1's, then one per record
     assert layout.ladder_ancillas == 1
-    assert layout.total_qubits == 3 + 8 + 2 + 16 + 16 + 15 + 1
+    assert layout.total_qubits == 3 + 8 + 2 + 16 + 16 + 11 + 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_the_kernel_touches_every_fanout_qubit(n):
+    # the pool holds what the loader leases and nothing idle
+    for m in (1, 2, 3, 4):
+        layout = QdamLayout(n, m)
+        kernel = build_kernel_circuits(layout, ["0" * m] * (1 << n), "0" * m).kernel()
+        touched = {q for _, ops in kernel.gates for q in ops}
+        pool = {layout.fanout_qubit(k) for k in range(layout.fanout_ancillas)}
+        assert pool <= touched, sorted(pool - touched)
 
 
 def _labels(layout):

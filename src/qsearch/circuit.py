@@ -338,7 +338,11 @@ def ccz_gates(x: int, y: int, z: int) -> list[Gate]:
 
 
 def decompose_toffoli(c1: int, c2: int, target: int) -> list[Gate]:
-    """Lowered Toffoli fragment: 7 T gates, measured T-depth 3, no ancilla."""
+    """Lowered Toffoli fragment: the CCZ fragment between two H on the
+    target, 7 T gates in three scheduler layers, no ancilla.  CNOT pairs
+    that touch both T carriers, with S/SDG pads on the third qubit, bound
+    the T stages, so they stay aligned whatever the operands' entry times:
+    parallel fragments merge their T layers only if they do."""
     if len({c1, c2, target}) != 3:
         raise OperandOverlapError("Toffoli operands must be distinct")
     h = (GateKind.H, (target,))

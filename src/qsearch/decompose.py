@@ -1,11 +1,9 @@
 """Lowering of macro gates to Clifford+T.
 
 The two three-qubit fragments, :func:`~qsearch.circuit.decompose_toffoli`
-(a 7-T Toffoli whose three T stages land in exactly three scheduler
-layers, whatever the operands' entry timing, so parallel fragments merge
-their T layers) and :func:`~qsearch.circuit.ccz_gates`, live beside the
-scheduler that derives its templates from them, and are imported here.
-Three building blocks make the macro-level subroutines:
+and :func:`~qsearch.circuit.ccz_gates`, live in :mod:`qsearch.circuit`
+beside the scheduler that derives its templates from them.  This module
+builds the macro-level subroutines from three blocks:
 
 * :func:`shared_control_layer` -- many Toffolis sharing one control, made
   disjoint by fanning the control out onto borrowed ancillas (CNOTs are

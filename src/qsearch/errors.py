@@ -16,8 +16,8 @@ class CircuitError(QsearchError):
 
 
 class MacroGateError(CircuitError):
-    """A metric or simulator was handed a circuit that still contains
-    macro gates; lower it first."""
+    """A simulator was handed a circuit that still contains macro gates;
+    lower it first."""
 
 
 class OperandOverlapError(CircuitError):

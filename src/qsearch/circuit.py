@@ -30,8 +30,9 @@ only if they act on disjoint qubits.  The T-depth of a circuit is the
 number of layers that contain at least one T or TDG gate.  A macro is
 scheduled in one step, through a max-plus template derived from its
 fragment at import, and lands exactly where the fragment's gates would.  The
-templates are rank one, which the derivation checks: a macro costs one
-``max`` of three entry terms plus constants.  A schedule can be fed in
+templates are rank one, which the derivation checks: a macro's entry is
+the latest of three operand times plus offsets, and its exits and its three
+T layers are that entry plus constants.  A schedule can be fed in
 segments and tallied after each, and each such snapshot is the tally of
 the prefix fed so far.  All of this is a pure function of the gate order,
 so results are deterministic and circuits are safe to share across
@@ -39,7 +40,8 @@ workers.
 
 A :class:`Tiling` is disjoint copies of one block of gates, each operand
 moved by its own stride per copy; :meth:`Schedule.feed_tiled` schedules a
-sequence of tilings, forward or reversed, without building them, each
+sequence of tilings, forward or reversed, without building them: the
+block once when every copy enters at the same times, and otherwise each
 distinct vector of entry times once.
 """
 from __future__ import annotations
@@ -262,7 +264,8 @@ class ResourceTally(NamedTuple):
 class _Template(NamedTuple):
     """ASAP timing of one macro's Clifford+T fragment in rank-one max-plus
     form: every exit and T layer is ``E = max_j(e_j + entry[j])`` over the
-    operands' entry times ``e_j``, plus a constant; one ``max`` per macro."""
+    operands' entry times ``e_j``, plus a constant.  :meth:`Schedule.feed`
+    binds each macro's fields to locals once per call."""
 
     entry: tuple[int, int, int]  # E = max_j(e_j + entry[j])
     exit: tuple[int, int, int]  # avail[op_i] = E + exit[i]
@@ -275,7 +278,7 @@ def _derive_template(fragment: Iterable[Gate]) -> _Template:
     availability is a row of offsets from the three entry times (-inf where
     it does not depend on one), and a gate's layer row is the elementwise
     max of its qubits' rows plus 1 -- the scheduler's own step, in max-plus
-    arithmetic.  Only rank one makes one ``max`` per macro exact, so a row
+    arithmetic.  Only rank one makes one entry per macro exact, so a row
     not equal to entry offsets plus a constant raises :class:`CircuitError`."""
     neg = float("-inf")
     rows = [tuple(0 if i == j else neg for j in range(3)) for i in range(3)]
@@ -364,9 +367,9 @@ class Schedule:
     far (a prefix's T-layer set is the stream's set at that moment).
 
     TOFFOLI and MCZ gates are scheduled as their fragments would be,
-    through the fragments' rank-one max-plus templates (:class:`_Template`):
-    one ``max`` of three entry terms plus constants per macro, so the tally
-    equals that of the lowered stream.
+    through the fragments' rank-one max-plus templates (:class:`_Template`),
+    so the tally equals that of the lowered stream; ``feed`` gives each
+    macro kind its own branch, over its template's constants.
     """
 
     __slots__ = ("_avail", "_t_layers", "_t_count")
@@ -378,32 +381,57 @@ class Schedule:
 
     def feed(self, gates: Iterable[Gate]) -> "Schedule":
         """Schedule ``gates`` after everything fed so far."""
-        templates = _TEMPLATES
         avail = self._avail
         add_t_layer = self._t_layers.add
         t_count = self._t_count
         k_t, k_tdg = GateKind.T, GateKind.TDG
         k_toffoli, k_mcz = GateKind.TOFFOLI, GateKind.MCZ
+        # each macro's template as locals; the unpack checks three T layers
+        (fa, fb, fc), (fxa, fxb, fxc), (ft1, ft2, ft3), f_n = _TEMPLATES[k_toffoli]
+        (za, zb, zc), (zxa, zxb, zxc), (zt1, zt2, zt3), z_n = _TEMPLATES[k_mcz]
         for kind, ops in gates:
-            if kind is k_toffoli or kind is k_mcz:
-                (ua, ub, uc), (xa, xb, xc), t_layers, t_n = templates[kind]
+            if kind is k_toffoli:
                 a, b, c = ops
-                entry = max(avail[a] + ua, avail[b] + ub, avail[c] + uc)
-                for t in t_layers:
-                    add_t_layer(entry + t)
-                avail[a], avail[b], avail[c] = entry + xa, entry + xb, entry + xc
-                t_count += t_n
-            else:
-                layer = avail[ops[0]]
-                for i in ops:
-                    if avail[i] > layer:
-                        layer = avail[i]
-                layer += 1
-                for i in ops:
-                    avail[i] = layer
+                entry = avail[a] + fa
+                v = avail[b] + fb
+                if v > entry:
+                    entry = v
+                v = avail[c] + fc
+                if v > entry:
+                    entry = v
+                add_t_layer(entry + ft1)
+                add_t_layer(entry + ft2)
+                add_t_layer(entry + ft3)
+                avail[a], avail[b], avail[c] = entry + fxa, entry + fxb, entry + fxc
+                t_count += f_n
+            elif kind is k_mcz:
+                a, b, c = ops
+                entry = avail[a] + za
+                v = avail[b] + zb
+                if v > entry:
+                    entry = v
+                v = avail[c] + zc
+                if v > entry:
+                    entry = v
+                add_t_layer(entry + zt1)
+                add_t_layer(entry + zt2)
+                add_t_layer(entry + zt3)
+                avail[a], avail[b], avail[c] = entry + zxa, entry + zxb, entry + zxc
+                t_count += z_n
+            elif len(ops) == 1:
+                q = ops[0]
+                layer = avail[q] + 1
+                avail[q] = layer
                 if kind is k_t or kind is k_tdg:
                     t_count += 1
                     add_t_layer(layer)
+            else:  # every other gate has two operands
+                a, b = ops
+                layer = avail[a]
+                v = avail[b]
+                if v > layer:
+                    layer = v
+                avail[a] = avail[b] = layer + 1
         self._t_count = t_count
         return self
 
@@ -412,8 +440,9 @@ class Schedule:
         one would, or with ``reverse`` that stream reversed: the last
         tiling first, each copy's block reversed.  Copy i's operand q
         enters at ``avail[q + i * stride]``; a local schedule over the
-        block's qubits takes each distinct entry vector once, adding its T
-        layers to this schedule's, and the exits go back by slice
+        block's qubits, adding its T layers to this schedule's, takes the
+        block once when every copy enters at the same times, and otherwise
+        each distinct entry vector once.  The exits go back by slice
         assignment."""
         for tiling in reversed(tilings) if reverse else tilings:
             copies, strides = tiling.copies, tiling.strides
@@ -423,9 +452,16 @@ class Schedule:
             block = tiling.local_block[::-1] if reverse else tiling.local_block
             avail = self._avail
             spans = [slice(q, q + copies * step, step) for q, step in strides.items()]
-            entries = list(zip(*map(avail.__getitem__, spans)))
+            columns = [avail[span] for span in spans]
             local = Schedule(0)
             local._t_layers = self._t_layers
+            if all(col.count(col[0]) == copies for col in columns):
+                local._avail = [col[0] for col in columns]
+                for span, v in zip(spans, local.feed(block)._avail):
+                    avail[span] = [v] * copies
+                self._t_count += copies * local._t_count
+                continue
+            entries = list(zip(*columns))
             exits = {}
             for entry in dict.fromkeys(entries):
                 local._avail = list(entry)

@@ -27,7 +27,7 @@ from typing import Sequence
 
 from .database import SearchQuery, load_database_file, pad_to_power_of_two
 from .decompose import lower_circuit
-from .errors import InputError, QsearchError
+from .errors import InputError, QsearchError, QueryError
 from .grover import SearchStatus, build_kernel_circuits, run_search
 from .qdam import NaiveLayout, QdamLayout, build_naive_qdam
 from .resources import (
@@ -131,8 +131,10 @@ def _cmd_compile(args) -> int:
     db = pad_to_power_of_two(load_database_file(args.db))
     query = SearchQuery(key_value=args.key, return_field=db.key_field)
     query.validate(db)
+    if db.size < 2:
+        raise QueryError("compile needs at least 2 records")
     if args.part == "naive":
-        layout = NaiveLayout(max(db.index_bits, 1), db.key_width)
+        layout = NaiveLayout(db.index_bits, db.key_width)
         circuit = build_naive_qdam(layout, db.keys())
     else:
         layout = QdamLayout.for_database(db)

@@ -22,8 +22,8 @@ the loader's gates in reverse order: the scheduler treats T like TDG and S
 like SDG, and the macros are self-adjoint, so the reversed stream tallies
 exactly as the adjoint circuit, which is never built.  Stage 2 is fed as
 its three tilings (:class:`~qsearch.circuit.Tiling`) in one call per pass:
-the scheduler takes about one record block per pass, not m * 2^n, and
-stage 2's gate list is never built.  The naive report streams its macro
+with zero keys the scheduler takes each tiling's block once, not per copy,
+and stage 2's gate list is never built.  The naive report streams its macro
 loader through :func:`tally_flat` and tallies its two reflections, a few
 hundred gates, on their lowering.
 """

@@ -1,8 +1,9 @@
 """Test-only oracles: a dense state-vector backend, the sparse simulator
-run one gate at a time, the Walsh-Hadamard transform, the full loader, the
-serial multi-controlled-Z ladder and the naive loader built one ladder per
-record bit from it, the kernel measurement over
-built gate lists, and the circuit helpers that only tests use.
+run one gate at a time, the scheduler's generic macro loop, the
+Walsh-Hadamard transform, the full loader, the serial multi-controlled-Z
+ladder and the naive loader built one ladder per record bit from it, the
+kernel measurement over built gate lists, and the circuit helpers that
+only tests use.
 
 The dense backend applies lowered gates to a full numpy state vector (or
 to a batch of columns for unitary extraction).  It shares no code with
@@ -25,6 +26,7 @@ from qsearch.circuit import (
     GateKind,
     Register,
     Schedule,
+    _TEMPLATES,
     gate,
     tally_flat,
 )
@@ -237,6 +239,33 @@ def success_probability_formula(database_size: int, iterations: int) -> float:
     """Closed-form branch probability after ``iterations`` kernel rounds."""
     theta = math.asin(1.0 / math.sqrt(database_size))
     return math.sin((2 * iterations + 1) * theta) ** 2
+
+
+# -- scheduler ----------------------------------------------------------------
+
+
+def reference_feed(schedule: Schedule, gates) -> Schedule:
+    """:meth:`Schedule.feed` as one generic loop: each macro looks up its
+    template and takes one ``max`` of its three entry terms, and every
+    other gate takes the latest of its operands' times, whatever its
+    arity."""
+    avail, t_layers = schedule._avail, schedule._t_layers
+    for kind, ops in gates:
+        if kind in _TEMPLATES:
+            (ua, ub, uc), (xa, xb, xc), t_consts, t_n = _TEMPLATES[kind]
+            a, b, c = ops
+            entry = max(avail[a] + ua, avail[b] + ub, avail[c] + uc)
+            t_layers.update(entry + t for t in t_consts)
+            avail[a], avail[b], avail[c] = entry + xa, entry + xb, entry + xc
+            schedule._t_count += t_n
+        else:
+            layer = max(avail[i] for i in ops) + 1
+            for i in ops:
+                avail[i] = layer
+            if kind is GateKind.T or kind is GateKind.TDG:
+                schedule._t_count += 1
+                t_layers.add(layer)
+    return schedule
 
 
 # -- circuits -----------------------------------------------------------------

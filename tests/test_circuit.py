@@ -19,7 +19,12 @@ from qsearch.circuit import (
     resource_tally,
     tally_flat,
 )
-from qsearch.decompose import ccz_gates, decompose_toffoli, lower_circuit
+from qsearch.decompose import (
+    ccz_gates,
+    decompose_toffoli,
+    lower_circuit,
+    sync_touch,
+)
 from qsearch.errors import (
     CircuitError,
     MacroGateError,
@@ -27,7 +32,13 @@ from qsearch.errors import (
 )
 
 from conftest import ideal_toffoli_matrix, random_lowered_circuit
-from oracles import DenseCapError, dense_statevector, from_json, to_unitary
+from oracles import (
+    DenseCapError,
+    dense_statevector,
+    from_json,
+    reference_feed,
+    to_unitary,
+)
 
 A = Register.ANCILLA
 _q = list(range(6))  # flat indices of circuits over the ANCILLA register alone
@@ -172,6 +183,17 @@ def test_macro_tally_equals_the_lowered_tally(circ):
     assert macro._avail == lowered._avail
 
 
+@settings(max_examples=300, deadline=None)
+@given(_macro_circuits())
+def test_feed_equals_the_generic_macro_loop(circ):
+    total = circ.total_qubits
+    fast = Schedule(total).feed(circ.gates)
+    slow = reference_feed(Schedule(total), circ.gates)
+    assert fast._avail == slow._avail
+    assert fast._t_layers == slow._t_layers
+    assert fast._t_count == slow._t_count
+
+
 @settings(max_examples=200, deadline=None)
 @given(_macro_circuits(), st.integers(0, 56), st.integers(0, 56))
 def test_schedule_snapshots_equal_the_prefix_tallies(circ, cut1, cut2):
@@ -201,9 +223,10 @@ def _tilings(draw):
     """One to three random blocks, each on 3 to 6 operands with a random
     stride each, every operand placed at the first start from a random
     offset where its copies miss every qubit the block's copies already
-    use (different blocks may share qubits), and a random prior stream
-    over all qubits to stagger the copies' entry times (or none, so that
-    they repeat)."""
+    use (different blocks may share qubits), and a prior stream over all
+    qubits: a random one to stagger the copies' entry times, or none, or
+    one to three layers of one-qubit gates on every qubit, so that every
+    copy enters at the same time, zero or not."""
     shapes, top = [], 0
     for _ in range(draw(st.integers(1, 3))):
         width, copies = draw(st.integers(3, 6)), draw(st.integers(1, 5))
@@ -229,7 +252,10 @@ def _tilings(draw):
 
     parts = [(gates(_TILE_MIX, list(strides), 1, 12), strides, copies)
              for strides, copies in shapes]
-    return parts, total, gates(_TILE_MIX, range(total), 0, 20)
+    if draw(st.booleans()):
+        return parts, total, gates(_TILE_MIX, range(total), 0, 20)
+    layers = draw(st.lists(st.sampled_from(_TILE_MIX[3:]), max_size=3))
+    return parts, total, [gate(kind, q) for kind in layers for q in range(total)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -248,6 +274,35 @@ def test_feed_tiled_equals_feeding_the_copies(case, reverse):
     flat = Schedule(total).feed(prior).feed(copied[::-1] if reverse else copied)
     assert tiled.tally() == flat.tally()
     assert tiled._avail == flat._avail
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("late", [None, 7], ids=["constant", "one-late"])
+def test_feed_tiled_fast_path_boundary(monkeypatch, reverse, late):
+    # five copies of a three-operand block over qubits 0 .. 14 of 16, after
+    # a sync block that leaves every qubit at the same non-zero layer; with
+    # ``late``, copy 2 of operand 1 enters one layer after the others
+    total, copies, strides = 16, 5, {0: 3, 1: 3, 2: 3}
+    block = [gate(GateKind.TOFFOLI, 0, 1, 2), gate(GateKind.T, 1),
+             gate(GateKind.CNOT, 2, 0), gate(GateKind.MCZ, 2, 1, 0)]
+    prior = sync_touch(range(total))
+    if late is not None:
+        prior.append(gate(GateKind.X, late))
+    tiling = Tiling(block, strides, copies, total)
+    copied = tiling.gates()[::-1] if reverse else tiling.gates()
+    flat = Schedule(total).feed(prior).feed(copied)
+    tiled = Schedule(total).feed(prior)
+    assert set(tiled._avail) == ({8} if late is None else {8, 9})
+    # the local schedule, over the block's 3 qubits, takes the block once
+    # per distinct entry vector
+    calls, feed = [], Schedule.feed
+    monkeypatch.setattr(Schedule, "feed", lambda self, gates: (
+        calls.append(len(self._avail)) or feed(self, gates)))
+    tiled.feed_tiled(tiling, reverse=reverse)
+    assert calls == [3] * (1 if late is None else 2)
+    assert tiled.tally() == flat.tally()
+    assert tiled._avail == flat._avail
+    assert tiled._t_layers == flat._t_layers
 
 
 def test_tiling_rejects_overlapping_copies():

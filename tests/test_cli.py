@@ -277,6 +277,19 @@ def test_compile_exports_every_part(tmp_path, capsys, part):
     assert len(circuit.gates) > 0
 
 
+@pytest.mark.parametrize(
+    "part", ["m1", "m2", "qdam", "oracle", "diffusion", "kernel", "naive"]
+)
+def test_compile_one_record_database_exits_three(tmp_path, capsys, part):
+    db_path = tmp_path / "one.json"
+    db_path.write_text(json.dumps(dict(_GOOD_DOC, records=[{"id": "01"}])))
+    code, out, err = _run(capsys, "compile", "--db", str(db_path), "--key",
+                          "01", "--part", part, "--out", str(tmp_path / "x.json"))
+    assert code == 3
+    assert out == ""
+    assert err == "error: compile needs at least 2 records\n"
+
+
 def test_compile_lowered_export(tmp_path, capsys):
     out_path = tmp_path / "qdam_low.json"
     code, _, _ = _run(capsys, "compile", "--db", DATA_DB, "--key", "0101",

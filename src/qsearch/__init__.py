@@ -53,6 +53,6 @@ from .resources import (
     measure_kernel,
     measure_naive,
 )
-from .sim import SparseState, basis_pattern
+from .sim import SparseState
 
 __version__ = "0.1.0"

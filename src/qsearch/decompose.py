@@ -25,12 +25,15 @@ are returned to |0> on every input.
 """
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Sequence
 
-from .circuit import Circuit, Gate, GateKind, ccz_gates, decompose_toffoli, gate
+from .circuit import Circuit, Gate, GateKind, ccz_gates, decompose_toffoli
 from .errors import AncillaBudgetError, OperandOverlapError
 
-_K = GateKind
+# the kinds bound once: a ``GateKind.X`` load costs several times a global's
+_S, _SDG, _CNOT, _TOFFOLI, _MCZ = (GateKind.S, GateKind.SDG, GateKind.CNOT,
+                                   GateKind.TOFFOLI, GateKind.MCZ)
 
 
 def shared_control_layer(
@@ -49,12 +52,9 @@ def shared_control_layer(
     """
     if not pairs:
         return []
-    seen = {shared_control}
-    for second, target in pairs:
-        for q in (second, target):
-            if q in seen:
-                raise OperandOverlapError(f"operand {q} reused in layer")
-            seen.add(q)
+    operands = {shared_control, *chain.from_iterable(pairs)}
+    if len(operands) != 2 * len(pairs) + 1:
+        raise OperandOverlapError(f"an operand is reused in the layer over {pairs}")
 
     needed = len(pairs) - 1
     ancillas = tuple(fanout_ancillas)[:needed]
@@ -63,10 +63,8 @@ def shared_control_layer(
             f"shared-control layer over {len(pairs)} pairs needs {needed} "
             f"fan-out ancillas, got {len(ancillas)}"
         )
-    for a in ancillas:
-        if a in seen:
-            raise OperandOverlapError(f"fan-out ancilla {a} overlaps an operand")
-        seen.add(a)
+    if len(operands.union(ancillas)) != len(operands) + needed:
+        raise OperandOverlapError(f"fan-out ancillas {ancillas} repeat or overlap an operand")
 
     gates: list[Gate] = []
     carriers = [shared_control]
@@ -79,22 +77,18 @@ def shared_control_layer(
         room = len(pairs) - len(carriers)
         sources = carriers[: min(len(carriers), room)]
         idle = carriers[len(sources):]
-        new = []
-        for src in sources:
-            dst = next(fresh)
-            gates.append((_K.CNOT, (src, dst)))
-            new.append(dst)
+        new = [next(fresh) for _ in sources]
+        gates += [(_CNOT, pair) for pair in zip(sources, new)]
         if room < len(carriers):
-            for q in idle:
-                gates.append((_K.S, (q,)))
-                pad_sdg.append((_K.SDG, (q,)))
+            gates += [(_S, (q,)) for q in idle]
+            pad_sdg += [(_SDG, (q,)) for q in idle]
         carriers.extend(new)
 
-    fanout = list(gates)
-    for (second, target), carrier in zip(pairs, carriers):
-        gates.append((_K.TOFFOLI, (second, carrier, target)))
-    gates.extend(pad_sdg)
-    gates.extend(g for g in reversed(fanout) if g[0] is _K.CNOT)
+    fanout = [g for g in gates if g[0] is _CNOT]
+    gates += [(_TOFFOLI, (second, carrier, target))
+              for (second, target), carrier in zip(pairs, carriers)]
+    gates += pad_sdg
+    gates += fanout[::-1]
     return gates
 
 
@@ -122,7 +116,7 @@ def sync_touch(qubits: Sequence[int]) -> list[Gate]:
     while r < k:
         for i in range(k):
             if not i & r:
-                pair = gate(_K.CNOT, qubits[i], qubits[i | r])
+                pair = (_CNOT, (qubits[i], qubits[i | r]))
                 gates.append(pair)
                 gates.append(pair)
         r <<= 1
@@ -130,7 +124,7 @@ def sync_touch(qubits: Sequence[int]) -> list[Gate]:
 
 
 # the flip over at most three qubits needs no ancilla
-_SMALL_FLIP = {1: _K.Z, 2: _K.CZ, 3: _K.MCZ}
+_SMALL_FLIP = {1: GateKind.Z, 2: GateKind.CZ, 3: _MCZ}
 
 
 def mcz_tree(qubits: Sequence[int], ancillas: Sequence[int] = ()) -> list[Gate]:
@@ -175,7 +169,7 @@ def mcz_tree(qubits: Sequence[int], ancillas: Sequence[int] = ()) -> list[Gate]:
         half = (len(leaves) + 1) // 2  # the larger half first: a leaf is last
         x, y = node(leaves[:half]), node(leaves[half:])
         target = next(fresh)
-        up.append((_K.TOFFOLI, (x, y, target)))
+        up.append((_TOFFOLI, (x, y, target)))
         return target
 
     g1, g2 = k // 3 + (k % 3 > 0), k // 3 + (k % 3 > 1)  # the largest first
@@ -184,11 +178,11 @@ def mcz_tree(qubits: Sequence[int], ancillas: Sequence[int] = ()) -> list[Gate]:
     # layer late, and the smallest group takes the middle slot
     mirror: list[Gate] = []
     pool = set(borrowed)
-    for g in [(_K.MCZ, (r2, r3, r1)), *reversed(up)]:
+    for g in [(_MCZ, (r2, r3, r1)), *reversed(up)]:
         mirror.append(g)
         middle = g[1][1]
         if middle in pool:
-            mirror += [(_K.S, (middle,)), (_K.SDG, (middle,))]
+            mirror += [(_S, (middle,)), (_SDG, (middle,))]
     return up + mirror
 
 
@@ -202,14 +196,15 @@ def lower_gates(gates: Iterable[Gate]) -> list[Gate]:
     fragments: dict = {}
     out: list[Gate] = []
     append, extend = out.append, out.extend
+    toffoli, mcz = _TOFFOLI, _MCZ
     for g in gates:
         kind, ops = g
-        if kind is _K.TOFFOLI:
+        if kind is toffoli:
             fragment = fragments.get(g)
             if fragment is None:
                 fragment = fragments[g] = decompose_toffoli(*ops)
             extend(fragment)
-        elif kind is _K.MCZ:
+        elif kind is mcz:
             extend(ccz_gates(*ops))
         else:
             append(g)

@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .circuit import Circuit, Gate, GateKind, Register, Tiling, gate
+from .circuit import Circuit, Gate, GateKind, Register, Tiling
 from .database import Database, SearchQuery
 from .decompose import lower_circuit, mcz_tree, sync_touch
 from .errors import CircuitError, InputError, QueryError
@@ -57,8 +57,6 @@ from .sim import (
 
 if TYPE_CHECKING:  # resources imports this module; annotations only
     from .resources import ResourceReport
-
-_K = GateKind
 
 # the most index samples a sampled search draws; numpy holds them all at once
 MAX_SHOTS = 1 << 20
@@ -140,8 +138,8 @@ def build_target_reflection(layout: QdamLayout, key_pattern: str) -> Circuit:
     """
     if len(key_pattern) != layout.m or any(c not in "01" for c in key_pattern):
         raise QueryError(f"pattern {key_pattern!r} does not fit {layout.m} data qubits")
-    data = [layout.data_qubit(j) for j in range(layout.m)]
-    flips = [gate(_K.X, data[j]) for j, c in enumerate(key_pattern) if c == "0"]
+    data, x = [layout.data_qubit(j) for j in range(layout.m)], GateKind.X
+    flips = [(x, (q,)) for q, c in zip(data, key_pattern) if c == "0"]
     sync = _sync_block(layout, data)
     tree = mcz_tree(data, layout.ladder_qubits())
     return Circuit(
@@ -158,9 +156,9 @@ def build_diffusion(layout: QdamLayout) -> Circuit:
     index register lines its leaves up first: the inverse loader leaves
     them staggered, which in a kernel would smear the tree's T layers.
     Narrower flips are a single fragment and get none."""
-    index = range(layout.n)
-    hs = [gate(_K.H, b) for b in index]
-    xs = [gate(_K.X, b) for b in index]
+    index, h, x = range(layout.n), GateKind.H, GateKind.X
+    hs = [(h, (b,)) for b in index]
+    xs = [(x, (b,)) for b in index]
     sync = _sync_block(layout, index) if layout.n >= 4 else []
     tree = mcz_tree(index, layout.ladder_qubits())
     return Circuit(

@@ -39,15 +39,17 @@ end, the database bit and the data bit, between two H.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 from typing import Sequence
 
-from .circuit import Circuit, Gate, GateKind, Register, Tiling, gate
+from .circuit import Circuit, Gate, GateKind, Register, Tiling
 from .database import Database
 from .decompose import shared_control_layer
 from .errors import CircuitError
 
-_K = GateKind
+# the kinds bound once: a ``GateKind.X`` load costs several times a global's
+_H, _X, _CNOT, _TOFFOLI, _MCZ = (GateKind.H, GateKind.X, GateKind.CNOT,
+                                 GateKind.TOFFOLI, GateKind.MCZ)
 
 
 @dataclass(frozen=True)
@@ -190,23 +192,29 @@ def _key_bits(layout_n: int, layout_m: int, source: Database | Sequence[str]) ->
     return keys
 
 
+def _prepare(database: int, keys: Sequence[str]) -> list[Gate]:
+    """An X on database qubit ``database + k`` for every 1 at offset k of
+    the joined keys: bit j of key i sits at offset i*m + j."""
+    bits = "".join(keys)
+    ones = compress(range(database, database + len(bits)), map("1".__eq__, bits))
+    return [(_X, (q,)) for q in ones]
+
+
 def build_m1(layout: QdamLayout) -> Circuit:
-    """Stage 1: |v>|0...0> -> |v>|one-hot at offset v>."""
+    """Stage 1: |v>|0...0> -> |v>|one-hot at offset v>.  Every gate acts on
+    distinct qubits by construction, so the gates are emitted unchecked."""
     n = layout.n
-    onehot = layout.onehot_qubit
-    gates: list[Gate] = [gate(_K.X, onehot(0))]
+    base = layout.onehot_qubit(0)  # one-hot offset j is flat qubit base + j
+    gates: list[Gate] = [(_X, (base,))]
     for level in range(1, n + 1):
         span = 1 << (level - 1)
         ctrl = n - level  # the binary index qubit of weight 2^(level-1)
         if level == 1:
-            gates.append(gate(_K.CNOT, ctrl, onehot(1)))
+            gates.append((_CNOT, (ctrl, base + 1)))
         else:
-            pairs = [(onehot(j), onehot(j + span)) for j in range(span)]
-            gates.extend(
-                shared_control_layer(ctrl, pairs, layout.fanout_lease(0, span - 1))
-            )
-        for j in range(span):
-            gates.append(gate(_K.CNOT, onehot(j + span), onehot(j)))
+            pairs = [(base + j, base + span + j) for j in range(span)]
+            gates += shared_control_layer(ctrl, pairs, layout.fanout_lease(0, span - 1))
+        gates += [(_CNOT, (base + span + j, base + j)) for j in range(span)]
     return Circuit(layout.register_sizes, gates, validate=False)
 
 
@@ -223,8 +231,7 @@ def stage2_parts(layout: QdamLayout,
     # database bit (i, j) and load ancilla E(i, j) sit at offset i*m + j of
     # their regions, the offset of bit j of key i in the joined keys
     database, load = layout.database_qubit(0, 0), layout.load_qubit(0, 0)
-    prepare = tuple((_K.X, (database + k,))
-                    for k, bit in enumerate("".join(keys)) if bit == "1")
+    prepare = _prepare(database, keys)
     base = (count >> 1) - 1  # past stage 1's fan-out ancillas
     layout.fanout_lease(base + (count - 1) * (m - 1), m - 1)
     control, lease = layout.onehot_qubit(0), layout.fanout_lease(base, m - 1)
@@ -259,15 +266,14 @@ def _fold_fan_in(column: Sequence[int], target: int) -> list[Gate]:
     k = len(column)
     gates: list[Gate] = []
     span = 1
+    # a round's CNOTs pair column[i + span] with column[i], i = 0, 2 span, ...
     while span < k:
-        for i in range(0, k, 2 * span):
-            gates.append((_K.CNOT, (column[i + span], column[i])))
+        gates += [(_CNOT, p) for p in zip(column[span::2 * span], column[::2 * span])]
         span <<= 1
-    gates.append((_K.CNOT, (column[0], target)))
+    gates.append((_CNOT, (column[0], target)))
     while span > 1:
         span >>= 1
-        for i in range(0, k, 2 * span):
-            gates.append((_K.CNOT, (column[i + span], column[i])))
+        gates += [(_CNOT, p) for p in zip(column[span::2 * span], column[::2 * span])]
     return gates
 
 
@@ -281,18 +287,17 @@ def build_naive_qdam(layout: NaiveLayout, db: Database | Sequence[str]) -> Circu
     # qubit b into ladder ancilla b-1, and its last target is the apex's
     ladder = layout.ladder_qubits()
     ands = (0, *ladder)
-    up = [(_K.TOFFOLI, (ands[b - 1], b, ands[b])) for b in range(1, n)]
+    up = [(_TOFFOLI, (ands[b - 1], b, ands[b])) for b in range(1, n)]
     acc, down = ands[-1], up[::-1]
-    flips = [(_K.X, (b,)) for b in range(n)]
-    hadamards = [(_K.H, (data + j,)) for j in range(m)]
-    gates: list[Gate] = [(_K.X, (database + k,))
-                         for k, bit in enumerate("".join(keys)) if bit == "1"]
+    flips = [(_X, (b,)) for b in range(n)]
+    hadamards = [(_H, (data + j,)) for j in range(m)]
+    gates = _prepare(database, keys)
     for i in range(len(keys)):
         # X on the index qubits that are 0 in i, most significant first
         conjugate = [flips[b] for b in range(n) if not i >> (n - 1 - b) & 1]
         gates.extend(conjugate)
         for j, h in enumerate(hadamards):
-            apex = (_K.MCZ, (acc, database + i * m + j, data + j))
+            apex = (_MCZ, (acc, database + i * m + j, data + j))
             gates.extend((h, *up, apex, *down, h))
         gates.extend(conjugate)
     return Circuit(layout.register_sizes, gates, validate=False)

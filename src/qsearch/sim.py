@@ -31,7 +31,7 @@ import math
 from typing import Mapping
 
 from .circuit import (
-    Circuit, GateKind, LOWERED_KINDS, Register, REGISTER_ORDER, gate,
+    Circuit, GateKind, LOWERED_KINDS, Register, REGISTER_ORDER,
 )
 from .errors import CircuitError, MacroGateError
 
@@ -82,10 +82,6 @@ class SparseState:
 
     def amplitude(self, pattern: int) -> complex:
         return self.amplitudes.get(pattern, 0.0 + 0.0j)
-
-    def probability(self, pattern: int) -> float:
-        a = self.amplitudes.get(pattern)
-        return 0.0 if a is None else (a * a.conjugate()).real
 
     def register_bits(self, pattern: int, register: Register) -> int:
         """Value of one register inside a basis label."""
@@ -178,19 +174,6 @@ def register_shift(register_sizes: Mapping[Register, int], register: Register) -
         if seen:
             shift += size
     return shift
-
-
-def basis_pattern(
-    register_sizes: Mapping[Register, int], assignments: Mapping[Register, int]
-) -> int:
-    """Compose a basis label from per-register values (unassigned -> 0)."""
-    pattern = 0
-    for reg, value in assignments.items():
-        size = register_sizes.get(reg, 0)
-        if value < 0 or value >= (1 << size):
-            raise CircuitError(f"value {value} does not fit register {reg.value}")
-        pattern |= value << register_shift(register_sizes, reg)
-    return pattern
 
 
 # -- bit-sliced backend ----------------------------------------------------
@@ -310,7 +293,8 @@ def diffusion_signs(circuit: Circuit) -> int:
     phases that acts as a +-1 diagonal.  Raises :class:`CircuitError` on
     any other shape."""
     n = circuit.register_sizes[Register.BINARY_INDEX]
-    hs = {gate(GateKind.H, b) for b in range(n)}  # binary index: flat 0 .. n-1
+    h = GateKind.H
+    hs = {(h, (b,)) for b in range(n)}  # binary index: flat 0 .. n-1
     gates = circuit.gates
     # n gates whose set is the n distinct H gates: each qubit exactly once
     if len(gates) < 2 * n or set(gates[:n]) != hs or set(gates[len(gates) - n:]) != hs:

@@ -2,8 +2,8 @@
 run one gate at a time, the scheduler's generic macro loop, the
 Walsh-Hadamard transform, the full loader, the serial multi-controlled-Z
 ladder and the naive loader built one ladder per record bit from it, the
-kernel measurement over built gate lists, and the circuit helpers that
-only tests use.
+kernel measurement over built gate lists, and the circuit and basis-label
+helpers that only tests use.
 
 The dense backend applies lowered gates to a full numpy state vector (or
 to a batch of columns for unitary extraction).  It shares no code with
@@ -34,7 +34,7 @@ from qsearch.decompose import shared_control_layer
 from qsearch.errors import CircuitError, MacroGateError
 from qsearch.qdam import _fold_fan_in, build_m1, build_m2, stage2_parts
 from qsearch.resources import ReportMode, ResourceReport
-from qsearch.sim import DROP_TOLERANCE, SparseState
+from qsearch.sim import DROP_TOLERANCE, SparseState, register_shift
 
 DEFAULT_DENSE_CAP = 14
 
@@ -156,6 +156,17 @@ def to_dense(state) -> np.ndarray:
     for k, a in state.amplitudes.items():
         vec[k] = a
     return vec
+
+
+def basis_pattern(register_sizes, assignments) -> int:
+    """Compose a basis label from per-register values (unassigned -> 0)."""
+    pattern = 0
+    for reg, value in assignments.items():
+        size = register_sizes.get(reg, 0)
+        if value < 0 or value >= (1 << size):
+            raise CircuitError(f"value {value} does not fit register {reg.value}")
+        pattern |= value << register_shift(register_sizes, reg)
+    return pattern
 
 
 def norm(state) -> float:

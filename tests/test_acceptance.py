@@ -20,10 +20,10 @@ from qsearch.decompose import lower_circuit
 from qsearch.grover import optimal_iterations, run_search
 from qsearch.qdam import QdamLayout
 from qsearch.resources import bench_scaling, estimate_bounds, measure, measure_naive
-from qsearch.sim import SparseState, basis_pattern
+from qsearch.sim import SparseState
 
 from conftest import random_lowered_circuit, toy_db
-from oracles import build_qdam, dense_statevector, to_dense
+from oracles import basis_pattern, build_qdam, dense_statevector, to_dense
 
 DATA_DB = os.path.join(os.path.dirname(__file__), "..", "data", "people.json")
 

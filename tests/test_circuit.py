@@ -320,6 +320,17 @@ def test_tiling_rejects_overlapping_copies():
         Tiling(block, {}, 1, 2)
 
 
+def test_tiling_bounds_every_copy_explicitly():
+    block = [gate(GateKind.X, 2)]
+    # a stride-1 slice assignment one copy past the end would grow the
+    # marking array instead of raising
+    with pytest.raises(OperandOverlapError):
+        Tiling(block, {2: 1}, 3, 4)
+    assert Tiling(block, {2: 1}, 2, 4).gates() == [(GateKind.X, (2,)), (GateKind.X, (3,))]
+    with pytest.raises(OperandOverlapError):  # copies at 1 and 3, then 5
+        Tiling([gate(GateKind.X, 1)], {1: 2}, 3, 5)
+
+
 def test_macro_templates_are_rank_one():
     toffoli = _derive_template(decompose_toffoli(0, 1, 2))
     mcz = _derive_template(ccz_gates(0, 1, 2))
@@ -344,6 +355,14 @@ def test_template_derivation_rejects_fragments_that_are_not_rank_one():
 def test_gate_operands_must_be_distinct():
     with pytest.raises(OperandOverlapError):
         gate(GateKind.CNOT, _q[0], _q[0])
+
+
+def test_validation_checks_every_gate_arity():
+    for bad in [(GateKind.CNOT, (0,)), (GateKind.H, (0, 1)),
+                (GateKind.TOFFOLI, (0, 1))]:
+        with pytest.raises(CircuitError, match="takes"):
+            Circuit({A: 3}, [bad])
+        Circuit({A: 3}, [bad], validate=False)  # unchecked paths pay nothing
 
 
 def test_operands_must_fit_registers():

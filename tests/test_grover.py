@@ -24,13 +24,12 @@ from qsearch.qdam import QdamLayout, build_m1, build_m2, stage2_parts
 from qsearch.sim import (
     SlicedState,
     SparseState,
-    basis_pattern,
     diffusion_signs,
     negate,
 )
 
 from conftest import toy_db
-from oracles import success_probability_formula, walsh_hadamard
+from oracles import basis_pattern, success_probability_formula, walsh_hadamard
 
 B = Register.BINARY_INDEX
 D = Register.DATA

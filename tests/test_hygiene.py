@@ -1,8 +1,8 @@
 """Source hygiene: every name a module imports is used in that module, no
 module reads another module's private names, the package's only import
-cycle is the known one, every field of a public record type is read
-somewhere, every name the benchmark's tracer patches exists, and the
-tracer can trace one op of each workload."""
+cycle is the known one, no gate kind is looked up per gate, every field of
+a public record type is read somewhere, every name the benchmark's tracer
+patches exists, and the tracer can trace one op of each workload."""
 from __future__ import annotations
 
 import ast
@@ -13,6 +13,7 @@ import pathlib
 import pytest
 
 import qsearch
+from qsearch.circuit import GateKind
 
 PACKAGE_DIR = pathlib.Path(qsearch.__file__).parent
 MODULES = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
@@ -162,6 +163,60 @@ def test_the_only_import_cycle_is_grover_and_resources():
         probed = {**sources, "circuit.py": sources["circuit.py"] + probe}
         assert _import_cycles(_package_imports(probed)) == {
             known, frozenset({"circuit", other})}
+
+
+_KIND_NAMES = {"GateKind", "_K"}
+
+
+def _per_iteration_parts(node: ast.AST) -> list[ast.AST]:
+    """The parts of a loop or comprehension that run once per item: a
+    loop's body (and a while loop's test), and a comprehension's element
+    and conditions and every iterable but the first, which runs once."""
+    if isinstance(node, (ast.For, ast.AsyncFor)):
+        return node.body
+    if isinstance(node, ast.While):
+        return [node.test, *node.body]
+    if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+        elements = [node.key, node.value] if isinstance(node, ast.DictComp) else [node.elt]
+        first, *rest = node.generators
+        return [*elements, *first.ifs, *(part for gen in rest for part in (gen.iter, *gen.ifs))]
+    return []
+
+
+def _kind_lookups_per_item(tree: ast.Module) -> list[int]:
+    """Lines of every ``GateKind.<member>`` or ``_K.<member>`` load that
+    runs once per item of a loop or comprehension."""
+    lines = set()
+    for loop in ast.walk(tree):
+        for part in _per_iteration_parts(loop):
+            for node in ast.walk(part):
+                if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                        and node.value.id in _KIND_NAMES
+                        and node.attr in GateKind.__members__):
+                    lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_no_gate_kind_is_looked_up_per_gate():
+    # on Python 3.11 ``GateKind.X`` runs ``EnumType.__getattr__``, several
+    # times the cost of a local; builders bind their kinds before the loop
+    found = {p.name: lines for p in MODULES
+             if (lines := _kind_lookups_per_item(ast.parse(p.read_text())))}
+    assert not found, f"gate kinds looked up per item: {found}"
+    # the check sees loop bodies, while tests, comprehension elements and
+    # conditions and nested iterables, and spares what runs once
+    probe = ("def probe(qubits, pairs):\n"
+             "    x = GateKind.X\n"
+             "    gates = [(x, (q,)) for q in qubits]\n"
+             "    for kind in (GateKind.T, _K.TDG):\n"
+             "        gates.append((GateKind.H, (qubits[0],)))\n"
+             "    gates += [(_K.CNOT, pair) for pair in pairs]\n"
+             "    gates += [g for g in gates if g[0] is not _K.Z]\n"
+             "    while gates and gates[-1][0] is GateKind.S:\n"
+             "        gates.pop()\n"
+             "    odd = [q for k in GateKind.X.value for q in (GateKind.Z, k)]\n"
+             "    return {q: GateKind.T for q in qubits}, GateKind.CZ, odd\n")
+    assert _kind_lookups_per_item(ast.parse(probe)) == [5, 6, 7, 8, 10, 11]
 
 
 def _record_fields(tree: ast.Module) -> list[str]:

@@ -23,10 +23,11 @@ from qsearch.qdam import (
     build_naive_qdam,
     stage2_parts,
 )
-from qsearch.sim import SparseState, basis_pattern
+from qsearch.sim import SparseState
 
 from conftest import toy_db
 from oracles import (
+    basis_pattern,
     build_qdam,
     macro_counts,
     naive_loader_gates,

@@ -14,7 +14,6 @@ from qsearch.errors import CircuitError, MacroGateError
 from qsearch.qdam import QdamLayout
 from qsearch.sim import (
     SparseState,
-    basis_pattern,
     SlicedState,
     negate,
     reflect_about_uniform,
@@ -23,6 +22,7 @@ from qsearch.sim import (
 from conftest import random_lowered_circuit, toy_db
 from oracles import (
     DenseCapError,
+    basis_pattern,
     build_qdam,
     dense_statevector,
     gatewise_apply,
@@ -83,11 +83,11 @@ def test_index_probabilities_uniform_and_phase_invariant():
         Circuit(sizes, [gate(GateKind.H, 0), gate(GateKind.H, 1)])
     )
     labels = [basis_pattern(sizes, {Register.BINARY_INDEX: q}) for q in range(4)]
-    dist = np.array([state.probability(k) for k in labels])
+    dist = np.array([abs(state.amplitude(k)) ** 2 for k in labels])
     assert np.abs(dist - 0.25).max() < 1e-10
     phased = state.apply(Circuit(sizes, [gate(GateKind.Z, 0),
                                          gate(GateKind.T, 1)]))
-    dist = np.array([phased.probability(k) for k in labels])
+    dist = np.array([abs(phased.amplitude(k)) ** 2 for k in labels])
     assert np.abs(dist - 0.25).max() < 1e-10
 
 

@@ -46,9 +46,10 @@ workers.
 
 A :class:`Tiling` is disjoint copies of one block of gates, each operand
 moved by its own stride per copy; :meth:`Schedule.feed_tiled` schedules a
-sequence of tilings, forward or reversed, without building them: the
-block once when every copy enters at the same times, and otherwise each
-distinct vector of entry times once.
+sequence of tilings, forward or reversed, through :meth:`Schedule.feed`:
+when every copy enters at the same times it feeds copy 0's block in place
+and copies its exits to the other copies, and otherwise it feeds the
+tiling's gates, built once per tiling.
 """
 from __future__ import annotations
 
@@ -218,7 +219,8 @@ class Tiling:
     pairwise disjoint and inside ``total_qubits``, so they commute.  A
     one-copy tiling is its block as is; its strides are never read.  A
     sequence of tilings is a gate stream, tiling by tiling; its reverse
-    takes the last tiling first, each copy's block reversed."""
+    takes the last tiling first, each copy's block reversed.  ``gates``
+    builds the copies' gates on first use and keeps them."""
 
     def __init__(self, block: Iterable[Gate], strides: Mapping[int, int],
                  copies: int, total_qubits: int):
@@ -246,22 +248,17 @@ class Tiling:
         if used.count(1) != len(self.strides) * copies:
             raise OperandOverlapError("copies of the block overlap")
 
-    def gates(self) -> list[Gate]:
+    @functools.cached_property
+    def gates(self) -> tuple[Gate, ...]:
         """The copies' gates, copy by copy."""
         copies, strides = self.copies, self.strides
         if copies == 1:
-            return list(self.block)
+            return self.block
         kinds = [kind for kind, _ in self.block]
         # each gate's operands in every copy, as one zip of ranges
         moved = [zip(*(range(q, q + copies * strides[q], strides[q]) for q in ops))
                  for _, ops in self.block]
-        return [g for ops in zip(*moved) for g in zip(kinds, ops)]
-
-    @functools.cached_property
-    def local_block(self) -> tuple[Gate, ...]:
-        """The block over local qubits 0, 1, ... in operand order."""
-        index = {q: k for k, q in enumerate(self.strides)}.__getitem__
-        return tuple((kind, tuple(map(index, ops))) for kind, ops in self.block)
+        return tuple(g for ops in zip(*moved) for g in zip(kinds, ops))
 
 
 class ResourceTally(NamedTuple):
@@ -448,36 +445,24 @@ class Schedule:
         """Feed the copies of ``tilings`` in order as feeding them one by
         one would, or with ``reverse`` that stream reversed: the last
         tiling first, each copy's block reversed.  Copy i's operand q
-        enters at ``avail[q + i * stride]``; a local schedule over the
-        block's qubits, adding its T layers to this schedule's, takes the
-        block once when every copy enters at the same times, and otherwise
-        each distinct entry vector once.  The exits go back by slice
-        assignment."""
+        enters at ``avail[q + i * stride]``.  When every operand's copies
+        enter at one time, all copies schedule alike: copy 0's block, whose
+        operands are real qubits, is fed in place, its T count is taken
+        ``copies`` times and its exits are copied to the other copies by
+        slice assignment.  Otherwise the tiling's gates are fed."""
+        avail = self._avail
         for tiling in reversed(tilings) if reverse else tilings:
-            copies, strides = tiling.copies, tiling.strides
-            if copies == 1:
-                self.feed(tiling.block[::-1] if reverse else tiling.block)
+            copies, block = tiling.copies, tiling.block
+            spans = [slice(q, q + copies * step, step)
+                     for q, step in tiling.strides.items()] if copies > 1 else ()
+            if any(avail[span].count(avail[span.start]) != copies for span in spans):
+                self.feed(reversed(tiling.gates) if reverse else tiling.gates)
                 continue
-            block = tiling.local_block[::-1] if reverse else tiling.local_block
-            avail = self._avail
-            spans = [slice(q, q + copies * step, step) for q, step in strides.items()]
-            columns = [avail[span] for span in spans]
-            local = Schedule(0)
-            local._t_layers = self._t_layers
-            if all(col.count(col[0]) == copies for col in columns):
-                local._avail = [col[0] for col in columns]
-                for span, v in zip(spans, local.feed(block)._avail):
-                    avail[span] = [v] * copies
-                self._t_count += copies * local._t_count
-                continue
-            entries = list(zip(*columns))
-            exits = {}
-            for entry in dict.fromkeys(entries):
-                local._avail = list(entry)
-                exits[entry] = local.feed(block)._avail
-            for span, column in zip(spans, zip(*map(exits.__getitem__, entries))):
-                avail[span] = column
-            self._t_count += copies * local._t_count // len(exits)
+            t_count = self._t_count
+            self.feed(block[::-1] if reverse else block)
+            self._t_count += (copies - 1) * (self._t_count - t_count)
+            for span in spans:
+                avail[span] = [avail[span.start]] * copies
         return self
 
     def tally(self) -> ResourceTally:

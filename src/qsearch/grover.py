@@ -173,9 +173,11 @@ class KernelCircuits:
 
     Stage 2 is kept as the three tilings of
     :func:`~qsearch.qdam.stage2_parts`, which the resource report schedules
-    forward and in reverse without building them.  ``stage2``, the loader
-    and the inverse loader are built lazily, at most once each, for the
-    simulator, the lowering and ``compile``."""
+    forward and in reverse, each tiling as its block when every copy enters
+    at the same times and otherwise as its gates, which the tiling builds
+    once and ``stage2`` shares.  ``stage2``, the loader and the inverse
+    loader are built lazily, at most once each, for the simulator, the
+    lowering and ``compile``."""
 
     layout: QdamLayout
     stage1: Circuit

@@ -248,7 +248,7 @@ def stage2_parts(layout: QdamLayout,
 def build_m2(layout: QdamLayout, parts: Sequence[Tiling]) -> Circuit:
     """Stage 2 as a circuit: the tilings of :func:`stage2_parts`
     materialized in order."""
-    gates = list(chain.from_iterable(tiling.gates() for tiling in parts))
+    gates = list(chain.from_iterable(tiling.gates for tiling in parts))
     return Circuit(layout.register_sizes, gates, validate=False)
 
 

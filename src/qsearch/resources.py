@@ -22,8 +22,10 @@ the loader's gates in reverse order: the scheduler treats T like TDG and S
 like SDG, and the macros are self-adjoint, so the reversed stream tallies
 exactly as the adjoint circuit, which is never built.  Stage 2 is fed as
 its three tilings (:class:`~qsearch.circuit.Tiling`) in one call per pass:
-with zero keys the scheduler takes each tiling's block once, not per copy,
-and stage 2's gate list is never built.  The naive report streams its macro
+with zero keys every copy of a tiling enters at the same times, so the
+scheduler takes each block once, not per copy, and stage 2's gate list is
+never built.  Other keys stagger the copies, and such a tiling is fed as
+its gates, which it builds once.  The naive report streams its macro
 loader through :func:`tally_flat` and tallies its two reflections, a few
 hundred gates, on their lowering.
 """
@@ -288,10 +290,12 @@ MAX_BENCH_N = 12
 def bench_scaling(n_values: Iterable[int], m: int) -> list[BenchRow]:
     """Measured loader depths and kernel costs, optimized vs naive, one row
     per index width.  Resource mode only: nothing is simulated."""
+    n_values = list(n_values)
+    # every row is checked before any is measured
+    for n in n_values:
+        _check_widths(n, m, MAX_BENCH_N, MAX_NAIVE_BITS)
     rows: list[BenchRow] = []
     for n in n_values:
-        if not 1 <= n <= MAX_BENCH_N:
-            raise InputError(f"bench supports 1 <= n <= {MAX_BENCH_N}, got {n}")
         opt = measure(n, m)
         naive = measure_naive(n, m)
         rows.append(

@@ -68,10 +68,6 @@ class SparseState:
         self.peak_support = len(self.amplitudes)
 
     @classmethod
-    def zero(cls, register_sizes: Mapping[Register, int]) -> "SparseState":
-        return cls(register_sizes)
-
-    @classmethod
     def basis(cls, register_sizes: Mapping[Register, int], pattern: int) -> "SparseState":
         return cls(register_sizes, {pattern: 1.0 + 0.0j})
 

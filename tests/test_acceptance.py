@@ -211,7 +211,7 @@ def test_criterion_8_dense_sparse_cross_validation():
         n_gates = int(rng.integers(20, 201))
         circuit = random_lowered_circuit(rng, n_qubits, n_gates)
         dense = dense_statevector(circuit, 0)
-        sparse = SparseState.zero({Register.ANCILLA: n_qubits}).apply(circuit)
+        sparse = SparseState({Register.ANCILLA: n_qubits}).apply(circuit)
         assert np.abs(dense - to_dense(sparse)).max() < 1e-10, i
     elapsed = time.time() - start
     assert elapsed < 60

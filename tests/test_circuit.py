@@ -267,39 +267,51 @@ def test_feed_tiled_equals_feeding_the_copies(case, reverse):
         tilings.append(Tiling(block, strides, copies, total))
         stream = [(kind, tuple(q + i * strides[q] for q in ops))
                   for i in range(copies) for kind, ops in block]
-        assert tilings[-1].gates() == stream
+        assert tilings[-1].gates == tuple(stream)
         copied += stream
     # reversed, the stream runs last tiling first and every block backwards
     tiled = Schedule(total).feed(prior).feed_tiled(*tilings, reverse=reverse)
     flat = Schedule(total).feed(prior).feed(copied[::-1] if reverse else copied)
     assert tiled.tally() == flat.tally()
     assert tiled._avail == flat._avail
+    assert tiled._t_layers == flat._t_layers
 
 
 @pytest.mark.parametrize("reverse", [False, True])
-@pytest.mark.parametrize("late", [None, 7], ids=["constant", "one-late"])
-def test_feed_tiled_fast_path_boundary(monkeypatch, reverse, late):
-    # five copies of a three-operand block over qubits 0 .. 14 of 16, after
-    # a sync block that leaves every qubit at the same non-zero layer; with
+@pytest.mark.parametrize(("copies", "late"), [(5, None), (5, 7), (1, None)],
+                         ids=["constant", "one-late", "one-copy"])
+def test_feed_tiled_fast_path_boundary(monkeypatch, reverse, copies, late):
+    # copies of a three-operand block over qubits 0 .. 14 of 16, after a
+    # sync block that leaves every qubit at the same non-zero layer; with
     # ``late``, copy 2 of operand 1 enters one layer after the others
-    total, copies, strides = 16, 5, {0: 3, 1: 3, 2: 3}
+    total, strides = 16, {0: 3, 1: 3, 2: 3}
     block = [gate(GateKind.TOFFOLI, 0, 1, 2), gate(GateKind.T, 1),
              gate(GateKind.CNOT, 2, 0), gate(GateKind.MCZ, 2, 1, 0)]
     prior = sync_touch(range(total))
     if late is not None:
         prior.append(gate(GateKind.X, late))
     tiling = Tiling(block, strides, copies, total)
-    copied = tiling.gates()[::-1] if reverse else tiling.gates()
+    copied = tiling.gates[::-1] if reverse else tiling.gates
     flat = Schedule(total).feed(prior).feed(copied)
     tiled = Schedule(total).feed(prior)
     assert set(tiled._avail) == ({8} if late is None else {8, 9})
-    # the local schedule, over the block's 3 qubits, takes the block once
-    # per distinct entry vector
+    # every copy entering alike, this schedule takes copy 0's block itself;
+    # one copy late, it takes the copies' gates
     calls, feed = [], Schedule.feed
-    monkeypatch.setattr(Schedule, "feed", lambda self, gates: (
-        calls.append(len(self._avail)) or feed(self, gates)))
+
+    def recording(schedule, gates):
+        fed = gates if isinstance(gates, tuple) else tuple(gates)
+        calls.append((len(schedule._avail), fed))
+        return feed(schedule, fed)
+
+    monkeypatch.setattr(Schedule, "feed", recording)
     tiled.feed_tiled(tiling, reverse=reverse)
-    assert calls == [3] * (1 if late is None else 2)
+    if late is None:
+        assert calls == [(total, tiling.block[::-1] if reverse else tiling.block)]
+        assert reverse or calls[0][1] is tiling.block
+    else:
+        assert calls == [(total, copied)]
+        assert len(copied) == copies * len(block)
     assert tiled.tally() == flat.tally()
     assert tiled._avail == flat._avail
     assert tiled._t_layers == flat._t_layers
@@ -326,7 +338,7 @@ def test_tiling_bounds_every_copy_explicitly():
     # marking array instead of raising
     with pytest.raises(OperandOverlapError):
         Tiling(block, {2: 1}, 3, 4)
-    assert Tiling(block, {2: 1}, 2, 4).gates() == [(GateKind.X, (2,)), (GateKind.X, (3,))]
+    assert Tiling(block, {2: 1}, 2, 4).gates == ((GateKind.X, (2,)), (GateKind.X, (3,)))
     with pytest.raises(OperandOverlapError):  # copies at 1 and 3, then 5
         Tiling([gate(GateKind.X, 1)], {1: 2}, 3, 5)
 

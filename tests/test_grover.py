@@ -315,7 +315,7 @@ def _reference_rounds(db, key, iterations):
     sizes = layout.register_sizes
     n = layout.n
     shift = layout.total_qubits - n
-    state = SparseState.zero(sizes).apply(
+    state = SparseState(sizes).apply(
         Circuit(sizes, [gate(GateKind.H, b) for b in range(n)]))
 
     def marginal(st):

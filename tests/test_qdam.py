@@ -137,7 +137,7 @@ def test_m1_macro_count_and_depth_bound_n3():
 def test_m1_every_branch_has_hamming_weight_one():
     layout = QdamLayout(3, 1)
     init = layout.register_sizes
-    state = SparseState.zero(init)
+    state = SparseState(init)
     hs = [gate(GateKind.H, b) for b in range(3)]
     from qsearch.circuit import Circuit
 
@@ -189,7 +189,7 @@ def test_qdam_on_uniform_state_yields_equal_branches():
     sizes = layout.register_sizes
     from qsearch.circuit import Circuit
 
-    state = SparseState.zero(sizes)
+    state = SparseState(sizes)
     state = state.apply(Circuit(sizes, [gate(GateKind.H, b) for b in range(3)]))
     state = state.apply(lower_circuit(build_qdam(layout, db)))
     assert state.support() == 8

@@ -6,10 +6,10 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qsearch import decompose, qdam
+from qsearch import decompose, qdam, resources
 from qsearch.circuit import Circuit, Schedule, Tiling, resource_tally, tally_flat
 from qsearch.decompose import lower_circuit
 from qsearch.errors import InputError
@@ -211,6 +211,19 @@ def test_bench_rejects_out_of_range():
         bench_scaling([13], 1)
 
 
+def test_bench_checks_every_row_before_measuring_any(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("bench measured a row")
+
+    monkeypatch.setattr(resources, "measure", refuse)
+    monkeypatch.setattr(resources, "measure_naive", refuse)
+    # row 12 at m = 9 holds 9 * 2^12 record bits, past the naive cap
+    with pytest.raises(InputError):
+        bench_scaling(range(1, 13), 9)
+    with pytest.raises(InputError):
+        bench_scaling([2, 0], 1)
+
+
 def test_bench_csv_format():
     text = bench_csv(bench_scaling([2, 3], 1))
     lines = text.strip().splitlines()
@@ -390,6 +403,7 @@ def test_measure_equals_the_flat_oracle_at_the_headline_widths():
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 6), m=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+@example(n=4, m=3, seed=7)  # staggered copies, fed as the tilings' gates
 def test_measure_kernel_equals_the_flat_oracle_on_random_keys(n, m, seed):
     rng = random.Random(seed)
     keys, (query,) = _random_keys(rng, n, m), _random_keys(rng, 0, m)
@@ -402,15 +416,12 @@ def _refuse_to_materialize(monkeypatch):
         raise AssertionError("the report materialized stage 2")
 
     monkeypatch.setattr(qdam, "build_m2", refuse)
-    monkeypatch.setattr(Tiling, "gates", refuse)
+    monkeypatch.setattr(Tiling, "gates", property(refuse))
 
 
 def test_measure_never_materializes_stage_two(monkeypatch):
-    keys = _random_keys(random.Random(7), 4, 3)
-    expected = flat_measure_kernel(build_kernel_circuits(QdamLayout(4, 3), keys, "011"), 3)
-    circuits = build_kernel_circuits(QdamLayout(4, 3), keys, "011")
+    # zero keys enter every copy of a tiling alike, so each block is fed once
     _refuse_to_materialize(monkeypatch)
-    assert measure_kernel(circuits, 3) == expected
     for n, m in ((1, 1), (3, 2), (6, 3), (8, 5)):
         measure(n, m)
 
@@ -444,6 +455,22 @@ def test_run_search_materializes_stage_two_once(monkeypatch):
     monkeypatch.setattr(qdam, "build_m2", counting)
     run_search(toy_db(3), SearchQuery("101", "val"))
     assert len(built) == 1
+
+
+def test_run_search_builds_each_stage_two_tiling_once(monkeypatch):
+    # the simulator's stage 2 and the report's staggered tilings share one
+    # build of each tiling's gates
+    built, real = [], Tiling.__dict__["gates"]
+
+    def counting(tiling):
+        # a build is a read that finds no kept tuple on the tiling
+        if "gates" not in vars(tiling):
+            built.append(tiling)
+        return real.__get__(tiling, Tiling)
+
+    monkeypatch.setattr(Tiling, "gates", property(counting))
+    run_search(toy_db(3), SearchQuery("101", "val"))
+    assert len(built) == 3 == len(set(built))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -40,7 +40,7 @@ def _anc(i, index_bits=0):
 
 
 def test_hadamard_splits_support():
-    state = SparseState.zero({A: 1}).apply(Circuit({A: 1}, [gate(GateKind.H, _anc(0))]))
+    state = SparseState({A: 1}).apply(Circuit({A: 1}, [gate(GateKind.H, _anc(0))]))
     assert state.support() == 2
     r = 1 / math.sqrt(2)
     assert abs(state.amplitude(0) - r) < 1e-15
@@ -49,7 +49,7 @@ def test_hadamard_splits_support():
 
 def test_t_phase_on_one():
     circ = Circuit({A: 1}, [gate(GateKind.X, _anc(0)), gate(GateKind.T, _anc(0))])
-    state = SparseState.zero({A: 1}).apply(circ)
+    state = SparseState({A: 1}).apply(circ)
     expected = complex(math.sqrt(0.5), math.sqrt(0.5))
     assert abs(state.amplitude(1) - expected) < 1e-15
 
@@ -57,7 +57,7 @@ def test_t_phase_on_one():
 def test_diagonal_gates_preserve_support_keys():
     rng = np.random.default_rng(0)
     base = random_lowered_circuit(rng, 4, 30)
-    state = SparseState.zero({A: 4}).apply(base)
+    state = SparseState({A: 4}).apply(base)
     keys = set(state.amplitudes)
     diag = Circuit({A: 4}, [gate(GateKind.Z, _anc(0)), gate(GateKind.S, _anc(1)),
                             gate(GateKind.T, _anc(2)), gate(GateKind.CZ, _anc(0), _anc(3))])
@@ -69,7 +69,7 @@ def test_full_qdam_on_uniform_index_state_has_support_eight():
     layout = QdamLayout(3, 3)
     db = toy_db(3, value_width=2)
     sizes = layout.register_sizes
-    state = SparseState.zero(sizes)
+    state = SparseState(sizes)
     state = state.apply(Circuit(sizes, [gate(GateKind.H, b) for b in range(3)]))
     state = state.apply(lower_circuit(build_qdam(layout, db)))
     assert state.support() == 8
@@ -79,7 +79,7 @@ def test_full_qdam_on_uniform_index_state_has_support_eight():
 
 def test_index_probabilities_uniform_and_phase_invariant():
     sizes = {Register.BINARY_INDEX: 2, A: 1}
-    state = SparseState.zero(sizes).apply(
+    state = SparseState(sizes).apply(
         Circuit(sizes, [gate(GateKind.H, 0), gate(GateKind.H, 1)])
     )
     labels = [basis_pattern(sizes, {Register.BINARY_INDEX: q}) for q in range(4)]
@@ -94,7 +94,7 @@ def test_index_probabilities_uniform_and_phase_invariant():
 def test_norm_is_preserved():
     rng = np.random.default_rng(42)
     circ = random_lowered_circuit(rng, 6, 400)
-    state = SparseState.zero({A: 6}).apply(circ)
+    state = SparseState({A: 6}).apply(circ)
     assert abs(norm(state) - 1.0) < 1e-10
 
 
@@ -102,7 +102,7 @@ def test_interference_prunes_support():
     # H Z H maps |0> -> |1>: the |0> branch cancels and must be dropped
     gates = [gate(GateKind.H, _anc(0)), gate(GateKind.Z, _anc(0)),
              gate(GateKind.H, _anc(0))]
-    state = SparseState.zero({A: 1}).apply(Circuit({A: 1}, gates))
+    state = SparseState({A: 1}).apply(Circuit({A: 1}, gates))
     assert state.support() == 1
     assert abs(state.amplitude(1) - 1) < 1e-12
 
@@ -113,18 +113,18 @@ def test_dense_and_sparse_agree_elementwise():
         n = int(rng.integers(2, 7))
         circ = random_lowered_circuit(rng, n, 80)
         dense = dense_statevector(circ, 0)
-        sparse = to_dense(SparseState.zero({A: n}).apply(circ))
+        sparse = to_dense(SparseState({A: n}).apply(circ))
         assert np.abs(dense - sparse).max() < 1e-10
 
 
 def test_sparse_rejects_macro_circuits():
     circ = Circuit({A: 3}, [gate(GateKind.TOFFOLI, _anc(0), _anc(1), _anc(2))])
     with pytest.raises(MacroGateError):
-        SparseState.zero({A: 3}).apply(circ)
+        SparseState({A: 3}).apply(circ)
 
 
 def test_simulators_reject_a_macro_gate_mid_stream():
-    state = SparseState.zero({A: 3}).apply(Circuit({A: 3}, [gate(GateKind.H, _anc(0))]))
+    state = SparseState({A: 3}).apply(Circuit({A: 3}, [gate(GateKind.H, _anc(0))]))
     before = list(state.amplitudes.items())
     lowered = [gate(GateKind.X, _anc(2)), gate(GateKind.T, _anc(0)),
                gate(GateKind.CNOT, _anc(0), _anc(1)), gate(GateKind.H, _anc(2)),
@@ -208,11 +208,11 @@ def test_apply_equals_the_gatewise_oracle_on_every_loader_branch(n):
 def test_register_mismatch_rejected():
     circ = Circuit({A: 3}, [gate(GateKind.X, _anc(0))])
     with pytest.raises(CircuitError):
-        SparseState.zero({A: 2}).apply(circ)
+        SparseState({A: 2}).apply(circ)
 
 
 def test_to_dense_cap():
-    state = SparseState.zero({A: 40})
+    state = SparseState({A: 40})
     with pytest.raises(DenseCapError):
         to_dense(state)
 

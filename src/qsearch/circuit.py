@@ -33,16 +33,17 @@ DAG, done by :class:`Schedule`, the only scheduler; :func:`tally_flat` is
 its one-shot form.  A gate is placed in the earliest layer after every
 earlier gate that shares one of its qubits.  Two gates may share a layer
 only if they act on disjoint qubits.  The T-depth of a circuit is the
-number of layers that contain at least one T or TDG gate.  A macro is
-scheduled in one step, through a max-plus template derived from its
-fragment at import, and lands exactly where the fragment's gates would.  The
-templates are rank one, which the derivation checks: a macro's entry is
-the latest of three operand times plus offsets, and its exits and its three
-T layers are that entry plus constants.  A schedule can be fed in
-segments and tallied after each, and each such snapshot is the tally of
-the prefix fed so far.  All of this is a pure function of the gate order,
-so results are deterministic and circuits are safe to share across
-workers.
+number of layers that contain at least one T or TDG gate; the schedule
+marks each such layer in a bytearray, one byte per layer, and counts the
+marks.  A macro is scheduled in one step, through a max-plus template
+derived from its fragment at import, and lands exactly where the
+fragment's gates would.  The templates are rank one, which the derivation
+checks: a macro's entry is the latest of three operand times plus
+offsets, and its exits and its three T layers are that entry plus
+constants.  A schedule can be fed in segments and tallied after each, and
+each such snapshot is the tally of the prefix fed so far.  All of this is
+a pure function of the gate order, so results are deterministic and
+circuits are safe to share across workers.
 
 A :class:`Tiling` is disjoint copies of one block of gates, each operand
 moved by its own stride per copy; :meth:`Schedule.feed_tiled` schedules a
@@ -277,7 +278,7 @@ class _Template(NamedTuple):
 
     entry: tuple[int, int, int]  # E = max_j(e_j + entry[j])
     exit: tuple[int, int, int]  # avail[op_i] = E + exit[i]
-    t_layers: tuple[int, ...]  # one constant per distinct T layer
+    t_layers: tuple[int, ...]  # one constant per distinct T layer, ascending
     t_count: int
 
 
@@ -306,7 +307,7 @@ def _derive_template(fragment: Iterable[Gate]) -> _Template:
         if neg in row or len(offsets) != 1:
             raise CircuitError(f"fragment row {row} is not rank one over {entry}")
         constants.append(offsets.pop())
-    exits, t_constants = tuple(constants[:3]), tuple(constants[3:])
+    exits, t_constants = tuple(constants[:3]), tuple(sorted(constants[3:]))
     return _Template(entry, exits, t_constants, t_count)
 
 
@@ -367,11 +368,15 @@ _TEMPLATES = {
 
 class Schedule:
     """ASAP schedule of a gate stream over flat qubit indices, fed in
-    segments: per-qubit availability, the set of T layers and the T count.
+    segments: per-qubit availability, the T layers and the T count.
 
+    The T layers are a bytearray with a 1 at each layer that holds a T or
+    TDG.  A gate moves the latest layer on by at most 13 (the TOFFOLI
+    template's largest exit), so the marks cost at most about 13 bytes per
+    gate, before doubling's slack, where a set takes about 60 per T layer.
     ``feed`` extends the stream and ``tally`` reads it at that point, so a
     tally taken between two feeds is exactly the tally of the prefix fed so
-    far (a prefix's T-layer set is the stream's set at that moment).
+    far (a prefix's marks are the stream's at that moment).
 
     TOFFOLI and MCZ gates are scheduled as their fragments would be,
     through the fragments' rank-one max-plus templates (:class:`_Template`),
@@ -379,20 +384,20 @@ class Schedule:
     macro kind its own branch, over its template's constants.
     """
 
-    __slots__ = ("_avail", "_t_layers", "_t_count")
+    __slots__ = ("_avail", "_marks", "_t_count")
 
     def __init__(self, total_qubits: int):
         self._avail = [0] * total_qubits
-        self._t_layers: set[int] = set()
+        self._marks = bytearray()  # 1 at every layer that holds a T or TDG
         self._t_count = 0
 
     def feed(self, gates: Iterable[Gate]) -> "Schedule":
         """Schedule ``gates`` after everything fed so far."""
-        avail = self._avail
-        add_t_layer = self._t_layers.add
-        t_count = self._t_count
+        avail, marks = self._avail, self._marks
+        size, t_count = len(marks), self._t_count
         k_t, k_tdg, k_toffoli, k_mcz = _T, _TDG, _TOFFOLI, _MCZ
-        # each macro's template as locals; the unpack checks three T layers
+        # each macro's template as locals; the unpack checks three T layers,
+        # ascending, so one capacity check against the last covers all three
         (fa, fb, fc), (fxa, fxb, fxc), (ft1, ft2, ft3), f_n = _TEMPLATES[k_toffoli]
         (za, zb, zc), (zxa, zxb, zxc), (zt1, zt2, zt3), z_n = _TEMPLATES[k_mcz]
         for kind, ops in gates:
@@ -405,9 +410,9 @@ class Schedule:
                 v = avail[c] + fc
                 if v > entry:
                     entry = v
-                add_t_layer(entry + ft1)
-                add_t_layer(entry + ft2)
-                add_t_layer(entry + ft3)
+                if entry + ft3 >= size:
+                    size = _grow(marks, entry + ft3)
+                marks[entry + ft1] = marks[entry + ft2] = marks[entry + ft3] = 1
                 avail[a], avail[b], avail[c] = entry + fxa, entry + fxb, entry + fxc
                 t_count += f_n
             elif kind is k_mcz:
@@ -419,9 +424,9 @@ class Schedule:
                 v = avail[c] + zc
                 if v > entry:
                     entry = v
-                add_t_layer(entry + zt1)
-                add_t_layer(entry + zt2)
-                add_t_layer(entry + zt3)
+                if entry + zt3 >= size:
+                    size = _grow(marks, entry + zt3)
+                marks[entry + zt1] = marks[entry + zt2] = marks[entry + zt3] = 1
                 avail[a], avail[b], avail[c] = entry + zxa, entry + zxb, entry + zxc
                 t_count += z_n
             elif len(ops) == 1:
@@ -430,7 +435,9 @@ class Schedule:
                 avail[q] = layer
                 if kind is k_t or kind is k_tdg:
                     t_count += 1
-                    add_t_layer(layer)
+                    if layer >= size:
+                        size = _grow(marks, layer)
+                    marks[layer] = 1
             else:  # every other gate has two operands
                 a, b = ops
                 layer = avail[a]
@@ -467,7 +474,14 @@ class Schedule:
 
     def tally(self) -> ResourceTally:
         """The tally of the stream fed so far."""
-        return ResourceTally(t_count=self._t_count, t_depth=len(self._t_layers))
+        return ResourceTally(t_count=self._t_count, t_depth=self._marks.count(1))
+
+
+def _grow(marks: bytearray, layer: int) -> int:
+    """Extend ``marks`` past ``layer``, to at least twice its length, so
+    that growing costs amortized O(1) per mark; return the new length."""
+    marks.extend(bytes(max(len(marks), layer + 1 - len(marks))))
+    return len(marks)
 
 
 def tally_flat(

@@ -1,9 +1,9 @@
 """Test-only oracles: a dense state-vector backend, the sparse simulator
-run one gate at a time, the scheduler's generic macro loop, the
-Walsh-Hadamard transform, the full loader, the serial multi-controlled-Z
-ladder and the naive loader built one ladder per record bit from it, the
-kernel measurement over built gate lists, and the circuit and basis-label
-helpers that only tests use.
+run one gate at a time, the scheduler's generic macro loop over a set of
+T layers, the Walsh-Hadamard transform, the full loader, the serial
+multi-controlled-Z ladder and the naive loader built one ladder per record
+bit from it, the kernel measurement over built gate lists, and the circuit
+and basis-label helpers that only tests use.
 
 The dense backend applies lowered gates to a full numpy state vector (or
 to a batch of columns for unitary extraction).  It shares no code with
@@ -25,6 +25,7 @@ from qsearch.circuit import (
     Gate,
     GateKind,
     Register,
+    ResourceTally,
     Schedule,
     _TEMPLATES,
     gate,
@@ -255,12 +256,26 @@ def success_probability_formula(database_size: int, iterations: int) -> float:
 # -- scheduler ----------------------------------------------------------------
 
 
-def reference_feed(schedule: Schedule, gates) -> Schedule:
-    """:meth:`Schedule.feed` as one generic loop: each macro looks up its
-    template and takes one ``max`` of its three entry terms, and every
-    other gate takes the latest of its operands' times, whatever its
-    arity."""
-    avail, t_layers = schedule._avail, schedule._t_layers
+class ReferenceSchedule:
+    """:class:`Schedule`'s state in plain containers: per-qubit
+    availability, the Python set of T layers and the T count."""
+
+    def __init__(self, total_qubits: int):
+        self.avail = [0] * total_qubits
+        self.t_layers: set[int] = set()
+        self.t_count = 0
+
+    def tally(self) -> ResourceTally:
+        return ResourceTally(t_count=self.t_count, t_depth=len(self.t_layers))
+
+
+def reference_feed(schedule: ReferenceSchedule, gates) -> ReferenceSchedule:
+    """:meth:`Schedule.feed` as one generic loop over a set of T layers:
+    each macro looks up its template, takes one ``max`` of its three entry
+    terms and adds its T layers to the set, and every other gate takes the
+    latest of its operands' times, whatever its arity.  It shares no state
+    with :class:`Schedule`, so it checks the marks as well as the times."""
+    avail, t_layers = schedule.avail, schedule.t_layers
     for kind, ops in gates:
         if kind in _TEMPLATES:
             (ua, ub, uc), (xa, xb, xc), t_consts, t_n = _TEMPLATES[kind]
@@ -268,15 +283,20 @@ def reference_feed(schedule: Schedule, gates) -> Schedule:
             entry = max(avail[a] + ua, avail[b] + ub, avail[c] + uc)
             t_layers.update(entry + t for t in t_consts)
             avail[a], avail[b], avail[c] = entry + xa, entry + xb, entry + xc
-            schedule._t_count += t_n
+            schedule.t_count += t_n
         else:
             layer = max(avail[i] for i in ops) + 1
             for i in ops:
                 avail[i] = layer
             if kind is GateKind.T or kind is GateKind.TDG:
-                schedule._t_count += 1
+                schedule.t_count += 1
                 t_layers.add(layer)
     return schedule
+
+
+def marked_layers(schedule: Schedule) -> set[int]:
+    """The layers a :class:`Schedule` has marked as holding a T or TDG."""
+    return {layer for layer, mark in enumerate(schedule._marks) if mark}
 
 
 # -- circuits -----------------------------------------------------------------

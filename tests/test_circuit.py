@@ -34,8 +34,10 @@ from qsearch.errors import (
 from conftest import ideal_toffoli_matrix, random_lowered_circuit
 from oracles import (
     DenseCapError,
+    ReferenceSchedule,
     dense_statevector,
     from_json,
+    marked_layers,
     reference_feed,
     to_unitary,
 )
@@ -188,10 +190,37 @@ def test_macro_tally_equals_the_lowered_tally(circ):
 def test_feed_equals_the_generic_macro_loop(circ):
     total = circ.total_qubits
     fast = Schedule(total).feed(circ.gates)
-    slow = reference_feed(Schedule(total), circ.gates)
-    assert fast._avail == slow._avail
-    assert fast._t_layers == slow._t_layers
-    assert fast._t_count == slow._t_count
+    slow = reference_feed(ReferenceSchedule(total), circ.gates)
+    assert fast._avail == slow.avail
+    assert marked_layers(fast) == slow.t_layers
+    assert fast._t_count == slow.t_count
+    assert fast.tally() == slow.tally()
+
+
+def test_feed_regrows_the_marks_and_snapshots_every_prefix():
+    # a serial stream on three qubits, fed in segments of growing length:
+    # each T layer lies past the last, so the marks regrow several times,
+    # and every snapshot must be the prefix's tally over a set of layers
+    kinds = [GateKind.TOFFOLI, GateKind.T, GateKind.MCZ, GateKind.CNOT,
+             GateKind.TDG, GateKind.H, GateKind.TOFFOLI]
+    stream = [gate(kind, *(1, 2, 0)[:_MIX_ARITY.get(kind, 1)])
+              for _ in range(300) for kind in kinds]
+    fast, slow = Schedule(3), ReferenceSchedule(3)
+    sizes, start, step = [0], 0, 1
+    while start < len(stream):
+        segment = stream[start:start + step]
+        assert fast.feed(segment).tally() == reference_feed(slow, segment).tally()
+        assert marked_layers(fast) == slow.t_layers
+        assert fast._avail == slow.avail
+        if len(fast._marks) != sizes[-1]:
+            sizes.append(len(fast._marks))
+        start, step = start + step, step + 1
+    assert fast.tally() == tally_flat(stream, 3)
+    assert len(sizes) > 6
+    # geometric growth: every regrowth at least doubles the marks, which
+    # never run more than twice past the latest layer
+    assert all(new >= 2 * old for old, new in zip(sizes[1:], sizes[2:]))
+    assert len(fast._marks) <= 2 * (max(fast._avail) + 1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -272,9 +301,11 @@ def test_feed_tiled_equals_feeding_the_copies(case, reverse):
     # reversed, the stream runs last tiling first and every block backwards
     tiled = Schedule(total).feed(prior).feed_tiled(*tilings, reverse=reverse)
     flat = Schedule(total).feed(prior).feed(copied[::-1] if reverse else copied)
-    assert tiled.tally() == flat.tally()
-    assert tiled._avail == flat._avail
-    assert tiled._t_layers == flat._t_layers
+    slow = reference_feed(ReferenceSchedule(total), prior)
+    reference_feed(slow, copied[::-1] if reverse else copied)
+    assert tiled.tally() == flat.tally() == slow.tally()
+    assert tiled._avail == flat._avail == slow.avail
+    assert marked_layers(tiled) == slow.t_layers
 
 
 @pytest.mark.parametrize("reverse", [False, True])
@@ -312,9 +343,10 @@ def test_feed_tiled_fast_path_boundary(monkeypatch, reverse, copies, late):
     else:
         assert calls == [(total, copied)]
         assert len(copied) == copies * len(block)
-    assert tiled.tally() == flat.tally()
-    assert tiled._avail == flat._avail
-    assert tiled._t_layers == flat._t_layers
+    slow = reference_feed(reference_feed(ReferenceSchedule(total), prior), copied)
+    assert tiled.tally() == flat.tally() == slow.tally()
+    assert tiled._avail == flat._avail == slow.avail
+    assert marked_layers(tiled) == slow.t_layers
 
 
 def test_tiling_rejects_overlapping_copies():

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsearch import decompose, qdam, resources
-from qsearch.circuit import Circuit, Schedule, Tiling, resource_tally, tally_flat
+from qsearch.circuit import (
+    Circuit,
+    GateKind,
+    Schedule,
+    Tiling,
+    resource_tally,
+    tally_flat,
+)
 from qsearch.decompose import lower_circuit
 from qsearch.errors import InputError
 from qsearch.database import SearchQuery
@@ -297,6 +305,23 @@ def test_naive_report_at_the_benchmark_widths(n, m, expected):
             report.t_count_total) == expected
 
 
+def test_naive_stream_schedules_in_a_few_megabytes():
+    # the naive loader at (12, 1) has 282,624 T layers over about 1.2 M
+    # scheduler layers: a set of ints held them in a 17.7 MB allocation
+    # peak, and one mark byte per layer peaks at 2.6 MB
+    layout = NaiveLayout(12, 1)
+    macro = build_naive_qdam(layout, ["0"] * (1 << 12))
+    total = sum(layout.register_sizes.values())
+    tracemalloc.start()
+    try:
+        tally = tally_flat(_expand_flat(macro), total)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tally == (659456, 282624)
+    assert peak < 6_000_000
+
+
 def _lower_each_and_tally(circuits, iterations):
     """Report fields from one tally of each separately lowered circuit."""
     m1, m2, loader, oracle, diff, kernel = (
@@ -409,6 +434,45 @@ def test_measure_kernel_equals_the_flat_oracle_on_random_keys(n, m, seed):
     keys, (query,) = _random_keys(rng, n, m), _random_keys(rng, 0, m)
     circuits = build_kernel_circuits(QdamLayout(n, m), keys, query)
     assert measure_kernel(circuits, 2) == flat_measure_kernel(circuits, 2)
+
+
+def _check_the_fan_in_moves_no_tally(layout, keys):
+    # stage 2's standalone tally skips the fan-in, which holds no T gate
+    *head, fan_in = stage2_parts(layout, keys)
+    t_kinds = {GateKind.T, GateKind.TDG, GateKind.TOFFOLI, GateKind.MCZ}
+    assert not t_kinds & {kind for kind, _ in fan_in.block}
+    total = layout.total_qubits
+    assert (Schedule(total).feed_tiled(*head).tally()
+            == Schedule(total).feed_tiled(*head, fan_in).tally())
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_stage_two_tally_equals_all_three_tilings_on_zero_keys(n):
+    for m in range(1, min(8, (1 << 12) >> n) + 1):
+        _check_the_fan_in_moves_no_tally(QdamLayout(n, m), ["0" * m] * (1 << n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), m=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_stage_two_tally_equals_all_three_tilings_on_random_keys(n, m, seed):
+    keys = _random_keys(random.Random(seed), n, m)
+    _check_the_fan_in_moves_no_tally(QdamLayout(n, m), keys)
+
+
+def test_measure_kernel_feeds_the_fan_in_twice(monkeypatch):
+    # once forward in the loader and once reversed in the inverse loader
+    circuits = _zero_key_circuits(5, 3)
+    fed, real = [], Schedule.feed_tiled
+
+    def recording(schedule, *tilings, reverse=False):
+        fed.extend(tilings)
+        return real(schedule, *tilings, reverse=reverse)
+
+    monkeypatch.setattr(Schedule, "feed_tiled", recording)
+    measure_kernel(circuits, 1)
+    fan_in = circuits.stage2_parts[-1]
+    assert sum(tiling is fan_in for tiling in fed) == 2
+    assert len(fed) == 8
 
 
 def _refuse_to_materialize(monkeypatch):

@@ -14,9 +14,10 @@ KEY_NOT_PRESENT, 3 on any input problem (bad file, width mismatch,
 duplicate keys, bad flags).  Outputs are byte-deterministic for fixed
 inputs and seed.
 
-A two-record database is a tie: after the one round both indices are
-exactly equally likely, ``search`` measures index 0, and a key stored at
-index 1 exits 2 with ALGORITHM_FAILURE.
+``search --shots`` and ``--seed`` go together.  ``search`` takes the most
+probable or the most drawn index, the lowest on a tie.  With two records
+both indices tie after the one round, so ``search`` measures index 0, and a
+key stored at index 1 exits 2 with ALGORITHM_FAILURE.
 """
 from __future__ import annotations
 

@@ -20,7 +20,9 @@ branch 0; the diffusion is then the closed form
 
 The K rounds run on 2^n Python ints: after r rounds the amplitude of
 branch q is ``v[q] * 2^(-n(2r+1)/2)``, so every probability is one
-correctly rounded integer division and ties are exact.
+correctly rounded integer division and ties are exact.  The squares must
+sum to S = 2^(n(2K+1)); a shot bisects their running sums at
+``getrandbits(n(2K+1))``, so it draws q with probability exactly v[q]^2 / S.
 
 The Clifford+T circuits tie the fast path to what is compiled.  The
 resource report schedules the macro subroutines through the scheduler's
@@ -38,8 +40,12 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import random
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from itertools import accumulate, repeat
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .circuit import Circuit, Gate, GateKind, Register, Tiling
 from .database import Database, SearchQuery
@@ -58,7 +64,7 @@ from .sim import (
 if TYPE_CHECKING:  # resources imports this module; annotations only
     from .resources import ResourceReport
 
-# the most index samples a sampled search draws; numpy holds them all at once
+# the most index samples a sampled search draws, at about 0.2-0.5 s per 2^20
 MAX_SHOTS = 1 << 20
 
 
@@ -218,6 +224,11 @@ def build_kernel_circuits(
     )
 
 
+def _draw_counts(cumulative: list[int], draws: Iterable[int]) -> Counter[int]:
+    """Index -> draws: r picks the first q with r < cumulative[q]."""
+    return Counter(map(functools.partial(bisect_right, cumulative), draws))
+
+
 def run_search(
     db: Database,
     query: SearchQuery,
@@ -231,11 +242,12 @@ def run_search(
     field return.
 
     Without ``shots`` the search measures the most probable index, the
-    first one on a tie.  At N=2 every round leaves both indices at
+    lowest one on a tie.  At N=2 every round leaves both indices at
     probability exactly 0.5, so the candidate is always index 0, and a key
-    stored at index 1 ends in ``ALGORITHM_FAILURE``.  With ``shots``, at
-    most :data:`MAX_SHOTS` and with a non-negative ``seed``, it samples the
-    index that many times and takes the most frequent one.
+    stored at index 1 ends in ``ALGORITHM_FAILURE``.  ``shots`` (at most
+    :data:`MAX_SHOTS`) and a non-negative ``seed`` go together: the search
+    draws the index that many times, each with its exact probability, and
+    takes the most frequent one, again the lowest on a tie.
     """
     from . import resources  # local import to avoid a cycle
 
@@ -244,9 +256,9 @@ def run_search(
         raise QueryError("database must be padded to a power of two")
     if db.size < 2:
         raise QueryError("search needs at least 2 records")
-    if shots is not None:
-        if seed is None or seed < 0:
-            raise QueryError("sampled mode needs a non-negative seed")
+    if shots is not None or seed is not None:
+        if shots is None or seed is None or seed < 0:
+            raise QueryError("sampled mode needs shots and a non-negative seed")
         if not 1 <= shots <= MAX_SHOTS:
             raise QueryError(f"shots must be in 1..{MAX_SHOTS}, got {shots}")
     optimal = optimal_iterations(db.size)
@@ -273,7 +285,6 @@ def run_search(
 
     target = db.index_of_key(key)
     n = layout.n
-    big_n = 1 << n
 
     def probability(values: list[int], rounds: int) -> float:
         if target is None:
@@ -281,24 +292,24 @@ def run_search(
         return values[target] ** 2 / (1 << (n * (2 * rounds + 1)))
 
     # H^n on |0>: every amplitude 2^(-n/2)
-    values = [1] * big_n
+    values = [1] * (1 << n)
     probabilities = [probability(values, 0)]
     for rounds in range(1, iterations + 1):
         values = reflect_about_uniform(negate(values, marked))
         probabilities.append(probability(values, rounds))
 
     squares = [v * v for v in values]
-    scale = 1 << (n * (2 * iterations + 1))
+    bits = n * (2 * iterations + 1)
+    scale = 1 << bits
+    cumulative = list(accumulate(squares))
+    if cumulative[-1] != scale:
+        raise CircuitError(f"squared amplitudes sum to {cumulative[-1]}, not 2^{bits}")
     if shots is None:
         candidate = squares.index(max(squares))
     else:
-        import numpy as np  # only sampled mode needs it
-
-        distribution = np.array([s / scale for s in squares])
-        rng = np.random.default_rng(seed)
-        samples = rng.choice(big_n, size=shots, p=distribution / distribution.sum())
-        counts = np.bincount(samples, minlength=big_n)
-        candidate = int(np.argmax(counts))
+        rng = random.Random(seed)
+        counts = _draw_counts(cumulative, map(rng.getrandbits, repeat(bits, shots)))
+        candidate = min(counts, key=lambda q: (-counts[q], q))
     candidate_probability = squares[candidate] / scale
 
     # verification: re-load on the candidate branch and read the data register

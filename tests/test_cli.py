@@ -129,14 +129,16 @@ _UNWRITABLE = os.path.join(os.path.dirname(DATA_DB), "no-such-dir", "x.json")
     ["compile", "--db", DATA_DB, "--key", "0101", "--out", _UNWRITABLE],
     ["bench", "--n-min", "2", "--n-max", "2", "--m", "1", "--out", _UNWRITABLE],
     [*_SEARCH, "--iterations", "100000"],
+    [*_SEARCH, "--seed", "3"],
 ], ids=["negative-seed", "too-many-shots", "search-out-dir-missing",
-        "compile-out-dir-missing", "bench-out-dir-missing", "too-many-iterations"])
+        "compile-out-dir-missing", "bench-out-dir-missing", "too-many-iterations",
+        "seed-without-shots"])
 def test_bad_arguments_exit_three_without_traceback(argv):
     _assert_exits_three_without_traceback(argv)
 
 
 def test_importing_the_cli_leaves_numpy_unloaded():
-    # numpy is imported only by a sampled search
+    # the package needs only the standard library; numpy is a test dependency
     env = dict(os.environ, PYTHONPATH=SRC_DIR)
     run = subprocess.run(
         [sys.executable, "-c",
@@ -144,6 +146,20 @@ def test_importing_the_cli_leaves_numpy_unloaded():
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert run.stdout == "False\n"
+
+
+def test_a_sampled_search_runs_without_numpy():
+    # None in sys.modules makes any ``import numpy`` raise ImportError
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    argv = [*_SEARCH, "--shots", "16", "--seed", "7"]
+    run = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.modules['numpy'] = None\n"
+         "from qsearch import cli; sys.exit(cli.main(sys.argv[1:]))", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["candidate_index"] == 5
 
 
 _FUZZ_DOC = {

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from qsearch.sim import (
     SparseState,
     diffusion_signs,
     negate,
+    reflect_about_uniform,
 )
 
 from conftest import toy_db
@@ -238,6 +241,8 @@ def test_sampled_mode_is_deterministic_given_seed():
     assert first.to_json() == second.to_json()
     with pytest.raises(QueryError):
         run_search(db, query, shots=32)
+    with pytest.raises(QueryError, match="shots"):
+        run_search(db, query, seed=9)  # a seed alone is not silently ignored
 
 
 def test_sampled_mode_rejects_nonpositive_shots():
@@ -252,6 +257,50 @@ def test_sampled_mode_rejects_a_negative_seed_and_too_many_shots():
         run_search(db, SearchQuery("101", "val"), seed=-1, shots=3)
     with pytest.raises(QueryError, match="shots"):
         run_search(db, SearchQuery("101", "val"), seed=1, shots=MAX_SHOTS + 1)
+
+
+def test_every_draw_picks_an_index_by_its_exact_square():
+    from qsearch import grover
+
+    # N=8, K=1: the squares of one round, over scale 2^(n(2K+1)) = 2^9
+    target, scale = 5, 1 << 9
+    squares = [v * v for v in reflect_about_uniform(negate([1] * 8, 1 << target))]
+    assert squares == [16] * 5 + [400] + [16] * 2 and sum(squares) == scale
+    cumulative = list(accumulate(squares))
+    counts = grover._draw_counts(cumulative, range(scale))
+    assert counts == Counter(dict(enumerate(squares)))
+    # a sampled search draws its shots from that stream: one shot is the
+    # index whose interval holds the seed's first getrandbits(9)
+    query = SearchQuery(format(target, "03b"), "val")
+    drawn = set()
+    for seed in range(40):
+        first = random.Random(seed).getrandbits(9)
+        res = run_search(toy_db(3), query, iterations=1, seed=seed, shots=1)
+        assert Counter([res.candidate_index]) == grover._draw_counts(cumulative, [first])
+        assert res.success_probability == squares[res.candidate_index] / scale
+        drawn.add(res.candidate_index)
+    assert target in drawn and len(drawn) > 1
+
+
+def test_a_sampled_search_at_n4_always_draws_the_certain_index():
+    # at N=4 one round leaves the target's square equal to the scale
+    for target in range(4):
+        query = SearchQuery(format(target, "02b"), "val")
+        for seed in range(25):
+            res = run_search(toy_db(2), query, seed=seed, shots=1 + seed % 3)
+            assert res.candidate_index == target
+            assert res.success_probability == 1.0
+
+
+def test_squares_that_miss_the_scale_are_rejected_in_both_modes(monkeypatch):
+    from qsearch import grover
+
+    real = grover.reflect_about_uniform
+    monkeypatch.setattr(grover, "reflect_about_uniform",
+                        lambda values: [2 * v for v in real(values)])
+    for sampling in ({}, {"seed": 7, "shots": 16}):
+        with pytest.raises(CircuitError, match="sum to"):
+            run_search(toy_db(3), SearchQuery("101", "val"), **sampling)
 
 
 def test_search_rejects_a_nonpositive_iteration_count():

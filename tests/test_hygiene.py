@@ -1,6 +1,6 @@
-"""Source hygiene: every name a module imports is used in that module, no
-module reads another module's private names, the package's only import
-cycle is the known one, no gate kind is looked up per gate, every field of
+"""Source hygiene: the package imports only the standard library, every
+name a module imports is used in that module, no module reads another
+module's private names, the package's only import cycle is the known one, no gate kind is looked up per gate, every field of
 a public record type is read somewhere, every name the benchmark's tracer
 patches exists, and the tracer can trace one op of each workload."""
 from __future__ import annotations
@@ -9,6 +9,7 @@ import ast
 import importlib
 import importlib.util
 import pathlib
+import sys
 
 import pytest
 
@@ -113,6 +114,34 @@ def test_no_module_reads_another_modules_private_names():
     sources["probe.py"] = sources["probe.py"].replace("ccz_gates", "_ccz_gates")
     assert _foreign_private_reads(sources) == {
         "probe.py": {"_ARITY": 2, "_ccz_gates": 4, "_validate": 4}}
+
+
+def _foreign_imports(text: str) -> set[str]:
+    """Top-level names of the absolute imports, at any depth, that are
+    neither the standard library nor ``qsearch``."""
+    found = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.partition(".")[0])
+    return found - set(sys.stdlib_module_names) - {"qsearch"}
+
+
+def test_the_package_imports_only_the_standard_library():
+    # the package has no run-time dependency; numpy is for the tests only
+    found = {p.name: names for p in sorted(PACKAGE_DIR.glob("*.py"))
+             if (names := _foreign_imports(p.read_text()))}
+    assert not found, f"imports outside the standard library: {found}"
+    # the check sees module-level, call-time and annotation-only imports,
+    # and spares the standard library, the package and relative imports
+    probe = ("import os.path, numpy.linalg as la\n"
+             "from collections import Counter\n"
+             "from qsearch.sim import negate\n"
+             "from . import grover\n"
+             "def f():\n    import scipy\n"
+             "if TYPE_CHECKING:\n    from sympy.core import Expr\n")
+    assert _foreign_imports(probe) == {"numpy", "scipy", "sympy"}
 
 
 def _package_imports(sources: dict[str, str]) -> dict[str, set[str]]:

@@ -69,7 +69,9 @@ MAX_SHOTS = 1 << 20
 
 
 def optimal_iterations(database_size: int) -> int:
-    """Iteration count floor(pi / (4 asin(1/sqrt(N)))), at least 1."""
+    """Iteration count floor(pi / (4 asin(1/sqrt(N)))), at least 1.  In
+    doubles it is exact for N = 2^n with n <= 109, wrong for n = 110..200:
+    ``test_optimal_iterations_is_exact_to_the_bound_cap`` checks each n."""
     if database_size < 2:
         raise InputError("search needs at least 2 records")
     theta = math.asin(1.0 / math.sqrt(database_size))

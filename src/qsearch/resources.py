@@ -122,11 +122,11 @@ def _reflection_toffoli_equivalents(width: int) -> int:
     return 2 * width - 5
 
 
-# the largest index width each report can be computed for: the closed
-# forms take sqrt(2^n) as a float, and a measured report schedules m * 2^n
+# the largest index width each report can be computed for: the float floor
+# of K is proven exact only up to n = 109, a measured report schedules m * 2^n
 # Toffolis, so it also caps m * 2^n at what n <= MAX_MEASURED_N allows at m = 1;
 # the naive report holds m * 2^n ladders (59 MB peak RSS at n = 15, m = 1)
-MAX_BOUND_N = 1023
+MAX_BOUND_N = 109
 MAX_MEASURED_N = 20
 MAX_NAIVE_BITS = 1 << 15
 

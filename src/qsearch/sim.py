@@ -76,9 +76,6 @@ class SparseState:
     def support(self) -> int:
         return len(self.amplitudes)
 
-    def amplitude(self, pattern: int) -> complex:
-        return self.amplitudes.get(pattern, 0.0 + 0.0j)
-
     def register_bits(self, pattern: int, register: Register) -> int:
         """Value of one register inside a basis label."""
         size = self.register_sizes[register]

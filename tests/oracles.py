@@ -2,8 +2,9 @@
 run one gate at a time, the scheduler's generic macro loop over a set of
 T layers, the Walsh-Hadamard transform, the full loader, the serial
 multi-controlled-Z ladder and the naive loader built one ladder per record
-bit from it, the kernel measurement over built gate lists, and the circuit
-and basis-label helpers that only tests use.
+bit from it, the kernel measurement over built gate lists, the exact
+iteration count in decimal arithmetic, and the circuit and basis-label
+helpers that only tests use.
 
 The dense backend applies lowered gates to a full numpy state vector (or
 to a batch of columns for unitary extraction).  It shares no code with
@@ -14,6 +15,7 @@ Bit conventions are those of :mod:`qsearch.circuit`: flat qubit g is bit
 """
 from __future__ import annotations
 
+import decimal
 import json
 import math
 
@@ -170,6 +172,11 @@ def basis_pattern(register_sizes, assignments) -> int:
     return pattern
 
 
+def amplitude(state: SparseState, label: int) -> complex:
+    """The amplitude of one basis label; a label the state does not store is 0."""
+    return state.amplitudes.get(label, 0j)
+
+
 def norm(state) -> float:
     return math.sqrt(sum((a * a.conjugate()).real for a in state.amplitudes.values()))
 
@@ -245,6 +252,38 @@ def walsh_hadamard(values: list[int]) -> list[int]:
                 out[i], out[i + half] = a + b, a - b
         half <<= 1
     return out
+
+
+def _decimal_atan_inverse(k: int) -> decimal.Decimal:
+    """atan(1/k) by its Taylor series, at the current decimal precision."""
+    x = decimal.Decimal(1) / k
+    power, total, j = x, x, 0
+    while True:
+        j += 1
+        power /= -k * k
+        term = power / (2 * j + 1)
+        if total + term == total:
+            return total
+        total += term
+
+
+def exact_iterations(n: int) -> int:
+    """:func:`qsearch.grover.optimal_iterations` of N = 2^n, at least 1, in
+    decimal arithmetic at n/3 + 30 digits: pi by Machin's formula and
+    asin(2^(-n/2)) by its series, neither taken from a float."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = n // 3 + 30
+        pi = 16 * _decimal_atan_inverse(5) - 4 * _decimal_atan_inverse(239)
+        x = 1 / decimal.Decimal(1 << n).sqrt()
+        term, theta, k = x, x, 0
+        while True:
+            # asin x = sum_k (2k)! / (4^k (k!)^2 (2k+1)) x^(2k+1)
+            term *= x * x * (2 * k + 1) ** 2 / ((2 * k + 2) * (2 * k + 3))
+            k += 1
+            if theta + term == theta:
+                break
+            theta += term
+        return max(1, int(pi / (4 * theta)))
 
 
 def success_probability_formula(database_size: int, iterations: int) -> float:

@@ -337,7 +337,7 @@ _HUGE_M = ["--m", "100000000"]
 
 
 @pytest.mark.parametrize("argv, limit", [
-    (["estimate", "--n", "1024", "--m", "1"], "n <="),
+    (["estimate", "--n", "110", "--m", "1"], "n <= 109"),
     (["estimate", "--n", "64", "--m", "1", "--mode", "measured"], "n <="),
     (["estimate", "--n", "64", "--m", "1", "--mode", "naive"], "n <="),
     # a measured report builds m * 2^n Toffolis, so m is capped with n

@@ -23,6 +23,7 @@ from qsearch.grover import (
     run_search,
 )
 from qsearch.qdam import QdamLayout, build_m1, build_m2, stage2_parts
+from qsearch.resources import MAX_BOUND_N
 from qsearch.sim import (
     SlicedState,
     SparseState,
@@ -32,7 +33,13 @@ from qsearch.sim import (
 )
 
 from conftest import toy_db
-from oracles import basis_pattern, success_probability_formula, walsh_hadamard
+from oracles import (
+    amplitude,
+    basis_pattern,
+    exact_iterations,
+    success_probability_formula,
+    walsh_hadamard,
+)
 
 B = Register.BINARY_INDEX
 D = Register.DATA
@@ -127,6 +134,16 @@ def test_optimal_iterations(size, expected):
     assert optimal_iterations(size) == expected
     independent = math.floor(math.pi / (4 * math.asin(size ** -0.5)))
     assert optimal_iterations(size) == max(1, independent)
+
+
+def test_optimal_iterations_is_exact_to_the_bound_cap():
+    # bound reports print K for n <= MAX_BOUND_N; the float floor must be exact there
+    assert MAX_BOUND_N == 109
+    for n in range(1, MAX_BOUND_N + 1):
+        assert optimal_iterations(1 << n) == exact_iterations(n), n
+    # one width above it is one too low (the oracle's floor agrees with a
+    # separate 140-digit computation), so the cap is as wide as it can be
+    assert exact_iterations(110) == 28296951008113761 == optimal_iterations(1 << 110) + 1
 
 
 def test_optimal_iterations_rejects_tiny_databases():
@@ -441,7 +458,7 @@ def test_lowered_block_is_the_bit_sliced_sign_diagonal(n):
             out = SparseState.basis(sizes, label).apply(block)
             assert list(out.amplitudes) == [label]
             sign = -1 if signs >> q & 1 else 1
-            assert abs(out.amplitude(label) - sign) < 1e-12
+            assert abs(amplitude(out, label) - sign) < 1e-12
             assert (sign == -1) == (keys[q] == pattern)
 
 

@@ -1,8 +1,11 @@
-"""Source hygiene: the package imports only the standard library, every
-name a module imports is used in that module, no module reads another
-module's private names, the package's only import cycle is the known one, no gate kind is looked up per gate, every field of
-a public record type is read somewhere, every name the benchmark's tracer
-patches exists, and the tracer can trace one op of each workload."""
+"""Source hygiene: the package imports only the standard library, its
+``__init__`` binds no names, every name a module imports is used in that
+module, no module reads another module's private names, the package's
+only import cycle is the known one, no gate kind is looked up per gate,
+every field of a public record type is read somewhere, every public
+function, class and method is used outside the tests, every name the
+benchmark's tracer patches exists, and the tracer can trace one op of
+each workload."""
 from __future__ import annotations
 
 import ast
@@ -17,7 +20,7 @@ import qsearch
 from qsearch.circuit import GateKind
 
 PACKAGE_DIR = pathlib.Path(qsearch.__file__).parent
-MODULES = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE_DIR.glob("*.py"))
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
 
@@ -40,7 +43,14 @@ def _referenced_names(tree: ast.Module) -> set[str]:
 
 
 def test_every_module_is_checked():
-    assert {p.stem for p in MODULES} >= {"circuit", "decompose", "resources"}
+    assert {p.stem for p in MODULES} >= {"__init__", "circuit", "decompose", "resources"}
+
+
+def test_the_package_init_binds_no_names():
+    # callers import the module that defines a name; a facade is API to keep alive
+    body = ast.parse((PACKAGE_DIR / "__init__.py").read_text()).body
+    assert len(body) == 1 and isinstance(body[0], ast.Expr)
+    assert isinstance(body[0].value, ast.Constant) and isinstance(body[0].value.value, str)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -284,6 +294,58 @@ def test_every_record_field_is_read():
              "class _Private(NamedTuple):\n    hidden_field: int\n"
              "def f(p):\n    return p.used\n")
     assert _unread_fields([probe], [probe]) == (2, ["Probe.dead_field"])
+
+
+def _public_api(tree: ast.Module) -> list[str]:
+    """Every public top-level function and class a module defines, and
+    ``Class.method`` of every public method of those classes."""
+    api = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not _is_private(node.name):
+            api.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                api += [f"{node.name}.{stmt.name}" for stmt in node.body
+                        if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_")]
+    return api
+
+
+def _unused_api(defining: list[str], reading: list[str]) -> tuple[int, list[str]]:
+    """How many public names the ``defining`` sources declare, and those
+    that no name, attribute or imported name in the ``reading`` sources
+    matches.  Like the record-field check, this matches by name alone."""
+    api = [name for text in defining for name in _public_api(ast.parse(text))]
+    used = set()
+    for text in reading:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return len(api), [name for name in api if name.rpartition(".")[2] not in used]
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # a name only the tests call is dead API: it moves to tests/oracles.py
+    package = [p.read_text() for p in MODULES]
+    benchmark = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    checked, unused = _unused_api(package, package + benchmark)
+    assert checked > 100 and not unused, f"public names nothing outside the tests uses: {unused}"
+    # the check sees functions, classes and methods, counts names, attributes
+    # and imports as uses, and spares private and dunder names
+    probe = ("from .other import only_imported\n"
+             "def only_imported():\n    pass\n"
+             "def called():\n    return Probe().run\n"
+             "def dead_function():\n    return called()\n"
+             "def _private():\n    pass\n"
+             "class Probe:\n"
+             "    def run(self):\n        pass\n"
+             "    def dead_method(self):\n        pass\n"
+             "    def __len__(self):\n        return 0\n"
+             "class DeadClass:\n    pass\n")
+    assert _unused_api([probe], [probe]) == (
+        7, ["dead_function", "Probe.dead_method", "DeadClass"])
 
 
 def _traced_sites() -> list[tuple[str, str]]:

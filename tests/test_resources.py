@@ -43,7 +43,7 @@ from qsearch.resources import (
 )
 
 from conftest import toy_db
-from oracles import build_qdam, flat_measure_kernel
+from oracles import build_qdam, exact_iterations, flat_measure_kernel
 
 _DEPTH_FIELDS = (
     "t_depth_m1",
@@ -90,10 +90,11 @@ def test_bound_rejects_nonpositive_widths():
 
 
 def test_reports_reject_index_widths_above_their_limit():
-    # the closed forms hold up to the largest width whose sqrt(2^n) is a float
-    assert estimate_bounds(1023, 1).query_count > 1 << 500
-    with pytest.raises(InputError):
-        estimate_bounds(1024, 1)
+    # the bound report prints K only where its float floor is exact (the
+    # widths below are checked in test_optimal_iterations_is_exact_to_the_bound_cap)
+    assert estimate_bounds(109, 1).query_count == exact_iterations(109)
+    with pytest.raises(InputError, match="n <= 109, got 110"):
+        estimate_bounds(110, 1)
     for report in (measure, measure_naive):
         with pytest.raises(InputError):
             report(21, 1)

@@ -217,22 +217,24 @@ class Circuit:
 class Tiling:
     """``copies`` copies of one block of gates: copy i moves each operand q
     of the block to ``q + i * strides[q]``.  The copies are checked to be
-    pairwise disjoint and inside ``total_qubits``, so they commute.  A
-    one-copy tiling is its block as is; its strides are never read.  A
-    sequence of tilings is a gate stream, tiling by tiling; its reverse
-    takes the last tiling first, each copy's block reversed.  ``gates``
-    builds the copies' gates on first use and keeps them."""
+    pairwise disjoint and inside ``total_qubits``, so they commute.
+    ``spans`` maps each operand, in order of first use, to the slice of
+    its copies' qubits; a one-copy tiling is its block as is and has no
+    spans, so its strides are never read.  A sequence of tilings is a gate
+    stream, tiling by tiling; its reverse takes the last tiling first, each
+    copy's block reversed.  ``gates`` builds the copies' gates on first use
+    and keeps them."""
 
     def __init__(self, block: Iterable[Gate], strides: Mapping[int, int],
                  copies: int, total_qubits: int):
         if copies < 1:
             raise CircuitError("a tiling needs at least one copy")
         self.block, self.copies = tuple(block), copies
-        # every operand once, in order of first use; one copy moves nowhere,
-        # so its strides are immaterial and the block need only fit
-        self.strides = dict.fromkeys(chain.from_iterable(ops for _, ops in self.block), 1)
+        self.spans: dict[int, slice] = {}
+        # every operand once, in order of first use
+        operands = dict.fromkeys(chain.from_iterable(ops for _, ops in self.block))
         if copies == 1:
-            if not all(0 <= q < total_qubits for q in self.strides):
+            if not all(0 <= q < total_qubits for q in operands):
                 raise CircuitError("the block leaves the circuit")
             return
         # mark every copy of every operand once, then count the marks: the
@@ -241,24 +243,25 @@ class Tiling:
         # grow the array instead of raising; ``ones`` is a bytearray, as a
         # bytes value would be copied into one on every assignment
         used, ones = bytearray(total_qubits), bytearray(b"\1" * copies)
-        for q in self.strides:
-            step = self.strides[q] = strides[q]
+        for q in operands:
+            step = strides[q]
             if step < 1 or q < 0 or q + (copies - 1) * step >= total_qubits:
                 raise OperandOverlapError(f"copies of qubit {q} leave the circuit")
-            used[q:q + copies * step:step] = ones
-        if used.count(1) != len(self.strides) * copies:
+            span = self.spans[q] = slice(q, q + copies * step, step)
+            used[span] = ones
+        if used.count(1) != len(operands) * copies:
             raise OperandOverlapError("copies of the block overlap")
 
     @functools.cached_property
     def gates(self) -> tuple[Gate, ...]:
         """The copies' gates, copy by copy."""
-        copies, strides = self.copies, self.strides
-        if copies == 1:
+        if self.copies == 1:
             return self.block
         kinds = [kind for kind, _ in self.block]
         # each gate's operands in every copy, as one zip of ranges
-        moved = [zip(*(range(q, q + copies * strides[q], strides[q]) for q in ops))
-                 for _, ops in self.block]
+        ranges = {q: range(span.start, span.stop, span.step)
+                  for q, span in self.spans.items()}
+        moved = [zip(*(ranges[q] for q in ops)) for _, ops in self.block]
         return tuple(g for ops in zip(*moved) for g in zip(kinds, ops))
 
 
@@ -459,9 +462,7 @@ class Schedule:
         slice assignment.  Otherwise the tiling's gates are fed."""
         avail = self._avail
         for tiling in reversed(tilings) if reverse else tilings:
-            copies, block = tiling.copies, tiling.block
-            spans = [slice(q, q + copies * step, step)
-                     for q, step in tiling.strides.items()] if copies > 1 else ()
+            copies, block, spans = tiling.copies, tiling.block, tiling.spans.values()
             if any(avail[span].count(avail[span.start]) != copies for span in spans):
                 self.feed(reversed(tiling.gates) if reverse else tiling.gates)
                 continue

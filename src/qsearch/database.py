@@ -1,5 +1,5 @@
 """Classical data model: fixed-width bit-field records with a distinct key
-field, JSON (de)serialization, and power-of-two padding.
+field, loading from JSON, and power-of-two padding.
 
 The file format is normative and bit-exact::
 
@@ -12,7 +12,7 @@ Bit strings are ASCII '0'/'1', most significant bit first; the leftmost
 character of the key lands on data qubit offset 0.  Record order defines
 the 0-based index.  Padding appends sentinel records with the
 lexicographically smallest unused keys; sentinels are flagged in memory so
-verification never accepts them as solutions (the flag is not serialized).
+verification never accepts them as solutions (the format has no flag).
 """
 from __future__ import annotations
 
@@ -120,17 +120,6 @@ class Database:
             if rec.values[self.key_field] == value:
                 return i
         return None
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self) -> str:
-        doc = {
-            "version": FORMAT_VERSION,
-            "fields": [{"name": f.name, "bit_width": f.bit_width} for f in self.fields],
-            "key_field": self.key_field,
-            "records": [dict(r.values) for r in self.records],
-        }
-        return json.dumps(doc, indent=2) + "\n"
 
 
 @dataclass(frozen=True)

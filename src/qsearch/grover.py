@@ -30,10 +30,11 @@ fragment templates, which count each macro exactly as its lowering, so
 only the loader is lowered: the driver verifies its measured candidate the
 honest way, re-running the lowered loader on the candidate basis state
 with :class:`qsearch.sim.SparseState`, requiring the bit-sliced loader's
-branch to agree, reading the data register, and comparing against the
-queried key.  Sentinel (padding) records are never accepted.  The tests
-check the bit-sliced rounds against a SparseState run over the lowered
-subroutines.
+branch to agree, reading the data register out of the basis label at the
+layout's data qubits (:meth:`qsearch.qdam.QdamLayout.data_qubit`), and
+comparing against the queried key.  Sentinel (padding) records are never
+accepted.  The tests check the bit-sliced rounds against a SparseState
+run over the lowered subroutines.
 """
 from __future__ import annotations
 
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 from itertools import accumulate, repeat
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .circuit import Circuit, Gate, GateKind, Register, Tiling
+from .circuit import Circuit, Gate, GateKind, Tiling
 from .database import Database, SearchQuery
 from .decompose import lower_circuit, mcz_tree, sync_touch
 from .errors import CircuitError, InputError, QueryError
@@ -98,7 +99,6 @@ class SearchResult:
     iterations: int
     probabilities: list[float]
     resources: ResourceReport
-    peak_support: int = 0  # largest support of the reload check's SparseState
 
     def to_json(self) -> dict:
         return {
@@ -279,14 +279,14 @@ def run_search(
     key = query.key_value
     circuits = build_kernel_circuits(layout, db, key)
 
-    loaded = SlicedState(layout.register_sizes).run(circuits.loader)
+    total, n, m = layout.total_qubits, layout.n, layout.m
+    loaded = SlicedState(n, total).run(circuits.loader)
     marked = (loaded.run(circuits.target_reflection)
               .run(circuits.loader_inverse).diagonal_signs())
-    if diffusion_signs(circuits.diffusion) != 1:
+    if diffusion_signs(circuits.diffusion, n) != 1:
         raise CircuitError("the diffusion's middle must flip exactly index branch 0")
 
     target = db.index_of_key(key)
-    n = layout.n
 
     def probability(values: list[int], rounds: int) -> float:
         if target is None:
@@ -314,18 +314,17 @@ def run_search(
         candidate = min(counts, key=lambda q: (-counts[q], q))
     candidate_probability = squares[candidate] / scale
 
-    # verification: re-load on the candidate branch and read the data register
-    probe = SparseState.basis(
-        layout.register_sizes, candidate << (layout.total_qubits - n)
-    ).apply(lower_circuit(circuits.loader))
-    if list(probe.amplitudes) != [loaded.basis_label(candidate)]:
+    # verification: re-load on the candidate branch and read the data
+    # register, m contiguous qubits whose last is bit total - data_qubit(0) - m
+    probe = SparseState.basis(total, candidate << (total - n)).apply(
+        lower_circuit(circuits.loader))
+    label = loaded.basis_label(candidate)
+    if list(probe.amplitudes) != [label]:
         raise CircuitError(
             f"lowered loader disagrees with the bit-sliced loader on branch {candidate}"
         )
-    pattern = next(iter(probe.amplitudes))
-    measured_bits = format(
-        probe.register_bits(pattern, Register.DATA), f"0{layout.m}b"
-    )
+    data = label >> (total - layout.data_qubit(0) - m) & ((1 << m) - 1)
+    measured_bits = format(data, f"0{m}b")
 
     record_obj = db.records[candidate]
     matches = measured_bits == key
@@ -347,5 +346,4 @@ def run_search(
         iterations=iterations,
         probabilities=probabilities,
         resources=resources.measure_kernel(circuits, iterations),
-        peak_support=probe.peak_support,
     )

@@ -1,6 +1,9 @@
-"""Exact simulation backends, each dispatching on the gate kind.  Gate
-operands are flat qubit indices, and flat qubit g is bit ``total-1-g`` of
-a basis label (conventions of :mod:`qsearch.circuit`).
+"""Exact simulation backends, each dispatching on the gate kind.  A state
+knows only its flat width, the circuit's ``total_qubits``: gate operands
+are flat qubit indices, and flat qubit g is bit ``total-1-g`` of a basis
+label (conventions of :mod:`qsearch.circuit`).  Where a register sits is
+the layouts' business (:mod:`qsearch.qdam`); callers read registers out of
+a label through them.
 
 The search hot path never simulates Clifford+T gates.  Loader, target
 reflection and inverse loader are reversible permutations with phases, so
@@ -30,9 +33,7 @@ from __future__ import annotations
 import math
 from typing import Mapping
 
-from .circuit import (
-    Circuit, GateKind, LOWERED_KINDS, Register, REGISTER_ORDER,
-)
+from .circuit import Circuit, GateKind, LOWERED_KINDS
 from .errors import CircuitError, MacroGateError
 
 DROP_TOLERANCE = 1e-14
@@ -49,40 +50,26 @@ _PHASES = {
 _RUN_KINDS = LOWERED_KINDS - {GateKind.H}
 
 class SparseState:
-    """Amplitude map over the registers' basis labels.  Value-semantic:
-    ``apply`` returns a new state and leaves the input untouched."""
+    """Amplitude map over the basis labels of ``total_qubits`` flat qubits,
+    |0...0> by default.  Value-semantic: ``apply`` returns a new state and
+    leaves the input untouched."""
 
-    __slots__ = ("register_sizes", "total_qubits", "amplitudes", "peak_support")
+    __slots__ = ("total_qubits", "amplitudes", "peak_support")
 
-    def __init__(
-        self,
-        register_sizes: Mapping[Register, int],
-        amplitudes: Mapping[int, complex] | None = None,
-    ):
-        self.register_sizes = {reg: int(register_sizes.get(reg, 0))
-                               for reg in REGISTER_ORDER}
-        self.total_qubits = sum(self.register_sizes.values())
+    def __init__(self, total_qubits: int,
+                 amplitudes: Mapping[int, complex] | None = None):
+        self.total_qubits = total_qubits
         if amplitudes is None:
             amplitudes = {0: 1.0 + 0.0j}
         self.amplitudes = dict(amplitudes)
         self.peak_support = len(self.amplitudes)
 
     @classmethod
-    def basis(cls, register_sizes: Mapping[Register, int], pattern: int) -> "SparseState":
-        return cls(register_sizes, {pattern: 1.0 + 0.0j})
-
-    # -- queries ---------------------------------------------------------
+    def basis(cls, total_qubits: int, label: int) -> "SparseState":
+        return cls(total_qubits, {label: 1.0 + 0.0j})
 
     def support(self) -> int:
         return len(self.amplitudes)
-
-    def register_bits(self, pattern: int, register: Register) -> int:
-        """Value of one register inside a basis label."""
-        size = self.register_sizes[register]
-        shift = register_shift(self.register_sizes, register)
-        return (pattern >> shift) & ((1 << size) - 1)
-
-    # -- evolution -------------------------------------------------------
 
     def apply(self, circuit: Circuit) -> "SparseState":
         """Run a lowered circuit, one H-free run at a time: each label goes
@@ -91,7 +78,7 @@ class SparseState:
         Raises :class:`MacroGateError` if the circuit holds a macro gate,
         with the input state untouched."""
         if circuit.total_qubits != self.total_qubits:
-            raise CircuitError("circuit registers do not match the state")
+            raise CircuitError("circuit width does not match the state")
         total = self.total_qubits
         bit = [1 << (total - 1 - f) for f in range(total)]
         gates = circuit.gates
@@ -149,24 +136,9 @@ class SparseState:
             if len(amps) > peak:
                 peak = len(amps)
             start = stop + 1
-        out_state = SparseState(self.register_sizes, amps)
+        out_state = SparseState(total, amps)
         out_state.peak_support = max(peak, self.peak_support)
         return out_state
-
-
-def register_shift(register_sizes: Mapping[Register, int], register: Register) -> int:
-    """Bit position (from the least significant end) of a register's last
-    qubit inside a basis label."""
-    shift = 0
-    seen = False
-    for reg in REGISTER_ORDER:
-        size = register_sizes.get(reg, 0)
-        if reg is register:
-            seen = True
-            continue
-        if seen:
-            shift += size
-    return shift
 
 
 # -- bit-sliced backend ----------------------------------------------------
@@ -181,39 +153,37 @@ _EIGHTHS = {
 class SlicedState:
     """Every index branch of a permutation-with-phases circuit at once.
 
-    ``columns[f]`` holds flat qubit f in every branch: bit q is its value
-    in index branch q.  ``phase`` holds each branch's phase in eighth turns
-    mod 8 as three bit-planes, least significant first.  Branch q starts
-    as |q> on the binary-index register, every other qubit |0>, phase 0.
-    Macro gates are welcome; H is not.  Value-semantic: ``run`` returns a
-    new state and leaves the input untouched.
+    The state spans ``total_qubits`` flat qubits, of which the first ``n``
+    are the index.  ``columns[f]`` holds flat qubit f in every branch: bit
+    q is its value in index branch q.  ``phase`` holds each branch's phase
+    in eighth turns mod 8 as three bit-planes, least significant first.
+    Branch q starts as |q> on flat qubits 0 .. n-1, every other qubit |0>,
+    phase 0.  Macro gates are welcome; H is not.  Value-semantic: ``run``
+    returns a new state and leaves the input untouched.
     """
 
-    __slots__ = ("register_sizes", "columns", "phase", "_all", "_index")
+    __slots__ = ("total_qubits", "columns", "phase", "_all", "_index")
 
-    def __init__(self, register_sizes: Mapping[Register, int]):
-        self.register_sizes = {reg: int(register_sizes.get(reg, 0))
-                               for reg in REGISTER_ORDER}
-        n = self.register_sizes[Register.BINARY_INDEX]
-        if n == 0:
-            raise CircuitError("state has no binary-index register")
+    def __init__(self, n: int, total_qubits: int):
+        if not 1 <= n <= total_qubits:
+            raise CircuitError(f"{n} index qubits do not fit {total_qubits} qubits")
+        self.total_qubits = total_qubits
         branches = range(1 << n)
         self._all = (1 << (1 << n)) - 1
-        # the binary-index register comes first in the global qubit order;
-        # its offset b carries weight 2^(n-1-b) in the branch's index
+        # index qubit b carries weight 2^(n-1-b) in the branch's index
         self._index = tuple(
             sum(1 << q for q in branches if q >> (n - 1 - b) & 1)
             for b in range(n)
         )
-        self.columns = [*self._index] + [0] * (sum(self.register_sizes.values()) - n)
+        self.columns = [*self._index] + [0] * (total_qubits - n)
         self.phase = [0, 0, 0]
 
     def run(self, circuit: Circuit) -> "SlicedState":
-        if circuit.register_sizes != self.register_sizes:
-            raise CircuitError("circuit registers do not match the state")
+        if circuit.total_qubits != self.total_qubits:
+            raise CircuitError("circuit width does not match the state")
         out = SlicedState.__new__(SlicedState)
-        out.register_sizes, out._all, out._index = (
-            self.register_sizes, self._all, self._index)
+        out.total_qubits, out._all, out._index = (
+            self.total_qubits, self._all, self._index)
         cols = out.columns = list(self.columns)
         planes = out.phase = list(self.phase)
         full = self._all
@@ -280,17 +250,16 @@ def reflect_about_uniform(values: list[int]) -> list[int]:
     return [size * v - twice_sum for v in values]
 
 
-def diffusion_signs(circuit: Circuit) -> int:
-    """Sign mask of D in a diffusion circuit H^n D H^n: one H on every
-    binary-index qubit at each end, and between them a permutation with
-    phases that acts as a +-1 diagonal.  Raises :class:`CircuitError` on
-    any other shape."""
-    n = circuit.register_sizes[Register.BINARY_INDEX]
+def diffusion_signs(circuit: Circuit, n: int) -> int:
+    """Sign mask of D in a diffusion circuit H^n D H^n over ``n`` index
+    qubits, flat 0 .. n-1: one H on every index qubit at each end, and
+    between them a permutation with phases that acts as a +-1 diagonal.
+    Raises :class:`CircuitError` on any other shape."""
     h = GateKind.H
-    hs = {(h, (b,)) for b in range(n)}  # binary index: flat 0 .. n-1
+    hs = {(h, (b,)) for b in range(n)}
     gates = circuit.gates
     # n gates whose set is the n distinct H gates: each qubit exactly once
     if len(gates) < 2 * n or set(gates[:n]) != hs or set(gates[len(gates) - n:]) != hs:
         raise CircuitError("diffusion must start and end with H on every index qubit")
     middle = Circuit(circuit.register_sizes, gates[n:len(gates) - n], validate=False)
-    return SlicedState(circuit.register_sizes).run(middle).diagonal_signs()
+    return SlicedState(n, circuit.total_qubits).run(middle).diagonal_signs()

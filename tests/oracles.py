@@ -3,8 +3,9 @@ run one gate at a time, the scheduler's generic macro loop over a set of
 T layers, the Walsh-Hadamard transform, the full loader, the serial
 multi-controlled-Z ladder and the naive loader built one ladder per record
 bit from it, the kernel measurement over built gate lists, the exact
-iteration count in decimal arithmetic, and the circuit and basis-label
-helpers that only tests use.
+iteration count in decimal arithmetic, and the circuit, basis-label,
+register read-out and database-export helpers that only tests use, and
+a recorder of the sparse states a run makes.
 
 The dense backend applies lowered gates to a full numpy state vector (or
 to a batch of columns for unitary extraction).  It shares no code with
@@ -15,6 +16,7 @@ Bit conventions are those of :mod:`qsearch.circuit`: flat qubit g is bit
 """
 from __future__ import annotations
 
+import contextlib
 import decimal
 import json
 import math
@@ -33,11 +35,12 @@ from qsearch.circuit import (
     gate,
     tally_flat,
 )
+from qsearch.database import FORMAT_VERSION, Database
 from qsearch.decompose import shared_control_layer
 from qsearch.errors import CircuitError, MacroGateError
 from qsearch.qdam import _fold_fan_in, build_m1, build_m2, stage2_parts
 from qsearch.resources import ReportMode, ResourceReport
-from qsearch.sim import DROP_TOLERANCE, SparseState, register_shift
+from qsearch.sim import DROP_TOLERANCE, SparseState
 
 DEFAULT_DENSE_CAP = 14
 
@@ -161,6 +164,19 @@ def to_dense(state) -> np.ndarray:
     return vec
 
 
+def register_shift(register_sizes, register: Register) -> int:
+    """Bit position (from the least significant end) of a register's last
+    qubit inside a basis label."""
+    after = REGISTER_ORDER[REGISTER_ORDER.index(register) + 1:]
+    return sum(register_sizes.get(reg, 0) for reg in after)
+
+
+def register_bits(register_sizes, label: int, register: Register) -> int:
+    """Value of one register inside a basis label."""
+    size = register_sizes.get(register, 0)
+    return label >> register_shift(register_sizes, register) & ((1 << size) - 1)
+
+
 def basis_pattern(register_sizes, assignments) -> int:
     """Compose a basis label from per-register values (unassigned -> 0)."""
     pattern = 0
@@ -181,6 +197,25 @@ def norm(state) -> float:
     return math.sqrt(sum((a * a.conjugate()).real for a in state.amplitudes.values()))
 
 
+@contextlib.contextmanager
+def recorded_states():
+    """While open, append every state :meth:`SparseState.apply` returns to
+    the list it yields: the search's reload check is its only caller."""
+    states = []
+    apply = SparseState.apply
+
+    def recording(state, circuit):
+        out = apply(state, circuit)
+        states.append(out)
+        return out
+
+    SparseState.apply = recording
+    try:
+        yield states
+    finally:
+        SparseState.apply = apply
+
+
 def gatewise_apply(state: SparseState, circuit: Circuit) -> SparseState:
     """:meth:`qsearch.sim.SparseState.apply` one gate at a time: a new
     amplitude map per X, CNOT and H, phases updated in place.  The same
@@ -189,7 +224,7 @@ def gatewise_apply(state: SparseState, circuit: Circuit) -> SparseState:
     :class:`MacroGateError` at the first macro gate, with ``state``
     untouched."""
     if circuit.total_qubits != state.total_qubits:
-        raise CircuitError("circuit registers do not match the state")
+        raise CircuitError("circuit width does not match the state")
     total = state.total_qubits
     bit = [1 << (total - 1 - f) for f in range(total)]
     amps = dict(state.amplitudes)
@@ -231,7 +266,7 @@ def gatewise_apply(state: SparseState, circuit: Circuit) -> SparseState:
             for k, a in amps.items():
                 if k & mask:
                     amps[k] = a * phase
-    out_state = SparseState(state.register_sizes, amps)
+    out_state = SparseState(total, amps)
     out_state.peak_support = max(peak, state.peak_support)
     return out_state
 
@@ -464,3 +499,15 @@ def from_json(text: str) -> Circuit:
     gates = [gate(_IMPORT_NAME[entry["gate"]], *(flat[q] for q in entry["qubits"]))
              for entry in doc["gates"]]
     return Circuit(sizes, gates)
+
+
+def database_json(db: Database) -> str:
+    """A database as the normative file format that
+    :func:`qsearch.database.load_database` reads."""
+    doc = {
+        "version": FORMAT_VERSION,
+        "fields": [{"name": f.name, "bit_width": f.bit_width} for f in db.fields],
+        "key_field": db.key_field,
+        "records": [dict(r.values) for r in db.records],
+    }
+    return json.dumps(doc, indent=2) + "\n"

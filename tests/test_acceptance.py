@@ -23,7 +23,9 @@ from qsearch.resources import bench_scaling, estimate_bounds, measure, measure_n
 from qsearch.sim import SparseState
 
 from conftest import random_lowered_circuit, toy_db
-from oracles import amplitude, basis_pattern, build_qdam, dense_statevector, to_dense
+from oracles import (
+    amplitude, basis_pattern, build_qdam, dense_statevector, recorded_states, to_dense,
+)
 
 DATA_DB = os.path.join(os.path.dirname(__file__), "..", "data", "people.json")
 
@@ -81,7 +83,7 @@ def test_criterion_1_loader_semantics():
                     layout.register_sizes, {Register.BINARY_INDEX: q}
                 )
                 # exact sparse run: any basis label it does not store is 0
-                out = SparseState.basis(layout.register_sizes, start_pattern)
+                out = SparseState.basis(total, start_pattern)
                 out = out.apply(lowered)
                 assert abs(amplitude(out, expected) - 1) < 1e-12
                 stray = sum(
@@ -131,16 +133,24 @@ def test_criterion_3_exponential_vs_logarithmic_separation():
 
 
 @pytest.fixture(scope="module")
-def search_runs():
+def reload_probes():
+    """N -> the state of the search's reload check, filled by ``search_runs``."""
+    return {}
+
+
+@pytest.fixture(scope="module")
+def search_runs(reload_probes):
     runs = {}
     for n in (2, 3, 4, 5, 6, 7):
         db = toy_db(n)
         target = (1 << n) - 2
-        runs[1 << n] = run_search(db, SearchQuery(format(target, f"0{n}b"), "val"))
+        with recorded_states() as states:
+            runs[1 << n] = run_search(db, SearchQuery(format(target, f"0{n}b"), "val"))
+        (reload_probes[1 << n],) = states
     return runs
 
 
-def test_criterion_4_search_dynamics(search_runs):
+def test_criterion_4_search_dynamics(search_runs, reload_probes):
     """Success probability equals sin^2((2k+1) asin(1/sqrt(N))) to 1e-9."""
     start = time.time()
     for big_n, result in search_runs.items():
@@ -150,7 +160,7 @@ def test_criterion_4_search_dynamics(search_runs):
         for k, prob in enumerate(result.probabilities):
             expected = math.sin((2 * k + 1) * theta) ** 2
             assert abs(prob - expected) < 1e-9, (big_n, k)
-        assert result.peak_support <= 4 * big_n
+        assert reload_probes[big_n].peak_support <= 4 * big_n
     assert abs(search_runs[4].success_probability - 1.0) < 1e-9
     elapsed = time.time() - start
     assert elapsed < 120
@@ -211,7 +221,7 @@ def test_criterion_8_dense_sparse_cross_validation():
         n_gates = int(rng.integers(20, 201))
         circuit = random_lowered_circuit(rng, n_qubits, n_gates)
         dense = dense_statevector(circuit, 0)
-        sparse = SparseState({Register.ANCILLA: n_qubits}).apply(circuit)
+        sparse = SparseState(n_qubits).apply(circuit)
         assert np.abs(dense - to_dense(sparse)).max() < 1e-10, i
     elapsed = time.time() - start
     assert elapsed < 60

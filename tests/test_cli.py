@@ -17,7 +17,7 @@ from qsearch.cli import main
 from qsearch.database import load_database
 from qsearch.errors import QsearchError
 
-from oracles import from_json
+from oracles import database_json, from_json
 
 DATA_DB = os.path.join(os.path.dirname(__file__), "..", "data", "people.json")
 SRC_DIR = os.path.dirname(os.path.dirname(qsearch.__file__))
@@ -215,7 +215,7 @@ def test_fuzzed_documents_load_or_fail_cleanly(doc, key):
         db = None
     if db is not None:
         # nothing was coerced: the database writes back the document's values
-        back = json.loads(db.to_json())
+        back = json.loads(database_json(db))
         fields = [{"name": f["name"], "bit_width": f["bit_width"]} for f in doc["fields"]]
         assert json.dumps(back) == json.dumps(dict(
             version=doc["version"], fields=fields, key_field=doc["key_field"],

@@ -23,6 +23,8 @@ from qsearch.errors import (
     UnknownFieldError,
 )
 
+from oracles import database_json
+
 
 def _doc(records, fields=None, key_field="id"):
     return json.dumps({
@@ -146,9 +148,9 @@ def test_export_load_round_trip_bit_exact():
         {"id": "1001", "val": "10"},
         {"id": "0110", "val": "11"},
     ]))
-    again = load_database(db.to_json())
+    again = load_database(database_json(db))
     assert again == db
-    assert again.to_json() == db.to_json()
+    assert database_json(again) == database_json(db)
 
 
 @settings(max_examples=50, deadline=None)
@@ -169,7 +171,7 @@ def test_round_trip_random_databases(keys, data):
         "records": records,
     })
     db = load_database(doc)
-    assert load_database(db.to_json()) == db
+    assert load_database(database_json(db)) == db
 
 
 def test_encode_key_rejects_bad_width():

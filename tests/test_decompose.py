@@ -213,10 +213,11 @@ def test_tree_and_ladder_flip_the_same_branch(k):
     # the k operands are the binary index, so every branch is one input
     # with clean ancillas; diagonal_signs proves each comes back to itself
     # with the ancillas |0> and a phase of +-1, and returns the flipped ones
-    sizes = {Register.BINARY_INDEX: k, A: max(0, k - 3)}
-    ancillas = range(k, k + max(0, k - 3))
+    total = k + max(0, k - 3)
+    sizes = {Register.BINARY_INDEX: k, A: total - k}
+    ancillas = range(k, total)
     signs = [
-        SlicedState(sizes).run(Circuit(sizes, build(range(k), ancillas))).diagonal_signs()
+        SlicedState(k, total).run(Circuit(sizes, build(range(k), ancillas))).diagonal_signs()
         for build in (mcz_tree, mcz_ladder)
     ]
     assert signs == [1 << (1 << k) - 1] * 2  # the all-ones branch only

@@ -37,6 +37,9 @@ from oracles import (
     amplitude,
     basis_pattern,
     exact_iterations,
+    recorded_states,
+    register_bits,
+    register_shift,
     success_probability_formula,
     walsh_hadamard,
 )
@@ -48,16 +51,15 @@ D = Register.DATA
 def _register_block(layout, lowered, register, width):
     """Operator induced on one register, extracted by exact sparse columns
     (everything else starts and ends in |0>)."""
-    from qsearch.sim import register_shift
-
     sizes = layout.register_sizes
     dim = 1 << width
     block = np.zeros((dim, dim), dtype=complex)
     for col in range(dim):
-        state = SparseState.basis(sizes, basis_pattern(sizes, {register: col}))
+        state = SparseState.basis(layout.total_qubits,
+                                  basis_pattern(sizes, {register: col}))
         out = state.apply(lowered)
         for key, amp in out.amplitudes.items():
-            row = out.register_bits(key, register)
+            row = register_bits(sizes, key, register)
             rest = key ^ (row << register_shift(sizes, register))
             assert rest == 0, "operator leaks outside the register"
             block[row, col] = amp
@@ -198,7 +200,10 @@ def test_search_n16_matches_closed_form():
 def test_search_reports_the_reload_check_peak_support(n, key):
     # one basis branch through the lowered loader: an H inside a Toffoli
     # fragment splits it in two and the fragment's closing H joins it again
-    assert run_search(toy_db(n), SearchQuery(key, "val")).peak_support == 2
+    with recorded_states() as states:
+        run_search(toy_db(n), SearchQuery(key, "val"))
+    (probe,) = states
+    assert probe.peak_support == 2
 
 
 def test_search_absent_key_reports_not_present():
@@ -381,7 +386,7 @@ def _reference_rounds(db, key, iterations):
     sizes = layout.register_sizes
     n = layout.n
     shift = layout.total_qubits - n
-    state = SparseState(sizes).apply(
+    state = SparseState(layout.total_qubits).apply(
         Circuit(sizes, [gate(GateKind.H, b) for b in range(n)]))
 
     def marginal(st):
@@ -448,14 +453,14 @@ def test_lowered_block_is_the_bit_sliced_sign_diagonal(n):
         layout = QdamLayout(n, m)
         circuits = build_kernel_circuits(layout, keys, pattern)
         sizes = layout.register_sizes
-        signs = (SlicedState(sizes).run(circuits.loader)
+        signs = (SlicedState(n, layout.total_qubits).run(circuits.loader)
                  .run(circuits.target_reflection).run(circuits.loader_inverse)
                  .diagonal_signs())
         block = lower_circuit(
             circuits.loader + circuits.target_reflection + circuits.loader_inverse)
         for q in range(1 << n):
             label = basis_pattern(sizes, {B: q})
-            out = SparseState.basis(sizes, label).apply(block)
+            out = SparseState.basis(layout.total_qubits, label).apply(block)
             assert list(out.amplitudes) == [label]
             sign = -1 if signs >> q & 1 else 1
             assert abs(amplitude(out, label) - sign) < 1e-12
@@ -471,8 +476,8 @@ def test_block_with_a_dropped_stage2_gate_is_rejected(m):
     stage2 = circuits.stage2.gates
     for i in range(len(stage2)):
         dropped = circuits.stage1 + Circuit(sizes, stage2[:i] + stage2[i + 1:])
-        state = (SlicedState(sizes).run(dropped).run(circuits.target_reflection)
-                 .run(circuits.loader_inverse))
+        state = (SlicedState(2, layout.total_qubits).run(dropped)
+                 .run(circuits.target_reflection).run(circuits.loader_inverse))
         with pytest.raises(CircuitError):
             state.diagonal_signs()
 
@@ -481,7 +486,7 @@ def test_block_with_a_dropped_stage2_gate_is_rejected(m):
 def test_sliced_diffusion_is_the_lowered_reflection_about_uniform(n):
     layout = QdamLayout(n, 1)
     circuits = build_kernel_circuits(layout, ["0"] * (1 << n), "0")
-    signs = diffusion_signs(circuits.diffusion)
+    signs = diffusion_signs(circuits.diffusion, n)
     size = 1 << n
     columns = [walsh_hadamard(negate(walsh_hadamard(
         [int(row == col) for row in range(size)]), signs)) for col in range(size)]
@@ -500,7 +505,7 @@ def test_diffusion_of_another_shape_is_rejected():
                   diffusion.gates[:2] + diffusion.gates[:2] + diffusion.gates[2:],
                   diffusion.gates[:3] + (gate(GateKind.H, 1),) + diffusion.gates[3:]):
         with pytest.raises(CircuitError):
-            diffusion_signs(Circuit(sizes, gates))
+            diffusion_signs(Circuit(sizes, gates), 2)
 
 
 def test_search_rejects_a_diffusion_that_flips_another_branch(monkeypatch):
@@ -515,7 +520,7 @@ def test_search_rejects_a_diffusion_that_flips_another_branch(monkeypatch):
         return Circuit(layout.register_sizes, [*hs, *middle, *hs])
 
     layout = QdamLayout(2, 2)
-    assert diffusion_signs(without_x_conjugation(layout)) == 0b1000
+    assert diffusion_signs(without_x_conjugation(layout), 2) == 0b1000
     monkeypatch.setattr(grover, "build_diffusion", without_x_conjugation)
     with pytest.raises(CircuitError, match="branch 0"):
         run_search(toy_db(2), SearchQuery("10", "val"))

@@ -2,7 +2,7 @@
 ``__init__`` binds no names, every name a module imports is used in that
 module, no module reads another module's private names, the package's
 only import cycle is the known one, no gate kind is looked up per gate,
-every field of a public record type is read somewhere, every public
+only the IR and the layouts name the registers, every field of a public record type is read somewhere, every public
 function, class and method is used outside the tests, every name the
 benchmark's tracer patches exists, and the tracer can trace one op of
 each workload."""
@@ -256,6 +256,39 @@ def test_no_gate_kind_is_looked_up_per_gate():
              "    odd = [q for k in GateKind.X.value for q in (GateKind.Z, k)]\n"
              "    return {q: GateKind.T for q in qubits}, GateKind.CZ, odd\n")
     assert _kind_lookups_per_item(ast.parse(probe)) == [5, 6, 7, 8, 10, 11]
+
+
+_REGISTER_NAMES = {"Register", "REGISTER_ORDER"}
+
+
+def _register_lines(tree: ast.Module) -> list[int]:
+    """Lines that name ``Register`` or ``REGISTER_ORDER``: as a name, an
+    attribute or an imported name."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            named = {alias.name.rpartition(".")[2] for alias in node.names}
+        else:
+            named = {getattr(node, "id", None), getattr(node, "attr", None)}
+        if named & _REGISTER_NAMES:
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_only_the_ir_and_the_layouts_name_registers():
+    # circuit.py turns flat qubits into register labels and qdam.py places
+    # the registers; every other module finds a qubit through a layout
+    found = {p.name: lines for p in MODULES if p.name not in ("circuit.py", "qdam.py")
+             and (lines := _register_lines(ast.parse(p.read_text())))}
+    assert not found, f"register placement outside the layouts: {found}"
+    # the check sees imports, aliased or not, names and attributes
+    probe = ("from .circuit import Register as R\n"
+             "import qsearch.circuit\n"
+             "def f(sizes, register_sizes):\n"
+             "    return sizes[qsearch.circuit.Register.DATA], R\n"
+             "def g(order=REGISTER_ORDER):\n"
+             "    return register_sizes\n")
+    assert _register_lines(ast.parse(probe)) == [1, 4, 5]
 
 
 def _record_fields(tree: ast.Module) -> list[str]:

@@ -28,6 +28,7 @@ from oracles import (
     dense_statevector,
     gatewise_apply,
     norm,
+    register_bits,
     to_dense,
     walsh_hadamard,
 )
@@ -41,7 +42,7 @@ def _anc(i, index_bits=0):
 
 
 def test_hadamard_splits_support():
-    state = SparseState({A: 1}).apply(Circuit({A: 1}, [gate(GateKind.H, _anc(0))]))
+    state = SparseState(1).apply(Circuit({A: 1}, [gate(GateKind.H, _anc(0))]))
     assert state.support() == 2
     r = 1 / math.sqrt(2)
     assert abs(amplitude(state, 0) - r) < 1e-15
@@ -50,7 +51,7 @@ def test_hadamard_splits_support():
 
 def test_t_phase_on_one():
     circ = Circuit({A: 1}, [gate(GateKind.X, _anc(0)), gate(GateKind.T, _anc(0))])
-    state = SparseState({A: 1}).apply(circ)
+    state = SparseState(1).apply(circ)
     expected = complex(math.sqrt(0.5), math.sqrt(0.5))
     assert abs(amplitude(state, 1) - expected) < 1e-15
 
@@ -58,7 +59,7 @@ def test_t_phase_on_one():
 def test_diagonal_gates_preserve_support_keys():
     rng = np.random.default_rng(0)
     base = random_lowered_circuit(rng, 4, 30)
-    state = SparseState({A: 4}).apply(base)
+    state = SparseState(4).apply(base)
     keys = set(state.amplitudes)
     diag = Circuit({A: 4}, [gate(GateKind.Z, _anc(0)), gate(GateKind.S, _anc(1)),
                             gate(GateKind.T, _anc(2)), gate(GateKind.CZ, _anc(0), _anc(3))])
@@ -70,7 +71,7 @@ def test_full_qdam_on_uniform_index_state_has_support_eight():
     layout = QdamLayout(3, 3)
     db = toy_db(3, value_width=2)
     sizes = layout.register_sizes
-    state = SparseState(sizes)
+    state = SparseState(layout.total_qubits)
     state = state.apply(Circuit(sizes, [gate(GateKind.H, b) for b in range(3)]))
     state = state.apply(lower_circuit(build_qdam(layout, db)))
     assert state.support() == 8
@@ -80,7 +81,7 @@ def test_full_qdam_on_uniform_index_state_has_support_eight():
 
 def test_index_probabilities_uniform_and_phase_invariant():
     sizes = {Register.BINARY_INDEX: 2, A: 1}
-    state = SparseState(sizes).apply(
+    state = SparseState(3).apply(
         Circuit(sizes, [gate(GateKind.H, 0), gate(GateKind.H, 1)])
     )
     labels = [basis_pattern(sizes, {Register.BINARY_INDEX: q}) for q in range(4)]
@@ -95,7 +96,7 @@ def test_index_probabilities_uniform_and_phase_invariant():
 def test_norm_is_preserved():
     rng = np.random.default_rng(42)
     circ = random_lowered_circuit(rng, 6, 400)
-    state = SparseState({A: 6}).apply(circ)
+    state = SparseState(6).apply(circ)
     assert abs(norm(state) - 1.0) < 1e-10
 
 
@@ -103,7 +104,7 @@ def test_interference_prunes_support():
     # H Z H maps |0> -> |1>: the |0> branch cancels and must be dropped
     gates = [gate(GateKind.H, _anc(0)), gate(GateKind.Z, _anc(0)),
              gate(GateKind.H, _anc(0))]
-    state = SparseState({A: 1}).apply(Circuit({A: 1}, gates))
+    state = SparseState(1).apply(Circuit({A: 1}, gates))
     assert state.support() == 1
     assert abs(amplitude(state, 1) - 1) < 1e-12
 
@@ -114,18 +115,18 @@ def test_dense_and_sparse_agree_elementwise():
         n = int(rng.integers(2, 7))
         circ = random_lowered_circuit(rng, n, 80)
         dense = dense_statevector(circ, 0)
-        sparse = to_dense(SparseState({A: n}).apply(circ))
+        sparse = to_dense(SparseState(n).apply(circ))
         assert np.abs(dense - sparse).max() < 1e-10
 
 
 def test_sparse_rejects_macro_circuits():
     circ = Circuit({A: 3}, [gate(GateKind.TOFFOLI, _anc(0), _anc(1), _anc(2))])
     with pytest.raises(MacroGateError):
-        SparseState({A: 3}).apply(circ)
+        SparseState(3).apply(circ)
 
 
 def test_simulators_reject_a_macro_gate_mid_stream():
-    state = SparseState({A: 3}).apply(Circuit({A: 3}, [gate(GateKind.H, _anc(0))]))
+    state = SparseState(3).apply(Circuit({A: 3}, [gate(GateKind.H, _anc(0))]))
     before = list(state.amplitudes.items())
     lowered = [gate(GateKind.X, _anc(2)), gate(GateKind.T, _anc(0)),
                gate(GateKind.CNOT, _anc(0), _anc(1)), gate(GateKind.H, _anc(2)),
@@ -160,7 +161,7 @@ def _assert_exactly_equal(got, expected):
     [gate(GateKind.H, _anc(q)) for q in (0, 1, 2, 0, 2, 1, 1)],
 ], ids=["empty", "h-only"])
 def test_apply_on_edge_circuits_equals_the_gatewise_oracle(gates):
-    start = SparseState({A: 3}, {0b000: 0.6 + 0j, 0b101: -0.8j, 0b011: 0.1 + 0j})
+    start = SparseState(3, {0b000: 0.6 + 0j, 0b101: -0.8j, 0b011: 0.1 + 0j})
     circ = Circuit({A: 3}, gates)
     _assert_exactly_equal(start.apply(circ), gatewise_apply(start, circ))
 
@@ -184,7 +185,7 @@ def _lowered_runs(draw):
                            max_size=8, unique=True))
     parts = st.floats(-1, 1, allow_nan=False)
     amps = {k: complex(draw(parts), draw(parts)) for k in labels}
-    return SparseState({A: width}, amps), Circuit({A: width}, gates)
+    return SparseState(width, amps), Circuit({A: width}, gates)
 
 
 @settings(max_examples=300, deadline=None)
@@ -202,18 +203,19 @@ def test_apply_equals_the_gatewise_oracle_on_every_loader_branch(n):
     sizes = layout.register_sizes
     lowered = lower_circuit(build_qdam(layout, toy_db(n)))
     for q in range(1 << n):
-        start = SparseState.basis(sizes, basis_pattern(sizes, {Register.BINARY_INDEX: q}))
+        start = SparseState.basis(layout.total_qubits,
+                                  basis_pattern(sizes, {Register.BINARY_INDEX: q}))
         _assert_exactly_equal(start.apply(lowered), gatewise_apply(start, lowered))
 
 
 def test_register_mismatch_rejected():
     circ = Circuit({A: 3}, [gate(GateKind.X, _anc(0))])
     with pytest.raises(CircuitError):
-        SparseState({A: 2}).apply(circ)
+        SparseState(2).apply(circ)
 
 
 def test_to_dense_cap():
-    state = SparseState({A: 40})
+    state = SparseState(40)
     with pytest.raises(DenseCapError):
         to_dense(state)
 
@@ -224,13 +226,15 @@ def test_basis_pattern_composition():
                                     Register.DATA: 0b011})
     # layout: [index 2 bits][data 3 bits][ancilla 1 bit], MSB first
     assert pattern == (0b10 << 4) | (0b011 << 1)
-    state = SparseState.basis(sizes, pattern)
-    assert state.register_bits(pattern, Register.DATA) == 0b011
+    state = SparseState.basis(6, pattern)
+    assert register_bits(sizes, next(iter(state.amplitudes)), Register.DATA) == 0b011
 
 
 def test_sliced_state_requires_index_register():
     with pytest.raises(CircuitError):
-        SlicedState({A: 2})
+        SlicedState(0, 2)
+    with pytest.raises(CircuitError):
+        SlicedState(3, 2)
 
 
 # -- bit-sliced backend ------------------------------------------------------
@@ -258,10 +262,10 @@ def test_sliced_state_matches_sparse_on_every_branch(seed):
         picked = rng.choice(len(qubits), size=width, replace=False)
         gates.append(gate(kind, *(qubits[i] for i in picked)))
     macro = Circuit(sizes, gates)
-    sliced = SlicedState(sizes).run(macro)
+    sliced = SlicedState(n, n + anc).run(macro)
     lowered = lower_circuit(macro)
     for q in range(1 << n):
-        out = SparseState.basis(sizes, basis_pattern(sizes, {Register.BINARY_INDEX: q}))
+        out = SparseState.basis(n + anc, basis_pattern(sizes, {Register.BINARY_INDEX: q}))
         out = out.apply(lowered)
         assert list(out.amplitudes) == [sliced.basis_label(q)]
         turns = _branch_phase(sliced, q)
@@ -271,7 +275,7 @@ def test_sliced_state_matches_sparse_on_every_branch(seed):
 
 def test_sliced_state_is_value_semantic_and_rejects_h():
     sizes = {Register.BINARY_INDEX: 2, A: 1}
-    start = SlicedState(sizes)
+    start = SlicedState(2, 3)
     flipped = start.run(Circuit(sizes, [gate(GateKind.X, _anc(0, 2))]))
     assert start.columns[-1] == 0 and flipped.columns[-1] == 0b1111
     with pytest.raises(CircuitError):
@@ -279,20 +283,20 @@ def test_sliced_state_is_value_semantic_and_rejects_h():
     with pytest.raises(CircuitError):
         start.run(Circuit(sizes, [gate(GateKind.H, 0)]))
     with pytest.raises(CircuitError):
-        start.run(Circuit({A: 3}, []))
+        start.run(Circuit({A: 4}, []))
 
 
 def test_diagonal_signs_require_a_sign_diagonal():
     sizes = {Register.BINARY_INDEX: 2, A: 1}
     # CZ on the two index qubits negates branch 3 only
     cz = Circuit(sizes, [gate(GateKind.CZ, 0, 1)])
-    assert SlicedState(sizes).run(cz).diagonal_signs() == 0b1000
+    assert SlicedState(2, 3).run(cz).diagonal_signs() == 0b1000
     # S on index qubit 1 is a quarter turn on branches 1 and 3
     s = Circuit(sizes, [gate(GateKind.S, 1)])
     with pytest.raises(CircuitError):
-        SlicedState(sizes).run(s).diagonal_signs()
+        SlicedState(2, 3).run(s).diagonal_signs()
     eight_t = Circuit(sizes, [gate(GateKind.T, 1)] * 8)
-    assert SlicedState(sizes).run(eight_t).diagonal_signs() == 0
+    assert SlicedState(2, 3).run(eight_t).diagonal_signs() == 0
 
 
 def test_walsh_hadamard_is_the_unnormalised_hadamard_transform():

@@ -6,7 +6,8 @@ key's exact probability after each round; the JSON derives the oracle
 calls, the per-round amplitudes and, in the resource report, the cost
 K * kernel T-depth from them.
 
-One kernel iteration applies loader, target reflection, inverse loader,
+One kernel iteration (:mod:`qsearch.kernel`; :func:`build_kernel_circuits`
+builds its circuits) applies loader, target reflection, inverse loader,
 then the reflection about the uniform index state.  The first three form
 the *block*; the driver proves it exact before it iterates anything.  It
 runs the block's macro circuits on every index branch at once, bit-sliced
@@ -25,8 +26,7 @@ sum to S = 2^(n(2K+1)); a shot bisects their running sums at
 ``getrandbits(n(2K+1))``, so it draws q with probability exactly v[q]^2 / S.
 
 The Clifford+T circuits tie the fast path to what is compiled.  The
-resource report schedules the macro subroutines through the scheduler's
-fragment templates, which count each macro exactly as its lowering, so
+resource report (:func:`qsearch.kernel.measure_kernel`) lowers nothing, so
 only the loader is lowered: the driver verifies its measured candidate the
 honest way, re-running the lowered loader on the candidate basis state
 with :class:`qsearch.sim.SparseState`, requiring the bit-sliced loader's
@@ -46,13 +46,19 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, repeat
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .circuit import Circuit, Gate, GateKind, Tiling
 from .database import Database, SearchQuery
-from .decompose import lower_circuit, mcz_tree, sync_touch
+from .decompose import lower_circuit
 from .errors import CircuitError, InputError, QueryError
 from . import qdam  # builders looked up at call time: the benchmark's tracer patches them
+from .kernel import (
+    KernelCircuits,
+    ResourceReport,
+    build_diffusion,
+    build_target_reflection,
+    measure_kernel,
+)
 from .qdam import QdamLayout
 from .sim import (
     SlicedState,
@@ -62,11 +68,11 @@ from .sim import (
     reflect_about_uniform,
 )
 
-if TYPE_CHECKING:  # resources imports this module; annotations only
-    from .resources import ResourceReport
-
 # the most index samples a sampled search draws, at about 0.2-0.5 s per 2^20
 MAX_SHOTS = 1 << 20
+# the most record bits m * 2^n a search takes: the reload check's mask table
+# grows as the square of the qubit count (1.3 GB peak RSS at n = 1, m = 2^14)
+MAX_SEARCH_BITS = 1 << 15
 
 
 def optimal_iterations(database_size: int) -> int:
@@ -121,99 +127,6 @@ class SearchResult:
         }
 
 
-def _sync_block(layout: QdamLayout, qubits: Sequence[int]) -> list[Gate]:
-    """:func:`sync_touch` over ``qubits``, padded to a power of two with
-    ladder ancillas, which it leaves as it found them.  The pool always
-    has room: w qubits need 2^ceil(log2 w) - w <= w - 2 pads for w >= 2,
-    and the pool holds max(n, m) - 2 for the w = m data or w = n index
-    qubits."""
-    pad = (1 << (len(qubits) - 1).bit_length()) - len(qubits)
-    return sync_touch([*qubits, *layout.ladder_qubits()[:pad]])
-
-
-def build_target_reflection(layout: QdamLayout, key_pattern: str) -> Circuit:
-    """Phase flip of the data-register branch matching ``key_pattern``:
-    X where the pattern bit is 0, a phase flip on all-ones through
-    :func:`~qsearch.decompose.mcz_tree`, X again.
-
-    A sync block over the data register follows each round of flips.  The
-    first puts every data qubit in one scheduler layer before the tree,
-    whatever the key: the flips touch only the 0 bits, and a tree, unlike
-    a serial ladder, needs its leaves to enter together for its levels to
-    merge their T layers.  The closing one does the same for the inverse
-    loader, whose uncompute Toffolis the tree's leaves would otherwise
-    enter staggered.
-    """
-    if len(key_pattern) != layout.m or any(c not in "01" for c in key_pattern):
-        raise QueryError(f"pattern {key_pattern!r} does not fit {layout.m} data qubits")
-    data, x = [layout.data_qubit(j) for j in range(layout.m)], GateKind.X
-    flips = [(x, (q,)) for q, c in zip(data, key_pattern) if c == "0"]
-    sync = _sync_block(layout, data)
-    tree = mcz_tree(data, layout.ladder_qubits())
-    return Circuit(
-        layout.register_sizes, [*flips, *sync, *tree, *flips, *sync], validate=False
-    )
-
-
-def build_diffusion(layout: QdamLayout) -> Circuit:
-    """Reflection about the uniform index state: H then X conjugation of a
-    phase flip on the all-ones index branch.  The binary index qubits are
-    flat qubits 0 .. n-1.
-
-    From n = 4 the flip is a tree of Toffolis, and a sync block over the
-    index register lines its leaves up first: the inverse loader leaves
-    them staggered, which in a kernel would smear the tree's T layers.
-    Narrower flips are a single fragment and get none."""
-    index, h, x = range(layout.n), GateKind.H, GateKind.X
-    hs = [(h, (b,)) for b in index]
-    xs = [(x, (b,)) for b in index]
-    sync = _sync_block(layout, index) if layout.n >= 4 else []
-    tree = mcz_tree(index, layout.ladder_qubits())
-    return Circuit(
-        layout.register_sizes, [*hs, *xs, *sync, *tree, *xs, *hs], validate=False
-    )
-
-
-@dataclass(frozen=True)
-class KernelCircuits:
-    """Macro-level subroutine circuits for one kernel iteration; the loader
-    is stage 1 then stage 2.
-
-    Stage 2 is kept as the three tilings of
-    :func:`~qsearch.qdam.stage2_parts`, which the resource report schedules
-    forward and in reverse, each tiling as its block when every copy enters
-    at the same times and otherwise as its gates, which the tiling builds
-    once and ``stage2`` shares.  ``stage2``, the loader and the inverse
-    loader are built lazily, at most once each, for the simulator, the
-    lowering and ``compile``."""
-
-    layout: QdamLayout
-    stage1: Circuit
-    stage2_parts: tuple[Tiling, ...]
-    target_reflection: Circuit
-    diffusion: Circuit
-
-    @functools.cached_property
-    def stage2(self) -> Circuit:
-        return qdam.build_m2(self.layout, self.stage2_parts)
-
-    @functools.cached_property
-    def loader(self) -> Circuit:
-        return self.stage1 + self.stage2
-
-    @functools.cached_property
-    def loader_inverse(self) -> Circuit:
-        return self.loader.inverted()
-
-    def kernel(self) -> Circuit:
-        return (
-            self.loader
-            + self.target_reflection
-            + self.loader_inverse
-            + self.diffusion
-        )
-
-
 def build_kernel_circuits(
     layout: QdamLayout, db: Database | Sequence[str], key_pattern: str
 ) -> KernelCircuits:
@@ -251,13 +164,14 @@ def run_search(
     draws the index that many times, each with its exact probability, and
     takes the most frequent one, again the lowest on a tie.
     """
-    from . import resources  # local import to avoid a cycle
-
     query.validate(db)
     if not db.is_power_of_two:
         raise QueryError("database must be padded to a power of two")
     if db.size < 2:
         raise QueryError("search needs at least 2 records")
+    if db.key_width * db.size > MAX_SEARCH_BITS:
+        raise QueryError(f"search supports m * 2^n <= {MAX_SEARCH_BITS}, "
+                         f"got {db.key_width} * 2^{db.index_bits}")
     if shots is not None or seed is not None:
         if shots is None or seed is None or seed < 0:
             raise QueryError("sampled mode needs shots and a non-negative seed")
@@ -345,5 +259,5 @@ def run_search(
         success_probability=candidate_probability,
         iterations=iterations,
         probabilities=probabilities,
-        resources=resources.measure_kernel(circuits, iterations),
+        resources=measure_kernel(circuits, iterations),
     )

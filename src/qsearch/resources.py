@@ -11,98 +11,31 @@ subroutine by subroutine; its reflections are AND trees
 (:func:`qsearch.decompose.mcz_tree`), so their measured T-depth grows as
 the logarithm of the width.
 
-:class:`~qsearch.circuit.Schedule` schedules the TOFFOLI and MCZ (CCZ)
-macros through max-plus templates of their Clifford+T fragments, so a
-macro circuit's tally equals its lowering's by construction, and measuring
-the kernel lowers nothing.  :func:`measure_kernel` schedules the kernel in
-one pass and reads stage 1, the loader and the kernel off it as prefix
-snapshots; stage 2 and the two reflections, whose depths start from an
-empty schedule, are also tallied alone.  The inverse loader is tallied as
-the loader's gates in reverse order: the scheduler treats T like TDG and S
-like SDG, and the macros are self-adjoint, so the reversed stream tallies
-exactly as the adjoint circuit, which is never built.  Stage 2 is fed as
-its three tilings (:class:`~qsearch.circuit.Tiling`) in one call per pass:
-with zero keys every copy of a tiling enters at the same times, so the
-scheduler takes each block once, not per copy, and stage 2's gate list is
-never built.  Other keys stagger the copies, and such a tiling is fed as
-its gates, which it builds once.  The naive report streams its macro
+:func:`measure` tallies the optimized kernel over zero keys with
+:func:`qsearch.kernel.measure_kernel`.  The naive report streams its macro
 loader through :func:`tally_flat` and tallies its two reflections, a few
 hundred gates, on their lowering.
 """
 from __future__ import annotations
 
-import enum
 import io
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .circuit import Schedule, resource_tally, tally_flat
+from .circuit import resource_tally, tally_flat
 from .decompose import lower_circuit
 from .errors import InputError
-from .grover import (
-    KernelCircuits,
+from .grover import build_kernel_circuits, optimal_iterations
+from .kernel import (
+    ReportMode,
+    ResourceReport,
     build_diffusion,
-    build_kernel_circuits,
     build_target_reflection,
-    optimal_iterations,
+    measure_kernel,
 )
 from .qdam import NaiveLayout, QdamLayout, build_naive_qdam
 
 CSV_HEADER = "N,K,td_opt,td_naive,tcost_opt,tcost_naive"
-
-
-class ReportMode(enum.Enum):
-    BOUND_FORMULA = "bound"
-    MEASURED = "measured"
-    NAIVE_MEASURED = "naive"
-
-
-@dataclass(frozen=True)
-class ResourceReport:
-    n: int
-    m: int
-    t_depth_m1: int
-    t_depth_m2: int
-    t_depth_qdam: int
-    t_depth_oracle_reflection: int
-    t_depth_diffusion: int
-    t_depth_kernel: int
-    query_count: int
-    mode: ReportMode
-    qubit_total: int
-    t_count_total: int
-
-    @property
-    def database_size(self) -> int:
-        return 1 << self.n
-
-    @property
-    def t_cost(self) -> int:
-        return self.query_count * self.t_depth_kernel
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "N": self.database_size,
-            "t_depth_m1": self.t_depth_m1,
-            "t_depth_m2": self.t_depth_m2,
-            "t_depth_qdam": self.t_depth_qdam,
-            "t_depth_oracle_reflection": self.t_depth_oracle_reflection,
-            "t_depth_diffusion": self.t_depth_diffusion,
-            "t_depth_kernel": self.t_depth_kernel,
-            "query_count": self.query_count,
-            "t_cost": self.t_cost,
-            "mode": self.mode.value,
-            "qubit_total": self.qubit_total,
-            "t_count_total": self.t_count_total,
-        }
-
-    def to_csv(self) -> str:
-        doc = self.to_json()
-        header = ",".join(doc)
-        row = ",".join(str(v) for v in doc.values())
-        return f"{header}\n{row}\n"
 
 
 def reflection_depth_bound(width: int) -> int:
@@ -184,43 +117,6 @@ def _zero_keys(n: int, m: int) -> list[str]:
     a stage-2 T-depth above its bound, so there a zero-key report does not
     bound every database (ROADMAP item 4)."""
     return ["0" * m] * (1 << n)
-
-
-def measure_kernel(circuits: KernelCircuits, iterations: int) -> ResourceReport:
-    """Schedule the macro subroutines of one kernel and tally them as their
-    Clifford+T lowering.
-
-    One schedule takes the kernel in order: stage 1 (snapshot: stage 1),
-    stage 2 (snapshot: the loader), then the target reflection, the
-    loader's gates reversed as the inverse loader, and the diffusion
-    (snapshot: the kernel).  Stage 2 and the two reflections are also
-    tallied on their own, from an empty schedule; stage 2 from its first two
-    tilings, as the fan-in, all CNOTs, cannot move that tally."""
-    layout, parts = circuits.layout, circuits.stage2_parts
-    total = layout.total_qubits
-    kernel = Schedule(total)
-    t_m1 = kernel.feed(circuits.stage1.gates).tally()
-    t_loader = kernel.feed_tiled(*parts).tally()
-    kernel.feed(circuits.target_reflection.gates)
-    kernel.feed_tiled(*parts, reverse=True).feed(reversed(circuits.stage1.gates))
-    t_kernel = kernel.feed(circuits.diffusion.gates).tally()
-    t_m2 = Schedule(total).feed_tiled(*parts[:-1]).tally()
-    t_oracle = tally_flat(circuits.target_reflection.gates, total)
-    t_diff = tally_flat(circuits.diffusion.gates, total)
-    return ResourceReport(
-        n=layout.n,
-        m=layout.m,
-        t_depth_m1=t_m1.t_depth,
-        t_depth_m2=t_m2.t_depth,
-        t_depth_qdam=t_loader.t_depth,
-        t_depth_oracle_reflection=t_oracle.t_depth,
-        t_depth_diffusion=t_diff.t_depth,
-        t_depth_kernel=t_kernel.t_depth,
-        query_count=iterations,
-        mode=ReportMode.MEASURED,
-        qubit_total=layout.total_qubits,
-        t_count_total=t_kernel.t_count,
-    )
 
 
 def measure(n: int, m: int) -> ResourceReport:

@@ -38,8 +38,8 @@ from qsearch.circuit import (
 from qsearch.database import FORMAT_VERSION, Database
 from qsearch.decompose import shared_control_layer
 from qsearch.errors import CircuitError, MacroGateError
+from qsearch.kernel import ReportMode, ResourceReport
 from qsearch.qdam import _fold_fan_in, build_m1, build_m2, stage2_parts
-from qsearch.resources import ReportMode, ResourceReport
 from qsearch.sim import DROP_TOLERANCE, SparseState
 
 DEFAULT_DENSE_CAP = 14
@@ -447,7 +447,7 @@ def naive_loader_gates(layout, keys) -> tuple[Gate, ...]:
 
 
 def flat_measure_kernel(circuits, iterations: int) -> ResourceReport:
-    """:func:`qsearch.resources.measure_kernel` over the built gate lists:
+    """:func:`qsearch.kernel.measure_kernel` over the built gate lists:
     stage 2's materialized gates forward and standalone, and the loader's
     gates reversed as the inverse loader."""
     layout = circuits.layout

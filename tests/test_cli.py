@@ -249,6 +249,24 @@ def test_search_duplicate_keys_exit_three(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_search_above_the_record_bit_limit_exits_three(tmp_path, capsys, n):
+    # one key bit more than MAX_SEARCH_BITS = 2^15 record bits allows
+    m = (1 << (15 - n)) + 1
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({
+        "version": 1,
+        "fields": [{"name": "id", "bit_width": m}],
+        "key_field": "id",
+        "records": [{"id": format(i, f"0{m}b")} for i in range(1 << n)],
+    }))
+    code, out, err = _run(capsys, "search", "--db", str(big),
+                          "--key", "0" * m, "--return", "id")
+    assert code == 3
+    assert out == ""
+    assert err == f"error: search supports m * 2^n <= 32768, got {m} * 2^{n}\n"
+
+
 def test_search_width_mismatch_exits_three(capsys):
     code, _, _ = _run(capsys, "search", "--db", DATA_DB,
                       "--key", "01", "--return", "phone")

@@ -16,12 +16,11 @@ from qsearch.errors import CircuitError, InputError, QueryError
 from qsearch.grover import (
     MAX_SHOTS,
     SearchStatus,
-    build_diffusion,
     build_kernel_circuits,
-    build_target_reflection,
     optimal_iterations,
     run_search,
 )
+from qsearch.kernel import build_diffusion, build_target_reflection
 from qsearch.qdam import QdamLayout, build_m1, build_m2, stage2_parts
 from qsearch.resources import MAX_BOUND_N
 from qsearch.sim import (
@@ -323,6 +322,18 @@ def test_squares_that_miss_the_scale_are_rejected_in_both_modes(monkeypatch):
     for sampling in ({}, {"seed": 7, "shots": 16}):
         with pytest.raises(CircuitError, match="sum to"):
             run_search(toy_db(3), SearchQuery("101", "val"), **sampling)
+
+
+def test_search_caps_the_record_bits(monkeypatch):
+    from qsearch import grover
+
+    # toy_db(2) holds m * 2^n = 2 * 4 record bits
+    query = SearchQuery("10", "val")
+    monkeypatch.setattr(grover, "MAX_SEARCH_BITS", 8)
+    assert run_search(toy_db(2), query).status is SearchStatus.SOLVED
+    monkeypatch.setattr(grover, "MAX_SEARCH_BITS", 7)
+    with pytest.raises(QueryError, match=r"m \* 2\^n <= 7, got 2 \* 2\^2"):
+        run_search(toy_db(2), query)
 
 
 def test_search_rejects_a_nonpositive_iteration_count():

@@ -22,23 +22,21 @@ from qsearch.circuit import (
 from qsearch.decompose import lower_circuit
 from qsearch.errors import InputError
 from qsearch.database import SearchQuery
-from qsearch.grover import (
+from qsearch.grover import build_kernel_circuits, optimal_iterations, run_search
+from qsearch.kernel import (
+    ReportMode,
     build_diffusion,
-    build_kernel_circuits,
     build_target_reflection,
-    optimal_iterations,
-    run_search,
+    measure_kernel,
 )
 from qsearch.qdam import NaiveLayout, QdamLayout, build_m2, build_naive_qdam, stage2_parts
 from qsearch.resources import (
     CSV_HEADER,
-    ReportMode,
     _expand_flat,
     bench_csv,
     bench_scaling,
     estimate_bounds,
     measure,
-    measure_kernel,
     measure_naive,
 )
 

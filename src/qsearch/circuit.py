@@ -60,7 +60,7 @@ import json
 from itertools import chain
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import CircuitError, OperandOverlapError
+from .errors import CircuitError
 
 
 class Register(enum.Enum):
@@ -122,7 +122,7 @@ def gate(kind: GateKind, *qubits: int) -> Gate:
     if len(qubits) != arity:
         raise CircuitError(f"{kind.value} takes {arity} qubits, got {len(qubits)}")
     if len(set(qubits)) != len(qubits):
-        raise OperandOverlapError(f"duplicate operands in {kind.value}: {qubits}")
+        raise CircuitError(f"duplicate operands in {kind.value}: {qubits}")
     return (kind, tuple(qubits))
 
 
@@ -152,7 +152,7 @@ class Circuit:
             if len(ops) != arity(kind):
                 raise CircuitError(f"{kind} takes {arity(kind)} qubits, got {ops}")
             if len(set(ops)) != len(ops):
-                raise OperandOverlapError(f"duplicate operands in {kind.value}: {ops}")
+                raise CircuitError(f"duplicate operands in {kind.value}: {ops}")
             for q in ops:
                 if not 0 <= q < total:
                     raise CircuitError(f"qubit {q} outside the {total} qubits of {self!r}")
@@ -246,11 +246,11 @@ class Tiling:
         for q in operands:
             step = strides[q]
             if step < 1 or q < 0 or q + (copies - 1) * step >= total_qubits:
-                raise OperandOverlapError(f"copies of qubit {q} leave the circuit")
+                raise CircuitError(f"copies of qubit {q} leave the circuit")
             span = self.spans[q] = slice(q, q + copies * step, step)
             used[span] = ones
         if used.count(1) != len(operands) * copies:
-            raise OperandOverlapError("copies of the block overlap")
+            raise CircuitError("copies of the block overlap")
 
     @functools.cached_property
     def gates(self) -> tuple[Gate, ...]:
@@ -358,7 +358,7 @@ def decompose_toffoli(c1: int, c2: int, target: int) -> list[Gate]:
     the T stages, so they stay aligned whatever the operands' entry times:
     parallel fragments merge their T layers only if they do."""
     if len({c1, c2, target}) != 3:
-        raise OperandOverlapError("Toffoli operands must be distinct")
+        raise CircuitError("Toffoli operands must be distinct")
     h = (_H, (target,))
     return [h, *ccz_gates(c1, c2, target), h]
 

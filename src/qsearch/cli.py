@@ -11,8 +11,10 @@ Subcommands::
 
 Exit codes: 0 on success, 2 when a search ends in ALGORITHM_FAILURE or
 KEY_NOT_PRESENT, 3 on any input problem (bad file, width mismatch,
-duplicate keys, bad flags).  Outputs are byte-deterministic for fixed
-inputs and seed.
+duplicate keys, bad flags, a file over a size cap) and on a failed circuit
+check.  ``compile`` takes at most ``MAX_SEARCH_BITS`` record bits m * 2^n,
+as ``search`` does, and writes at most ``MAX_EXPORT_GATES`` gates.  Outputs
+are byte-deterministic for fixed inputs and seed.
 
 ``search --shots`` and ``--seed`` go together.  ``search`` takes the most
 probable or the most drawn index, the lowest on a tie.  With two records
@@ -28,8 +30,8 @@ from typing import Sequence
 
 from .database import SearchQuery, load_database_file, pad_to_power_of_two
 from .decompose import lower_circuit
-from .errors import InputError, QsearchError, QueryError
-from .grover import SearchStatus, build_kernel_circuits, run_search
+from .errors import InputError, QsearchError
+from .grover import MAX_SEARCH_BITS, SearchStatus, build_kernel_circuits, run_search
 from .qdam import NaiveLayout, QdamLayout, build_naive_qdam
 from .resources import (
     bench_csv,
@@ -42,6 +44,9 @@ from .resources import (
 EXIT_OK = 0
 EXIT_SEARCH_FAILED = 2
 EXIT_INPUT = 3
+# the most gates compile writes: the export holds about 1.2 KB of peak RSS
+# per gate, so this keeps a run near 1 GB
+MAX_EXPORT_GATES = 1 << 20
 
 
 class _Parser(argparse.ArgumentParser):
@@ -133,7 +138,10 @@ def _cmd_compile(args) -> int:
     query = SearchQuery(key_value=args.key, return_field=db.key_field)
     query.validate(db)
     if db.size < 2:
-        raise QueryError("compile needs at least 2 records")
+        raise InputError("compile needs at least 2 records")
+    if db.key_width * db.size > MAX_SEARCH_BITS:
+        raise InputError(f"compile supports m * 2^n <= {MAX_SEARCH_BITS}, "
+                         f"got {db.key_width} * 2^{db.index_bits}")
     if args.part == "naive":
         layout = NaiveLayout(db.index_bits, db.key_width)
         circuit = build_naive_qdam(layout, db.keys())
@@ -149,6 +157,9 @@ def _cmd_compile(args) -> int:
         }[args.part]
     if args.lowered:
         circuit = lower_circuit(circuit)
+    if len(circuit) > MAX_EXPORT_GATES:
+        raise InputError(f"compile writes at most {MAX_EXPORT_GATES} gates, "
+                         f"{args.part} has {len(circuit)}")
     _emit(circuit.export_json(), args.out)
     sys.stdout.write(f"wrote {args.part} ({len(circuit)} gates) to {args.out}\n")
     return EXIT_OK

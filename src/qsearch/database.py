@@ -20,24 +20,18 @@ import json
 from dataclasses import dataclass, replace
 from typing import Mapping
 
-from .errors import (
-    DatabaseFormatError,
-    DuplicateKeyError,
-    FieldWidthError,
-    KeySpaceExhaustedError,
-    UnknownFieldError,
-)
+from .errors import InputError
 
 FORMAT_VERSION = 1
 
 
 def _check_bits(value: str, width: int, where: str) -> None:
     if len(value) != width:
-        raise FieldWidthError(
+        raise InputError(
             f"{where}: value {value!r} has width {len(value)}, declared {width}"
         )
     if any(ch not in "01" for ch in value):
-        raise DatabaseFormatError(f"{where}: value {value!r} is not a bit string")
+        raise InputError(f"{where}: value {value!r} is not a bit string")
 
 
 @dataclass(frozen=True)
@@ -47,7 +41,7 @@ class FieldSpec:
 
     def __post_init__(self) -> None:
         if self.bit_width < 1:
-            raise DatabaseFormatError(f"field {self.name!r}: bit_width must be >= 1")
+            raise InputError(f"field {self.name!r}: bit_width must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -65,18 +59,18 @@ class Database:
     def __post_init__(self) -> None:
         names = [f.name for f in self.fields]
         if len(set(names)) != len(names):
-            raise DatabaseFormatError("field names must be unique")
+            raise InputError("field names must be unique")
         if self.key_field not in names:
-            raise UnknownFieldError(f"unknown key_field {self.key_field!r}")
+            raise InputError(f"unknown key_field {self.key_field!r}")
         if not self.records:
-            raise DatabaseFormatError("database needs at least one record")
+            raise InputError("database needs at least one record")
         widths = {f.name: f.bit_width for f in self.fields}
         seen: set[str] = set()
         for i, rec in enumerate(self.records):
             if set(rec.values) != set(names):
                 missing = set(names) - set(rec.values)
                 extra = set(rec.values) - set(names)
-                raise DatabaseFormatError(
+                raise InputError(
                     f"record {i}: missing fields {sorted(missing)}, "
                     f"undeclared fields {sorted(extra)}"
                 )
@@ -84,7 +78,7 @@ class Database:
                 _check_bits(value, widths[name], f"record {i} field {name!r}")
             key = rec.values[self.key_field]
             if key in seen:
-                raise DuplicateKeyError(f"record {i}: duplicate key value {key!r}")
+                raise InputError(f"record {i}: duplicate key value {key!r}")
             seen.add(key)
 
     # -- shape -----------------------------------------------------------
@@ -110,7 +104,7 @@ class Database:
         for f in self.fields:
             if f.name == name:
                 return f
-        raise UnknownFieldError(f"unknown field {name!r}")
+        raise InputError(f"unknown field {name!r}")
 
     def keys(self) -> list[str]:
         return [r.values[self.key_field] for r in self.records]
@@ -142,7 +136,7 @@ def _typed(value, kind: type, where: str):
     """``value`` if its JSON type is exactly ``kind``: a boolean is no
     integer, and a number is no string."""
     if type(value) is not kind:
-        raise DatabaseFormatError(
+        raise InputError(
             f"{where} must be a JSON {_JSON_NAMES[kind]}, "
             f"got {_JSON_NAMES[type(value)]}"
         )
@@ -158,11 +152,11 @@ def load_database(document: str) -> Database:
     except (ValueError, RecursionError) as exc:
         # ValueError also covers integers past the digit limit, and deep
         # nesting exhausts the decoder's recursion
-        raise DatabaseFormatError(f"invalid JSON: {exc}") from exc
+        raise InputError(f"invalid JSON: {exc}") from exc
     _typed(doc, dict, "top-level document")
     version = doc.get("version")
     if type(version) is not int or version != FORMAT_VERSION:
-        raise DatabaseFormatError(f"unsupported version {version!r}")
+        raise InputError(f"unsupported version {version!r}")
     try:
         fields = []
         for i, entry in enumerate(_typed(doc["fields"], list, "fields")):
@@ -178,7 +172,7 @@ def load_database(document: str) -> Database:
             for i, entry in enumerate(_typed(doc["records"], list, "records"))
         )
     except KeyError as exc:
-        raise DatabaseFormatError(f"malformed document: missing key {exc}") from exc
+        raise InputError(f"malformed document: missing key {exc}") from exc
     return Database(fields=tuple(fields), records=records, key_field=key_field)
 
 
@@ -187,7 +181,7 @@ def load_database_file(path: str) -> Database:
         with open(path, "r", encoding="ascii") as handle:
             return load_database(handle.read())
     except (OSError, UnicodeDecodeError) as exc:
-        raise DatabaseFormatError(f"cannot read {path}: {exc}") from exc
+        raise InputError(f"cannot read {path}: {exc}") from exc
 
 
 def pad_to_power_of_two(db: Database) -> Database:
@@ -202,7 +196,7 @@ def pad_to_power_of_two(db: Database) -> Database:
     target = 1 << db.index_bits
     width = db.key_width
     if (1 << width) < target:
-        raise KeySpaceExhaustedError(
+        raise InputError(
             f"cannot pad to {target} records: key field has only "
             f"{1 << width} distinct values"
         )

@@ -29,7 +29,7 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 from .circuit import Circuit, Gate, GateKind, ccz_gates, decompose_toffoli
-from .errors import AncillaBudgetError, OperandOverlapError
+from .errors import CircuitError
 
 # the kinds bound once: a ``GateKind.X`` load costs several times a global's
 _S, _SDG, _CNOT, _TOFFOLI, _MCZ = (GateKind.S, GateKind.SDG, GateKind.CNOT,
@@ -47,24 +47,24 @@ def shared_control_layer(
     Returns macro-level gates (CNOT fan-out + TOFFOLI macros + fan-in).
     Needs ``len(pairs) - 1`` borrowed ancillas; they are restored to |0>.
     The shared control, the pair operands and the ancillas used must be
-    pairwise distinct, else :class:`OperandOverlapError`; the gates are
+    pairwise distinct, else :class:`CircuitError`; the gates are
     then distinct-operand by construction and emitted unchecked.
     """
     if not pairs:
         return []
     operands = {shared_control, *chain.from_iterable(pairs)}
     if len(operands) != 2 * len(pairs) + 1:
-        raise OperandOverlapError(f"an operand is reused in the layer over {pairs}")
+        raise CircuitError(f"an operand is reused in the layer over {pairs}")
 
     needed = len(pairs) - 1
     ancillas = tuple(fanout_ancillas)[:needed]
     if len(ancillas) < needed:
-        raise AncillaBudgetError(
+        raise CircuitError(
             f"shared-control layer over {len(pairs)} pairs needs {needed} "
             f"fan-out ancillas, got {len(ancillas)}"
         )
     if len(operands.union(ancillas)) != len(operands) + needed:
-        raise OperandOverlapError(f"fan-out ancillas {ancillas} repeat or overlap an operand")
+        raise CircuitError(f"fan-out ancillas {ancillas} repeat or overlap an operand")
 
     gates: list[Gate] = []
     carriers = [shared_control]
@@ -108,9 +108,9 @@ def sync_touch(qubits: Sequence[int]) -> list[Gate]:
     if k == 0:
         return []
     if k & (k - 1):
-        raise OperandOverlapError("sync block needs a power-of-two qubit count")
+        raise CircuitError("sync block needs a power-of-two qubit count")
     if len(set(qubits)) != k:
-        raise OperandOverlapError("sync qubits must be distinct")
+        raise CircuitError("sync qubits must be distinct")
     gates: list[Gate] = []
     r = 1
     while r < k:
@@ -149,15 +149,15 @@ def mcz_tree(qubits: Sequence[int], ancillas: Sequence[int] = ()) -> list[Gate]:
     qubits = tuple(qubits)
     k = len(qubits)
     if k == 0 or len(set(qubits)) != k:
-        raise OperandOverlapError("phase flip needs one or more distinct qubits")
+        raise CircuitError("phase flip needs one or more distinct qubits")
     needed = max(0, k - 3)
     borrowed = tuple(ancillas)[:needed]
     if len(borrowed) < needed:
-        raise AncillaBudgetError(
+        raise CircuitError(
             f"{k - 1}-control Z needs {needed} ladder ancillas, got {len(borrowed)}"
         )
     if set(borrowed) & set(qubits):
-        raise OperandOverlapError("ladder ancilla overlaps an operand")
+        raise CircuitError("ladder ancilla overlaps an operand")
     if k <= 3:
         return [(_SMALL_FLIP[k], qubits)]
     fresh = iter(borrowed)

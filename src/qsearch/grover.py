@@ -50,7 +50,7 @@ from typing import Iterable, Sequence
 
 from .database import Database, SearchQuery
 from .decompose import lower_circuit
-from .errors import CircuitError, InputError, QueryError
+from .errors import CircuitError, InputError
 from . import qdam  # builders looked up at call time: the benchmark's tracer patches them
 from .kernel import (
     KernelCircuits,
@@ -166,17 +166,17 @@ def run_search(
     """
     query.validate(db)
     if not db.is_power_of_two:
-        raise QueryError("database must be padded to a power of two")
+        raise InputError("database must be padded to a power of two")
     if db.size < 2:
-        raise QueryError("search needs at least 2 records")
+        raise InputError("search needs at least 2 records")
     if db.key_width * db.size > MAX_SEARCH_BITS:
-        raise QueryError(f"search supports m * 2^n <= {MAX_SEARCH_BITS}, "
+        raise InputError(f"search supports m * 2^n <= {MAX_SEARCH_BITS}, "
                          f"got {db.key_width} * 2^{db.index_bits}")
     if shots is not None or seed is not None:
         if shots is None or seed is None or seed < 0:
-            raise QueryError("sampled mode needs shots and a non-negative seed")
+            raise InputError("sampled mode needs shots and a non-negative seed")
         if not 1 <= shots <= MAX_SHOTS:
-            raise QueryError(f"shots must be in 1..{MAX_SHOTS}, got {shots}")
+            raise InputError(f"shots must be in 1..{MAX_SHOTS}, got {shots}")
     optimal = optimal_iterations(db.size)
     if iterations is None:
         iterations = optimal
@@ -185,7 +185,7 @@ def run_search(
     # 4K rounds turn the Grover angle through a full circle; more rounds
     # only repeat states that fewer reach, at a cost quadratic in the count
     if iterations > 4 * optimal + 4:
-        raise QueryError(
+        raise InputError(
             f"at most {4 * optimal + 4} iterations at N={db.size}, got {iterations}"
         )
 

@@ -26,7 +26,7 @@ from typing import Sequence
 
 from .circuit import Circuit, Gate, GateKind, Schedule, Tiling, tally_flat
 from .decompose import mcz_tree, sync_touch
-from .errors import QueryError
+from .errors import InputError
 from . import qdam  # build_m2 looked up at call time: the benchmark's tracer patches it
 from .qdam import QdamLayout
 
@@ -55,7 +55,7 @@ def build_target_reflection(layout: QdamLayout, key_pattern: str) -> Circuit:
     enter staggered.
     """
     if len(key_pattern) != layout.m or any(c not in "01" for c in key_pattern):
-        raise QueryError(f"pattern {key_pattern!r} does not fit {layout.m} data qubits")
+        raise InputError(f"pattern {key_pattern!r} does not fit {layout.m} data qubits")
     data, x = [layout.data_qubit(j) for j in range(layout.m)], GateKind.X
     flips = [(x, (q,)) for q, c in zip(data, key_pattern) if c == "0"]
     sync = _sync_block(layout, data)

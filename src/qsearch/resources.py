@@ -18,8 +18,6 @@ hundred gates, on their lowering.
 """
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .circuit import resource_tally, tally_flat
@@ -165,52 +163,22 @@ def measure_naive(n: int, m: int) -> ResourceReport:
     )
 
 
-@dataclass(frozen=True)
-class BenchRow:
-    database_size: int
-    iterations: int
-    t_depth_optimized: int
-    t_depth_naive: int
-    t_cost_optimized: int
-    t_cost_naive: int
-
-    def to_csv_row(self) -> str:
-        return (
-            f"{self.database_size},{self.iterations},{self.t_depth_optimized},"
-            f"{self.t_depth_naive},{self.t_cost_optimized},{self.t_cost_naive}"
-        )
-
-
 MAX_BENCH_N = 12
 
 
-def bench_scaling(n_values: Iterable[int], m: int) -> list[BenchRow]:
-    """Measured loader depths and kernel costs, optimized vs naive, one row
-    per index width.  Resource mode only: nothing is simulated."""
+def bench_scaling(n_values: Iterable[int],
+                  m: int) -> list[tuple[ResourceReport, ResourceReport]]:
+    """Measured ``(optimized, naive)`` report pairs, one per index width.
+    Resource mode only: nothing is simulated."""
     n_values = list(n_values)
     # every row is checked before any is measured
     for n in n_values:
         _check_widths(n, m, MAX_BENCH_N, MAX_NAIVE_BITS)
-    rows: list[BenchRow] = []
-    for n in n_values:
-        opt = measure(n, m)
-        naive = measure_naive(n, m)
-        rows.append(
-            BenchRow(
-                database_size=1 << n,
-                iterations=opt.query_count,
-                t_depth_optimized=opt.t_depth_qdam,
-                t_depth_naive=naive.t_depth_qdam,
-                t_cost_optimized=opt.t_cost,
-                t_cost_naive=naive.t_cost,
-            )
-        )
-    return rows
+    return [(measure(n, m), measure_naive(n, m)) for n in n_values]
 
 
-def bench_csv(rows: Sequence[BenchRow]) -> str:
-    out = io.StringIO()
-    out.write(CSV_HEADER + "\n")
-    for row in rows:
-        out.write(row.to_csv_row() + "\n")
-    return out.getvalue()
+def bench_csv(rows: Sequence[tuple[ResourceReport, ResourceReport]]) -> str:
+    """One CSV line per pair: the loader depths and kernel costs side by side."""
+    return "".join([CSV_HEADER + "\n"] + [
+        f"{opt.database_size},{opt.query_count},{opt.t_depth_qdam},"
+        f"{naive.t_depth_qdam},{opt.t_cost},{naive.t_cost}\n" for opt, naive in rows])

@@ -19,7 +19,7 @@ branch 0 alone the whole diffusion is the closed form
 
 ``SparseState`` stores a normalized amplitude map keyed by basis integers
 and applies *lowered* circuits; a macro gate raises
-:class:`MacroGateError`.  It is the reference the bit-sliced path is
+:class:`CircuitError`.  It is the reference the bit-sliced path is
 tested against on Clifford+T, and the search's reload check: one branch
 through the lowered loader.  It makes one pass per H-free run of the
 circuit: every gate but H maps a basis label to one label times a phase,
@@ -34,7 +34,7 @@ import math
 from typing import Mapping
 
 from .circuit import Circuit, GateKind, LOWERED_KINDS
-from .errors import CircuitError, MacroGateError
+from .errors import CircuitError
 
 DROP_TOLERANCE = 1e-14
 
@@ -75,7 +75,7 @@ class SparseState:
         """Run a lowered circuit, one H-free run at a time: each label goes
         through the whole run in one inner loop, and the run writes one new
         map.  Phases multiply in gate order, as they would gate by gate.
-        Raises :class:`MacroGateError` if the circuit holds a macro gate,
+        Raises :class:`CircuitError` if the circuit holds a macro gate,
         with the input state untouched."""
         if circuit.total_qubits != self.total_qubits:
             raise CircuitError("circuit width does not match the state")
@@ -112,7 +112,7 @@ class SparseState:
                 break
             kind, flats = gates[stop]
             if kind is not k_h:
-                raise MacroGateError(
+                raise CircuitError(
                     f"simulation requires a lowered circuit, got {kind.value}"
                 )
             mask = bit[flats[0]]

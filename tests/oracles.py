@@ -37,7 +37,7 @@ from qsearch.circuit import (
 )
 from qsearch.database import FORMAT_VERSION, Database
 from qsearch.decompose import shared_control_layer
-from qsearch.errors import CircuitError, MacroGateError
+from qsearch.errors import CircuitError
 from qsearch.kernel import ReportMode, ResourceReport
 from qsearch.qdam import _fold_fan_in, build_m1, build_m2, stage2_parts
 from qsearch.sim import DROP_TOLERANCE, SparseState
@@ -64,7 +64,7 @@ class DenseCapError(CircuitError):
 
 def dense_apply(circuit: Circuit, array: np.ndarray) -> np.ndarray:
     """Apply a lowered circuit to axis 0 of ``array`` (vector or matrix),
-    in place.  Raises :class:`MacroGateError` at the first macro gate."""
+    in place.  Raises :class:`CircuitError` at the first macro gate."""
     k = circuit.total_qubits
     dim = 1 << k
     if array.shape[0] != dim:
@@ -106,7 +106,7 @@ def dense_apply(circuit: Circuit, array: np.ndarray) -> np.ndarray:
             sel = (idx & mask) == mask
             batch[sel] = -batch[sel]
         else:
-            raise MacroGateError(
+            raise CircuitError(
                 f"simulation requires a lowered circuit, got {kind.value}"
             )
     return batch.reshape(array.shape)
@@ -144,7 +144,7 @@ def to_unitary(circuit: Circuit, max_qubits: int | None = None) -> np.ndarray:
     ``DEFAULT_DENSE_CAP`` = 14 qubits) raises :class:`DenseCapError`.
     """
     if not circuit.is_lowered:
-        raise MacroGateError("to_unitary requires a lowered circuit")
+        raise CircuitError("to_unitary requires a lowered circuit")
     cap = max_qubits if max_qubits is not None else DEFAULT_DENSE_CAP
     if circuit.total_qubits > cap:
         raise DenseCapError(
@@ -221,7 +221,7 @@ def gatewise_apply(state: SparseState, circuit: Circuit) -> SparseState:
     amplitude map per X, CNOT and H, phases updated in place.  The same
     phase products in the same order, so it must agree with ``apply``
     exactly, key order and ``peak_support`` included.  Raises
-    :class:`MacroGateError` at the first macro gate, with ``state``
+    :class:`CircuitError` at the first macro gate, with ``state``
     untouched."""
     if circuit.total_qubits != state.total_qubits:
         raise CircuitError("circuit width does not match the state")
@@ -259,7 +259,7 @@ def gatewise_apply(state: SparseState, circuit: Circuit) -> SparseState:
         else:
             phase = _PHASES.get(kind)
             if phase is None:
-                raise MacroGateError(
+                raise CircuitError(
                     f"simulation requires a lowered circuit, got {kind.value}"
                 )
             mask = bit[flats[0]]

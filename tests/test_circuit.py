@@ -25,11 +25,7 @@ from qsearch.decompose import (
     lower_circuit,
     sync_touch,
 )
-from qsearch.errors import (
-    CircuitError,
-    MacroGateError,
-    OperandOverlapError,
-)
+from qsearch.errors import CircuitError
 
 from conftest import ideal_toffoli_matrix, random_lowered_circuit
 from oracles import (
@@ -145,7 +141,7 @@ def test_metrics_schedule_macros_as_their_lowering():
     # an MCZ is a CCZ: no wider one is built
     with pytest.raises(CircuitError):
         gate(GateKind.MCZ, *_q[:4])
-    with pytest.raises(MacroGateError):
+    with pytest.raises(CircuitError, match="to_unitary requires a lowered circuit"):
         to_unitary(circ)
 
 
@@ -368,10 +364,10 @@ def test_tiling_bounds_every_copy_explicitly():
     block = [gate(GateKind.X, 2)]
     # a stride-1 slice assignment one copy past the end would grow the
     # marking array instead of raising
-    with pytest.raises(OperandOverlapError):
+    with pytest.raises(CircuitError, match="copies of qubit 2 leave the circuit"):
         Tiling(block, {2: 1}, 3, 4)
     assert Tiling(block, {2: 1}, 2, 4).gates == ((GateKind.X, (2,)), (GateKind.X, (3,)))
-    with pytest.raises(OperandOverlapError):  # copies at 1 and 3, then 5
+    with pytest.raises(CircuitError, match="copies of qubit 1 leave the circuit"):  # 1, 3, 5
         Tiling([gate(GateKind.X, 1)], {1: 2}, 3, 5)
 
 
@@ -397,7 +393,7 @@ def test_template_derivation_rejects_fragments_that_are_not_rank_one():
 
 
 def test_gate_operands_must_be_distinct():
-    with pytest.raises(OperandOverlapError):
+    with pytest.raises(CircuitError, match="duplicate operands in CNOT"):
         gate(GateKind.CNOT, _q[0], _q[0])
 
 

@@ -249,9 +249,9 @@ def test_search_duplicate_keys_exit_three(tmp_path, capsys):
     assert code == 3
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_search_above_the_record_bit_limit_exits_three(tmp_path, capsys, n):
-    # one key bit more than MAX_SEARCH_BITS = 2^15 record bits allows
+def _over_the_record_bit_limit(tmp_path, n: int) -> tuple[str, int]:
+    """A 2^n-record database with one key bit more than MAX_SEARCH_BITS =
+    2^15 record bits allows: its path and its key width."""
     m = (1 << (15 - n)) + 1
     big = tmp_path / "big.json"
     big.write_text(json.dumps({
@@ -260,11 +260,55 @@ def test_search_above_the_record_bit_limit_exits_three(tmp_path, capsys, n):
         "key_field": "id",
         "records": [{"id": format(i, f"0{m}b")} for i in range(1 << n)],
     }))
-    code, out, err = _run(capsys, "search", "--db", str(big),
+    return str(big), m
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_search_above_the_record_bit_limit_exits_three(tmp_path, capsys, n):
+    big, m = _over_the_record_bit_limit(tmp_path, n)
+    code, out, err = _run(capsys, "search", "--db", big,
                           "--key", "0" * m, "--return", "id")
     assert code == 3
     assert out == ""
     assert err == f"error: search supports m * 2^n <= 32768, got {m} * 2^{n}\n"
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_compile_above_the_record_bit_limit_exits_three(tmp_path, capsys, monkeypatch, n):
+    from qsearch import cli
+
+    def refuse(*args):
+        raise AssertionError("compile built a circuit")
+
+    monkeypatch.setattr(cli, "build_kernel_circuits", refuse)
+    monkeypatch.setattr(cli, "build_naive_qdam", refuse)
+    big, m = _over_the_record_bit_limit(tmp_path, n)
+    for part in ("kernel", "naive"):
+        code, out, err = _run(capsys, "compile", "--db", big, "--key", "0" * m,
+                              "--part", part, "--out", str(tmp_path / "x.json"))
+        assert code == 3
+        assert out == ""
+        assert err == f"error: compile supports m * 2^n <= 32768, got {m} * 2^{n}\n"
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_compile_above_the_gate_limit_exits_three(tmp_path, capsys, monkeypatch):
+    from qsearch import cli
+
+    out_path = tmp_path / "x.json"
+    argv = ["compile", "--db", DATA_DB, "--key", "0101", "--out", str(out_path)]
+    # the macro loader holds 175 gates and the lowered kernel 2,142
+    monkeypatch.setattr(cli, "MAX_EXPORT_GATES", 175)
+    assert _run(capsys, *argv)[0] == 0
+    out_path.unlink()
+    monkeypatch.setattr(cli, "MAX_EXPORT_GATES", 174)
+    for extra, message in (([], "qdam has 175"),
+                           (["--part", "kernel", "--lowered"], "kernel has 2142")):
+        code, out, err = _run(capsys, *argv, *extra)
+        assert code == 3
+        assert out == ""
+        assert err == f"error: compile writes at most 174 gates, {message}\n"
+        assert not out_path.exists()
 
 
 def test_search_width_mismatch_exits_three(capsys):

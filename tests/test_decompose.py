@@ -21,7 +21,7 @@ from qsearch.decompose import (
     shared_control_layer,
     sync_touch,
 )
-from qsearch.errors import AncillaBudgetError, OperandOverlapError
+from qsearch.errors import CircuitError
 from qsearch.sim import SlicedState
 
 from conftest import columns_on_zero_ancilla, ideal_mcz_matrix, ideal_toffoli_matrix
@@ -76,7 +76,7 @@ def test_toffoli_depth_three_survives_entry_staggering():
 
 
 def test_toffoli_rejects_duplicate_operands():
-    with pytest.raises(OperandOverlapError):
+    with pytest.raises(CircuitError, match="Toffoli operands must be distinct"):
         decompose_toffoli(_d(0), _d(0), _d(1))
 
 
@@ -129,7 +129,7 @@ def test_layer_restores_borrowed_ancillas():
 
 
 def test_layer_rejects_overlapping_pairs():
-    with pytest.raises(OperandOverlapError):
+    with pytest.raises(CircuitError, match="an operand is reused in the layer"):
         shared_control_layer(_d(0), [(_d(1), _d(2)), (_d(2), _d(3))], [_a(0, 4)])
 
 
@@ -144,12 +144,12 @@ _THREE_PAIRS = [(_d(1), _d(2)), (_d(3), _d(4)), (_d(5), _d(6))]
 ], ids=["shared-control", "second-control", "target", "other-pair-target",
         "leased-twice"])
 def test_layer_rejects_a_fanout_ancilla_that_overlaps_an_operand(ancillas):
-    with pytest.raises(OperandOverlapError):
+    with pytest.raises(CircuitError, match="repeat or overlap an operand"):
         shared_control_layer(_d(0), _THREE_PAIRS, ancillas)
 
 
 def test_layer_rejects_insufficient_ancillas():
-    with pytest.raises(AncillaBudgetError):
+    with pytest.raises(CircuitError, match="needs 1 fan-out ancillas, got 0"):
         shared_control_layer(_d(0), [(_d(1), _d(2)), (_d(3), _d(4))], [])
 
 
@@ -261,11 +261,11 @@ def test_tree_uses_the_ladders_toffolis_and_ancillas():
 
 
 def test_tree_rejects_bad_operands():
-    with pytest.raises(AncillaBudgetError):
+    with pytest.raises(CircuitError, match="4-control Z needs 2 ladder ancillas, got 1"):
         mcz_tree([_d(i) for i in range(5)], [_a(0, 5)])
-    with pytest.raises(OperandOverlapError):
+    with pytest.raises(CircuitError, match="ladder ancilla overlaps an operand"):
         mcz_tree([_d(i) for i in range(5)], [_a(0, 5), _d(0)])
-    with pytest.raises(OperandOverlapError):
+    with pytest.raises(CircuitError, match="phase flip needs one or more distinct qubits"):
         mcz_tree([_d(0), _d(0)])
 
 
@@ -289,5 +289,5 @@ def test_sync_touch_is_identity_and_equalizes_timing():
 
 
 def test_sync_touch_requires_power_of_two():
-    with pytest.raises(OperandOverlapError):
+    with pytest.raises(CircuitError, match="sync block needs a power-of-two qubit count"):
         sync_touch([_d(0), _d(1), _d(2)])

@@ -12,7 +12,7 @@ import pytest
 from qsearch.circuit import Circuit, GateKind, Register, gate, resource_tally
 from qsearch.database import SearchQuery, pad_to_power_of_two
 from qsearch.decompose import lower_circuit
-from qsearch.errors import CircuitError, InputError, QueryError
+from qsearch.errors import CircuitError, InputError
 from qsearch.grover import (
     MAX_SHOTS,
     SearchStatus,
@@ -97,7 +97,7 @@ def test_reflection_m3_depth_and_action(pattern):
 
 def test_reflection_rejects_bad_pattern():
     layout = QdamLayout(1, 2)
-    with pytest.raises(QueryError):
+    with pytest.raises(InputError, match="pattern '1' does not fit 2 data qubits"):
         build_target_reflection(layout, "1")
 
 
@@ -260,23 +260,23 @@ def test_sampled_mode_is_deterministic_given_seed():
     second = run_search(db, query, seed=9, shots=32)
     assert first.candidate_index == second.candidate_index
     assert first.to_json() == second.to_json()
-    with pytest.raises(QueryError):
+    with pytest.raises(InputError, match="sampled mode needs shots and a non-negative seed"):
         run_search(db, query, shots=32)
-    with pytest.raises(QueryError, match="shots"):
+    with pytest.raises(InputError, match="sampled mode needs shots and a non-negative seed"):
         run_search(db, query, seed=9)  # a seed alone is not silently ignored
 
 
 def test_sampled_mode_rejects_nonpositive_shots():
     db = toy_db(3)
-    with pytest.raises(QueryError, match="shots"):
+    with pytest.raises(InputError, match=r"shots must be in 1\.\.\d+, got 0"):
         run_search(db, SearchQuery("101", "val"), seed=9, shots=0)
 
 
 def test_sampled_mode_rejects_a_negative_seed_and_too_many_shots():
     db = toy_db(3)
-    with pytest.raises(QueryError, match="seed"):
+    with pytest.raises(InputError, match="sampled mode needs shots and a non-negative seed"):
         run_search(db, SearchQuery("101", "val"), seed=-1, shots=3)
-    with pytest.raises(QueryError, match="shots"):
+    with pytest.raises(InputError, match=f"shots must be in 1..{MAX_SHOTS}, got {MAX_SHOTS + 1}"):
         run_search(db, SearchQuery("101", "val"), seed=1, shots=MAX_SHOTS + 1)
 
 
@@ -332,7 +332,7 @@ def test_search_caps_the_record_bits(monkeypatch):
     monkeypatch.setattr(grover, "MAX_SEARCH_BITS", 8)
     assert run_search(toy_db(2), query).status is SearchStatus.SOLVED
     monkeypatch.setattr(grover, "MAX_SEARCH_BITS", 7)
-    with pytest.raises(QueryError, match=r"m \* 2\^n <= 7, got 2 \* 2\^2"):
+    with pytest.raises(InputError, match=r"m \* 2\^n <= 7, got 2 \* 2\^2"):
         run_search(toy_db(2), query)
 
 
@@ -346,7 +346,7 @@ def test_search_caps_iterations_at_a_full_rotation():
     bound = 4 * optimal_iterations(db.size) + 4
     res = run_search(db, SearchQuery("101", "val"), iterations=bound)
     assert res.iterations == bound and len(res.probabilities) == bound + 1
-    with pytest.raises(QueryError, match="iterations"):
+    with pytest.raises(InputError, match=f"at most {bound} iterations at N=8, got {bound + 1}"):
         run_search(db, SearchQuery("101", "val"), iterations=bound + 1)
 
 
@@ -363,7 +363,7 @@ def test_search_rejects_unpadded_database():
 
     db = toy_db(2)
     odd = Database(fields=db.fields, records=db.records[:3], key_field="key")
-    with pytest.raises(QueryError):
+    with pytest.raises(InputError, match="database must be padded to a power of two"):
         run_search(odd, SearchQuery("01", "val"))
 
 

@@ -126,16 +126,28 @@ def gate(kind: GateKind, *qubits: int) -> Gate:
     return (kind, tuple(qubits))
 
 
-class Circuit:
-    """Ordered gate list over sized registers.  Immutable once built."""
+# where a lowered macro's fragment sits in a gate list, as the half-open
+# ``(start, stop)`` of its gates, and the operands that must all be 1 for
+# it to act: a Toffoli's two controls, or all three qubits of a CCZ
+FragmentSpan = tuple[int, int, tuple[int, ...]]
 
-    __slots__ = ("register_sizes", "gates", "total_qubits")
+
+class Circuit:
+    """Ordered gate list over sized registers.  Immutable once built.
+
+    ``fragment_spans`` lists, in gate order, the span of every fragment a
+    lowering emitted (:func:`qsearch.decompose.lower_circuit` alone fills
+    it); it is empty otherwise, and for any circuit composed or inverted
+    from others."""
+
+    __slots__ = ("register_sizes", "gates", "total_qubits", "fragment_spans")
 
     def __init__(
         self,
         register_sizes: Mapping[Register, int],
         gates: Iterable[Gate] = (),
         validate: bool = True,
+        fragment_spans: tuple[FragmentSpan, ...] = (),
     ):
         sizes = {reg: int(register_sizes.get(reg, 0)) for reg in REGISTER_ORDER}
         if any(v < 0 for v in sizes.values()):
@@ -143,6 +155,7 @@ class Circuit:
         self.register_sizes: dict[Register, int] = sizes
         self.gates: tuple[Gate, ...] = tuple(gates)
         self.total_qubits: int = sum(sizes.values())
+        self.fragment_spans = fragment_spans
         if validate:
             self._validate()
 

@@ -31,7 +31,7 @@ from typing import Sequence
 from .database import SearchQuery, load_database_file, pad_to_power_of_two
 from .decompose import lower_circuit
 from .errors import InputError, QsearchError
-from .grover import MAX_SEARCH_BITS, SearchStatus, build_kernel_circuits, run_search
+from .grover import SearchStatus, build_kernel_circuits, check_record_bits, run_search
 from .qdam import NaiveLayout, QdamLayout, build_naive_qdam
 from .resources import (
     bench_csv,
@@ -139,9 +139,7 @@ def _cmd_compile(args) -> int:
     query.validate(db)
     if db.size < 2:
         raise InputError("compile needs at least 2 records")
-    if db.key_width * db.size > MAX_SEARCH_BITS:
-        raise InputError(f"compile supports m * 2^n <= {MAX_SEARCH_BITS}, "
-                         f"got {db.key_width} * 2^{db.index_bits}")
+    check_record_bits(db, "compile")
     if args.part == "naive":
         layout = NaiveLayout(db.index_bits, db.key_width)
         circuit = build_naive_qdam(layout, db.keys())

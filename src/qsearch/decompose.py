@@ -19,16 +19,25 @@ builds the macro-level subroutines from three blocks:
   use it.
 
 :func:`lower_gates` is the only lowering: it maps each TOFFOLI and MCZ
-macro to its fragment, into one gate list.  Operands are flat qubit
-indices, as everywhere in :mod:`qsearch.circuit`.  All emitted ancillas
-are returned to |0> on every input.
+macro to its fragment, into one gate list, and records where each
+fragment sits and which operands must all be 1 for it to act, so the
+sparse simulator can skip the fragments that cannot act on its support.
+Operands are flat qubit indices, as everywhere in :mod:`qsearch.circuit`.
+All emitted ancillas are returned to |0> on every input.
 """
 from __future__ import annotations
 
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .circuit import Circuit, Gate, GateKind, ccz_gates, decompose_toffoli
+from .circuit import (
+    Circuit,
+    FragmentSpan,
+    Gate,
+    GateKind,
+    ccz_gates,
+    decompose_toffoli,
+)
 from .errors import CircuitError
 
 # the kinds bound once: a ``GateKind.X`` load costs several times a global's
@@ -186,16 +195,20 @@ def mcz_tree(qubits: Sequence[int], ancillas: Sequence[int] = ()) -> list[Gate]:
     return up + mirror
 
 
-def lower_gates(gates: Iterable[Gate]) -> list[Gate]:
+def lower_gates(gates: Iterable[Gate]) -> tuple[list[Gate], list[FragmentSpan]]:
     """Expand macros to Clifford+T, into one list in input order: each
     TOFFOLI becomes :func:`decompose_toffoli`'s fragment and each MCZ
-    :func:`ccz_gates`'.  Lowered gates pass through unchanged."""
+    :func:`ccz_gates`'.  Lowered gates pass through unchanged.  Also
+    returns each fragment's :data:`~qsearch.circuit.FragmentSpan`, taken
+    from the length of the fragment as emitted, with the operands it acts
+    on only when all are 1: a Toffoli's controls, a CCZ's three qubits."""
     # the naive loader repeats its index AND chain for every record bit,
     # thousands of times in ``compile --part naive --lowered``; lower each
     # distinct Toffoli once
     fragments: dict = {}
     out: list[Gate] = []
-    append, extend = out.append, out.extend
+    spans: list[FragmentSpan] = []
+    append, extend, mark = out.append, out.extend, spans.append
     toffoli, mcz = _TOFFOLI, _MCZ
     for g in gates:
         kind, ops = g
@@ -203,21 +216,29 @@ def lower_gates(gates: Iterable[Gate]) -> list[Gate]:
             fragment = fragments.get(g)
             if fragment is None:
                 fragment = fragments[g] = decompose_toffoli(*ops)
+            start = len(out)
             extend(fragment)
+            mark((start, len(out), ops[:2]))
         elif kind is mcz:
+            start = len(out)
             extend(ccz_gates(*ops))
+            mark((start, len(out), ops))
         else:
             append(g)
-    return out
+    return out, spans
 
 
 def lower_circuit(
     circuit: Circuit, ladder_ancillas: Sequence[int] = ()
 ) -> Circuit:
-    """Lowered copy of ``circuit``; identity if already lowered.
-    ``ladder_ancillas`` is ignored: every macro lowers without ancillas,
-    and the parameter stays only for the benchmark's tracer, which passes
-    it positionally."""
+    """Lowered copy of ``circuit``, with the span of every fragment in
+    ``fragment_spans`` so that :meth:`qsearch.sim.SparseState.apply` can
+    skip the fragments that cannot act on its support; identity if already
+    lowered.  ``ladder_ancillas`` is ignored: every macro lowers without
+    ancillas, and the parameter stays only for the benchmark's tracer,
+    which passes it positionally."""
     if circuit.is_lowered:
         return circuit
-    return Circuit(circuit.register_sizes, lower_gates(circuit.gates), validate=False)
+    gates, spans = lower_gates(circuit.gates)
+    return Circuit(circuit.register_sizes, gates, validate=False,
+                   fragment_spans=tuple(spans))

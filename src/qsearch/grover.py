@@ -29,12 +29,16 @@ The Clifford+T circuits tie the fast path to what is compiled.  The
 resource report (:func:`qsearch.kernel.measure_kernel`) lowers nothing, so
 only the loader is lowered: the driver verifies its measured candidate the
 honest way, re-running the lowered loader on the candidate basis state
-with :class:`qsearch.sim.SparseState`, requiring the bit-sliced loader's
-branch to agree, reading the data register out of the basis label at the
-layout's data qubits (:meth:`qsearch.qdam.QdamLayout.data_qubit`), and
-comparing against the queried key.  Sentinel (padding) records are never
-accepted.  The tests check the bit-sliced rounds against a SparseState
-run over the lowered subroutines.
+with :class:`qsearch.sim.SparseState`.  That run skips every fragment
+whose controls are not both 1 on the branch, since such a fragment is the
+identity there, so it simulates at most n-1 stage-1 and m stage-2
+Toffolis.  The driver requires one label, the bit-sliced loader's branch,
+with an amplitude within :data:`RELOAD_PHASE_TOLERANCE` of +1, reads the
+data register out of it at the layout's data qubits
+(:meth:`qsearch.qdam.QdamLayout.data_qubit`), and compares it against the
+queried key.  Sentinel (padding) records are never accepted.  The tests
+check the bit-sliced rounds against a SparseState run over the lowered
+subroutines.
 """
 from __future__ import annotations
 
@@ -68,11 +72,23 @@ from .sim import (
     reflect_about_uniform,
 )
 
+# how far the reload's one amplitude may be from +1: the lowered loader
+# keeps it within 2.2e-16 on the branches of toy databases at n = 2..8
+RELOAD_PHASE_TOLERANCE = 1e-12
 # the most index samples a sampled search draws, at about 0.2-0.5 s per 2^20
 MAX_SHOTS = 1 << 20
-# the most record bits m * 2^n a search takes: the reload check's mask table
-# grows as the square of the qubit count (1.3 GB peak RSS at n = 1, m = 2^14)
+# the most record bits m * 2^n a search or a compile takes: the reload
+# check's mask table grows as the square of the qubit count (1.3 GB peak RSS
+# at n = 1, m = 2^14)
 MAX_SEARCH_BITS = 1 << 15
+
+
+def check_record_bits(db: Database, command: str) -> None:
+    """Reject, for ``command``, a database of more than
+    :data:`MAX_SEARCH_BITS` record bits m * 2^n, with :class:`InputError`."""
+    if db.key_width * db.size > MAX_SEARCH_BITS:
+        raise InputError(f"{command} supports m * 2^n <= {MAX_SEARCH_BITS}, "
+                         f"got {db.key_width} * 2^{db.index_bits}")
 
 
 def optimal_iterations(database_size: int) -> int:
@@ -169,9 +185,7 @@ def run_search(
         raise InputError("database must be padded to a power of two")
     if db.size < 2:
         raise InputError("search needs at least 2 records")
-    if db.key_width * db.size > MAX_SEARCH_BITS:
-        raise InputError(f"search supports m * 2^n <= {MAX_SEARCH_BITS}, "
-                         f"got {db.key_width} * 2^{db.index_bits}")
+    check_record_bits(db, "search")
     if shots is not None or seed is not None:
         if shots is None or seed is None or seed < 0:
             raise InputError("sampled mode needs shots and a non-negative seed")
@@ -236,6 +250,11 @@ def run_search(
     if list(probe.amplitudes) != [label]:
         raise CircuitError(
             f"lowered loader disagrees with the bit-sliced loader on branch {candidate}"
+        )
+    if abs(probe.amplitudes[label] - 1) > RELOAD_PHASE_TOLERANCE:
+        raise CircuitError(
+            f"lowered loader gives branch {candidate} the amplitude "
+            f"{probe.amplitudes[label]}, not +1"
         )
     data = label >> (total - layout.data_qubit(0) - m) & ((1 << m) - 1)
     measured_bits = format(data, f"0{m}b")

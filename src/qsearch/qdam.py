@@ -123,9 +123,6 @@ class QdamLayout:
     def fanout_qubit(self, k: int) -> int:
         return self.load_qubit(0, 0) + self.load_ancillas + k
 
-    def ladder_qubit(self, k: int) -> int:
-        return self.fanout_qubit(0) + self.fanout_ancillas + k
-
     def fanout_lease(self, start: int, count: int) -> tuple[int, ...]:
         if start + count > self.fanout_ancillas:
             raise CircuitError("fan-out pool exhausted")
@@ -133,7 +130,8 @@ class QdamLayout:
         return tuple(range(first, first + count))
 
     def ladder_qubits(self) -> tuple[int, ...]:
-        return tuple(self.ladder_qubit(i) for i in range(self.ladder_ancillas))
+        first = self.fanout_qubit(self.fanout_ancillas)
+        return tuple(range(first, first + self.ladder_ancillas))
 
     @classmethod
     def for_database(cls, db: Database) -> "QdamLayout":

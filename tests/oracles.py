@@ -218,9 +218,10 @@ def recorded_states():
 
 def gatewise_apply(state: SparseState, circuit: Circuit) -> SparseState:
     """:meth:`qsearch.sim.SparseState.apply` one gate at a time: a new
-    amplitude map per X, CNOT and H, phases updated in place.  The same
-    phase products in the same order, so it must agree with ``apply``
-    exactly, key order and ``peak_support`` included.  Raises
+    amplitude map per X, CNOT and H, phases updated in place, and no
+    fragment skipped.  The same phase products in the same order, so on a
+    circuit without fragment spans it must agree with ``apply`` exactly,
+    key order and ``peak_support`` included.  Raises
     :class:`CircuitError` at the first macro gate, with ``state``
     untouched."""
     if circuit.total_qubits != state.total_qubits:

@@ -11,6 +11,7 @@ from qsearch.circuit import (
     Circuit,
     GateKind,
     Register,
+    ccz_gates,
     gate,
     resource_tally,
 )
@@ -22,6 +23,8 @@ from qsearch.decompose import (
     sync_touch,
 )
 from qsearch.errors import CircuitError
+from qsearch.grover import build_kernel_circuits
+from qsearch.qdam import QdamLayout
 from qsearch.sim import SlicedState
 
 from conftest import columns_on_zero_ancilla, ideal_mcz_matrix, ideal_toffoli_matrix
@@ -291,3 +294,47 @@ def test_sync_touch_is_identity_and_equalizes_timing():
 def test_sync_touch_requires_power_of_two():
     with pytest.raises(CircuitError, match="sync block needs a power-of-two qubit count"):
         sync_touch([_d(0), _d(1), _d(2)])
+
+
+# -- fragment spans ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 3), (3, 2), (4, 4)])
+def test_each_fragment_span_holds_its_macros_fragment(n, m):
+    keys = [format(i * 5 % (1 << m), f"0{m}b") for i in range(1 << n)]
+    macro = build_kernel_circuits(QdamLayout(n, m), keys, "1" * m).kernel()
+    lowered = lower_circuit(macro)
+    spans = iter(lowered.fragment_spans)
+    at = 0  # where the next macro's fragment or passed-through gate starts
+    for kind, ops in macro.gates:
+        if kind is GateKind.TOFFOLI or kind is GateKind.MCZ:
+            start, stop, operands = next(spans)
+            fragment = (decompose_toffoli(*ops) if kind is GateKind.TOFFOLI
+                        else ccz_gates(*ops))
+            assert (start, stop) == (at, at + len(fragment))
+            assert list(lowered.gates[start:stop]) == fragment
+            assert operands == (ops[:2] if kind is GateKind.TOFFOLI else ops)
+            at = stop
+        else:
+            assert lowered.gates[at] == (kind, ops)
+            at += 1
+    assert at == len(lowered) and next(spans, None) is None
+
+
+def test_spans_come_only_from_the_lowering():
+    lowered = lower_circuit(Circuit({D: 3}, [gate(GateKind.TOFFOLI, 0, 1, 2)]))
+    assert lowered.fragment_spans == ((0, 23, (0, 1)),)
+    assert lower_circuit(lowered) is lowered
+    assert (lowered + lowered).fragment_spans == ()
+    assert lowered.inverted().fragment_spans == ()
+
+
+def test_spans_follow_a_patched_fragments_length(monkeypatch):
+    from qsearch import decompose
+
+    real = decompose.decompose_toffoli
+    monkeypatch.setattr(decompose, "decompose_toffoli", lambda *ops: real(*ops)[:-1])
+    macro = Circuit({D: 4}, [gate(GateKind.TOFFOLI, 0, 1, 2), gate(GateKind.X, 3),
+                             gate(GateKind.MCZ, 1, 2, 3), gate(GateKind.TOFFOLI, 3, 0, 1)])
+    assert lower_circuit(macro).fragment_spans == (
+        (0, 22, (0, 1)), (23, 44, (1, 2, 3)), (44, 66, (3, 0)))

@@ -561,3 +561,41 @@ def test_reload_check_rejects_a_lowered_loader_that_disagrees(monkeypatch):
     monkeypatch.setattr(grover, "lower_circuit", without_stage2)
     with pytest.raises(CircuitError, match="bit-sliced"):
         run_search(toy_db(2), SearchQuery("10", "val"))
+
+
+def _patch_one_fragment(monkeypatch, target, edit):
+    """Lower the Toffoli onto ``target`` through ``edit`` of its fragment."""
+    from qsearch import decompose
+
+    real = decompose.decompose_toffoli
+
+    def patched(c1, c2, t):
+        fragment = real(c1, c2, t)
+        return edit(fragment) if t == target else fragment
+
+    monkeypatch.setattr(decompose, "decompose_toffoli", patched)
+
+
+def test_reload_check_rejects_a_bad_fragment_where_its_toffoli_fires(monkeypatch):
+    # the Toffoli that loads bit 0 of record 2 fires on branch 2 alone; its
+    # fragment without the closing H leaves the target in superposition
+    layout = QdamLayout(2, 2)
+    _patch_one_fragment(monkeypatch, layout.load_qubit(2, 0), lambda f: f[:-1])
+    with pytest.raises(CircuitError, match="bit-sliced"):
+        run_search(toy_db(2), SearchQuery("10", "val"))
+    # on branch 1 the fragment cannot act, so the check skips it
+    assert run_search(toy_db(2), SearchQuery("01", "val")).status is SearchStatus.SOLVED
+
+
+def test_reload_check_rejects_a_wrong_phase_on_the_right_label(monkeypatch):
+    layout = QdamLayout(2, 2)
+    target = layout.load_qubit(2, 0)
+    _patch_one_fragment(monkeypatch, target,
+                        lambda f: [*f, (GateKind.S, (target,))])
+    circuits = build_kernel_circuits(layout, toy_db(2), "10")
+    label = SlicedState(2, layout.total_qubits).run(circuits.loader).basis_label(2)
+    with recorded_states() as states, pytest.raises(CircuitError, match="not \\+1"):
+        run_search(toy_db(2), SearchQuery("10", "val"))
+    (probe,) = states
+    assert list(probe.amplitudes) == [label]
+    assert abs(amplitude(probe, label) - 1j) < 1e-12

@@ -197,15 +197,59 @@ def test_apply_equals_the_gatewise_oracle(case):
     assert list(start.amplitudes.items()) == before
 
 
+def _span_free(circuit):
+    """The same gates with no fragment spans: ``apply`` runs every gate."""
+    return Circuit(circuit.register_sizes, circuit.gates, validate=False)
+
+
+def _branch_start(layout, q):
+    return SparseState.basis(layout.total_qubits, basis_pattern(
+        layout.register_sizes, {Register.BINARY_INDEX: q}))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_apply_equals_the_gatewise_oracle_on_every_loader_branch(n):
+    # bitwise equality holds only when every gate runs: a skipped fragment
+    # gives exactly 1 where running it gives 1.0000000000000002
     layout = QdamLayout(n, n)
-    sizes = layout.register_sizes
-    lowered = lower_circuit(build_qdam(layout, toy_db(n)))
+    lowered = _span_free(lower_circuit(build_qdam(layout, toy_db(n))))
+    assert lowered.fragment_spans == ()
     for q in range(1 << n):
-        start = SparseState.basis(layout.total_qubits,
-                                  basis_pattern(sizes, {Register.BINARY_INDEX: q}))
+        start = _branch_start(layout, q)
         _assert_exactly_equal(start.apply(lowered), gatewise_apply(start, lowered))
+
+
+def _loader_cases():
+    """toy_db(n) at n 1..3, and random keys at n <= 4, as (layout, keys)."""
+    rng = np.random.default_rng(26)
+    for n in (1, 2, 3):
+        yield pytest.param(QdamLayout(n, n), toy_db(n).keys(), id=f"toy-{n}")
+    for n, m in ((1, 3), (2, 1), (3, 2), (4, 2), (4, 3)):
+        keys = ["".join(map(str, rng.integers(0, 2, m))) for _ in range(1 << n)]
+        yield pytest.param(QdamLayout(n, m), keys, id=f"random-{n}-{m}")
+
+
+@pytest.mark.parametrize("layout, keys", _loader_cases())
+def test_apply_skipping_fragments_agrees_with_the_gatewise_oracle(layout, keys):
+    lowered = lower_circuit(build_qdam(layout, keys))
+    assert lowered.fragment_spans
+    for q in range(1 << layout.n):
+        start = _branch_start(layout, q)
+        got, expected = start.apply(lowered), gatewise_apply(start, lowered)
+        assert list(got.amplitudes) == list(expected.amplitudes)
+        for label, a in got.amplitudes.items():
+            assert abs(a - expected.amplitudes[label]) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_no_fragment_runs_where_no_toffoli_fires(n):
+    # on branch 0 of toy_db(n) every stage-1 Toffoli has a 0 control, and
+    # every record bit of key 0 is 0, so nothing fires and no H splits the state
+    layout = QdamLayout(n, n)
+    lowered = lower_circuit(build_qdam(layout, toy_db(n)))
+    start = _branch_start(layout, 0)
+    assert start.apply(lowered).peak_support == 1
+    assert start.apply(_span_free(lowered)).peak_support == 2
 
 
 def test_register_mismatch_rejected():

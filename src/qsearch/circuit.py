@@ -17,7 +17,8 @@ bit-reproducible:
   ``EnumType.__getattr__``, about 175 ns a load against about 35 ns for a
   plain class attribute.  Builders whose operands are distinct by
   construction emit literals and check their inputs once per call;
-  :func:`gate` and ``Circuit(..., validate=True)`` check every gate.
+  :func:`gate` checks the gate it builds, and a :class:`Circuit` stores
+  its gates as given.
 * In basis labels the first qubit is the most significant bit: flat qubit
   ``g`` is bit ``total-1-g``, so basis index ``b`` assigns it
   ``(b >> (total-1-g)) & 1``.
@@ -133,7 +134,9 @@ FragmentSpan = tuple[int, int, tuple[int, ...]]
 
 
 class Circuit:
-    """Ordered gate list over sized registers.  Immutable once built.
+    """Ordered gate list over sized registers.  Immutable once built.  It
+    stores the gates it is given: the builders emit gates that are valid by
+    construction, and :func:`gate` checks hand-written ones.
 
     ``fragment_spans`` lists, in gate order, the span of every fragment a
     lowering emitted (:func:`qsearch.decompose.lower_circuit` alone fills
@@ -146,7 +149,6 @@ class Circuit:
         self,
         register_sizes: Mapping[Register, int],
         gates: Iterable[Gate] = (),
-        validate: bool = True,
         fragment_spans: tuple[FragmentSpan, ...] = (),
     ):
         sizes = {reg: int(register_sizes.get(reg, 0)) for reg in REGISTER_ORDER}
@@ -156,23 +158,6 @@ class Circuit:
         self.gates: tuple[Gate, ...] = tuple(gates)
         self.total_qubits: int = sum(sizes.values())
         self.fragment_spans = fragment_spans
-        if validate:
-            self._validate()
-
-    def _validate(self) -> None:
-        total, arity = self.total_qubits, _ARITY.get
-        for kind, ops in self.gates:
-            if len(ops) != arity(kind):
-                raise CircuitError(f"{kind} takes {arity(kind)} qubits, got {ops}")
-            if len(set(ops)) != len(ops):
-                raise CircuitError(f"duplicate operands in {kind.value}: {ops}")
-            for q in ops:
-                if not 0 <= q < total:
-                    raise CircuitError(f"qubit {q} outside the {total} qubits of {self!r}")
-
-    @property
-    def is_lowered(self) -> bool:
-        return all(kind in LOWERED_KINDS for kind, _ in self.gates)
 
     def flat_gates(self) -> tuple[Gate, ...]:
         # the gates are flat already; the benchmark's tracer patches this name
@@ -183,7 +168,7 @@ class Circuit:
     def __add__(self, other: "Circuit") -> "Circuit":
         if self.register_sizes != other.register_sizes:
             raise CircuitError("cannot concatenate circuits over different registers")
-        return Circuit(self.register_sizes, self.gates + other.gates, validate=False)
+        return Circuit(self.register_sizes, self.gates + other.gates)
 
     def inverted(self) -> "Circuit":
         """Adjoint circuit: reversed order, T<->TDG and S<->SDG swapped.
@@ -195,7 +180,6 @@ class Circuit:
         return Circuit(
             self.register_sizes,
             tuple((adjoint(kind, kind), ops) for kind, ops in reversed(self.gates)),
-            validate=False,
         )
 
     # -- export ---------------------------------------------------------

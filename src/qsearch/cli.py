@@ -31,7 +31,7 @@ from typing import Sequence
 from .database import SearchQuery, load_database_file, pad_to_power_of_two
 from .decompose import lower_circuit
 from .errors import InputError, QsearchError
-from .grover import SearchStatus, build_kernel_circuits, check_record_bits, run_search
+from .grover import SearchStatus, build_kernel_circuits, check_database, run_search
 from .qdam import NaiveLayout, QdamLayout, build_naive_qdam
 from .resources import (
     bench_csv,
@@ -137,9 +137,7 @@ def _cmd_compile(args) -> int:
     db = pad_to_power_of_two(load_database_file(args.db))
     query = SearchQuery(key_value=args.key, return_field=db.key_field)
     query.validate(db)
-    if db.size < 2:
-        raise InputError("compile needs at least 2 records")
-    check_record_bits(db, "compile")
+    check_database(db, "compile")
     if args.part == "naive":
         layout = NaiveLayout(db.index_bits, db.key_width)
         circuit = build_naive_qdam(layout, db.keys())

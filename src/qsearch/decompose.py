@@ -233,12 +233,9 @@ def lower_circuit(
 ) -> Circuit:
     """Lowered copy of ``circuit``, with the span of every fragment in
     ``fragment_spans`` so that :meth:`qsearch.sim.SparseState.apply` can
-    skip the fragments that cannot act on its support; identity if already
-    lowered.  ``ladder_ancillas`` is ignored: every macro lowers without
-    ancillas, and the parameter stays only for the benchmark's tracer,
-    which passes it positionally."""
-    if circuit.is_lowered:
-        return circuit
+    skip the fragments that cannot act on its support.  A circuit with no
+    macro comes back as an equal copy with no spans.  ``ladder_ancillas``
+    is ignored: every macro lowers without ancillas, and the parameter
+    stays only for the benchmark's tracer, which passes it positionally."""
     gates, spans = lower_gates(circuit.gates)
-    return Circuit(circuit.register_sizes, gates, validate=False,
-                   fragment_spans=tuple(spans))
+    return Circuit(circuit.register_sizes, gates, fragment_spans=tuple(spans))

@@ -77,15 +77,22 @@ from .sim import (
 RELOAD_PHASE_TOLERANCE = 1e-12
 # the most index samples a sampled search draws, at about 0.2-0.5 s per 2^20
 MAX_SHOTS = 1 << 20
-# the most record bits m * 2^n a search or a compile takes: the reload
-# check's mask table grows as the square of the qubit count (1.3 GB peak RSS
-# at n = 1, m = 2^14)
+# the most record bits m * 2^n a search or a compile takes.  A search's
+# reload check builds a mask table that grows as the square of the qubit
+# count (1.3 GB peak RSS at n = 1, m = 2^14).  A compile's lowered export
+# holds about 1.2 KB per gate (see ``cli.MAX_EXPORT_GATES``), and its gate
+# count grows with the record bits
 MAX_SEARCH_BITS = 1 << 15
 
 
-def check_record_bits(db: Database, command: str) -> None:
-    """Reject, for ``command``, a database of more than
-    :data:`MAX_SEARCH_BITS` record bits m * 2^n, with :class:`InputError`."""
+def check_database(db: Database, command: str) -> None:
+    """Admit ``db`` to ``command`` (``search`` or ``compile``), or raise
+    :class:`InputError`: it must be padded to a power of two, hold at least
+    2 records and at most :data:`MAX_SEARCH_BITS` record bits m * 2^n."""
+    if not db.is_power_of_two:
+        raise InputError("database must be padded to a power of two")
+    if db.size < 2:
+        raise InputError(f"{command} needs at least 2 records")
     if db.key_width * db.size > MAX_SEARCH_BITS:
         raise InputError(f"{command} supports m * 2^n <= {MAX_SEARCH_BITS}, "
                          f"got {db.key_width} * 2^{db.index_bits}")
@@ -181,11 +188,7 @@ def run_search(
     takes the most frequent one, again the lowest on a tie.
     """
     query.validate(db)
-    if not db.is_power_of_two:
-        raise InputError("database must be padded to a power of two")
-    if db.size < 2:
-        raise InputError("search needs at least 2 records")
-    check_record_bits(db, "search")
+    check_database(db, "search")
     if shots is not None or seed is not None:
         if shots is None or seed is None or seed < 0:
             raise InputError("sampled mode needs shots and a non-negative seed")

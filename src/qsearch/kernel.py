@@ -60,9 +60,7 @@ def build_target_reflection(layout: QdamLayout, key_pattern: str) -> Circuit:
     flips = [(x, (q,)) for q, c in zip(data, key_pattern) if c == "0"]
     sync = _sync_block(layout, data)
     tree = mcz_tree(data, layout.ladder_qubits())
-    return Circuit(
-        layout.register_sizes, [*flips, *sync, *tree, *flips, *sync], validate=False
-    )
+    return Circuit(layout.register_sizes, [*flips, *sync, *tree, *flips, *sync])
 
 
 def build_diffusion(layout: QdamLayout) -> Circuit:
@@ -79,9 +77,7 @@ def build_diffusion(layout: QdamLayout) -> Circuit:
     xs = [(x, (b,)) for b in index]
     sync = _sync_block(layout, index) if layout.n >= 4 else []
     tree = mcz_tree(index, layout.ladder_qubits())
-    return Circuit(
-        layout.register_sizes, [*hs, *xs, *sync, *tree, *xs, *hs], validate=False
-    )
+    return Circuit(layout.register_sizes, [*hs, *xs, *sync, *tree, *xs, *hs])
 
 
 @dataclass(frozen=True)

@@ -213,7 +213,7 @@ def build_m1(layout: QdamLayout) -> Circuit:
             pairs = [(base + j, base + span + j) for j in range(span)]
             gates += shared_control_layer(ctrl, pairs, layout.fanout_lease(0, span - 1))
         gates += [(_CNOT, (base + span + j, base + j)) for j in range(span)]
-    return Circuit(layout.register_sizes, gates, validate=False)
+    return Circuit(layout.register_sizes, gates)
 
 
 def stage2_parts(layout: QdamLayout,
@@ -247,7 +247,7 @@ def build_m2(layout: QdamLayout, parts: Sequence[Tiling]) -> Circuit:
     """Stage 2 as a circuit: the tilings of :func:`stage2_parts`
     materialized in order."""
     gates = list(chain.from_iterable(tiling.gates for tiling in parts))
-    return Circuit(layout.register_sizes, gates, validate=False)
+    return Circuit(layout.register_sizes, gates)
 
 
 def _fold_fan_in(column: Sequence[int], target: int) -> list[Gate]:
@@ -298,4 +298,4 @@ def build_naive_qdam(layout: NaiveLayout, db: Database | Sequence[str]) -> Circu
             apex = (_MCZ, (acc, database + i * m + j, data + j))
             gates.extend((h, *up, apex, *down, h))
         gates.extend(conjugate)
-    return Circuit(layout.register_sizes, gates, validate=False)
+    return Circuit(layout.register_sizes, gates)

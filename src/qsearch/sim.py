@@ -291,5 +291,5 @@ def diffusion_signs(circuit: Circuit, n: int) -> int:
     # n gates whose set is the n distinct H gates: each qubit exactly once
     if len(gates) < 2 * n or set(gates[:n]) != hs or set(gates[len(gates) - n:]) != hs:
         raise CircuitError("diffusion must start and end with H on every index qubit")
-    middle = Circuit(circuit.register_sizes, gates[n:len(gates) - n], validate=False)
+    middle = Circuit(circuit.register_sizes, gates[n:len(gates) - n])
     return SlicedState(n, circuit.total_qubits).run(middle).diagonal_signs()

@@ -3,9 +3,10 @@ run one gate at a time, the scheduler's generic macro loop over a set of
 T layers, the Walsh-Hadamard transform, the full loader, the serial
 multi-controlled-Z ladder and the naive loader built one ladder per record
 bit from it, the kernel measurement over built gate lists, the exact
-iteration count in decimal arithmetic, and the circuit, basis-label,
-register read-out and database-export helpers that only tests use, and
-a recorder of the sparse states a run makes.
+iteration count in decimal arithmetic, the gate checks that the IR leaves
+to its builders, and the circuit, basis-label, register read-out and
+database-export helpers that only tests use, and a recorder of the sparse
+states a run makes.
 
 The dense backend applies lowered gates to a full numpy state vector (or
 to a batch of columns for unitary extraction).  It shares no code with
@@ -24,6 +25,7 @@ import math
 import numpy as np
 
 from qsearch.circuit import (
+    LOWERED_KINDS,
     REGISTER_ORDER,
     Circuit,
     Gate,
@@ -31,6 +33,7 @@ from qsearch.circuit import (
     Register,
     ResourceTally,
     Schedule,
+    _ARITY,
     _TEMPLATES,
     gate,
     tally_flat,
@@ -143,7 +146,7 @@ def to_unitary(circuit: Circuit, max_qubits: int | None = None) -> np.ndarray:
     Only for small circuits; above the cap (``max_qubits``, default
     ``DEFAULT_DENSE_CAP`` = 14 qubits) raises :class:`DenseCapError`.
     """
-    if not circuit.is_lowered:
+    if not is_lowered(circuit):
         raise CircuitError("to_unitary requires a lowered circuit")
     cap = max_qubits if max_qubits is not None else DEFAULT_DENSE_CAP
     if circuit.total_qubits > cap:
@@ -377,6 +380,27 @@ def marked_layers(schedule: Schedule) -> set[int]:
 # -- circuits -----------------------------------------------------------------
 
 
+def check_gates(circuit: Circuit) -> Circuit:
+    """Return ``circuit`` once every gate has its kind's arity, distinct
+    operands and every qubit inside the circuit's width; raise
+    :class:`CircuitError` at the first gate that does not."""
+    total = circuit.total_qubits
+    for kind, ops in circuit.gates:
+        if len(ops) != _ARITY[kind]:
+            raise CircuitError(f"{kind.value} takes {_ARITY[kind]} qubits, got {ops}")
+        if len(set(ops)) != len(ops):
+            raise CircuitError(f"duplicate operands in {kind.value}: {ops}")
+        for q in ops:
+            if not 0 <= q < total:
+                raise CircuitError(f"qubit {q} outside the {total} qubits of {circuit!r}")
+    return circuit
+
+
+def is_lowered(circuit: Circuit) -> bool:
+    """Whether every gate is Clifford+T, with no TOFFOLI or MCZ macro."""
+    return all(kind in LOWERED_KINDS for kind, _ in circuit.gates)
+
+
 def build_qdam(layout, db) -> Circuit:
     """Full loader: stage 1 then stage 2."""
     return build_m1(layout) + build_m2(layout, stage2_parts(layout, db))
@@ -490,7 +514,8 @@ _IMPORT_NAME = {("CCX" if kind is GateKind.TOFFOLI else kind.value): kind
 
 
 def from_json(text: str) -> Circuit:
-    """Parse :meth:`Circuit.export_json` output back into a circuit."""
+    """Parse :meth:`Circuit.export_json` output back into a circuit, and
+    check its gates with :func:`check_gates`."""
     doc = json.loads(text)
     sizes = {Register(name): size for name, size in doc["registers"].items()}
     flat = {}
@@ -499,7 +524,7 @@ def from_json(text: str) -> Circuit:
             flat[f"{reg.value}:{offset}"] = len(flat)
     gates = [gate(_IMPORT_NAME[entry["gate"]], *(flat[q] for q in entry["qubits"]))
              for entry in doc["gates"]]
-    return Circuit(sizes, gates)
+    return check_gates(Circuit(sizes, gates))
 
 
 def database_json(db: Database) -> str:

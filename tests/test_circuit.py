@@ -31,8 +31,10 @@ from conftest import ideal_toffoli_matrix, random_lowered_circuit
 from oracles import (
     DenseCapError,
     ReferenceSchedule,
+    check_gates,
     dense_statevector,
     from_json,
+    is_lowered,
     marked_layers,
     reference_feed,
     to_unitary,
@@ -134,7 +136,7 @@ def test_metrics_schedule_macros_as_their_lowering():
     circ = Circuit({A: 4}, [gate(GateKind.T, _q[1]),
                             gate(GateKind.TOFFOLI, _q[0], _q[1], _q[2]),
                             gate(GateKind.MCZ, _q[3], _q[2], _q[0])])
-    assert not circ.is_lowered
+    assert not is_lowered(circ)
     lowered = lower_circuit(circ)
     assert resource_tally(circ).t_depth == resource_tally(lowered).t_depth
     assert resource_tally(circ) == resource_tally(lowered)
@@ -401,13 +403,13 @@ def test_validation_checks_every_gate_arity():
     for bad in [(GateKind.CNOT, (0,)), (GateKind.H, (0, 1)),
                 (GateKind.TOFFOLI, (0, 1))]:
         with pytest.raises(CircuitError, match="takes"):
-            Circuit({A: 3}, [bad])
-        Circuit({A: 3}, [bad], validate=False)  # unchecked paths pay nothing
+            check_gates(Circuit({A: 3}, [bad]))
+        Circuit({A: 3}, [bad])  # the IR stores what it is given
 
 
 def test_operands_must_fit_registers():
-    with pytest.raises(CircuitError):
-        Circuit({A: 1}, [gate(GateKind.CNOT, _q[0], _q[1])])
+    with pytest.raises(CircuitError, match="outside"):
+        check_gates(Circuit({A: 1}, [gate(GateKind.CNOT, _q[0], _q[1])]))
 
 
 def test_unitary_single_hadamard():

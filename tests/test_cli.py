@@ -17,7 +17,7 @@ from qsearch.cli import main
 from qsearch.database import load_database
 from qsearch.errors import QsearchError
 
-from oracles import database_json, from_json
+from oracles import database_json, from_json, is_lowered
 
 DATA_DB = os.path.join(os.path.dirname(__file__), "..", "data", "people.json")
 SRC_DIR = os.path.dirname(os.path.dirname(qsearch.__file__))
@@ -374,7 +374,7 @@ def test_compile_lowered_export(tmp_path, capsys):
                       "--part", "qdam", "--lowered", "--out", str(out_path))
     assert code == 0
     circuit = from_json(out_path.read_text())
-    assert circuit.is_lowered
+    assert is_lowered(circuit)
 
 
 def test_bench_writes_csv(tmp_path, capsys):

@@ -28,7 +28,7 @@ from qsearch.qdam import QdamLayout
 from qsearch.sim import SlicedState
 
 from conftest import columns_on_zero_ancilla, ideal_mcz_matrix, ideal_toffoli_matrix
-from oracles import dense_statevector, macro_counts, mcz_ladder, to_unitary
+from oracles import dense_statevector, is_lowered, macro_counts, mcz_ladder, to_unitary
 
 D = Register.DATA
 A = Register.ANCILLA
@@ -91,9 +91,7 @@ def _layer_circuit(pairs_count: int) -> Circuit:
     shared = _d(0)
     pairs = [(_d(2 * i + 1), _d(2 * i + 2)) for i in range(pairs_count)]
     ancillas = [_a(i, 2 * pairs_count + 1) for i in range(pairs_count - 1)]
-    return Circuit(
-        regs, shared_control_layer(shared, pairs, ancillas), validate=False
-    )
+    return Circuit(regs, shared_control_layer(shared, pairs, ancillas))
 
 
 def test_single_pair_degenerates_to_plain_toffoli():
@@ -184,7 +182,7 @@ def test_ladder_matches_ideal_phase_flip(k):
     n_anc = k - 3
     qubits = [_d(i) for i in range(k)]
     ancillas = [_a(i, k) for i in range(n_anc)]
-    circ = Circuit({D: k, A: n_anc}, mcz_ladder(qubits, ancillas), validate=False)
+    circ = Circuit({D: k, A: n_anc}, mcz_ladder(qubits, ancillas))
     lowered = lower_circuit(circ)
     block = columns_on_zero_ancilla(lowered, k, n_anc)
     assert np.abs(block - ideal_mcz_matrix(k)).max() < 1e-12
@@ -196,7 +194,7 @@ def test_ladder_bounds(k):
     n_anc = max(0, k - 3)
     qubits = [_d(i) for i in range(k)]
     ancillas = [_a(i, k) for i in range(n_anc)]
-    circ = Circuit({D: k, A: n_anc}, mcz_ladder(qubits, ancillas), validate=False)
+    circ = Circuit({D: k, A: n_anc}, mcz_ladder(qubits, ancillas))
     tally = resource_tally(lower_circuit(circ))
     assert tally.t_depth <= 6 * c
     assert tally.t_count <= 14 * c
@@ -233,7 +231,7 @@ def test_lowered_tree_matches_ideal_phase_flip(k):
     ancillas = [_a(i, k) for i in range(n_anc)]
     circ = Circuit({D: k, A: n_anc}, mcz_tree(qubits, ancillas))
     lowered = lower_circuit(circ)
-    assert lowered.is_lowered
+    assert is_lowered(lowered)
     block = columns_on_zero_ancilla(lowered, k, n_anc)
     assert np.abs(block - ideal_mcz_matrix(k)).max() < 1e-12
 
@@ -324,7 +322,8 @@ def test_each_fragment_span_holds_its_macros_fragment(n, m):
 def test_spans_come_only_from_the_lowering():
     lowered = lower_circuit(Circuit({D: 3}, [gate(GateKind.TOFFOLI, 0, 1, 2)]))
     assert lowered.fragment_spans == ((0, 23, (0, 1)),)
-    assert lower_circuit(lowered) is lowered
+    relowered = lower_circuit(lowered)
+    assert relowered.gates == lowered.gates and relowered.fragment_spans == ()
     assert (lowered + lowered).fragment_spans == ()
     assert lowered.inverted().fragment_spans == ()
 

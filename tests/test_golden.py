@@ -33,8 +33,10 @@ COMMANDS = {
                                    "--part", part, *flags, "--out", "out.json"]
        for part in PARTS
        for suffix, flags in (("", []), ("-lowered", ["--lowered"]))},
-    **{f"estimate-{mode}": ["estimate", "--n", "6", "--m", "3", "--mode", mode]
-       for mode in ("bound", "measured", "naive")},
+    **{f"estimate-{mode}{suffix}": ["estimate", "--n", "6", "--m", "3",
+                                    "--mode", mode, *flags]
+       for mode in ("bound", "measured", "naive")
+       for suffix, flags in (("", []), ("-csv", ["--format", "csv"]))},
     "bench": ["bench", "--n-min", "2", "--n-max", "5", "--m", "2", "--out", "out.csv"],
     "search": ["search", "--db", DATA_DB, "--key", "0101", "--return", "phone"],
     "search-sampled": ["search", "--db", DATA_DB, "--key", "0101", "--return",
@@ -123,11 +125,20 @@ GOLDEN = {
     "estimate-bound": (
         0, "e447ed1fc81bbdf18161bc8efe68ba92757a95af667671d1c881fe05cec7c5e6",
         None),
+    "estimate-bound-csv": (
+        0, "e8c1eb09a747cc374d91cc414239cd1ccba36304532d0374220a68026e816f36",
+        None),
     "estimate-measured": (
         0, "b9957775affb989282e58f69a03a5154315291296c3f1e26adf4894f2b4557e6",
         None),
+    "estimate-measured-csv": (
+        0, "6316f385345f6ab0b3007f80f67d4b864073eb71f25fc748e0f0caef7db50382",
+        None),
     "estimate-naive": (
         0, "a23d49462c9ddd91296ecc030ed3b4fb4aa3ff0346e6977b31d615d147079ca1",
+        None),
+    "estimate-naive-csv": (
+        0, "776e73a1fa8ec9892d2e81b7a279ec946343caf4dbfba8806bebc34d92324851",
         None),
     "search": (
         0, "c05578e7ef7f9b0d8e5ccd20acad0f5c85ca4de2de71557a30162e6a0a91199d",
@@ -178,7 +189,7 @@ def _digests(name: str, workdir: Path) -> tuple[int, str, str | None]:
 
 
 def test_every_command_is_pinned():
-    assert len(COMMANDS) == 27
+    assert len(COMMANDS) == 30
     assert set(GOLDEN) == set(COMMANDS)
 
 

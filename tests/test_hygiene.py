@@ -4,9 +4,10 @@ module, no module reads another module's private names, the package has
 no import cycle, no gate kind is looked up per gate, only the IR and the
 layouts name the registers, every field of a public record type is read
 somewhere, every public function, class and method is used outside the
-tests, every member name that two classes share is pinned, the package
-defines only its three error classes, every name the benchmark's tracer
-patches exists, and the tracer can trace one op of each workload."""
+tests, every member name that two classes share is pinned, no keyword is
+always passed as the same literal, the package defines only its three
+error classes, every name the benchmark's tracer patches exists, and the
+tracer can trace one op of each workload."""
 from __future__ import annotations
 
 import ast
@@ -123,11 +124,11 @@ def test_no_module_reads_another_modules_private_names():
     sources["probe.py"] = ("from . import decompose\n"
                            "from .circuit import _ARITY\n"
                            "def f(circuit):\n"
-                           "    return decompose.ccz_gates, circuit._validate\n")
+                           "    return decompose.ccz_gates, circuit._grow\n")
     sources["circuit.py"] = sources["circuit.py"].replace("ccz_gates", "_ccz_gates")
     sources["probe.py"] = sources["probe.py"].replace("ccz_gates", "_ccz_gates")
     assert _foreign_private_reads(sources) == {
-        "probe.py": {"_ARITY": 2, "_ccz_gates": 4, "_validate": 4}}
+        "probe.py": {"_ARITY": 2, "_ccz_gates": 4, "_grow": 4}}
 
 
 def _foreign_imports(text: str) -> set[str]:
@@ -381,6 +382,59 @@ def test_every_public_name_is_used_outside_the_tests():
              "class DeadClass:\n    pass\n")
     assert _unused_api([probe], [probe]) == (
         7, ["dead_function", "Probe.dead_method", "DeadClass"])
+
+
+def _constant_keywords(sources: list[str]) -> dict[str, int]:
+    """``callee(keyword=value)`` -> call sites, for every keyword of a
+    function or class the sources define that two or more of its call
+    sites pass, every one of them passes, and always as the same literal.
+    Callees match by bare name, as in :func:`_unused_api`."""
+    trees = [ast.parse(text) for text in sources]
+    defined = {node.name for tree in trees for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    sites: dict[str, int] = defaultdict(int)
+    passed: dict[tuple[str, str], list[ast.expr]] = defaultdict(list)
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if callee in defined:
+                sites[callee] += 1
+                for kw in node.keywords:
+                    if kw.arg is not None:
+                        passed[callee, kw.arg].append(kw.value)
+    found = {}
+    for (callee, arg), values in passed.items():
+        if len(values) != sites[callee] or len(values) < 2:
+            continue
+        if all(isinstance(v, ast.Constant) for v in values):
+            literals = {ast.unparse(v) for v in values}
+            if len(literals) == 1:
+                found[f"{callee}({arg}={literals.pop()})"] = len(values)
+    return found
+
+
+def test_no_option_has_one_live_value():
+    # a keyword every caller passes as the same literal is an option with
+    # one live value: the other branch is dead code, and the default a trap
+    found = _constant_keywords([p.read_text() for p in MODULES])
+    assert not found, f"keywords always passed as one literal: {found}"
+    # the check flags such a keyword, and spares one passed with two
+    # values, at a single site, as a non-literal or not at every site
+    probe = ("def flagged(x, check=True):\n    pass\n"
+             "def two_values(x, mode='a'):\n    pass\n"
+             "def one_site(x, fast=False):\n    pass\n"
+             "def non_literal(x, size=0):\n    pass\n"
+             "def some_sites(x, strict=False):\n    pass\n"
+             "def f(n):\n"
+             "    flagged(1, check=False), flagged(2, check=False)\n"
+             "    two_values(1, mode='a'), two_values(2, mode='b')\n"
+             "    one_site(1, fast=True)\n"
+             "    non_literal(1, size=n), non_literal(2, size=n)\n"
+             "    some_sites(1, strict=True), some_sites(2, strict=True), some_sites(3)\n"
+             "    return sorted(n, key=None), sorted(n, key=None)\n")
+    assert _constant_keywords([probe]) == {"flagged(check=False)": 2}
 
 
 def _shared_member_names(sources: list[str]) -> dict[str, set[str]]:

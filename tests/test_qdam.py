@@ -29,6 +29,7 @@ from conftest import toy_db
 from oracles import (
     basis_pattern,
     build_qdam,
+    check_gates,
     macro_counts,
     naive_loader_gates,
     register_bits,
@@ -294,6 +295,25 @@ def test_every_builder_emits_plain_tuple_gates():
     ]
     for circuit in streams:
         assert all(type(g) is tuple and type(g[1]) is tuple for g in circuit.gates)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_every_emitted_gate_list_passes_the_gate_check(n):
+    # a Circuit stores its gates unchecked, so every builder's output is
+    # checked here: arity, distinct operands and every qubit in the width
+    rng = random.Random(600 + n)
+    for m in (1, 2, 3, 4):
+        layout = QdamLayout(n, m)
+        keys = ["".join(rng.choice("01") for _ in range(m)) for _ in range(1 << n)]
+        circuits = build_kernel_circuits(layout, keys, rng.choice(keys))
+        tilings = [Circuit(layout.register_sizes, tiling.gates)
+                   for tiling in circuits.stage2_parts]
+        kernel = circuits.kernel()
+        for circuit in (circuits.stage1, *tilings, circuits.loader,
+                        circuits.loader_inverse, circuits.target_reflection,
+                        circuits.diffusion, kernel, lower_circuit(kernel),
+                        build_naive_qdam(NaiveLayout(n, m), keys)):
+            check_gates(circuit)
 
 
 def test_shape_mismatch_rejected():

@@ -199,7 +199,7 @@ def test_apply_equals_the_gatewise_oracle(case):
 
 def _span_free(circuit):
     """The same gates with no fragment spans: ``apply`` runs every gate."""
-    return Circuit(circuit.register_sizes, circuit.gates, validate=False)
+    return Circuit(circuit.register_sizes, circuit.gates)
 
 
 def _branch_start(layout, q):

@@ -39,19 +39,21 @@ marks each such layer in a bytearray, one byte per layer, and counts the
 marks.  A macro is scheduled in one step, through a max-plus template
 derived from its fragment at import, and lands exactly where the
 fragment's gates would.  The templates are rank one, which the derivation
-checks: a macro's entry is the latest of three operand times plus
-offsets, and its exits and its three T layers are that entry plus
-constants.  A schedule can be fed in segments and tallied after each, and
-each such snapshot is the tally of the prefix fed so far.  All of this is
-a pure function of the gate order, so results are deterministic and
-circuits are safe to share across workers.
+checks: a fragment's entry is the latest of its operands' times plus
+offsets, and its exits and T layers are that entry plus constants.  A
+schedule can be fed in segments and tallied after each, and each such
+snapshot is the tally of the prefix fed so far.  All of this is a pure
+function of the gate order, so results are deterministic and circuits are
+safe to share across workers.
 
 A :class:`Tiling` is disjoint copies of one block of gates, each operand
 moved by its own stride per copy; :meth:`Schedule.feed_tiled` schedules a
 sequence of tilings, forward or reversed, through :meth:`Schedule.feed`:
 when every copy enters at the same times it feeds copy 0's block in place
 and copies its exits to the other copies, and otherwise it feeds the
-tiling's gates, built once per tiling.
+tiling's gates, built once per tiling.  A :class:`FanIn` is disjoint
+CNOT folds, rank one too: :meth:`Schedule.feed_fan_in` takes each fold in
+one step by its closed form (:func:`fold_gates`), and builds no gate.
 """
 from __future__ import annotations
 
@@ -59,7 +61,7 @@ import enum
 import functools
 import json
 from itertools import chain
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import CircuitError
 
@@ -262,6 +264,57 @@ class Tiling:
         return tuple(g for ops in zip(*moved) for g in zip(kinds, ops))
 
 
+def fold_gates(column: Sequence[int], target: int) -> list[Gate]:
+    """XOR the column of k = 2^n distinct qubits into ``target``: fold it
+    onto its first qubit in n rounds of disjoint CNOTs, copy out, and
+    unfold.  A CNOT chain would do the same, but its reverse staggers the
+    column over k layers, and with them the inverse loader's uncompute T
+    layers.  The fold is rank one with no T: with E = max(max over the
+    column of a + n, a[target]) for entry times a, every column qubit
+    leaves at E + n + 1 and the target at E + 1.  Proof: fold round r acts
+    on what round r - 1 left, so the copy-out lands at E + 1.  Unfold
+    round r's targets were last touched by round r + 1 (the copy-out for
+    r = n - 1), and its controls by fold round r, by E; so it lands at
+    E + n - r + 1, and its last round touches every column qubit at
+    E + n + 1.  Reversed, the same rounds run in the same order, so the
+    reversed fold schedules alike."""
+    k = len(column)
+    gates: list[Gate] = []
+    span = 1
+    # a round's CNOTs pair column[i + span] with column[i], i = 0, 2 span, ...
+    while span < k:
+        gates += [(_CNOT, p) for p in zip(column[span::2 * span], column[::2 * span])]
+        span <<= 1
+    gates.append((_CNOT, (column[0], target)))
+    while span > 1:
+        span >>= 1
+        gates += [(_CNOT, p) for p in zip(column[span::2 * span], column[::2 * span])]
+    return gates
+
+
+class FanIn:
+    """``copies`` folds side by side (:func:`fold_gates`): fold j XORs the
+    2^``depth`` qubits ``load + j + i * copies`` into ``target + j``.  The
+    load region and the targets are checked once to lie apart, inside
+    ``total_qubits``.  ``gates`` builds fold 0 and moves it j qubits on for fold j."""
+
+    def __init__(self, load: int, depth: int, target: int, copies: int, total_qubits: int):
+        stop = load + (copies << depth)
+        if (min(load, target) < 0 or max(stop, target + copies) > total_qubits
+                or target < stop and load < target + copies):
+            raise CircuitError("the fan-in leaves the circuit or overlaps its targets")
+        self.load, self.stop, self.depth = load, stop, depth
+        self.targets = range(target, target + copies)
+
+    @functools.cached_property
+    def gates(self) -> tuple[Gate, ...]:
+        copies = len(self.targets)
+        fold = fold_gates(range(self.load, self.stop, copies), self.targets[0])
+        # each CNOT's operands in every fold, as one zip of ranges
+        moved = [zip(range(a, a + copies), range(b, b + copies)) for _, (a, b) in fold]
+        return tuple((_CNOT, ops) for ops in chain.from_iterable(zip(*moved)))
+
+
 class ResourceTally(NamedTuple):
     """Exact T count and T-depth of a circuit, with every macro counted as
     its lowered fragment."""
@@ -276,21 +329,21 @@ class _Template(NamedTuple):
     operands' entry times ``e_j``, plus a constant.  :meth:`Schedule.feed`
     binds each macro's fields to locals once per call."""
 
-    entry: tuple[int, int, int]  # E = max_j(e_j + entry[j])
-    exit: tuple[int, int, int]  # avail[op_i] = E + exit[i]
+    entry: tuple[int, ...]  # E = max_j(e_j + entry[j])
+    exit: tuple[int, ...]  # avail[op_i] = E + exit[i]
     t_layers: tuple[int, ...]  # one constant per distinct T layer, ascending
     t_count: int
 
 
-def _derive_template(fragment: Iterable[Gate]) -> _Template:
-    """Schedule a fragment over operands 0, 1, 2 symbolically: each qubit's
-    availability is a row of offsets from the three entry times (-inf where
-    it does not depend on one), and a gate's layer row is the elementwise
+def _derive_template(fragment: Sequence[Gate]) -> _Template:
+    """Schedule a fragment over operands 0 .. w-1 symbolically: each qubit's
+    availability is a row of offsets from the w entry times (-inf where it
+    does not depend on one), and a gate's layer row is the elementwise
     max of its qubits' rows plus 1 -- the scheduler's own step, in max-plus
     arithmetic.  Only rank one makes one entry per macro exact, so a row
     not equal to entry offsets plus a constant raises :class:`CircuitError`."""
-    neg = float("-inf")
-    rows = [tuple(0 if i == j else neg for j in range(3)) for i in range(3)]
+    neg, width = float("-inf"), 1 + max(q for _, ops in fragment for q in ops)
+    rows = [tuple(0 if i == j else neg for j in range(width)) for i in range(width)]
     t_layers: dict[tuple[float, ...], None] = {}
     t_count = 0
     for kind, ops in fragment:
@@ -307,7 +360,7 @@ def _derive_template(fragment: Iterable[Gate]) -> _Template:
         if neg in row or len(offsets) != 1:
             raise CircuitError(f"fragment row {row} is not rank one over {entry}")
         constants.append(offsets.pop())
-    exits, t_constants = tuple(constants[:3]), tuple(sorted(constants[3:]))
+    exits, t_constants = tuple(constants[:width]), tuple(sorted(constants[width:]))
     return _Template(entry, exits, t_constants, t_count)
 
 
@@ -468,6 +521,19 @@ class Schedule:
             self._t_count += (copies - 1) * (self._t_count - t_count)
             for span in spans:
                 avail[span] = [avail[span.start]] * copies
+        return self
+
+    def feed_fan_in(self, fan_in: FanIn) -> "Schedule":
+        """Feed ``fan_in``'s folds, forward or reversed alike, by the closed
+        form of :func:`fold_gates`: per fold, one ``max`` and two stores."""
+        avail, depth, targets = self._avail, fan_in.depth, fan_in.targets
+        stop, step, size = fan_in.stop, len(targets), 1 << depth
+        for start, target in zip(range(fan_in.load, fan_in.load + step), targets):
+            entry = max(avail[start:stop:step]) + depth
+            if avail[target] > entry:
+                entry = avail[target]
+            avail[start:stop:step] = [entry + depth + 1] * size
+            avail[target] = entry + 1
         return self
 
     def tally(self) -> ResourceTally:

@@ -11,11 +11,11 @@ empty schedule, are also tallied alone.  The inverse loader is tallied as
 the loader's gates in reverse order: the scheduler treats T like TDG and S
 like SDG, and the macros are self-adjoint, so the reversed stream tallies
 exactly as the adjoint circuit, which is never built.  Stage 2 is fed as
-its three tilings (:class:`~qsearch.circuit.Tiling`) in one call per pass:
-with zero keys every copy of a tiling enters at the same times, so the
-scheduler takes each block once, not per copy, and stage 2's gate list is
-never built.  Other keys stagger the copies, and such a tiling is fed as
-its gates, which it builds once.
+two tilings (:class:`~qsearch.circuit.Tiling`) and a fan-in taken by its
+closed form (:class:`~qsearch.circuit.FanIn`): with zero keys every copy
+of a tiling enters at the same times, so the scheduler takes each block
+once, not per copy, and stage 2's gate list is never built.  Other keys
+stagger the copies, and such a tiling is fed as its gates, built once.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ import functools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .circuit import Circuit, Gate, GateKind, Schedule, Tiling, tally_flat
+from .circuit import Circuit, FanIn, Gate, GateKind, Schedule, Tiling, tally_flat
 from .decompose import mcz_tree, sync_touch
 from .errors import InputError
 from . import qdam  # build_m2 looked up at call time: the benchmark's tracer patches it
@@ -85,17 +85,17 @@ class KernelCircuits:
     """Macro-level subroutine circuits for one kernel iteration; the loader
     is stage 1 then stage 2.
 
-    Stage 2 is kept as the three tilings of
-    :func:`~qsearch.qdam.stage2_parts`, which the resource report schedules
-    forward and in reverse, each tiling as its block when every copy enters
-    at the same times and otherwise as its gates, which the tiling builds
-    once and ``stage2`` shares.  ``stage2``, the loader and the inverse
-    loader are built lazily, at most once each, for the simulator, the
-    lowering and ``compile``."""
+    Stage 2 is kept as the parts of :func:`~qsearch.qdam.stage2_parts`,
+    which the resource report schedules forward and in reverse: the two
+    tilings each as its block when every copy enters at the same times and
+    otherwise as its gates, which the tiling builds once and ``stage2``
+    shares, and the fan-in by its closed form.  ``stage2``, the loader and
+    the inverse loader are built lazily, at most once each, for the
+    simulator, the lowering and ``compile``."""
 
     layout: QdamLayout
     stage1: Circuit
-    stage2_parts: tuple[Tiling, ...]
+    stage2_parts: tuple[Tiling, Tiling, FanIn]
     target_reflection: Circuit
     diffusion: Circuit
 
@@ -181,18 +181,19 @@ def measure_kernel(circuits: KernelCircuits, iterations: int) -> ResourceReport:
     One schedule takes the kernel in order: stage 1 (snapshot: stage 1),
     stage 2 (snapshot: the loader), then the target reflection, the
     loader's gates reversed as the inverse loader, and the diffusion
-    (snapshot: the kernel).  Stage 2 and the two reflections are also
-    tallied on their own, from an empty schedule; stage 2 from its first two
-    tilings, as the fan-in, all CNOTs, cannot move that tally."""
-    layout, parts = circuits.layout, circuits.stage2_parts
+    (snapshot: the kernel); reversed, stage 2's fan-in goes first.  Stage 2
+    and the two reflections are also tallied on their own, from an empty
+    schedule; stage 2 from its two tilings, as the fan-in, all CNOTs,
+    cannot move that tally."""
+    layout, (*tilings, fan_in) = circuits.layout, circuits.stage2_parts
     total = layout.total_qubits
     kernel = Schedule(total)
     t_m1 = kernel.feed(circuits.stage1.gates).tally()
-    t_loader = kernel.feed_tiled(*parts).tally()
-    kernel.feed(circuits.target_reflection.gates)
-    kernel.feed_tiled(*parts, reverse=True).feed(reversed(circuits.stage1.gates))
+    t_loader = kernel.feed_tiled(*tilings).feed_fan_in(fan_in).tally()
+    kernel.feed(circuits.target_reflection.gates).feed_fan_in(fan_in)
+    kernel.feed_tiled(*tilings, reverse=True).feed(reversed(circuits.stage1.gates))
     t_kernel = kernel.feed(circuits.diffusion.gates).tally()
-    t_m2 = Schedule(total).feed_tiled(*parts[:-1]).tally()
+    t_m2 = Schedule(total).feed_tiled(*tilings).tally()
     t_oracle = tally_flat(circuits.target_reflection.gates, total)
     t_diff = tally_flat(circuits.diffusion.gates, total)
     return ResourceReport(

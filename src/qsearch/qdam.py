@@ -15,12 +15,12 @@ The optimized loader runs in two stages:
   on disjoint triples after control fan-out, so the whole block costs one
   Toffoli of T-depth.  The E ancillas keep their (branch-deterministic)
   values until the inverse loader uncomputes them.  Every record's block
-  has one shape, so :func:`stage2_parts` describes stage 2 as three
-  tilings (:class:`~qsearch.circuit.Tiling`) in order: the preparation as a
-  one-copy tiling, the records as a tiling of record 0's block, with each
-  operand moved i strides of its region in record i (one-hot 1, database
-  and load m, fan-out m - 1), and the fan-in as a tiling of data bit 0's
-  column; :func:`build_m2` materializes them.
+  has one shape, so :func:`stage2_parts` describes stage 2 as three parts
+  in order: the preparation as a one-copy :class:`~qsearch.circuit.Tiling`,
+  the records as a tiling of record 0's block, with each operand moved i
+  strides of its region in record i (one-hot 1, database and load m,
+  fan-out m - 1), and the fan-in (:class:`~qsearch.circuit.FanIn`) as one
+  fold per data bit; :func:`build_m2` materializes them.
 
 Emission order is chosen so the lowered blocks merge their T layers: the
 clearing CNOTs leave all one-hot qubits last-touched in a common scheduler
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from itertools import chain, compress
 from typing import Sequence
 
-from .circuit import Circuit, Gate, GateKind, Register, Tiling
+from .circuit import Circuit, FanIn, Gate, GateKind, Register, Tiling
 from .database import Database
 from .decompose import shared_control_layer
 from .errors import CircuitError
@@ -217,12 +217,12 @@ def build_m1(layout: QdamLayout) -> Circuit:
 
 
 def stage2_parts(layout: QdamLayout,
-                 db: Database | Sequence[str]) -> tuple[Tiling, ...]:
-    """Stage 2 without its gate list, as three tilings in order: the
+                 db: Database | Sequence[str]) -> tuple[Tiling, Tiling, FanIn]:
+    """Stage 2 without its gate list, as three parts in order: the
     database preparation (one X per 1 bit) as a one-copy tiling, the
-    record blocks and the fan-in.  The last record's fan-out lease is
-    checked, so every copy of the record block stays in its regions; data
-    bit j's fan-in is column 0's fold moved j qubits on."""
+    record blocks as a tiling and the fan-in.  The last record's fan-out
+    lease is checked, so every copy of the record block stays in its
+    regions; data bit j's fan-in folds the load ancillas E(i, j) into it."""
     keys = _key_bits(layout.n, layout.m, db)
     n, m = layout.n, layout.m
     count, total = 1 << n, layout.total_qubits
@@ -237,42 +237,15 @@ def stage2_parts(layout: QdamLayout,
     stride = {control: 1, **dict.fromkeys(lease, m - 1),
               **{q: m for pair in pairs for q in pair}}
     block = shared_control_layer(control, pairs, lease)
-    column, data = range(load, load + count * m, m), layout.data_qubit(0)
-    fan_in = _fold_fan_in(column, data)
     return (Tiling(prepare, {}, 1, total), Tiling(block, stride, count, total),
-            Tiling(fan_in, dict.fromkeys((*column, data), 1), m, total))
+            FanIn(load, n, layout.data_qubit(0), m, total))
 
 
-def build_m2(layout: QdamLayout, parts: Sequence[Tiling]) -> Circuit:
-    """Stage 2 as a circuit: the tilings of :func:`stage2_parts`
+def build_m2(layout: QdamLayout, parts: Sequence[Tiling | FanIn]) -> Circuit:
+    """Stage 2 as a circuit: the parts of :func:`stage2_parts`
     materialized in order."""
-    gates = list(chain.from_iterable(tiling.gates for tiling in parts))
+    gates = list(chain.from_iterable(part.gates for part in parts))
     return Circuit(layout.register_sizes, gates)
-
-
-def _fold_fan_in(column: Sequence[int], target: int) -> list[Gate]:
-    """XOR the (power-of-two) column into ``target`` by folding the column
-    onto its first qubit, copying out, and unfolding.
-
-    A sequential fan-in chain would do the same job, but its reverse
-    staggers the column's scheduler timing across 2^n layers, which in the
-    inverse loader would smear the uncompute Toffolis' T gates over as many
-    layers.  The fold tree's final unfold round touches every column qubit
-    in a single layer, so the inverse loader re-enters time-aligned.
-    The column's qubits and ``target`` must be distinct.
-    """
-    k = len(column)
-    gates: list[Gate] = []
-    span = 1
-    # a round's CNOTs pair column[i + span] with column[i], i = 0, 2 span, ...
-    while span < k:
-        gates += [(_CNOT, p) for p in zip(column[span::2 * span], column[::2 * span])]
-        span <<= 1
-    gates.append((_CNOT, (column[0], target)))
-    while span > 1:
-        span >>= 1
-        gates += [(_CNOT, p) for p in zip(column[span::2 * span], column[::2 * span])]
-    return gates
 
 
 def build_naive_qdam(layout: NaiveLayout, db: Database | Sequence[str]) -> Circuit:

@@ -35,6 +35,7 @@ from qsearch.circuit import (
     Schedule,
     _ARITY,
     _TEMPLATES,
+    fold_gates,
     gate,
     tally_flat,
 )
@@ -42,7 +43,7 @@ from qsearch.database import FORMAT_VERSION, Database
 from qsearch.decompose import shared_control_layer
 from qsearch.errors import CircuitError
 from qsearch.kernel import ReportMode, ResourceReport
-from qsearch.qdam import _fold_fan_in, build_m1, build_m2, stage2_parts
+from qsearch.qdam import build_m1, build_m2, stage2_parts
 from qsearch.sim import DROP_TOLERANCE, SparseState
 
 DEFAULT_DENSE_CAP = 14
@@ -424,7 +425,7 @@ def stage2_per_record_gates(layout, keys) -> tuple[Gate, ...]:
         gates.extend(shared_control_layer(layout.onehot_qubit(i), pairs, lease))
     for j in range(m):
         column = [layout.load_qubit(i, j) for i in range(len(keys))]
-        gates.extend(_fold_fan_in(column, layout.data_qubit(j)))
+        gates.extend(fold_gates(column, layout.data_qubit(j)))
     return tuple(gates)
 
 

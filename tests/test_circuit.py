@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 from qsearch.circuit import (
     Circuit,
+    FanIn,
     GateKind,
     Register,
     Schedule,
     Tiling,
     _derive_template,
+    fold_gates,
     gate,
     resource_tally,
     tally_flat,
@@ -371,6 +373,72 @@ def test_tiling_bounds_every_copy_explicitly():
     assert Tiling(block, {2: 1}, 2, 4).gates == ((GateKind.X, (2,)), (GateKind.X, (3,)))
     with pytest.raises(CircuitError, match="copies of qubit 1 leave the circuit"):  # 1, 3, 5
         Tiling([gate(GateKind.X, 1)], {1: 2}, 3, 5)
+
+
+@st.composite
+def _fan_ins(draw):
+    # 2^0 .. 2^8 column qubits per fold, 1 .. 6 folds, the targets before
+    # or after the load region, and every qubit entering at its own time
+    depth, copies = draw(st.integers(0, 8)), draw(st.integers(1, 6))
+    region, gap = copies << depth, draw(st.integers(0, 3))
+    load, target = ((copies + gap, 0) if draw(st.booleans())
+                    else (0, region + gap))
+    total = region + copies + gap + draw(st.integers(0, 2))
+    prior = draw(st.lists(st.integers(0, 40), min_size=total, max_size=total))
+    return FanIn(load, depth, target, copies, total), prior
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fan_ins(), st.booleans())
+def test_feed_fan_in_equals_feeding_the_folds(case, reverse):
+    fan_in, prior = case
+    total = len(prior)
+    fast, slow = Schedule(total), ReferenceSchedule(total)
+    fast._avail, slow.avail = list(prior), list(prior)
+    # a T layer marked before the fan-in, which must leave it as it is
+    fast.feed([gate(GateKind.T, 0)])
+    reference_feed(slow, [gate(GateKind.T, 0)])
+    fast.feed_fan_in(fan_in)
+    reference_feed(slow, fan_in.gates[::-1] if reverse else fan_in.gates)
+    assert fast._avail == slow.avail
+    assert fast.tally() == slow.tally() == (1, 1)
+    assert marked_layers(fast) == slow.t_layers
+
+
+def test_fan_in_gates_are_the_shifted_folds():
+    # fold j is column j's fold into target j, fold by fold
+    fan_in = FanIn(3, 2, 0, 3, 15)
+    assert fan_in.gates == tuple(
+        g for j in range(3) for g in fold_gates(range(3 + j, 15, 3), j))
+    assert FanIn(0, 0, 1, 1, 2).gates == ((GateKind.CNOT, (0, 1)),)
+
+
+def test_fan_in_checks_its_region_once():
+    FanIn(2, 1, 0, 2, 6)  # columns {2, 4} and {3, 5}, targets 0 and 1
+    FanIn(0, 1, 4, 2, 6)  # the targets after the region
+    for args in ((2, 1, 0, 2, 5),  # the region ends past the width
+                 (0, 1, 4, 2, 5),  # so does the second target
+                 (1, 1, 0, 2, 6),  # the first column holds target 1
+                 (0, 1, 3, 2, 6),  # target 0 is column 1's last qubit
+                 (-1, 1, 4, 2, 6),  # the region starts before qubit 0
+                 (2, 1, -1, 2, 6)):  # so does the first target
+        with pytest.raises(CircuitError, match="the fan-in leaves the circuit"):
+            FanIn(*args)
+
+
+@pytest.mark.parametrize("depth", range(7))
+def test_the_fold_is_rank_one_with_no_t_layer(depth):
+    # a template is fixed up to one constant, and the derivation puts the
+    # first operand's largest entry offset at 0: shifted so the target's
+    # entry offset is 0, the column enters at depth and leaves at depth + 1
+    k = 1 << depth
+    fold = _derive_template(fold_gates(range(k), k))
+    shift = fold.entry[-1]
+    assert tuple(u - shift for u in fold.entry) == (depth,) * k + (0,)
+    assert tuple(x + shift for x in fold.exit) == (depth + 1,) * k + (1,)
+    assert (fold.t_layers, fold.t_count) == ((), 0)
+    # reversed, the fold derives alike
+    assert _derive_template(fold_gates(range(k), k)[::-1]) == fold
 
 
 def test_macro_templates_are_rank_one():

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qsearch import decompose, qdam, resources
+from qsearch import circuit, decompose, qdam, resources
 from qsearch.circuit import (
     Circuit,
+    FanIn,
     GateKind,
     Schedule,
     Tiling,
@@ -440,10 +441,11 @@ def _check_the_fan_in_moves_no_tally(layout, keys):
     # stage 2's standalone tally skips the fan-in, which holds no T gate
     *head, fan_in = stage2_parts(layout, keys)
     t_kinds = {GateKind.T, GateKind.TDG, GateKind.TOFFOLI, GateKind.MCZ}
-    assert not t_kinds & {kind for kind, _ in fan_in.block}
+    assert not t_kinds & {kind for kind, _ in fan_in.gates}
     total = layout.total_qubits
-    assert (Schedule(total).feed_tiled(*head).tally()
-            == Schedule(total).feed_tiled(*head, fan_in).tally())
+    tally = Schedule(total).feed_tiled(*head).tally()
+    assert tally == Schedule(total).feed_tiled(*head).feed(fan_in.gates).tally()
+    assert tally == Schedule(total).feed_tiled(*head).feed_fan_in(fan_in).tally()
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -460,19 +462,26 @@ def test_stage_two_tally_equals_all_three_tilings_on_random_keys(n, m, seed):
 
 
 def test_measure_kernel_feeds_the_fan_in_twice(monkeypatch):
-    # once forward in the loader and once reversed in the inverse loader
+    # once forward in the loader and once reversed in the inverse loader,
+    # each time after the record tiling of its pass
     circuits = _zero_key_circuits(5, 3)
-    fed, real = [], Schedule.feed_tiled
+    fed, real_tiled, real_fan_in = [], Schedule.feed_tiled, Schedule.feed_fan_in
 
     def recording(schedule, *tilings, reverse=False):
-        fed.extend(tilings)
-        return real(schedule, *tilings, reverse=reverse)
+        fed.append((tilings, reverse))
+        return real_tiled(schedule, *tilings, reverse=reverse)
+
+    def recording_fan_in(schedule, fan_in):
+        fed.append(fan_in)
+        return real_fan_in(schedule, fan_in)
 
     monkeypatch.setattr(Schedule, "feed_tiled", recording)
+    monkeypatch.setattr(Schedule, "feed_fan_in", recording_fan_in)
     measure_kernel(circuits, 1)
-    fan_in = circuits.stage2_parts[-1]
-    assert sum(tiling is fan_in for tiling in fed) == 2
-    assert len(fed) == 8
+    *tilings, fan_in = circuits.stage2_parts
+    tilings = tuple(tilings)
+    # the loader, the inverse loader, then stage 2's standalone tally
+    assert fed == [(tilings, False), fan_in, fan_in, (tilings, True), (tilings, False)]
 
 
 def _refuse_to_materialize(monkeypatch):
@@ -481,6 +490,7 @@ def _refuse_to_materialize(monkeypatch):
 
     monkeypatch.setattr(qdam, "build_m2", refuse)
     monkeypatch.setattr(Tiling, "gates", property(refuse))
+    monkeypatch.setattr(FanIn, "gates", property(refuse))
 
 
 def test_measure_never_materializes_stage_two(monkeypatch):
@@ -488,6 +498,19 @@ def test_measure_never_materializes_stage_two(monkeypatch):
     _refuse_to_materialize(monkeypatch)
     for n, m in ((1, 1), (3, 2), (6, 3), (8, 5)):
         measure(n, m)
+
+
+def test_measure_builds_no_fold(monkeypatch):
+    # the fan-in is fed by its closed form on any keys, so not even its
+    # one fold is built
+    def refuse(*args):
+        raise AssertionError("the report built a fold")
+
+    monkeypatch.setattr(circuit, "fold_gates", refuse)
+    measure(7, 5)
+    rng = random.Random(28)
+    keys, (query,) = _random_keys(rng, 5, 3), _random_keys(rng, 0, 3)
+    measure_kernel(build_kernel_circuits(QdamLayout(5, 3), keys, query), 2)
 
 
 def test_measure_schedules_fewer_gates_than_stage_two_holds(monkeypatch):
@@ -504,7 +527,7 @@ def test_measure_schedules_fewer_gates_than_stage_two_holds(monkeypatch):
     monkeypatch.setattr(Schedule, "feed", counting)
     measure(8, 5)
     # the report feeds stage 1 twice, the reflections twice each and about
-    # one record block and one fan-in column per stage-2 pass
+    # one record block per stage-2 pass, and no fan-in gate at all
     assert sum(fed) < len(stage2)
 
 
@@ -523,18 +546,26 @@ def test_run_search_materializes_stage_two_once(monkeypatch):
 
 def test_run_search_builds_each_stage_two_tiling_once(monkeypatch):
     # the simulator's stage 2 and the report's staggered tilings share one
-    # build of each tiling's gates
-    built, real = [], Tiling.__dict__["gates"]
+    # build of each tiling's gates; the fan-in's gates and its one fold are
+    # built once, for the simulator alone
+    built, folds = [], []
+    for part in (Tiling, FanIn):
+        real = part.__dict__["gates"]
 
-    def counting(tiling):
-        # a build is a read that finds no kept tuple on the tiling
-        if "gates" not in vars(tiling):
-            built.append(tiling)
-        return real.__get__(tiling, Tiling)
+        def counting(tiling, real=real, part=part):
+            # a build is a read that finds no kept tuple on the part
+            if "gates" not in vars(tiling):
+                built.append(tiling)
+            return real.__get__(tiling, part)
 
-    monkeypatch.setattr(Tiling, "gates", property(counting))
+        monkeypatch.setattr(part, "gates", property(counting))
+    real_fold = circuit.fold_gates
+    monkeypatch.setattr(circuit, "fold_gates",
+                        lambda *args: folds.append(args) or real_fold(*args))
     run_search(toy_db(3), SearchQuery("101", "val"))
     assert len(built) == 3 == len(set(built))
+    assert sorted(type(part).__name__ for part in built) == ["FanIn", "Tiling", "Tiling"]
+    assert len(folds) == 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

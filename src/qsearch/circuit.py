@@ -47,13 +47,13 @@ function of the gate order, so results are deterministic and circuits are
 safe to share across workers.
 
 A :class:`Tiling` is disjoint copies of one block of gates, each operand
-moved by its own stride per copy; :meth:`Schedule.feed_tiled` schedules a
-sequence of tilings, forward or reversed, through :meth:`Schedule.feed`:
-when every copy enters at the same times it feeds copy 0's block in place
-and copies its exits to the other copies, and otherwise it feeds the
-tiling's gates, built once per tiling.  A :class:`FanIn` is disjoint
-CNOT folds, rank one too: :meth:`Schedule.feed_fan_in` takes each fold in
-one step by its closed form (:func:`fold_gates`), and builds no gate.
+moved by its own stride per copy; :meth:`Schedule.feed_tiled` schedules
+one tiling, forward or reversed, through :meth:`Schedule.feed`: when every
+copy enters at the same times it feeds copy 0's block in place and copies
+its exits to the other copies, and otherwise it feeds the tiling's gates,
+built once per tiling.  A :class:`FanIn` is disjoint CNOT folds, rank one
+too: :meth:`Schedule.feed_fan_in` takes each fold in one step by its
+closed form (:func:`fold_gates`), and builds no gate.
 """
 from __future__ import annotations
 
@@ -218,10 +218,7 @@ class Tiling:
     of the block to ``q + i * strides[q]``.  The copies are checked to be
     pairwise disjoint and inside ``total_qubits``, so they commute.
     ``spans`` maps each operand, in order of first use, to the slice of
-    its copies' qubits; a one-copy tiling is its block as is and has no
-    spans, so its strides are never read.  A sequence of tilings is a gate
-    stream, tiling by tiling; its reverse takes the last tiling first, each
-    copy's block reversed.  ``gates`` builds the copies' gates on first use
+    its copies' qubits.  ``gates`` builds the copies' gates on first use
     and keeps them."""
 
     def __init__(self, block: Iterable[Gate], strides: Mapping[int, int],
@@ -232,10 +229,6 @@ class Tiling:
         self.spans: dict[int, slice] = {}
         # every operand once, in order of first use
         operands = dict.fromkeys(chain.from_iterable(ops for _, ops in self.block))
-        if copies == 1:
-            if not all(0 <= q < total_qubits for q in operands):
-                raise CircuitError("the block leaves the circuit")
-            return
         # mark every copy of every operand once, then count the marks: the
         # copies are disjoint iff none was marked twice.  The bound check is
         # explicit, since a stride-1 slice assignment past the end would
@@ -254,8 +247,6 @@ class Tiling:
     @functools.cached_property
     def gates(self) -> tuple[Gate, ...]:
         """The copies' gates, copy by copy."""
-        if self.copies == 1:
-            return self.block
         kinds = [kind for kind, _ in self.block]
         # each gate's operands in every copy, as one zip of ranges
         ranges = {q: range(span.start, span.stop, span.step)
@@ -501,26 +492,22 @@ class Schedule:
         self._t_count = t_count
         return self
 
-    def feed_tiled(self, *tilings: Tiling, reverse: bool = False) -> "Schedule":
-        """Feed the copies of ``tilings`` in order as feeding them one by
-        one would, or with ``reverse`` that stream reversed: the last
-        tiling first, each copy's block reversed.  Copy i's operand q
-        enters at ``avail[q + i * stride]``.  When every operand's copies
-        enter at one time, all copies schedule alike: copy 0's block, whose
-        operands are real qubits, is fed in place, its T count is taken
-        ``copies`` times and its exits are copied to the other copies by
-        slice assignment.  Otherwise the tiling's gates are fed."""
-        avail = self._avail
-        for tiling in reversed(tilings) if reverse else tilings:
-            copies, block, spans = tiling.copies, tiling.block, tiling.spans.values()
-            if any(avail[span].count(avail[span.start]) != copies for span in spans):
-                self.feed(reversed(tiling.gates) if reverse else tiling.gates)
-                continue
-            t_count = self._t_count
-            self.feed(block[::-1] if reverse else block)
-            self._t_count += (copies - 1) * (self._t_count - t_count)
-            for span in spans:
-                avail[span] = [avail[span.start]] * copies
+    def feed_tiled(self, tiling: Tiling, reverse: bool = False) -> "Schedule":
+        """Feed ``tiling``'s copies in order, or with ``reverse`` that stream
+        reversed.  Copy i's operand q enters at ``avail[q + i * stride]``.
+        When every operand's copies enter at one time, all copies schedule
+        alike: copy 0's block, whose operands are real qubits, is fed in
+        place, its T count is taken ``copies`` times and its exits are
+        copied to the other copies by slice assignment.  Otherwise the
+        tiling's gates are fed."""
+        avail, copies, spans = self._avail, tiling.copies, tiling.spans.values()
+        if any(avail[span].count(avail[span.start]) != copies for span in spans):
+            return self.feed(reversed(tiling.gates) if reverse else tiling.gates)
+        t_count = self._t_count
+        self.feed(tiling.block[::-1] if reverse else tiling.block)
+        self._t_count += (copies - 1) * (self._t_count - t_count)
+        for span in spans:
+            avail[span] = [avail[span.start]] * copies
         return self
 
     def feed_fan_in(self, fan_in: FanIn) -> "Schedule":

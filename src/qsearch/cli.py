@@ -29,7 +29,7 @@ import sys
 from typing import Sequence
 
 from .database import SearchQuery, load_database_file, pad_to_power_of_two
-from .decompose import lower_circuit
+from .decompose import lower_circuit, lowered_length
 from .errors import InputError, QsearchError
 from .grover import SearchStatus, build_kernel_circuits, check_database, run_search
 from .qdam import NaiveLayout, QdamLayout, build_naive_qdam
@@ -45,7 +45,8 @@ EXIT_OK = 0
 EXIT_SEARCH_FAILED = 2
 EXIT_INPUT = 3
 # the most gates compile writes: the export holds about 1.2 KB of peak RSS
-# per gate, so this keeps a run near 1 GB
+# per gate, so this keeps a run near 1 GB.  The cap is checked on the
+# circuit's lowered length, so a rejection counts and lowers nothing
 MAX_EXPORT_GATES = 1 << 20
 
 
@@ -151,11 +152,12 @@ def _cmd_compile(args) -> int:
             "oracle": circuits.target_reflection,
             "diffusion": circuits.diffusion,
         }[args.part]
+    size = lowered_length(circuit) if args.lowered else len(circuit)
+    if size > MAX_EXPORT_GATES:
+        raise InputError(f"compile writes at most {MAX_EXPORT_GATES} gates, "
+                         f"{args.part} has {size}")
     if args.lowered:
         circuit = lower_circuit(circuit)
-    if len(circuit) > MAX_EXPORT_GATES:
-        raise InputError(f"compile writes at most {MAX_EXPORT_GATES} gates, "
-                         f"{args.part} has {len(circuit)}")
     _emit(circuit.export_json(), args.out)
     sys.stdout.write(f"wrote {args.part} ({len(circuit)} gates) to {args.out}\n")
     return EXIT_OK

@@ -27,6 +27,7 @@ All emitted ancillas are returned to |0> on every input.
 """
 from __future__ import annotations
 
+from collections import Counter
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -202,10 +203,6 @@ def lower_gates(gates: Iterable[Gate]) -> tuple[list[Gate], list[FragmentSpan]]:
     returns each fragment's :data:`~qsearch.circuit.FragmentSpan`, taken
     from the length of the fragment as emitted, with the operands it acts
     on only when all are 1: a Toffoli's controls, a CCZ's three qubits."""
-    # the naive loader repeats its index AND chain for every record bit,
-    # thousands of times in ``compile --part naive --lowered``; lower each
-    # distinct Toffoli once
-    fragments: dict = {}
     out: list[Gate] = []
     spans: list[FragmentSpan] = []
     append, extend, mark = out.append, out.extend, spans.append
@@ -213,11 +210,8 @@ def lower_gates(gates: Iterable[Gate]) -> tuple[list[Gate], list[FragmentSpan]]:
     for g in gates:
         kind, ops = g
         if kind is toffoli:
-            fragment = fragments.get(g)
-            if fragment is None:
-                fragment = fragments[g] = decompose_toffoli(*ops)
             start = len(out)
-            extend(fragment)
+            extend(decompose_toffoli(*ops))
             mark((start, len(out), ops[:2]))
         elif kind is mcz:
             start = len(out)
@@ -226,6 +220,14 @@ def lower_gates(gates: Iterable[Gate]) -> tuple[list[Gate], list[FragmentSpan]]:
         else:
             append(g)
     return out, spans
+
+
+def lowered_length(circuit: Circuit) -> int:
+    """``len(lower_circuit(circuit))``, counted without lowering: every
+    macro kind's fragment has a fixed length."""
+    kinds = Counter(kind for kind, _ in circuit.gates)
+    return (len(circuit) + (len(decompose_toffoli(0, 1, 2)) - 1) * kinds[_TOFFOLI]
+            + (len(ccz_gates(0, 1, 2)) - 1) * kinds[_MCZ])
 
 
 def lower_circuit(

@@ -11,11 +11,12 @@ empty schedule, are also tallied alone.  The inverse loader is tallied as
 the loader's gates in reverse order: the scheduler treats T like TDG and S
 like SDG, and the macros are self-adjoint, so the reversed stream tallies
 exactly as the adjoint circuit, which is never built.  Stage 2 is fed as
-two tilings (:class:`~qsearch.circuit.Tiling`) and a fan-in taken by its
-closed form (:class:`~qsearch.circuit.FanIn`): with zero keys every copy
-of a tiling enters at the same times, so the scheduler takes each block
-once, not per copy, and stage 2's gate list is never built.  Other keys
-stagger the copies, and such a tiling is fed as its gates, built once.
+the database preparation's X gates, the record tiling
+(:class:`~qsearch.circuit.Tiling`) and a fan-in taken by its closed form
+(:class:`~qsearch.circuit.FanIn`): with zero keys every copy of the
+tiling enters at the same times, so the scheduler takes its block once,
+not per record, and stage 2's gate list is never built.  Other keys
+stagger the copies, and the tiling is then fed as its gates, built once.
 """
 from __future__ import annotations
 
@@ -86,16 +87,16 @@ class KernelCircuits:
     is stage 1 then stage 2.
 
     Stage 2 is kept as the parts of :func:`~qsearch.qdam.stage2_parts`,
-    which the resource report schedules forward and in reverse: the two
-    tilings each as its block when every copy enters at the same times and
-    otherwise as its gates, which the tiling builds once and ``stage2``
-    shares, and the fan-in by its closed form.  ``stage2``, the loader and
-    the inverse loader are built lazily, at most once each, for the
-    simulator, the lowering and ``compile``."""
+    which the resource report schedules forward and in reverse: the
+    preparation as its gates, the record tiling as its block when every
+    copy enters at the same times and otherwise as its gates, which the
+    tiling builds once and ``stage2`` shares, and the fan-in by its closed
+    form.  ``stage2``, the loader and the inverse loader are built lazily,
+    at most once each, for the simulator, the lowering and ``compile``."""
 
     layout: QdamLayout
     stage1: Circuit
-    stage2_parts: tuple[Tiling, Tiling, FanIn]
+    stage2_parts: tuple[tuple[Gate, ...], Tiling, FanIn]
     target_reflection: Circuit
     diffusion: Circuit
 
@@ -181,19 +182,19 @@ def measure_kernel(circuits: KernelCircuits, iterations: int) -> ResourceReport:
     One schedule takes the kernel in order: stage 1 (snapshot: stage 1),
     stage 2 (snapshot: the loader), then the target reflection, the
     loader's gates reversed as the inverse loader, and the diffusion
-    (snapshot: the kernel); reversed, stage 2's fan-in goes first.  Stage 2
-    and the two reflections are also tallied on their own, from an empty
-    schedule; stage 2 from its two tilings, as the fan-in, all CNOTs,
-    cannot move that tally."""
-    layout, (*tilings, fan_in) = circuits.layout, circuits.stage2_parts
-    total = layout.total_qubits
+    (snapshot: the kernel); reversed, stage 2's fan-in goes first and its
+    preparation last.  Stage 2 and the two reflections are also tallied on
+    their own, from an empty schedule; stage 2 from its preparation and
+    record tiling, as the fan-in, all CNOTs, cannot move that tally."""
+    layout, (prepare, records, fan_in) = circuits.layout, circuits.stage2_parts
+    stage1, total = circuits.stage1.gates, layout.total_qubits
     kernel = Schedule(total)
-    t_m1 = kernel.feed(circuits.stage1.gates).tally()
-    t_loader = kernel.feed_tiled(*tilings).feed_fan_in(fan_in).tally()
+    t_m1 = kernel.feed(stage1).tally()
+    t_loader = kernel.feed(prepare).feed_tiled(records).feed_fan_in(fan_in).tally()
     kernel.feed(circuits.target_reflection.gates).feed_fan_in(fan_in)
-    kernel.feed_tiled(*tilings, reverse=True).feed(reversed(circuits.stage1.gates))
-    t_kernel = kernel.feed(circuits.diffusion.gates).tally()
-    t_m2 = Schedule(total).feed_tiled(*tilings).tally()
+    kernel.feed_tiled(records, reverse=True).feed(reversed(prepare))
+    t_kernel = kernel.feed(reversed(stage1)).feed(circuits.diffusion.gates).tally()
+    t_m2 = Schedule(total).feed(prepare).feed_tiled(records).tally()
     t_oracle = tally_flat(circuits.target_reflection.gates, total)
     t_diff = tally_flat(circuits.diffusion.gates, total)
     return ResourceReport(

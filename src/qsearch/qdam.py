@@ -16,11 +16,11 @@ The optimized loader runs in two stages:
   Toffoli of T-depth.  The E ancillas keep their (branch-deterministic)
   values until the inverse loader uncomputes them.  Every record's block
   has one shape, so :func:`stage2_parts` describes stage 2 as three parts
-  in order: the preparation as a one-copy :class:`~qsearch.circuit.Tiling`,
-  the records as a tiling of record 0's block, with each operand moved i
-  strides of its region in record i (one-hot 1, database and load m,
-  fan-out m - 1), and the fan-in (:class:`~qsearch.circuit.FanIn`) as one
-  fold per data bit; :func:`build_m2` materializes them.
+  in order: the preparation as its X gates, the records as a
+  :class:`~qsearch.circuit.Tiling` of record 0's block, with each operand
+  moved i strides of its region in record i (one-hot 1, database and load
+  m, fan-out m - 1), and the fan-in (:class:`~qsearch.circuit.FanIn`) as
+  one fold per data bit; :func:`build_m2` materializes them.
 
 Emission order is chosen so the lowered blocks merge their T layers: the
 clearing CNOTs leave all one-hot qubits last-touched in a common scheduler
@@ -39,7 +39,7 @@ end, the database bit and the data bit, between two H.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import compress
 from typing import Sequence
 
 from .circuit import Circuit, FanIn, Gate, GateKind, Register, Tiling
@@ -216,20 +216,20 @@ def build_m1(layout: QdamLayout) -> Circuit:
     return Circuit(layout.register_sizes, gates)
 
 
-def stage2_parts(layout: QdamLayout,
-                 db: Database | Sequence[str]) -> tuple[Tiling, Tiling, FanIn]:
+def stage2_parts(layout: QdamLayout, db: Database | Sequence[str]
+                 ) -> tuple[tuple[Gate, ...], Tiling, FanIn]:
     """Stage 2 without its gate list, as three parts in order: the
-    database preparation (one X per 1 bit) as a one-copy tiling, the
-    record blocks as a tiling and the fan-in.  The last record's fan-out
-    lease is checked, so every copy of the record block stays in its
-    regions; data bit j's fan-in folds the load ancillas E(i, j) into it."""
+    database preparation's gates (one X per 1 bit), the record blocks as
+    a tiling and the fan-in.  The last record's fan-out lease is checked,
+    so every copy of the record block stays in its regions; data bit j's
+    fan-in folds the load ancillas E(i, j) into it."""
     keys = _key_bits(layout.n, layout.m, db)
     n, m = layout.n, layout.m
     count, total = 1 << n, layout.total_qubits
     # database bit (i, j) and load ancilla E(i, j) sit at offset i*m + j of
     # their regions, the offset of bit j of key i in the joined keys
     database, load = layout.database_qubit(0, 0), layout.load_qubit(0, 0)
-    prepare = _prepare(database, keys)
+    prepare = tuple(_prepare(database, keys))
     base = (count >> 1) - 1  # past stage 1's fan-out ancillas
     layout.fanout_lease(base + (count - 1) * (m - 1), m - 1)
     control, lease = layout.onehot_qubit(0), layout.fanout_lease(base, m - 1)
@@ -237,15 +237,16 @@ def stage2_parts(layout: QdamLayout,
     stride = {control: 1, **dict.fromkeys(lease, m - 1),
               **{q: m for pair in pairs for q in pair}}
     block = shared_control_layer(control, pairs, lease)
-    return (Tiling(prepare, {}, 1, total), Tiling(block, stride, count, total),
+    return (prepare, Tiling(block, stride, count, total),
             FanIn(load, n, layout.data_qubit(0), m, total))
 
 
-def build_m2(layout: QdamLayout, parts: Sequence[Tiling | FanIn]) -> Circuit:
-    """Stage 2 as a circuit: the parts of :func:`stage2_parts`
-    materialized in order."""
-    gates = list(chain.from_iterable(part.gates for part in parts))
-    return Circuit(layout.register_sizes, gates)
+def build_m2(layout: QdamLayout,
+             parts: tuple[tuple[Gate, ...], Tiling, FanIn]) -> Circuit:
+    """Stage 2 as a circuit: the preparation, then the gates of the
+    record tiling and of the fan-in, the parts of :func:`stage2_parts`."""
+    prepare, records, fan_in = parts
+    return Circuit(layout.register_sizes, (*prepare, *records.gates, *fan_in.gates))
 
 
 def build_naive_qdam(layout: NaiveLayout, db: Database | Sequence[str]) -> Circuit:

@@ -18,6 +18,7 @@ hundred gates, on their lowering.
 """
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Sequence
 
 from .circuit import resource_tally, tally_flat
@@ -62,20 +63,25 @@ MAX_MEASURED_N = 20
 MAX_NAIVE_BITS = 1 << 15
 
 
-def _check_widths(n: int, m: int, max_n: int, max_bits: int | None = None) -> None:
+def _check_widths(n: int, m: int, max_n: int,
+                  max_bits: int | None = None) -> tuple[int, int]:
     """Reject report widths below 1, an index width above ``max_n``, or more
-    than ``max_bits`` record bits m * 2^n, with :class:`InputError`."""
+    than ``max_bits`` record bits m * 2^n, with :class:`InputError`.  Return
+    the widths as plain ints, so that a report on numpy integers still
+    serializes."""
+    n, m = operator.index(n), operator.index(m)
     if n < 1 or m < 1:
         raise InputError("widths must be positive")
     if n > max_n:
         raise InputError(f"this report supports n <= {max_n}, got {n}")
     if max_bits is not None and m << n > max_bits:
         raise InputError(f"this report supports m * 2^n <= {max_bits}, got {m} * 2^{n}")
+    return n, m
 
 
 def estimate_bounds(n: int, m: int) -> ResourceReport:
     """Closed-form report; the constructive inequalities taken as equalities."""
-    _check_widths(n, m, MAX_BOUND_N)
+    n, m = _check_widths(n, m, MAX_BOUND_N)
     big_n = 1 << n
     td_m1 = 4 * (n - 1)
     td_m2 = 4
@@ -119,7 +125,7 @@ def _zero_keys(n: int, m: int) -> list[str]:
 
 def measure(n: int, m: int) -> ResourceReport:
     """Measured report for the optimized kernel at the given widths."""
-    _check_widths(n, m, MAX_MEASURED_N, 1 << MAX_MEASURED_N)
+    n, m = _check_widths(n, m, MAX_MEASURED_N, 1 << MAX_MEASURED_N)
     layout = QdamLayout(n, m)
     keys = _zero_keys(n, m)
     circuits = build_kernel_circuits(layout, keys, "0" * m)
@@ -138,7 +144,7 @@ def measure_naive(n: int, m: int) -> ResourceReport:
     on their lowering.  The kernel depth is composed per subroutine
     (2*loader + both reflections); scheduling the concatenation twice would
     add nothing but runtime."""
-    _check_widths(n, m, MAX_MEASURED_N, MAX_NAIVE_BITS)
+    n, m = _check_widths(n, m, MAX_MEASURED_N, MAX_NAIVE_BITS)
     layout = NaiveLayout(n, m)
     macro = build_naive_qdam(layout, _zero_keys(n, m))
     total = sum(layout.register_sizes.values())
@@ -170,11 +176,9 @@ def bench_scaling(n_values: Iterable[int],
                   m: int) -> list[tuple[ResourceReport, ResourceReport]]:
     """Measured ``(optimized, naive)`` report pairs, one per index width.
     Resource mode only: nothing is simulated."""
-    n_values = list(n_values)
     # every row is checked before any is measured
-    for n in n_values:
-        _check_widths(n, m, MAX_BENCH_N, MAX_NAIVE_BITS)
-    return [(measure(n, m), measure_naive(n, m)) for n in n_values]
+    rows = [_check_widths(n, m, MAX_BENCH_N, MAX_NAIVE_BITS) for n in n_values]
+    return [(measure(n, m), measure_naive(n, m)) for n, m in rows]
 
 
 def bench_csv(rows: Sequence[tuple[ResourceReport, ResourceReport]]) -> str:

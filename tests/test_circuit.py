@@ -299,7 +299,9 @@ def test_feed_tiled_equals_feeding_the_copies(case, reverse):
         assert tilings[-1].gates == tuple(stream)
         copied += stream
     # reversed, the stream runs last tiling first and every block backwards
-    tiled = Schedule(total).feed(prior).feed_tiled(*tilings, reverse=reverse)
+    tiled = Schedule(total).feed(prior)
+    for tiling in reversed(tilings) if reverse else tilings:
+        tiled.feed_tiled(tiling, reverse=reverse)
     flat = Schedule(total).feed(prior).feed(copied[::-1] if reverse else copied)
     slow = reference_feed(ReferenceSchedule(total), prior)
     reference_feed(slow, copied[::-1] if reverse else copied)
@@ -361,7 +363,7 @@ def test_tiling_rejects_overlapping_copies():
     with pytest.raises(CircuitError):
         Tiling(block, {0: 1, 2: 1}, 0, 4)
     with pytest.raises(CircuitError):  # one copy of qubit 2 outside 2 qubits
-        Tiling(block, {}, 1, 2)
+        Tiling(block, {0: 1, 2: 1}, 1, 2)
 
 
 def test_tiling_bounds_every_copy_explicitly():

@@ -311,6 +311,54 @@ def test_compile_above_the_gate_limit_exits_three(tmp_path, capsys, monkeypatch)
         assert not out_path.exists()
 
 
+@pytest.mark.parametrize(
+    "part", ["m1", "m2", "qdam", "oracle", "diffusion", "kernel", "naive"])
+def test_lowered_length_counts_every_lowered_compile_part(tmp_path, capsys,
+                                                          monkeypatch, part):
+    from qsearch import cli
+    from qsearch.decompose import lowered_length
+
+    counted, real = [], cli.lower_circuit
+
+    def lowering(circuit):
+        lowered = real(circuit)
+        counted.append((lowered_length(circuit), len(lowered)))
+        return lowered
+
+    monkeypatch.setattr(cli, "lower_circuit", lowering)
+    out_path = tmp_path / "x.json"
+    code, out, _ = _run(capsys, "compile", "--db", DATA_DB, "--key", "0101",
+                        "--part", part, "--lowered", "--out", str(out_path))
+    assert code == 0
+    [(count, length)] = counted
+    assert count == length
+    assert out == f"wrote {part} ({length} gates) to {out_path}\n"
+
+
+def test_compile_over_the_gate_cap_lowers_nothing(tmp_path, capsys, monkeypatch):
+    from qsearch import cli
+
+    def refuse(circuit):
+        raise AssertionError("compile lowered a circuit over the gate cap")
+
+    monkeypatch.setattr(cli, "lower_circuit", refuse)
+    big, out_path = tmp_path / "big.json", tmp_path / "x.json"
+    big.write_text(json.dumps({
+        "version": 1,
+        "fields": [{"name": "id", "bit_width": 16}],
+        "key_field": "id",
+        "records": [{"id": format(i, "016b")} for i in range(2048)],
+    }))
+    # the lowered lengths, as compile reported them when it lowered first
+    for part, size in (("naive", 15860736), ("kernel", 1891424)):
+        code, out, err = _run(capsys, "compile", "--db", str(big), "--key", "0" * 16,
+                              "--part", part, "--lowered", "--out", str(out_path))
+        assert code == 3
+        assert out == ""
+        assert err == f"error: compile writes at most 1048576 gates, {part} has {size}\n"
+    assert not out_path.exists()
+
+
 def test_search_width_mismatch_exits_three(capsys):
     code, _, _ = _run(capsys, "search", "--db", DATA_DB,
                       "--key", "01", "--return", "phone")

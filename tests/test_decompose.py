@@ -3,6 +3,7 @@ trees against the serial reference ladder, and the scheduler-sync block."""
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from qsearch.circuit import (
 from qsearch.decompose import (
     decompose_toffoli,
     lower_circuit,
+    lowered_length,
     mcz_tree,
     shared_control_layer,
     sync_touch,
@@ -337,3 +339,12 @@ def test_spans_follow_a_patched_fragments_length(monkeypatch):
                              gate(GateKind.MCZ, 1, 2, 3), gate(GateKind.TOFFOLI, 3, 0, 1)])
     assert lower_circuit(macro).fragment_spans == (
         (0, 22, (0, 1)), (23, 44, (1, 2, 3)), (44, 66, (3, 0)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_lowered_length_counts_the_lowering_of_random_key_kernels(n):
+    rng = random.Random(700 + n)
+    for m in (1, 2, 3, 4):
+        keys = ["".join(rng.choice("01") for _ in range(m)) for _ in range(1 << n)]
+        kernel = build_kernel_circuits(QdamLayout(n, m), keys, rng.choice(keys)).kernel()
+        assert lowered_length(kernel) == len(lower_circuit(kernel))

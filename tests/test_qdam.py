@@ -306,8 +306,9 @@ def test_every_emitted_gate_list_passes_the_gate_check(n):
         layout = QdamLayout(n, m)
         keys = ["".join(rng.choice("01") for _ in range(m)) for _ in range(1 << n)]
         circuits = build_kernel_circuits(layout, keys, rng.choice(keys))
-        parts = [Circuit(layout.register_sizes, part.gates)
-                 for part in circuits.stage2_parts]
+        prepare, records, fan_in = circuits.stage2_parts
+        parts = [Circuit(layout.register_sizes, gates)
+                 for gates in (prepare, records.gates, fan_in.gates)]
         kernel = circuits.kernel()
         for circuit in (circuits.stage1, *parts, circuits.loader,
                         circuits.loader_inverse, circuits.target_reflection,

@@ -1,6 +1,7 @@
 """Resource accounting: bound formulas, measured reports, and the bench."""
 from __future__ import annotations
 
+import json
 import math
 import random
 import tracemalloc
@@ -439,13 +440,16 @@ def test_measure_kernel_equals_the_flat_oracle_on_random_keys(n, m, seed):
 
 def _check_the_fan_in_moves_no_tally(layout, keys):
     # stage 2's standalone tally skips the fan-in, which holds no T gate
-    *head, fan_in = stage2_parts(layout, keys)
+    prepare, records, fan_in = stage2_parts(layout, keys)
     t_kinds = {GateKind.T, GateKind.TDG, GateKind.TOFFOLI, GateKind.MCZ}
     assert not t_kinds & {kind for kind, _ in fan_in.gates}
-    total = layout.total_qubits
-    tally = Schedule(total).feed_tiled(*head).tally()
-    assert tally == Schedule(total).feed_tiled(*head).feed(fan_in.gates).tally()
-    assert tally == Schedule(total).feed_tiled(*head).feed_fan_in(fan_in).tally()
+
+    def head():
+        return Schedule(layout.total_qubits).feed(prepare).feed_tiled(records)
+
+    tally = head().tally()
+    assert tally == head().feed(fan_in.gates).tally()
+    assert tally == head().feed_fan_in(fan_in).tally()
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -461,15 +465,38 @@ def test_stage_two_tally_equals_all_three_tilings_on_random_keys(n, m, seed):
     _check_the_fan_in_moves_no_tally(QdamLayout(n, m), keys)
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), m=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+@example(n=4, m=1, seed=7)  # a key whose standalone stage-2 depth is 6
+def test_preparing_the_database_before_stage_one_moves_no_kernel_tally(n, m, seed):
+    # stage 1 never touches a database qubit, so the preparation may run
+    # first, and undo last, without moving a figure of the kernel's schedule
+    rng = random.Random(seed)
+    keys, (query,) = _random_keys(rng, n, m), _random_keys(rng, 0, m)
+    circuits = build_kernel_circuits(QdamLayout(n, m), keys, query)
+    report = measure_kernel(circuits, 1)
+    prepare, records, fan_in = circuits.stage2_parts
+    stage1 = circuits.stage1.gates
+    kernel = Schedule(circuits.layout.total_qubits).feed(prepare)
+    t_m1 = kernel.feed(stage1).tally()
+    t_loader = kernel.feed_tiled(records).feed_fan_in(fan_in).tally()
+    kernel.feed(circuits.target_reflection.gates).feed_fan_in(fan_in)
+    kernel.feed_tiled(records, reverse=True).feed(reversed(stage1)).feed(reversed(prepare))
+    t_kernel = kernel.feed(circuits.diffusion.gates).tally()
+    assert (t_m1.t_depth, t_loader.t_depth, t_kernel.t_depth, t_kernel.t_count) == (
+        report.t_depth_m1, report.t_depth_qdam, report.t_depth_kernel,
+        report.t_count_total)
+
+
 def test_measure_kernel_feeds_the_fan_in_twice(monkeypatch):
     # once forward in the loader and once reversed in the inverse loader,
     # each time after the record tiling of its pass
     circuits = _zero_key_circuits(5, 3)
     fed, real_tiled, real_fan_in = [], Schedule.feed_tiled, Schedule.feed_fan_in
 
-    def recording(schedule, *tilings, reverse=False):
-        fed.append((tilings, reverse))
-        return real_tiled(schedule, *tilings, reverse=reverse)
+    def recording(schedule, tiling, reverse=False):
+        fed.append((tiling, reverse))
+        return real_tiled(schedule, tiling, reverse=reverse)
 
     def recording_fan_in(schedule, fan_in):
         fed.append(fan_in)
@@ -478,10 +505,9 @@ def test_measure_kernel_feeds_the_fan_in_twice(monkeypatch):
     monkeypatch.setattr(Schedule, "feed_tiled", recording)
     monkeypatch.setattr(Schedule, "feed_fan_in", recording_fan_in)
     measure_kernel(circuits, 1)
-    *tilings, fan_in = circuits.stage2_parts
-    tilings = tuple(tilings)
+    _, records, fan_in = circuits.stage2_parts
     # the loader, the inverse loader, then stage 2's standalone tally
-    assert fed == [(tilings, False), fan_in, fan_in, (tilings, True), (tilings, False)]
+    assert fed == [(records, False), fan_in, fan_in, (records, True), (records, False)]
 
 
 def _refuse_to_materialize(monkeypatch):
@@ -545,9 +571,10 @@ def test_run_search_materializes_stage_two_once(monkeypatch):
 
 
 def test_run_search_builds_each_stage_two_tiling_once(monkeypatch):
-    # the simulator's stage 2 and the report's staggered tilings share one
-    # build of each tiling's gates; the fan-in's gates and its one fold are
-    # built once, for the simulator alone
+    # the simulator's stage 2 and the report's staggered record tiling
+    # share one build of its gates; the fan-in's gates and its one fold are
+    # built once, for the simulator alone, and the preparation is a gate
+    # tuple, never built
     built, folds = [], []
     for part in (Tiling, FanIn):
         real = part.__dict__["gates"]
@@ -563,8 +590,8 @@ def test_run_search_builds_each_stage_two_tiling_once(monkeypatch):
     monkeypatch.setattr(circuit, "fold_gates",
                         lambda *args: folds.append(args) or real_fold(*args))
     run_search(toy_db(3), SearchQuery("101", "val"))
-    assert len(built) == 3 == len(set(built))
-    assert sorted(type(part).__name__ for part in built) == ["FanIn", "Tiling", "Tiling"]
+    assert len(built) == 2 == len(set(built))
+    assert sorted(type(part).__name__ for part in built) == ["FanIn", "Tiling"]
     assert len(folds) == 1
 
 
@@ -578,3 +605,18 @@ def test_lowered_stages_concatenate_to_the_lowered_loader(n):
         assert (lower_circuit(circuits.stage1).gates
                 + lower_circuit(circuits.stage2).gates
                 == lower_circuit(circuits.loader).gates)
+
+
+@pytest.mark.parametrize("report", [estimate_bounds, measure, measure_naive])
+def test_reports_on_numpy_widths_hold_plain_ints(report):
+    doc = report(np.int64(3), np.int64(2)).to_json()
+    assert all(type(value) in (int, str) for value in doc.values())
+    assert json.loads(json.dumps(doc)) == report(3, 2).to_json()
+
+
+def test_bench_rows_on_numpy_widths_hold_plain_ints():
+    for row in bench_scaling(np.arange(2, 4), np.int64(2)):
+        for report in row:
+            doc = report.to_json()
+            assert all(type(value) in (int, str) for value in doc.values())
+            json.dumps(doc)

@@ -51,9 +51,11 @@ moved by its own stride per copy; :meth:`Schedule.feed_tiled` schedules
 one tiling, forward or reversed, through :meth:`Schedule.feed`: when every
 copy enters at the same times it feeds copy 0's block in place and copies
 its exits to the other copies, and otherwise it feeds the tiling's gates,
-built once per tiling.  A :class:`FanIn` is disjoint CNOT folds, rank one
-too: :meth:`Schedule.feed_fan_in` takes each fold in one step by its
-closed form (:func:`fold_gates`), and builds no gate.
+built once per tiling.  Two parts are fed by closed forms, building no
+gate: :meth:`Schedule.feed_fan_in` takes a :class:`FanIn`'s disjoint CNOT
+folds, rank one too, one fold per step (:func:`fold_gates`), and
+:meth:`Schedule.feed_decoder` a :class:`OneHotDecoder` (stage 1 of the
+loader) one level per O(l) scalar steps.
 """
 from __future__ import annotations
 
@@ -100,7 +102,7 @@ class GateKind(enum.Enum):
 # the kinds bound once, for the fragments and the scheduler
 _H, _S, _SDG, _T, _TDG = (GateKind.H, GateKind.S, GateKind.SDG,
                           GateKind.T, GateKind.TDG)
-_CNOT, _TOFFOLI, _MCZ = GateKind.CNOT, GateKind.TOFFOLI, GateKind.MCZ
+_X, _CNOT, _TOFFOLI, _MCZ = GateKind.X, GateKind.CNOT, GateKind.TOFFOLI, GateKind.MCZ
 
 LOWERED_KINDS = frozenset(GateKind) - {_TOFFOLI, _MCZ}
 
@@ -304,6 +306,54 @@ class FanIn:
         # each CNOT's operands in every fold, as one zip of ranges
         moved = [zip(range(a, a + copies), range(b, b + copies)) for _, (a, b) in fold]
         return tuple((_CNOT, ops) for ops in chain.from_iterable(zip(*moved)))
+
+
+class OneHotDecoder:
+    """Stage 1 of the loader, fixed by ``n``: the binary index on flat
+    qubits 0 .. n-1 decoded into the 2^n one-hot qubits from ``onehot``
+    through the 2^(n-1) - 1 fan-out qubits from ``lease``, checked once
+    to lie apart, past the index and inside ``total_qubits``.  ``gates``
+    is an X on one-hot 0, a CNOT from index qubit n-1 to one-hot 1 and
+    back, then per level l = 2 .. n, with s = 2^(l-1): control n-l fanned
+    out onto lease 0 .. s-2 in doubling rounds (round r fills lease class
+    r, [2^r - 1, 2^(r+1) - 1)), s Toffolis (one-hot j, carrier j, one-hot
+    s+j), the fan-out undone, and CNOTs from one-hot s+j to j.
+
+    With (e, x, t) the TOFFOLI template, a level is a closed form when the
+    one-hot register and each lease class enter at one time (λ_r).  Proof:
+    after fan-out round r every carrier sits at σ = max(σ, λ_r) + 1 from
+    the control's time; the Toffolis meet one-hot [0, s) at one time α,
+    left by the level before, and [s, 2s) at its entry β, so all enter at
+    E = max(α + e_a, σ + e_b, β + e_c), and the T layers are E + t.  With
+    κ = E + x_b, the undone rounds leave class r at κ + l - 1 - r and the
+    control at κ + l - 1, and the clearing CNOTs one-hot [0, 2s) at
+    max(E + x_a, E + x_c) + 1.  Reversed, the clearing CNOTs come first,
+    taking one-hot [0, 2s) to one time μ, so E = max(μ + e_a, σ + e_b,
+    μ + e_c), [s, 2s) leaves at E + x_c and [0, s) goes on at E + x_a."""
+
+    def __init__(self, n: int, onehot: int, lease: int, total_qubits: int):
+        onehot_stop, lease_stop = onehot + (1 << n), lease + (1 << n) // 2 - 1
+        if (n < 1 or min(onehot, lease) < n or onehot < lease_stop and lease < onehot_stop
+                or max(onehot_stop, lease_stop) > total_qubits):
+            raise CircuitError("the decoder leaves the circuit or overlaps its registers")
+        self.n, self.onehot, self.lease = n, onehot, lease
+
+    @functools.cached_property
+    def gates(self) -> tuple[Gate, ...]:
+        n, base = self.n, self.onehot
+        gates = [(_X, (base,)), (_CNOT, (n - 1, base + 1)), (_CNOT, (base + 1, base))]
+        for level in range(2, n + 1):
+            span = 1 << level - 1
+            carriers = (n - level, *range(self.lease, self.lease + span - 1))
+            # round r copies carriers [0, 2^r) onto carriers [2^r, 2^(r+1))
+            fanout = [(_CNOT, ops) for r in range(level - 1)
+                      for ops in zip(carriers[:1 << r], carriers[1 << r:2 << r])]
+            low, high = range(base, base + span), range(base + span, base + 2 * span)
+            gates += fanout
+            gates += [(_TOFFOLI, ops) for ops in zip(low, carriers, high)]
+            gates += fanout[::-1]
+            gates += [(_CNOT, ops) for ops in zip(high, low)]
+        return tuple(gates)
 
 
 class ResourceTally(NamedTuple):
@@ -521,6 +571,52 @@ class Schedule:
                 entry = avail[target]
             avail[start:stop:step] = [entry + depth + 1] * size
             avail[target] = entry + 1
+        return self
+
+    def feed_decoder(self, decoder: OneHotDecoder, reverse: bool = False) -> "Schedule":
+        """Feed ``decoder``'s gates, or with ``reverse`` that stream
+        reversed, by its per-level closed form; the one-hot register and
+        each lease class must enter at one time, else :class:`CircuitError`."""
+        avail, marks, n, base = self._avail, self._marks, decoder.n, decoder.onehot
+        (ea, eb, ec), (xa, xb, xc), (t1, t2, t3), t_n = _TEMPLATES[_TOFFOLI]
+        classes = [slice(decoder.lease + (1 << r) - 1, decoder.lease + (2 << r) - 1)
+                   for r in range(n - 1)]
+        onehot = slice(base, base + (1 << n))
+        if any(avail[s].count(avail[s.start]) != s.stop - s.start
+               for s in (onehot, *classes)):
+            raise CircuitError("a decoder's one-hot register or lease class enters staggered")
+        lease = [avail[s.start] for s in classes]
+        hot = high = avail[base]  # one-hot [0, s) and [s, 2s) at level l
+        if not reverse:  # the X on one-hot 0 and level 1's two CNOTs, v > the X
+            avail[n - 1] = v = max(avail[n - 1], hot) + 1
+            hot = v + 1
+        size = len(marks)
+        for level in range(n, 1, -1) if reverse else range(2, n + 1):
+            span, control = 1 << level - 1, n - level
+            sigma = avail[control]
+            for time in lease[:level - 1]:
+                sigma = (sigma if sigma > time else time) + 1
+            if reverse:  # the clearing CNOTs come first
+                hot = high = hot + 1
+            entry = max(hot + ea, sigma + eb, high + ec)
+            if entry + t3 >= size:
+                size = _grow(marks, entry + t3)
+            marks[entry + t1] = marks[entry + t2] = marks[entry + t3] = 1
+            avail[control] = kappa = entry + xb + level - 1
+            lease[:level - 1] = range(kappa, kappa - level + 1, -1)
+            if reverse:
+                avail[base + span:base + 2 * span] = [entry + xc] * span
+                hot = entry + xa
+            else:
+                hot = max(entry + xa, entry + xc) + 1
+        if reverse:  # level 1's two CNOTs, then the X on one-hot 0
+            avail[n - 1] = avail[base + 1] = max(avail[n - 1], hot + 1) + 1
+            avail[base] = hot + 2
+        else:
+            avail[onehot] = [hot] * (1 << n)
+        for s, time in zip(classes, lease):
+            avail[s] = [time] * (s.stop - s.start)
+        self._t_count += t_n * ((1 << n) - 2)  # 2^(l-1) Toffolis at each level l > 1
         return self
 
     def tally(self) -> ResourceTally:

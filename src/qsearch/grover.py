@@ -155,7 +155,6 @@ def build_kernel_circuits(
 ) -> KernelCircuits:
     return KernelCircuits(
         layout=layout,
-        stage1=qdam.build_m1(layout),
         stage2_parts=qdam.stage2_parts(layout, db),
         target_reflection=build_target_reflection(layout, key_pattern),
         diffusion=build_diffusion(layout),

@@ -10,8 +10,10 @@ snapshots; stage 2 and the two reflections, whose depths start from an
 empty schedule, are also tallied alone.  The inverse loader is tallied as
 the loader's gates in reverse order: the scheduler treats T like TDG and S
 like SDG, and the macros are self-adjoint, so the reversed stream tallies
-exactly as the adjoint circuit, which is never built.  Stage 2 is fed as
-the database preparation's X gates, the record tiling
+exactly as the adjoint circuit, which is never built.  Stage 1 is fed
+by its per-level closed form (:class:`~qsearch.circuit.OneHotDecoder`),
+so the report builds no stage-1 gate.  Stage 2 is fed as the database
+preparation's X gates, the record tiling
 (:class:`~qsearch.circuit.Tiling`) and a fan-in taken by its closed form
 (:class:`~qsearch.circuit.FanIn`): with zero keys every copy of the
 tiling enters at the same times, so the scheduler takes its block once,
@@ -86,19 +88,24 @@ class KernelCircuits:
     """Macro-level subroutine circuits for one kernel iteration; the loader
     is stage 1 then stage 2.
 
-    Stage 2 is kept as the parts of :func:`~qsearch.qdam.stage2_parts`,
-    which the resource report schedules forward and in reverse: the
+    The resource report schedules stage 1 by the closed form of
+    :func:`~qsearch.qdam.stage1_decoder`, and stage 2 as the parts of
+    :func:`~qsearch.qdam.stage2_parts`, forward and in reverse: the
     preparation as its gates, the record tiling as its block when every
     copy enters at the same times and otherwise as its gates, which the
     tiling builds once and ``stage2`` shares, and the fan-in by its closed
-    form.  ``stage2``, the loader and the inverse loader are built lazily,
-    at most once each, for the simulator, the lowering and ``compile``."""
+    form.  ``stage1``, ``stage2``, the loader and the inverse loader are
+    built lazily, at most once each, for the simulator, the lowering and
+    ``compile``."""
 
     layout: QdamLayout
-    stage1: Circuit
     stage2_parts: tuple[tuple[Gate, ...], Tiling, FanIn]
     target_reflection: Circuit
     diffusion: Circuit
+
+    @functools.cached_property
+    def stage1(self) -> Circuit:
+        return qdam.build_m1(self.layout)
 
     @functools.cached_property
     def stage2(self) -> Circuit:
@@ -183,17 +190,20 @@ def measure_kernel(circuits: KernelCircuits, iterations: int) -> ResourceReport:
     stage 2 (snapshot: the loader), then the target reflection, the
     loader's gates reversed as the inverse loader, and the diffusion
     (snapshot: the kernel); reversed, stage 2's fan-in goes first and its
-    preparation last.  Stage 2 and the two reflections are also tallied on
-    their own, from an empty schedule; stage 2 from its preparation and
-    record tiling, as the fan-in, all CNOTs, cannot move that tally."""
+    preparation last.  Stage 1 goes by its closed form both ways: the
+    reversed record tiling leaves the one-hot register at one time.  Stage
+    2 and the two reflections are also tallied on their own, from an empty
+    schedule; stage 2 from its preparation and record tiling, as the
+    fan-in, all CNOTs, cannot move that tally."""
     layout, (prepare, records, fan_in) = circuits.layout, circuits.stage2_parts
-    stage1, total = circuits.stage1.gates, layout.total_qubits
+    decoder, total = qdam.stage1_decoder(layout), layout.total_qubits
     kernel = Schedule(total)
-    t_m1 = kernel.feed(stage1).tally()
+    t_m1 = kernel.feed_decoder(decoder).tally()
     t_loader = kernel.feed(prepare).feed_tiled(records).feed_fan_in(fan_in).tally()
     kernel.feed(circuits.target_reflection.gates).feed_fan_in(fan_in)
     kernel.feed_tiled(records, reverse=True).feed(reversed(prepare))
-    t_kernel = kernel.feed(reversed(stage1)).feed(circuits.diffusion.gates).tally()
+    kernel.feed_decoder(decoder, reverse=True)
+    t_kernel = kernel.feed(circuits.diffusion.gates).tally()
     t_m2 = Schedule(total).feed(prepare).feed_tiled(records).tally()
     t_oracle = tally_flat(circuits.target_reflection.gates, total)
     t_diff = tally_flat(circuits.diffusion.gates, total)

@@ -7,7 +7,8 @@ The optimized loader runs in two stages:
   the binary qubit of weight 2^(l-1) (CNOTs at l = 1, where the lone
   control is deterministically set), each block followed by clearing CNOTs
   from the new hot candidates back to their sources.  Binary value v ends
-  up with one-hot offset v hot.
+  up with one-hot offset v hot.  Fixed by n alone, it is described by
+  :func:`stage1_decoder` and built by :func:`build_m1`.
 * stage 2 loads the key bits: the database region is prepared with X gates
   matching the classical record bits, then for every record i and bit j a
   Toffoli (one-hot i AND database bit (i,j)) writes a load ancilla E(i,j),
@@ -42,14 +43,13 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Sequence
 
-from .circuit import Circuit, FanIn, Gate, GateKind, Register, Tiling
+from .circuit import Circuit, FanIn, Gate, GateKind, OneHotDecoder, Register, Tiling
 from .database import Database
 from .decompose import shared_control_layer
 from .errors import CircuitError
 
 # the kinds bound once: a ``GateKind.X`` load costs several times a global's
-_H, _X, _CNOT, _TOFFOLI, _MCZ = (GateKind.H, GateKind.X, GateKind.CNOT,
-                                 GateKind.TOFFOLI, GateKind.MCZ)
+_H, _X, _TOFFOLI, _MCZ = GateKind.H, GateKind.X, GateKind.TOFFOLI, GateKind.MCZ
 
 
 @dataclass(frozen=True)
@@ -198,22 +198,16 @@ def _prepare(database: int, keys: Sequence[str]) -> list[Gate]:
     return [(_X, (q,)) for q in ones]
 
 
+def stage1_decoder(layout: QdamLayout) -> OneHotDecoder:
+    """Stage 1 without its gate list; it leases the first fan-out qubits."""
+    return OneHotDecoder(layout.n, layout.onehot_qubit(0), layout.fanout_qubit(0),
+                         layout.total_qubits)
+
+
 def build_m1(layout: QdamLayout) -> Circuit:
-    """Stage 1: |v>|0...0> -> |v>|one-hot at offset v>.  Every gate acts on
-    distinct qubits by construction, so the gates are emitted unchecked."""
-    n = layout.n
-    base = layout.onehot_qubit(0)  # one-hot offset j is flat qubit base + j
-    gates: list[Gate] = [(_X, (base,))]
-    for level in range(1, n + 1):
-        span = 1 << (level - 1)
-        ctrl = n - level  # the binary index qubit of weight 2^(level-1)
-        if level == 1:
-            gates.append((_CNOT, (ctrl, base + 1)))
-        else:
-            pairs = [(base + j, base + span + j) for j in range(span)]
-            gates += shared_control_layer(ctrl, pairs, layout.fanout_lease(0, span - 1))
-        gates += [(_CNOT, (base + span + j, base + j)) for j in range(span)]
-    return Circuit(layout.register_sizes, gates)
+    """Stage 1: |v>|0...0> -> |v>|one-hot at offset v>, the gates of
+    :func:`stage1_decoder`."""
+    return Circuit(layout.register_sizes, stage1_decoder(layout).gates)
 
 
 def stage2_parts(layout: QdamLayout, db: Database | Sequence[str]

@@ -1,6 +1,7 @@
 """Test-only oracles: a dense state-vector backend, the sparse simulator
 run one gate at a time, the scheduler's generic macro loop over a set of
-T layers, the Walsh-Hadamard transform, the full loader, the serial
+T layers, the Walsh-Hadamard transform, stage 1 built level by level,
+the full loader, the serial
 multi-controlled-Z ladder and the naive loader built one ladder per record
 bit from it, the kernel measurement over built gate lists, the exact
 iteration count in decimal arithmetic, the gate checks that the IR leaves
@@ -402,6 +403,25 @@ def is_lowered(circuit: Circuit) -> bool:
     return all(kind in LOWERED_KINDS for kind, _ in circuit.gates)
 
 
+def stage1_per_level_gates(layout) -> tuple[Gate, ...]:
+    """Stage 1 built one level at a time: an X on one-hot 0, then for
+    level l one :func:`shared_control_layer` call on index qubit n - l
+    over the pairs (one-hot j, one-hot 2^(l-1) + j) with the first
+    2^(l-1) - 1 fan-out qubits, a lone CNOT at l = 1, and the clearing
+    CNOTs back from each new hot candidate."""
+    n, base = layout.n, layout.onehot_qubit(0)
+    gates = [gate(GateKind.X, base)]
+    for level in range(1, n + 1):
+        span, ctrl = 1 << (level - 1), n - level
+        if level == 1:
+            gates.append(gate(GateKind.CNOT, ctrl, base + 1))
+        else:
+            pairs = [(base + j, base + span + j) for j in range(span)]
+            gates += shared_control_layer(ctrl, pairs, layout.fanout_lease(0, span - 1))
+        gates += [gate(GateKind.CNOT, base + span + j, base + j) for j in range(span)]
+    return tuple(gates)
+
+
 def build_qdam(layout, db) -> Circuit:
     """Full loader: stage 1 then stage 2."""
     return build_m1(layout) + build_m2(layout, stage2_parts(layout, db))
@@ -474,15 +494,16 @@ def naive_loader_gates(layout, keys) -> tuple[Gate, ...]:
 
 def flat_measure_kernel(circuits, iterations: int) -> ResourceReport:
     """:func:`qsearch.kernel.measure_kernel` over the built gate lists:
-    stage 2's materialized gates forward and standalone, and the loader's
-    gates reversed as the inverse loader."""
+    stage 1 built one level at a time, stage 2's materialized gates forward
+    and standalone, and the loader's gates reversed as the inverse loader."""
     layout = circuits.layout
     total = layout.total_qubits
+    stage1 = stage1_per_level_gates(layout)
     kernel = Schedule(total)
-    t_m1 = kernel.feed(circuits.stage1.gates).tally()
+    t_m1 = kernel.feed(stage1).tally()
     t_loader = kernel.feed(circuits.stage2.gates).tally()
     t_kernel = (kernel.feed(circuits.target_reflection.gates)
-                .feed(reversed(circuits.loader.gates))
+                .feed(reversed((*stage1, *circuits.stage2.gates)))
                 .feed(circuits.diffusion.gates).tally())
     t_m2 = tally_flat(circuits.stage2.gates, total)
     t_oracle = tally_flat(circuits.target_reflection.gates, total)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from qsearch.circuit import (
     Circuit,
     FanIn,
     GateKind,
+    OneHotDecoder,
     Register,
     Schedule,
     Tiling,
@@ -426,6 +428,74 @@ def test_fan_in_checks_its_region_once():
                  (2, 1, -1, 2, 6)):  # so does the first target
         with pytest.raises(CircuitError, match="the fan-in leaves the circuit"):
             FanIn(*args)
+
+
+def _lease_classes(decoder):
+    # lease class r: the 2^r qubits that fan-out round r creates
+    return [range(decoder.lease + (1 << r) - 1, decoder.lease + (2 << r) - 1)
+            for r in range(decoder.n - 1)]
+
+
+@st.composite
+def _decoders(draw):
+    # n = 1 .. 10, the lease before or after the one-hot register; that
+    # register and each lease class enter at one time each, every other
+    # qubit at its own, and up to 60 layers are marked before the decoder
+    n, gap = draw(st.integers(1, 10)), draw(st.integers(0, 2))
+    size, leased = 1 << n, (1 << n - 1) - 1
+    onehot, lease = ((n + gap, n + gap + size) if draw(st.booleans())
+                     else (n + gap + leased, n + gap))
+    total = n + gap + size + leased + draw(st.integers(0, 2))
+    decoder = OneHotDecoder(n, onehot, lease, total)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    prior = [rng.randint(0, 40) for _ in range(total)]
+    for qubits in (range(onehot, onehot + size), *_lease_classes(decoder)):
+        prior[qubits.start:qubits.stop] = [rng.randint(0, 40)] * len(qubits)
+    marks = bytearray(rng.randint(0, 1) for _ in range(rng.randint(0, 60)))
+    return decoder, prior, marks
+
+
+@settings(max_examples=200, deadline=None)
+@given(_decoders(), st.booleans())
+def test_feed_decoder_equals_feeding_its_gates(case, reverse):
+    decoder, prior, marks = case
+    fast, slow = Schedule(len(prior)), Schedule(len(prior))
+    for schedule in (fast, slow):
+        schedule._avail, schedule._marks = list(prior), bytearray(marks)
+        schedule.feed([gate(GateKind.T, 0)])
+    fast.feed_decoder(decoder, reverse=reverse)
+    slow.feed(decoder.gates[::-1] if reverse else decoder.gates)
+    assert fast._avail == slow._avail
+    assert fast.tally() == slow.tally()
+    assert marked_layers(fast) == marked_layers(slow)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_feed_decoder_rejects_a_staggered_class(reverse):
+    # n = 3: one-hot 3 .. 10, lease class 0 = {11}, lease class 1 = {12, 13}
+    decoder = OneHotDecoder(3, 3, 11, 14)
+    for late in (0, 11, 14):  # an index qubit, a one-qubit class, no qubit
+        schedule = Schedule(15)
+        schedule._avail[late] = 4
+        schedule.feed_decoder(decoder, reverse=reverse)
+    for late in (3, 10, 13):  # the first and last one-hot qubits, lease 2
+        schedule = Schedule(15)
+        schedule._avail[late] = 4
+        with pytest.raises(CircuitError, match="enters staggered"):
+            schedule.feed_decoder(decoder, reverse=reverse)
+
+
+def test_decoder_checks_its_registers_once():
+    OneHotDecoder(3, 3, 11, 14)  # one-hot 3 .. 10, lease 11 .. 13
+    OneHotDecoder(3, 6, 3, 14)  # the lease before the one-hot register
+    OneHotDecoder(1, 1, 3, 3)  # n = 1 leases no qubit
+    for args in ((3, 3, 11, 13),  # the lease ends past the width
+                 (3, 2, 11, 14),  # the one-hot register holds index qubit 2
+                 (3, 3, 10, 14),  # the lease holds one-hot qubit 10
+                 (3, 6, 4, 14),  # the one-hot register holds lease qubit 2
+                 (0, 1, 1, 4)):  # no index qubit
+        with pytest.raises(CircuitError, match="the decoder leaves the circuit"):
+            OneHotDecoder(*args)
 
 
 @pytest.mark.parametrize("depth", range(7))

@@ -33,6 +33,7 @@ from oracles import (
     macro_counts,
     naive_loader_gates,
     register_bits,
+    stage1_per_level_gates,
     stage2_per_record_gates,
 )
 
@@ -107,6 +108,14 @@ def test_layout_qubits_are_the_flat_indices_of_their_labels():
 def test_layout_rejects_zero_widths():
     with pytest.raises(CircuitError):
         QdamLayout(0, 1)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_stage_one_gates_equal_the_per_level_builder(n):
+    # the decoder's flat comprehensions emit the gates of one
+    # shared-control layer per level, in the same order
+    layout = QdamLayout(n, 2)
+    assert build_m1(layout).gates == stage1_per_level_gates(layout)
 
 
 def test_m1_single_bit_mapping_and_zero_t_depth():

@@ -16,6 +16,7 @@ from qsearch.circuit import (
     Circuit,
     FanIn,
     GateKind,
+    OneHotDecoder,
     Schedule,
     Tiling,
     resource_tally,
@@ -539,6 +540,21 @@ def test_measure_builds_no_fold(monkeypatch):
     measure_kernel(build_kernel_circuits(QdamLayout(5, 3), keys, query), 2)
 
 
+def test_measure_builds_no_stage_one(monkeypatch):
+    # stage 1 is fed by its closed form in both passes, on any keys
+    def refuse(*args):
+        raise AssertionError("the report built stage 1")
+
+    monkeypatch.setattr(qdam, "build_m1", refuse)
+    monkeypatch.setattr(OneHotDecoder, "gates", property(refuse))
+    for n, m in ((1, 1), (3, 2), (6, 3), (8, 5)):
+        measure(n, m)
+    rng = random.Random(30)
+    for n, m in ((1, 1), (2, 3), (4, 1), (5, 3), (6, 2)):
+        keys, (query,) = _random_keys(rng, n, m), _random_keys(rng, 0, m)
+        measure_kernel(build_kernel_circuits(QdamLayout(n, m), keys, query), 2)
+
+
 def test_measure_schedules_fewer_gates_than_stage_two_holds(monkeypatch):
     layout = QdamLayout(8, 5)
     stage2 = build_m2(layout, stage2_parts(layout, ["00000"] * 256))
@@ -552,8 +568,8 @@ def test_measure_schedules_fewer_gates_than_stage_two_holds(monkeypatch):
 
     monkeypatch.setattr(Schedule, "feed", counting)
     measure(8, 5)
-    # the report feeds stage 1 twice, the reflections twice each and about
-    # one record block per stage-2 pass, and no fan-in gate at all
+    # the report feeds the reflections twice each and about one record
+    # block per stage-2 pass, and no stage-1 or fan-in gate at all
     assert sum(fed) < len(stage2)
 
 

@@ -46,16 +46,17 @@ snapshot is the tally of the prefix fed so far.  All of this is a pure
 function of the gate order, so results are deterministic and circuits are
 safe to share across workers.
 
-A :class:`Tiling` is disjoint copies of one block of gates, each operand
-moved by its own stride per copy; :meth:`Schedule.feed_tiled` schedules
-one tiling, forward or reversed, through :meth:`Schedule.feed`: when every
-copy enters at the same times it feeds copy 0's block in place and copies
-its exits to the other copies, and otherwise it feeds the tiling's gates,
-built once per tiling.  Two parts are fed by closed forms, building no
-gate: :meth:`Schedule.feed_fan_in` takes a :class:`FanIn`'s disjoint CNOT
-folds, rank one too, one fold per step (:func:`fold_gates`), and
-:meth:`Schedule.feed_decoder` a :class:`OneHotDecoder` (stage 1 of the
-loader) one level per O(l) scalar steps.
+A part has ``gates`` and ``feed_into(schedule, reverse=False)``, which
+schedules those gates, or with ``reverse`` their reversed stream, after
+what the schedule holds; :meth:`Schedule.feed_parts` feeds a part list in
+order or reversed.  A :class:`Circuit` feeds its gates.  A :class:`Tiling`,
+disjoint copies of one block with each operand moved by its own stride per
+copy, feeds copy 0's block in place and copies its exits to the other
+copies when every copy enters at the same times, and otherwise its gates,
+built once.  A :class:`FanIn` (disjoint CNOT folds, rank one too,
+:func:`fold_gates`) and a :class:`OneHotDecoder` (stage 1 of the loader)
+feed themselves by closed forms that build no gate: one fold, or one
+level, per few scalar steps.
 """
 from __future__ import annotations
 
@@ -167,6 +168,9 @@ class Circuit:
         # the gates are flat already; the benchmark's tracer patches this name
         return self.gates
 
+    def feed_into(self, schedule: "Schedule", reverse: bool = False) -> None:
+        schedule.feed(reversed(self.gates) if reverse else self.gates)
+
     # -- composition ----------------------------------------------------
 
     def __add__(self, other: "Circuit") -> "Circuit":
@@ -256,6 +260,24 @@ class Tiling:
         moved = [zip(*(ranges[q] for q in ops)) for _, ops in self.block]
         return tuple(g for ops in zip(*moved) for g in zip(kinds, ops))
 
+    def feed_into(self, schedule: "Schedule", reverse: bool = False) -> None:
+        """Feed the copies in order, or with ``reverse`` that stream
+        reversed.  Copy i's operand q enters at ``avail[q + i * stride]``.
+        When every operand's copies enter at one time, all copies schedule
+        alike: copy 0's block, whose operands are real qubits, is fed in
+        place, its T count is taken ``copies`` times and its exits are
+        copied to the other copies by slice assignment.  Otherwise the
+        tiling's gates are fed."""
+        avail, copies, spans = schedule._avail, self.copies, self.spans.values()
+        if any(avail[span].count(avail[span.start]) != copies for span in spans):
+            schedule.feed(reversed(self.gates) if reverse else self.gates)
+            return
+        t_count = schedule._t_count
+        schedule.feed(self.block[::-1] if reverse else self.block)
+        schedule._t_count += (copies - 1) * (schedule._t_count - t_count)
+        for span in spans:
+            avail[span] = [avail[span.start]] * copies
+
 
 def fold_gates(column: Sequence[int], target: int) -> list[Gate]:
     """XOR the column of k = 2^n distinct qubits into ``target``: fold it
@@ -307,6 +329,18 @@ class FanIn:
         moved = [zip(range(a, a + copies), range(b, b + copies)) for _, (a, b) in fold]
         return tuple((_CNOT, ops) for ops in chain.from_iterable(zip(*moved)))
 
+    def feed_into(self, schedule: "Schedule", reverse: bool = False) -> None:
+        """Feed the folds, forward or reversed alike, by the closed form of
+        :func:`fold_gates`: per fold, one ``max`` and two stores."""
+        avail, depth, targets = schedule._avail, self.depth, self.targets
+        stop, step, size = self.stop, len(targets), 1 << depth
+        for start, target in zip(range(self.load, self.load + step), targets):
+            entry = max(avail[start:stop:step]) + depth
+            if avail[target] > entry:
+                entry = avail[target]
+            avail[start:stop:step] = [entry + depth + 1] * size
+            avail[target] = entry + 1
+
 
 class OneHotDecoder:
     """Stage 1 of the loader, fixed by ``n``: the binary index on flat
@@ -354,6 +388,55 @@ class OneHotDecoder:
             gates += fanout[::-1]
             gates += [(_CNOT, ops) for ops in zip(high, low)]
         return tuple(gates)
+
+    def feed_into(self, schedule: "Schedule", reverse: bool = False) -> None:
+        """Feed the gates, or with ``reverse`` that stream reversed, by the
+        per-level closed form; the one-hot register and each lease class
+        must enter at one time, else :class:`CircuitError`."""
+        avail, marks, n, base = schedule._avail, schedule._marks, self.n, self.onehot
+        (ea, eb, ec), (xa, xb, xc), (t1, t2, t3), t_n = _TEMPLATES[_TOFFOLI]
+        classes = [slice(self.lease + (1 << r) - 1, self.lease + (2 << r) - 1)
+                   for r in range(n - 1)]
+        onehot = slice(base, base + (1 << n))
+        if any(avail[s].count(avail[s.start]) != s.stop - s.start
+               for s in (onehot, *classes)):
+            raise CircuitError("a decoder's one-hot register or lease class enters staggered")
+        lease = [avail[s.start] for s in classes]
+        hot = high = avail[base]  # one-hot [0, s) and [s, 2s) at level l
+        if not reverse:  # the X on one-hot 0 and level 1's two CNOTs, v > the X
+            avail[n - 1] = v = max(avail[n - 1], hot) + 1
+            hot = v + 1
+        size = len(marks)
+        for level in range(n, 1, -1) if reverse else range(2, n + 1):
+            span, control = 1 << level - 1, n - level
+            sigma = avail[control]
+            for time in lease[:level - 1]:
+                sigma = (sigma if sigma > time else time) + 1
+            if reverse:  # the clearing CNOTs come first
+                hot = high = hot + 1
+            entry = max(hot + ea, sigma + eb, high + ec)
+            if entry + t3 >= size:
+                size = _grow(marks, entry + t3)
+            marks[entry + t1] = marks[entry + t2] = marks[entry + t3] = 1
+            avail[control] = kappa = entry + xb + level - 1
+            lease[:level - 1] = range(kappa, kappa - level + 1, -1)
+            if reverse:
+                avail[base + span:base + 2 * span] = [entry + xc] * span
+                hot = entry + xa
+            else:
+                hot = max(entry + xa, entry + xc) + 1
+        if reverse:  # level 1's two CNOTs, then the X on one-hot 0
+            avail[n - 1] = avail[base + 1] = max(avail[n - 1], hot + 1) + 1
+            avail[base] = hot + 2
+        else:
+            avail[onehot] = [hot] * (1 << n)
+        for s, time in zip(classes, lease):
+            avail[s] = [time] * (s.stop - s.start)
+        schedule._t_count += t_n * ((1 << n) - 2)  # 2^(l-1) Toffolis at each level l > 1
+
+
+# what :meth:`Schedule.feed_parts` takes: each has ``gates`` and ``feed_into``
+Part = Circuit | Tiling | FanIn | OneHotDecoder
 
 
 class ResourceTally(NamedTuple):
@@ -542,81 +625,12 @@ class Schedule:
         self._t_count = t_count
         return self
 
-    def feed_tiled(self, tiling: Tiling, reverse: bool = False) -> "Schedule":
-        """Feed ``tiling``'s copies in order, or with ``reverse`` that stream
-        reversed.  Copy i's operand q enters at ``avail[q + i * stride]``.
-        When every operand's copies enter at one time, all copies schedule
-        alike: copy 0's block, whose operands are real qubits, is fed in
-        place, its T count is taken ``copies`` times and its exits are
-        copied to the other copies by slice assignment.  Otherwise the
-        tiling's gates are fed."""
-        avail, copies, spans = self._avail, tiling.copies, tiling.spans.values()
-        if any(avail[span].count(avail[span.start]) != copies for span in spans):
-            return self.feed(reversed(tiling.gates) if reverse else tiling.gates)
-        t_count = self._t_count
-        self.feed(tiling.block[::-1] if reverse else tiling.block)
-        self._t_count += (copies - 1) * (self._t_count - t_count)
-        for span in spans:
-            avail[span] = [avail[span.start]] * copies
-        return self
-
-    def feed_fan_in(self, fan_in: FanIn) -> "Schedule":
-        """Feed ``fan_in``'s folds, forward or reversed alike, by the closed
-        form of :func:`fold_gates`: per fold, one ``max`` and two stores."""
-        avail, depth, targets = self._avail, fan_in.depth, fan_in.targets
-        stop, step, size = fan_in.stop, len(targets), 1 << depth
-        for start, target in zip(range(fan_in.load, fan_in.load + step), targets):
-            entry = max(avail[start:stop:step]) + depth
-            if avail[target] > entry:
-                entry = avail[target]
-            avail[start:stop:step] = [entry + depth + 1] * size
-            avail[target] = entry + 1
-        return self
-
-    def feed_decoder(self, decoder: OneHotDecoder, reverse: bool = False) -> "Schedule":
-        """Feed ``decoder``'s gates, or with ``reverse`` that stream
-        reversed, by its per-level closed form; the one-hot register and
-        each lease class must enter at one time, else :class:`CircuitError`."""
-        avail, marks, n, base = self._avail, self._marks, decoder.n, decoder.onehot
-        (ea, eb, ec), (xa, xb, xc), (t1, t2, t3), t_n = _TEMPLATES[_TOFFOLI]
-        classes = [slice(decoder.lease + (1 << r) - 1, decoder.lease + (2 << r) - 1)
-                   for r in range(n - 1)]
-        onehot = slice(base, base + (1 << n))
-        if any(avail[s].count(avail[s.start]) != s.stop - s.start
-               for s in (onehot, *classes)):
-            raise CircuitError("a decoder's one-hot register or lease class enters staggered")
-        lease = [avail[s.start] for s in classes]
-        hot = high = avail[base]  # one-hot [0, s) and [s, 2s) at level l
-        if not reverse:  # the X on one-hot 0 and level 1's two CNOTs, v > the X
-            avail[n - 1] = v = max(avail[n - 1], hot) + 1
-            hot = v + 1
-        size = len(marks)
-        for level in range(n, 1, -1) if reverse else range(2, n + 1):
-            span, control = 1 << level - 1, n - level
-            sigma = avail[control]
-            for time in lease[:level - 1]:
-                sigma = (sigma if sigma > time else time) + 1
-            if reverse:  # the clearing CNOTs come first
-                hot = high = hot + 1
-            entry = max(hot + ea, sigma + eb, high + ec)
-            if entry + t3 >= size:
-                size = _grow(marks, entry + t3)
-            marks[entry + t1] = marks[entry + t2] = marks[entry + t3] = 1
-            avail[control] = kappa = entry + xb + level - 1
-            lease[:level - 1] = range(kappa, kappa - level + 1, -1)
-            if reverse:
-                avail[base + span:base + 2 * span] = [entry + xc] * span
-                hot = entry + xa
-            else:
-                hot = max(entry + xa, entry + xc) + 1
-        if reverse:  # level 1's two CNOTs, then the X on one-hot 0
-            avail[n - 1] = avail[base + 1] = max(avail[n - 1], hot + 1) + 1
-            avail[base] = hot + 2
-        else:
-            avail[onehot] = [hot] * (1 << n)
-        for s, time in zip(classes, lease):
-            avail[s] = [time] * (s.stop - s.start)
-        self._t_count += t_n * ((1 << n) - 2)  # 2^(l-1) Toffolis at each level l > 1
+    def feed_parts(self, parts: Sequence[Part], reverse: bool = False) -> "Schedule":
+        """Feed each of ``parts`` after everything fed so far, in order, or
+        with ``reverse`` their joint gate stream reversed: the last part
+        first, each fed reversed."""
+        for part in reversed(parts) if reverse else parts:
+            part.feed_into(self, reverse)
         return self
 
     def tally(self) -> ResourceTally:

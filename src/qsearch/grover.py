@@ -155,7 +155,7 @@ def build_kernel_circuits(
 ) -> KernelCircuits:
     return KernelCircuits(
         layout=layout,
-        stage2_parts=qdam.stage2_parts(layout, db),
+        loader_parts=qdam.loader_parts(layout, db),
         target_reflection=build_target_reflection(layout, key_pattern),
         diffusion=build_diffusion(layout),
     )

@@ -4,21 +4,12 @@ diffusion, as macro circuits, and its measured resource report.
 :class:`~qsearch.circuit.Schedule` schedules the TOFFOLI and MCZ (CCZ)
 macros through max-plus templates of their Clifford+T fragments, so a
 macro circuit's tally equals its lowering's by construction, and measuring
-the kernel lowers nothing.  :func:`measure_kernel` schedules the kernel in
-one pass and reads stage 1, the loader and the kernel off it as prefix
-snapshots; stage 2 and the two reflections, whose depths start from an
-empty schedule, are also tallied alone.  The inverse loader is tallied as
-the loader's gates in reverse order: the scheduler treats T like TDG and S
-like SDG, and the macros are self-adjoint, so the reversed stream tallies
-exactly as the adjoint circuit, which is never built.  Stage 1 is fed
-by its per-level closed form (:class:`~qsearch.circuit.OneHotDecoder`),
-so the report builds no stage-1 gate.  Stage 2 is fed as the database
-preparation's X gates, the record tiling
-(:class:`~qsearch.circuit.Tiling`) and a fan-in taken by its closed form
-(:class:`~qsearch.circuit.FanIn`): with zero keys every copy of the
-tiling enters at the same times, so the scheduler takes its block once,
-not per record, and stage 2's gate list is never built.  Other keys
-stagger the copies, and the tiling is then fed as its gates, built once.
+the kernel lowers nothing.  The loader is held as its part list
+(:func:`~qsearch.qdam.loader_parts`), and every part schedules itself,
+stage 1 and the fan-in by closed forms that build no gate.  The inverse
+loader is tallied as that list fed reversed: the scheduler treats T like
+TDG and S like SDG, and the macros are self-adjoint, so the reversed
+stream tallies exactly as the adjoint circuit, which is never built.
 """
 from __future__ import annotations
 
@@ -27,10 +18,10 @@ import functools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .circuit import Circuit, FanIn, Gate, GateKind, Schedule, Tiling, tally_flat
+from .circuit import Circuit, Gate, GateKind, Schedule, tally_flat
 from .decompose import mcz_tree, sync_touch
 from .errors import InputError
-from . import qdam  # build_m2 looked up at call time: the benchmark's tracer patches it
+from . import qdam  # build_m1 and build_m2 looked up at call time, for the benchmark's tracer
 from .qdam import QdamLayout
 
 
@@ -85,21 +76,15 @@ def build_diffusion(layout: QdamLayout) -> Circuit:
 
 @dataclass(frozen=True)
 class KernelCircuits:
-    """Macro-level subroutine circuits for one kernel iteration; the loader
-    is stage 1 then stage 2.
-
-    The resource report schedules stage 1 by the closed form of
-    :func:`~qsearch.qdam.stage1_decoder`, and stage 2 as the parts of
-    :func:`~qsearch.qdam.stage2_parts`, forward and in reverse: the
-    preparation as its gates, the record tiling as its block when every
-    copy enters at the same times and otherwise as its gates, which the
-    tiling builds once and ``stage2`` shares, and the fan-in by its closed
-    form.  ``stage1``, ``stage2``, the loader and the inverse loader are
-    built lazily, at most once each, for the simulator, the lowering and
-    ``compile``."""
+    """Macro-level subroutine circuits for one kernel iteration.  The
+    loader is held as the parts of :func:`~qsearch.qdam.loader_parts`,
+    which the resource report schedules; ``stage1``, ``stage2`` (which
+    shares the record tiling's gates, built once, with the report), the
+    loader and the inverse loader are built from them lazily, at most once
+    each, for the simulator, the lowering and ``compile``."""
 
     layout: QdamLayout
-    stage2_parts: tuple[tuple[Gate, ...], Tiling, FanIn]
+    loader_parts: qdam.LoaderParts
     target_reflection: Circuit
     diffusion: Circuit
 
@@ -109,7 +94,7 @@ class KernelCircuits:
 
     @functools.cached_property
     def stage2(self) -> Circuit:
-        return qdam.build_m2(self.layout, self.stage2_parts)
+        return qdam.build_m2(self.layout, self.loader_parts[1:])
 
     @functools.cached_property
     def loader(self) -> Circuit:
@@ -186,25 +171,17 @@ def measure_kernel(circuits: KernelCircuits, iterations: int) -> ResourceReport:
     """Schedule the macro subroutines of one kernel and tally them as their
     Clifford+T lowering.
 
-    One schedule takes the kernel in order: stage 1 (snapshot: stage 1),
-    stage 2 (snapshot: the loader), then the target reflection, the
-    loader's gates reversed as the inverse loader, and the diffusion
-    (snapshot: the kernel); reversed, stage 2's fan-in goes first and its
-    preparation last.  Stage 1 goes by its closed form both ways: the
-    reversed record tiling leaves the one-hot register at one time.  Stage
-    2 and the two reflections are also tallied on their own, from an empty
-    schedule; stage 2 from its preparation and record tiling, as the
-    fan-in, all CNOTs, cannot move that tally."""
-    layout, (prepare, records, fan_in) = circuits.layout, circuits.stage2_parts
-    decoder, total = qdam.stage1_decoder(layout), layout.total_qubits
+    One schedule takes the kernel in order and is read after stage 1, after
+    the loader and after the whole kernel.  Stage 2 and the two
+    reflections are also tallied on their own, from an empty schedule."""
+    layout, loader = circuits.layout, circuits.loader_parts
+    total = layout.total_qubits
     kernel = Schedule(total)
-    t_m1 = kernel.feed_decoder(decoder).tally()
-    t_loader = kernel.feed(prepare).feed_tiled(records).feed_fan_in(fan_in).tally()
-    kernel.feed(circuits.target_reflection.gates).feed_fan_in(fan_in)
-    kernel.feed_tiled(records, reverse=True).feed(reversed(prepare))
-    kernel.feed_decoder(decoder, reverse=True)
-    t_kernel = kernel.feed(circuits.diffusion.gates).tally()
-    t_m2 = Schedule(total).feed(prepare).feed_tiled(records).tally()
+    t_m1 = kernel.feed_parts(loader[:1]).tally()
+    t_loader = kernel.feed_parts(loader[1:]).tally()
+    kernel.feed_parts((circuits.target_reflection,)).feed_parts(loader, reverse=True)
+    t_kernel = kernel.feed_parts((circuits.diffusion,)).tally()
+    t_m2 = Schedule(total).feed_parts(loader[1:]).tally()
     t_oracle = tally_flat(circuits.target_reflection.gates, total)
     t_diff = tally_flat(circuits.diffusion.gates, total)
     return ResourceReport(

@@ -7,8 +7,8 @@ The optimized loader runs in two stages:
   the binary qubit of weight 2^(l-1) (CNOTs at l = 1, where the lone
   control is deterministically set), each block followed by clearing CNOTs
   from the new hot candidates back to their sources.  Binary value v ends
-  up with one-hot offset v hot.  Fixed by n alone, it is described by
-  :func:`stage1_decoder` and built by :func:`build_m1`.
+  up with one-hot offset v hot.  Fixed by n alone, it is a
+  :class:`~qsearch.circuit.OneHotDecoder`, built by :func:`build_m1`.
 * stage 2 loads the key bits: the database region is prepared with X gates
   matching the classical record bits, then for every record i and bit j a
   Toffoli (one-hot i AND database bit (i,j)) writes a load ancilla E(i,j),
@@ -16,12 +16,13 @@ The optimized loader runs in two stages:
   on disjoint triples after control fan-out, so the whole block costs one
   Toffoli of T-depth.  The E ancillas keep their (branch-deterministic)
   values until the inverse loader uncomputes them.  Every record's block
-  has one shape, so :func:`stage2_parts` describes stage 2 as three parts
-  in order: the preparation as its X gates, the records as a
-  :class:`~qsearch.circuit.Tiling` of record 0's block, with each operand
-  moved i strides of its region in record i (one-hot 1, database and load
-  m, fan-out m - 1), and the fan-in (:class:`~qsearch.circuit.FanIn`) as
-  one fold per data bit; :func:`build_m2` materializes them.
+  has one shape, so stage 2 is three parts in order: the preparation as a
+  circuit of X gates, the records as a :class:`~qsearch.circuit.Tiling`
+  of record 0's block, with each operand moved i strides of its region in
+  record i (one-hot 1, database and load m, fan-out m - 1), and the fan-in
+  (:class:`~qsearch.circuit.FanIn`) as one fold per data bit.
+  :func:`loader_parts` gives the loader as stage 1's decoder then these
+  three, and :func:`build_m2` materializes any of them.
 
 Emission order is chosen so the lowered blocks merge their T layers: the
 clearing CNOTs leave all one-hot qubits last-touched in a common scheduler
@@ -39,11 +40,12 @@ end, the database bit and the data bit, between two H.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from typing import Sequence
 
-from .circuit import Circuit, FanIn, Gate, GateKind, OneHotDecoder, Register, Tiling
+from .circuit import Circuit, FanIn, Gate, GateKind, OneHotDecoder, Part, Register, Tiling
 from .database import Database
 from .decompose import shared_control_layer
 from .errors import CircuitError
@@ -91,7 +93,7 @@ class QdamLayout:
     def ladder_ancillas(self) -> int:
         return max(0, max(self.n, self.m) - 2)
 
-    @property
+    @functools.cached_property
     def register_sizes(self) -> dict[Register, int]:
         return {
             Register.BINARY_INDEX: self.n,
@@ -102,7 +104,7 @@ class QdamLayout:
             + self.ladder_ancillas,
         }
 
-    @property
+    @functools.cached_property
     def total_qubits(self) -> int:
         return sum(self.register_sizes.values())
 
@@ -198,32 +200,30 @@ def _prepare(database: int, keys: Sequence[str]) -> list[Gate]:
     return [(_X, (q,)) for q in ones]
 
 
-def stage1_decoder(layout: QdamLayout) -> OneHotDecoder:
-    """Stage 1 without its gate list; it leases the first fan-out qubits."""
+def _decoder(layout: QdamLayout) -> OneHotDecoder:
+    # stage 1 leases the first fan-out qubits
     return OneHotDecoder(layout.n, layout.onehot_qubit(0), layout.fanout_qubit(0),
                          layout.total_qubits)
 
 
-def build_m1(layout: QdamLayout) -> Circuit:
-    """Stage 1: |v>|0...0> -> |v>|one-hot at offset v>, the gates of
-    :func:`stage1_decoder`."""
-    return Circuit(layout.register_sizes, stage1_decoder(layout).gates)
+# the loader as parts in order: stage 1, then stage 2's three parts
+LoaderParts = tuple[OneHotDecoder, Circuit, Tiling, FanIn]
 
 
-def stage2_parts(layout: QdamLayout, db: Database | Sequence[str]
-                 ) -> tuple[tuple[Gate, ...], Tiling, FanIn]:
-    """Stage 2 without its gate list, as three parts in order: the
-    database preparation's gates (one X per 1 bit), the record blocks as
-    a tiling and the fan-in.  The last record's fan-out lease is checked,
-    so every copy of the record block stays in its regions; data bit j's
-    fan-in folds the load ancillas E(i, j) into it."""
+def loader_parts(layout: QdamLayout, db: Database | Sequence[str]) -> LoaderParts:
+    """The loader without its gate list, as parts in order: stage 1's
+    decoder, then stage 2 as the database preparation (one X per 1 bit),
+    the record blocks as a tiling and the fan-in.  The last record's
+    fan-out lease is checked, so every copy of the record block stays in
+    its regions; data bit j's fan-in folds the load ancillas E(i, j) into
+    it."""
     keys = _key_bits(layout.n, layout.m, db)
     n, m = layout.n, layout.m
     count, total = 1 << n, layout.total_qubits
     # database bit (i, j) and load ancilla E(i, j) sit at offset i*m + j of
     # their regions, the offset of bit j of key i in the joined keys
     database, load = layout.database_qubit(0, 0), layout.load_qubit(0, 0)
-    prepare = tuple(_prepare(database, keys))
+    prepare = Circuit(layout.register_sizes, _prepare(database, keys))
     base = (count >> 1) - 1  # past stage 1's fan-out ancillas
     layout.fanout_lease(base + (count - 1) * (m - 1), m - 1)
     control, lease = layout.onehot_qubit(0), layout.fanout_lease(base, m - 1)
@@ -231,16 +231,20 @@ def stage2_parts(layout: QdamLayout, db: Database | Sequence[str]
     stride = {control: 1, **dict.fromkeys(lease, m - 1),
               **{q: m for pair in pairs for q in pair}}
     block = shared_control_layer(control, pairs, lease)
-    return (prepare, Tiling(block, stride, count, total),
+    return (_decoder(layout), prepare, Tiling(block, stride, count, total),
             FanIn(load, n, layout.data_qubit(0), m, total))
 
 
-def build_m2(layout: QdamLayout,
-             parts: tuple[tuple[Gate, ...], Tiling, FanIn]) -> Circuit:
-    """Stage 2 as a circuit: the preparation, then the gates of the
-    record tiling and of the fan-in, the parts of :func:`stage2_parts`."""
-    prepare, records, fan_in = parts
-    return Circuit(layout.register_sizes, (*prepare, *records.gates, *fan_in.gates))
+def build_m1(layout: QdamLayout) -> Circuit:
+    """Stage 1: |v>|0...0> -> |v>|one-hot at offset v>, the gates of the
+    decoder that opens :func:`loader_parts`."""
+    return Circuit(layout.register_sizes, _decoder(layout).gates)
+
+
+def build_m2(layout: QdamLayout, parts: Sequence[Part]) -> Circuit:
+    """Stage 2 as a circuit, from the last three of :func:`loader_parts`:
+    the gates of ``parts``, one part after another."""
+    return Circuit(layout.register_sizes, chain.from_iterable(p.gates for p in parts))
 
 
 def build_naive_qdam(layout: NaiveLayout, db: Database | Sequence[str]) -> Circuit:

@@ -44,7 +44,7 @@ from qsearch.database import FORMAT_VERSION, Database
 from qsearch.decompose import shared_control_layer
 from qsearch.errors import CircuitError
 from qsearch.kernel import ReportMode, ResourceReport
-from qsearch.qdam import build_m1, build_m2, stage2_parts
+from qsearch.qdam import build_m1, build_m2, loader_parts
 from qsearch.sim import DROP_TOLERANCE, SparseState
 
 DEFAULT_DENSE_CAP = 14
@@ -424,7 +424,7 @@ def stage1_per_level_gates(layout) -> tuple[Gate, ...]:
 
 def build_qdam(layout, db) -> Circuit:
     """Full loader: stage 1 then stage 2."""
-    return build_m1(layout) + build_m2(layout, stage2_parts(layout, db))
+    return build_m1(layout) + build_m2(layout, loader_parts(layout, db)[1:])
 
 
 def stage2_per_record_gates(layout, keys) -> tuple[Gate, ...]:

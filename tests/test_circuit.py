@@ -301,9 +301,7 @@ def test_feed_tiled_equals_feeding_the_copies(case, reverse):
         assert tilings[-1].gates == tuple(stream)
         copied += stream
     # reversed, the stream runs last tiling first and every block backwards
-    tiled = Schedule(total).feed(prior)
-    for tiling in reversed(tilings) if reverse else tilings:
-        tiled.feed_tiled(tiling, reverse=reverse)
+    tiled = Schedule(total).feed(prior).feed_parts(tilings, reverse=reverse)
     flat = Schedule(total).feed(prior).feed(copied[::-1] if reverse else copied)
     slow = reference_feed(ReferenceSchedule(total), prior)
     reference_feed(slow, copied[::-1] if reverse else copied)
@@ -340,7 +338,7 @@ def test_feed_tiled_fast_path_boundary(monkeypatch, reverse, copies, late):
         return feed(schedule, fed)
 
     monkeypatch.setattr(Schedule, "feed", recording)
-    tiled.feed_tiled(tiling, reverse=reverse)
+    tiling.feed_into(tiled, reverse=reverse)
     if late is None:
         assert calls == [(total, tiling.block[::-1] if reverse else tiling.block)]
         assert reverse or calls[0][1] is tiling.block
@@ -402,7 +400,7 @@ def test_feed_fan_in_equals_feeding_the_folds(case, reverse):
     # a T layer marked before the fan-in, which must leave it as it is
     fast.feed([gate(GateKind.T, 0)])
     reference_feed(slow, [gate(GateKind.T, 0)])
-    fast.feed_fan_in(fan_in)
+    fan_in.feed_into(fast, reverse=reverse)
     reference_feed(slow, fan_in.gates[::-1] if reverse else fan_in.gates)
     assert fast._avail == slow.avail
     assert fast.tally() == slow.tally() == (1, 1)
@@ -463,7 +461,7 @@ def test_feed_decoder_equals_feeding_its_gates(case, reverse):
     for schedule in (fast, slow):
         schedule._avail, schedule._marks = list(prior), bytearray(marks)
         schedule.feed([gate(GateKind.T, 0)])
-    fast.feed_decoder(decoder, reverse=reverse)
+    decoder.feed_into(fast, reverse=reverse)
     slow.feed(decoder.gates[::-1] if reverse else decoder.gates)
     assert fast._avail == slow._avail
     assert fast.tally() == slow.tally()
@@ -477,12 +475,12 @@ def test_feed_decoder_rejects_a_staggered_class(reverse):
     for late in (0, 11, 14):  # an index qubit, a one-qubit class, no qubit
         schedule = Schedule(15)
         schedule._avail[late] = 4
-        schedule.feed_decoder(decoder, reverse=reverse)
+        decoder.feed_into(schedule, reverse=reverse)
     for late in (3, 10, 13):  # the first and last one-hot qubits, lease 2
         schedule = Schedule(15)
         schedule._avail[late] = 4
         with pytest.raises(CircuitError, match="enters staggered"):
-            schedule.feed_decoder(decoder, reverse=reverse)
+            decoder.feed_into(schedule, reverse=reverse)
 
 
 def test_decoder_checks_its_registers_once():

@@ -21,7 +21,7 @@ from qsearch.grover import (
     run_search,
 )
 from qsearch.kernel import build_diffusion, build_target_reflection
-from qsearch.qdam import QdamLayout, build_m1, build_m2, stage2_parts
+from qsearch.qdam import QdamLayout, build_m1, build_m2, loader_parts
 from qsearch.resources import MAX_BOUND_N
 from qsearch.sim import (
     SlicedState,
@@ -555,7 +555,7 @@ def test_reload_check_rejects_a_lowered_loader_that_disagrees(monkeypatch):
     def without_stage2(circuit):
         layout = QdamLayout(2, 2)
         assert circuit.gates == build_m1(layout).gates + build_m2(
-            layout, stage2_parts(layout, toy_db(2))).gates
+            layout, loader_parts(layout, toy_db(2))[1:]).gates
         return real(build_m1(layout))
 
     monkeypatch.setattr(grover, "lower_circuit", without_stage2)

@@ -463,6 +463,7 @@ _SHARED_MEMBER_NAMES = {
     "n": {"ResourceReport", *_LAYOUTS},
     "m": {"ResourceReport", *_LAYOUTS},
     "gates": {"Tiling", "FanIn", "OneHotDecoder"},
+    "feed_into": {"Circuit", "Tiling", "FanIn", "OneHotDecoder"},
     **{name: _LAYOUTS for name in ("register_sizes", "data_qubit", "database_qubit",
                                    "database_qubits", "ladder_ancillas", "ladder_qubits")},
 }

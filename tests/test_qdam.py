@@ -21,7 +21,7 @@ from qsearch.qdam import (
     build_m1,
     build_m2,
     build_naive_qdam,
-    stage2_parts,
+    loader_parts,
 )
 from qsearch.sim import SparseState
 
@@ -172,7 +172,7 @@ def test_m2_loads_spec_example_keys():
 
 def test_m2_zero_keys_leave_data_null_with_toffolis_present():
     layout = QdamLayout(2, 2)
-    circ = build_m2(layout, stage2_parts(layout, ["00"] * 4))
+    circ = build_m2(layout, loader_parts(layout, ["00"] * 4)[1:])
     assert macro_counts(circ)[GateKind.TOFFOLI] == 8
     lowered = lower_circuit(circ)
     assert resource_tally(lowered).t_depth <= 4
@@ -183,7 +183,7 @@ def test_m2_zero_keys_leave_data_null_with_toffolis_present():
 
 def test_m2_macro_count_and_block_depth_n3m2():
     layout = QdamLayout(3, 2)
-    circ = build_m2(layout, stage2_parts(layout, ["00"] * 8))
+    circ = build_m2(layout, loader_parts(layout, ["00"] * 8)[1:])
     assert macro_counts(circ)[GateKind.TOFFOLI] == 16
     assert resource_tally(lower_circuit(circ)).t_depth <= 4
 
@@ -287,7 +287,7 @@ def test_stage2_record_block_equals_one_layer_per_record(n):
     for m in (1, 2, 3, 4):  # m = 1 has no fan-out lease
         layout = QdamLayout(n, m)
         keys = ["".join(rng.choice("01") for _ in range(m)) for _ in range(1 << n)]
-        stage2 = build_m2(layout, stage2_parts(layout, keys))
+        stage2 = build_m2(layout, loader_parts(layout, keys)[1:])
         assert stage2.gates == stage2_per_record_gates(layout, keys)
 
 
@@ -315,9 +315,8 @@ def test_every_emitted_gate_list_passes_the_gate_check(n):
         layout = QdamLayout(n, m)
         keys = ["".join(rng.choice("01") for _ in range(m)) for _ in range(1 << n)]
         circuits = build_kernel_circuits(layout, keys, rng.choice(keys))
-        prepare, records, fan_in = circuits.stage2_parts
-        parts = [Circuit(layout.register_sizes, gates)
-                 for gates in (prepare, records.gates, fan_in.gates)]
+        parts = [Circuit(layout.register_sizes, part.gates)
+                 for part in circuits.loader_parts]
         kernel = circuits.kernel()
         for circuit in (circuits.stage1, *parts, circuits.loader,
                         circuits.loader_inverse, circuits.target_reflection,
@@ -329,6 +328,6 @@ def test_every_emitted_gate_list_passes_the_gate_check(n):
 def test_shape_mismatch_rejected():
     layout = QdamLayout(2, 2)
     with pytest.raises(CircuitError):
-        stage2_parts(layout, ["00"] * 3)
+        loader_parts(layout, ["00"] * 3)
     with pytest.raises(CircuitError):
-        stage2_parts(layout, ["000"] * 4)
+        loader_parts(layout, ["000"] * 4)

@@ -32,7 +32,7 @@ from qsearch.kernel import (
     build_target_reflection,
     measure_kernel,
 )
-from qsearch.qdam import NaiveLayout, QdamLayout, build_m2, build_naive_qdam, stage2_parts
+from qsearch.qdam import NaiveLayout, QdamLayout, build_m2, build_naive_qdam, loader_parts
 from qsearch.resources import (
     CSV_HEADER,
     _expand_flat,
@@ -128,6 +128,16 @@ def test_measured_fits_under_bounds_in_every_small_cell(n):
         measured, bound = measure(n, m), estimate_bounds(n, m)
         for field in (*_DEPTH_FIELDS, "t_cost"):
             assert getattr(measured, field) <= getattr(bound, field), (m, field)
+
+
+@pytest.mark.parametrize("k", range(5, 13))
+def test_measured_fits_under_bounds_at_wide_keys(k):
+    # key widths on both sides of a power of two, with m * 2^n <= 2^13
+    for m in ((1 << k) - 1, 1 << k, (1 << k) + 1):
+        for n in range(1, ((1 << 13) // m).bit_length()):
+            measured, bound = measure(n, m), estimate_bounds(n, m)
+            for field in (*_DEPTH_FIELDS, "t_cost"):
+                assert getattr(measured, field) <= getattr(bound, field), (n, m, field)
 
 
 def test_measured_headline_n10_m8_within_bounds():
@@ -440,17 +450,20 @@ def test_measure_kernel_equals_the_flat_oracle_on_random_keys(n, m, seed):
 
 
 def _check_the_fan_in_moves_no_tally(layout, keys):
-    # stage 2's standalone tally skips the fan-in, which holds no T gate
-    prepare, records, fan_in = stage2_parts(layout, keys)
+    # the fan-in holds no T gate, so feeding it in stage 2's standalone
+    # tally, as its gates or by its closed form, moves nothing
+    stage2 = loader_parts(layout, keys)[1:]
+    prepare, records, fan_in = stage2
     t_kinds = {GateKind.T, GateKind.TDG, GateKind.TOFFOLI, GateKind.MCZ}
     assert not t_kinds & {kind for kind, _ in fan_in.gates}
 
     def head():
-        return Schedule(layout.total_qubits).feed(prepare).feed_tiled(records)
+        return Schedule(layout.total_qubits).feed_parts((prepare, records))
 
     tally = head().tally()
     assert tally == head().feed(fan_in.gates).tally()
-    assert tally == head().feed_fan_in(fan_in).tally()
+    assert tally == head().feed_parts((fan_in,)).tally()
+    assert tally == Schedule(layout.total_qubits).feed_parts(stage2).tally()
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -476,13 +489,13 @@ def test_preparing_the_database_before_stage_one_moves_no_kernel_tally(n, m, see
     keys, (query,) = _random_keys(rng, n, m), _random_keys(rng, 0, m)
     circuits = build_kernel_circuits(QdamLayout(n, m), keys, query)
     report = measure_kernel(circuits, 1)
-    prepare, records, fan_in = circuits.stage2_parts
-    stage1 = circuits.stage1.gates
-    kernel = Schedule(circuits.layout.total_qubits).feed(prepare)
-    t_m1 = kernel.feed(stage1).tally()
-    t_loader = kernel.feed_tiled(records).feed_fan_in(fan_in).tally()
-    kernel.feed(circuits.target_reflection.gates).feed_fan_in(fan_in)
-    kernel.feed_tiled(records, reverse=True).feed(reversed(stage1)).feed(reversed(prepare))
+    _, prepare, records, fan_in = circuits.loader_parts
+    # stage 1 as its built gates, after the preparation
+    loader = (prepare, circuits.stage1, records, fan_in)
+    kernel = Schedule(circuits.layout.total_qubits)
+    t_m1 = kernel.feed_parts(loader[:2]).tally()
+    t_loader = kernel.feed_parts(loader[2:]).tally()
+    kernel.feed(circuits.target_reflection.gates).feed_parts(loader, reverse=True)
     t_kernel = kernel.feed(circuits.diffusion.gates).tally()
     assert (t_m1.t_depth, t_loader.t_depth, t_kernel.t_depth, t_kernel.t_count) == (
         report.t_depth_m1, report.t_depth_qdam, report.t_depth_kernel,
@@ -490,25 +503,23 @@ def test_preparing_the_database_before_stage_one_moves_no_kernel_tally(n, m, see
 
 
 def test_measure_kernel_feeds_the_fan_in_twice(monkeypatch):
-    # once forward in the loader and once reversed in the inverse loader,
-    # each time after the record tiling of its pass
+    # every part is fed once in the loader and once reversed in the inverse
+    # loader, around the target reflection and before the diffusion; then
+    # stage 2's parts again, for its standalone tally
     circuits = _zero_key_circuits(5, 3)
-    fed, real_tiled, real_fan_in = [], Schedule.feed_tiled, Schedule.feed_fan_in
+    fed = []
+    for part in (Circuit, Tiling, FanIn, OneHotDecoder):
+        def recording(self, schedule, reverse=False, real=part.feed_into):
+            fed.append((self, reverse))
+            return real(self, schedule, reverse)
 
-    def recording(schedule, tiling, reverse=False):
-        fed.append((tiling, reverse))
-        return real_tiled(schedule, tiling, reverse=reverse)
-
-    def recording_fan_in(schedule, fan_in):
-        fed.append(fan_in)
-        return real_fan_in(schedule, fan_in)
-
-    monkeypatch.setattr(Schedule, "feed_tiled", recording)
-    monkeypatch.setattr(Schedule, "feed_fan_in", recording_fan_in)
+        monkeypatch.setattr(part, "feed_into", recording)
     measure_kernel(circuits, 1)
-    _, records, fan_in = circuits.stage2_parts
-    # the loader, the inverse loader, then stage 2's standalone tally
-    assert fed == [(records, False), fan_in, fan_in, (records, True), (records, False)]
+    decoder, prepare, records, fan_in = circuits.loader_parts
+    loader = [(decoder, False), (prepare, False), (records, False), (fan_in, False)]
+    inverse = [(fan_in, True), (records, True), (prepare, True), (decoder, True)]
+    assert fed == [*loader, (circuits.target_reflection, False), *inverse,
+                   (circuits.diffusion, False), *loader[1:]]
 
 
 def _refuse_to_materialize(monkeypatch):
@@ -557,7 +568,7 @@ def test_measure_builds_no_stage_one(monkeypatch):
 
 def test_measure_schedules_fewer_gates_than_stage_two_holds(monkeypatch):
     layout = QdamLayout(8, 5)
-    stage2 = build_m2(layout, stage2_parts(layout, ["00000"] * 256))
+    stage2 = build_m2(layout, loader_parts(layout, ["00000"] * 256)[1:])
     fed = []
     real = Schedule.feed
 
@@ -589,8 +600,8 @@ def test_run_search_materializes_stage_two_once(monkeypatch):
 def test_run_search_builds_each_stage_two_tiling_once(monkeypatch):
     # the simulator's stage 2 and the report's staggered record tiling
     # share one build of its gates; the fan-in's gates and its one fold are
-    # built once, for the simulator alone, and the preparation is a gate
-    # tuple, never built
+    # built once, for the simulator alone, and the preparation is a circuit,
+    # never built
     built, folds = [], []
     for part in (Tiling, FanIn):
         real = part.__dict__["gates"]

@@ -653,10 +653,6 @@ def tally_flat(
     return Schedule(total_qubits).feed(gates).tally()
 
 
-def resource_tally(circuit: Circuit) -> ResourceTally:
-    return tally_flat(circuit.gates, circuit.total_qubits)
-
-
 def q_index(offset: int) -> int:
     # the binary index is register 0; kept for the benchmark's tracer
     return offset

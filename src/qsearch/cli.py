@@ -28,6 +28,7 @@ import json
 import sys
 from typing import Sequence
 
+from .circuit import Circuit
 from .database import SearchQuery, load_database_file, pad_to_power_of_two
 from .decompose import lower_circuit, lowered_length
 from .errors import InputError, QsearchError
@@ -141,7 +142,7 @@ def _cmd_compile(args) -> int:
     check_database(db, "compile")
     if args.part == "naive":
         layout = NaiveLayout(db.index_bits, db.key_width)
-        circuit = build_naive_qdam(layout, db.keys())
+        circuit = Circuit(layout.register_sizes, build_naive_qdam(layout, db.keys()).gates)
     else:
         layout = QdamLayout.for_database(db)
         circuits = build_kernel_circuits(layout, db, args.key)

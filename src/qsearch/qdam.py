@@ -45,7 +45,8 @@ from dataclasses import dataclass
 from itertools import chain, compress
 from typing import Sequence
 
-from .circuit import Circuit, FanIn, Gate, GateKind, OneHotDecoder, Part, Register, Tiling
+from .circuit import (Circuit, FanIn, Gate, GateKind, OneHotDecoder, Part, Register,
+                      ResourceTally, Tiling)
 from .database import Database
 from .decompose import shared_control_layer
 from .errors import CircuitError
@@ -247,27 +248,61 @@ def build_m2(layout: QdamLayout, parts: Sequence[Part]) -> Circuit:
     return Circuit(layout.register_sizes, chain.from_iterable(p.gates for p in parts))
 
 
-def build_naive_qdam(layout: NaiveLayout, db: Database | Sequence[str]) -> Circuit:
+class NaiveLoader:
+    """The baseline loader without its gate list: ``gates`` builds the
+    database preparation, then per record i its index's 0 bits flipped, one
+    ladder per record bit and the flips undone, and keeps them; ``len`` and
+    :meth:`tally` are closed forms that build no gate."""
+
+    def __init__(self, layout: NaiveLayout, keys: list[str]):
+        self.layout, self.keys = layout, keys
+
+    @functools.cached_property
+    def gates(self) -> tuple[Gate, ...]:
+        n, m, layout = self.layout.n, self.layout.m, self.layout
+        database, data = layout.database_qubit(0, 0), layout.data_qubit(0)
+        # the binary index qubits are flat qubits 0 .. n-1; the chain ANDs
+        # qubit b into ladder ancilla b-1, and its last target is the apex's
+        ands = (0, *layout.ladder_qubits())
+        up = [(_TOFFOLI, (ands[b - 1], b, ands[b])) for b in range(1, n)]
+        acc, down = ands[-1], up[::-1]
+        flips = [(_X, (b,)) for b in range(n)]
+        hadamards = [(_H, (data + j,)) for j in range(m)]
+        gates = _prepare(database, self.keys)
+        for i in range(len(self.keys)):
+            # X on the index qubits that are 0 in i, most significant first
+            conjugate = [flips[b] for b in range(n) if not i >> (n - 1 - b) & 1]
+            gates.extend(conjugate)
+            for j, h in enumerate(hadamards):
+                apex = (_MCZ, (acc, database + i * m + j, data + j))
+                gates.extend((h, *up, apex, *down, h))
+            gates.extend(conjugate)
+        return tuple(gates)
+
+    def __len__(self) -> int:
+        # an X per 1 bit; an X pair per 0 bit of every index, n 2^(n-1) in
+        # all; per record bit H, n - 1 up-Toffolis, the apex, n - 1 down, H
+        n, m = self.layout.n, self.layout.m
+        return "".join(self.keys).count("1") + (n + m * (2 * n + 1) << n)
+
+    def tally(self) -> ResourceTally:
+        """The tally of ``gates`` scheduled alone, on any keys: with
+        L = m 2^n (2n - 1) macros, 7L T gates in 3L T layers.  Proof: each
+        TOFFOLI or MCZ shares an operand with the macro before it: a chain
+        ancilla, ``acc`` around the apex, all three from one ladder's last
+        down-Toffoli to the next ladder's first up-Toffoli, and index qubit
+        0 between apexes at n = 1.  By ``_TEMPLATES`` a macro entering at E
+        leaves every operand at E + 10 or later and marks E + 4, E + 7 and
+        E + 10, and entry offsets are -1 or more; so the next macro enters
+        at E + 9 or later and its first T layer lies 3 or more past this
+        one's last.  The H and X between them only delay it, as ASAP
+        scheduling is monotone in the entry times, so the macros' T layers
+        are 3L distinct layers, 7 T gates for each macro."""
+        macros = (self.layout.m << self.layout.n) * (2 * self.layout.n - 1)
+        return ResourceTally(t_count=7 * macros, t_depth=3 * macros)
+
+
+def build_naive_qdam(layout: NaiveLayout, db: Database | Sequence[str]) -> NaiveLoader:
     """Baseline loader: one (n+1)-control X per record bit, sequential.
     The ladders share one index AND chain and differ only in their apex."""
-    keys = _key_bits(layout.n, layout.m, db)
-    n, m = layout.n, layout.m
-    database, data = layout.database_qubit(0, 0), layout.data_qubit(0)
-    # the binary index qubits are flat qubits 0 .. n-1; the chain ANDs
-    # qubit b into ladder ancilla b-1, and its last target is the apex's
-    ladder = layout.ladder_qubits()
-    ands = (0, *ladder)
-    up = [(_TOFFOLI, (ands[b - 1], b, ands[b])) for b in range(1, n)]
-    acc, down = ands[-1], up[::-1]
-    flips = [(_X, (b,)) for b in range(n)]
-    hadamards = [(_H, (data + j,)) for j in range(m)]
-    gates = _prepare(database, keys)
-    for i in range(len(keys)):
-        # X on the index qubits that are 0 in i, most significant first
-        conjugate = [flips[b] for b in range(n) if not i >> (n - 1 - b) & 1]
-        gates.extend(conjugate)
-        for j, h in enumerate(hadamards):
-            apex = (_MCZ, (acc, database + i * m + j, data + j))
-            gates.extend((h, *up, apex, *down, h))
-        gates.extend(conjugate)
-    return Circuit(layout.register_sizes, gates)
+    return NaiveLoader(layout, _key_bits(layout.n, layout.m, db))

@@ -12,16 +12,17 @@ subroutine by subroutine; its reflections are AND trees
 the logarithm of the width.
 
 :func:`measure` tallies the optimized kernel over zero keys with
-:func:`qsearch.kernel.measure_kernel`.  The naive report streams its macro
-loader through :func:`tally_flat` and tallies its two reflections, a few
-hundred gates, on their lowering.
+:func:`qsearch.kernel.measure_kernel`.  The naive report takes its loader's
+tally by the closed form :meth:`qsearch.qdam.NaiveLoader.tally`, which
+builds no gate, and tallies its two reflections, a few hundred gates, on
+their lowering through :func:`tally_flat`.
 """
 from __future__ import annotations
 
 import operator
 from typing import Iterable, Sequence
 
-from .circuit import resource_tally, tally_flat
+from .circuit import tally_flat
 from .decompose import lower_circuit
 from .errors import InputError
 from .grover import build_kernel_circuits, optimal_iterations
@@ -58,7 +59,9 @@ def _reflection_toffoli_equivalents(width: int) -> int:
 # of K is proven exact only up to n = 109; a measured report keeps one
 # scheduler time per qubit, O(m * 2^n) (0.7 s at 96 MB peak RSS at n = 20,
 # m = 1), so it also caps m * 2^n at what n <= MAX_MEASURED_N allows at m = 1;
-# the naive report holds m * 2^n ladders (59 MB peak RSS at n = 15, m = 1)
+# the naive report tallies its loader by closed form and holds only its zero
+# keys and two lowered reflections (17 MB peak RSS at n = 15, m = 1, about
+# 0.5 MB above what importing the CLI takes)
 MAX_BOUND_N = 109
 MAX_MEASURED_N = 20
 MAX_NAIVE_BITS = 1 << 15
@@ -120,7 +123,9 @@ def _zero_keys(n: int, m: int) -> list[str]:
     times into the stage-2 Toffolis.  From m = 2 a fan-out round re-aligns
     them and every depth is the zero-key one; with m = 1 some keys measure
     a stage-2 T-depth above its bound, so there a zero-key report does not
-    bound every database (ROADMAP item 4)."""
+    bound every database (ROADMAP item 4).  The naive report holds for
+    every database: its loader's tally does not depend on the keys, by the
+    proof in :meth:`qsearch.qdam.NaiveLoader.tally`."""
     return ["0" * m] * (1 << n)
 
 
@@ -140,20 +145,20 @@ def _expand_flat(macro_circuit):
 
 def measure_naive(n: int, m: int) -> ResourceReport:
     """Measured report with the naive loader substituted for the optimized
-    one.  The naive loader's macro gates (its ladders' Toffolis and CCZ
-    apexes) stream into the scheduler, and the two reflections are tallied
-    on their lowering.  The kernel depth is composed per subroutine
-    (2*loader + both reflections); scheduling the concatenation twice would
-    add nothing but runtime."""
+    one.  The naive loader's tally is its closed form, equal to its
+    ladders' macro gates scheduled alone, and builds none of them; the two
+    reflections are scheduled on their lowering.  The kernel depth is
+    composed per subroutine (2*loader + both reflections); scheduling the
+    concatenation twice would add nothing but runtime."""
     n, m = _check_widths(n, m, MAX_MEASURED_N, MAX_NAIVE_BITS)
     layout = NaiveLayout(n, m)
-    macro = build_naive_qdam(layout, _zero_keys(n, m))
+    tally = build_naive_qdam(layout, _zero_keys(n, m)).tally()
     total = sum(layout.register_sizes.values())
-    tally = tally_flat(_expand_flat(macro), total)
     ref_layout = QdamLayout(n, m)
-    t_oracle = resource_tally(
-        lower_circuit(build_target_reflection(ref_layout, "0" * m)))
-    t_diff = resource_tally(lower_circuit(build_diffusion(ref_layout)))
+    oracle = lower_circuit(build_target_reflection(ref_layout, "0" * m))
+    diff = lower_circuit(build_diffusion(ref_layout))
+    t_oracle = tally_flat(_expand_flat(oracle), oracle.total_qubits)
+    t_diff = tally_flat(_expand_flat(diff), diff.total_qubits)
     return ResourceReport(
         n=n,
         m=m,

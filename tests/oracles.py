@@ -4,8 +4,8 @@ T layers, the Walsh-Hadamard transform, stage 1 built level by level,
 the full loader, the serial
 multi-controlled-Z ladder and the naive loader built one ladder per record
 bit from it, the kernel measurement over built gate lists, the exact
-iteration count in decimal arithmetic, the gate checks that the IR leaves
-to its builders, and the circuit, basis-label, register read-out and
+iteration count in decimal arithmetic, the one-shot tally of a circuit,
+the gate checks that the IR leaves to its builders, and the circuit, basis-label, register read-out and
 database-export helpers that only tests use, and a recorder of the sparse
 states a run makes.
 
@@ -380,6 +380,11 @@ def marked_layers(schedule: Schedule) -> set[int]:
 
 
 # -- circuits -----------------------------------------------------------------
+
+
+def resource_tally(circuit: Circuit) -> ResourceTally:
+    """The tally of a circuit's gates, scheduled alone over its width."""
+    return tally_flat(circuit.gates, circuit.total_qubits)
 
 
 def check_gates(circuit: Circuit) -> Circuit:

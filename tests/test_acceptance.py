@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from qsearch.circuit import Register, resource_tally
+from qsearch.circuit import Register
 from qsearch.cli import main as cli_main
 from qsearch.database import SearchQuery
 from qsearch.decompose import lower_circuit

@@ -20,7 +20,6 @@ from qsearch.circuit import (
     _derive_template,
     fold_gates,
     gate,
-    resource_tally,
     tally_flat,
 )
 from qsearch.decompose import (
@@ -41,6 +40,7 @@ from oracles import (
     is_lowered,
     marked_layers,
     reference_feed,
+    resource_tally,
     to_unitary,
 )
 

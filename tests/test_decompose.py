@@ -14,7 +14,6 @@ from qsearch.circuit import (
     Register,
     ccz_gates,
     gate,
-    resource_tally,
 )
 from qsearch.decompose import (
     decompose_toffoli,
@@ -30,7 +29,9 @@ from qsearch.qdam import QdamLayout
 from qsearch.sim import SlicedState
 
 from conftest import columns_on_zero_ancilla, ideal_mcz_matrix, ideal_toffoli_matrix
-from oracles import dense_statevector, is_lowered, macro_counts, mcz_ladder, to_unitary
+from oracles import (
+    dense_statevector, is_lowered, macro_counts, mcz_ladder, resource_tally, to_unitary,
+)
 
 D = Register.DATA
 A = Register.ANCILLA

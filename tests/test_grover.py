@@ -9,7 +9,7 @@ from itertools import accumulate
 import numpy as np
 import pytest
 
-from qsearch.circuit import Circuit, GateKind, Register, gate, resource_tally
+from qsearch.circuit import Circuit, GateKind, Register, gate
 from qsearch.database import SearchQuery, pad_to_power_of_two
 from qsearch.decompose import lower_circuit
 from qsearch.errors import CircuitError, InputError
@@ -39,6 +39,7 @@ from oracles import (
     recorded_states,
     register_bits,
     register_shift,
+    resource_tally,
     success_probability_formula,
     walsh_hadamard,
 )

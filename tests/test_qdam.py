@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsearch.circuit import Circuit, GateKind, Register, gate, resource_tally
+from qsearch.circuit import Circuit, GateKind, Register, gate
 from qsearch.decompose import lower_circuit
 from qsearch.errors import CircuitError
 from qsearch.grover import build_kernel_circuits
@@ -33,6 +33,7 @@ from oracles import (
     macro_counts,
     naive_loader_gates,
     register_bits,
+    resource_tally,
     stage1_per_level_gates,
     stage2_per_record_gates,
 )
@@ -232,8 +233,8 @@ def test_naive_matches_optimized_on_index_data_marginals():
     opt_layout = QdamLayout(1, 1)
     naive_layout = NaiveLayout(1, 1)
     opt = lower_circuit(build_qdam(opt_layout, db))
-    naive = lower_circuit(build_naive_qdam(naive_layout, db))
     naive_sizes = naive_layout.register_sizes
+    naive = lower_circuit(Circuit(naive_sizes, build_naive_qdam(naive_layout, db).gates))
     for value in range(2):
         out_o = _index_state(opt_layout, value).apply(opt)
         key_o = next(iter(out_o.amplitudes))
@@ -321,7 +322,8 @@ def test_every_emitted_gate_list_passes_the_gate_check(n):
         for circuit in (circuits.stage1, *parts, circuits.loader,
                         circuits.loader_inverse, circuits.target_reflection,
                         circuits.diffusion, kernel, lower_circuit(kernel),
-                        build_naive_qdam(NaiveLayout(n, m), keys)):
+                        Circuit(NaiveLayout(n, m).register_sizes,
+                                build_naive_qdam(NaiveLayout(n, m), keys).gates)):
             check_gates(circuit)
 
 

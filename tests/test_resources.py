@@ -19,7 +19,6 @@ from qsearch.circuit import (
     OneHotDecoder,
     Schedule,
     Tiling,
-    resource_tally,
     tally_flat,
 )
 from qsearch.decompose import lower_circuit
@@ -44,7 +43,7 @@ from qsearch.resources import (
 )
 
 from conftest import toy_db
-from oracles import build_qdam, exact_iterations, flat_measure_kernel
+from oracles import build_qdam, exact_iterations, flat_measure_kernel, resource_tally
 
 _DEPTH_FIELDS = (
     "t_depth_m1",
@@ -138,6 +137,18 @@ def test_measured_fits_under_bounds_at_wide_keys(k):
             measured, bound = measure(n, m), estimate_bounds(n, m)
             for field in (*_DEPTH_FIELDS, "t_cost"):
                 assert getattr(measured, field) <= getattr(bound, field), (n, m, field)
+
+
+@pytest.mark.parametrize("k", range(5, 13))
+def test_measured_fits_under_bounds_up_to_two_to_the_sixteen_record_bits(k):
+    # m = 2^k - 1, 2^k and 2^k + 1, each at the widest n with m * 2^n <= 2^16:
+    # (11, 31), (11, 32), (10, 33) at k = 5 up to (4, 4095), (4, 4096),
+    # (3, 4097) at k = 12; wider keys cost about a second a cell
+    for m in ((1 << k) - 1, 1 << k, (1 << k) + 1):
+        n = ((1 << 16) // m).bit_length() - 1
+        measured, bound = measure(n, m), estimate_bounds(n, m)
+        for field in (*_DEPTH_FIELDS, "t_cost"):
+            assert getattr(measured, field) <= getattr(bound, field), (n, m, field)
 
 
 def test_measured_headline_n10_m8_within_bounds():
@@ -271,7 +282,8 @@ def test_flat_expansion_equals_lowered_circuit(n):
         keys = _random_keys(rng, n, m)
         naive = NaiveLayout(n, m)
         optimized = QdamLayout(n, m)
-        for macro in (build_naive_qdam(naive, keys), build_qdam(optimized, keys)):
+        naive_macro = Circuit(naive.register_sizes, build_naive_qdam(naive, keys).gates)
+        for macro in (naive_macro, build_qdam(optimized, keys)):
             stream = _expand_flat(macro)
             assert iter(stream) is stream  # lazy: a generator, not a list
             assert list(stream) == list(macro.gates)
@@ -284,7 +296,8 @@ def test_flat_expansion_equals_lowered_circuit(n):
 def test_measure_naive_equals_the_gate_level_stream(n):
     for m in (1, 2):
         naive = NaiveLayout(n, m)
-        macro = build_naive_qdam(naive, ["0" * m] * (1 << n))
+        macro = Circuit(naive.register_sizes,
+                        build_naive_qdam(naive, ["0" * m] * (1 << n)).gates)
         loader = resource_tally(lower_circuit(macro))
         layout = QdamLayout(n, m)
         oracle = resource_tally(
@@ -333,6 +346,32 @@ def test_naive_stream_schedules_in_a_few_megabytes():
         tracemalloc.stop()
     assert tally == (659456, 282624)
     assert peak < 6_000_000
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_naive_closed_form_equals_scheduling_its_gates(n):
+    # every cell of n 1..8, m 1..6 (all have m * 2^n <= 2^11), on zero,
+    # all-ones and two random key sets: the tally and the length need no gate
+    rng = random.Random(3200 + n)
+    for m in range(1, 7):
+        layout = NaiveLayout(n, m)
+        total = sum(layout.register_sizes.values())
+        for keys in (["0" * m] * (1 << n), ["1" * m] * (1 << n),
+                     _random_keys(rng, n, m), _random_keys(rng, n, m)):
+            loader = build_naive_qdam(layout, keys)
+            assert loader.tally() == tally_flat(loader.gates, total), (m, keys)
+            assert len(loader) == len(loader.gates)
+
+
+def test_measure_naive_builds_no_loader_gate(monkeypatch):
+    # the naive loader is tallied by its closed form, up to the widest report
+    def refuse(*args):
+        raise AssertionError("the report built the naive loader's gates")
+
+    monkeypatch.setattr(qdam.NaiveLoader, "gates", property(refuse))
+    for n, m in ((1, 1), (4, 5), (9, 2), (15, 1)):
+        measure_naive(n, m)
+    bench_scaling(range(1, 7), 2)
 
 
 def _lower_each_and_tally(circuits, iterations):

@@ -49,14 +49,16 @@ safe to share across workers.
 A part has ``gates`` and ``feed_into(schedule, reverse=False)``, which
 schedules those gates, or with ``reverse`` their reversed stream, after
 what the schedule holds; :meth:`Schedule.feed_parts` feeds a part list in
-order or reversed.  A :class:`Circuit` feeds its gates.  A :class:`Tiling`,
-disjoint copies of one block with each operand moved by its own stride per
-copy, feeds copy 0's block in place and copies its exits to the other
-copies when every copy enters at the same times, and otherwise its gates,
-built once.  A :class:`FanIn` (disjoint CNOT folds, rank one too,
-:func:`fold_gates`) and a :class:`OneHotDecoder` (stage 1 of the loader)
-feed themselves by closed forms that build no gate: one fold, or one
-level, per few scalar steps.
+order or reversed.  A :class:`Circuit` feeds its gates.  A
+:class:`RecordBlock` (stage 2's records, disjoint copies of one
+:func:`shared_control_layer`) feeds its block once when every record
+enters as record 0 does, and otherwise twice on scratch schedules, at its
+regions' earliest and latest entries; when the two runs agree, which fixes
+every record's schedule, it stores their exits into every record, and
+else it feeds its gates, built once.  A :class:`FanIn` (disjoint CNOT
+folds, rank one too, :func:`fold_gates`) and a :class:`OneHotDecoder`
+(stage 1 of the loader) feed themselves by closed forms that build no
+gate: one fold, or one level, per few scalar steps.
 """
 from __future__ import annotations
 
@@ -219,66 +221,6 @@ class Circuit:
         return f"Circuit(registers={regs}, gates={len(self.gates)})"
 
 
-class Tiling:
-    """``copies`` copies of one block of gates: copy i moves each operand q
-    of the block to ``q + i * strides[q]``.  The copies are checked to be
-    pairwise disjoint and inside ``total_qubits``, so they commute.
-    ``spans`` maps each operand, in order of first use, to the slice of
-    its copies' qubits.  ``gates`` builds the copies' gates on first use
-    and keeps them."""
-
-    def __init__(self, block: Iterable[Gate], strides: Mapping[int, int],
-                 copies: int, total_qubits: int):
-        if copies < 1:
-            raise CircuitError("a tiling needs at least one copy")
-        self.block, self.copies = tuple(block), copies
-        self.spans: dict[int, slice] = {}
-        # every operand once, in order of first use
-        operands = dict.fromkeys(chain.from_iterable(ops for _, ops in self.block))
-        # mark every copy of every operand once, then count the marks: the
-        # copies are disjoint iff none was marked twice.  The bound check is
-        # explicit, since a stride-1 slice assignment past the end would
-        # grow the array instead of raising; ``ones`` is a bytearray, as a
-        # bytes value would be copied into one on every assignment
-        used, ones = bytearray(total_qubits), bytearray(b"\1" * copies)
-        for q in operands:
-            step = strides[q]
-            if step < 1 or q < 0 or q + (copies - 1) * step >= total_qubits:
-                raise CircuitError(f"copies of qubit {q} leave the circuit")
-            span = self.spans[q] = slice(q, q + copies * step, step)
-            used[span] = ones
-        if used.count(1) != len(operands) * copies:
-            raise CircuitError("copies of the block overlap")
-
-    @functools.cached_property
-    def gates(self) -> tuple[Gate, ...]:
-        """The copies' gates, copy by copy."""
-        kinds = [kind for kind, _ in self.block]
-        # each gate's operands in every copy, as one zip of ranges
-        ranges = {q: range(span.start, span.stop, span.step)
-                  for q, span in self.spans.items()}
-        moved = [zip(*(ranges[q] for q in ops)) for _, ops in self.block]
-        return tuple(g for ops in zip(*moved) for g in zip(kinds, ops))
-
-    def feed_into(self, schedule: "Schedule", reverse: bool = False) -> None:
-        """Feed the copies in order, or with ``reverse`` that stream
-        reversed.  Copy i's operand q enters at ``avail[q + i * stride]``.
-        When every operand's copies enter at one time, all copies schedule
-        alike: copy 0's block, whose operands are real qubits, is fed in
-        place, its T count is taken ``copies`` times and its exits are
-        copied to the other copies by slice assignment.  Otherwise the
-        tiling's gates are fed."""
-        avail, copies, spans = schedule._avail, self.copies, self.spans.values()
-        if any(avail[span].count(avail[span.start]) != copies for span in spans):
-            schedule.feed(reversed(self.gates) if reverse else self.gates)
-            return
-        t_count = schedule._t_count
-        schedule.feed(self.block[::-1] if reverse else self.block)
-        schedule._t_count += (copies - 1) * (schedule._t_count - t_count)
-        for span in spans:
-            avail[span] = [avail[span.start]] * copies
-
-
 def fold_gates(column: Sequence[int], target: int) -> list[Gate]:
     """XOR the column of k = 2^n distinct qubits into ``target``: fold it
     onto its first qubit in n rounds of disjoint CNOTs, copy out, and
@@ -305,6 +247,33 @@ def fold_gates(column: Sequence[int], target: int) -> list[Gate]:
         span >>= 1
         gates += [(_CNOT, p) for p in zip(column[span::2 * span], column[::2 * span])]
     return gates
+
+
+def shared_control_layer(shared_control: int, pairs: Sequence[tuple[int, int]],
+                         fanout_ancillas: Sequence[int]) -> list[Gate]:
+    """Toffolis ``(second_control, carrier) -> target``, one per pair, the
+    carriers being ``shared_control`` fanned out onto the first
+    ``len(pairs) - 1`` of ``fanout_ancillas``, which are restored to |0>.
+    The fan-out runs in doubling rounds, so every carrier is last touched
+    in one layer and the lowered Toffolis share their three T layers; a
+    partial last round gets an S pad on the idle carriers, with its SDG
+    after the Toffolis.  The caller keeps every operand distinct."""
+    gates: list[Gate] = []
+    carriers, fresh, pad_sdg = [shared_control], iter(fanout_ancillas), []
+    while len(carriers) < len(pairs):
+        room = len(pairs) - len(carriers)
+        sources = carriers[:min(len(carriers), room)]
+        idle = carriers[len(sources):]
+        new = [next(fresh) for _ in sources]
+        gates += [(_CNOT, pair) for pair in zip(sources, new)]
+        if room < len(carriers):
+            gates += [(_S, (q,)) for q in idle]
+            pad_sdg += [(_SDG, (q,)) for q in idle]
+        carriers.extend(new)
+    fanout = gates[::-1]
+    gates += [(_TOFFOLI, (second, carrier, target))
+              for (second, target), carrier in zip(pairs, carriers)]
+    return gates + pad_sdg + [g for g in fanout if g[0] is _CNOT]
 
 
 class FanIn:
@@ -435,8 +404,99 @@ class OneHotDecoder:
         schedule._t_count += t_n * ((1 << n) - 2)  # 2^(l-1) Toffolis at each level l > 1
 
 
+class RecordBlock:
+    """Stage 2's records, ``copies`` of one block over four regions: record
+    i's one-hot qubit is ``onehot + i``, its database bit and load ancilla
+    j are ``database + i m + j`` and ``load + i m + j``, and its m - 1
+    fan-out qubits start at ``lease + i (m - 1)``.  The regions are checked
+    once to lie apart, inside ``total_qubits``.  ``block`` is record 0's
+    :func:`shared_control_layer` over local operands 0 .. 3m - 1, the four
+    regions' qubits in that order, with the pairs (database j, load j), and
+    ``gates`` builds the records' gates, record by record."""
+
+    def __init__(self, m: int, copies: int, onehot: int, database: int, load: int,
+                 lease: int, total_qubits: int):
+        self.copies = copies
+        # the lease is last, so leaving it out when empty (m = 1) keeps the
+        # local operands' order
+        self.regions = tuple((start, width) for start, width in (
+            (onehot, 1), (database, m), (load, m), (lease, m - 1)) if width > 0)
+        spans = sorted((start, start + copies * width) for start, width in self.regions)
+        if (m < 1 or copies < 1 or spans[0][0] < 0 or spans[-1][1] > total_qubits
+                or any(a[1] > b[0] for a, b in zip(spans, spans[1:]))):
+            raise CircuitError("the records leave the circuit or overlap")
+        pairs = [(1 + j, 1 + m + j) for j in range(m)]
+        self.block = tuple(shared_control_layer(0, pairs, range(2 * m + 1, 3 * m)))
+
+    @functools.cached_property
+    def gates(self) -> tuple[Gate, ...]:
+        copies, kinds = self.copies, [kind for kind, _ in self.block]
+        # each local operand's qubit in every record, as one range, and each
+        # gate's operands in every record as one zip of ranges
+        ranges = [range(start + k, start + copies * width, width)
+                  for start, width in self.regions for k in range(width)]
+        moved = [zip(*(ranges[q] for q in ops)) for _, ops in self.block]
+        return tuple(g for ops in zip(*moved) for g in zip(kinds, ops))
+
+    def feed_into(self, schedule: "Schedule", reverse: bool = False) -> None:
+        """Feed the records, or with ``reverse`` that stream reversed.  A
+        region's entries are record 0's when every record repeats them,
+        else its earliest and its latest entry throughout.  The block is fed
+        once when that gives one entry vector, on the schedule's own times
+        and T layers, and else at the low and at the high entries, on
+        scratch schedules whose times start at the lowest; when both runs
+        leave every operand at one time, the low run's T layers are marked.
+        Then the block's T count is taken ``copies`` times and the exits are
+        stored into every record.  When the runs part, the records' gates
+        are fed.
+
+        Proof: the records act on disjoint qubits, so each schedules as if
+        alone, and ASAP scheduling is monotone in the entry times, so every
+        record's exits lie between the two runs' and equal them.  The T
+        gates are the Toffolis' alone, and Toffoli j's target, load j, is
+        touched by no other gate of the block, forward or reversed: so its
+        exit fixes the Toffoli's entry, and with it its three T layers, in
+        every record.  (Equal T-layer sets alone would not fix them.)"""
+        avail, copies, regions = schedule._avail, self.copies, self.regions
+        low: list[int] = []
+        high: list[int] = []
+        for start, width in regions:
+            entries = avail[start:start + copies * width]
+            # one C-level pass when the region enters at one time
+            if (entries.count(entries[0]) == len(entries)
+                    or entries == entries[:width] * copies):
+                low += entries[:width]
+                high += entries[:width]
+            else:
+                low += [min(entries)] * width
+                high += [max(entries)] * width
+        block, run = self.block[::-1] if reverse else self.block, Schedule(0)
+        if low == high:  # one run, on the schedule's own times and T layers
+            run._avail, run._marks = low, schedule._marks
+            run.feed(block)
+        else:  # two runs, in times from the lowest entry
+            base, high_run = min(low), Schedule(0)
+            run._avail = [t - base for t in low]
+            high_run._avail = [t - base for t in high]
+            if run.feed(block)._avail != high_run.feed(block)._avail:
+                schedule.feed(reversed(self.gates) if reverse else self.gates)
+                return
+            marks = schedule._marks
+            layers = [base + t for t, mark in enumerate(run._marks) if mark]
+            if layers and layers[-1] >= len(marks):
+                _grow(marks, layers[-1])
+            for t in layers:
+                marks[t] = 1
+            run._avail = [base + t for t in run._avail]
+        schedule._t_count += copies * run._t_count
+        local = 0
+        for start, width in regions:
+            avail[start:start + copies * width] = run._avail[local:local + width] * copies
+            local += width
+
+
 # what :meth:`Schedule.feed_parts` takes: each has ``gates`` and ``feed_into``
-Part = Circuit | Tiling | FanIn | OneHotDecoder
+Part = Circuit | RecordBlock | FanIn | OneHotDecoder
 
 
 class ResourceTally(NamedTuple):

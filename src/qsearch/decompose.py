@@ -2,14 +2,10 @@
 
 The two three-qubit fragments, :func:`~qsearch.circuit.decompose_toffoli`
 and :func:`~qsearch.circuit.ccz_gates`, live in :mod:`qsearch.circuit`
-beside the scheduler that derives its templates from them.  This module
-builds the macro-level subroutines from three blocks:
+beside the scheduler that derives its templates from them, with the
+loader's shared-control block, :func:`~qsearch.circuit.shared_control_layer`.
+This module builds the reflections from two blocks:
 
-* :func:`shared_control_layer` -- many Toffolis sharing one control, made
-  disjoint by fanning the control out onto borrowed ancillas (CNOTs are
-  free in T-depth).  Fan-out is by doubling rounds so every control copy is
-  last touched in the same layer; a partial final round gets an S pad (with
-  its SDG after the block) to stay aligned.
 * :func:`sync_touch` -- a CNOT-pair block that equalizes the scheduler
   timing of a set of qubits.
 * :func:`mcz_tree` -- phase flip on the all-ones subspace of k qubits: a
@@ -28,7 +24,6 @@ All emitted ancillas are returned to |0> on every input.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain
 from typing import Iterable, Sequence
 
 from .circuit import (
@@ -44,62 +39,6 @@ from .errors import CircuitError
 # the kinds bound once: a ``GateKind.X`` load costs several times a global's
 _S, _SDG, _CNOT, _TOFFOLI, _MCZ = (GateKind.S, GateKind.SDG, GateKind.CNOT,
                                    GateKind.TOFFOLI, GateKind.MCZ)
-
-
-def shared_control_layer(
-    shared_control: int,
-    pairs: Sequence[tuple[int, int]],
-    fanout_ancillas: Sequence[int] = (),
-) -> list[Gate]:
-    """Toffolis ``(second_control, shared_control) -> target`` for each pair,
-    emitted so the lowered block keeps a constant T-depth.
-
-    Returns macro-level gates (CNOT fan-out + TOFFOLI macros + fan-in).
-    Needs ``len(pairs) - 1`` borrowed ancillas; they are restored to |0>.
-    The shared control, the pair operands and the ancillas used must be
-    pairwise distinct, else :class:`CircuitError`; the gates are
-    then distinct-operand by construction and emitted unchecked.
-    """
-    if not pairs:
-        return []
-    operands = {shared_control, *chain.from_iterable(pairs)}
-    if len(operands) != 2 * len(pairs) + 1:
-        raise CircuitError(f"an operand is reused in the layer over {pairs}")
-
-    needed = len(pairs) - 1
-    ancillas = tuple(fanout_ancillas)[:needed]
-    if len(ancillas) < needed:
-        raise CircuitError(
-            f"shared-control layer over {len(pairs)} pairs needs {needed} "
-            f"fan-out ancillas, got {len(ancillas)}"
-        )
-    if len(operands.union(ancillas)) != len(operands) + needed:
-        raise CircuitError(f"fan-out ancillas {ancillas} repeat or overlap an operand")
-
-    gates: list[Gate] = []
-    carriers = [shared_control]
-    fresh = iter(ancillas)
-    pad_sdg: list[Gate] = []
-    # Doubling rounds keep every carrier last-touched in the same layer; a
-    # partial final round leaves some sources one layer behind, fixed by an
-    # S pad whose SDG lands after the Toffoli block (controls are restored).
-    while len(carriers) < len(pairs):
-        room = len(pairs) - len(carriers)
-        sources = carriers[: min(len(carriers), room)]
-        idle = carriers[len(sources):]
-        new = [next(fresh) for _ in sources]
-        gates += [(_CNOT, pair) for pair in zip(sources, new)]
-        if room < len(carriers):
-            gates += [(_S, (q,)) for q in idle]
-            pad_sdg += [(_SDG, (q,)) for q in idle]
-        carriers.extend(new)
-
-    fanout = [g for g in gates if g[0] is _CNOT]
-    gates += [(_TOFFOLI, (second, carrier, target))
-              for (second, target), carrier in zip(pairs, carriers)]
-    gates += pad_sdg
-    gates += fanout[::-1]
-    return gates
 
 
 def sync_touch(qubits: Sequence[int]) -> list[Gate]:

@@ -6,7 +6,8 @@ macros through max-plus templates of their Clifford+T fragments, so a
 macro circuit's tally equals its lowering's by construction, and measuring
 the kernel lowers nothing.  The loader is held as its part list
 (:func:`~qsearch.qdam.loader_parts`), and every part schedules itself,
-stage 1 and the fan-in by closed forms that build no gate.  The inverse
+stage 1 and the fan-in by closed forms that build no gate, and the
+records by one or two runs of their one block.  The inverse
 loader is tallied as that list fed reversed: the scheduler treats T like
 TDG and S like SDG, and the macros are self-adjoint, so the reversed
 stream tallies exactly as the adjoint circuit, which is never built.
@@ -78,10 +79,11 @@ def build_diffusion(layout: QdamLayout) -> Circuit:
 class KernelCircuits:
     """Macro-level subroutine circuits for one kernel iteration.  The
     loader is held as the parts of :func:`~qsearch.qdam.loader_parts`,
-    which the resource report schedules; ``stage1``, ``stage2`` (which
-    shares the record tiling's gates, built once, with the report), the
-    loader and the inverse loader are built from them lazily, at most once
-    each, for the simulator, the lowering and ``compile``."""
+    which the resource report schedules; ``stage1``, ``stage2`` (from the
+    parts' gates, each built once, which the report shares where its
+    record feed falls back to the gates), the loader and the inverse loader
+    are built from them lazily, at most once each, for the simulator, the
+    lowering and ``compile``."""
 
     layout: QdamLayout
     loader_parts: qdam.LoaderParts

@@ -17,10 +17,11 @@ The optimized loader runs in two stages:
   Toffoli of T-depth.  The E ancillas keep their (branch-deterministic)
   values until the inverse loader uncomputes them.  Every record's block
   has one shape, so stage 2 is three parts in order: the preparation as a
-  circuit of X gates, the records as a :class:`~qsearch.circuit.Tiling`
-  of record 0's block, with each operand moved i strides of its region in
-  record i (one-hot 1, database and load m, fan-out m - 1), and the fan-in
-  (:class:`~qsearch.circuit.FanIn`) as one fold per data bit.
+  circuit of X gates, the records as a
+  :class:`~qsearch.circuit.RecordBlock`, whose record i holds one-hot
+  qubit i and the i-th run of m database bits, m load ancillas and m - 1
+  fan-out ancillas, and the fan-in (:class:`~qsearch.circuit.FanIn`) as
+  one fold per data bit.
   :func:`loader_parts` gives the loader as stage 1's decoder then these
   three, and :func:`build_m2` materializes any of them.
 
@@ -45,10 +46,9 @@ from dataclasses import dataclass
 from itertools import chain, compress
 from typing import Sequence
 
-from .circuit import (Circuit, FanIn, Gate, GateKind, OneHotDecoder, Part, Register,
-                      ResourceTally, Tiling)
+from .circuit import (Circuit, FanIn, Gate, GateKind, OneHotDecoder, Part, RecordBlock,
+                      Register, ResourceTally)
 from .database import Database
-from .decompose import shared_control_layer
 from .errors import CircuitError
 
 # the kinds bound once: a ``GateKind.X`` load costs several times a global's
@@ -126,21 +126,13 @@ class QdamLayout:
     def fanout_qubit(self, k: int) -> int:
         return self.load_qubit(0, 0) + self.load_ancillas + k
 
-    def fanout_lease(self, start: int, count: int) -> tuple[int, ...]:
-        if start + count > self.fanout_ancillas:
-            raise CircuitError("fan-out pool exhausted")
-        first = self.fanout_qubit(start)
-        return tuple(range(first, first + count))
-
     def ladder_qubits(self) -> tuple[int, ...]:
         first = self.fanout_qubit(self.fanout_ancillas)
         return tuple(range(first, first + self.ladder_ancillas))
 
     @classmethod
     def for_database(cls, db: Database) -> "QdamLayout":
-        if not db.is_power_of_two:
-            raise CircuitError("pad the database to a power of two first")
-        return cls(n=max(db.index_bits, 1), m=db.key_width)
+        return cls(n=db.index_bits, m=db.key_width)
 
 
 @dataclass(frozen=True)
@@ -208,31 +200,24 @@ def _decoder(layout: QdamLayout) -> OneHotDecoder:
 
 
 # the loader as parts in order: stage 1, then stage 2's three parts
-LoaderParts = tuple[OneHotDecoder, Circuit, Tiling, FanIn]
+LoaderParts = tuple[OneHotDecoder, Circuit, RecordBlock, FanIn]
 
 
 def loader_parts(layout: QdamLayout, db: Database | Sequence[str]) -> LoaderParts:
     """The loader without its gate list, as parts in order: stage 1's
     decoder, then stage 2 as the database preparation (one X per 1 bit),
-    the record blocks as a tiling and the fan-in.  The last record's
-    fan-out lease is checked, so every copy of the record block stays in
-    its regions; data bit j's fan-in folds the load ancillas E(i, j) into
-    it."""
+    the records and the fan-in.  Record i leases its m - 1 fan-out qubits
+    past stage 1's 2^(n-1) - 1 and the i records before it; data bit j's
+    fan-in folds the load ancillas E(i, j) into it."""
     keys = _key_bits(layout.n, layout.m, db)
-    n, m = layout.n, layout.m
-    count, total = 1 << n, layout.total_qubits
+    n, m, total = layout.n, layout.m, layout.total_qubits
     # database bit (i, j) and load ancilla E(i, j) sit at offset i*m + j of
     # their regions, the offset of bit j of key i in the joined keys
     database, load = layout.database_qubit(0, 0), layout.load_qubit(0, 0)
     prepare = Circuit(layout.register_sizes, _prepare(database, keys))
-    base = (count >> 1) - 1  # past stage 1's fan-out ancillas
-    layout.fanout_lease(base + (count - 1) * (m - 1), m - 1)
-    control, lease = layout.onehot_qubit(0), layout.fanout_lease(base, m - 1)
-    pairs = [(database + j, load + j) for j in range(m)]
-    stride = {control: 1, **dict.fromkeys(lease, m - 1),
-              **{q: m for pair in pairs for q in pair}}
-    block = shared_control_layer(control, pairs, lease)
-    return (_decoder(layout), prepare, Tiling(block, stride, count, total),
+    records = RecordBlock(m, 1 << n, layout.onehot_qubit(0), database, load,
+                          layout.fanout_qubit((1 << n - 1) - 1), total)
+    return (_decoder(layout), prepare, records,
             FanIn(load, n, layout.data_qubit(0), m, total))
 
 

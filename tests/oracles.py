@@ -5,7 +5,9 @@ the full loader, the serial
 multi-controlled-Z ladder and the naive loader built one ladder per record
 bit from it, the kernel measurement over built gate lists, the exact
 iteration count in decimal arithmetic, the one-shot tally of a circuit,
-the gate checks that the IR leaves to its builders, and the circuit, basis-label, register read-out and
+the gate checks that the IR leaves to its builders, the checked
+shared-control layer with its fan-out lease, the record placement checked
+by marking, and the circuit, basis-label, register read-out and
 database-export helpers that only tests use, and a recorder of the sparse
 states a run makes.
 
@@ -41,7 +43,6 @@ from qsearch.circuit import (
     tally_flat,
 )
 from qsearch.database import FORMAT_VERSION, Database
-from qsearch.decompose import shared_control_layer
 from qsearch.errors import CircuitError
 from qsearch.kernel import ReportMode, ResourceReport
 from qsearch.qdam import build_m1, build_m2, loader_parts
@@ -408,6 +409,78 @@ def is_lowered(circuit: Circuit) -> bool:
     return all(kind in LOWERED_KINDS for kind, _ in circuit.gates)
 
 
+def shared_control_layer(shared_control, pairs, fanout_ancillas=()) -> list[Gate]:
+    """The generic, checked copy of
+    :func:`qsearch.circuit.shared_control_layer`, the reference builder of
+    stage 1 and of the records: Toffolis ``(second_control, carrier) ->
+    target`` for each pair on ``len(pairs) - 1`` borrowed ancillas, which
+    it restores to |0>.  The shared control, the pair operands and the
+    ancillas used must be pairwise distinct, else :class:`CircuitError`."""
+    if not pairs:
+        return []
+    operands = {shared_control, *(q for pair in pairs for q in pair)}
+    if len(operands) != 2 * len(pairs) + 1:
+        raise CircuitError(f"an operand is reused in the layer over {pairs}")
+    needed = len(pairs) - 1
+    ancillas = tuple(fanout_ancillas)[:needed]
+    if len(ancillas) < needed:
+        raise CircuitError(
+            f"shared-control layer over {len(pairs)} pairs needs {needed} "
+            f"fan-out ancillas, got {len(ancillas)}"
+        )
+    if len(operands.union(ancillas)) != len(operands) + needed:
+        raise CircuitError(f"fan-out ancillas {ancillas} repeat or overlap an operand")
+    gates: list[Gate] = []
+    carriers, fresh, pad_sdg = [shared_control], iter(ancillas), []
+    # doubling rounds keep every carrier last touched in one layer; a
+    # partial last round pads the idle carriers with an S, undone after
+    while len(carriers) < len(pairs):
+        room = len(pairs) - len(carriers)
+        sources = carriers[: min(len(carriers), room)]
+        idle = carriers[len(sources):]
+        new = [next(fresh) for _ in sources]
+        gates += [gate(GateKind.CNOT, *pair) for pair in zip(sources, new)]
+        if room < len(carriers):
+            gates += [gate(GateKind.S, q) for q in idle]
+            pad_sdg += [gate(GateKind.SDG, q) for q in idle]
+        carriers.extend(new)
+    fanout = [g for g in gates if g[0] is GateKind.CNOT]
+    gates += [gate(GateKind.TOFFOLI, second, carrier, target)
+              for (second, target), carrier in zip(pairs, carriers)]
+    return gates + pad_sdg + fanout[::-1]
+
+
+def fanout_lease(layout, start: int, count: int) -> tuple[int, ...]:
+    """Fan-out qubits ``start .. start + count - 1`` of ``layout``'s pool,
+    checked to lie inside it."""
+    if start + count > layout.fanout_ancillas:
+        raise CircuitError("fan-out pool exhausted")
+    first = layout.fanout_qubit(start)
+    return tuple(range(first, first + count))
+
+
+def mark_records(regions, copies: int, total_qubits: int) -> None:
+    """The record regions' placement checked by marking, the oracle of
+    :class:`qsearch.circuit.RecordBlock`'s arithmetic check: ``regions``
+    is ``(start, width)`` per region, record i's qubit k of a region is
+    ``start + i * width + k``.  Every copy of every local operand is marked
+    in a bytearray, and :class:`CircuitError` is raised when one leaves
+    ``0 .. total_qubits - 1`` or two copies share a qubit.  The bound check
+    is explicit, since a slice assignment past the end would grow the
+    array instead of raising."""
+    if copies < 1:
+        raise CircuitError("the records need at least one copy")
+    used, ones, marked = bytearray(total_qubits), bytearray(b"\1" * copies), 0
+    for start, width in regions:
+        for q in range(start, start + width):
+            if q < 0 or q + (copies - 1) * width >= total_qubits:
+                raise CircuitError(f"copies of qubit {q} leave the circuit")
+            used[q:q + copies * width:width] = ones
+            marked += copies
+    if used.count(1) != marked:
+        raise CircuitError("copies of the block overlap")
+
+
 def stage1_per_level_gates(layout) -> tuple[Gate, ...]:
     """Stage 1 built one level at a time: an X on one-hot 0, then for
     level l one :func:`shared_control_layer` call on index qubit n - l
@@ -422,7 +495,7 @@ def stage1_per_level_gates(layout) -> tuple[Gate, ...]:
             gates.append(gate(GateKind.CNOT, ctrl, base + 1))
         else:
             pairs = [(base + j, base + span + j) for j in range(span)]
-            gates += shared_control_layer(ctrl, pairs, layout.fanout_lease(0, span - 1))
+            gates += shared_control_layer(ctrl, pairs, fanout_lease(layout, 0, span - 1))
         gates += [gate(GateKind.CNOT, base + span + j, base + j) for j in range(span)]
     return tuple(gates)
 
@@ -446,7 +519,7 @@ def stage2_per_record_gates(layout, keys) -> tuple[Gate, ...]:
     for i in range(len(keys)):
         pairs = [(layout.database_qubit(i, j), layout.load_qubit(i, j))
                  for j in range(m)]
-        lease = layout.fanout_lease(base + i * (m - 1), m - 1)
+        lease = fanout_lease(layout, base + i * (m - 1), m - 1)
         gates.extend(shared_control_layer(layout.onehot_qubit(i), pairs, lease))
     for j in range(m):
         column = [layout.load_qubit(i, j) for i in range(len(keys))]

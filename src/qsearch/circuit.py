@@ -56,9 +56,10 @@ enters as record 0 does, and otherwise twice on scratch schedules, at its
 regions' earliest and latest entries; when the two runs agree, which fixes
 every record's schedule, it stores their exits into every record, and
 else it feeds its gates, built once.  A :class:`FanIn` (disjoint CNOT
-folds, rank one too, :func:`fold_gates`) and a :class:`OneHotDecoder`
-(stage 1 of the loader) feed themselves by closed forms that build no
-gate: one fold, or one level, per few scalar steps.
+folds, rank one too, :func:`fold_gates`), a :class:`OneHotDecoder`
+(stage 1 of the loader) and a :class:`SyncBlock` (a reflection's CNOT
+gossip) feed themselves by closed forms that build no gate.
+:func:`join_parts` builds a part list's circuit.
 """
 from __future__ import annotations
 
@@ -79,6 +80,7 @@ class Register(enum.Enum):
     DATA = "DATA"
     DATABASE = "DATABASE"
     ANCILLA = "ANCILLA"
+    __hash__ = object.__hash__  # as GateKind's: every Circuit keys a dict by register
 
 
 REGISTER_ORDER: tuple[Register, ...] = tuple(Register)
@@ -159,7 +161,7 @@ class Circuit:
         fragment_spans: tuple[FragmentSpan, ...] = (),
     ):
         sizes = {reg: int(register_sizes.get(reg, 0)) for reg in REGISTER_ORDER}
-        if any(v < 0 for v in sizes.values()):
+        if min(sizes.values()) < 0:
             raise CircuitError("register sizes must be nonnegative")
         self.register_sizes: dict[Register, int] = sizes
         self.gates: tuple[Gate, ...] = tuple(gates)
@@ -309,6 +311,44 @@ class FanIn:
                 entry = avail[target]
             avail[start:stop:step] = [entry + depth + 1] * size
             avail[target] = entry + 1
+
+
+class SyncBlock:
+    """CNOT-pair gossip over k = 2^j qubits, the contiguous ranges ``qubits``
+    then ``pads`` (spare |0> ancillas), checked once to lie apart, inside
+    ``total_qubits``; net identity, no T.  ``gates`` runs one round per
+    dimension r = 1, 2, 4, ..: each i with no bit r pairs with i | r by two
+    CNOTs.  Every qubit leaves at the latest entry + 2j, forward or
+    reversed: two CNOTs leave a pair at its later time + 2, so the rounds
+    over any set of dimensions leave each subcube they span at its latest
+    entry + 2 a round, and the last round spans all k."""
+
+    def __init__(self, qubits: range, pads: range, total_qubits: int):
+        k = len(qubits) + len(pads)
+        spans = sorted((r.start, r.stop) for r in (qubits, pads) if r)
+        if (not k or k & (k - 1) or spans[0][0] < 0 or spans[-1][1] > total_qubits
+                or len(spans) == 2 and spans[0][1] > spans[1][0]):
+            raise CircuitError("the sync block needs 2^j qubits, apart, inside the circuit")
+        self.qubits, self.pads, self.depth = qubits, pads, 2 * (k.bit_length() - 1)
+        self._slices = [slice(*span) for span in spans]
+
+    @functools.cached_property
+    def gates(self) -> tuple[Gate, ...]:
+        ops, gates, r = (*self.qubits, *self.pads), [], 1
+        while r < len(ops):
+            for i in range(len(ops)):
+                if not i & r:
+                    pair = (_CNOT, (ops[i], ops[i | r]))
+                    gates += (pair, pair)
+            r <<= 1
+        return tuple(gates)
+
+    def feed_into(self, schedule: "Schedule", reverse: bool = False) -> None:
+        """Feed the gates, forward or reversed alike, by the closed form."""
+        avail = schedule._avail
+        time = max(max(avail[s]) for s in self._slices) + self.depth
+        for s in self._slices:
+            avail[s] = [time] * (s.stop - s.start)
 
 
 class OneHotDecoder:
@@ -496,7 +536,12 @@ class RecordBlock:
 
 
 # what :meth:`Schedule.feed_parts` takes: each has ``gates`` and ``feed_into``
-Part = Circuit | RecordBlock | FanIn | OneHotDecoder
+Part = Circuit | RecordBlock | FanIn | OneHotDecoder | SyncBlock
+
+
+def join_parts(register_sizes: Mapping[Register, int], parts: Iterable[Part]) -> Circuit:
+    """The circuit of the gates of ``parts``, one part after another."""
+    return Circuit(register_sizes, chain.from_iterable(p.gates for p in parts))
 
 
 class ResourceTally(NamedTuple):
@@ -705,9 +750,7 @@ def _grow(marks: bytearray, layer: int) -> int:
     return len(marks)
 
 
-def tally_flat(
-    gates: Iterable[Gate], total_qubits: int
-) -> ResourceTally:
+def tally_flat(gates: Iterable[Gate], total_qubits: int) -> ResourceTally:
     """ASAP-schedule a stream of gates over flat qubit indices and tally it
     in one pass: the one-shot form of :class:`Schedule`."""
     return Schedule(total_qubits).feed(gates).tally()

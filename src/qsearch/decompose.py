@@ -4,15 +4,11 @@ The two three-qubit fragments, :func:`~qsearch.circuit.decompose_toffoli`
 and :func:`~qsearch.circuit.ccz_gates`, live in :mod:`qsearch.circuit`
 beside the scheduler that derives its templates from them, with the
 loader's shared-control block, :func:`~qsearch.circuit.shared_control_layer`.
-This module builds the reflections from two blocks:
-
-* :func:`sync_touch` -- a CNOT-pair block that equalizes the scheduler
-  timing of a set of qubits.
-* :func:`mcz_tree` -- phase flip on the all-ones subspace of k qubits: a
-  balanced AND tree of Toffolis into k - 3 borrowed ancillas with a CCZ
-  apex, then uncomputation, so its T-depth grows as log k.  Degenerate
-  sizes emit Z / CZ / plain CCZ.  The reflections of the search kernel
-  use it.
+The reflections of the search kernel flip their phase with
+:func:`mcz_tree`: a phase flip on the all-ones subspace of k qubits, as a
+balanced AND tree of Toffolis into k - 3 borrowed ancillas with a CCZ
+apex, then uncomputation, so its T-depth grows as log k.  Degenerate
+sizes emit Z / CZ / plain CCZ.
 
 :func:`lower_gates` is the only lowering: it maps each TOFFOLI and MCZ
 macro to its fragment, into one gate list, and records where each
@@ -37,39 +33,7 @@ from .circuit import (
 from .errors import CircuitError
 
 # the kinds bound once: a ``GateKind.X`` load costs several times a global's
-_S, _SDG, _CNOT, _TOFFOLI, _MCZ = (GateKind.S, GateKind.SDG, GateKind.CNOT,
-                                   GateKind.TOFFOLI, GateKind.MCZ)
-
-
-def sync_touch(qubits: Sequence[int]) -> list[Gate]:
-    """CNOT-pair gossip that equalizes the scheduler's last-touch layer of
-    every listed qubit.  Net identity on all of them; Clifford only, so T
-    metrics are unaffected.  Requires a power-of-two qubit count (pad the
-    set with spare |0> ancillas if needed; touching those is harmless).
-
-    One round per hypercube dimension: pairing ``i`` with ``i xor r`` twice
-    leaves both at the common layer max+2, so by induction all qubits end
-    at the global maximum plus two layers per round.  This is what lets an
-    inverse loader re-enter its uncompute Toffolis time-aligned after the
-    data fan-in has staggered the load ancillas.
-    """
-    k = len(qubits)
-    if k == 0:
-        return []
-    if k & (k - 1):
-        raise CircuitError("sync block needs a power-of-two qubit count")
-    if len(set(qubits)) != k:
-        raise CircuitError("sync qubits must be distinct")
-    gates: list[Gate] = []
-    r = 1
-    while r < k:
-        for i in range(k):
-            if not i & r:
-                pair = (_CNOT, (qubits[i], qubits[i | r]))
-                gates.append(pair)
-                gates.append(pair)
-        r <<= 1
-    return gates
+_S, _SDG, _TOFFOLI, _MCZ = GateKind.S, GateKind.SDG, GateKind.TOFFOLI, GateKind.MCZ
 
 
 # the flip over at most three qubits needs no ancilla

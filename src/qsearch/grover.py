@@ -156,8 +156,8 @@ def build_kernel_circuits(
     return KernelCircuits(
         layout=layout,
         loader_parts=qdam.loader_parts(layout, db),
-        target_reflection=build_target_reflection(layout, key_pattern),
-        diffusion=build_diffusion(layout),
+        reflection_parts=build_target_reflection(layout, key_pattern),
+        diffusion_parts=build_diffusion(layout),
     )
 
 

@@ -1,45 +1,43 @@
 """One kernel iteration: loader, target reflection, inverse loader and
-diffusion, as macro circuits, and its measured resource report.
+diffusion, as part lists, and its measured resource report.
 
 :class:`~qsearch.circuit.Schedule` schedules the TOFFOLI and MCZ (CCZ)
 macros through max-plus templates of their Clifford+T fragments, so a
 macro circuit's tally equals its lowering's by construction, and measuring
-the kernel lowers nothing.  The loader is held as its part list
-(:func:`~qsearch.qdam.loader_parts`), and every part schedules itself,
-stage 1 and the fan-in by closed forms that build no gate, and the
-records by one or two runs of their one block.  The inverse
-loader is tallied as that list fed reversed: the scheduler treats T like
-TDG and S like SDG, and the macros are self-adjoint, so the reversed
-stream tallies exactly as the adjoint circuit, which is never built.
+the kernel lowers nothing.  Each subroutine is a part list, and every part
+schedules itself: stage 1, the fan-in and the reflections' sync blocks by
+closed forms that build no gate, the records by one or two runs of their
+one block.  The inverse loader is tallied as the loader's list fed
+reversed: the scheduler treats T like TDG and S like SDG, and the macros
+are self-adjoint, so the reversed stream tallies exactly as the adjoint
+circuit, which is never built.
 """
 from __future__ import annotations
 
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Sequence
 
-from .circuit import Circuit, Gate, GateKind, Schedule, tally_flat
-from .decompose import mcz_tree, sync_touch
+from .circuit import Circuit, GateKind, Part, Schedule, SyncBlock, join_parts
+from .decompose import mcz_tree
 from .errors import InputError
 from . import qdam  # build_m1 and build_m2 looked up at call time, for the benchmark's tracer
 from .qdam import QdamLayout
 
 
-def _sync_block(layout: QdamLayout, qubits: Sequence[int]) -> list[Gate]:
-    """:func:`sync_touch` over ``qubits``, padded to a power of two with
-    ladder ancillas, which it leaves as it found them.  The pool always
-    has room: w qubits need 2^ceil(log2 w) - w <= w - 2 pads for w >= 2,
-    and the pool holds max(n, m) - 2 for the w = m data or w = n index
-    qubits."""
+def _sync(layout: QdamLayout, qubits: range) -> SyncBlock:
+    """A sync block over ``qubits``, padded to a power of two with the first
+    ladder ancillas: w qubits need 2^ceil(log2 w) - w <= w - 2 pads for
+    w >= 2, and the pool holds max(n, m) - 2 for w = m or w = n."""
     pad = (1 << (len(qubits) - 1).bit_length()) - len(qubits)
-    return sync_touch([*qubits, *layout.ladder_qubits()[:pad]])
+    return SyncBlock(qubits, layout.ladder_qubits()[:pad], layout.total_qubits)
 
 
-def build_target_reflection(layout: QdamLayout, key_pattern: str) -> Circuit:
-    """Phase flip of the data-register branch matching ``key_pattern``:
-    X where the pattern bit is 0, a phase flip on all-ones through
-    :func:`~qsearch.decompose.mcz_tree`, X again.
+def build_target_reflection(layout: QdamLayout, key_pattern: str) -> tuple[Part, ...]:
+    """Phase flip of the data-register branch matching ``key_pattern``, as
+    parts: X where the pattern bit is 0, a phase flip on all-ones through
+    :func:`~qsearch.decompose.mcz_tree`, X again.  The name stays for the
+    benchmark's tracer, which times the build.
 
     A sync block over the data register follows each round of flips.  The
     first puts every data qubit in one scheduler layer before the tree,
@@ -51,44 +49,46 @@ def build_target_reflection(layout: QdamLayout, key_pattern: str) -> Circuit:
     """
     if len(key_pattern) != layout.m or any(c not in "01" for c in key_pattern):
         raise InputError(f"pattern {key_pattern!r} does not fit {layout.m} data qubits")
-    data, x = [layout.data_qubit(j) for j in range(layout.m)], GateKind.X
+    data, x = range(layout.data_qubit(0), layout.data_qubit(layout.m)), GateKind.X
     flips = [(x, (q,)) for q, c in zip(data, key_pattern) if c == "0"]
-    sync = _sync_block(layout, data)
+    sync, sizes = _sync(layout, data), layout.register_sizes
     tree = mcz_tree(data, layout.ladder_qubits())
-    return Circuit(layout.register_sizes, [*flips, *sync, *tree, *flips, *sync])
+    return Circuit(sizes, flips), sync, Circuit(sizes, tree + flips), sync
 
 
-def build_diffusion(layout: QdamLayout) -> Circuit:
-    """Reflection about the uniform index state: H then X conjugation of a
-    phase flip on the all-ones index branch.  The binary index qubits are
-    flat qubits 0 .. n-1.
+def build_diffusion(layout: QdamLayout) -> tuple[Part, ...]:
+    """Reflection about the uniform index state, as parts: H then X
+    conjugation of a phase flip on the all-ones index branch.  The binary
+    index qubits are flat qubits 0 .. n-1.  The name stays for the
+    benchmark's tracer, which times the build.
 
     From n = 4 the flip is a tree of Toffolis, and a sync block over the
     index register lines its leaves up first: the inverse loader leaves
     them staggered, which in a kernel would smear the tree's T layers.
-    Narrower flips are a single fragment and get none."""
-    index, h, x = range(layout.n), GateKind.H, GateKind.X
+    Narrower flips are a single fragment and get none, and the diffusion
+    is one circuit."""
+    index, h, x, sizes = range(layout.n), GateKind.H, GateKind.X, layout.register_sizes
     hs = [(h, (b,)) for b in index]
     xs = [(x, (b,)) for b in index]
-    sync = _sync_block(layout, index) if layout.n >= 4 else []
     tree = mcz_tree(index, layout.ladder_qubits())
-    return Circuit(layout.register_sizes, [*hs, *xs, *sync, *tree, *xs, *hs])
+    if layout.n < 4:
+        return (Circuit(sizes, [*hs, *xs, *tree, *xs, *hs]),)
+    return Circuit(sizes, hs + xs), _sync(layout, index), Circuit(sizes, tree + xs + hs)
 
 
 @dataclass(frozen=True)
 class KernelCircuits:
-    """Macro-level subroutine circuits for one kernel iteration.  The
-    loader is held as the parts of :func:`~qsearch.qdam.loader_parts`,
-    which the resource report schedules; ``stage1``, ``stage2`` (from the
-    parts' gates, each built once, which the report shares where its
-    record feed falls back to the gates), the loader and the inverse loader
-    are built from them lazily, at most once each, for the simulator, the
-    lowering and ``compile``."""
+    """Macro-level subroutines for one kernel iteration, as the part lists
+    that the resource report schedules: the loader's
+    (:func:`~qsearch.qdam.loader_parts`), the target reflection's and the
+    diffusion's.  ``stage1``, ``stage2``, the loader, the inverse loader
+    and the two reflections are built from them lazily, at most once each,
+    for the simulator, the lowering and ``compile``."""
 
     layout: QdamLayout
     loader_parts: qdam.LoaderParts
-    target_reflection: Circuit
-    diffusion: Circuit
+    reflection_parts: tuple[Part, ...]
+    diffusion_parts: tuple[Part, ...]
 
     @functools.cached_property
     def stage1(self) -> Circuit:
@@ -106,13 +106,16 @@ class KernelCircuits:
     def loader_inverse(self) -> Circuit:
         return self.loader.inverted()
 
+    @functools.cached_property
+    def target_reflection(self) -> Circuit:
+        return join_parts(self.layout.register_sizes, self.reflection_parts)
+
+    @functools.cached_property
+    def diffusion(self) -> Circuit:
+        return join_parts(self.layout.register_sizes, self.diffusion_parts)
+
     def kernel(self) -> Circuit:
-        return (
-            self.loader
-            + self.target_reflection
-            + self.loader_inverse
-            + self.diffusion
-        )
+        return self.loader + self.target_reflection + self.loader_inverse + self.diffusion
 
 
 class ReportMode(enum.Enum):
@@ -170,22 +173,21 @@ class ResourceReport:
 
 
 def measure_kernel(circuits: KernelCircuits, iterations: int) -> ResourceReport:
-    """Schedule the macro subroutines of one kernel and tally them as their
+    """Schedule the part lists of one kernel and tally them as their
     Clifford+T lowering.
 
     One schedule takes the kernel in order and is read after stage 1, after
     the loader and after the whole kernel.  Stage 2 and the two
     reflections are also tallied on their own, from an empty schedule."""
     layout, loader = circuits.layout, circuits.loader_parts
-    total = layout.total_qubits
-    kernel = Schedule(total)
+    reflection, diffusion = circuits.reflection_parts, circuits.diffusion_parts
+    kernel = Schedule(layout.total_qubits)
     t_m1 = kernel.feed_parts(loader[:1]).tally()
     t_loader = kernel.feed_parts(loader[1:]).tally()
-    kernel.feed_parts((circuits.target_reflection,)).feed_parts(loader, reverse=True)
-    t_kernel = kernel.feed_parts((circuits.diffusion,)).tally()
-    t_m2 = Schedule(total).feed_parts(loader[1:]).tally()
-    t_oracle = tally_flat(circuits.target_reflection.gates, total)
-    t_diff = tally_flat(circuits.diffusion.gates, total)
+    kernel.feed_parts(reflection).feed_parts(loader, reverse=True)
+    t_kernel = kernel.feed_parts(diffusion).tally()
+    t_m2, t_oracle, t_diff = (Schedule(layout.total_qubits).feed_parts(parts).tally()
+                              for parts in (loader[1:], reflection, diffusion))
     return ResourceReport(
         n=layout.n,
         m=layout.m,

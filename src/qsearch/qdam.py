@@ -43,11 +43,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import compress
 from typing import Sequence
 
 from .circuit import (Circuit, FanIn, Gate, GateKind, OneHotDecoder, Part, RecordBlock,
-                      Register, ResourceTally)
+                      Register, ResourceTally, join_parts)
 from .database import Database
 from .errors import CircuitError
 
@@ -126,9 +126,9 @@ class QdamLayout:
     def fanout_qubit(self, k: int) -> int:
         return self.load_qubit(0, 0) + self.load_ancillas + k
 
-    def ladder_qubits(self) -> tuple[int, ...]:
+    def ladder_qubits(self) -> range:
         first = self.fanout_qubit(self.fanout_ancillas)
-        return tuple(range(first, first + self.ladder_ancillas))
+        return range(first, first + self.ladder_ancillas)
 
     @classmethod
     def for_database(cls, db: Database) -> "QdamLayout":
@@ -168,9 +168,9 @@ class NaiveLayout:
     def database_qubit(self, record: int, bit: int) -> int:
         return self.data_qubit(0) + self.m + record * self.m + bit
 
-    def ladder_qubits(self) -> tuple[int, ...]:
+    def ladder_qubits(self) -> range:
         first = self.database_qubit(0, 0) + self.database_qubits
-        return tuple(range(first, first + self.ladder_ancillas))
+        return range(first, first + self.ladder_ancillas)
 
 
 def _key_bits(layout_n: int, layout_m: int, source: Database | Sequence[str]) -> list[str]:
@@ -230,7 +230,7 @@ def build_m1(layout: QdamLayout) -> Circuit:
 def build_m2(layout: QdamLayout, parts: Sequence[Part]) -> Circuit:
     """Stage 2 as a circuit, from the last three of :func:`loader_parts`:
     the gates of ``parts``, one part after another."""
-    return Circuit(layout.register_sizes, chain.from_iterable(p.gates for p in parts))
+    return join_parts(layout.register_sizes, parts)
 
 
 class NaiveLoader:

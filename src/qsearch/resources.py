@@ -22,7 +22,7 @@ from __future__ import annotations
 import operator
 from typing import Iterable, Sequence
 
-from .circuit import tally_flat
+from .circuit import join_parts, tally_flat
 from .decompose import lower_circuit
 from .errors import InputError
 from .grover import build_kernel_circuits, optimal_iterations
@@ -57,11 +57,11 @@ def _reflection_toffoli_equivalents(width: int) -> int:
 
 # the largest index width each report can be computed for: the float floor
 # of K is proven exact only up to n = 109; a measured report keeps one
-# scheduler time per qubit, O(m * 2^n) (0.7 s at 96 MB peak RSS at n = 20,
-# m = 1), so it also caps m * 2^n at what n <= MAX_MEASURED_N allows at m = 1;
-# the naive report tallies its loader by closed form and holds only its zero
-# keys and two lowered reflections (17 MB peak RSS at n = 15, m = 1, about
-# 0.5 MB above what importing the CLI takes)
+# scheduler time per qubit, O(m * 2^n), so it caps m * 2^n at n's cap at
+# m = 1 (its heaviest op, measure(1, 2^19), took 6.4-7.5 s at 670 MB peak
+# RSS on a 2-vCPU Xeon); the naive report tallies its loader by closed form
+# and holds only its zero keys and two lowered reflections (17 MB peak RSS
+# at n = 15, m = 1, 0.5 MB above what importing the CLI takes)
 MAX_BOUND_N = 109
 MAX_MEASURED_N = 20
 MAX_NAIVE_BITS = 1 << 15
@@ -155,8 +155,9 @@ def measure_naive(n: int, m: int) -> ResourceReport:
     tally = build_naive_qdam(layout, _zero_keys(n, m)).tally()
     total = sum(layout.register_sizes.values())
     ref_layout = QdamLayout(n, m)
-    oracle = lower_circuit(build_target_reflection(ref_layout, "0" * m))
-    diff = lower_circuit(build_diffusion(ref_layout))
+    sizes = ref_layout.register_sizes
+    oracle = lower_circuit(join_parts(sizes, build_target_reflection(ref_layout, "0" * m)))
+    diff = lower_circuit(join_parts(sizes, build_diffusion(ref_layout)))
     t_oracle = tally_flat(_expand_flat(oracle), oracle.total_qubits)
     t_diff = tally_flat(_expand_flat(diff), diff.total_qubits)
     return ResourceReport(

@@ -1,7 +1,7 @@
 """Test-only oracles: a dense state-vector backend, the sparse simulator
 run one gate at a time, the scheduler's generic macro loop over a set of
 T layers, the Walsh-Hadamard transform, stage 1 built level by level,
-the full loader, the serial
+the full loader, the sync block's gates, the serial
 multi-controlled-Z ladder and the naive loader built one ladder per record
 bit from it, the kernel measurement over built gate lists, the exact
 iteration count in decimal arithmetic, the one-shot tally of a circuit,
@@ -544,6 +544,24 @@ def mcz_ladder(qubits, ancillas=()) -> list[Gate]:
     up = [gate(GateKind.TOFFOLI, chain[i], qubits[i + 1], chain[i + 1])
           for i in range(len(ancillas))]
     return [*up, gate(GateKind.MCZ, chain[-1], *qubits[-2:]), *up[::-1]]
+
+
+def sync_touch(qubits) -> list[Gate]:
+    """The sync block's gates, built as a loop over rounds: one round per
+    hypercube dimension r, each i with no bit r paired with i xor r by two
+    validated CNOTs.  The reference :class:`qsearch.circuit.SyncBlock`'s
+    gates are checked against; a power-of-two qubit count is required."""
+    qubits, gates, r = list(qubits), [], 1
+    k = len(qubits)
+    if k & (k - 1):
+        raise CircuitError("sync block needs a power-of-two qubit count")
+    while r < k:
+        for i in range(k):
+            if not i & r:
+                pair = gate(GateKind.CNOT, qubits[i], qubits[i ^ r])
+                gates += [pair, pair]
+        r <<= 1
+    return gates
 
 
 def naive_loader_gates(layout, keys) -> tuple[Gate, ...]:

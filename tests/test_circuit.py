@@ -17,6 +17,7 @@ from qsearch.circuit import (
     RecordBlock,
     Register,
     Schedule,
+    SyncBlock,
     _derive_template,
     fold_gates,
     gate,
@@ -26,7 +27,6 @@ from qsearch.decompose import (
     ccz_gates,
     decompose_toffoli,
     lower_circuit,
-    sync_touch,
 )
 from qsearch.errors import CircuitError
 
@@ -42,6 +42,7 @@ from oracles import (
     marked_layers,
     reference_feed,
     resource_tally,
+    sync_touch,
     to_unitary,
 )
 from oracles import shared_control_layer as checked_layer
@@ -553,6 +554,64 @@ def test_fan_in_checks_its_region_once():
                  (2, 1, -1, 2, 6)):  # so does the first target
         with pytest.raises(CircuitError, match="the fan-in leaves the circuit"):
             FanIn(*args)
+
+
+@st.composite
+def _sync_blocks(draw):
+    # k = 2^0 .. 2^10 qubits, the last 0 .. k - 1 of them pads, before or
+    # after the register, and every qubit entering at its own time after
+    # up to 60 marked layers
+    k = 1 << draw(st.integers(0, 10))
+    pad, gap = draw(st.integers(0, k - 1)), draw(st.integers(0, 3))
+    width = k - pad
+    start, pad_start = ((gap + pad, gap) if draw(st.booleans())
+                        else (gap, gap + width + draw(st.integers(0, 2))))
+    total = max(start + width, pad_start + pad) + draw(st.integers(0, 2))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    prior = [rng.randint(0, 40) for _ in range(total)]
+    marks = bytearray(rng.randint(0, 1) for _ in range(rng.randint(0, 60)))
+    block = SyncBlock(range(start, start + width), range(pad_start, pad_start + pad), total)
+    return block, prior, marks
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sync_blocks(), st.booleans())
+def test_feed_sync_block_equals_feeding_its_gates(case, reverse):
+    block, prior, marks = case
+    fast, slow = Schedule(len(prior)), ReferenceSchedule(len(prior))
+    fast._avail, fast._marks, slow.avail = list(prior), bytearray(marks), list(prior)
+    slow.t_layers = {layer for layer, mark in enumerate(marks) if mark}
+    block.feed_into(fast, reverse=reverse)
+    reference_feed(slow, block.gates[::-1] if reverse else block.gates)
+    assert fast._avail == slow.avail
+    assert fast.tally() == slow.tally() == (0, len(slow.t_layers))
+    assert marked_layers(fast) == slow.t_layers
+
+
+@pytest.mark.parametrize("j", range(11))
+def test_sync_block_gates_are_the_rounds_of_the_oracle(j):
+    k = 1 << j
+    for width in {k, k - k // 2, 1}:  # no pads, half the block, all but one
+        qubits, pads = range(3, 3 + width), range(3 + width + 1, 3 + k + 1)
+        block = SyncBlock(qubits, pads, 3 + k + 1)
+        assert block.gates == tuple(sync_touch([*qubits, *pads]))
+        assert len(block.gates) == k * j
+
+
+def test_sync_block_checks_its_region_once():
+    SyncBlock(range(2, 5), range(5, 6), 6)  # the pad right after the register
+    SyncBlock(range(3, 6), range(0, 1), 6)  # the pad before it
+    SyncBlock(range(0), range(1, 3), 3)  # pads alone
+    for args in ((range(0, 3), range(0), 6),  # three qubits
+                 (range(0, 4), range(4, 6), 8),  # six, two of them pads
+                 (range(0, 3), range(2, 3), 6),  # the pad is qubit 2 again
+                 (range(2, 4), range(1, 3), 6),  # the pads end on qubit 2
+                 (range(3, 7), range(0), 6),  # the register ends past the width
+                 (range(0, 3), range(6, 7), 6),  # so does the pad
+                 (range(-1, 1), range(0), 6),  # the register starts before 0
+                 (range(0), range(0), 6)):  # no qubit at all
+        with pytest.raises(CircuitError, match="the sync block needs"):
+            SyncBlock(*args)
 
 
 def _lease_classes(decoder):

@@ -12,6 +12,8 @@ from qsearch.circuit import (
     Circuit,
     GateKind,
     Register,
+    Schedule,
+    SyncBlock,
     ccz_gates,
     gate,
     shared_control_layer,
@@ -21,7 +23,6 @@ from qsearch.decompose import (
     lower_circuit,
     lowered_length,
     mcz_tree,
-    sync_touch,
 )
 from qsearch.errors import CircuitError
 from qsearch.grover import build_kernel_circuits
@@ -287,25 +288,28 @@ def test_tree_rejects_bad_operands():
 # -- sync block -------------------------------------------------------------
 
 
-def test_sync_touch_is_identity_and_equalizes_timing():
-    rng = np.random.default_rng(2)
-    qubits = [_d(i) for i in range(4)]
+def test_sync_block_is_identity_and_equalizes_timing():
     prefix = [gate(GateKind.X, _d(0)), gate(GateKind.H, _d(1)),
               gate(GateKind.S, _d(1)), gate(GateKind.X, _d(3))]
-    circ = Circuit({D: 4}, prefix + sync_touch(qubits))
-    unitary_prefix = to_unitary(Circuit({D: 4}, prefix))
-    assert np.abs(to_unitary(circ) - unitary_prefix).max() < 1e-12
-    avail = [0, 0, 0, 0]
-    for _, ops in circ.gates:
-        layer = max(avail[i] for i in ops) + 1
-        for i in ops:
-            avail[i] = layer
-    assert len(set(avail)) == 1
+    for qubits, pads in ((range(4), range(0)), (range(3), range(3, 4))):
+        block = SyncBlock(qubits, pads, 4)
+        circ = Circuit({D: 4}, prefix + list(block.gates))
+        unitary_prefix = to_unitary(Circuit({D: 4}, prefix))
+        assert np.abs(to_unitary(circ) - unitary_prefix).max() < 1e-12
+        avail = [0, 0, 0, 0]
+        for _, ops in circ.gates:
+            layer = max(avail[i] for i in ops) + 1
+            for i in ops:
+                avail[i] = layer
+        assert len(set(avail)) == 1
+        schedule = Schedule(4).feed(prefix)
+        block.feed_into(schedule)
+        assert schedule._avail == avail
 
 
-def test_sync_touch_requires_power_of_two():
-    with pytest.raises(CircuitError, match="sync block needs a power-of-two qubit count"):
-        sync_touch([_d(0), _d(1), _d(2)])
+def test_sync_block_requires_power_of_two():
+    with pytest.raises(CircuitError, match="the sync block needs 2\\^j qubits"):
+        SyncBlock(range(_d(0), _d(3)), range(0), 4)
 
 
 # -- fragment spans ---------------------------------------------------------

@@ -9,7 +9,7 @@ from itertools import accumulate
 import numpy as np
 import pytest
 
-from qsearch.circuit import Circuit, GateKind, Register, gate
+from qsearch.circuit import Circuit, GateKind, Register, gate, join_parts
 from qsearch.database import SearchQuery, pad_to_power_of_two
 from qsearch.decompose import lower_circuit
 from qsearch.errors import CircuitError, InputError
@@ -48,6 +48,16 @@ B = Register.BINARY_INDEX
 D = Register.DATA
 
 
+def _reflection(layout, pattern):
+    """The target reflection's circuit, built from its parts."""
+    return join_parts(layout.register_sizes, build_target_reflection(layout, pattern))
+
+
+def _diffusion(layout):
+    """The diffusion's circuit, built from its parts."""
+    return join_parts(layout.register_sizes, build_diffusion(layout))
+
+
 def _register_block(layout, lowered, register, width):
     """Operator induced on one register, extracted by exact sparse columns
     (everything else starts and ends in |0>)."""
@@ -71,7 +81,7 @@ def _register_block(layout, lowered, register, width):
 
 def test_reflection_m1_is_plain_z():
     layout = QdamLayout(1, 1)
-    lowered = lower_circuit(build_target_reflection(layout, "1"))
+    lowered = lower_circuit(_reflection(layout, "1"))
     assert resource_tally(lowered).t_depth == 0
     block = _register_block(layout, lowered, D, 1)
     assert np.abs(block - np.diag([1, -1])).max() < 1e-12
@@ -79,7 +89,7 @@ def test_reflection_m1_is_plain_z():
 
 def test_reflection_m2_pattern_10():
     layout = QdamLayout(1, 2)
-    lowered = lower_circuit(build_target_reflection(layout, "10"))
+    lowered = lower_circuit(_reflection(layout, "10"))
     assert resource_tally(lowered).t_depth == 0
     block = _register_block(layout, lowered, D, 2)
     assert np.abs(block - np.diag([1, 1, -1, 1])).max() < 1e-12
@@ -88,7 +98,7 @@ def test_reflection_m2_pattern_10():
 @pytest.mark.parametrize("pattern", ["000", "101", "111"])
 def test_reflection_m3_depth_and_action(pattern):
     layout = QdamLayout(1, 3)
-    lowered = lower_circuit(build_target_reflection(layout, pattern))
+    lowered = lower_circuit(_reflection(layout, pattern))
     assert resource_tally(lowered).t_depth <= 12  # 6(m-1)
     block = _register_block(layout, lowered, D, 3)
     expected = np.eye(8, dtype=complex)
@@ -107,7 +117,7 @@ def test_reflection_rejects_bad_pattern():
 
 def test_diffusion_n1_reflects_about_plus():
     layout = QdamLayout(1, 1)
-    lowered = lower_circuit(build_diffusion(layout))
+    lowered = lower_circuit(_diffusion(layout))
     assert resource_tally(lowered).t_depth == 0
     block = _register_block(layout, lowered, B, 1)
     plus = np.full((2, 2), 0.5)
@@ -116,7 +126,7 @@ def test_diffusion_n1_reflects_about_plus():
 
 def test_diffusion_n2_matches_outer_product_formula():
     layout = QdamLayout(2, 1)
-    lowered = lower_circuit(build_diffusion(layout))
+    lowered = lower_circuit(_diffusion(layout))
     block = _register_block(layout, lowered, B, 2)
     uniform = np.full((4, 4), 0.25)
     assert np.abs(block - (np.eye(4) - 2 * uniform)).max() < 1e-12
@@ -124,7 +134,7 @@ def test_diffusion_n2_matches_outer_product_formula():
 
 def test_diffusion_n4_depth_bound():
     layout = QdamLayout(4, 1)
-    lowered = lower_circuit(build_diffusion(layout))
+    lowered = lower_circuit(_diffusion(layout))
     assert resource_tally(lowered).t_depth <= 18  # 6(n-1)
 
 
@@ -511,7 +521,7 @@ def test_sliced_diffusion_is_the_lowered_reflection_about_uniform(n):
 
 def test_diffusion_of_another_shape_is_rejected():
     layout = QdamLayout(2, 1)
-    diffusion = build_diffusion(layout)
+    diffusion = _diffusion(layout)
     sizes = layout.register_sizes
     for gates in (diffusion.gates[1:], diffusion.gates[:-1],
                   diffusion.gates[:2] + diffusion.gates[:2] + diffusion.gates[2:],
@@ -524,15 +534,15 @@ def test_search_rejects_a_diffusion_that_flips_another_branch(monkeypatch):
     from qsearch import grover
 
     def without_x_conjugation(layout):
-        # H^n, a flip of the all-ones index branch, H^n: a reflection, but
-        # not the one whose closed form the rounds use
+        # H^n, a flip of the all-ones index branch, H^n, as one part: a
+        # reflection, but not the one whose closed form the rounds use
         n = layout.n
-        middle = build_diffusion(layout).gates[2 * n:-2 * n]
+        middle = _diffusion(layout).gates[2 * n:-2 * n]
         hs = [gate(GateKind.H, b) for b in range(n)]
-        return Circuit(layout.register_sizes, [*hs, *middle, *hs])
+        return (Circuit(layout.register_sizes, [*hs, *middle, *hs]),)
 
     layout = QdamLayout(2, 2)
-    assert diffusion_signs(without_x_conjugation(layout), 2) == 0b1000
+    assert diffusion_signs(without_x_conjugation(layout)[0], 2) == 0b1000
     monkeypatch.setattr(grover, "build_diffusion", without_x_conjugation)
     with pytest.raises(CircuitError, match="branch 0"):
         run_search(toy_db(2), SearchQuery("10", "val"))

@@ -462,9 +462,9 @@ _SHARED_MEMBER_NAMES = {
     "to_json": {"ResourceReport", "SearchResult"},
     "n": {"ResourceReport", *_LAYOUTS},
     "m": {"ResourceReport", *_LAYOUTS},
-    "gates": {"RecordBlock", "FanIn", "OneHotDecoder", "NaiveLoader"},
+    "gates": {"RecordBlock", "FanIn", "OneHotDecoder", "SyncBlock", "NaiveLoader"},
     "tally": {"Schedule", "NaiveLoader"},
-    "feed_into": {"Circuit", "RecordBlock", "FanIn", "OneHotDecoder"},
+    "feed_into": {"Circuit", "RecordBlock", "FanIn", "OneHotDecoder", "SyncBlock"},
     **{name: _LAYOUTS for name in ("register_sizes", "data_qubit", "database_qubit",
                                    "database_qubits", "ladder_ancillas", "ladder_qubits")},
 }

@@ -19,6 +19,8 @@ from qsearch.circuit import (
     OneHotDecoder,
     RecordBlock,
     Schedule,
+    SyncBlock,
+    join_parts,
     tally_flat,
 )
 from qsearch.decompose import lower_circuit
@@ -149,6 +151,24 @@ def test_measured_fits_under_bounds_up_to_two_to_the_sixteen_record_bits(k):
         measured, bound = measure(n, m), estimate_bounds(n, m)
         for field in (*_DEPTH_FIELDS, "t_cost"):
             assert getattr(measured, field) <= getattr(bound, field), (n, m, field)
+
+
+@pytest.mark.parametrize("k", range(5, 15))
+def test_measured_fits_under_bounds_over_the_wide_key_sweep(k):
+    # the sweep of m = 2^k - 1, 2^k and 2^k + 1, k = 5 .. 14, with
+    # m * 2^n <= 2^16 has 185 cells, 124 of them in the two tests above;
+    # here 55 of the other 61: past 2^13 record bits and short of the
+    # widest n for k <= 12, and for k = 13, 14 every n at m = 2^k + 1,
+    # whose sync blocks are padded the most, but only the widest n at the
+    # other two widths, which keeps the test near 2 s
+    for m in ((1 << k) - 1, 1 << k, (1 << k) + 1):
+        first = max(1, ((1 << 13) // m).bit_length())
+        widest = ((1 << 16) // m).bit_length() - 1
+        cells = range(first, widest + (k > 12))
+        for n in cells if k <= 12 or m == (1 << k) + 1 else cells[-1:]:
+            measured, bound = measure(n, m), estimate_bounds(n, m)
+            for field in (*_DEPTH_FIELDS, "t_cost"):
+                assert getattr(measured, field) <= getattr(bound, field), (n, m, field)
 
 
 def test_measured_headline_n10_m8_within_bounds():
@@ -300,9 +320,9 @@ def test_measure_naive_equals_the_gate_level_stream(n):
                         build_naive_qdam(naive, ["0" * m] * (1 << n)).gates)
         loader = resource_tally(lower_circuit(macro))
         layout = QdamLayout(n, m)
-        oracle = resource_tally(
-            lower_circuit(build_target_reflection(layout, "0" * m)))
-        diff = resource_tally(lower_circuit(build_diffusion(layout)))
+        oracle, diff = (resource_tally(lower_circuit(join_parts(layout.register_sizes, parts)))
+                        for parts in (build_target_reflection(layout, "0" * m),
+                                      build_diffusion(layout)))
         kernel = 2 * loader.t_depth + oracle.t_depth + diff.t_depth
         k = optimal_iterations(1 << n)
         report = measure_naive(n, m)
@@ -543,11 +563,12 @@ def test_preparing_the_database_before_stage_one_moves_no_kernel_tally(n, m, see
 
 def test_measure_kernel_feeds_the_fan_in_twice(monkeypatch):
     # every part is fed once in the loader and once reversed in the inverse
-    # loader, around the target reflection and before the diffusion; then
-    # stage 2's parts again, for its standalone tally
+    # loader, around the target reflection's parts and before the
+    # diffusion's; then stage 2's parts and the two reflections' again, for
+    # their standalone tallies
     circuits = _zero_key_circuits(5, 3)
     fed = []
-    for part in (Circuit, RecordBlock, FanIn, OneHotDecoder):
+    for part in (Circuit, RecordBlock, FanIn, OneHotDecoder, SyncBlock):
         def recording(self, schedule, reverse=False, real=part.feed_into):
             fed.append((self, reverse))
             return real(self, schedule, reverse)
@@ -557,8 +578,15 @@ def test_measure_kernel_feeds_the_fan_in_twice(monkeypatch):
     decoder, prepare, records, fan_in = circuits.loader_parts
     loader = [(decoder, False), (prepare, False), (records, False), (fan_in, False)]
     inverse = [(fan_in, True), (records, True), (prepare, True), (decoder, True)]
-    assert fed == [*loader, (circuits.target_reflection, False), *inverse,
-                   (circuits.diffusion, False), *loader[1:]]
+    flips, sync, tree, closing = circuits.reflection_parts
+    assert closing is sync
+    reflection = [(flips, False), (sync, False), (tree, False), (sync, False)]
+    hx, index_sync, undo = circuits.diffusion_parts
+    diffusion = [(hx, False), (index_sync, False), (undo, False)]
+    assert [type(part) for part, _ in reflection + diffusion] == [
+        Circuit, SyncBlock, Circuit, SyncBlock, Circuit, SyncBlock, Circuit]
+    assert fed == [*loader, *reflection, *inverse, *diffusion, *loader[1:],
+                   *reflection, *diffusion]
 
 
 def _refuse_to_materialize(monkeypatch):
@@ -647,6 +675,21 @@ def test_measure_builds_no_stage_one(monkeypatch):
         measure(n, m)
     rng = random.Random(30)
     for n, m in ((1, 1), (2, 3), (4, 1), (5, 3), (6, 2)):
+        keys, (query,) = _random_keys(rng, n, m), _random_keys(rng, 0, m)
+        measure_kernel(build_kernel_circuits(QdamLayout(n, m), keys, query), 2)
+
+
+def test_measure_builds_no_sync_block(monkeypatch):
+    # the reflections' sync blocks are fed by their closed form in every
+    # pass and tally, on any keys and any query
+    def refuse(*args):
+        raise AssertionError("the report built a sync block")
+
+    monkeypatch.setattr(SyncBlock, "gates", property(refuse))
+    for n, m in ((1, 1), (4, 5), (6, 3), (5, 33)):
+        measure(n, m)
+    rng = random.Random(34)
+    for n, m in ((1, 2), (2, 3), (4, 1), (4, 6), (5, 3), (6, 2)):
         keys, (query,) = _random_keys(rng, n, m), _random_keys(rng, 0, m)
         measure_kernel(build_kernel_circuits(QdamLayout(n, m), keys, query), 2)
 

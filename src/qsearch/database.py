@@ -30,7 +30,7 @@ def _check_bits(value: str, width: int, where: str) -> None:
         raise InputError(
             f"{where}: value {value!r} has width {len(value)}, declared {width}"
         )
-    if any(ch not in "01" for ch in value):
+    if value.strip("01"):
         raise InputError(f"{where}: value {value!r} is not a bit string")
 
 
@@ -57,8 +57,8 @@ class Database:
     key_field: str
 
     def __post_init__(self) -> None:
-        names = [f.name for f in self.fields]
-        if len(set(names)) != len(names):
+        names = {f.name for f in self.fields}
+        if len(names) != len(self.fields):
             raise InputError("field names must be unique")
         if self.key_field not in names:
             raise InputError(f"unknown key_field {self.key_field!r}")
@@ -67,9 +67,9 @@ class Database:
         widths = {f.name: f.bit_width for f in self.fields}
         seen: set[str] = set()
         for i, rec in enumerate(self.records):
-            if set(rec.values) != set(names):
-                missing = set(names) - set(rec.values)
-                extra = set(rec.values) - set(names)
+            if rec.values.keys() != names:
+                missing = names - set(rec.values)
+                extra = set(rec.values) - names
                 raise InputError(
                     f"record {i}: missing fields {sorted(missing)}, "
                     f"undeclared fields {sorted(extra)}"

@@ -11,9 +11,10 @@ builds its circuits) applies loader, target reflection, inverse loader,
 then the reflection about the uniform index state.  The first three form
 the *block*; the driver proves it exact before it iterates anything.  It
 runs the block's macro circuits on every index branch at once, bit-sliced
-(:class:`qsearch.sim.SlicedState`), and checks that each branch comes back
-to its own index with every other qubit |0> and a phase of +1 or -1.  The
-block is then a +-1 diagonal, so nothing outside the index register is
+(:class:`qsearch.sim.SlicedState`), the inverse loader as the loader run
+reversed, so no inverse loader is built, and checks that each branch comes
+back to its own index with every other qubit |0> and a phase of +1 or -1.
+The block is then a +-1 diagonal, so nothing outside the index register is
 ever populated and the off-support probability is exactly 0.  The
 diffusion's middle is bit-sliced the same way and must flip exactly index
 branch 0; the diffusion is then the closed form
@@ -212,7 +213,7 @@ def run_search(
     total, n, m = layout.total_qubits, layout.n, layout.m
     loaded = SlicedState(n, total).run(circuits.loader)
     marked = (loaded.run(circuits.target_reflection)
-              .run(circuits.loader_inverse).diagonal_signs())
+              .run(circuits.loader, reverse=True).diagonal_signs())
     if diffusion_signs(circuits.diffusion, n) != 1:
         raise CircuitError("the diffusion's middle must flip exactly index branch 0")
 

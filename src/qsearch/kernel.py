@@ -83,7 +83,9 @@ class KernelCircuits:
     (:func:`~qsearch.qdam.loader_parts`), the target reflection's and the
     diffusion's.  ``stage1``, ``stage2``, the loader, the inverse loader
     and the two reflections are built from them lazily, at most once each,
-    for the simulator, the lowering and ``compile``."""
+    for the simulator, the lowering and ``compile``.  The search runs the
+    loader reversed, so only ``compile`` and the benchmark's tracer build
+    ``loader_inverse``."""
 
     layout: QdamLayout
     loader_parts: qdam.LoaderParts

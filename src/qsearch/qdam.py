@@ -180,7 +180,7 @@ def _key_bits(layout_n: int, layout_m: int, source: Database | Sequence[str]) ->
             raise CircuitError("database shape does not match the layout")
         return keys
     keys = list(source)
-    if len(keys) != 1 << layout_n or any(len(k) != layout_m for k in keys):
+    if len(keys) != 1 << layout_n or set(map(len, keys)) != {layout_m}:
         raise CircuitError("key patterns do not match the layout")
     return keys
 

@@ -11,10 +11,13 @@ reflection and inverse loader are reversible permutations with phases, so
 once, bit-sliced as in bitslice DES (Biham, FSE 1997): each qubit is one
 Python int whose bit q belongs to index branch q.  X, CNOT and TOFFOLI are
 integer XOR/AND, and the diagonal gates add eighth turns to a per-branch
-counter mod 8 held in three bit-planes, so every phase is exact.  The only
-H gates sit at the two ends of the diffusion; :func:`diffusion_signs`
-splits them off and bit-slices the rest, and when the rest flips index
-branch 0 alone the whole diffusion is the closed form
+counter mod 8 held in three bit-planes, so every phase is exact: S and SDG
+(the loader's pads) in two plane updates, the rest by one add carried over
+the planes.  Run reversed, a circuit's gates go backwards and each diagonal
+adds its negated turns: the adjoint, as X, CNOT, TOFFOLI, CZ and MCZ are
+self-adjoint.  The only H gates sit at the two ends of the diffusion;
+:func:`diffusion_signs` splits them off and bit-slices the rest, and when
+the rest flips index branch 0 alone the whole diffusion is the closed form
 :func:`reflect_about_uniform`.
 
 ``SparseState`` stores a normalized amplitude map keyed by basis integers
@@ -198,49 +201,63 @@ class SlicedState:
         if not 1 <= n <= total_qubits:
             raise CircuitError(f"{n} index qubits do not fit {total_qubits} qubits")
         self.total_qubits = total_qubits
-        branches = range(1 << n)
-        self._all = (1 << (1 << n)) - 1
-        # index qubit b carries weight 2^(n-1-b) in the branch's index
+        full = self._all = (1 << (1 << n)) - 1
+        # index qubit b carries weight 2^k, k = n-1-b, in the branch's index:
+        # its column repeats 2^k zeros then 2^k ones over the 2^n branches
         self._index = tuple(
-            sum(1 << q for q in branches if q >> (n - 1 - b) & 1)
-            for b in range(n)
+            full // ((1 << (2 << k)) - 1) * (((1 << (1 << k)) - 1) << (1 << k))
+            for k in reversed(range(n))
         )
         self.columns = [*self._index] + [0] * (total_qubits - n)
         self.phase = [0, 0, 0]
 
-    def run(self, circuit: Circuit) -> "SlicedState":
+    def run(self, circuit: Circuit, reverse: bool = False) -> "SlicedState":
+        """The state after ``circuit``, or after its adjoint if ``reverse``."""
         if circuit.total_qubits != self.total_qubits:
             raise CircuitError("circuit width does not match the state")
         out = SlicedState.__new__(SlicedState)
         out.total_qubits, out._all, out._index = (
             self.total_qubits, self._all, self._index)
         cols = out.columns = list(self.columns)
-        planes = out.phase = list(self.phase)
+        p0, p1, p2 = self.phase
         full = self._all
-        k_x, k_cnot, k_toffoli = GateKind.X, GateKind.CNOT, GateKind.TOFFOLI
-        for kind, flats in circuit.gates:
+        k_x, k_cnot, k_toffoli, k_s, k_sdg = (
+            GateKind.X, GateKind.CNOT, GateKind.TOFFOLI, GateKind.S, GateKind.SDG)
+        gates = circuit.gates
+        if reverse:
+            gates, k_s, k_sdg = reversed(gates), k_sdg, k_s
+        for kind, flats in gates:
             if kind is k_cnot:
                 cols[flats[1]] ^= cols[flats[0]]
             elif kind is k_toffoli:
                 cols[flats[2]] ^= cols[flats[0]] & cols[flats[1]]
             elif kind is k_x:
                 cols[flats[0]] ^= full
+            elif kind is k_s:  # +2 eighth turns on the branches of flats[0]
+                mask = cols[flats[0]]
+                p2 ^= mask & p1
+                p1 ^= mask
+            elif kind is k_sdg:  # -2
+                mask = cols[flats[0]]
+                p2 ^= mask & ~p1
+                p1 ^= mask
             else:
                 turns = _EIGHTHS.get(kind)
                 if turns is None:
                     raise CircuitError(
                         f"{kind.value} is not a permutation with phases"
                     )
+                turns = -turns & 7 if reverse else turns
                 mask = full
                 for f in flats:
                     mask &= cols[f]
-                # ripple-carry add of ``turns`` on the masked branches
-                carry = 0
-                for i in range(3):
-                    add = mask if turns >> i & 1 else 0
-                    plane = planes[i]
-                    planes[i] = plane ^ add ^ carry
-                    carry = (plane & add) | (carry & (plane ^ add))
+                # add ``turns`` on the masked branches, carrying plane to plane
+                add = mask if turns & 1 else 0
+                p0, carry = p0 ^ add, p0 & add
+                add = mask if turns & 2 else 0
+                p1, carry = p1 ^ add ^ carry, (p1 & add) | (carry & (p1 ^ add))
+                p2 ^= (mask if turns & 4 else 0) ^ carry
+        out.phase = [p0, p1, p2]
         return out
 
     def basis_label(self, branch: int) -> int:

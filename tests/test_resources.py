@@ -43,6 +43,7 @@ from qsearch.resources import (
     measure,
     measure_naive,
 )
+from qsearch.sim import SlicedState
 
 from conftest import toy_db
 from oracles import build_qdam, exact_iterations, flat_measure_kernel, resource_tally
@@ -463,7 +464,7 @@ def test_measure_builds_no_inverse_loader(monkeypatch):
             report.t_depth_kernel, report.t_cost, report.t_count_total) == expected
 
 
-def test_run_search_builds_the_inverse_loader_once(monkeypatch):
+def test_run_search_builds_no_inverse_loader(monkeypatch):
     inversions = []
     real = Circuit.inverted
 
@@ -473,12 +474,32 @@ def test_run_search_builds_the_inverse_loader_once(monkeypatch):
 
     monkeypatch.setattr(Circuit, "inverted", counting)
     run_search(toy_db(3), SearchQuery("101", "val"))
-    assert len(inversions) == 1
+    assert len(inversions) == 0
     circuits = build_kernel_circuits(QdamLayout(3, 3), toy_db(3), "101")
     first = circuits.loader_inverse
     circuits.kernel()
     assert circuits.loader_inverse is first
-    assert inversions[1:] == [circuits.loader]
+    assert inversions == [circuits.loader]
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 3), (3, 2), (4, 4), (5, 3)])
+def test_the_reversed_loader_runs_as_the_inverse_loader(n, m):
+    # the block check runs the loader reversed in place of the inverse
+    # loader; on random keys both leave the same state after the loader and
+    # the reflection, and negate exactly the records holding the pattern
+    rng = random.Random(350 + n)
+    layout = QdamLayout(n, m)
+    for _ in range(3):
+        keys, (pattern,) = _random_keys(rng, n, m), _random_keys(rng, 0, m)
+        circuits = build_kernel_circuits(layout, keys, pattern)
+        block = (SlicedState(n, layout.total_qubits).run(circuits.loader)
+                 .run(circuits.target_reflection))
+        reversed_run = block.run(circuits.loader, reverse=True)
+        inverse_run = block.run(circuits.loader_inverse)
+        assert reversed_run.columns == inverse_run.columns
+        assert reversed_run.phase == inverse_run.phase
+        assert reversed_run.diagonal_signs() == sum(
+            1 << q for q, key in enumerate(keys) if key == pattern)
 
 
 def _zero_key_circuits(n, m):

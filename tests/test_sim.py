@@ -281,6 +281,12 @@ def test_sliced_state_requires_index_register():
         SlicedState(3, 2)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_sliced_state_starts_each_branch_at_its_index(n):
+    start = SlicedState(n, n + 2)
+    assert [start.basis_label(q) for q in range(1 << n)] == [q << 2 for q in range(1 << n)]
+
+
 # -- bit-sliced backend ------------------------------------------------------
 
 
@@ -289,23 +295,34 @@ def _branch_phase(state, branch):
     return sum((plane >> branch & 1) << i for i, plane in enumerate(state.phase))
 
 
+_ARITY = {GateKind.CNOT: 2, GateKind.CZ: 2, GateKind.TOFFOLI: 3, GateKind.MCZ: 3}
+# eighth turns each diagonal kind adds where all its operands are 1
+_TURNS = {GateKind.Z: 4, GateKind.CZ: 4, GateKind.MCZ: 4, GateKind.S: 2,
+          GateKind.SDG: 6, GateKind.T: 1, GateKind.TDG: 7}
+
+
+def _random_macro(seed, n, anc, kinds, count=60):
+    """``count`` gates of random ``kinds`` on random distinct operands among
+    ``n`` index qubits and ``anc`` ancillas."""
+    rng = np.random.default_rng(seed)
+    gates = []
+    for _ in range(count):
+        kind = kinds[rng.integers(len(kinds))]
+        picked = rng.choice(n + anc, size=_ARITY.get(kind, 1), replace=False)
+        gates.append(gate(kind, *(int(f) for f in picked)))
+    return Circuit({Register.BINARY_INDEX: n, A: anc}, gates)
+
+
+_EVERY_KIND = [GateKind.X, GateKind.Z, GateKind.S, GateKind.SDG, GateKind.T,
+               GateKind.TDG, GateKind.CNOT, GateKind.CZ, GateKind.TOFFOLI,
+               GateKind.MCZ]
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_sliced_state_matches_sparse_on_every_branch(seed):
-    rng = np.random.default_rng(seed)
     n, anc = 3, 4
     sizes = {Register.BINARY_INDEX: n, A: anc}
-    qubits = list(range(n + anc))  # index qubits, then ancillas
-    kinds = [GateKind.X, GateKind.Z, GateKind.S, GateKind.SDG, GateKind.T,
-             GateKind.TDG, GateKind.CNOT, GateKind.CZ, GateKind.TOFFOLI,
-             GateKind.MCZ]
-    arity = {GateKind.CNOT: 2, GateKind.CZ: 2, GateKind.TOFFOLI: 3, GateKind.MCZ: 3}
-    gates = []
-    for _ in range(60):
-        kind = kinds[rng.integers(len(kinds))]
-        width = arity.get(kind, 1)
-        picked = rng.choice(len(qubits), size=width, replace=False)
-        gates.append(gate(kind, *(qubits[i] for i in picked)))
-    macro = Circuit(sizes, gates)
+    macro = _random_macro(seed, n, anc, _EVERY_KIND)
     sliced = SlicedState(n, n + anc).run(macro)
     lowered = lower_circuit(macro)
     for q in range(1 << n):
@@ -315,6 +332,33 @@ def test_sliced_state_matches_sparse_on_every_branch(seed):
         turns = _branch_phase(sliced, q)
         expected = complex(math.cos(math.pi * turns / 4), math.sin(math.pi * turns / 4))
         assert abs(amplitude(out, sliced.basis_label(q)) - expected) < 1e-12
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sliced_reverse_run_is_the_inverted_circuit(seed):
+    macro = _random_macro(seed, 3, 4, _EVERY_KIND)
+    start = SlicedState(3, 7)
+    for state in (start, start.run(macro)):
+        back, inverse = state.run(macro, reverse=True), state.run(macro.inverted())
+        assert back.columns == inverse.columns and back.phase == inverse.phase
+    back = start.run(macro).run(macro, reverse=True)
+    assert back.columns == start.columns and back.phase == [0, 0, 0]
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("kind", list(_TURNS), ids=lambda kind: kind.value)
+def test_every_diagonal_kind_adds_its_eighth_turns(kind, reverse):
+    # T gates mixed in leave every pattern of phase bits for the kind's
+    # carries; the expected phase is a plain integer sum per branch
+    n = 4
+    macro = _random_macro(list(_TURNS).index(kind), n, 0, [kind, GateKind.T], count=40)
+    sliced = SlicedState(n, n).run(macro, reverse=reverse)
+    sign = -1 if reverse else 1
+    for q in range(1 << n):
+        bits = [q >> (n - 1 - b) & 1 for b in range(n)]
+        turns = sum(_TURNS[k] for k, flats in macro.gates
+                    if all(bits[f] for f in flats))
+        assert _branch_phase(sliced, q) == sign * turns % 8
 
 
 def test_sliced_state_is_value_semantic_and_rejects_h():

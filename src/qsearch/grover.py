@@ -33,13 +33,13 @@ honest way, re-running the lowered loader on the candidate basis state
 with :class:`qsearch.sim.SparseState`.  That run skips every fragment
 whose controls are not both 1 on the branch, since such a fragment is the
 identity there, so it simulates at most n-1 stage-1 and m stage-2
-Toffolis.  The driver requires one label, the bit-sliced loader's branch,
-with an amplitude within :data:`RELOAD_PHASE_TOLERANCE` of +1, reads the
-data register out of it at the layout's data qubits
-(:meth:`qsearch.qdam.QdamLayout.data_qubit`), and compares it against the
-queried key.  Sentinel (padding) records are never accepted.  The tests
-check the bit-sliced rounds against a SparseState run over the lowered
-subroutines.
+Toffolis.  It is exact, in Z[ω]/√2^k, so the driver requires one label,
+the bit-sliced loader's branch, with k = 0 and amplitude (1, 0, 0, 0),
+that is exactly +1.  It reads the data register out of the label at
+the layout's data qubits (:meth:`qsearch.qdam.QdamLayout.data_qubit`) and
+compares it against the queried key.  Sentinel (padding) records are
+never accepted.  The tests check the bit-sliced rounds against a
+SparseState run over the lowered subroutines.
 """
 from __future__ import annotations
 
@@ -73,16 +73,13 @@ from .sim import (
     reflect_about_uniform,
 )
 
-# how far the reload's one amplitude may be from +1: the lowered loader
-# keeps it within 2.2e-16 on the branches of toy databases at n = 2..8
-RELOAD_PHASE_TOLERANCE = 1e-12
 # the most index samples a sampled search draws, at about 0.2-0.5 s per 2^20
 MAX_SHOTS = 1 << 20
 # the most record bits m * 2^n a search or a compile takes.  A search's
-# reload check builds a mask table that grows as the square of the qubit
-# count (1.3 GB peak RSS at n = 1, m = 2^14).  A compile's lowered export
-# holds about 1.2 KB per gate (see ``cli.MAX_EXPORT_GATES``), and its gate
-# count grows with the record bits
+# reload check runs the lowered loader, whose gate count grows with the
+# record bits: at n = 1, m = 2^14 a search peaks at 0.19 GB RSS and takes
+# 5-9 s on 2 vCPUs.  A compile's lowered export holds about 1.2 KB per
+# gate (see ``cli.MAX_EXPORT_GATES``)
 MAX_SEARCH_BITS = 1 << 15
 
 
@@ -254,10 +251,10 @@ def run_search(
         raise CircuitError(
             f"lowered loader disagrees with the bit-sliced loader on branch {candidate}"
         )
-    if abs(probe.amplitudes[label] - 1) > RELOAD_PHASE_TOLERANCE:
+    if probe.k or probe.amplitudes[label] != (1, 0, 0, 0):
         raise CircuitError(
             f"lowered loader gives branch {candidate} the amplitude "
-            f"{probe.amplitudes[label]}, not +1"
+            f"{probe.amplitudes[label]} / sqrt(2)^{probe.k}, not +1"
         )
     data = label >> (total - layout.data_qubit(0) - m) & ((1 << m) - 1)
     measured_bits = format(data, f"0{m}b")

@@ -3,7 +3,8 @@ knows only its flat width, the circuit's ``total_qubits``: gate operands
 are flat qubit indices, and flat qubit g is bit ``total-1-g`` of a basis
 label (conventions of :mod:`qsearch.circuit`).  Where a register sits is
 the layouts' business (:mod:`qsearch.qdam`); callers read registers out of
-a label through them.
+a label through them.  Both backends read a diagonal gate's phase from one
+table, ``_EIGHTHS``, in eighth turns: no phase is ever a float.
 
 The search hot path never simulates Clifford+T gates.  Loader, target
 reflection and inverse loader are reversible permutations with phases, so
@@ -20,16 +21,18 @@ self-adjoint.  The only H gates sit at the two ends of the diffusion;
 the rest flips index branch 0 alone the whole diffusion is the closed form
 :func:`reflect_about_uniform`.
 
-``SparseState`` stores a normalized amplitude map keyed by basis integers
-and applies *lowered* circuits; a macro gate raises
-:class:`CircuitError`.  It is the reference the bit-sliced path is
-tested against on Clifford+T, and the search's reload check: one branch
-through the lowered loader.  It makes one pass per H-free run of the
-circuit: every gate but H maps a basis label to one label times a phase,
-so each label goes through the whole run in one inner loop, and only H
-splits and recombines the support.  Amplitudes at or below
-``DROP_TOLERANCE`` are pruned so destructive interference does not
-pollute the support.
+``SparseState`` maps basis labels to exact amplitudes and applies
+*lowered* circuits; a macro gate raises :class:`CircuitError`.  It is the
+reference the bit-sliced path is tested against on Clifford+T, and the
+search's reload check: one branch through the lowered loader.  Every
+Clifford+T amplitude lies in Z[ω]/√2^k, ω = e^{iπ/4} (Giles and Selinger,
+PRA 87, 032332 (2013), arXiv:1212.0506): four ints (a, b, c, d) stand for
+a + bω + cω² + dω³, over one exponent ``k`` for the whole state.  It makes
+one pass per H-free run: every other gate maps a label to one label times
+a power of ω, so each label sums its eighth turns over the whole run, and
+its amplitude turns once at the run's end.  H adds and subtracts the
+tuples and raises ``k``; an amplitude of four 0s is dropped, and ``k`` is
+lowered while every amplitude is a multiple of √2.  Nothing is rounded.
 
 A circuit lowered by :func:`qsearch.decompose.lower_circuit` marks each
 macro's fragment (``Circuit.fragment_spans``).  On a basis label whose
@@ -41,43 +44,42 @@ of the loader at most n-1 stage-1 and m stage-2 Toffolis fire, out of
 """
 from __future__ import annotations
 
-import math
 from typing import Mapping
 
 from .circuit import Circuit, Gate, GateKind, LOWERED_KINDS
 from .errors import CircuitError
 
-DROP_TOLERANCE = 1e-14
-
-_SQRT_HALF = math.sqrt(0.5)
-_PHASES = {
-    GateKind.Z: -1.0 + 0.0j,
-    GateKind.S: 1.0j,
-    GateKind.SDG: -1.0j,
-    GateKind.T: complex(_SQRT_HALF, _SQRT_HALF),
-    GateKind.TDG: complex(_SQRT_HALF, -_SQRT_HALF),
+# eighth turns each diagonal gate adds to the labels or branches it acts on
+_EIGHTHS = {
+    GateKind.Z: 4, GateKind.CZ: 4, GateKind.MCZ: 4,
+    GateKind.S: 2, GateKind.SDG: 6, GateKind.T: 1, GateKind.TDG: 7,
 }
 # lowered kinds that map one basis label to one label times a phase
 _RUN_KINDS = LOWERED_KINDS - {GateKind.H}
 
-class SparseState:
-    """Amplitude map over the basis labels of ``total_qubits`` flat qubits,
-    |0...0> by default.  Value-semantic: ``apply`` returns a new state and
-    leaves the input untouched."""
+Amplitude = tuple[int, int, int, int]
 
-    __slots__ = ("total_qubits", "amplitudes", "peak_support")
+
+class SparseState:
+    """Exact amplitude map over the basis labels of ``total_qubits`` flat
+    qubits, |0...0> by default: label -> (a, b, c, d), the amplitude
+    (a + bω + cω² + dω³) / √2^k.  Value-semantic: ``apply`` returns a new
+    state and leaves the input untouched."""
+
+    __slots__ = ("total_qubits", "amplitudes", "k", "peak_support")
 
     def __init__(self, total_qubits: int,
-                 amplitudes: Mapping[int, complex] | None = None):
+                 amplitudes: Mapping[int, Amplitude] | None = None, k: int = 0):
         self.total_qubits = total_qubits
         if amplitudes is None:
-            amplitudes = {0: 1.0 + 0.0j}
+            amplitudes = {0: (1, 0, 0, 0)}
         self.amplitudes = dict(amplitudes)
+        self.k = k
         self.peak_support = len(self.amplitudes)
 
     @classmethod
     def basis(cls, total_qubits: int, label: int) -> "SparseState":
-        return cls(total_qubits, {label: 1.0 + 0.0j})
+        return cls(total_qubits, {label: (1, 0, 0, 0)})
 
     def support(self) -> int:
         return len(self.amplitudes)
@@ -85,63 +87,65 @@ class SparseState:
     def apply(self, circuit: Circuit) -> "SparseState":
         """Run a lowered circuit, one H-free run at a time: each label goes
         through the whole run in one inner loop, and the run writes one new
-        map.  Phases multiply in gate order, as they would gate by gate.
-        A fragment in ``circuit.fragment_spans`` runs only if some label
-        has all its listed operands at 1; otherwise it is skipped, as it
-        is the identity on every label.  Raises :class:`CircuitError` if
+        map.  A fragment in ``circuit.fragment_spans`` runs only if some
+        label has all its listed operands at 1; otherwise it is skipped, as
+        it is the identity on every label.  Raises :class:`CircuitError` if
         the circuit holds a macro gate, with the input state untouched."""
         if circuit.total_qubits != self.total_qubits:
             raise CircuitError("circuit width does not match the state")
-        total = self.total_qubits
-        bit = [1 << (total - 1 - f) for f in range(total)]
+        top = self.total_qubits - 1
         gates = circuit.gates
-        amps = self.amplitudes
+        amps, k = self.amplitudes, self.k
         peak = len(amps)
         done = 0
         for start, stop, operands in circuit.fragment_spans:
             if start > done:
-                amps, peak = _run(amps, gates[done:start], bit, peak)
-            mask = 0
-            for q in operands:
-                mask |= bit[q]
-            for k in amps:
-                if (k & mask) == mask:  # the fragment acts: run it, once
-                    amps, peak = _run(amps, gates[start:stop], bit, peak)
+                amps, k, peak = _run(amps, k, gates[done:start], top, peak)
+            for label in amps:
+                for q in operands:
+                    if not label >> (top - q) & 1:
+                        break
+                else:  # the fragment acts: run it, once
+                    amps, k, peak = _run(amps, k, gates[start:stop], top, peak)
                     break
             done = stop
-        amps, peak = _run(amps, gates[done:], bit, peak)
-        out_state = SparseState(total, amps)
+        amps, k, peak = _run(amps, k, gates[done:], top, peak)
+        out_state = SparseState(self.total_qubits, amps, k)
         out_state.peak_support = max(peak, self.peak_support)
         return out_state
 
 
-def _run(amps: dict[int, complex], gates: tuple[Gate, ...], bit: list[int],
-         peak: int) -> tuple[dict[int, complex], int]:
-    """``amps`` after the lowered ``gates``, and the larger of ``peak`` and
-    every support an H leaves; ``bit[f]`` is flat qubit f's label bit."""
+def _run(amps: dict[int, Amplitude], k: int, gates: tuple[Gate, ...], top: int,
+         peak: int) -> tuple[dict[int, Amplitude], int, int]:
+    """``amps`` and ``k`` after the lowered ``gates``, flat qubit f being label
+    bit ``top - f``, and the larger of ``peak`` and every support an H leaves."""
     # the H gates and any macro end a run
     stops = [i for i, (kind, _) in enumerate(gates) if kind not in _RUN_KINDS]
     stops.append(len(gates))
-    phases = _PHASES
+    eighths = _EIGHTHS
     k_h, k_x, k_cnot, k_cz = GateKind.H, GateKind.X, GateKind.CNOT, GateKind.CZ
     start = 0
     for stop in stops:
         if stop > start:
             run = gates[start:stop]
-            moved: dict[int, complex] = {}
-            for k, a in amps.items():
+            moved: dict[int, Amplitude] = {}
+            for label, amp in amps.items():
+                turns = 0
                 for kind, flats in run:
                     if kind is k_cnot:
-                        if k & bit[flats[0]]:
-                            k ^= bit[flats[1]]
+                        if label >> (top - flats[0]) & 1:
+                            label ^= 1 << (top - flats[1])
                     elif kind is k_x:
-                        k ^= bit[flats[0]]
+                        label ^= 1 << (top - flats[0])
                     elif kind is k_cz:
-                        if k & bit[flats[0]] and k & bit[flats[1]]:
-                            a = -a
-                    elif k & bit[flats[0]]:
-                        a = a * phases[kind]
-                moved[k] = a
+                        if label >> (top - flats[0]) & label >> (top - flats[1]) & 1:
+                            turns += 4
+                    elif label >> (top - flats[0]) & 1:
+                        turns += eighths[kind]
+                a, b, c, d = amp
+                for _ in range(turns & 7):  # ω (a, b, c, d) = (-d, a, b, c)
+                    a, b, c, d = -d, a, b, c
+                moved[label] = a, b, c, d
             amps = moved
         if stop == len(gates):
             break
@@ -150,37 +154,36 @@ def _run(amps: dict[int, complex], gates: tuple[Gate, ...], bit: list[int],
             raise CircuitError(
                 f"simulation requires a lowered circuit, got {kind.value}"
             )
-        mask = bit[flats[0]]
-        out: dict[int, complex] = {}
-        get = out.get
-        for k, a in amps.items():
-            ar = a * _SQRT_HALF
-            k0 = k & ~mask
-            k1 = k | mask
-            if k & mask:
-                v0 = get(k0)
-                out[k0] = ar if v0 is None else v0 + ar
-                v1 = get(k1)
-                out[k1] = -ar if v1 is None else v1 - ar
-            else:
-                v0 = get(k0)
-                out[k0] = ar if v0 is None else v0 + ar
-                v1 = get(k1)
-                out[k1] = ar if v1 is None else v1 + ar
-        amps = {k: a for k, a in out.items() if abs(a) > DROP_TOLERANCE}
-        if len(amps) > peak:
-            peak = len(amps)
+        mask = 1 << (top - flats[0])
+        out: dict[int, Amplitude] = {}
+        get, zero = out.get, (0, 0, 0, 0)
+        for label, (a, b, c, d) in amps.items():
+            # |0> -> |0> + |1> and |1> -> |0> - |1>, over one more √2
+            s = get(low := label & ~mask, zero)
+            out[low] = s[0] + a, s[1] + b, s[2] + c, s[3] + d
+            if label & mask:
+                a, b, c, d = -a, -b, -c, -d
+            s = get(high := label | mask, zero)
+            out[high] = s[0] + a, s[1] + b, s[2] + c, s[3] + d
+        # drop the exact zeros; ``odd`` is odd unless every amplitude is √2
+        # times one in Z[ω]: √2 (a, b, c, d) = (b - d, a + c, b + d, c - a)
+        amps, odd, k = {}, 0, k + 1
+        for label, (a, b, c, d) in out.items():
+            if a or b or c or d:
+                amps[label] = a, b, c, d
+                odd |= a ^ c | b ^ d
+        peak = max(peak, len(amps))
+        while amps and not odd & 1:  # halve that product, and lower k
+            halved, odd, k = {}, 0, k - 1
+            for label, (a, b, c, d) in amps.items():
+                halved[label] = h = (b - d) >> 1, (a + c) >> 1, (b + d) >> 1, (c - a) >> 1
+                odd |= h[0] ^ h[2] | h[1] ^ h[3]
+            amps = halved
         start = stop + 1
-    return amps, peak
+    return amps, k, peak
 
 
 # -- bit-sliced backend ----------------------------------------------------
-
-# eighth turns each diagonal gate adds to the branches it acts on
-_EIGHTHS = {
-    GateKind.Z: 4, GateKind.CZ: 4, GateKind.MCZ: 4,
-    GateKind.S: 2, GateKind.SDG: 6, GateKind.T: 1, GateKind.TDG: 7,
-}
 
 
 class SlicedState:

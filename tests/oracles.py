@@ -5,11 +5,14 @@ the full loader, the sync block's gates, the serial
 multi-controlled-Z ladder and the naive loader built one ladder per record
 bit from it, the kernel measurement over built gate lists, the exact
 iteration count in decimal arithmetic, the one-shot tally of a circuit,
-the gate checks that the IR leaves to its builders, the checked
-shared-control layer with its fan-out lease, the record placement checked
+the gate checks that the IR leaves to its builders, the measured depths'
+exact laws, the checked shared-control layer with its fan-out lease, the record placement checked
 by marking, and the circuit, basis-label, register read-out and
 database-export helpers that only tests use, and a recorder of the sparse
 states a run makes.
+
+The sparse simulator's amplitudes are exact, in Z[w]/sqrt(2)^k; tests read
+them as complex floats through :func:`to_complex` alone.
 
 The dense backend applies lowered gates to a full numpy state vector (or
 to a batch of columns for unitary extraction).  It shares no code with
@@ -46,7 +49,7 @@ from qsearch.database import FORMAT_VERSION, Database
 from qsearch.errors import CircuitError
 from qsearch.kernel import ReportMode, ResourceReport
 from qsearch.qdam import build_m1, build_m2, loader_parts
-from qsearch.sim import DROP_TOLERANCE, SparseState
+from qsearch.sim import SparseState
 
 DEFAULT_DENSE_CAP = 14
 
@@ -160,13 +163,23 @@ def to_unitary(circuit: Circuit, max_qubits: int | None = None) -> np.ndarray:
     return circuit_unitary(circuit)
 
 
+def to_complex(amp, k: int) -> complex:
+    """The exact amplitude (a + b w + c w^2 + d w^3) / sqrt(2)^k, w =
+    e^(i pi/4), as a complex float: w = (1 + i)/sqrt(2), w^2 = i and
+    w^3 = (-1 + i)/sqrt(2).  The one conversion the tests read a
+    :class:`qsearch.sim.SparseState` amplitude through."""
+    a, b, c, d = amp
+    value = complex(a + (b - d) * _SQRT_HALF, c + (b + d) * _SQRT_HALF)
+    return value * _SQRT_HALF ** k
+
+
 def to_dense(state) -> np.ndarray:
     """A :class:`qsearch.sim.SparseState` as a dense vector."""
     if state.total_qubits > DEFAULT_DENSE_CAP:
         raise DenseCapError(f"{state.total_qubits} qubits exceeds the dense cap")
     vec = np.zeros(1 << state.total_qubits, dtype=np.complex128)
-    for k, a in state.amplitudes.items():
-        vec[k] = a
+    for label, amp in state.amplitudes.items():
+        vec[label] = to_complex(amp, state.k)
     return vec
 
 
@@ -195,12 +208,14 @@ def basis_pattern(register_sizes, assignments) -> int:
 
 
 def amplitude(state: SparseState, label: int) -> complex:
-    """The amplitude of one basis label; a label the state does not store is 0."""
-    return state.amplitudes.get(label, 0j)
+    """The amplitude of one basis label as a complex float; a label the
+    state does not store is 0."""
+    return to_complex(state.amplitudes.get(label, (0, 0, 0, 0)), state.k)
 
 
 def norm(state) -> float:
-    return math.sqrt(sum((a * a.conjugate()).real for a in state.amplitudes.values()))
+    return math.sqrt(sum(abs(to_complex(amp, state.k)) ** 2
+                         for amp in state.amplitudes.values()))
 
 
 @contextlib.contextmanager
@@ -222,58 +237,87 @@ def recorded_states():
         SparseState.apply = apply
 
 
+# w^t as (a, b, c, d), for every single-qubit phase gate
+_OMEGA_POWERS = {
+    GateKind.Z: (-1, 0, 0, 0),
+    GateKind.S: (0, 0, 1, 0),
+    GateKind.SDG: (0, 0, -1, 0),
+    GateKind.T: (0, 1, 0, 0),
+    GateKind.TDG: (0, 0, 0, -1),
+}
+_SQRT2 = (0, 1, 0, -1)  # w - w^3
+
+
+def _omega_product(x, y) -> tuple[int, int, int, int]:
+    """The product of two elements of Z[w], as coefficient tuples, by
+    schoolbook multiplication with w^4 = -1."""
+    out = [0, 0, 0, 0]
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            if i + j < 4:
+                out[i + j] += xi * yj
+            else:
+                out[i + j - 4] -= xi * yj
+    return tuple(out)
+
+
 def gatewise_apply(state: SparseState, circuit: Circuit) -> SparseState:
-    """:meth:`qsearch.sim.SparseState.apply` one gate at a time: a new
-    amplitude map per X, CNOT and H, phases updated in place, and no
-    fragment skipped.  The same phase products in the same order, so on a
-    circuit without fragment spans it must agree with ``apply`` exactly,
-    key order and ``peak_support`` included.  Raises
+    """:meth:`qsearch.sim.SparseState.apply` one gate at a time, in the
+    same exact arithmetic over Z[w]/sqrt(2)^k: a new amplitude map per X,
+    CNOT and H, each phase multiplied in by :func:`_omega_product`, and no
+    fragment skipped.  After each H, ``k`` is lowered while every
+    amplitude times sqrt(2) has even coefficients.  The arithmetic is
+    exact, so on a circuit without fragment spans it must agree with
+    ``apply`` exactly, key order and ``peak_support`` included.  Raises
     :class:`CircuitError` at the first macro gate, with ``state``
     untouched."""
     if circuit.total_qubits != state.total_qubits:
         raise CircuitError("circuit width does not match the state")
     total = state.total_qubits
     bit = [1 << (total - 1 - f) for f in range(total)]
-    amps = dict(state.amplitudes)
+    amps, k = dict(state.amplitudes), state.k
     peak = len(amps)
     for kind, flats in circuit.gates:
         if kind is GateKind.CNOT:
             cmask, tmask = bit[flats[0]], bit[flats[1]]
-            amps = {(k ^ tmask) if (k & cmask) else k: a for k, a in amps.items()}
+            amps = {(label ^ tmask) if (label & cmask) else label: a
+                    for label, a in amps.items()}
         elif kind is GateKind.H:
             mask = bit[flats[0]]
-            out: dict[int, complex] = {}
-            for k, a in amps.items():
-                ar = a * _SQRT_HALF
-                k0, k1 = k & ~mask, k | mask
-                v0 = out.get(k0)
-                out[k0] = ar if v0 is None else v0 + ar
-                v1 = out.get(k1)
-                if k & mask:
-                    out[k1] = -ar if v1 is None else v1 - ar
-                else:
-                    out[k1] = ar if v1 is None else v1 + ar
-            amps = {k: a for k, a in out.items() if abs(a) > DROP_TOLERANCE}
+            out: dict[int, tuple[int, int, int, int]] = {}
+            for label, a in amps.items():
+                minus = tuple(-x for x in a)
+                for target, add in ((label & ~mask, a),
+                                    (label | mask, minus if label & mask else a)):
+                    before = out.get(target, (0, 0, 0, 0))
+                    out[target] = tuple(x + y for x, y in zip(before, add))
+            amps, k = {label: a for label, a in out.items() if any(a)}, k + 1
             peak = max(peak, len(amps))
+            while amps:
+                times = {label: _omega_product(a, _SQRT2) for label, a in amps.items()}
+                if any(x % 2 for a in times.values() for x in a):
+                    break
+                amps = {label: tuple(x // 2 for x in a) for label, a in times.items()}
+                k -= 1
         elif kind is GateKind.X:
             mask = bit[flats[0]]
-            amps = {k ^ mask: a for k, a in amps.items()}
+            amps = {label ^ mask: a for label, a in amps.items()}
         elif kind is GateKind.CZ:
             mask = bit[flats[0]] | bit[flats[1]]
-            for k, a in amps.items():
-                if (k & mask) == mask:
-                    amps[k] = -a
+            for label, a in amps.items():
+                if (label & mask) == mask:
+                    amps[label] = _omega_product(a, _OMEGA_POWERS[GateKind.Z])
         else:
-            phase = _PHASES.get(kind)
+            phase = _OMEGA_POWERS.get(kind)
             if phase is None:
                 raise CircuitError(
                     f"simulation requires a lowered circuit, got {kind.value}"
                 )
             mask = bit[flats[0]]
-            for k, a in amps.items():
-                if k & mask:
-                    amps[k] = a * phase
-    out_state = SparseState(total, amps)
+            for label, a in amps.items():
+                if label & mask:
+                    amps[label] = _omega_product(a, phase)
+    out_state = SparseState(total, amps, k)
     out_state.peak_support = max(peak, state.peak_support)
     return out_state
 
@@ -618,6 +662,30 @@ def flat_measure_kernel(circuits, iterations: int) -> ResourceReport:
         qubit_total=layout.total_qubits,
         t_count_total=t_kernel.t_count,
     )
+
+
+def reflection_law(k: int) -> int:
+    """R(k), the measured T-depth of a phase flip on k qubits: 0 for
+    k <= 2, 3 for k = 3, and 3 (2 ceil(log2(k/3)) + 1) above, where
+    ceil(log2(k/3)) is the least L with 3 * 2^L >= k."""
+    if k <= 3:
+        return 3 if k == 3 else 0
+    return 3 * (2 * ((k - 1) // 3).bit_length() + 1)
+
+
+def measured_law(n: int, m: int) -> dict[str, int]:
+    """The depth fields of a zero-key measured report at (n, m), by their
+    exact laws: stage 1 3(n-1), stage 2 3, the loader 3n, the target
+    reflection R(m), the diffusion R(n), and the kernel, two loaders and
+    both reflections, 6n + R(m) + R(n)."""
+    return {
+        "t_depth_m1": 3 * (n - 1),
+        "t_depth_m2": 3,
+        "t_depth_qdam": 3 * n,
+        "t_depth_oracle_reflection": reflection_law(m),
+        "t_depth_diffusion": reflection_law(n),
+        "t_depth_kernel": 6 * n + reflection_law(m) + reflection_law(n),
+    }
 
 
 def macro_counts(circuit: Circuit) -> dict[GateKind, int]:

@@ -24,7 +24,8 @@ from qsearch.sim import SparseState
 
 from conftest import random_lowered_circuit, toy_db
 from oracles import (
-    amplitude, basis_pattern, build_qdam, dense_statevector, recorded_states, to_dense,
+    amplitude, basis_pattern, build_qdam, dense_statevector, recorded_states, to_complex,
+    to_dense,
 )
 
 DATA_DB = os.path.join(os.path.dirname(__file__), "..", "data", "people.json")
@@ -87,7 +88,8 @@ def test_criterion_1_loader_semantics():
                 out = out.apply(lowered)
                 assert abs(amplitude(out, expected) - 1) < 1e-12
                 stray = sum(
-                    abs(a) for k, a in out.amplitudes.items() if k != expected
+                    abs(to_complex(a, out.k)) for k, a in out.amplitudes.items()
+                    if k != expected
                 )
                 assert stray < 1e-12
                 if total <= 18:  # dense cross-check where a vector fits

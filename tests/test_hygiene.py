@@ -6,7 +6,8 @@ layouts name the registers, every field of a public record type is read
 somewhere, every public function, class and method is used outside the
 tests, every member name that two classes share is pinned, no keyword is
 always passed as the same literal, the package defines only its three
-error classes, every name the benchmark's tracer patches exists, and the
+error classes, the simulators hold no float and no module binds a
+tolerance, every name the benchmark's tracer patches exists, and the
 tracer can trace one op of each workload."""
 from __future__ import annotations
 
@@ -529,6 +530,61 @@ def test_the_package_defines_only_three_error_classes():
         [*_ERROR_CLASSES, ("probe", "Bad"), ("probe", "Deeper"), ("probe", "ExtraError")])
     assert _error_classes({**sources, "probe": "class InputError(Exception):\n    pass\n"}) \
         == sorted([*_ERROR_CLASSES, ("probe", "InputError")])
+
+
+def _float_phase_lines(text: str) -> list[int]:
+    """Lines of every float or complex literal and every import of
+    ``math``, at any depth."""
+    lines = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Import) and any(
+                alias.name.partition(".")[0] == "math" for alias in node.names):
+            lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def _tolerance_names(text: str) -> list[str]:
+    """Every name bound that ends in ``tolerance``, in any case: assigned
+    names and attributes, functions, classes, parameters and imports."""
+    bound = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            bound.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.arg):
+            bound.add(node.arg)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((alias.asname or alias.name).rpartition(".")[2]
+                         for alias in node.names)
+    return sorted(name for name in bound if name.upper().endswith("TOLERANCE"))
+
+
+def test_the_simulators_hold_no_float_and_no_tolerance():
+    # both simulators are exact: phases in eighth turns, amplitudes in
+    # Z[w]/sqrt(2)^k, so sim.py needs no float and no module needs a tolerance
+    assert _float_phase_lines((PACKAGE_DIR / "sim.py").read_text()) == []
+    found = {p.name: names for p in MODULES if (names := _tolerance_names(p.read_text()))}
+    assert not found, f"tolerances bound in the package: {found}"
+    # the checks see float and complex literals and both forms of import,
+    # and every way to bind a name, and spare ints, strings and other names
+    probe = ("import math\n"
+             "from math import sqrt as root\n"
+             "from .sim import DROP_TOLERANCE\n"
+             "PHASE = 1j\n"
+             "HALF, ONE, NAME = 0.5, 1, 'tolerance 1e-9'\n"
+             "def check(x, rel_tolerance=1e-12):\n"
+             "    state.reload_tolerance = x\n"
+             "class SomeTolerance:\n    pass\n")
+    assert _float_phase_lines(probe) == [1, 2, 4, 5, 6]
+    assert _tolerance_names(probe) == [
+        "DROP_TOLERANCE", "SomeTolerance", "rel_tolerance", "reload_tolerance"]
 
 
 def _traced_sites() -> list[tuple[str, str]]:

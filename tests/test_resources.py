@@ -36,6 +36,7 @@ from qsearch.kernel import (
 from qsearch.qdam import NaiveLayout, QdamLayout, build_m2, build_naive_qdam, loader_parts
 from qsearch.resources import (
     CSV_HEADER,
+    MAX_BOUND_N,
     _expand_flat,
     bench_csv,
     bench_scaling,
@@ -46,7 +47,14 @@ from qsearch.resources import (
 from qsearch.sim import SlicedState
 
 from conftest import toy_db
-from oracles import build_qdam, exact_iterations, flat_measure_kernel, resource_tally
+from oracles import (
+    build_qdam,
+    exact_iterations,
+    flat_measure_kernel,
+    measured_law,
+    reflection_law,
+    resource_tally,
+)
 
 _DEPTH_FIELDS = (
     "t_depth_m1",
@@ -56,6 +64,10 @@ _DEPTH_FIELDS = (
     "t_depth_diffusion",
     "t_depth_kernel",
 )
+
+
+def _depths(report) -> dict[str, int]:
+    return {field: getattr(report, field) for field in _DEPTH_FIELDS}
 
 
 def test_bound_headline_n10_m8():
@@ -119,6 +131,7 @@ def test_measured_fits_under_bounds(n, m):
     measured = measure(n, m)
     bound = estimate_bounds(n, m)
     assert measured.mode is ReportMode.MEASURED
+    assert _depths(measured) == measured_law(n, m)
     for field in _DEPTH_FIELDS:
         assert getattr(measured, field) <= getattr(bound, field), field
 
@@ -128,6 +141,7 @@ def test_measured_fits_under_bounds_in_every_small_cell(n):
     # every key width up to 8 with m * 2^n <= 2^12
     for m in range(1, min(8, (1 << 12) >> n) + 1):
         measured, bound = measure(n, m), estimate_bounds(n, m)
+        assert _depths(measured) == measured_law(n, m), m
         for field in (*_DEPTH_FIELDS, "t_cost"):
             assert getattr(measured, field) <= getattr(bound, field), (m, field)
 
@@ -138,6 +152,7 @@ def test_measured_fits_under_bounds_at_wide_keys(k):
     for m in ((1 << k) - 1, 1 << k, (1 << k) + 1):
         for n in range(1, ((1 << 13) // m).bit_length()):
             measured, bound = measure(n, m), estimate_bounds(n, m)
+            assert _depths(measured) == measured_law(n, m), (n, m)
             for field in (*_DEPTH_FIELDS, "t_cost"):
                 assert getattr(measured, field) <= getattr(bound, field), (n, m, field)
 
@@ -150,6 +165,7 @@ def test_measured_fits_under_bounds_up_to_two_to_the_sixteen_record_bits(k):
     for m in ((1 << k) - 1, 1 << k, (1 << k) + 1):
         n = ((1 << 16) // m).bit_length() - 1
         measured, bound = measure(n, m), estimate_bounds(n, m)
+        assert _depths(measured) == measured_law(n, m), (n, m)
         for field in (*_DEPTH_FIELDS, "t_cost"):
             assert getattr(measured, field) <= getattr(bound, field), (n, m, field)
 
@@ -168,6 +184,7 @@ def test_measured_fits_under_bounds_over_the_wide_key_sweep(k):
         cells = range(first, widest + (k > 12))
         for n in cells if k <= 12 or m == (1 << k) + 1 else cells[-1:]:
             measured, bound = measure(n, m), estimate_bounds(n, m)
+            assert _depths(measured) == measured_law(n, m), (n, m)
             for field in (*_DEPTH_FIELDS, "t_cost"):
                 assert getattr(measured, field) <= getattr(bound, field), (n, m, field)
 
@@ -175,6 +192,7 @@ def test_measured_fits_under_bounds_over_the_wide_key_sweep(k):
 def test_measured_headline_n10_m8_within_bounds():
     measured = measure(10, 8)
     bound = estimate_bounds(10, 8)
+    assert _depths(measured) == measured_law(10, 8)
     for field in (*_DEPTH_FIELDS, "t_cost"):
         assert getattr(measured, field) <= getattr(bound, field), field
     assert measured.query_count == bound.query_count == 25
@@ -190,18 +208,21 @@ def test_stage2_starts_as_stage1_ends(n):
     for m in range(2, 7):
         report = measure(n, m)
         assert report.t_depth_qdam == report.t_depth_m1 + report.t_depth_m2, m
+        assert _depths(report) == measured_law(n, m), m
 
 
 @settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 6), m=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+@given(n=st.integers(1, 6), m=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
 def test_measured_depths_do_not_depend_on_the_keys(n, m, seed):
-    # m = 1 is left out: its stage-2 depth does depend on the keys
+    # at m = 1 the standalone stage-2 depth does depend on the keys (ROADMAP
+    # item 4), so there it is exempt; every other field follows the law
     rng = random.Random(seed)
     keys, (query,) = _random_keys(rng, n, m), _random_keys(rng, 0, m)
     report = measure_kernel(build_kernel_circuits(QdamLayout(n, m), keys, query), 1)
-    reference = measure(n, m)
-    for field in _DEPTH_FIELDS:
-        assert getattr(report, field) == getattr(reference, field), field
+    fields = [f for f in _DEPTH_FIELDS if m > 1 or f != "t_depth_m2"]
+    law, reference = measured_law(n, m), measure(n, m)
+    for field in fields:
+        assert getattr(report, field) == getattr(reference, field) == law[field], field
 
 
 def test_measured_qdam_n2_m2():
@@ -215,11 +236,28 @@ def test_naive_depth_doubles_per_index_bit():
 
 
 def test_kernel_depth_grows_linearly():
-    # least-squares slope of measured kernel depth over n stays modest
-    ns = np.arange(1, 9)
-    depths = np.array([measure(n, 2).t_depth_kernel for n in ns], dtype=float)
-    slope = np.polyfit(ns, depths, 1)[0]
-    assert slope <= 14.2
+    # one more index bit adds 3 to each of the two loaders and deepens the
+    # diffusion's phase flip from R(n) to R(n + 1), exactly
+    depths = [measure(n, 2).t_depth_kernel for n in range(1, 10)]
+    for n, (before, after) in enumerate(zip(depths, depths[1:]), start=1):
+        assert after - before == 6 + reflection_law(n + 1) - reflection_law(n), n
+
+
+def test_the_law_is_under_the_bounds_far_past_the_measurable_widths():
+    # the construction meets the paper's bounds at every width where it
+    # follows the law: n up to the bound cap, keys up to 2^64 + 1 bits wide
+    widths = sorted({*range(1, 65), *(w for k in range(6, 65)
+                                      for w in ((1 << k) - 1, 1 << k, (1 << k) + 1))})
+    assert len(widths) == 239
+    for n in range(1, MAX_BOUND_N + 1):
+        for m in widths:
+            law, bound = measured_law(n, m), estimate_bounds(n, m)
+            assert all(law[f] <= getattr(bound, f) for f in _DEPTH_FIELDS), (n, m)
+    # R(k) = 3 (2 ceil(log2(k/3)) + 1) from k = 4: it steps by 6 just past 3 * 2^L
+    assert [reflection_law(k) for k in range(1, 8)] == [0, 0, 3, 9, 9, 9, 15]
+    for level in range(1, 64):
+        assert reflection_law(3 << level) == 3 * (2 * level + 1)
+        assert reflection_law((3 << level) + 1) == 3 * (2 * level + 3)
 
 
 def test_bound_cost_scaling_ratio():

@@ -15,10 +15,8 @@ bit-reproducible:
   kinds are bound once, to module names or to locals before a loop, and
   never loaded per gate: on Python 3.11 ``GateKind.X`` runs
   ``EnumType.__getattr__``, about 175 ns a load against about 35 ns for a
-  plain class attribute.  Builders whose operands are distinct by
-  construction emit literals and check their inputs once per call;
-  :func:`gate` checks the gate it builds, and a :class:`Circuit` stores
-  its gates as given.
+  plain class attribute.  Builders check their inputs once per call and
+  emit literals, valid by construction; :func:`gate` checks one gate.
 * In basis labels the first qubit is the most significant bit: flat qubit
   ``g`` is bit ``total-1-g``, so basis index ``b`` assigns it
   ``(b >> (total-1-g)) & 1``.
@@ -32,41 +30,34 @@ bit-reproducible:
 Scheduling is as-soon-as-possible list scheduling over the gate-dependency
 DAG, done by :class:`Schedule`, the only scheduler; :func:`tally_flat` is
 its one-shot form.  A gate is placed in the earliest layer after every
-earlier gate that shares one of its qubits.  Two gates may share a layer
+earlier gate that shares one of its qubits, so two gates share a layer
 only if they act on disjoint qubits.  The T-depth of a circuit is the
-number of layers that contain at least one T or TDG gate; the schedule
-marks each such layer in a bytearray, one byte per layer, and counts the
-marks.  A macro is scheduled in one step, through a max-plus template
-derived from its fragment at import, and lands exactly where the
-fragment's gates would.  The templates are rank one, which the derivation
-checks: a fragment's entry is the latest of its operands' times plus
-offsets, and its exits and T layers are that entry plus constants.  A
-schedule can be fed in segments and tallied after each, and each such
-snapshot is the tally of the prefix fed so far.  All of this is a pure
-function of the gate order, so results are deterministic and circuits are
-safe to share across workers.
+number of layers that contain at least one T or TDG gate.  A macro is
+scheduled in one step, through a rank-one max-plus template derived from
+its fragment at import (:class:`_Template`), and lands exactly where the
+fragment's gates would.  All of this is a pure function of the gate
+order, so results are deterministic and circuits are safe to share
+across workers.
 
 A part has ``gates`` and ``feed_into(schedule, reverse=False)``, which
 schedules those gates, or with ``reverse`` their reversed stream, after
 what the schedule holds; :meth:`Schedule.feed_parts` feeds a part list in
-order or reversed.  A :class:`Circuit` feeds its gates.  A
-:class:`RecordBlock` (stage 2's records, disjoint copies of one
-:func:`shared_control_layer`) feeds its block once when every record
-enters as record 0 does, and otherwise twice on scratch schedules, at its
-regions' earliest and latest entries; when the two runs agree, which fixes
-every record's schedule, it stores their exits into every record, and
-else it feeds its gates, built once.  A :class:`FanIn` (disjoint CNOT
-folds, rank one too, :func:`fold_gates`), a :class:`OneHotDecoder`
-(stage 1 of the loader) and a :class:`SyncBlock` (a reflection's CNOT
-gossip) feed themselves by closed forms that build no gate.
-:func:`join_parts` builds a part list's circuit.
+order or reversed, and :func:`join_parts` builds its circuit.  A
+:class:`Circuit` feeds its gates, and every other part a closed form that
+builds no gate.  Both stages of the loader share one block,
+:func:`shared_control_layer`, and its one closed form,
+:func:`_block_entry`: a :class:`OneHotDecoder` (stage 1) takes it once per
+level, and a :class:`RecordBlock` (stage 2's records, disjoint copies of
+the block) at its regions' earliest and latest entries, and feeds its
+gates where the two part.  A :class:`FanIn` feeds CNOT folds
+(:func:`fold_gates`), and a :class:`SyncBlock` a reflection's CNOT gossip.
 """
 from __future__ import annotations
 
 import enum
 import functools
 import json
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import CircuitError
@@ -264,18 +255,57 @@ def shared_control_layer(shared_control: int, pairs: Sequence[tuple[int, int]],
     carriers, fresh, pad_sdg = [shared_control], iter(fanout_ancillas), []
     while len(carriers) < len(pairs):
         room = len(pairs) - len(carriers)
-        sources = carriers[:min(len(carriers), room)]
-        idle = carriers[len(sources):]
+        sources, idle = carriers[:room], carriers[room:]
         new = [next(fresh) for _ in sources]
         gates += [(_CNOT, pair) for pair in zip(sources, new)]
-        if room < len(carriers):
-            gates += [(_S, (q,)) for q in idle]
-            pad_sdg += [(_SDG, (q,)) for q in idle]
+        gates += [(_S, (q,)) for q in idle]
+        pad_sdg += [(_SDG, (q,)) for q in idle]
         carriers.extend(new)
     fanout = gates[::-1]
     gates += [(_TOFFOLI, (second, carrier, target))
               for (second, target), carrier in zip(pairs, carriers)]
     return gates + pad_sdg + [g for g in fanout if g[0] is _CNOT]
+
+
+def _block_entry(pairs: int, control: int, classes: Sequence[int], second: int,
+                 target: int) -> int | None:
+    """The closed form of :func:`shared_control_layer` over ``pairs``
+    pairs, fed forward or reversed, from one entry time for the shared
+    control, for each lease class (round r's fresh qubits), for the second
+    controls and for the targets: the Toffolis' common entry E, or
+    ``None`` when a partial last round's idle carriers would fall behind.
+    With (e, x, t) the TOFFOLI template and R rounds, the T layers are
+    E + t; the seconds leave at E + x_a, the targets at E + x_c, the
+    control at E + x_b + R and class r at E + x_b + R - r.
+
+    Proof: round r's carriers all sit at σ, from the control's time, so
+    its CNOTs leave them and class r at max(σ, λ_r) + 1; a partial last
+    round's S pads take its idle carriers to σ + 1, the same time only if
+    λ_r <= σ.  Every Toffoli then enters at E = max(second + e_a,
+    σ + e_b, target + e_c), and no other gate touches a second or a
+    target.  Undoing round r acts on its sources and class r, all at
+    E + x_b + R - r - 1 (the SDG pads bring a partial round's idle
+    carriers there), and leaves them at E + x_b + R - r: class r for good,
+    and the control, a source of every round, last.  Reversed, the stream
+    is the same rounds in the same order, the pads SDG before the Toffolis
+    and S after them, so it schedules alike."""
+    (ea, eb, ec), _, _, _ = _TEMPLATES[_TOFFOLI]
+    sigma, partial = control, len(classes) - 1 if pairs & (pairs - 1) else -1
+    for r, time in enumerate(classes):
+        if r == partial and time > sigma:
+            return None
+        sigma = (sigma if sigma > time else time) + 1
+    return max(second + ea, sigma + eb, target + ec)
+
+
+def _mark_toffolis(schedule: "Schedule", entry: int, count: int) -> None:
+    """Mark the T layers of ``count`` Toffolis entering at ``entry``; count their T."""
+    _, _, (t1, t2, t3), t_n = _TEMPLATES[_TOFFOLI]
+    marks = schedule._marks
+    if entry + t3 >= len(marks):
+        _grow(marks, entry + t3)
+    marks[entry + t1] = marks[entry + t2] = marks[entry + t3] = 1
+    schedule._t_count += t_n * count
 
 
 class FanIn:
@@ -357,22 +387,18 @@ class OneHotDecoder:
     through the 2^(n-1) - 1 fan-out qubits from ``lease``, checked once
     to lie apart, past the index and inside ``total_qubits``.  ``gates``
     is an X on one-hot 0, a CNOT from index qubit n-1 to one-hot 1 and
-    back, then per level l = 2 .. n, with s = 2^(l-1): control n-l fanned
-    out onto lease 0 .. s-2 in doubling rounds (round r fills lease class
-    r, [2^r - 1, 2^(r+1) - 1)), s Toffolis (one-hot j, carrier j, one-hot
-    s+j), the fan-out undone, and CNOTs from one-hot s+j to j.
+    back, then per level l = 2 .. n, with s = 2^(l-1), the
+    :func:`shared_control_layer` of control n-l over the pairs (one-hot j,
+    one-hot s+j) on lease 0 .. s-2, whose round r fills lease class r, and
+    CNOTs from one-hot s+j to j.
 
-    With (e, x, t) the TOFFOLI template, a level is a closed form when the
-    one-hot register and each lease class enter at one time (λ_r).  Proof:
-    after fan-out round r every carrier sits at σ = max(σ, λ_r) + 1 from
-    the control's time; the Toffolis meet one-hot [0, s) at one time α,
-    left by the level before, and [s, 2s) at its entry β, so all enter at
-    E = max(α + e_a, σ + e_b, β + e_c), and the T layers are E + t.  With
-    κ = E + x_b, the undone rounds leave class r at κ + l - 1 - r and the
-    control at κ + l - 1, and the clearing CNOTs one-hot [0, 2s) at
+    A level is :func:`_block_entry`'s closed form when the one-hot
+    register and each lease class enter at one time: the Toffolis meet
+    one-hot [0, s) at one time α, left by the level before, and [s, 2s)
+    at its entry β, and the clearing CNOTs leave one-hot [0, 2s) at
     max(E + x_a, E + x_c) + 1.  Reversed, the clearing CNOTs come first,
-    taking one-hot [0, 2s) to one time μ, so E = max(μ + e_a, σ + e_b,
-    μ + e_c), [s, 2s) leaves at E + x_c and [0, s) goes on at E + x_a."""
+    taking one-hot [0, 2s) to one time μ, so α = β = μ, [s, 2s) leaves at
+    E + x_c and [0, s) goes on at E + x_a."""
 
     def __init__(self, n: int, onehot: int, lease: int, total_qubits: int):
         onehot_stop, lease_stop = onehot + (1 << n), lease + (1 << n) // 2 - 1
@@ -387,14 +413,9 @@ class OneHotDecoder:
         gates = [(_X, (base,)), (_CNOT, (n - 1, base + 1)), (_CNOT, (base + 1, base))]
         for level in range(2, n + 1):
             span = 1 << level - 1
-            carriers = (n - level, *range(self.lease, self.lease + span - 1))
-            # round r copies carriers [0, 2^r) onto carriers [2^r, 2^(r+1))
-            fanout = [(_CNOT, ops) for r in range(level - 1)
-                      for ops in zip(carriers[:1 << r], carriers[1 << r:2 << r])]
             low, high = range(base, base + span), range(base + span, base + 2 * span)
-            gates += fanout
-            gates += [(_TOFFOLI, ops) for ops in zip(low, carriers, high)]
-            gates += fanout[::-1]
+            gates += shared_control_layer(n - level, list(zip(low, high)),
+                                          range(self.lease, self.lease + span - 1))
             gates += [(_CNOT, ops) for ops in zip(high, low)]
         return tuple(gates)
 
@@ -402,8 +423,8 @@ class OneHotDecoder:
         """Feed the gates, or with ``reverse`` that stream reversed, by the
         per-level closed form; the one-hot register and each lease class
         must enter at one time, else :class:`CircuitError`."""
-        avail, marks, n, base = schedule._avail, schedule._marks, self.n, self.onehot
-        (ea, eb, ec), (xa, xb, xc), (t1, t2, t3), t_n = _TEMPLATES[_TOFFOLI]
+        avail, n, base = schedule._avail, self.n, self.onehot
+        _, (xa, xb, xc), _, _ = _TEMPLATES[_TOFFOLI]
         classes = [slice(self.lease + (1 << r) - 1, self.lease + (2 << r) - 1)
                    for r in range(n - 1)]
         onehot = slice(base, base + (1 << n))
@@ -415,20 +436,14 @@ class OneHotDecoder:
         if not reverse:  # the X on one-hot 0 and level 1's two CNOTs, v > the X
             avail[n - 1] = v = max(avail[n - 1], hot) + 1
             hot = v + 1
-        size = len(marks)
         for level in range(n, 1, -1) if reverse else range(2, n + 1):
-            span, control = 1 << level - 1, n - level
-            sigma = avail[control]
-            for time in lease[:level - 1]:
-                sigma = (sigma if sigma > time else time) + 1
+            span, control, rounds = 1 << level - 1, n - level, level - 1
             if reverse:  # the clearing CNOTs come first
                 hot = high = hot + 1
-            entry = max(hot + ea, sigma + eb, high + ec)
-            if entry + t3 >= size:
-                size = _grow(marks, entry + t3)
-            marks[entry + t1] = marks[entry + t2] = marks[entry + t3] = 1
-            avail[control] = kappa = entry + xb + level - 1
-            lease[:level - 1] = range(kappa, kappa - level + 1, -1)
+            entry = _block_entry(span, avail[control], lease[:rounds], hot, high)
+            _mark_toffolis(schedule, entry, span)
+            avail[control] = out = entry + xb + rounds
+            lease[:rounds] = range(out, out - rounds, -1)
             if reverse:
                 avail[base + span:base + 2 * span] = [entry + xc] * span
                 hot = entry + xa
@@ -441,7 +456,6 @@ class OneHotDecoder:
             avail[onehot] = [hot] * (1 << n)
         for s, time in zip(classes, lease):
             avail[s] = [time] * (s.stop - s.start)
-        schedule._t_count += t_n * ((1 << n) - 2)  # 2^(l-1) Toffolis at each level l > 1
 
 
 class RecordBlock:
@@ -449,90 +463,79 @@ class RecordBlock:
     i's one-hot qubit is ``onehot + i``, its database bit and load ancilla
     j are ``database + i m + j`` and ``load + i m + j``, and its m - 1
     fan-out qubits start at ``lease + i (m - 1)``.  The regions are checked
-    once to lie apart, inside ``total_qubits``.  ``block`` is record 0's
-    :func:`shared_control_layer` over local operands 0 .. 3m - 1, the four
-    regions' qubits in that order, with the pairs (database j, load j), and
-    ``gates`` builds the records' gates, record by record."""
+    once to lie apart, inside ``total_qubits``.  Record i's block is the
+    :func:`shared_control_layer` of its one-hot qubit over the pairs
+    (database j, load j) on its fan-out qubits, and ``gates`` builds
+    record 0's and moves it into every record."""
 
     def __init__(self, m: int, copies: int, onehot: int, database: int, load: int,
                  lease: int, total_qubits: int):
-        self.copies = copies
-        # the lease is last, so leaving it out when empty (m = 1) keeps the
-        # local operands' order
+        self.m, self.copies, self.lease = m, copies, lease
+        # the lease is last: left out when empty (m = 1), it keeps the local order
         self.regions = tuple((start, width) for start, width in (
             (onehot, 1), (database, m), (load, m), (lease, m - 1)) if width > 0)
         spans = sorted((start, start + copies * width) for start, width in self.regions)
         if (m < 1 or copies < 1 or spans[0][0] < 0 or spans[-1][1] > total_qubits
                 or any(a[1] > b[0] for a, b in zip(spans, spans[1:]))):
             raise CircuitError("the records leave the circuit or overlap")
-        pairs = [(1 + j, 1 + m + j) for j in range(m)]
-        self.block = tuple(shared_control_layer(0, pairs, range(2 * m + 1, 3 * m)))
+        # the lease class of each fan-out qubit of a record: class r has
+        # min(2^r, m - 2^r) of them
+        self._classes = list(chain.from_iterable(
+            repeat(r, min(1 << r, m - (1 << r))) for r in range((m - 1).bit_length())))
 
     @functools.cached_property
     def gates(self) -> tuple[Gate, ...]:
-        copies, kinds = self.copies, [kind for kind, _ in self.block]
+        m, copies = self.m, self.copies
+        # record 0's block over local operands 0 .. 3m - 1, the four
+        # regions' qubits in order
+        block = shared_control_layer(0, [(1 + j, 1 + m + j) for j in range(m)],
+                                     range(2 * m + 1, 3 * m))
+        kinds = [kind for kind, _ in block]
         # each local operand's qubit in every record, as one range, and each
         # gate's operands in every record as one zip of ranges
         ranges = [range(start + k, start + copies * width, width)
                   for start, width in self.regions for k in range(width)]
-        moved = [zip(*(ranges[q] for q in ops)) for _, ops in self.block]
+        moved = [zip(*(ranges[q] for q in ops)) for _, ops in block]
         return tuple(g for ops in zip(*moved) for g in zip(kinds, ops))
 
     def feed_into(self, schedule: "Schedule", reverse: bool = False) -> None:
-        """Feed the records, or with ``reverse`` that stream reversed.  A
-        region's entries are record 0's when every record repeats them,
-        else its earliest and its latest entry throughout.  The block is fed
-        once when that gives one entry vector, on the schedule's own times
-        and T layers, and else at the low and at the high entries, on
-        scratch schedules whose times start at the lowest; when both runs
-        leave every operand at one time, the low run's T layers are marked.
-        Then the block's T count is taken ``copies`` times and the exits are
-        stored into every record.  When the runs part, the records' gates
-        are fed.
+        """Feed the records, or with ``reverse`` that stream reversed, by
+        :func:`_block_entry`, evaluated at the database and load regions'
+        earliest and at their latest entries.  When the one-hot region
+        enters at one time, every record's lease as record 0's with each
+        class at one time, and both evaluations give one E, the T layers
+        are marked once, the block's T gates counted for every record and
+        the exits stored by slices; otherwise the records' gates are fed.
 
-        Proof: the records act on disjoint qubits, so each schedules as if
-        alone, and ASAP scheduling is monotone in the entry times, so every
-        record's exits lie between the two runs' and equal them.  The T
-        gates are the Toffolis' alone, and Toffoli j's target, load j, is
-        touched by no other gate of the block, forward or reversed: so its
-        exit fixes the Toffoli's entry, and with it its three T layers, in
-        every record.  (Equal T-layer sets alone would not fix them.)"""
-        avail, copies, regions = schedule._avail, self.copies, self.regions
-        low: list[int] = []
-        high: list[int] = []
-        for start, width in regions:
-            entries = avail[start:start + copies * width]
-            # one C-level pass when the region enters at one time
-            if (entries.count(entries[0]) == len(entries)
-                    or entries == entries[:width] * copies):
-                low += entries[:width]
-                high += entries[:width]
-            else:
-                low += [min(entries)] * width
-                high += [max(entries)] * width
-        block, run = self.block[::-1] if reverse else self.block, Schedule(0)
-        if low == high:  # one run, on the schedule's own times and T layers
-            run._avail, run._marks = low, schedule._marks
-            run.feed(block)
-        else:  # two runs, in times from the lowest entry
-            base, high_run = min(low), Schedule(0)
-            run._avail = [t - base for t in low]
-            high_run._avail = [t - base for t in high]
-            if run.feed(block)._avail != high_run.feed(block)._avail:
-                schedule.feed(reversed(self.gates) if reverse else self.gates)
-                return
-            marks = schedule._marks
-            layers = [base + t for t, mark in enumerate(run._marks) if mark]
-            if layers and layers[-1] >= len(marks):
-                _grow(marks, layers[-1])
-            for t in layers:
-                marks[t] = 1
-            run._avail = [base + t for t in run._avail]
-        schedule._t_count += copies * run._t_count
-        local = 0
-        for start, width in regions:
-            avail[start:start + copies * width] = run._avail[local:local + width] * copies
-            local += width
+        Proof: the records act on disjoint qubits, each from the control
+        and class times that all share.  ASAP scheduling is monotone in the
+        entry times, so every record's exits lie between the two
+        evaluations', E plus the same constants.  The T gates are the
+        Toffolis', and Toffoli j's target, load j, is touched by no other
+        gate, forward or reversed, so its exit fixes the Toffoli's entry at
+        E, and with it its T layers."""
+        avail, m, copies, lease = schedule._avail, self.m, self.copies, self.lease
+        (onehot, _), (database, _), (load, _) = self.regions[:3]
+        control, size = avail[onehot], copies * m
+        classes = [avail[lease + (1 << r) - 1] for r in range((m - 1).bit_length())]
+        row = list(map(classes.__getitem__, self._classes))  # record 0's lease, if regular
+        # each region's earliest and latest entry, in one C-level pass when equal
+        (second, last_second), (target, last_target) = [
+            (e[0], e[0]) if e.count(e[0]) == size else (min(e), max(e))
+            for e in (avail[database:database + size], avail[load:load + size])]
+        entry = _block_entry(m, control, classes, second, target)
+        if (entry is None or avail[onehot:onehot + copies].count(control) != copies
+                or avail[lease:lease + size - copies] != row * copies
+                or entry != _block_entry(m, control, classes, last_second, last_target)):
+            schedule.feed(reversed(self.gates) if reverse else self.gates)
+            return
+        _mark_toffolis(schedule, entry, size)
+        _, (xa, xb, xc), _, _ = _TEMPLATES[_TOFFOLI]
+        out = entry + xb + len(classes)
+        avail[onehot:onehot + copies] = [out] * copies
+        avail[database:database + size] = [entry + xa] * size
+        avail[load:load + size] = [entry + xc] * size
+        avail[lease:lease + size - copies] = list(map(out.__sub__, self._classes)) * copies
 
 
 # what :meth:`Schedule.feed_parts` takes: each has ``gates`` and ``feed_into``
@@ -658,12 +661,9 @@ class Schedule:
     gate, before doubling's slack, where a set takes about 60 per T layer.
     ``feed`` extends the stream and ``tally`` reads it at that point, so a
     tally taken between two feeds is exactly the tally of the prefix fed so
-    far (a prefix's marks are the stream's at that moment).
-
-    TOFFOLI and MCZ gates are scheduled as their fragments would be,
-    through the fragments' rank-one max-plus templates (:class:`_Template`),
-    so the tally equals that of the lowered stream; ``feed`` gives each
-    macro kind its own branch, over its template's constants.
+    far (a prefix's marks are the stream's at that moment).  A macro's
+    tally equals its lowering's: ``feed`` gives each macro kind a branch
+    over its template's constants.
     """
 
     __slots__ = ("_avail", "_marks", "_t_count")

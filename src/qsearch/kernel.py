@@ -5,12 +5,13 @@ diffusion, as part lists, and its measured resource report.
 macros through max-plus templates of their Clifford+T fragments, so a
 macro circuit's tally equals its lowering's by construction, and measuring
 the kernel lowers nothing.  Each subroutine is a part list, and every part
-schedules itself: stage 1, the fan-in and the reflections' sync blocks by
-closed forms that build no gate, the records by one or two runs of their
-one block.  The inverse loader is tallied as the loader's list fed
-reversed: the scheduler treats T like TDG and S like SDG, and the macros
-are self-adjoint, so the reversed stream tallies exactly as the adjoint
-circuit, which is never built.
+schedules itself: stage 1, the records, the fan-in and the reflections'
+sync blocks by closed forms that build no gate (the records feed their
+gates where the closed form cannot vouch for every record).  The inverse
+loader is tallied as the loader's list fed reversed: the scheduler treats
+T like TDG and S like SDG, and the macros are self-adjoint, so the
+reversed stream tallies exactly as the adjoint circuit, which is never
+built.
 """
 from __future__ import annotations
 

@@ -12,16 +12,17 @@ The optimized loader runs in two stages:
 * stage 2 loads the key bits: the database region is prepared with X gates
   matching the classical record bits, then for every record i and bit j a
   Toffoli (one-hot i AND database bit (i,j)) writes a load ancilla E(i,j),
-  and CNOT fan-in copies E into the data register.  All m*2^n Toffolis act
-  on disjoint triples after control fan-out, so the whole block costs one
-  Toffoli of T-depth.  The E ancillas keep their (branch-deterministic)
-  values until the inverse loader uncomputes them.  Every record's block
-  has one shape, so stage 2 is three parts in order: the preparation as a
-  circuit of X gates, the records as a
-  :class:`~qsearch.circuit.RecordBlock`, whose record i holds one-hot
-  qubit i and the i-th run of m database bits, m load ancillas and m - 1
-  fan-out ancillas, and the fan-in (:class:`~qsearch.circuit.FanIn`) as
-  one fold per data bit.
+  and CNOT fan-in copies E into the data register.  Record i's Toffolis
+  share one-hot i through stage 1's block,
+  :func:`~qsearch.circuit.shared_control_layer`, on m - 1 fan-out ancillas
+  of its own, so all m*2^n Toffolis act on disjoint triples and the whole
+  stage costs one Toffoli of T-depth.  The E ancillas keep their
+  (branch-deterministic) values until the inverse loader uncomputes them.
+  Stage 2 is three parts in order: the preparation as a circuit of X
+  gates, the records as a :class:`~qsearch.circuit.RecordBlock`, whose
+  record i holds one-hot qubit i and the i-th run of m database bits, m
+  load ancillas and m - 1 fan-out ancillas, and the fan-in
+  (:class:`~qsearch.circuit.FanIn`) as one fold per data bit.
   :func:`loader_parts` gives the loader as stage 1's decoder then these
   three, and :func:`build_m2` materializes any of them.
 

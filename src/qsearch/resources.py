@@ -6,10 +6,8 @@ Bound mode reports the constructive inequalities as equalities -- loader
 6(m-1) and 6(n-1) with degenerate clamps (0 at width <= 2, 3 at width 3),
 kernel = 2*loader + reflections, cost = iterations * kernel.  These are
 the paper's forms, linear in the reflection width.  Measured mode
-schedules the actual circuits and must come in at or under the bounds,
-subroutine by subroutine; its reflections are AND trees
-(:func:`qsearch.decompose.mcz_tree`), so their measured T-depth grows as
-the logarithm of the width.
+schedules the actual circuits, and :func:`measure` states the laws they
+follow, under the bounds subroutine by subroutine.
 
 :func:`measure` tallies the optimized kernel over zero keys with
 :func:`qsearch.kernel.measure_kernel`.  The naive report takes its loader's
@@ -47,18 +45,10 @@ def reflection_depth_bound(width: int) -> int:
     return 6 * (width - 1)
 
 
-def _reflection_toffoli_equivalents(width: int) -> int:
-    if width <= 2:
-        return 0
-    if width == 3:
-        return 1
-    return 2 * width - 5
-
-
 # the largest index width each report can be computed for: the float floor
 # of K is proven exact only up to n = 109; a measured report keeps one
 # scheduler time per qubit, O(m * 2^n), so it caps m * 2^n at n's cap at
-# m = 1 (its heaviest op, measure(1, 2^19), took 6.4-7.5 s at 670 MB peak
+# m = 1 (its heaviest op, measure(1, 2^19), took 3.9-5.0 s at 434 MB peak
 # RSS on a 2-vCPU Xeon); the naive report tallies its loader by closed form
 # and holds only its zero keys and two lowered reflections (17 MB peak RSS
 # at n = 15, m = 1, 0.5 MB above what importing the CLI takes)
@@ -93,12 +83,9 @@ def estimate_bounds(n: int, m: int) -> ResourceReport:
     td_oracle = reflection_depth_bound(m)
     td_diff = reflection_depth_bound(n)
     td_kernel = 2 * td_qdam + td_oracle + td_diff
+    # a flip on w qubits holds 2w - 5 Toffolis and CCZs from w = 3, none below
     loader_toffolis = (big_n - 2) + m * big_n
-    kernel_t_count = 7 * (
-        2 * loader_toffolis
-        + _reflection_toffoli_equivalents(m)
-        + _reflection_toffoli_equivalents(n)
-    )
+    kernel_t_count = 7 * (2 * loader_toffolis + max(0, 2 * m - 5) + max(0, 2 * n - 5))
     return ResourceReport(
         n=n,
         m=m,
@@ -130,7 +117,17 @@ def _zero_keys(n: int, m: int) -> list[str]:
 
 
 def measure(n: int, m: int) -> ResourceReport:
-    """Measured report for the optimized kernel at the given widths."""
+    """Measured report for the optimized kernel at the given widths.
+
+    Its figures follow exact laws, which the tests check over the measured
+    sweep: stage 1 3(n - 1), stage 2 3, the loader 3n, the target
+    reflection R(m), the diffusion R(n) and the kernel 6n + R(m) + R(n),
+    with R(k) 0 for k <= 2, 3 for k = 3 and 3(2 ceil(log2(k/3)) + 1) above
+    (an AND tree, :func:`qsearch.decompose.mcz_tree`); the kernel's T-count
+    is 7 per Toffoli or CCZ, 2(2^n - 2 + m 2^n) in the two loaders and
+    2k - 5 in a reflection on k >= 3 qubits.  So the loader has 3n T layers
+    against the bound's 4n, and a reflection R(k), logarithmic in its width,
+    against 6(k - 1)."""
     n, m = _check_widths(n, m, MAX_MEASURED_N, 1 << MAX_MEASURED_N)
     layout = QdamLayout(n, m)
     keys = _zero_keys(n, m)

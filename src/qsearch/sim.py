@@ -264,11 +264,10 @@ class SlicedState:
         return out
 
     def basis_label(self, branch: int) -> int:
-        """Basis label of one branch, bit conventions of :mod:`qsearch.circuit`."""
-        label = 0
-        for col in self.columns:
-            label = label << 1 | (col >> branch & 1)
-        return label
+        """Basis label of one branch, bit conventions of :mod:`qsearch.circuit`:
+        its bits joined into one string and read in one pass, where a shift
+        per column would copy the label once per qubit."""
+        return int("".join(["01"[col >> branch & 1] for col in self.columns]), 2)
 
     def diagonal_signs(self) -> int:
         """Mask of the negated branches, once it is proven exactly that the

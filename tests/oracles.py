@@ -674,10 +674,16 @@ def reflection_law(k: int) -> int:
 
 
 def measured_law(n: int, m: int) -> dict[str, int]:
-    """The depth fields of a zero-key measured report at (n, m), by their
-    exact laws: stage 1 3(n-1), stage 2 3, the loader 3n, the target
-    reflection R(m), the diffusion R(n), and the kernel, two loaders and
-    both reflections, 6n + R(m) + R(n)."""
+    """The depth fields of a zero-key measured report at (n, m), and its
+    kernel T-count, by their exact laws: stage 1 3(n-1), stage 2 3, the
+    loader 3n, the target reflection R(m), the diffusion R(n), and the
+    kernel, two loaders and both reflections, 6n + R(m) + R(n).  Every
+    macro holds 7 T: a loader has stage 1's 2^n - 2 Toffolis (2^(l-1) at
+    each level l > 1) and one per record bit, m 2^n, and a phase flip on
+    k qubits 2k - 5 from k = 3 (an AND tree into k - 3 ancillas, its
+    uncompute and the CCZ apex) and none below."""
+    flip_macros = max(0, 2 * m - 5) + max(0, 2 * n - 5)
+    loader_toffolis = (1 << n) - 2 + (m << n)
     return {
         "t_depth_m1": 3 * (n - 1),
         "t_depth_m2": 3,
@@ -685,6 +691,7 @@ def measured_law(n: int, m: int) -> dict[str, int]:
         "t_depth_oracle_reflection": reflection_law(m),
         "t_depth_diffusion": reflection_law(n),
         "t_depth_kernel": 6 * n + reflection_law(m) + reflection_law(n),
+        "t_count_total": 7 * (2 * loader_toffolis + flip_macros),
     }
 
 

@@ -18,9 +18,12 @@ from qsearch.circuit import (
     Register,
     Schedule,
     SyncBlock,
+    _TEMPLATES,
+    _block_entry,
     _derive_template,
     fold_gates,
     gate,
+    shared_control_layer,
     tally_flat,
 )
 from qsearch.decompose import (
@@ -314,6 +317,33 @@ def test_record_feed_equals_feeding_its_gates(case, reverse):
     assert marked_layers(fed) == marked_layers(flat)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40), st.booleans(), st.data())
+def test_block_entry_equals_feeding_the_layer(pairs, reverse, data):
+    # one layer over control 0, seconds 1 .. p, targets p + 1 .. 2p and
+    # lease 2p + 1 .. 3p - 1, entering at random times, one per lease class
+    # and one per operand group
+    rounds, times = (pairs - 1).bit_length(), st.integers(0, 30)
+    control, second, target = data.draw(times), data.draw(times), data.draw(times)
+    classes = [data.draw(times) for _ in range(rounds)]
+    entry = _block_entry(pairs, control, classes, second, target)
+    if entry is None:  # a partial last round whose class enters late
+        assert pairs & (pairs - 1) and classes[-1] > control + rounds - 1
+        return
+    lease = [classes[(k + 1).bit_length() - 1] for k in range(pairs - 1)]
+    fed = Schedule(3 * pairs)
+    fed._avail = [control, *[second] * pairs, *[target] * pairs, *lease]
+    gates = shared_control_layer(0, [(1 + j, 1 + pairs + j) for j in range(pairs)],
+                                 range(2 * pairs + 1, 3 * pairs))
+    fed.feed(gates[::-1] if reverse else gates)
+    _, (xa, xb, xc), t_layers, t_n = _TEMPLATES[GateKind.TOFFOLI]
+    out = entry + xb + rounds
+    assert fed._avail == [out, *[entry + xa] * pairs, *[entry + xc] * pairs,
+                          *(out - (k + 1).bit_length() + 1 for k in range(pairs - 1))]
+    assert marked_layers(fed) == {entry + t for t in t_layers}
+    assert fed.tally().t_count == t_n * pairs
+
+
 def _record_stream(m, copies, starts):
     """The records' gates built record by record, each its own call of the
     tests' checked layer on its moved qubits."""
@@ -389,9 +419,10 @@ def test_feed_tiled_fast_path_boundary(monkeypatch, reverse, copies, late):
     flat = Schedule(total).feed(prior).feed(copied)
     tiled = Schedule(total).feed(prior)
     assert set(tiled._avail) == ({12} if late is None else {12, 13})
-    # every record entering alike, the block is fed once on a scratch
-    # schedule of 3m qubits; one record late, twice, at the earliest and
-    # the latest entries, and when the runs part, the records' gates follow
+    # the records go by their closed form, which feeds no gate, unless a
+    # one-hot qubit enters late: then the control is not one time, and the
+    # records' gates are fed; a late database bit is outwaited by the
+    # fan-out, so both evaluations agree
     calls, feed = [], Schedule.feed
 
     def recording(schedule, gates):
@@ -401,47 +432,11 @@ def test_feed_tiled_fast_path_boundary(monkeypatch, reverse, copies, late):
 
     monkeypatch.setattr(Schedule, "feed", recording)
     records.feed_into(tiled, reverse=reverse)
-    block = (3 * m, records.block[::-1] if reverse else records.block)
-    if late is None:
-        assert calls == [block]
-        assert reverse or calls[0][1] is records.block
-    elif late == 0:
-        assert calls == [block, block, (total, copied)]
-        assert len(copied) == copies * len(records.block)
-    else:
-        assert calls == [block, block]
+    assert calls == ([(total, copied)] if late == 0 else [])
     slow = reference_feed(reference_feed(ReferenceSchedule(total), prior), copied)
     assert tiled.tally() == flat.tally() == slow.tally()
     assert tiled._avail == flat._avail == slow.avail
     assert marked_layers(tiled) == slow.t_layers
-
-
-def test_records_feed_their_gates_when_only_the_runs_exits_part(monkeypatch):
-    # equal T layers alone do not fix every record: were the high run to
-    # leave an operand later than the low run, with the same T layers, the
-    # records' gates must be fed.  The entries ``feed_into`` forms seem never
-    # to part the runs so (a random search found none), so the high run's
-    # exit is moved by hand; staggered database bits make two runs
-    m, copies = 3, 4
-    starts = (0, copies, copies * (1 + m), copies * (1 + 2 * m))
-    total = copies * 3 * m
-    records = _records_at(m, copies, starts, total)
-    entries = [5] * total
-    entries[starts[1]:starts[2]] = [i % 2 for i in range(copies * m)]
-    calls, feed = [], Schedule.feed
-
-    def moving(schedule, gates):
-        feed(schedule, gates)
-        calls.append(len(schedule._avail))
-        if calls == [3 * m, 3 * m]:
-            schedule._avail[0] += 1
-        return schedule
-
-    monkeypatch.setattr(Schedule, "feed", moving)
-    fed = Schedule(total)
-    fed._avail = list(entries)
-    records.feed_into(fed)
-    assert calls == [3 * m, 3 * m, total]
 
 
 def test_tiling_rejects_overlapping_copies():

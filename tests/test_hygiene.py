@@ -7,8 +7,9 @@ somewhere, every public function, class and method is used outside the
 tests, every member name that two classes share is pinned, no keyword is
 always passed as the same literal, the package defines only its three
 error classes, the simulators hold no float and no module binds a
-tolerance, every name the benchmark's tracer patches exists, and the
-tracer can trace one op of each workload."""
+tolerance, only the two tallies construct a schedule, every name the
+benchmark's tracer patches exists, and the tracer can trace one op of
+each workload."""
 from __future__ import annotations
 
 import ast
@@ -585,6 +586,50 @@ def test_the_simulators_hold_no_float_and_no_tolerance():
     assert _float_phase_lines(probe) == [1, 2, 4, 5, 6]
     assert _tolerance_names(probe) == [
         "DROP_TOLERANCE", "SomeTolerance", "rel_tolerance", "reload_tolerance"]
+
+
+def _schedule_builders(text: str) -> set[str]:
+    """The dotted name of the function, method or class body, or
+    ``<module>``, around every call that constructs a ``Schedule``, named
+    or reached as an attribute."""
+    found = set()
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = owner
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name if owner == "<module>" else f"{owner}.{child.name}"
+            elif isinstance(child, ast.Call) and "Schedule" in (
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                found.add(owner)
+            visit(child, inner)
+
+    visit(ast.parse(text), "<module>")
+    return found
+
+
+def test_only_the_two_tallies_construct_a_schedule():
+    # every part feeds the caller's schedule, by its closed form or its
+    # gates; a part that ran its block on a scratch schedule of its own
+    # would show here
+    found = {p.name: builders for p in MODULES
+             if (builders := _schedule_builders(p.read_text()))}
+    assert found == {"circuit.py": {"tally_flat"}, "kernel.py": {"measure_kernel"}}
+    # the check sees names and attributes, in functions, methods, class
+    # bodies and at top level, and spares a mere reference to the class
+    probe = ("from .circuit import Schedule\n"
+             "from . import circuit\n"
+             "def scratch(n):\n"
+             "    return Schedule(n), circuit.Schedule(0)\n"
+             "class Part:\n"
+             "    kind = Schedule\n"
+             "    def feed_into(self, schedule):\n"
+             "        run = [Schedule(0) for _ in range(2)]\n"
+             "    class Inner:\n"
+             "        empty = Schedule(0)\n"
+             "TOP = Schedule(1)\n")
+    assert _schedule_builders(probe) == {"<module>", "scratch", "Part.feed_into",
+                                         "Part.Inner"}
 
 
 def _traced_sites() -> list[tuple[str, str]]:

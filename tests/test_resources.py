@@ -1,8 +1,10 @@
 """Resource accounting: bound formulas, measured reports, and the bench."""
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
+import pathlib
 import random
 import tracemalloc
 
@@ -66,8 +68,12 @@ _DEPTH_FIELDS = (
 )
 
 
-def _depths(report) -> dict[str, int]:
-    return {field: getattr(report, field) for field in _DEPTH_FIELDS}
+# the fields of :func:`oracles.measured_law`: the depths and the kernel's T-count
+_LAW_FIELDS = (*_DEPTH_FIELDS, "t_count_total")
+
+
+def _by_law(report) -> dict[str, int]:
+    return {field: getattr(report, field) for field in _LAW_FIELDS}
 
 
 def test_bound_headline_n10_m8():
@@ -131,7 +137,7 @@ def test_measured_fits_under_bounds(n, m):
     measured = measure(n, m)
     bound = estimate_bounds(n, m)
     assert measured.mode is ReportMode.MEASURED
-    assert _depths(measured) == measured_law(n, m)
+    assert _by_law(measured) == measured_law(n, m)
     for field in _DEPTH_FIELDS:
         assert getattr(measured, field) <= getattr(bound, field), field
 
@@ -141,7 +147,7 @@ def test_measured_fits_under_bounds_in_every_small_cell(n):
     # every key width up to 8 with m * 2^n <= 2^12
     for m in range(1, min(8, (1 << 12) >> n) + 1):
         measured, bound = measure(n, m), estimate_bounds(n, m)
-        assert _depths(measured) == measured_law(n, m), m
+        assert _by_law(measured) == measured_law(n, m), m
         for field in (*_DEPTH_FIELDS, "t_cost"):
             assert getattr(measured, field) <= getattr(bound, field), (m, field)
 
@@ -152,7 +158,7 @@ def test_measured_fits_under_bounds_at_wide_keys(k):
     for m in ((1 << k) - 1, 1 << k, (1 << k) + 1):
         for n in range(1, ((1 << 13) // m).bit_length()):
             measured, bound = measure(n, m), estimate_bounds(n, m)
-            assert _depths(measured) == measured_law(n, m), (n, m)
+            assert _by_law(measured) == measured_law(n, m), (n, m)
             for field in (*_DEPTH_FIELDS, "t_cost"):
                 assert getattr(measured, field) <= getattr(bound, field), (n, m, field)
 
@@ -165,7 +171,7 @@ def test_measured_fits_under_bounds_up_to_two_to_the_sixteen_record_bits(k):
     for m in ((1 << k) - 1, 1 << k, (1 << k) + 1):
         n = ((1 << 16) // m).bit_length() - 1
         measured, bound = measure(n, m), estimate_bounds(n, m)
-        assert _depths(measured) == measured_law(n, m), (n, m)
+        assert _by_law(measured) == measured_law(n, m), (n, m)
         for field in (*_DEPTH_FIELDS, "t_cost"):
             assert getattr(measured, field) <= getattr(bound, field), (n, m, field)
 
@@ -184,7 +190,7 @@ def test_measured_fits_under_bounds_over_the_wide_key_sweep(k):
         cells = range(first, widest + (k > 12))
         for n in cells if k <= 12 or m == (1 << k) + 1 else cells[-1:]:
             measured, bound = measure(n, m), estimate_bounds(n, m)
-            assert _depths(measured) == measured_law(n, m), (n, m)
+            assert _by_law(measured) == measured_law(n, m), (n, m)
             for field in (*_DEPTH_FIELDS, "t_cost"):
                 assert getattr(measured, field) <= getattr(bound, field), (n, m, field)
 
@@ -192,7 +198,7 @@ def test_measured_fits_under_bounds_over_the_wide_key_sweep(k):
 def test_measured_headline_n10_m8_within_bounds():
     measured = measure(10, 8)
     bound = estimate_bounds(10, 8)
-    assert _depths(measured) == measured_law(10, 8)
+    assert _by_law(measured) == measured_law(10, 8)
     for field in (*_DEPTH_FIELDS, "t_cost"):
         assert getattr(measured, field) <= getattr(bound, field), field
     assert measured.query_count == bound.query_count == 25
@@ -208,7 +214,7 @@ def test_stage2_starts_as_stage1_ends(n):
     for m in range(2, 7):
         report = measure(n, m)
         assert report.t_depth_qdam == report.t_depth_m1 + report.t_depth_m2, m
-        assert _depths(report) == measured_law(n, m), m
+        assert _by_law(report) == measured_law(n, m), m
 
 
 @settings(max_examples=60, deadline=None)
@@ -219,7 +225,7 @@ def test_measured_depths_do_not_depend_on_the_keys(n, m, seed):
     rng = random.Random(seed)
     keys, (query,) = _random_keys(rng, n, m), _random_keys(rng, 0, m)
     report = measure_kernel(build_kernel_circuits(QdamLayout(n, m), keys, query), 1)
-    fields = [f for f in _DEPTH_FIELDS if m > 1 or f != "t_depth_m2"]
+    fields = [f for f in _LAW_FIELDS if m > 1 or f != "t_depth_m2"]
     law, reference = measured_law(n, m), measure(n, m)
     for field in fields:
         assert getattr(report, field) == getattr(reference, field) == law[field], field
@@ -243,14 +249,18 @@ def test_kernel_depth_grows_linearly():
         assert after - before == 6 + reflection_law(n + 1) - reflection_law(n), n
 
 
+# key widths up to 2^64 + 1 bits: every width to 64, then both sides of
+# each power of two
+_LAW_WIDTHS = sorted({*range(1, 65), *(w for k in range(6, 65)
+                                       for w in ((1 << k) - 1, 1 << k, (1 << k) + 1))})
+
+
 def test_the_law_is_under_the_bounds_far_past_the_measurable_widths():
     # the construction meets the paper's bounds at every width where it
     # follows the law: n up to the bound cap, keys up to 2^64 + 1 bits wide
-    widths = sorted({*range(1, 65), *(w for k in range(6, 65)
-                                      for w in ((1 << k) - 1, 1 << k, (1 << k) + 1))})
-    assert len(widths) == 239
+    assert len(_LAW_WIDTHS) == 239
     for n in range(1, MAX_BOUND_N + 1):
-        for m in widths:
+        for m in _LAW_WIDTHS:
             law, bound = measured_law(n, m), estimate_bounds(n, m)
             assert all(law[f] <= getattr(bound, f) for f in _DEPTH_FIELDS), (n, m)
     # R(k) = 3 (2 ceil(log2(k/3)) + 1) from k = 4: it steps by 6 just past 3 * 2^L
@@ -258,6 +268,18 @@ def test_the_law_is_under_the_bounds_far_past_the_measurable_widths():
     for level in range(1, 64):
         assert reflection_law(3 << level) == 3 * (2 * level + 1)
         assert reflection_law((3 << level) + 1) == 3 * (2 * level + 3)
+
+
+def test_the_t_count_law_equals_the_benchmarks_closed_form():
+    # the law and the benchmark's check were written apart; they agree over
+    # the whole grid of the bounds test above
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("bench_checks", path)
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    for n in range(1, MAX_BOUND_N + 1):
+        for m in _LAW_WIDTHS:
+            assert measured_law(n, m)["t_count_total"] == checks.kernel_t_count(n, m), (n, m)
 
 
 def test_bound_cost_scaling_ratio():
@@ -653,13 +675,15 @@ def _refuse_to_materialize(monkeypatch):
         raise AssertionError("the report materialized stage 2")
 
     monkeypatch.setattr(qdam, "build_m2", refuse)
+    monkeypatch.setattr(circuit, "shared_control_layer", refuse)
     monkeypatch.setattr(RecordBlock, "gates", property(refuse))
     monkeypatch.setattr(FanIn, "gates", property(refuse))
 
 
 def test_measure_never_materializes_stage_two(monkeypatch):
-    # the records' two runs agree on zero keys, and on any keys from m = 2,
-    # so the block alone is fed; the fan-in is a closed form
+    # the records' two evaluations agree on zero keys, and on any keys from
+    # m = 2, so no record gate is built, not even record 0's block; the
+    # fan-in is a closed form
     _refuse_to_materialize(monkeypatch)
     for n, m in ((1, 1), (3, 2), (6, 3), (8, 5)):
         measure(n, m)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -298,6 +299,20 @@ def test_sliced_state_requires_index_register():
 def test_sliced_state_starts_each_branch_at_its_index(n):
     start = SlicedState(n, n + 2)
     assert [start.basis_label(q) for q in range(1 << n)] == [q << 2 for q in range(1 << n)]
+
+
+def test_sliced_basis_label_reads_every_column_in_order():
+    # 1,100 qubits, wider than a machine word many times over: the label is
+    # the branch's bit of each column, the first column most significant
+    rng = random.Random(11)
+    state = SlicedState(3, 1100)
+    state.columns = [rng.getrandbits(8) for _ in range(1100)]
+    for branch in range(8):
+        label = 0
+        for col in state.columns:
+            label = label << 1 | (col >> branch & 1)
+        assert state.basis_label(branch) == label
+        assert label.bit_length() > 1000
 
 
 # -- bit-sliced backend ------------------------------------------------------

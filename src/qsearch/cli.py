@@ -33,7 +33,7 @@ from .database import SearchQuery, load_database_file, pad_to_power_of_two
 from .decompose import lower_circuit, lowered_length
 from .errors import InputError, QsearchError
 from .grover import SearchStatus, build_kernel_circuits, check_database, run_search
-from .qdam import NaiveLayout, QdamLayout, build_naive_qdam
+from .qdam import QdamLayout, build_naive_qdam
 from .resources import (
     bench_csv,
     bench_scaling,
@@ -141,8 +141,8 @@ def _cmd_compile(args) -> int:
     query.validate(db)
     check_database(db, "compile")
     if args.part == "naive":
-        layout = NaiveLayout(db.index_bits, db.key_width)
-        circuit = Circuit(layout.register_sizes, build_naive_qdam(layout, db.keys()).gates)
+        loader = build_naive_qdam(db.index_bits, db.key_width, db.keys())
+        circuit = Circuit(loader.register_sizes, loader.gates)
     else:
         layout = QdamLayout.for_database(db)
         circuits = build_kernel_circuits(layout, db, args.key)

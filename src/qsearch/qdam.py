@@ -38,7 +38,10 @@ all n index qubits plus the database bit, sequentially; it exists to
 witness the exponential T-depth separation.  Each is a serial ladder: one
 AND chain of Toffolis over the index qubits into the n-1 ladder
 ancillas, shared by all m*2^n of them, around a CCZ apex on the chain's
-end, the database bit and the data bit, between two H.
+end, the database bit and the data bit, between two H.  It is one
+object, :class:`NaiveLoader`: it has no one-hot or load region, so it
+places its few registers itself, reports take its tally by closed form,
+and only ``compile --part naive`` builds its gates.
 """
 from __future__ import annotations
 
@@ -136,52 +139,14 @@ class QdamLayout:
         return cls(n=db.index_bits, m=db.key_width)
 
 
-@dataclass(frozen=True)
-class NaiveLayout:
-    """Allocation for the baseline loader: no one-hot or load region, just
-    enough ladder ancillas for (n+1)-control flips.  Qubits are flat
-    indices, as in :class:`QdamLayout`."""
-
-    n: int
-    m: int
-
-    @property
-    def database_qubits(self) -> int:
-        return self.m << self.n
-
-    @property
-    def ladder_ancillas(self) -> int:
-        return max(0, self.n - 1)
-
-    @property
-    def register_sizes(self) -> dict[Register, int]:
-        return {
-            Register.BINARY_INDEX: self.n,
-            Register.ONEHOT_INDEX: 0,
-            Register.DATA: self.m,
-            Register.DATABASE: self.database_qubits,
-            Register.ANCILLA: self.ladder_ancillas,
-        }
-
-    def data_qubit(self, j: int) -> int:
-        return self.n + j
-
-    def database_qubit(self, record: int, bit: int) -> int:
-        return self.data_qubit(0) + self.m + record * self.m + bit
-
-    def ladder_qubits(self) -> range:
-        first = self.database_qubit(0, 0) + self.database_qubits
-        return range(first, first + self.ladder_ancillas)
-
-
-def _key_bits(layout_n: int, layout_m: int, source: Database | Sequence[str]) -> list[str]:
+def _key_bits(n: int, m: int, source: Database | Sequence[str]) -> list[str]:
     if isinstance(source, Database):
         keys = source.keys()
-        if len(keys) != 1 << layout_n or source.key_width != layout_m:
+        if len(keys) != 1 << n or source.key_width != m:
             raise CircuitError("database shape does not match the layout")
         return keys
     keys = list(source)
-    if len(keys) != 1 << layout_n or set(map(len, keys)) != {layout_m}:
+    if len(keys) != 1 << n or set(map(len, keys)) != {m}:
         raise CircuitError("key patterns do not match the layout")
     return keys
 
@@ -235,21 +200,35 @@ def build_m2(layout: QdamLayout, parts: Sequence[Part]) -> Circuit:
 
 
 class NaiveLoader:
-    """The baseline loader without its gate list: ``gates`` builds the
-    database preparation, then per record i its index's 0 bits flipped, one
-    ladder per record bit and the flips undone, and keeps them; ``len`` and
-    :meth:`tally` are closed forms that build no gate."""
+    """The baseline loader without its gate list, placing its own qubits:
+    the index on flat qubits 0 .. n-1, data bit j at n + j, database bit
+    (i, j) at n + m + i*m + j, and the n - 1 ladder ancillas of its AND
+    chain after the database; it has no one-hot or load region.  ``gates``
+    builds the database preparation, then per record i its index's 0 bits
+    flipped, one ladder per record bit and the flips undone, and keeps
+    them; ``len`` and :meth:`tally` are closed forms that build no gate."""
 
-    def __init__(self, layout: NaiveLayout, keys: list[str]):
-        self.layout, self.keys = layout, keys
+    def __init__(self, n: int, m: int, keys: list[str]):
+        self.n, self.m, self.keys = n, m, keys
+
+    @property
+    def register_sizes(self) -> dict[Register, int]:
+        return {
+            Register.BINARY_INDEX: self.n,
+            Register.ONEHOT_INDEX: 0,
+            Register.DATA: self.m,
+            Register.DATABASE: self.m << self.n,
+            Register.ANCILLA: max(0, self.n - 1),
+        }
 
     @functools.cached_property
     def gates(self) -> tuple[Gate, ...]:
-        n, m, layout = self.layout.n, self.layout.m, self.layout
-        database, data = layout.database_qubit(0, 0), layout.data_qubit(0)
-        # the binary index qubits are flat qubits 0 .. n-1; the chain ANDs
-        # qubit b into ladder ancilla b-1, and its last target is the apex's
-        ands = (0, *layout.ladder_qubits())
+        n, m = self.n, self.m
+        data, database = n, n + m
+        # the chain ANDs index qubit b into ladder ancilla b-1, and its last
+        # target is the apex's
+        ladder = database + (m << n)
+        ands = (0, *range(ladder, ladder + n - 1))
         up = [(_TOFFOLI, (ands[b - 1], b, ands[b])) for b in range(1, n)]
         acc, down = ands[-1], up[::-1]
         flips = [(_X, (b,)) for b in range(n)]
@@ -268,7 +247,7 @@ class NaiveLoader:
     def __len__(self) -> int:
         # an X per 1 bit; an X pair per 0 bit of every index, n 2^(n-1) in
         # all; per record bit H, n - 1 up-Toffolis, the apex, n - 1 down, H
-        n, m = self.layout.n, self.layout.m
+        n, m = self.n, self.m
         return "".join(self.keys).count("1") + (n + m * (2 * n + 1) << n)
 
     def tally(self) -> ResourceTally:
@@ -284,11 +263,11 @@ class NaiveLoader:
         one's last.  The H and X between them only delay it, as ASAP
         scheduling is monotone in the entry times, so the macros' T layers
         are 3L distinct layers, 7 T gates for each macro."""
-        macros = (self.layout.m << self.layout.n) * (2 * self.layout.n - 1)
+        macros = (self.m << self.n) * (2 * self.n - 1)
         return ResourceTally(t_count=7 * macros, t_depth=3 * macros)
 
 
-def build_naive_qdam(layout: NaiveLayout, db: Database | Sequence[str]) -> NaiveLoader:
+def build_naive_qdam(n: int, m: int, db: Database | Sequence[str]) -> NaiveLoader:
     """Baseline loader: one (n+1)-control X per record bit, sequential.
     The ladders share one index AND chain and differ only in their apex."""
-    return NaiveLoader(layout, _key_bits(layout.n, layout.m, db))
+    return NaiveLoader(n, m, _key_bits(n, m, db))

@@ -12,8 +12,11 @@ follow, under the bounds subroutine by subroutine.
 :func:`measure` tallies the optimized kernel over zero keys with
 :func:`qsearch.kernel.measure_kernel`.  The naive report takes its loader's
 tally by the closed form :meth:`qsearch.qdam.NaiveLoader.tally`, which
-builds no gate, and tallies its two reflections, a few hundred gates, on
-their lowering through :func:`tally_flat`.
+builds no gate, and its qubit count from the loader's own registers; it
+tallies its two reflections, a few hundred gates, on their lowering
+through :func:`tally_flat`.  Each report checks its widths against its own
+cap, and :func:`bench_scaling` checks every row against the caps of both
+reports it runs.
 """
 from __future__ import annotations
 
@@ -31,7 +34,7 @@ from .kernel import (
     build_target_reflection,
     measure_kernel,
 )
-from .qdam import NaiveLayout, QdamLayout, build_naive_qdam
+from .qdam import QdamLayout, build_naive_qdam
 
 CSV_HEADER = "N,K,td_opt,td_naive,tcost_opt,tcost_naive"
 
@@ -148,9 +151,9 @@ def measure_naive(n: int, m: int) -> ResourceReport:
     composed per subroutine (2*loader + both reflections); scheduling the
     concatenation twice would add nothing but runtime."""
     n, m = _check_widths(n, m, MAX_MEASURED_N, MAX_NAIVE_BITS)
-    layout = NaiveLayout(n, m)
-    tally = build_naive_qdam(layout, _zero_keys(n, m)).tally()
-    total = sum(layout.register_sizes.values())
+    loader = build_naive_qdam(n, m, _zero_keys(n, m))
+    tally = loader.tally()
+    total = sum(loader.register_sizes.values())
     ref_layout = QdamLayout(n, m)
     sizes = ref_layout.register_sizes
     oracle = lower_circuit(join_parts(sizes, build_target_reflection(ref_layout, "0" * m)))
@@ -173,15 +176,12 @@ def measure_naive(n: int, m: int) -> ResourceReport:
     )
 
 
-MAX_BENCH_N = 12
-
-
 def bench_scaling(n_values: Iterable[int],
                   m: int) -> list[tuple[ResourceReport, ResourceReport]]:
     """Measured ``(optimized, naive)`` report pairs, one per index width.
     Resource mode only: nothing is simulated."""
-    # every row is checked before any is measured
-    rows = [_check_widths(n, m, MAX_BENCH_N, MAX_NAIVE_BITS) for n in n_values]
+    # every row is checked against both reports' caps before any is measured
+    rows = [_check_widths(n, m, MAX_MEASURED_N, MAX_NAIVE_BITS) for n in n_values]
     return [(measure(n, m), measure_naive(n, m)) for n, m in rows]
 
 

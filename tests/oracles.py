@@ -608,25 +608,29 @@ def sync_touch(qubits) -> list[Gate]:
     return gates
 
 
-def naive_loader_gates(layout, keys) -> tuple[Gate, ...]:
-    """The naive loader's gates, built one record bit at a time: a
-    validated X per 1 bit of the database, then for record i the X
-    conjugation of its 0 index bits around one :func:`mcz_ladder` call
-    over ``(*index, database(i, j), data_j)`` per bit j, between two H."""
-    n, m = layout.n, layout.m
-    gates = [gate(GateKind.X, layout.database_qubit(i, j))
+def naive_loader_gates(n: int, m: int, keys) -> tuple[Gate, ...]:
+    """The naive loader's gates, built one record bit at a time on a
+    placement of its own: index bit b on qubit b, data bit j on n + j,
+    database bit (i, j) on n + m + i*m + j and the n - 1 ladder ancillas
+    after the database.  A validated X per 1 bit of the database, then
+    for record i the X conjugation of its 0 index bits around one
+    :func:`mcz_ladder` call over ``(*index, database(i, j), data_j)`` per
+    bit j, between two H."""
+    def database(i, j):
+        return n + m + i * m + j
+
+    gates = [gate(GateKind.X, database(i, j))
              for i, key in enumerate(keys)
              for j, bit in enumerate(key) if bit == "1"]
-    ladder = layout.ladder_qubits()
+    ladder = range(database(1 << n, 0), database(1 << n, 0) + n - 1)
     for i in range(len(keys)):
         pattern = format(i, f"0{n}b")
         conjugate = [gate(GateKind.X, b) for b in range(n) if pattern[b] == "0"]
         gates.extend(conjugate)
         for j in range(m):
-            target = layout.data_qubit(j)
+            target = n + j
             gates.append(gate(GateKind.H, target))
-            gates.extend(mcz_ladder(
-                (*range(n), layout.database_qubit(i, j), target), ladder))
+            gates.extend(mcz_ladder((*range(n), database(i, j), target), ladder))
             gates.append(gate(GateKind.H, target))
         gates.extend(conjugate)
     return tuple(gates)

@@ -381,7 +381,7 @@ def _record_lists(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_record_lists(), st.booleans())
-def test_feed_tiled_equals_feeding_the_copies(case, reverse):
+def test_record_blocks_feed_as_their_copied_gates(case, reverse):
     parts, total, prior = case
     records, copied = [], []
     for m, copies, starts in parts:
@@ -439,7 +439,7 @@ def test_feed_tiled_fast_path_boundary(monkeypatch, reverse, copies, late):
     assert marked_layers(tiled) == slow.t_layers
 
 
-def test_tiling_rejects_overlapping_copies():
+def test_record_block_rejects_overlapping_regions():
     # m = 2, 2 records: one-hot 0..1, database 2..5, load 6..9, lease 10..11
     RecordBlock(2, 2, 0, 2, 6, 10, 12)
     with pytest.raises(CircuitError):  # the load region starts on database bit 3
@@ -456,7 +456,7 @@ def test_tiling_rejects_overlapping_copies():
     RecordBlock(1, 2, 0, 2, 4, 3, 6)
 
 
-def test_tiling_bounds_every_copy_explicitly():
+def test_record_block_bounds_every_record_explicitly():
     # the last lease qubit is the circuit's last qubit, which record 1's
     # one-hot qubit uncopies last; one qubit less, and the lease leaves the
     # circuit

@@ -435,6 +435,26 @@ def test_bench_writes_csv(tmp_path, capsys):
     assert len(lines) == 4
 
 
+def test_bench_runs_up_to_the_naive_record_bit_cap(tmp_path, capsys):
+    # a row is capped by the two reports it runs: at m = 1 the naive
+    # report's 2^15 record bits allow n up to 15
+    out_path = tmp_path / "bench.csv"
+    code, _, err = _run(capsys, "bench", "--n-min", "13", "--n-max", "15",
+                        "--m", "1", "--out", str(out_path))
+    assert (code, err) == (0, "")
+    rows = out_path.read_text().splitlines()[1:]
+    assert [row.partition(",")[0] for row in rows] == ["8192", "16384", "32768"]
+
+
+def test_bench_past_the_record_bit_cap_exits_three(tmp_path, capsys):
+    out_path = tmp_path / "bench.csv"
+    code, out, err = _run(capsys, "bench", "--n-min", "15", "--n-max", "15",
+                          "--m", "2", "--out", str(out_path))
+    assert (code, out) == (3, "")
+    assert err == "error: this report supports m * 2^n <= 32768, got 2 * 2^15\n"
+    assert not out_path.exists()
+
+
 def test_bad_flags_exit_three(capsys):
     code, _, err = _run(capsys, "estimate", "--n", "10")
     assert code == 3

@@ -7,9 +7,9 @@ somewhere, every public function, class and method is used outside the
 tests, every member name that two classes share is pinned, no keyword is
 always passed as the same literal, the package defines only its three
 error classes, the simulators hold no float and no module binds a
-tolerance, only the two tallies construct a schedule, every name the
-benchmark's tracer patches exists, and the tracer can trace one op of
-each workload."""
+tolerance, only the two tallies construct a schedule, every module-level
+cap has a comment above it, every name the benchmark's tracer patches
+exists, and the tracer can trace one op of each workload."""
 from __future__ import annotations
 
 import ast
@@ -459,16 +459,14 @@ def _shared_member_names(sources: list[str]) -> dict[str, set[str]]:
     return {name: classes for name, classes in owners.items() if len(classes) > 1}
 
 
-_LAYOUTS = {"QdamLayout", "NaiveLayout"}
 _SHARED_MEMBER_NAMES = {
     "to_json": {"ResourceReport", "SearchResult"},
-    "n": {"ResourceReport", *_LAYOUTS},
-    "m": {"ResourceReport", *_LAYOUTS},
+    "n": {"ResourceReport", "QdamLayout"},
+    "m": {"ResourceReport", "QdamLayout"},
     "gates": {"RecordBlock", "FanIn", "OneHotDecoder", "SyncBlock", "NaiveLoader"},
     "tally": {"Schedule", "NaiveLoader"},
     "feed_into": {"Circuit", "RecordBlock", "FanIn", "OneHotDecoder", "SyncBlock"},
-    **{name: _LAYOUTS for name in ("register_sizes", "data_qubit", "database_qubit",
-                                   "database_qubits", "ladder_ancillas", "ladder_qubits")},
+    "register_sizes": {"QdamLayout", "NaiveLoader"},
 }
 
 
@@ -630,6 +628,53 @@ def test_only_the_two_tallies_construct_a_schedule():
              "TOP = Schedule(1)\n")
     assert _schedule_builders(probe) == {"<module>", "scratch", "Part.feed_into",
                                          "Part.Inner"}
+
+
+def _uncommented_caps(text: str) -> list[str]:
+    """Every module-level ``MAX_*`` name with no comment line directly
+    above it, or above the run of consecutive cap assignments it ends."""
+    lines = text.splitlines()
+    caps = {}  # last line of a cap assignment -> its first line
+    found = []
+    for node in ast.parse(text).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        names = [t.id for t in targets if isinstance(t, ast.Name) and t.id.startswith("MAX_")]
+        if not names:
+            continue
+        caps[node.end_lineno] = first = node.lineno
+        while first - 1 in caps:
+            first = caps[first - 1]
+        if first < 2 or not lines[first - 2].lstrip().startswith("#"):
+            found += names
+    return found
+
+
+def test_every_cap_carries_its_comment():
+    # a cap on a report's or a command's size is a measurement: the comment
+    # above it says what it keeps the run under, one block per run of caps
+    found = {p.name: names for p in MODULES if (names := _uncommented_caps(p.read_text()))}
+    assert not found, f"caps with no comment above them: {found}"
+    # the check lets one block cover consecutive caps, however each is
+    # written, and flags a cap after a blank line, after code or on line 1,
+    # and spares other names and caps that are not at module level
+    probe = ("MAX_FIRST = 0\n"
+             "# measured: the first run of caps\n"
+             "MAX_ONE = 1\n"
+             "MAX_TWO: int = 2\n"
+             "MAX_THREE = (\n    3)\n"
+             "\n"
+             "MAX_BARE = 4\n"
+             "LIMIT = 5\n"
+             "MAX_AFTER_CODE = 6\n"
+             "# a second block\n"
+             "MAX_A = MAX_B = 7\n"
+             "def f():\n    MAX_LOCAL = 8\n")
+    assert _uncommented_caps(probe) == ["MAX_FIRST", "MAX_BARE", "MAX_AFTER_CODE"]
 
 
 def _traced_sites() -> list[tuple[str, str]]:

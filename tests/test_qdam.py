@@ -16,7 +16,6 @@ from qsearch.decompose import lower_circuit
 from qsearch.errors import CircuitError
 from qsearch.grover import build_kernel_circuits
 from qsearch.qdam import (
-    NaiveLayout,
     QdamLayout,
     build_m1,
     build_m2,
@@ -99,12 +98,30 @@ def test_layout_qubits_are_the_flat_indices_of_their_labels():
         f"ANCILLA:{load + fanout + k}" for k in range(layout.ladder_ancillas)]
     assert layout.ladder_qubits()[-1] == layout.total_qubits - 1
 
-    naive = NaiveLayout(3, 2)
-    label = _labels(naive)
-    assert [label[naive.data_qubit(j)] for j in range(2)] == ["DATA:0", "DATA:1"]
-    assert [label[naive.database_qubit(i, j)] for i in range(8) for j in range(2)] == [
-        f"DATABASE:{k}" for k in range(16)]
-    assert [label[q] for q in naive.ladder_qubits()] == ["ANCILLA:0", "ANCILLA:1"]
+
+@pytest.mark.parametrize(("n", "m"), [(1, 1), (1, 3), (2, 3), (3, 2)])
+def test_naive_loader_places_its_qubits_under_their_labels(n, m):
+    # the naive loader places its own qubits; read them back through the
+    # export of its gates, on all-ones keys so every database bit is prepared
+    loader = build_naive_qdam(n, m, ["1" * m] * (1 << n))
+    doc = json.loads(Circuit(loader.register_sizes, loader.gates).export_json())
+    assert doc["registers"] == {"BINARY_INDEX": n, "DATA": m, "DATABASE": m << n,
+                                **({"ANCILLA": n - 1} if n > 1 else {})}
+    bits = m << n
+    prepare, rest = doc["gates"][:bits], doc["gates"][bits:]
+    assert [g["qubits"] for g in prepare] == [[f"DATABASE:{k}"] for k in range(bits)]
+    # the AND chain runs from index qubit 0 through ANCILLA:0 .. n-2
+    chain = ["BINARY_INDEX:0", *(f"ANCILLA:{k}" for k in range(n - 1))]
+    up = [[chain[b - 1], f"BINARY_INDEX:{b}", chain[b]] for b in range(1, n)]
+    assert [g["qubits"] for g in rest if g["gate"] == "MCZ"] == [
+        [chain[-1], f"DATABASE:{i * m + j}", f"DATA:{j}"]
+        for i in range(1 << n) for j in range(m)]
+    assert [g["qubits"] for g in rest if g["gate"] == "CCX"] == (up + up[::-1]) * bits
+    assert {g["gate"] for g in rest} <= {"X", "H", "CCX", "MCZ"}
+    assert {g["qubits"][0].partition(":")[0] for g in rest if g["gate"] == "X"} == (
+        {"BINARY_INDEX"})
+    assert {g["qubits"][0] for g in rest if g["gate"] == "H"} == {
+        f"DATA:{j}" for j in range(m)}
 
 
 def test_layout_rejects_zero_widths():
@@ -232,10 +249,10 @@ def test_qdam_inverse_restores_every_basis_input():
 def test_naive_matches_optimized_on_index_data_marginals():
     db = toy_db(1, value_width=2)
     opt_layout = QdamLayout(1, 1)
-    naive_layout = NaiveLayout(1, 1)
+    naive_loader = build_naive_qdam(1, 1, db)
     opt = lower_circuit(build_qdam(opt_layout, db))
-    naive_sizes = naive_layout.register_sizes
-    naive = lower_circuit(Circuit(naive_sizes, build_naive_qdam(naive_layout, db).gates))
+    naive_sizes = naive_loader.register_sizes
+    naive = lower_circuit(Circuit(naive_sizes, naive_loader.gates))
     for value in range(2):
         out_o = _index_state(opt_layout, value).apply(opt)
         key_o = next(iter(out_o.amplitudes))
@@ -249,8 +266,7 @@ def test_naive_matches_optimized_on_index_data_marginals():
 
 
 def test_naive_macro_count():
-    layout = NaiveLayout(3, 2)
-    circ = build_naive_qdam(layout, ["00"] * 8)
+    circ = build_naive_qdam(3, 2, ["00"] * 8)
     assert macro_counts(circ)[GateKind.MCZ] == 16  # m * 2^n
 
 
@@ -261,7 +277,7 @@ def test_every_macro_has_three_distinct_operands(n, m, rng):
     # unpacks every TOFFOLI and MCZ as three operands
     keys = ["".join(rng.choice("01") for _ in range(m)) for _ in range(1 << n)]
     kernel = build_kernel_circuits(QdamLayout(n, m), keys, rng.choice(keys)).kernel()
-    naive = build_naive_qdam(NaiveLayout(n, m), keys)
+    naive = build_naive_qdam(n, m, keys)
     macros = [ops for circ in (kernel, naive) for kind, ops in circ.gates
               if kind is GateKind.TOFFOLI or kind is GateKind.MCZ]
     assert macros and all(len(set(ops)) == len(ops) == 3 for ops in macros)
@@ -271,12 +287,11 @@ def test_every_macro_has_three_distinct_operands(n, m, rng):
 def test_naive_loader_equals_one_ladder_per_record_bit(n):
     rng = random.Random(400 + n)
     for m in (1, 2, 3):
-        layout = NaiveLayout(n, m)
         keys = ["".join(rng.choice("01") for _ in range(m)) for _ in range(1 << n)]
         flipped = ["".join("1" if b == "0" else "0" for b in key) for key in keys]
         for pattern in (keys, flipped):  # between them, every database X
-            circ = build_naive_qdam(layout, pattern)
-            assert circ.gates == naive_loader_gates(layout, pattern)
+            circ = build_naive_qdam(n, m, pattern)
+            assert circ.gates == naive_loader_gates(n, m, pattern)
             # n = 1 has no chain; each further index bit adds an up and a
             # down Toffoli to every one of the m * 2^n ladders
             assert macro_counts(circ).get(GateKind.TOFFOLI, 0) == (
@@ -302,7 +317,7 @@ def test_every_builder_emits_plain_tuple_gates():
         circuits.stage1, circuits.stage2, circuits.loader,
         circuits.target_reflection, circuits.diffusion, circuits.kernel(),
         circuits.loader.inverted(), lower_circuit(circuits.loader),
-        build_naive_qdam(NaiveLayout(3, 2), keys),
+        build_naive_qdam(3, 2, keys),
     ]
     for circuit in streams:
         assert all(type(g) is tuple and type(g[1]) is tuple for g in circuit.gates)
@@ -319,12 +334,11 @@ def test_every_emitted_gate_list_passes_the_gate_check(n):
         circuits = build_kernel_circuits(layout, keys, rng.choice(keys))
         parts = [Circuit(layout.register_sizes, part.gates)
                  for part in circuits.loader_parts]
-        kernel = circuits.kernel()
+        kernel, naive = circuits.kernel(), build_naive_qdam(n, m, keys)
         for circuit in (circuits.stage1, *parts, circuits.loader,
                         circuits.loader_inverse, circuits.target_reflection,
                         circuits.diffusion, kernel, lower_circuit(kernel),
-                        Circuit(NaiveLayout(n, m).register_sizes,
-                                build_naive_qdam(NaiveLayout(n, m), keys).gates)):
+                        Circuit(naive.register_sizes, naive.gates)):
             check_gates(circuit)
 
 

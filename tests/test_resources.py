@@ -35,7 +35,7 @@ from qsearch.kernel import (
     build_target_reflection,
     measure_kernel,
 )
-from qsearch.qdam import NaiveLayout, QdamLayout, build_m2, build_naive_qdam, loader_parts
+from qsearch.qdam import QdamLayout, build_m2, build_naive_qdam, loader_parts
 from qsearch.resources import (
     CSV_HEADER,
     MAX_BOUND_N,
@@ -320,8 +320,13 @@ def test_bench_single_row_ratio_at_least_one():
 
 
 def test_bench_rejects_out_of_range():
-    with pytest.raises(InputError):
-        bench_scaling([13], 1)
+    # a row is checked against both reports' caps: n = 16 at m = 1 holds
+    # 2^16 record bits, past the naive report's cap, and n = 21 is past the
+    # measured report's
+    with pytest.raises(InputError, match=r"m \* 2\^n <= 32768"):
+        bench_scaling([16], 1)
+    with pytest.raises(InputError, match="n <= 20"):
+        bench_scaling([21], 1)
 
 
 def test_bench_checks_every_row_before_measuring_any(monkeypatch):
@@ -361,9 +366,9 @@ def test_flat_expansion_equals_lowered_circuit(n):
     rng = random.Random(100 + n)
     for m in (1, 2, 3):
         keys = _random_keys(rng, n, m)
-        naive = NaiveLayout(n, m)
+        naive = build_naive_qdam(n, m, keys)
         optimized = QdamLayout(n, m)
-        naive_macro = Circuit(naive.register_sizes, build_naive_qdam(naive, keys).gates)
+        naive_macro = Circuit(naive.register_sizes, naive.gates)
         for macro in (naive_macro, build_qdam(optimized, keys)):
             stream = _expand_flat(macro)
             assert iter(stream) is stream  # lazy: a generator, not a list
@@ -376,9 +381,8 @@ def test_flat_expansion_equals_lowered_circuit(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_measure_naive_equals_the_gate_level_stream(n):
     for m in (1, 2):
-        naive = NaiveLayout(n, m)
-        macro = Circuit(naive.register_sizes,
-                        build_naive_qdam(naive, ["0" * m] * (1 << n)).gates)
+        naive = build_naive_qdam(n, m, ["0" * m] * (1 << n))
+        macro = Circuit(naive.register_sizes, naive.gates)
         loader = resource_tally(lower_circuit(macro))
         layout = QdamLayout(n, m)
         oracle, diff = (resource_tally(lower_circuit(join_parts(layout.register_sizes, parts)))
@@ -416,9 +420,8 @@ def test_naive_stream_schedules_in_a_few_megabytes():
     # the naive loader at (12, 1) has 282,624 T layers over about 1.2 M
     # scheduler layers: a set of ints held them in a 17.7 MB allocation
     # peak, and one mark byte per layer peaks at 2.6 MB
-    layout = NaiveLayout(12, 1)
-    macro = build_naive_qdam(layout, ["0"] * (1 << 12))
-    total = sum(layout.register_sizes.values())
+    macro = build_naive_qdam(12, 1, ["0"] * (1 << 12))
+    total = sum(macro.register_sizes.values())
     tracemalloc.start()
     try:
         tally = tally_flat(_expand_flat(macro), total)
@@ -435,11 +438,10 @@ def test_naive_closed_form_equals_scheduling_its_gates(n):
     # all-ones and two random key sets: the tally and the length need no gate
     rng = random.Random(3200 + n)
     for m in range(1, 7):
-        layout = NaiveLayout(n, m)
-        total = sum(layout.register_sizes.values())
         for keys in (["0" * m] * (1 << n), ["1" * m] * (1 << n),
                      _random_keys(rng, n, m), _random_keys(rng, n, m)):
-            loader = build_naive_qdam(layout, keys)
+            loader = build_naive_qdam(n, m, keys)
+            total = sum(loader.register_sizes.values())
             assert loader.tally() == tally_flat(loader.gates, total), (m, keys)
             assert len(loader) == len(loader.gates)
 
@@ -614,7 +616,7 @@ def test_stage_two_tally_equals_all_three_tilings_on_zero_keys(n):
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 6), m=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
-def test_stage_two_tally_equals_all_three_tilings_on_random_keys(n, m, seed):
+def test_stage_two_tally_equals_all_three_parts_on_random_keys(n, m, seed):
     keys = _random_keys(random.Random(seed), n, m)
     _check_the_fan_in_moves_no_tally(QdamLayout(n, m), keys)
 
@@ -808,7 +810,7 @@ def test_run_search_materializes_stage_two_once(monkeypatch):
     assert len(built) == 1
 
 
-def test_run_search_builds_each_stage_two_tiling_once(monkeypatch):
+def test_run_search_builds_each_stage_two_part_once(monkeypatch):
     # the records' gates and the fan-in's, with its one fold, are built
     # once, for the simulator alone: the report feeds the records' block
     # and the fan-in's closed form; the preparation is a circuit, never built

@@ -243,16 +243,16 @@ def fold_gates(column: Sequence[int], target: int) -> list[Gate]:
 
 
 def shared_control_layer(shared_control: int, pairs: Sequence[tuple[int, int]],
-                         fanout_ancillas: Sequence[int]) -> list[Gate]:
+                         lease: Sequence[int]) -> list[Gate]:
     """Toffolis ``(second_control, carrier) -> target``, one per pair, the
     carriers being ``shared_control`` fanned out onto the first
-    ``len(pairs) - 1`` of ``fanout_ancillas``, which are restored to |0>.
+    ``len(pairs) - 1`` fan-out ancillas of ``lease``, restored to |0>.
     The fan-out runs in doubling rounds, so every carrier is last touched
     in one layer and the lowered Toffolis share their three T layers; a
     partial last round gets an S pad on the idle carriers, with its SDG
     after the Toffolis.  The caller keeps every operand distinct."""
     gates: list[Gate] = []
-    carriers, fresh, pad_sdg = [shared_control], iter(fanout_ancillas), []
+    carriers, fresh, pad_sdg = [shared_control], iter(lease), []
     while len(carriers) < len(pairs):
         room = len(pairs) - len(carriers)
         sources, idle = carriers[:room], carriers[room:]

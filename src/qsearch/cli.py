@@ -146,13 +146,10 @@ def _cmd_compile(args) -> int:
     else:
         layout = QdamLayout.for_database(db)
         circuits = build_kernel_circuits(layout, db, args.key)
-        circuit = circuits.kernel() if args.part == "kernel" else {
-            "m1": circuits.stage1,
-            "m2": circuits.stage2,
-            "qdam": circuits.loader,
-            "oracle": circuits.target_reflection,
-            "diffusion": circuits.diffusion,
-        }[args.part]
+        # the parts are built lazily: look up only the one exported
+        circuit = circuits.kernel() if args.part == "kernel" else getattr(circuits, {
+            "m1": "stage1", "m2": "stage2", "qdam": "loader",
+            "oracle": "target_reflection", "diffusion": "diffusion"}[args.part])
     size = lowered_length(circuit) if args.lowered else len(circuit)
     if size > MAX_EXPORT_GATES:
         raise InputError(f"compile writes at most {MAX_EXPORT_GATES} gates, "

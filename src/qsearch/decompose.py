@@ -133,14 +133,13 @@ def lowered_length(circuit: Circuit) -> int:
             + (len(ccz_gates(0, 1, 2)) - 1) * kinds[_MCZ])
 
 
-def lower_circuit(
-    circuit: Circuit, ladder_ancillas: Sequence[int] = ()
-) -> Circuit:
+def lower_circuit(circuit: Circuit, ladder: Sequence[int] = ()) -> Circuit:
     """Lowered copy of ``circuit``, with the span of every fragment in
     ``fragment_spans`` so that :meth:`qsearch.sim.SparseState.apply` can
     skip the fragments that cannot act on its support.  A circuit with no
-    macro comes back as an equal copy with no spans.  ``ladder_ancillas``
-    is ignored: every macro lowers without ancillas, and the parameter
-    stays only for the benchmark's tracer, which passes it positionally."""
+    macro comes back as an equal copy with no spans.  ``ladder`` is
+    ignored: every macro lowers without ancillas, and the parameter stays
+    only for the benchmark's tracer, which passes the layout's ladder
+    qubits positionally."""
     gates, spans = lower_gates(circuit.gates)
     return Circuit(circuit.register_sizes, gates, fragment_spans=tuple(spans))

@@ -35,11 +35,11 @@ whose controls are not both 1 on the branch, since such a fragment is the
 identity there, so it simulates at most n-1 stage-1 and m stage-2
 Toffolis.  It is exact, in Z[ω]/√2^k, so the driver requires one label,
 the bit-sliced loader's branch, with k = 0 and amplitude (1, 0, 0, 0),
-that is exactly +1.  It reads the data register out of the label at
-the layout's data qubits (:meth:`qsearch.qdam.QdamLayout.data_qubit`) and
-compares it against the queried key.  Sentinel (padding) records are
-never accepted.  The tests check the bit-sliced rounds against a
-SparseState run over the lowered subroutines.
+that is exactly +1.  It reads the data register, the m qubits from
+:attr:`qsearch.qdam.QdamLayout.data` on, out of the label and compares it
+against the queried key.  Sentinel (padding) records are never
+accepted.  The tests check the bit-sliced rounds against a SparseState
+run over the lowered subroutines.
 """
 from __future__ import annotations
 
@@ -243,7 +243,7 @@ def run_search(
     candidate_probability = squares[candidate] / scale
 
     # verification: re-load on the candidate branch and read the data
-    # register, m contiguous qubits whose last is bit total - data_qubit(0) - m
+    # register, m contiguous qubits whose last is bit total - layout.data - m
     probe = SparseState.basis(total, candidate << (total - n)).apply(
         lower_circuit(circuits.loader))
     label = loaded.basis_label(candidate)
@@ -256,7 +256,7 @@ def run_search(
             f"lowered loader gives branch {candidate} the amplitude "
             f"{probe.amplitudes[label]} / sqrt(2)^{probe.k}, not +1"
         )
-    data = label >> (total - layout.data_qubit(0) - m) & ((1 << m) - 1)
+    data = label >> (total - layout.data - m) & ((1 << m) - 1)
     measured_bits = format(data, f"0{m}b")
 
     record_obj = db.records[candidate]

@@ -50,7 +50,7 @@ def build_target_reflection(layout: QdamLayout, key_pattern: str) -> tuple[Part,
     """
     if len(key_pattern) != layout.m or any(c not in "01" for c in key_pattern):
         raise InputError(f"pattern {key_pattern!r} does not fit {layout.m} data qubits")
-    data, x = range(layout.data_qubit(0), layout.data_qubit(layout.m)), GateKind.X
+    data, x = range(layout.data, layout.data + layout.m), GateKind.X
     flips = [(x, (q,)) for q, c in zip(data, key_pattern) if c == "0"]
     sync, sizes = _sync(layout, data), layout.register_sizes
     tree = mcz_tree(data, layout.ladder_qubits())

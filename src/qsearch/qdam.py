@@ -9,19 +9,19 @@ The optimized loader runs in two stages:
   from the new hot candidates back to their sources.  Binary value v ends
   up with one-hot offset v hot.  Fixed by n alone, it is a
   :class:`~qsearch.circuit.OneHotDecoder`, built by :func:`build_m1`.
-* stage 2 loads the key bits: the database region is prepared with X gates
-  matching the classical record bits, then for every record i and bit j a
-  Toffoli (one-hot i AND database bit (i,j)) writes a load ancilla E(i,j),
-  and CNOT fan-in copies E into the data register.  Record i's Toffolis
-  share one-hot i through stage 1's block,
-  :func:`~qsearch.circuit.shared_control_layer`, on m - 1 fan-out ancillas
-  of its own, so all m*2^n Toffolis act on disjoint triples and the whole
-  stage costs one Toffoli of T-depth.  The E ancillas keep their
-  (branch-deterministic) values until the inverse loader uncomputes them.
-  Stage 2 is three parts in order: the preparation as a circuit of X
-  gates, the records as a :class:`~qsearch.circuit.RecordBlock`, whose
-  record i holds one-hot qubit i and the i-th run of m database bits, m
-  load ancillas and m - 1 fan-out ancillas, and the fan-in
+* stage 2 loads the key bits into the regions of :class:`QdamLayout`:
+  the database region is prepared with X gates matching the classical
+  record bits, then for every record i and bit j a Toffoli (one-hot i AND
+  database bit (i,j)) writes load ancilla E(i,j), and CNOT fan-in copies
+  E into the data register.  Record i's Toffolis share one-hot i through
+  stage 1's block, :func:`~qsearch.circuit.shared_control_layer`, on m - 1
+  fan-out ancillas of its own, so all m*2^n Toffolis act on disjoint
+  triples and the whole stage costs one Toffoli of T-depth.  The E
+  ancillas keep their (branch-deterministic) values until the inverse
+  loader uncomputes them.  Stage 2 is three parts in order: the
+  preparation as a circuit of X gates, the records as one
+  :class:`~qsearch.circuit.RecordBlock` repeated per record from the
+  starts of its four regions, and the fan-in
   (:class:`~qsearch.circuit.FanIn`) as one fold per data bit.
   :func:`loader_parts` gives the loader as stage 1's decoder then these
   three, and :func:`build_m2` materializes any of them.
@@ -46,8 +46,8 @@ and only ``compile --part naive`` builds its gates.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from itertools import compress
+from dataclasses import dataclass, field
+from itertools import accumulate, compress
 from typing import Sequence
 
 from .circuit import (Circuit, FanIn, Gate, GateKind, OneHotDecoder, Part, RecordBlock,
@@ -61,78 +61,56 @@ _H, _X, _TOFFOLI, _MCZ = GateKind.H, GateKind.X, GateKind.TOFFOLI, GateKind.MCZ
 
 @dataclass(frozen=True)
 class QdamLayout:
-    """Qubit allocation for the optimized loader.
+    """The optimized loader's register map: each region named by its first
+    flat qubit, in the register order of :mod:`qsearch.circuit`.
 
-    Ancilla region, in offset order: m*2^n load qubits (E), then the
-    fan-out pool, exactly what the loader leases (2^(n-1) - 1 for stage 1,
-    then m - 1 per record for stage 2), then the ladder pool used by the
-    reflections.  The
-    ``*_qubit`` methods return flat indices in the register order of
-    :mod:`qsearch.circuit`; binary index qubit b is flat qubit b.
+    * The n binary index qubits: flat qubits 0 .. n-1, weight 2^(n-1-b)
+      on qubit b.
+    * ``onehot``: 2^n qubits, offset v hot for index value v.
+    * ``data``: m qubits.
+    * ``database``: m*2^n qubits, bit j of record i at offset i*m + j.
+    * ``load``: the m*2^n load ancillas E(i, j), at the same offsets.
+    * ``fanout``: the fan-out pool, exactly what the loader leases:
+      2^(n-1) - 1 for stage 1, then m - 1 per record for stage 2.
+    * :meth:`ladder_qubits`: max(n, m) - 2 ancillas for the reflections.
+
+    The load, fan-out and ladder regions make up the ancilla register.
     """
 
     n: int
     m: int
+    onehot: int = field(init=False, repr=False)
+    data: int = field(init=False, repr=False)
+    database: int = field(init=False, repr=False)
+    load: int = field(init=False, repr=False)
+    fanout: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.m < 1:
             raise CircuitError("layout needs n >= 1 and m >= 1")
+        # each region starts where the one before it ends
+        sizes = (self.n, 1 << self.n, self.m, self.m << self.n, self.m << self.n)
+        for name, start in zip(("onehot", "data", "database", "load", "fanout"),
+                               accumulate(sizes)):
+            object.__setattr__(self, name, start)
 
-    @property
-    def onehot_size(self) -> int:
-        return 1 << self.n
+    def ladder_qubits(self) -> range:
+        first = self.fanout + (1 << self.n - 1) - 1 + (self.m - 1 << self.n)
+        return range(first, first + max(0, max(self.n, self.m) - 2))
 
-    @property
-    def database_qubits(self) -> int:
-        return self.m << self.n
-
-    @property
-    def load_ancillas(self) -> int:
-        return self.m << self.n
-
-    @property
-    def fanout_ancillas(self) -> int:
-        return (1 << (self.n - 1)) - 1 + (self.m - 1 << self.n)
-
-    @property
-    def ladder_ancillas(self) -> int:
-        return max(0, max(self.n, self.m) - 2)
+    @functools.cached_property
+    def total_qubits(self) -> int:
+        return self.ladder_qubits().stop
 
     @functools.cached_property
     def register_sizes(self) -> dict[Register, int]:
         return {
             Register.BINARY_INDEX: self.n,
-            Register.ONEHOT_INDEX: self.onehot_size,
+            Register.ONEHOT_INDEX: self.data - self.onehot,
             Register.DATA: self.m,
-            Register.DATABASE: self.database_qubits,
-            Register.ANCILLA: self.load_ancillas + self.fanout_ancillas
-            + self.ladder_ancillas,
+            Register.DATABASE: self.load - self.database,
+            Register.ANCILLA: self.total_qubits - self.load,
         }
-
-    @functools.cached_property
-    def total_qubits(self) -> int:
-        return sum(self.register_sizes.values())
-
-    # -- named qubits, as flat indices --------------------------------------
-
-    def onehot_qubit(self, i: int) -> int:
-        return self.n + i
-
-    def data_qubit(self, j: int) -> int:
-        return self.n + self.onehot_size + j
-
-    def database_qubit(self, record: int, bit: int) -> int:
-        return self.data_qubit(0) + self.m + record * self.m + bit
-
-    def load_qubit(self, record: int, bit: int) -> int:
-        return self.database_qubit(0, 0) + self.database_qubits + record * self.m + bit
-
-    def fanout_qubit(self, k: int) -> int:
-        return self.load_qubit(0, 0) + self.load_ancillas + k
-
-    def ladder_qubits(self) -> range:
-        first = self.fanout_qubit(self.fanout_ancillas)
-        return range(first, first + self.ladder_ancillas)
 
     @classmethod
     def for_database(cls, db: Database) -> "QdamLayout":
@@ -161,8 +139,7 @@ def _prepare(database: int, keys: Sequence[str]) -> list[Gate]:
 
 def _decoder(layout: QdamLayout) -> OneHotDecoder:
     # stage 1 leases the first fan-out qubits
-    return OneHotDecoder(layout.n, layout.onehot_qubit(0), layout.fanout_qubit(0),
-                         layout.total_qubits)
+    return OneHotDecoder(layout.n, layout.onehot, layout.fanout, layout.total_qubits)
 
 
 # the loader as parts in order: stage 1, then stage 2's three parts
@@ -176,15 +153,13 @@ def loader_parts(layout: QdamLayout, db: Database | Sequence[str]) -> LoaderPart
     past stage 1's 2^(n-1) - 1 and the i records before it; data bit j's
     fan-in folds the load ancillas E(i, j) into it."""
     keys = _key_bits(layout.n, layout.m, db)
-    n, m, total = layout.n, layout.m, layout.total_qubits
+    n, m, total, load = layout.n, layout.m, layout.total_qubits, layout.load
     # database bit (i, j) and load ancilla E(i, j) sit at offset i*m + j of
     # their regions, the offset of bit j of key i in the joined keys
-    database, load = layout.database_qubit(0, 0), layout.load_qubit(0, 0)
-    prepare = Circuit(layout.register_sizes, _prepare(database, keys))
-    records = RecordBlock(m, 1 << n, layout.onehot_qubit(0), database, load,
-                          layout.fanout_qubit((1 << n - 1) - 1), total)
-    return (_decoder(layout), prepare, records,
-            FanIn(load, n, layout.data_qubit(0), m, total))
+    prepare = Circuit(layout.register_sizes, _prepare(layout.database, keys))
+    records = RecordBlock(m, 1 << n, layout.onehot, layout.database, load,
+                          layout.fanout + (1 << n - 1) - 1, total)
+    return _decoder(layout), prepare, records, FanIn(load, n, layout.data, m, total)
 
 
 def build_m1(layout: QdamLayout) -> Circuit:

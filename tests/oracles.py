@@ -6,7 +6,8 @@ multi-controlled-Z ladder and the naive loader built one ladder per record
 bit from it, the kernel measurement over built gate lists, the exact
 iteration count in decimal arithmetic, the one-shot tally of a circuit,
 the gate checks that the IR leaves to its builders, the measured depths'
-exact laws, the checked shared-control layer with its fan-out lease, the record placement checked
+exact laws, the register map placed from the widths alone, the checked
+shared-control layer with its fan-out lease, the record placement checked
 by marking, and the circuit, basis-label, register read-out and
 database-export helpers that only tests use, and a recorder of the sparse
 states a run makes.
@@ -27,6 +28,7 @@ import contextlib
 import decimal
 import json
 import math
+from itertools import accumulate
 
 import numpy as np
 
@@ -494,13 +496,28 @@ def shared_control_layer(shared_control, pairs, fanout_ancillas=()) -> list[Gate
     return gates + pad_sdg + fanout[::-1]
 
 
-def fanout_lease(layout, start: int, count: int) -> tuple[int, ...]:
-    """Fan-out qubits ``start .. start + count - 1`` of ``layout``'s pool,
-    checked to lie inside it."""
-    if start + count > layout.fanout_ancillas:
+def qdam_regions(n: int, m: int) -> dict[str, range]:
+    """The QDAM register map placed from ``(n, m)`` alone, the reference
+    :class:`qsearch.qdam.QdamLayout` is checked against: the seven regions
+    in flat order, each the range of its qubits.  Their sizes: n index
+    qubits, 2^n one-hot, m data, m 2^n database bits and as many load
+    ancillas, the fan-out pool of 2^(n-1) - 1 stage-1 qubits and m - 1 per
+    record, and max(n, m) - 2 ladder ancillas."""
+    records = 2 ** n
+    sizes = {"index": n, "onehot": records, "data": m, "database": m * records,
+             "load": m * records, "fanout": records // 2 - 1 + (m - 1) * records,
+             "ladder": max(n, m, 2) - 2}
+    ends = accumulate(sizes.values())
+    return {name: range(end - size, end) for (name, size), end in zip(sizes.items(), ends)}
+
+
+def fanout_lease(regions: dict[str, range], start: int, count: int) -> tuple[int, ...]:
+    """Fan-out qubits ``start .. start + count - 1`` of the pool in
+    ``regions`` (:func:`qdam_regions`), checked to lie inside it."""
+    pool = regions["fanout"]
+    if start + count > len(pool):
         raise CircuitError("fan-out pool exhausted")
-    first = layout.fanout_qubit(start)
-    return tuple(range(first, first + count))
+    return tuple(pool[start:start + count])
 
 
 def mark_records(regions, copies: int, total_qubits: int) -> None:
@@ -530,8 +547,10 @@ def stage1_per_level_gates(layout) -> tuple[Gate, ...]:
     level l one :func:`shared_control_layer` call on index qubit n - l
     over the pairs (one-hot j, one-hot 2^(l-1) + j) with the first
     2^(l-1) - 1 fan-out qubits, a lone CNOT at l = 1, and the clearing
-    CNOTs back from each new hot candidate."""
-    n, base = layout.n, layout.onehot_qubit(0)
+    CNOTs back from each new hot candidate.  It places its qubits by
+    :func:`qdam_regions`, reading only the layout's widths."""
+    regions = qdam_regions(layout.n, layout.m)
+    n, base = layout.n, regions["onehot"].start
     gates = [gate(GateKind.X, base)]
     for level in range(1, n + 1):
         span, ctrl = 1 << (level - 1), n - level
@@ -539,7 +558,7 @@ def stage1_per_level_gates(layout) -> tuple[Gate, ...]:
             gates.append(gate(GateKind.CNOT, ctrl, base + 1))
         else:
             pairs = [(base + j, base + span + j) for j in range(span)]
-            gates += shared_control_layer(ctrl, pairs, fanout_lease(layout, 0, span - 1))
+            gates += shared_control_layer(ctrl, pairs, fanout_lease(regions, 0, span - 1))
         gates += [gate(GateKind.CNOT, base + span + j, base + j) for j in range(span)]
     return tuple(gates)
 
@@ -554,20 +573,22 @@ def stage2_per_record_gates(layout, keys) -> tuple[Gate, ...]:
     database, then for record i one :func:`shared_control_layer` call on
     one-hot i over its pairs (database(i, j), load(i, j)) and its own fan-out
     lease, past the 2^(n-1) - 1 that stage 1 leases, then the fan-in of each
-    data bit."""
-    m = layout.m
+    data bit.  It places its qubits by :func:`qdam_regions`, reading only
+    the layout's widths."""
+    m, regions = layout.m, qdam_regions(layout.n, layout.m)
+    onehot, data = regions["onehot"], regions["data"]
+    database, load = regions["database"], regions["load"]
     base = (1 << (layout.n - 1)) - 1
-    gates = [gate(GateKind.X, layout.database_qubit(i, j))
+    gates = [gate(GateKind.X, database[i * m + j])
              for i, key in enumerate(keys)
              for j, bit in enumerate(key) if bit == "1"]
     for i in range(len(keys)):
-        pairs = [(layout.database_qubit(i, j), layout.load_qubit(i, j))
-                 for j in range(m)]
-        lease = fanout_lease(layout, base + i * (m - 1), m - 1)
-        gates.extend(shared_control_layer(layout.onehot_qubit(i), pairs, lease))
+        pairs = [(database[i * m + j], load[i * m + j]) for j in range(m)]
+        lease = fanout_lease(regions, base + i * (m - 1), m - 1)
+        gates.extend(shared_control_layer(onehot[i], pairs, lease))
     for j in range(m):
-        column = [layout.load_qubit(i, j) for i in range(len(keys))]
-        gates.extend(fold_gates(column, layout.data_qubit(j)))
+        column = [load[i * m + j] for i in range(len(keys))]
+        gates.extend(fold_gates(column, data[j]))
     return tuple(gates)
 
 

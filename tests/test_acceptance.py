@@ -56,9 +56,8 @@ def _predicted_loader_output(layout: QdamLayout, keys: list[str], q: int) -> int
     load_bits = ["0"] * (records * m)
     for j, bit in enumerate(keys[q]):
         load_bits[q * m + j] = bit
-    ancilla = int("".join(load_bits), 2) << (
-        layout.fanout_ancillas + layout.ladder_ancillas
-    )
+    # the fan-out and ladder qubits follow the load ancillas
+    ancilla = int("".join(load_bits), 2) << layout.total_qubits - layout.fanout
     sizes = layout.register_sizes
     return (
         basis_pattern(sizes, {Register.BINARY_INDEX: q})

@@ -403,7 +403,7 @@ def test_record_blocks_feed_as_their_copied_gates(case, reverse):
 @pytest.mark.parametrize(("copies", "late"),
                          [(5, None), (5, 0), (5, 1), (1, None)],
                          ids=["constant", "one-late", "dominated-late", "one-copy"])
-def test_feed_tiled_fast_path_boundary(monkeypatch, reverse, copies, late):
+def test_record_block_closed_form_boundary(monkeypatch, reverse, copies, late):
     # records of m = 3 over the first 16 copies of 64 qubits, after a sync
     # block that leaves every qubit at the same non-zero layer; with
     # ``late``, one qubit of record 2 in region ``late`` enters one layer

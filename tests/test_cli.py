@@ -359,6 +359,28 @@ def test_compile_over_the_gate_cap_lowers_nothing(tmp_path, capsys, monkeypatch)
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize(("part", "unbuilt"), [("m1", ["build_m2"]),
+                                               ("oracle", ["build_m1", "build_m2"]),
+                                               ("diffusion", ["build_m1", "build_m2"])])
+def test_compile_builds_only_the_part_it_exports(tmp_path, capsys, monkeypatch,
+                                                 part, unbuilt):
+    from qsearch import qdam
+
+    argv = ["compile", "--db", DATA_DB, "--key", "0101", "--part", part,
+            "--out", str(tmp_path / "x.json")]
+    assert _run(capsys, *argv)[0] == 0
+    expected = (tmp_path / "x.json").read_bytes()
+    (tmp_path / "x.json").unlink()
+
+    def refuse(*args):
+        raise AssertionError(f"compile --part {part} built another part")
+
+    for name in unbuilt:
+        monkeypatch.setattr(qdam, name, refuse)
+    assert _run(capsys, *argv)[0] == 0
+    assert (tmp_path / "x.json").read_bytes() == expected
+
+
 def test_search_width_mismatch_exits_three(capsys):
     code, _, _ = _run(capsys, "search", "--db", DATA_DB,
                       "--key", "01", "--return", "phone")

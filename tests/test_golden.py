@@ -4,7 +4,9 @@ against the outputs of the code before it.
 
 Each command runs in a fresh directory and writes under a fixed relative
 name, because ``compile`` and ``bench`` print their ``--out`` path; the
-directory also holds ``five.json``, an unpadded database.  To re-pin after
+directory also holds two unpadded databases: ``five.json``, and
+``twenty.json``, whose 6-bit keys give record blocks with a partial
+fan-out round, so its kernel holds S and SDG pads.  To re-pin after
 an intended output change, print the table for the current code with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -16,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import tempfile
 from pathlib import Path
@@ -53,6 +56,15 @@ COMMANDS = {
                                "--return", "phone"],
     "search-padded-out": ["search", "--db", "five.json", "--key", "0100",
                           "--return", "phone", "--out", "out.json"],
+    **{f"compile-twenty-{part}{suffix}": ["compile", "--db", "twenty.json", "--key",
+                                          "000010", "--part", part, *flags,
+                                          "--out", "out.json"]
+       for part in PARTS
+       for suffix, flags in (("", []), ("-lowered", ["--lowered"]))},
+    "search-twenty": ["search", "--db", "twenty.json", "--key", "000010", "--return",
+                      "val"],
+    "search-twenty-absent": ["search", "--db", "twenty.json", "--key", "111111",
+                             "--return", "val"],
 }
 
 # the first five records of data/people.json: search pads them to eight,
@@ -74,6 +86,17 @@ FIVE_DB = """{
   ]
 }
 """
+
+# 20 records of 6-bit keys 7i + 3 mod 64, all distinct: search pads them to
+# 32, so n = 5 and m = 6, and each record's fan-out of 6 pairs ends in a
+# partial round.  Key 000010 is record 9's; 111111 is no record's
+TWENTY_DB = json.dumps({
+    "version": 1,
+    "fields": [{"name": "id", "bit_width": 6}, {"name": "val", "bit_width": 5}],
+    "key_field": "id",
+    "records": [{"id": format(7 * i + 3 & 63, "06b"), "val": format(i, "05b")}
+                for i in range(20)],
+}, indent=1)
 
 # name -> (exit code, sha256 of stdout, sha256 of the written file or None)
 GOLDEN = {
@@ -122,6 +145,48 @@ GOLDEN = {
     "compile-qdam-lowered": (
         0, "4ee719df2568027ea6616c0c3e745ff7b87def5cfa837ef6dc894022044cc76a",
         "e71b21bf06146a9d88225d47a157766acc37005e0a53c1a10bdd24c703ebbd12"),
+    "compile-twenty-diffusion": (
+        0, "faa63b5724e7190a2f07c4912400ea9eafe56cf4227535fe66a91c2f3125921a",
+        "16097f53a5864de7143a344f18a184b45800e29671251f56684405a54fee60a7"),
+    "compile-twenty-diffusion-lowered": (
+        0, "3e1af79c49e2ff9ff89135965b1514a8d1e46cec554953d62846b8a5363bab45",
+        "36635ae018bc2449497d8b57177c493fb272d2fc5bff0f46a2cfe82e88e6a693"),
+    "compile-twenty-kernel": (
+        0, "a9390146359ab87da006a0bd3af24d8ccf7ce418a061e90eb7fa9b24753fdf71",
+        "ab0b66a99f750386574b7a7ca9584d598186116993eb5d6494148d7d2ac54851"),
+    "compile-twenty-kernel-lowered": (
+        0, "e91327340040fd1333ad7a93678a35d37546aa17f0504d95a6caee7141e0691e",
+        "51849d6b86e9d08d43aebb2413d7dc6fc11cdeb120454ce4979abf42e592e75f"),
+    "compile-twenty-m1": (
+        0, "d1eb94bb2ad246f383b411ab632dc8e2a9f7fe11d97db5388595659fbbb63a68",
+        "2e53a3f204165762250f1d6a5cd66d0fca29dcf283eb1d8818b6703db0347582"),
+    "compile-twenty-m1-lowered": (
+        0, "341dfff8f9bdbc04a5005a87f193acd047a6105f4a16396da9059b2510adac97",
+        "23d6920880936477fbe90b8ad185cdb6b15b1a44923b1ddd5eef85613888e78e"),
+    "compile-twenty-m2": (
+        0, "319ed4b338227fea1138707889cc094e4cf699ecf052ff5dc7bc1c2af4863ae2",
+        "343630da930f168a2d49b4c12ab2ef1a9e50ae3b233da190fc67d3513e01b995"),
+    "compile-twenty-m2-lowered": (
+        0, "3908f5df0181c0856432b27b1cfaa1d93ec30d12fb7a38fbe56ad9a3e29e5324",
+        "725fe44f3c2ef8d36584c182ba8eeb148cc36c149a5e2f886869231d6c6e9f3d"),
+    "compile-twenty-naive": (
+        0, "83f5f6fabab71acb9b0b77e7d65bc4600533f1f6d9edbf901f624e9599d2c6ec",
+        "08848a45be688e1627ecead9262eedc62d4c35870951fa2b59f1ff816837c4ef"),
+    "compile-twenty-naive-lowered": (
+        0, "e107ed5f8440a517acf95d52931ec814ac1a6f2d7784fa32bc2fae97c4ce612a",
+        "13cd1934e078746d0594a7045c7b639af1ef76f8c753ba178257f67a140590c0"),
+    "compile-twenty-oracle": (
+        0, "da93e3640162995486fa028ced573cf088c1a5b8ca05fa5b86e4e332ff4d3890",
+        "8bd9bbef7bae101fa5fd22d0348c56ad43f5958f1bb6ea572c3f42a6eef19484"),
+    "compile-twenty-oracle-lowered": (
+        0, "7126fd108dbd9bb6cc0af6109b2a00f3213c9451f4438ac85829d91fe93c0849",
+        "7d8a0797a2db3190b5a021529a7d1075ff1afcfee32341eae15d3179806bf517"),
+    "compile-twenty-qdam": (
+        0, "2585a6f6401b9ea87321e6b3622e69ff1c1065ad9667326bed3d21b670a5d4a3",
+        "0bcea679425db7fa40e9917f664dc998660ad66ae05ec685b8a2f286091ae613"),
+    "compile-twenty-qdam-lowered": (
+        0, "cd095b82cb54d309843a659ad0a553ffa5133bf7ca64540d9dbd560be679bf31",
+        "8bcb6619535c83e44ba100c605553db7d341897091a0472dc1307e0f6fb01293"),
     "estimate-bound": (
         0, "e447ed1fc81bbdf18161bc8efe68ba92757a95af667671d1c881fe05cec7c5e6",
         None),
@@ -167,6 +232,12 @@ GOLDEN = {
     "search-shots-3": (
         0, "c05578e7ef7f9b0d8e5ccd20acad0f5c85ca4de2de71557a30162e6a0a91199d",
         None),
+    "search-twenty": (
+        0, "6b23d20801f03cfef2168d72b698b0ae61f14882b7641b28116dc6008fcbaa83",
+        None),
+    "search-twenty-absent": (
+        2, "ce703ed3b1b9007036900c6c539c28149992df38eb04be84688c32f0a0a10e85",
+        None),
 }
 
 
@@ -176,9 +247,10 @@ def _sha(data: bytes) -> str:
 
 def _digests(name: str, workdir: Path) -> tuple[int, str, str | None]:
     """Run one command from ``workdir``, the current directory, beside
-    ``five.json``: its exit code and the digests of what it printed and
+    the two databases: its exit code and the digests of what it printed and
     wrote."""
     (workdir / "five.json").write_text(FIVE_DB)
+    (workdir / "twenty.json").write_text(TWENTY_DB)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(COMMANDS[name])
@@ -189,7 +261,7 @@ def _digests(name: str, workdir: Path) -> tuple[int, str, str | None]:
 
 
 def test_every_command_is_pinned():
-    assert len(COMMANDS) == 30
+    assert len(COMMANDS) == 46
     assert set(GOLDEN) == set(COMMANDS)
 
 

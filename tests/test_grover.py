@@ -592,7 +592,7 @@ def test_reload_check_rejects_a_bad_fragment_where_its_toffoli_fires(monkeypatch
     # the Toffoli that loads bit 0 of record 2 fires on branch 2 alone; its
     # fragment without the closing H leaves the target in superposition
     layout = QdamLayout(2, 2)
-    _patch_one_fragment(monkeypatch, layout.load_qubit(2, 0), lambda f: f[:-1])
+    _patch_one_fragment(monkeypatch, layout.load + 2 * layout.m, lambda f: f[:-1])
     with pytest.raises(CircuitError, match="bit-sliced"):
         run_search(toy_db(2), SearchQuery("10", "val"))
     # on branch 1 the fragment cannot act, so the check skips it
@@ -601,7 +601,7 @@ def test_reload_check_rejects_a_bad_fragment_where_its_toffoli_fires(monkeypatch
 
 def test_reload_check_rejects_a_wrong_phase_on_the_right_label(monkeypatch):
     layout = QdamLayout(2, 2)
-    target = layout.load_qubit(2, 0)
+    target = layout.load + 2 * layout.m
     _patch_one_fragment(monkeypatch, target,
                         lambda f: [*f, (GateKind.S, (target,))])
     circuits = build_kernel_circuits(layout, toy_db(2), "10")

@@ -386,34 +386,61 @@ def test_every_public_name_is_used_outside_the_tests():
         7, ["dead_function", "Probe.dead_method", "DeadClass"])
 
 
-def _constant_keywords(sources: list[str]) -> dict[str, int]:
-    """``callee(keyword=value)`` -> call sites, for every keyword of a
-    function or class the sources define that two or more of its call
-    sites pass, every one of them passes, and always as the same literal.
-    Callees match by bare name, as in :func:`_unused_api`."""
+def _calls_by_callee(sources: list[str]) -> dict[str, list[ast.Call]]:
+    """Callee -> its call sites, for every function or class the sources
+    define.  Callees match by bare name, as in :func:`_unused_api`."""
     trees = [ast.parse(text) for text in sources]
     defined = {node.name for tree in trees for node in ast.walk(tree)
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    sites: dict[str, int] = defaultdict(int)
-    passed: dict[tuple[str, str], list[ast.expr]] = defaultdict(list)
+    calls: dict[str, list[ast.Call]] = defaultdict(list)
     for tree in trees:
         for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-            if callee in defined:
-                sites[callee] += 1
-                for kw in node.keywords:
-                    if kw.arg is not None:
-                        passed[callee, kw.arg].append(kw.value)
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if callee in defined:
+                    calls[callee].append(node)
+    return calls
+
+
+def _one_literal(values: list[ast.expr]) -> str | None:
+    """The literal that every one of two or more ``values`` is, or None."""
+    if len(values) < 2 or not all(isinstance(v, ast.Constant) for v in values):
+        return None
+    literals = {ast.unparse(v) for v in values}
+    return literals.pop() if len(literals) == 1 else None
+
+
+def _constant_keywords(sources: list[str]) -> dict[str, int]:
+    """``callee(keyword=value)`` -> call sites, for every keyword of a
+    function or class the sources define that two or more of its call
+    sites pass, every one of them passes, and always as the same literal."""
     found = {}
-    for (callee, arg), values in passed.items():
-        if len(values) != sites[callee] or len(values) < 2:
+    for callee, calls in _calls_by_callee(sources).items():
+        passed: dict[str, list[ast.expr]] = defaultdict(list)
+        for call in calls:
+            for kw in call.keywords:
+                if kw.arg is not None:
+                    passed[kw.arg].append(kw.value)
+        for arg, values in passed.items():
+            literal = _one_literal(values)
+            if len(values) == len(calls) and literal is not None:
+                found[f"{callee}({arg}={literal})"] = len(values)
+    return found
+
+
+def _constant_positionals(sources: list[str]) -> dict[str, int]:
+    """``callee(#k=value)`` -> call sites, for every positional argument k
+    that each of two or more call sites of a function or class the sources
+    define passes, always as the same literal.  A callee with a ``*args``
+    call is skipped: that call's positions cannot be read."""
+    found = {}
+    for callee, calls in _calls_by_callee(sources).items():
+        if any(isinstance(a, ast.Starred) for c in calls for a in c.args):
             continue
-        if all(isinstance(v, ast.Constant) for v in values):
-            literals = {ast.unparse(v) for v in values}
-            if len(literals) == 1:
-                found[f"{callee}({arg}={literals.pop()})"] = len(values)
+        for k in range(min((len(c.args) for c in calls), default=0)):
+            literal = _one_literal([c.args[k] for c in calls])
+            if literal is not None:
+                found[f"{callee}(#{k}={literal})"] = len(calls)
     return found
 
 
@@ -437,6 +464,31 @@ def test_no_option_has_one_live_value():
              "    some_sites(1, strict=True), some_sites(2, strict=True), some_sites(3)\n"
              "    return sorted(n, key=None), sorted(n, key=None)\n")
     assert _constant_keywords([probe]) == {"flagged(check=False)": 2}
+
+
+def test_no_positional_argument_has_one_live_value():
+    # a positional argument every caller passes as the same literal is a
+    # parameter with one live value, as a keyword can be
+    found = _constant_positionals([p.read_text() for p in MODULES])
+    assert not found, f"positional arguments always passed as one literal: {found}"
+    # the check flags such an argument at any position, and spares one
+    # passed with two values, at a single site, as a non-literal, by keyword
+    # at some site, or to a callee that some call passes *args
+    probe = ("def flagged(x, y):\n    pass\n"
+             "def two_values(x):\n    pass\n"
+             "def one_site(x):\n    pass\n"
+             "def non_literal(x):\n    pass\n"
+             "def by_keyword(x, y=0):\n    pass\n"
+             "def starred(x):\n    pass\n"
+             "def f(n, args):\n"
+             "    flagged(n, 0), flagged(1, 0)\n"
+             "    two_values(1), two_values(2)\n"
+             "    one_site(1)\n"
+             "    non_literal(n), non_literal(n)\n"
+             "    by_keyword(n, 1), by_keyword(n, y=1)\n"
+             "    starred(*args), starred(1), starred(1)\n"
+             "    return sorted(n, None), sorted(n, None)\n")
+    assert _constant_positionals([probe]) == {"flagged(#1=0)": 2}
 
 
 def _shared_member_names(sources: list[str]) -> dict[str, set[str]]:

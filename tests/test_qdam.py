@@ -31,6 +31,7 @@ from oracles import (
     check_gates,
     macro_counts,
     naive_loader_gates,
+    qdam_regions,
     register_bits,
     resource_tally,
     stage1_per_level_gates,
@@ -51,12 +52,32 @@ def _index_state(layout, value):
 
 def test_layout_region_sizes():
     layout = QdamLayout(3, 2)
-    assert layout.onehot_size == 8
-    assert layout.database_qubits == 16
-    assert layout.load_ancillas == 16
-    assert layout.fanout_ancillas == 3 + 8  # stage 1's, then one per record
-    assert layout.ladder_ancillas == 1
+    assert layout.data - layout.onehot == 8
+    assert layout.load - layout.database == 16
+    assert layout.fanout - layout.load == 16
+    assert layout.ladder_qubits().start - layout.fanout == 3 + 8  # stage 1's, then one per record
+    assert len(layout.ladder_qubits()) == 1
     assert layout.total_qubits == 3 + 8 + 2 + 16 + 16 + 11 + 1
+
+
+def test_the_layout_equals_an_independent_placement():
+    # every region start, the ladder, the width and the register sizes
+    # against the map the oracle places from the widths alone
+    starts = ("onehot", "data", "database", "load", "fanout")
+    for n in range(1, 13):
+        for m in range(1, 41):
+            layout, regions = QdamLayout(n, m), qdam_regions(n, m)
+            assert [getattr(layout, name) for name in starts] == [
+                regions[name].start for name in starts]
+            ladder = layout.ladder_qubits()
+            assert (ladder.start, ladder.stop) == (regions["ladder"].start,
+                                                   regions["ladder"].stop)
+            assert layout.total_qubits == regions["ladder"].stop
+            assert layout.register_sizes == {
+                B: len(regions["index"]), U: len(regions["onehot"]),
+                D: len(regions["data"]), Register.DATABASE: len(regions["database"]),
+                Register.ANCILLA: sum(len(regions[name])
+                                      for name in ("load", "fanout", "ladder"))}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -66,7 +87,7 @@ def test_the_kernel_touches_every_fanout_qubit(n):
         layout = QdamLayout(n, m)
         kernel = build_kernel_circuits(layout, ["0" * m] * (1 << n), "0" * m).kernel()
         touched = {q for _, ops in kernel.gates for q in ops}
-        pool = {layout.fanout_qubit(k) for k in range(layout.fanout_ancillas)}
+        pool = set(range(layout.fanout, layout.ladder_qubits().start))
         assert pool <= touched, sorted(pool - touched)
 
 
@@ -83,19 +104,18 @@ def test_layout_qubits_are_the_flat_indices_of_their_labels():
     layout = QdamLayout(2, 3)
     label = _labels(layout)
     assert [label[b] for b in range(2)] == ["BINARY_INDEX:0", "BINARY_INDEX:1"]
-    assert [label[layout.onehot_qubit(i)] for i in range(4)] == [
+    assert [label[layout.onehot + i] for i in range(4)] == [
         f"ONEHOT_INDEX:{i}" for i in range(4)]
-    assert [label[layout.data_qubit(j)] for j in range(3)] == [
+    assert [label[layout.data + j] for j in range(3)] == [
         f"DATA:{j}" for j in range(3)]
     for i in range(4):
         for j in range(3):
-            assert label[layout.database_qubit(i, j)] == f"DATABASE:{i * 3 + j}"
-            assert label[layout.load_qubit(i, j)] == f"ANCILLA:{i * 3 + j}"
-    load, fanout = layout.load_ancillas, layout.fanout_ancillas
-    assert [label[layout.fanout_qubit(k)] for k in range(fanout)] == [
-        f"ANCILLA:{load + k}" for k in range(fanout)]
-    assert [label[q] for q in layout.ladder_qubits()] == [
-        f"ANCILLA:{load + fanout + k}" for k in range(layout.ladder_ancillas)]
+            assert label[layout.database + i * 3 + j] == f"DATABASE:{i * 3 + j}"
+            assert label[layout.load + i * 3 + j] == f"ANCILLA:{i * 3 + j}"
+    # the fan-out pool, then the ladder, follow the load ancillas
+    ladder = layout.ladder_qubits()
+    assert [label[q] for q in (*range(layout.fanout, ladder.start), *ladder)] == [
+        f"ANCILLA:{q - layout.load}" for q in range(layout.fanout, ladder.stop)]
     assert layout.ladder_qubits()[-1] == layout.total_qubits - 1
 
 

@@ -609,7 +609,7 @@ def _check_the_fan_in_moves_no_tally(layout, keys):
 
 
 @pytest.mark.parametrize("n", range(1, 11))
-def test_stage_two_tally_equals_all_three_tilings_on_zero_keys(n):
+def test_stage_two_tally_equals_all_three_parts_on_zero_keys(n):
     for m in range(1, min(8, (1 << 12) >> n) + 1):
         _check_the_fan_in_moves_no_tally(QdamLayout(n, m), ["0" * m] * (1 << n))
 

@@ -51,6 +51,8 @@ level, and a :class:`RecordBlock` (stage 2's records, disjoint copies of
 the block) at its regions' earliest and latest entries, and feeds its
 gates where the two part.  A :class:`FanIn` feeds CNOT folds
 (:func:`fold_gates`), and a :class:`SyncBlock` a reflection's CNOT gossip.
+Each part's closed form is checked against its gates by one table in
+``tests/test_circuit.py``, and a hygiene test requires a row for every part.
 """
 from __future__ import annotations
 

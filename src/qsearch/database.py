@@ -189,17 +189,14 @@ def pad_to_power_of_two(db: Database) -> Database:
 
     Sentinel keys are the lexicographically smallest bit strings not yet in
     use; all other sentinel fields are zero.  Idempotent on power-of-two
-    databases; key distinctness is preserved.
+    databases; key distinctness is preserved.  Keys never run out:
+    :class:`Database` rejects duplicate keys of m bits, so it holds at most
+    2^m records, and so does their power-of-two ceiling ``1 << index_bits``.
     """
     if db.is_power_of_two:
         return db
     target = 1 << db.index_bits
     width = db.key_width
-    if (1 << width) < target:
-        raise InputError(
-            f"cannot pad to {target} records: key field has only "
-            f"{1 << width} distinct values"
-        )
     used = set(db.keys())
     sentinels: list[Record] = []
     candidate = 0

@@ -3,10 +3,11 @@ from __future__ import annotations
 
 import math
 import random
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsearch.circuit import (
@@ -251,18 +252,14 @@ def test_reversed_stream_tallies_as_the_inverse(circ):
             == tally_flat(circ.inverted().gates, total))
 
 
-_PRIOR_MIX = [GateKind.TOFFOLI, GateKind.MCZ, GateKind.CNOT, GateKind.T,
-              GateKind.TDG, GateKind.S, GateKind.SDG, GateKind.H, GateKind.X]
-
-
-def _place(draw, shapes):
+def _place(rng, shapes):
     """Regions of ``(width, copies)`` in a random order from a random
     offset, with a gap of 0 to 3 qubits after each: their starts, in the
     order given, and the width of the circuit that holds them."""
-    starts, top = [0] * len(shapes), draw(st.integers(0, 3))
-    for r in draw(st.permutations(range(len(shapes)))):
+    starts, top = [0] * len(shapes), rng.randrange(4)
+    for r in rng.sample(range(len(shapes)), len(shapes)):
         starts[r] = top
-        top += shapes[r][0] * shapes[r][1] + draw(st.integers(0, 3))
+        top += shapes[r][0] * shapes[r][1] + rng.randrange(4)
     return starts, top
 
 
@@ -276,45 +273,142 @@ def _record_widths(m):
     return (1, m, m, m - 1)
 
 
-@st.composite
-def _records(draw):
-    """Records at n 1..6 and m 1..6, their regions placed apart in a random
-    order, and entry times per region, each uniform, uniform per column,
-    staggered per record or one per qubit; the database region may instead
-    hold 0 or 1 per bit, as the preparation of random keys leaves it."""
-    m, copies = draw(st.integers(1, 6)), 1 << draw(st.integers(1, 6))
+_MODES = ("uniform", "column", "record", "qubit")
+
+
+def _prior(rng, total, regions):
+    """A schedule's state before a part: an entry time per qubit, then
+    each region ``(start, width, copies, modes)`` redrawn in one of
+    ``modes``: one time for the region, per column, per record or per
+    qubit, or ``keys``, 0 or 1 per bit, as preparing random keys leaves a
+    database; then a mark bytearray and a non-zero T count.  The times lie
+    in base + [0, spread) for a spread of 1, 3 or 40, so every qubit may
+    enter at one time, zero or not, and ties are common."""
+    base, spread = rng.randrange(20), rng.choice((1, 3, 40))
+
+    def times(count):
+        return [base + rng.randrange(spread) for _ in range(count)]
+
+    avail = times(total)
+    for start, width, copies, modes in regions:
+        mode, size = rng.choice(modes), width * copies
+        avail[start:start + size] = (
+            times(1) * size if mode == "uniform"
+            else times(width) * copies if mode == "column"
+            else [t for t in times(copies) for _ in range(width)] if mode == "record"
+            else times(size) if mode == "qubit"
+            else [rng.randrange(2) for _ in range(size)])
+    marks = bytearray(rng.randrange(2) for _ in range(rng.randrange(60)))
+    return avail, marks, rng.randrange(1, 100)
+
+
+def _circuit_feeds(rng, width, size):
+    # a random mix of macro and lowered gates on one region
+    (start,), total = _place(rng, [(width, 1)])
+    gates = [gate(kind, *rng.sample(range(start, start + width), _MIX_ARITY.get(kind, 1)))
+             for kind in rng.choices(_MACRO_MIX, k=size)]
+    return Circuit({A: total}, gates), _prior(rng, total, [(start, width, 1, _MODES)]), True
+
+
+def _record_feeds(rng, m, copies):
+    # the records feed their gates where the two evaluations part, so every
+    # prior is admitted
     widths = _record_widths(m)
-    starts, total = _place(draw, [(w, copies) for w in widths])
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    entries = [rng.randrange(40) for _ in range(total)]
-    for region, (start, width) in enumerate(zip(starts, widths)):
-        modes = ["uniform", "column", "record", "qubit"] + ["keys"] * (region == 1)
-        mode, size = draw(st.sampled_from(modes)), copies * width
-        if mode == "uniform":
-            times = [rng.randrange(40)] * size
-        elif mode == "column":
-            times = [rng.randrange(40) for _ in range(width)] * copies
-        elif mode == "record":
-            times = [t for _ in range(copies) for t in [rng.randrange(40)] * width]
-        elif mode == "qubit":
-            times = [rng.randrange(40) for _ in range(size)]
-        else:
-            times = [rng.randrange(2) for _ in range(size)]
-        entries[start:start + size] = times
-    return _records_at(m, copies, starts, total), entries
+    starts, total = _place(rng, [(w, copies) for w in widths])
+    regions = [(start, width, copies, _MODES + ("keys",) * (r == 1))
+               for r, (start, width) in enumerate(zip(starts, widths))]
+    return _records_at(m, copies, starts, total), _prior(rng, total, regions), True
 
 
-@settings(max_examples=200, deadline=None)
-@given(_records(), st.booleans())
-def test_record_feed_equals_feeding_its_gates(case, reverse):
-    records, entries = case
-    fed, flat = Schedule(len(entries)), Schedule(len(entries))
-    fed._avail, flat._avail = list(entries), list(entries)
-    records.feed_into(fed, reverse)
-    flat.feed(records.gates[::-1] if reverse else records.gates)
-    assert fed._avail == flat._avail
-    assert fed.tally() == flat.tally()
-    assert marked_layers(fed) == marked_layers(flat)
+def _fan_in_feeds(rng, depth, copies):
+    # fold j's column is every copies-th qubit of the load region from j
+    (load, target), total = _place(rng, [(copies, 1 << depth), (1, copies)])
+    regions = [(load, copies, 1 << depth, _MODES), (target, 1, copies, _MODES)]
+    return FanIn(load, depth, target, copies, total), _prior(rng, total, regions), True
+
+
+def _sync_feeds(rng, j, pads):
+    width = (1 << j) - pads
+    (start, pad), total = _place(rng, [(1, width), (1, pads)])
+    block = SyncBlock(range(start, start + width), range(pad, pad + pads), total)
+    return block, _prior(rng, total, [(start, 1, width, _MODES), (pad, 1, pads, _MODES)]), True
+
+
+def _decoder_feeds(rng, n):
+    # the index on qubits 0 .. n-1; one of the one-hot register and the
+    # lease classes (class r: the 2^r qubits that fan-out round r fills),
+    # or none, may enter staggered, and the decoder admits the prior only
+    # if each enters at one time
+    size = 1 << n
+    (onehot, lease), total = _place(rng, [(1, size), (1, size // 2 - 1)])
+    onehot, lease, total = onehot + n, lease + n, total + n
+    regions = [(onehot, size), *((lease + (1 << r) - 1, 1 << r) for r in range(n - 1))]
+    late = rng.randrange(len(regions) + 1)
+    prior = _prior(rng, total, [(start, 1, count, _MODES if r == late else ("uniform",))
+                                for r, (start, count) in enumerate(regions)])
+    admitted = all(len(set(prior[0][start:start + count])) == 1 for start, count in regions)
+    return OneHotDecoder(n, onehot, lease, total), prior, admitted
+
+
+class _Row(NamedTuple):
+    """A row of the feed table: from a seeded generator and a shape, its
+    builder gives a part placed by _place, a prior and whether the part
+    admits it."""
+
+    build: Callable  # (rng, *shape) -> (part, (avail, marks, t_count), admitted)
+    shapes: st.SearchStrategy  # the shapes drawn
+    edges: list  # the shapes checked on every run
+    examples: int  # per direction
+
+
+_COPIES = st.integers(1, 6) | st.integers(1, 6).map(lambda e: 1 << e)
+
+# one row per part class; test_hygiene requires a row for every member of
+# circuit.Part and every class of the package that defines feed_into
+PART_FEEDS = {
+    Circuit: _Row(_circuit_feeds, st.tuples(st.integers(3, 8), st.integers(0, 32)),
+                  [(3, 0)], 100),
+    RecordBlock: _Row(_record_feeds, st.tuples(st.integers(1, 6), _COPIES),
+                      [(1, 1), (4, 5)], 250),
+    FanIn: _Row(_fan_in_feeds, st.tuples(st.integers(0, 8), st.integers(1, 6)),
+                [(0, 1), (0, 5)], 100),
+    SyncBlock: _Row(_sync_feeds, st.integers(0, 10).flatmap(
+        lambda j: st.tuples(st.just(j), st.integers(0, (1 << j) - 1))), [(0, 0), (3, 7)], 100),
+    OneHotDecoder: _Row(_decoder_feeds, st.tuples(st.integers(1, 10)), [(1,), (2,)], 150),
+}
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("cls", PART_FEEDS, ids=lambda cls: cls.__name__)
+def test_feeding_a_part_equals_feeding_its_gates(cls, reverse):
+    # on an admitted prior, the part's feed leaves the availability, the
+    # tally and the marks that both schedulers leave over its gates; on any
+    # other, it refuses
+    row = PART_FEEDS[cls]
+
+    def check(shape, seed):
+        part, (avail, marks, t_count), admitted = row.build(random.Random(seed), *shape)
+        fed, flat, slow = Schedule(len(avail)), Schedule(len(avail)), ReferenceSchedule(0)
+        for schedule in (fed, flat):
+            schedule._avail, schedule._marks, schedule._t_count = list(avail), marks[:], t_count
+        slow.avail, slow.t_count = list(avail), t_count
+        slow.t_layers = {layer for layer, mark in enumerate(marks) if mark}
+        if not admitted:
+            with pytest.raises(CircuitError, match="enters staggered"):
+                part.feed_into(fed, reverse)
+            return
+        part.feed_into(fed, reverse)
+        gates = part.gates[::-1] if reverse else part.gates
+        flat.feed(gates)
+        reference_feed(slow, gates)
+        assert fed._avail == flat._avail == slow.avail
+        assert fed.tally() == flat.tally() == slow.tally()
+        assert marked_layers(fed) == marked_layers(flat) == slow.t_layers
+
+    for shape in row.edges:
+        check = example(shape, 0)(example(shape, 1)(check))
+    settings(max_examples=row.examples, deadline=None)(
+        given(row.shapes, st.integers(0, 2**32 - 1))(check))()
 
 
 @settings(max_examples=300, deadline=None)
@@ -356,47 +450,14 @@ def _record_stream(m, copies, starts):
     return stream
 
 
-@st.composite
-def _record_lists(draw):
-    """One or two record parts at m 1..5 and 1..6 copies (any count, not
-    only powers of two), their eight regions placed apart in a random
-    order, and a prior stream over all qubits: a random one to stagger the
-    records' entry times, or one to three layers of one-qubit gates on
-    every qubit, so that every record enters at the same time, zero or
-    not."""
-    shapes = [(draw(st.integers(1, 5)), draw(st.integers(1, 6)))
-              for _ in range(draw(st.integers(1, 2)))]
-    starts, total = _place(draw, [(w, copies) for m, copies in shapes
-                                  for w in _record_widths(m)])
-    parts = [(m, copies, starts[4 * k:4 * k + 4]) for k, (m, copies) in enumerate(shapes)]
-    if draw(st.booleans()):
-        prior = []
-        for kind in draw(st.lists(st.sampled_from(_PRIOR_MIX), max_size=20)):
-            order = draw(st.permutations(range(total)))
-            prior.append(gate(kind, *order[:_MIX_ARITY.get(kind, 1)]))
-        return parts, total, prior
-    layers = draw(st.lists(st.sampled_from(_PRIOR_MIX[3:]), max_size=3))
-    return parts, total, [gate(kind, q) for kind in layers for q in range(total)]
-
-
-@settings(max_examples=300, deadline=None)
-@given(_record_lists(), st.booleans())
-def test_record_blocks_feed_as_their_copied_gates(case, reverse):
-    parts, total, prior = case
-    records, copied = [], []
-    for m, copies, starts in parts:
-        records.append(_records_at(m, copies, starts, total))
-        stream = _record_stream(m, copies, starts)
-        assert records[-1].gates == tuple(stream)
-        copied += stream
-    # reversed, the stream runs the last part first and every record backwards
-    tiled = Schedule(total).feed(prior).feed_parts(records, reverse=reverse)
-    flat = Schedule(total).feed(prior).feed(copied[::-1] if reverse else copied)
-    slow = reference_feed(ReferenceSchedule(total), prior)
-    reference_feed(slow, copied[::-1] if reverse else copied)
-    assert tiled.tally() == flat.tally() == slow.tally()
-    assert tiled._avail == flat._avail == slow.avail
-    assert marked_layers(tiled) == slow.t_layers
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_record_block_gates_are_the_checked_layers_record_by_record(m, copies, seed):
+    # any copy count, not only powers of two, the regions placed apart in a
+    # random order
+    starts, total = _place(random.Random(seed), [(w, copies) for w in _record_widths(m)])
+    records = _records_at(m, copies, starts, total)
+    assert records.gates == tuple(_record_stream(m, copies, starts))
 
 
 @pytest.mark.parametrize("reverse", [False, True])
@@ -500,36 +561,6 @@ def test_the_region_check_agrees_with_the_marking_oracle(case):
     assert checked == marked
 
 
-@st.composite
-def _fan_ins(draw):
-    # 2^0 .. 2^8 column qubits per fold, 1 .. 6 folds, the targets before
-    # or after the load region, and every qubit entering at its own time
-    depth, copies = draw(st.integers(0, 8)), draw(st.integers(1, 6))
-    region, gap = copies << depth, draw(st.integers(0, 3))
-    load, target = ((copies + gap, 0) if draw(st.booleans())
-                    else (0, region + gap))
-    total = region + copies + gap + draw(st.integers(0, 2))
-    prior = draw(st.lists(st.integers(0, 40), min_size=total, max_size=total))
-    return FanIn(load, depth, target, copies, total), prior
-
-
-@settings(max_examples=200, deadline=None)
-@given(_fan_ins(), st.booleans())
-def test_feed_fan_in_equals_feeding_the_folds(case, reverse):
-    fan_in, prior = case
-    total = len(prior)
-    fast, slow = Schedule(total), ReferenceSchedule(total)
-    fast._avail, slow.avail = list(prior), list(prior)
-    # a T layer marked before the fan-in, which must leave it as it is
-    fast.feed([gate(GateKind.T, 0)])
-    reference_feed(slow, [gate(GateKind.T, 0)])
-    fan_in.feed_into(fast, reverse=reverse)
-    reference_feed(slow, fan_in.gates[::-1] if reverse else fan_in.gates)
-    assert fast._avail == slow.avail
-    assert fast.tally() == slow.tally() == (1, 1)
-    assert marked_layers(fast) == slow.t_layers
-
-
 def test_fan_in_gates_are_the_shifted_folds():
     # fold j is column j's fold into target j, fold by fold
     fan_in = FanIn(3, 2, 0, 3, 15)
@@ -549,38 +580,6 @@ def test_fan_in_checks_its_region_once():
                  (2, 1, -1, 2, 6)):  # so does the first target
         with pytest.raises(CircuitError, match="the fan-in leaves the circuit"):
             FanIn(*args)
-
-
-@st.composite
-def _sync_blocks(draw):
-    # k = 2^0 .. 2^10 qubits, the last 0 .. k - 1 of them pads, before or
-    # after the register, and every qubit entering at its own time after
-    # up to 60 marked layers
-    k = 1 << draw(st.integers(0, 10))
-    pad, gap = draw(st.integers(0, k - 1)), draw(st.integers(0, 3))
-    width = k - pad
-    start, pad_start = ((gap + pad, gap) if draw(st.booleans())
-                        else (gap, gap + width + draw(st.integers(0, 2))))
-    total = max(start + width, pad_start + pad) + draw(st.integers(0, 2))
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    prior = [rng.randint(0, 40) for _ in range(total)]
-    marks = bytearray(rng.randint(0, 1) for _ in range(rng.randint(0, 60)))
-    block = SyncBlock(range(start, start + width), range(pad_start, pad_start + pad), total)
-    return block, prior, marks
-
-
-@settings(max_examples=200, deadline=None)
-@given(_sync_blocks(), st.booleans())
-def test_feed_sync_block_equals_feeding_its_gates(case, reverse):
-    block, prior, marks = case
-    fast, slow = Schedule(len(prior)), ReferenceSchedule(len(prior))
-    fast._avail, fast._marks, slow.avail = list(prior), bytearray(marks), list(prior)
-    slow.t_layers = {layer for layer, mark in enumerate(marks) if mark}
-    block.feed_into(fast, reverse=reverse)
-    reference_feed(slow, block.gates[::-1] if reverse else block.gates)
-    assert fast._avail == slow.avail
-    assert fast.tally() == slow.tally() == (0, len(slow.t_layers))
-    assert marked_layers(fast) == slow.t_layers
 
 
 @pytest.mark.parametrize("j", range(11))
@@ -607,61 +606,6 @@ def test_sync_block_checks_its_region_once():
                  (range(0), range(0), 6)):  # no qubit at all
         with pytest.raises(CircuitError, match="the sync block needs"):
             SyncBlock(*args)
-
-
-def _lease_classes(decoder):
-    # lease class r: the 2^r qubits that fan-out round r creates
-    return [range(decoder.lease + (1 << r) - 1, decoder.lease + (2 << r) - 1)
-            for r in range(decoder.n - 1)]
-
-
-@st.composite
-def _decoders(draw):
-    # n = 1 .. 10, the lease before or after the one-hot register; that
-    # register and each lease class enter at one time each, every other
-    # qubit at its own, and up to 60 layers are marked before the decoder
-    n, gap = draw(st.integers(1, 10)), draw(st.integers(0, 2))
-    size, leased = 1 << n, (1 << n - 1) - 1
-    onehot, lease = ((n + gap, n + gap + size) if draw(st.booleans())
-                     else (n + gap + leased, n + gap))
-    total = n + gap + size + leased + draw(st.integers(0, 2))
-    decoder = OneHotDecoder(n, onehot, lease, total)
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    prior = [rng.randint(0, 40) for _ in range(total)]
-    for qubits in (range(onehot, onehot + size), *_lease_classes(decoder)):
-        prior[qubits.start:qubits.stop] = [rng.randint(0, 40)] * len(qubits)
-    marks = bytearray(rng.randint(0, 1) for _ in range(rng.randint(0, 60)))
-    return decoder, prior, marks
-
-
-@settings(max_examples=200, deadline=None)
-@given(_decoders(), st.booleans())
-def test_feed_decoder_equals_feeding_its_gates(case, reverse):
-    decoder, prior, marks = case
-    fast, slow = Schedule(len(prior)), Schedule(len(prior))
-    for schedule in (fast, slow):
-        schedule._avail, schedule._marks = list(prior), bytearray(marks)
-        schedule.feed([gate(GateKind.T, 0)])
-    decoder.feed_into(fast, reverse=reverse)
-    slow.feed(decoder.gates[::-1] if reverse else decoder.gates)
-    assert fast._avail == slow._avail
-    assert fast.tally() == slow.tally()
-    assert marked_layers(fast) == marked_layers(slow)
-
-
-@pytest.mark.parametrize("reverse", [False, True])
-def test_feed_decoder_rejects_a_staggered_class(reverse):
-    # n = 3: one-hot 3 .. 10, lease class 0 = {11}, lease class 1 = {12, 13}
-    decoder = OneHotDecoder(3, 3, 11, 14)
-    for late in (0, 11, 14):  # an index qubit, a one-qubit class, no qubit
-        schedule = Schedule(15)
-        schedule._avail[late] = 4
-        decoder.feed_into(schedule, reverse=reverse)
-    for late in (3, 10, 13):  # the first and last one-hot qubits, lease 2
-        schedule = Schedule(15)
-        schedule._avail[late] = 4
-        with pytest.raises(CircuitError, match="enters staggered"):
-            decoder.feed_into(schedule, reverse=reverse)
 
 
 def test_decoder_checks_its_registers_once():

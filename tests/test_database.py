@@ -116,8 +116,8 @@ def test_padding_is_idempotent():
 
 def test_saturated_key_space_is_caught_by_pigeonhole():
     # 5 records under a 2-bit key can never carry distinct keys, so the
-    # distinctness check fires at construction; padding's saturation guard
-    # is unreachable for any loadable database but stays as a backstop.
+    # distinctness check fires at construction; it is also why padding
+    # always finds enough unused keys, and needs no check of its own
     with pytest.raises(InputError, match="record 4: duplicate key value '00'"):
         load_database(_doc(
             [{"id": f"{i % 4:02b}", "val": "00"} for i in range(5)],

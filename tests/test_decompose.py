@@ -307,11 +307,6 @@ def test_sync_block_is_identity_and_equalizes_timing():
         assert schedule._avail == avail
 
 
-def test_sync_block_requires_power_of_two():
-    with pytest.raises(CircuitError, match="the sync block needs 2\\^j qubits"):
-        SyncBlock(range(_d(0), _d(3)), range(0), 4)
-
-
 # -- fragment spans ---------------------------------------------------------
 
 

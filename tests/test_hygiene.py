@@ -7,9 +7,10 @@ somewhere, every public function, class and method is used outside the
 tests, every member name that two classes share is pinned, no keyword is
 always passed as the same literal, the package defines only its three
 error classes, the simulators hold no float and no module binds a
-tolerance, only the two tallies construct a schedule, every module-level
-cap has a comment above it, every name the benchmark's tracer patches
-exists, and the tracer can trace one op of each workload."""
+tolerance, only the two tallies construct a schedule, every part has a
+row in the feed table, every module-level cap has a comment above it,
+every name the benchmark's tracer patches exists, and the tracer can
+trace one op of each workload."""
 from __future__ import annotations
 
 import ast
@@ -18,12 +19,15 @@ import importlib
 import importlib.util
 import pathlib
 import sys
+import typing
 from collections import defaultdict
 
 import pytest
 
 import qsearch
-from qsearch.circuit import GateKind
+from qsearch.circuit import GateKind, Part
+
+from test_circuit import PART_FEEDS
 
 PACKAGE_DIR = pathlib.Path(qsearch.__file__).parent
 MODULES = sorted(PACKAGE_DIR.glob("*.py"))
@@ -680,6 +684,32 @@ def test_only_the_two_tallies_construct_a_schedule():
              "TOP = Schedule(1)\n")
     assert _schedule_builders(probe) == {"<module>", "scratch", "Part.feed_into",
                                          "Part.Inner"}
+
+
+def _part_names(part: object, sources: list[str]) -> set[str]:
+    """The names of the members of the union ``part`` and of every class
+    in ``sources``, at any depth, that defines ``feed_into``."""
+    fed = {node.name for text in sources for node in ast.walk(ast.parse(text))
+           if isinstance(node, ast.ClassDef) and any(
+               isinstance(stmt, ast.FunctionDef) and stmt.name == "feed_into"
+               for stmt in node.body)}
+    return {cls.__name__ for cls in typing.get_args(part)} | fed
+
+
+def test_every_part_has_a_row_in_the_feed_table():
+    # a part's closed form is trusted only because feeding it equals
+    # feeding its gates, which one property in test_circuit checks, row by
+    # row; a part with no row would go unchecked
+    sources = [p.read_text() for p in MODULES]
+    rows = {cls.__name__ for cls in PART_FEEDS}
+    assert _part_names(Part, sources) == rows
+    # a class added to Part, or a class that defines feed_into, is flagged;
+    # a method of another name, or a function named feed_into, is spared
+    probe = ("class Scratch:\n    def feed_into(self, schedule, reverse=False):\n        pass\n"
+             "class Other:\n    def feed(self, schedule):\n        pass\n"
+             "def feed_into(schedule):\n    pass\n")
+    assert _part_names(Part, [*sources, probe]) - rows == {"Scratch"}
+    assert _part_names(Part | type("ScratchPart", (), {}), sources) - rows == {"ScratchPart"}
 
 
 def _uncommented_caps(text: str) -> list[str]:

@@ -1,25 +1,30 @@
-"""Test-only oracles: a dense state-vector backend, the sparse simulator
-run one gate at a time, the scheduler's generic macro loop over a set of
-T layers, the Walsh-Hadamard transform, stage 1 built level by level,
-the full loader, the sync block's gates, the serial
-multi-controlled-Z ladder and the naive loader built one ladder per record
-bit from it, the kernel measurement over built gate lists, the exact
-iteration count in decimal arithmetic, the one-shot tally of a circuit,
-the gate checks that the IR leaves to its builders, the measured depths'
-exact laws, the register map placed from the widths alone, the checked
-shared-control layer with its fan-out lease, the record placement checked
-by marking, and the circuit, basis-label, register read-out and
-database-export helpers that only tests use, and a recorder of the sparse
-states a run makes.
+"""Test-only oracles: the reference simulator, the sparse simulator run
+one gate at a time, and the exact values, columns and unitaries read off
+it, the scheduler's generic macro loop over a set of T layers, the
+Walsh-Hadamard transform, stage 1 built level by level, the full loader,
+the sync block's gates, the serial multi-controlled-Z ladder and the
+naive loader built one ladder per record bit from it, the kernel
+measurement over built gate lists, the exact iteration count in decimal
+arithmetic, the one-shot tally of a circuit, the gate checks that the IR
+leaves to its builders, the measured depths' exact laws, the register map
+placed from the widths alone, the checked shared-control layer with its
+fan-out lease, the record placement checked by marking, and the circuit,
+basis-label, register read-out and database-export helpers that only
+tests use, and a recorder of the sparse states a run makes.
 
-The sparse simulator's amplitudes are exact, in Z[w]/sqrt(2)^k; tests read
-them as complex floats through :func:`to_complex` alone.
-
-The dense backend applies lowered gates to a full numpy state vector (or
-to a batch of columns for unitary extraction).  It shares no code with
-the sparse or bit-sliced simulators, so it cross-validates them on small
-circuits; the fragment-matrix proofs in ``test_decompose.py`` rest on it.
-Bit conventions are those of :mod:`qsearch.circuit`: flat qubit g is bit
+:func:`gatewise_apply` is the tests' one reference simulator.  It applies
+lowered gates one at a time to a sparse map of exact amplitudes in
+Z[w]/sqrt(2)^k, and shares no code with the sparse or bit-sliced
+simulators, so it cross-validates them; the fragment-matrix proofs in
+``test_decompose.py`` rest on it, through :func:`to_unitary`.  Its states
+stay sparse: a dense state in pure Python would cost seconds per circuit
+on the acceptance suite's loaders.  Every amplitude a test compares is an
+:func:`exact` value, compared by equality.  What the arithmetic means
+is checked twice: each lowered kind's one-gate unitary against its
+textbook matrix, and :func:`to_complex` against :mod:`cmath`.  That
+reading is one of the two float helpers; the other is the transcendental
+closed form :func:`success_probability_formula`.  Bit
+conventions are those of :mod:`qsearch.circuit`: flat qubit g is bit
 ``total-1-g`` of a basis label.
 """
 from __future__ import annotations
@@ -27,10 +32,8 @@ from __future__ import annotations
 import contextlib
 import decimal
 import json
-import math
+from fractions import Fraction
 from itertools import accumulate
-
-import numpy as np
 
 from qsearch.circuit import (
     LOWERED_KINDS,
@@ -52,138 +55,6 @@ from qsearch.errors import CircuitError
 from qsearch.kernel import ReportMode, ResourceReport
 from qsearch.qdam import build_m1, build_m2, loader_parts
 from qsearch.sim import SparseState
-
-DEFAULT_DENSE_CAP = 14
-
-_SQRT_HALF = math.sqrt(0.5)
-_PHASES = {
-    GateKind.Z: -1.0 + 0.0j,
-    GateKind.S: 1.0j,
-    GateKind.SDG: -1.0j,
-    GateKind.T: complex(_SQRT_HALF, _SQRT_HALF),
-    GateKind.TDG: complex(_SQRT_HALF, -_SQRT_HALF),
-}
-
-
-class DenseCapError(CircuitError):
-    """Dense simulation requested above the qubit cap; use the sparse
-    simulator instead."""
-
-
-# -- dense backend ------------------------------------------------------------
-
-
-def dense_apply(circuit: Circuit, array: np.ndarray) -> np.ndarray:
-    """Apply a lowered circuit to axis 0 of ``array`` (vector or matrix),
-    in place.  Raises :class:`CircuitError` at the first macro gate."""
-    k = circuit.total_qubits
-    dim = 1 << k
-    if array.shape[0] != dim:
-        raise CircuitError("state dimension does not match the circuit")
-    batch = array.reshape(dim, -1)
-    idx = np.arange(dim)
-
-    def pair_view(g: int) -> np.ndarray:
-        return batch.reshape(1 << g, 2, -1)
-
-    for kind, flats in circuit.gates:
-        if kind is GateKind.H:
-            v = pair_view(flats[0])
-            a = v[:, 0].copy()
-            b = v[:, 1].copy()
-            v[:, 0] = (a + b) * _SQRT_HALF
-            v[:, 1] = (a - b) * _SQRT_HALF
-        elif kind is GateKind.X:
-            v = pair_view(flats[0])
-            a = v[:, 0].copy()
-            v[:, 0] = v[:, 1]
-            v[:, 1] = a
-        elif kind in _PHASES:
-            v = pair_view(flats[0])
-            v[:, 1] = v[:, 1] * _PHASES[kind]
-        elif kind is GateKind.CNOT:
-            c, t = flats
-            cbit = 1 << (k - 1 - c)
-            tbit = 1 << (k - 1 - t)
-            sel = (idx & cbit).astype(bool) & ~(idx & tbit).astype(bool)
-            src = idx[sel]
-            dst = src ^ tbit
-            tmp = batch[src].copy()
-            batch[src] = batch[dst]
-            batch[dst] = tmp
-        elif kind is GateKind.CZ:
-            c, t = flats
-            mask = (1 << (k - 1 - c)) | (1 << (k - 1 - t))
-            sel = (idx & mask) == mask
-            batch[sel] = -batch[sel]
-        else:
-            raise CircuitError(
-                f"simulation requires a lowered circuit, got {kind.value}"
-            )
-    return batch.reshape(array.shape)
-
-
-def dense_statevector(
-    circuit: Circuit,
-    initial: int | np.ndarray = 0,
-    max_qubits: int | None = None,
-) -> np.ndarray:
-    """Run a lowered circuit on a dense vector; ``initial`` is a basis label
-    or a prepared vector.  ``max_qubits`` overrides the default cap."""
-    k = circuit.total_qubits
-    cap = max_qubits if max_qubits is not None else DEFAULT_DENSE_CAP
-    if k > cap:
-        raise DenseCapError(f"{k} qubits exceeds the dense cap {cap}")
-    if isinstance(initial, np.ndarray):
-        vec = initial.astype(np.complex128, copy=True)
-    else:
-        vec = np.zeros(1 << k, dtype=np.complex128)
-        vec[initial] = 1.0
-    return dense_apply(circuit, vec)
-
-
-def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Full unitary by running the dense backend on identity columns."""
-    dim = 1 << circuit.total_qubits
-    return dense_apply(circuit, np.eye(dim, dtype=np.complex128))
-
-
-def to_unitary(circuit: Circuit, max_qubits: int | None = None) -> np.ndarray:
-    """Dense unitary of a lowered circuit, column ordering as documented.
-
-    Only for small circuits; above the cap (``max_qubits``, default
-    ``DEFAULT_DENSE_CAP`` = 14 qubits) raises :class:`DenseCapError`.
-    """
-    if not is_lowered(circuit):
-        raise CircuitError("to_unitary requires a lowered circuit")
-    cap = max_qubits if max_qubits is not None else DEFAULT_DENSE_CAP
-    if circuit.total_qubits > cap:
-        raise DenseCapError(
-            f"{circuit.total_qubits} qubits exceeds dense cap {cap}; "
-            "use the sparse simulator instead"
-        )
-    return circuit_unitary(circuit)
-
-
-def to_complex(amp, k: int) -> complex:
-    """The exact amplitude (a + b w + c w^2 + d w^3) / sqrt(2)^k, w =
-    e^(i pi/4), as a complex float: w = (1 + i)/sqrt(2), w^2 = i and
-    w^3 = (-1 + i)/sqrt(2).  The one conversion the tests read a
-    :class:`qsearch.sim.SparseState` amplitude through."""
-    a, b, c, d = amp
-    value = complex(a + (b - d) * _SQRT_HALF, c + (b + d) * _SQRT_HALF)
-    return value * _SQRT_HALF ** k
-
-
-def to_dense(state) -> np.ndarray:
-    """A :class:`qsearch.sim.SparseState` as a dense vector."""
-    if state.total_qubits > DEFAULT_DENSE_CAP:
-        raise DenseCapError(f"{state.total_qubits} qubits exceeds the dense cap")
-    vec = np.zeros(1 << state.total_qubits, dtype=np.complex128)
-    for label, amp in state.amplitudes.items():
-        vec[label] = to_complex(amp, state.k)
-    return vec
-
 
 def register_shift(register_sizes, register: Register) -> int:
     """Bit position (from the least significant end) of a register's last
@@ -209,17 +80,6 @@ def basis_pattern(register_sizes, assignments) -> int:
     return pattern
 
 
-def amplitude(state: SparseState, label: int) -> complex:
-    """The amplitude of one basis label as a complex float; a label the
-    state does not store is 0."""
-    return to_complex(state.amplitudes.get(label, (0, 0, 0, 0)), state.k)
-
-
-def norm(state) -> float:
-    return math.sqrt(sum(abs(to_complex(amp, state.k)) ** 2
-                         for amp in state.amplitudes.values()))
-
-
 @contextlib.contextmanager
 def recorded_states():
     """While open, append every state :meth:`SparseState.apply` returns to
@@ -239,14 +99,19 @@ def recorded_states():
         SparseState.apply = apply
 
 
-# w^t as (a, b, c, d), for every single-qubit phase gate
-_OMEGA_POWERS = {
-    GateKind.Z: (-1, 0, 0, 0),
-    GateKind.S: (0, 0, 1, 0),
-    GateKind.SDG: (0, 0, -1, 0),
-    GateKind.T: (0, 1, 0, 0),
-    GateKind.TDG: (0, 0, 0, -1),
-}
+# -- the reference simulator --------------------------------------------------
+
+
+def omega(t: int) -> tuple[int, int, int, int]:
+    """w^t as (a, b, c, d), by w^4 = -1."""
+    amp = [0, 0, 0, 0]
+    amp[t % 4] = -1 if t % 8 >= 4 else 1
+    return tuple(amp)
+
+
+# the power of w each single-qubit phase gate multiplies in
+_OMEGA_POWERS = {GateKind.Z: omega(4), GateKind.S: omega(2), GateKind.SDG: omega(6),
+                 GateKind.T: omega(1), GateKind.TDG: omega(7)}
 _SQRT2 = (0, 1, 0, -1)  # w - w^3
 
 
@@ -324,6 +189,75 @@ def gatewise_apply(state: SparseState, circuit: Circuit) -> SparseState:
     return out_state
 
 
+# -- exact values -------------------------------------------------------------
+
+
+def exact(amp, k: int = 0) -> tuple[int, int, int, int, int]:
+    """The value (a + b w + c w^2 + d w^3) / sqrt(2)^k of ``amp`` = (a, b,
+    c, d), or of the int a, in lowest terms: (a, b, c, d, k) with the least
+    k, which may be negative.  z is a multiple of sqrt(2) exactly when z
+    sqrt(2) has even coefficients, so two values are equal exactly when
+    their tuples are.  0 is (0, 0, 0, 0, 0)."""
+    amp = (amp, 0, 0, 0) if isinstance(amp, int) else tuple(amp)
+    if not any(amp):
+        return (0, 0, 0, 0, 0)
+    while True:
+        times = _omega_product(amp, _SQRT2)
+        if any(x % 2 for x in times):
+            return (*amp, k)
+        amp, k = tuple(x // 2 for x in times), k - 1
+
+
+def amplitude(state: SparseState, label: int) -> tuple[int, int, int, int, int]:
+    """The :func:`exact` amplitude of one basis label; a label the state
+    does not store is 0."""
+    return exact(state.amplitudes.get(label, (0, 0, 0, 0)), state.k)
+
+
+def probability(amp, k: int) -> Fraction:
+    """|z|^2 / 2^k of the exact amplitude z / sqrt(2)^k, z = a + b w + c w^2
+    + d w^3: |z|^2 is a^2 + b^2 + c^2 + d^2 + sqrt(2) (ab + bc + cd - ad),
+    and its sqrt(2) part must be 0, as the value is otherwise irrational."""
+    a, b, c, d = amp
+    assert a * b + b * c + c * d - a * d == 0, f"|{amp}|^2 is irrational"
+    return Fraction(a * a + b * b + c * c + d * d, 1 << k)
+
+
+def exact_column(circuit: Circuit, label: int) -> dict[int, tuple]:
+    """Column ``label`` of a lowered circuit's unitary, as row -> its
+    nonzero :func:`exact` entry: one :func:`gatewise_apply` run on that
+    basis label."""
+    out = gatewise_apply(SparseState.basis(circuit.total_qubits, label), circuit)
+    return {row: exact(amp, out.k) for row, amp in out.amplitudes.items()}
+
+
+def to_unitary(circuit: Circuit, max_qubits: int = 14) -> dict:
+    """The unitary of a lowered circuit as (row, col) -> its nonzero
+    :func:`exact` entries, one :func:`exact_column` per basis input.  Only
+    for small circuits: above ``max_qubits`` qubits it raises
+    :class:`CircuitError`."""
+    if not is_lowered(circuit):
+        raise CircuitError("to_unitary requires a lowered circuit")
+    if circuit.total_qubits > max_qubits:
+        raise CircuitError(
+            f"{circuit.total_qubits} qubits exceeds the unitary cap {max_qubits}")
+    return {(row, col): value for col in range(1 << circuit.total_qubits)
+            for row, value in exact_column(circuit, col).items()}
+
+
+def to_complex(amp, k: int) -> complex:
+    """The exact amplitude (a + b w + c w^2 + d w^3) / sqrt(2)^k, w =
+    e^(i pi/4), as a complex float: w = (1 + i)/sqrt(2), w^2 = i and
+    w^3 = (-1 + i)/sqrt(2).  No test compares through it: ``test_sim.py``
+    anchors it against :mod:`cmath`, which ties the exact values to the
+    complex numbers they stand for."""
+    import math
+
+    half = math.sqrt(0.5)
+    a, b, c, d = amp
+    return complex(a + (b - d) * half, c + (b + d) * half) * half ** k
+
+
 # -- integer rounds -----------------------------------------------------------
 
 
@@ -375,7 +309,10 @@ def exact_iterations(n: int) -> int:
 
 
 def success_probability_formula(database_size: int, iterations: int) -> float:
-    """Closed-form branch probability after ``iterations`` kernel rounds."""
+    """Closed-form branch probability after ``iterations`` kernel rounds,
+    sin^2((2K + 1) asin(1/sqrt(N))): transcendental, so a float."""
+    import math
+
     theta = math.asin(1.0 / math.sqrt(database_size))
     return math.sin((2 * iterations + 1) * theta) ** 2
 

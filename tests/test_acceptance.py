@@ -8,9 +8,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import random
 import time
 
-import numpy as np
 import pytest
 
 from qsearch.circuit import Register
@@ -23,10 +23,7 @@ from qsearch.resources import bench_scaling, estimate_bounds, measure, measure_n
 from qsearch.sim import SparseState
 
 from conftest import random_lowered_circuit, toy_db
-from oracles import (
-    amplitude, basis_pattern, build_qdam, dense_statevector, recorded_states, to_complex,
-    to_dense,
-)
+from oracles import basis_pattern, build_qdam, gatewise_apply, recorded_states
 
 DATA_DB = os.path.join(os.path.dirname(__file__), "..", "data", "people.json")
 
@@ -69,33 +66,21 @@ def _predicted_loader_output(layout: QdamLayout, keys: list[str], q: int) -> int
 
 
 def test_criterion_1_loader_semantics():
-    """Loader maps |q,0,0,...> to the predicted branch, error < 1e-12."""
+    """Loader maps |q,0,0,...> to the predicted branch, exactly."""
     start = time.time()
     for n in (1, 2):
         for m in (1, 2):
             layout = QdamLayout(n, m)
             keys = [format((i * 3 + 1) % (1 << m), f"0{m}b") for i in range(1 << n)]
             lowered = lower_circuit(build_qdam(layout, keys))
-            total = layout.total_qubits
             for q in range(1 << n):
                 expected = _predicted_loader_output(layout, keys, q)
-                start_pattern = basis_pattern(
-                    layout.register_sizes, {Register.BINARY_INDEX: q}
-                )
-                # exact sparse run: any basis label it does not store is 0
-                out = SparseState.basis(total, start_pattern)
-                out = out.apply(lowered)
-                assert abs(amplitude(out, expected) - 1) < 1e-12
-                stray = sum(
-                    abs(to_complex(a, out.k)) for k, a in out.amplitudes.items()
-                    if k != expected
-                )
-                assert stray < 1e-12
-                if total <= 18:  # dense cross-check where a vector fits
-                    vec = dense_statevector(lowered, start_pattern, max_qubits=18)
-                    ideal = np.zeros(1 << total, dtype=complex)
-                    ideal[expected] = 1.0
-                    assert np.abs(vec - ideal).max() < 1e-12
+                branch = SparseState.basis(layout.total_qubits, basis_pattern(
+                    layout.register_sizes, {Register.BINARY_INDEX: q}))
+                # the sparse run and the gate-by-gate reference: amplitude
+                # exactly 1 on the predicted label, and no other label
+                for out in (branch.apply(lowered), gatewise_apply(branch, lowered)):
+                    assert out.amplitudes == {expected: (1, 0, 0, 0)} and out.k == 0
     elapsed = time.time() - start
     assert elapsed < 10
     _passed(1, f"loader semantics exact for (n,m) in {{1,2}}^2 ({elapsed:.1f}s)")
@@ -162,7 +147,7 @@ def test_criterion_4_search_dynamics(search_runs, reload_probes):
             expected = math.sin((2 * k + 1) * theta) ** 2
             assert abs(prob - expected) < 1e-9, (big_n, k)
         assert reload_probes[big_n].peak_support <= 4 * big_n
-    assert abs(search_runs[4].success_probability - 1.0) < 1e-9
+    assert search_runs[4].success_probability == 1.0
     elapsed = time.time() - start
     assert elapsed < 120
     _passed(4, "probabilities match the closed form to 1e-9 for N in "
@@ -170,11 +155,11 @@ def test_criterion_4_search_dynamics(search_runs, reload_probes):
 
 
 def test_criterion_5_decoupling(search_runs):
-    """Probability outside the index-only subspace < 1e-12 at boundaries."""
+    """Probability outside the index-only subspace is exactly 0 at boundaries."""
     for big_n in (4, 8, 16):
         trace = search_runs[big_n].to_json()["trace"]
-        assert all(step["off_support_probability"] < 1e-12 for step in trace), big_n
-    _passed(5, "off-support probability < 1e-12 at every iteration boundary "
+        assert all(step["off_support_probability"] == 0 for step in trace), big_n
+    _passed(5, "off-support probability exactly 0 at every iteration boundary "
                "for N in {4,8,16}")
 
 
@@ -214,19 +199,20 @@ def test_criterion_7_cost_headline_and_scaling(capsys):
 
 
 def test_criterion_8_dense_sparse_cross_validation():
-    """100 seeded random circuits agree between backends within 1e-10."""
+    """100 seeded random circuits agree exactly between the sparse simulator
+    and the gate-by-gate reference."""
     start = time.time()
-    rng = np.random.default_rng(2024)
+    rng = random.Random(2024)
     for i in range(100):
-        n_qubits = int(rng.integers(2, 13))
-        n_gates = int(rng.integers(20, 201))
-        circuit = random_lowered_circuit(rng, n_qubits, n_gates)
-        dense = dense_statevector(circuit, 0)
+        n_qubits = rng.randint(2, 12)
+        circuit = random_lowered_circuit(rng, n_qubits, rng.randint(20, 200))
         sparse = SparseState(n_qubits).apply(circuit)
-        assert np.abs(dense - to_dense(sparse)).max() < 1e-10, i
+        reference = gatewise_apply(SparseState(n_qubits), circuit)
+        assert (sparse.amplitudes, sparse.k) == (reference.amplitudes, reference.k), i
     elapsed = time.time() - start
     assert elapsed < 60
-    _passed(8, f"100 random circuits, dense vs sparse within 1e-10 ({elapsed:.1f}s)")
+    _passed(8, f"100 random circuits, sparse equals the gate-by-gate reference "
+               f"exactly ({elapsed:.1f}s)")
 
 
 def test_criterion_9_cli_end_to_end(tmp_path, capsys):

@@ -1,16 +1,15 @@
 """Circuit IR, scheduler, tally, unitary extraction, and export format."""
 from __future__ import annotations
 
-import math
 import random
 from typing import Callable, NamedTuple
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsearch.circuit import (
+    LOWERED_KINDS,
     Circuit,
     FanIn,
     GateKind,
@@ -33,14 +32,17 @@ from qsearch.decompose import (
     lower_circuit,
 )
 from qsearch.errors import CircuitError
+from qsearch.sim import SparseState
 
-from conftest import ideal_toffoli_matrix, random_lowered_circuit
+from conftest import ONE, TEXTBOOK, ideal_toffoli_matrix, random_lowered_circuit
 from oracles import (
-    DenseCapError,
     ReferenceSchedule,
+    _omega_product,
     check_gates,
-    dense_statevector,
+    exact,
+    exact_column,
     from_json,
+    gatewise_apply,
     is_lowered,
     mark_records,
     marked_layers,
@@ -115,7 +117,7 @@ def _reference_layers(circ):
 
 
 def test_scheduler_layers_never_share_qubits():
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
     t_kinds = {GateKind.T, GateKind.TDG}
     for _ in range(20):
         circ = random_lowered_circuit(rng, 6, 60)
@@ -138,7 +140,7 @@ def test_scheduler_layers_never_share_qubits():
 
 
 def test_metrics_are_deterministic():
-    rng = np.random.default_rng(11)
+    rng = random.Random(11)
     circ = random_lowered_circuit(rng, 5, 80)
     assert resource_tally(circ) == resource_tally(circ)
 
@@ -675,55 +677,58 @@ def test_operands_must_fit_registers():
         check_gates(Circuit({A: 1}, [gate(GateKind.CNOT, _q[0], _q[1])]))
 
 
-def test_unitary_single_hadamard():
-    unitary = to_unitary(_circ([gate(GateKind.H, _q[0])], n=1))
-    expected = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
-    assert np.abs(unitary - expected).max() < 1e-12
+@pytest.mark.parametrize("kind", sorted(LOWERED_KINDS, key=list(GateKind).index),
+                         ids=lambda kind: kind.value)
+def test_each_lowered_kind_is_its_textbook_matrix(kind):
+    # the one check of what the exact arithmetic means, gate by gate
+    assert TEXTBOOK.keys() == LOWERED_KINDS
+    arity = 2 if kind in (GateKind.CNOT, GateKind.CZ) else 1
+    assert to_unitary(_circ([gate(kind, *_q[:arity])], n=arity)) == TEXTBOOK[kind]
 
 
 def test_unitary_cnot_maps_10_to_11():
-    unitary = to_unitary(_circ([gate(GateKind.CNOT, _q[0], _q[1])], n=2))
-    column = unitary[:, 0b10]
-    assert abs(column[0b11] - 1) < 1e-12
-    assert np.abs(np.delete(column, 0b11)).max() < 1e-12
+    assert exact_column(_circ([gate(GateKind.CNOT, _q[0], _q[1])], n=2), 0b10) == {0b11: ONE}
 
 
 def test_unitary_lowered_toffoli_matches_ideal_permutation():
     unitary = to_unitary(_circ(decompose_toffoli(_q[0], _q[1], _q[2]), n=3))
-    assert np.abs(unitary - ideal_toffoli_matrix(3, 0, 1, 2)).max() < 1e-12
+    assert unitary == ideal_toffoli_matrix(3, (0, 1, 2))
 
 
 def test_emitted_unitaries_are_unitary():
-    rng = np.random.default_rng(3)
+    # <x|y> sums conj(x_r) y_r, over sqrt(2)^(kx + ky); the conjugate of
+    # a + b w + c w^2 + d w^3 is a - d w - c w^2 - b w^3
+    rng = random.Random(3)
     for _ in range(10):
         circ = random_lowered_circuit(rng, 5, 60)
-        unitary = to_unitary(circ)
-        dev = unitary.conj().T @ unitary - np.eye(1 << 5)
-        assert np.abs(dev).max() < 1e-12
+        columns = [gatewise_apply(SparseState.basis(5, col), circ) for col in range(1 << 5)]
+        for i, x in enumerate(columns):
+            for j, y in enumerate(columns[i:], i):
+                products = [_omega_product((a, -d, -c, -b), y.amplitudes[row])
+                            for row, (a, b, c, d) in x.amplitudes.items()
+                            if row in y.amplitudes]
+                inner = [sum(terms) for terms in zip((0, 0, 0, 0), *products)]
+                assert exact(inner, x.k + y.k) == exact(int(i == j))
 
 
 def test_adjoint_involution_preserves_counts():
-    rng = np.random.default_rng(5)
+    rng = random.Random(5)
     circ = random_lowered_circuit(rng, 5, 100)
     fwd, bwd = resource_tally(circ), resource_tally(circ.inverted())
     assert fwd.t_count == bwd.t_count
 
 
 def test_circuit_composed_with_its_inverse_is_identity():
-    rng = np.random.default_rng(13)
+    rng = random.Random(13)
     circ = random_lowered_circuit(rng, 4, 50)
-    unitary = to_unitary(circ + circ.inverted())
-    assert np.abs(unitary - np.eye(1 << 4)).max() < 1e-10
+    assert to_unitary(circ + circ.inverted()) == {(b, b): ONE for b in range(1 << 4)}
 
 
 def test_qubit_ordering_is_register_major_msb_first():
     sizes = {Register.BINARY_INDEX: 1, Register.DATA: 1}
     circ = Circuit(sizes, [gate(GateKind.X, 0)])  # BINARY_INDEX:0 is flat qubit 0
-    vec = np.zeros(4, dtype=complex)
-    vec[0] = 1
-
-    out = dense_statevector(circ, 0)
-    assert abs(out[0b10] - 1) < 1e-12  # first register flips the MSB
+    out = gatewise_apply(SparseState(2), circ)
+    assert out.amplitudes == {0b10: (1, 0, 0, 0)}  # first register flips the MSB
 
 
 def test_export_json_round_trip_and_names():
@@ -744,9 +749,9 @@ def test_export_json_round_trip_and_names():
 
 
 def test_dense_cap_is_enforced():
-    with pytest.raises(DenseCapError):
+    with pytest.raises(CircuitError, match="exceeds the unitary cap 14"):
         to_unitary(Circuit({A: 15}))
     # explicit override wins over the default
     to_unitary(Circuit({A: 4}), max_qubits=4)
-    with pytest.raises(DenseCapError):
+    with pytest.raises(CircuitError, match="exceeds the unitary cap 3"):
         to_unitary(Circuit({A: 4}), max_qubits=3)

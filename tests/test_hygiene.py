@@ -9,9 +9,9 @@ always passed as the same literal, the package defines only its three
 error classes, the simulators and the test oracles hold no float outside
 two named helpers and no module binds a tolerance, no test file imports
 numpy, only the two tallies construct a schedule, every part has a
-row in the feed table, every module-level cap has a comment above it,
-every name the benchmark's tracer patches exists, and the tracer can
-trace one op of each workload."""
+row in the feed table, the build table counts every gate builder, every
+module-level cap has a comment above it, every name the benchmark's
+tracer patches exists, and the tracer can trace one op of each workload."""
 from __future__ import annotations
 
 import ast
@@ -19,6 +19,7 @@ import builtins
 import importlib
 import importlib.util
 import pathlib
+import re
 import sys
 import typing
 from collections import defaultdict
@@ -28,6 +29,7 @@ import pytest
 import qsearch
 from qsearch.circuit import GateKind, Part
 
+from test_builds import WRAPPED
 from test_circuit import PART_FEEDS
 
 PACKAGE_DIR = pathlib.Path(qsearch.__file__).parent
@@ -752,6 +754,37 @@ def test_every_part_has_a_row_in_the_feed_table():
              "def feed_into(schedule):\n    pass\n")
     assert _part_names(Part, [*sources, probe]) - rows == {"Scratch"}
     assert _part_names(Part | type("ScratchPart", (), {}), sources) - rows == {"ScratchPart"}
+
+
+def _gate_builders(node: ast.AST, prefix: str = "") -> set[str]:
+    """Each function and method under ``node`` whose return annotation names ``Gate``."""
+    found = set()
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            found |= _gate_builders(child, f"{prefix}{child.name}.")
+        elif isinstance(child, ast.FunctionDef) and child.returns and re.search(
+                r"\bGate\b", ast.unparse(child.returns)):
+            found.add(prefix + child.name)
+    return found
+
+
+# ``gate`` checks one hand-written gate, and ``Circuit.flat_gates`` returns
+# the tuple a circuit stores: neither builds a gate list
+_NOT_BUILDERS = {"circuit.gate", "circuit.Circuit.flat_gates"}
+
+
+def test_the_build_table_counts_every_gate_builder():
+    # the build table is exact only if its harness counts every builder
+    builders = {f"{p.stem}.{name}" for p in MODULES
+                for name in _gate_builders(ast.parse(p.read_text()))}
+    assert _NOT_BUILDERS <= builders
+    assert builders - _NOT_BUILDERS - WRAPPED == set()
+    # the check sees functions and methods at any depth, quoted or not, and
+    # spares other return types and unannotated functions
+    probe = ("def scratch() -> list[Gate]: pass\n"
+             "class Part:\n    class Inner:\n        def gates(self) -> 'tuple[Gate]': pass\n"
+             "def kinds() -> GateKind: pass\ndef bare(): pass\n")
+    assert _gate_builders(ast.parse(probe)) == {"scratch", "Part.Inner.gates"}
 
 
 def _uncommented_caps(text: str) -> list[str]:

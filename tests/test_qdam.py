@@ -23,7 +23,7 @@ from qsearch.qdam import (
 )
 from qsearch.sim import SparseState
 
-from conftest import toy_db
+from conftest import random_keys, toy_db
 from oracles import (
     basis_pattern,
     build_qdam,
@@ -188,8 +188,6 @@ def test_m1_every_branch_has_hamming_weight_one():
     init = layout.register_sizes
     state = SparseState(layout.total_qubits)
     hs = [gate(GateKind.H, b) for b in range(3)]
-    from qsearch.circuit import Circuit
-
     state = state.apply(Circuit(init, hs))
     state = state.apply(lower_circuit(build_m1(layout)))
     assert state.support() == 8
@@ -236,11 +234,16 @@ def test_qdam_on_uniform_state_yields_equal_branches():
     layout = QdamLayout(3, 3)
     db = toy_db(3, value_width=2)
     sizes = layout.register_sizes
-    from qsearch.circuit import Circuit
-
     state = SparseState(layout.total_qubits)
     state = state.apply(Circuit(sizes, [gate(GateKind.H, b) for b in range(3)]))
-    state = state.apply(lower_circuit(build_qdam(layout, db)))
+    # a fragment at a time: the loader permutes the 8 branches, so a bad
+    # fragment fails here before the state doubles at each later one
+    lowered, done = lower_circuit(build_qdam(layout, db)), 0
+    for start, stop, operands in lowered.fragment_spans:
+        span = (start - done, stop - done, operands)
+        state, done = state.apply(Circuit(sizes, lowered.gates[done:stop], (span,))), stop
+        assert state.support() <= 8, start
+    state = state.apply(Circuit(sizes, lowered.gates[done:]))
     assert state.support() == 8
     for key, value in state.amplitudes.items():
         assert probability(value, state.k) == Fraction(1, 8)
@@ -290,7 +293,7 @@ def test_naive_macro_count():
 def test_every_macro_has_three_distinct_operands(n, m, rng):
     # the builders emit macro literals past ``gate()``, and the scheduler
     # unpacks every TOFFOLI and MCZ as three operands
-    keys = ["".join(rng.choice("01") for _ in range(m)) for _ in range(1 << n)]
+    keys = random_keys(rng, n, m)
     kernel = build_kernel_circuits(QdamLayout(n, m), keys, rng.choice(keys)).kernel()
     naive = build_naive_qdam(n, m, keys)
     macros = [ops for circ in (kernel, naive) for kind, ops in circ.gates
@@ -302,7 +305,7 @@ def test_every_macro_has_three_distinct_operands(n, m, rng):
 def test_naive_loader_equals_one_ladder_per_record_bit(n):
     rng = random.Random(400 + n)
     for m in (1, 2, 3):
-        keys = ["".join(rng.choice("01") for _ in range(m)) for _ in range(1 << n)]
+        keys = random_keys(rng, n, m)
         flipped = ["".join("1" if b == "0" else "0" for b in key) for key in keys]
         for pattern in (keys, flipped):  # between them, every database X
             circ = build_naive_qdam(n, m, pattern)
@@ -318,7 +321,7 @@ def test_stage2_record_block_equals_one_layer_per_record(n):
     rng = random.Random(500 + n)
     for m in (1, 2, 3, 4):  # m = 1 has no fan-out lease
         layout = QdamLayout(n, m)
-        keys = ["".join(rng.choice("01") for _ in range(m)) for _ in range(1 << n)]
+        keys = random_keys(rng, n, m)
         stage2 = build_m2(layout, loader_parts(layout, keys)[1:])
         assert stage2.gates == stage2_per_record_gates(layout, keys)
 
@@ -345,7 +348,7 @@ def test_every_emitted_gate_list_passes_the_gate_check(n):
     rng = random.Random(600 + n)
     for m in (1, 2, 3, 4):
         layout = QdamLayout(n, m)
-        keys = ["".join(rng.choice("01") for _ in range(m)) for _ in range(1 << n)]
+        keys = random_keys(rng, n, m)
         circuits = build_kernel_circuits(layout, keys, rng.choice(keys))
         parts = [Circuit(layout.register_sizes, part.gates)
                  for part in circuits.loader_parts]

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qsearch import circuit, decompose, qdam, resources
+from qsearch import resources
 from qsearch.circuit import (
     Circuit,
     FanIn,
@@ -26,8 +26,7 @@ from qsearch.circuit import (
 )
 from qsearch.decompose import lower_circuit
 from qsearch.errors import InputError
-from qsearch.database import SearchQuery
-from qsearch.grover import build_kernel_circuits, optimal_iterations, run_search
+from qsearch.grover import build_kernel_circuits, optimal_iterations
 from qsearch.kernel import (
     ReportMode,
     build_diffusion,
@@ -47,7 +46,7 @@ from qsearch.resources import (
 )
 from qsearch.sim import SlicedState
 
-from conftest import toy_db
+from conftest import random_keys
 from oracles import (
     build_qdam,
     exact_iterations,
@@ -222,16 +221,12 @@ def test_measured_depths_do_not_depend_on_the_keys(n, m, seed):
     # at m = 1 the standalone stage-2 depth does depend on the keys (ROADMAP
     # item 4), so there it is exempt; every other field follows the law
     rng = random.Random(seed)
-    keys, (query,) = _random_keys(rng, n, m), _random_keys(rng, 0, m)
+    keys, (query,) = random_keys(rng, n, m), random_keys(rng, 0, m)
     report = measure_kernel(build_kernel_circuits(QdamLayout(n, m), keys, query), 1)
     fields = [f for f in _LAW_FIELDS if m > 1 or f != "t_depth_m2"]
     law, reference = measured_law(n, m), measure(n, m)
     for field in fields:
         assert getattr(report, field) == getattr(reference, field) == law[field], field
-
-
-def test_measured_qdam_n2_m2():
-    assert measure(2, 2).t_depth_qdam <= 8
 
 
 def test_naive_depth_doubles_per_index_bit():
@@ -356,15 +351,11 @@ def test_reports_serialize_deterministically():
     assert a.to_csv() == b.to_csv()
 
 
-def _random_keys(rng, n, m):
-    return ["".join(rng.choice("01") for _ in range(m)) for _ in range(1 << n)]
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_flat_expansion_equals_lowered_circuit(n):
     rng = random.Random(100 + n)
     for m in (1, 2, 3):
-        keys = _random_keys(rng, n, m)
+        keys = random_keys(rng, n, m)
         naive = build_naive_qdam(n, m, keys)
         optimized = QdamLayout(n, m)
         naive_macro = Circuit(naive.register_sizes, naive.gates)
@@ -438,109 +429,28 @@ def test_naive_closed_form_equals_scheduling_its_gates(n):
     rng = random.Random(3200 + n)
     for m in range(1, 7):
         for keys in (["0" * m] * (1 << n), ["1" * m] * (1 << n),
-                     _random_keys(rng, n, m), _random_keys(rng, n, m)):
+                     random_keys(rng, n, m), random_keys(rng, n, m)):
             loader = build_naive_qdam(n, m, keys)
             total = sum(loader.register_sizes.values())
             assert loader.tally() == tally_flat(loader.gates, total), (m, keys)
             assert len(loader) == len(loader.gates)
 
 
-def test_measure_naive_builds_no_loader_gate(monkeypatch):
-    # the naive loader is tallied by its closed form, up to the widest report
-    def refuse(*args):
-        raise AssertionError("the report built the naive loader's gates")
-
-    monkeypatch.setattr(qdam.NaiveLoader, "gates", property(refuse))
-    for n, m in ((1, 1), (4, 5), (9, 2), (15, 1)):
-        measure_naive(n, m)
-    bench_scaling(range(1, 7), 2)
-
-
-def _lower_each_and_tally(circuits, iterations):
-    """Report fields from one tally of each separately lowered circuit."""
-    m1, m2, loader, oracle, diff, kernel = (
-        resource_tally(lower_circuit(c))
-        for c in (circuits.stage1, circuits.stage2, circuits.loader,
-                  circuits.target_reflection, circuits.diffusion, circuits.kernel())
-    )
-    return (m1.t_depth, m2.t_depth, loader.t_depth, oracle.t_depth, diff.t_depth,
-            kernel.t_depth, iterations * kernel.t_depth, kernel.t_count)
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_measure_kernel_equals_lowering_every_circuit(n):
+    # each report field from one tally of each separately lowered circuit
     rng = random.Random(200 + n)
     for m in (1, 2, 3, 4, 5, 6):
-        layout = QdamLayout(n, m)
-        pattern = _random_keys(rng, 0, m)[0]
-        circuits = build_kernel_circuits(layout, _random_keys(rng, n, m), pattern)
+        pattern = random_keys(rng, 0, m)[0]
+        circuits = build_kernel_circuits(QdamLayout(n, m), random_keys(rng, n, m), pattern)
         report = measure_kernel(circuits, 3)
-        assert (report.t_depth_m1, report.t_depth_m2, report.t_depth_qdam,
-                report.t_depth_oracle_reflection, report.t_depth_diffusion,
-                report.t_depth_kernel, report.t_cost, report.t_count_total) \
-            == _lower_each_and_tally(circuits, 3)
-
-
-def _count_lowerings(monkeypatch):
-    """Record the gates of every stream lowered anywhere: every lowering,
-    ``lower_circuit`` included, goes through ``decompose.lower_gates``."""
-    lowered = []
-    real = decompose.lower_gates
-
-    def counting(gates):
-        lowered.append(gates)
-        return real(gates)
-
-    monkeypatch.setattr(decompose, "lower_gates", counting)
-    return lowered
-
-
-def test_measure_lowers_nothing(monkeypatch):
-    circuits = build_kernel_circuits(QdamLayout(3, 2), ["01"] * 8, "01")
-    lowered = _count_lowerings(monkeypatch)
-    measure_kernel(circuits, 1)
-    measure(3, 2)
-    assert lowered == []
-
-
-def test_run_search_lowers_only_the_loader(monkeypatch):
-    lowered = _count_lowerings(monkeypatch)
-    run_search(toy_db(3), SearchQuery("101", "val"))
-    circuits = build_kernel_circuits(QdamLayout(3, 3), toy_db(3), "101")
-    assert lowered == [circuits.loader.gates]
-
-
-def test_measure_builds_no_inverse_loader(monkeypatch):
-    layout = QdamLayout(6, 3)
-    circuits = build_kernel_circuits(layout, ["000"] * 64, "000")
-    expected = _lower_each_and_tally(circuits, optimal_iterations(64))
-
-    def refuse(circuit):
-        raise AssertionError("the report built an inverse circuit")
-
-    monkeypatch.setattr(Circuit, "inverted", refuse)
-    report = measure(6, 3)
-    assert (report.t_depth_m1, report.t_depth_m2, report.t_depth_qdam,
-            report.t_depth_oracle_reflection, report.t_depth_diffusion,
-            report.t_depth_kernel, report.t_cost, report.t_count_total) == expected
-
-
-def test_run_search_builds_no_inverse_loader(monkeypatch):
-    inversions = []
-    real = Circuit.inverted
-
-    def counting(circuit):
-        inversions.append(circuit)
-        return real(circuit)
-
-    monkeypatch.setattr(Circuit, "inverted", counting)
-    run_search(toy_db(3), SearchQuery("101", "val"))
-    assert len(inversions) == 0
-    circuits = build_kernel_circuits(QdamLayout(3, 3), toy_db(3), "101")
-    first = circuits.loader_inverse
-    circuits.kernel()
-    assert circuits.loader_inverse is first
-    assert inversions == [circuits.loader]
+        tallies = [resource_tally(lower_circuit(c)) for c in (
+            circuits.stage1, circuits.stage2, circuits.loader,
+            circuits.target_reflection, circuits.diffusion, circuits.kernel())]
+        assert [getattr(report, field) for field in _DEPTH_FIELDS] == [
+            t.t_depth for t in tallies]
+        assert (report.t_cost, report.t_count_total) == (3 * tallies[-1].t_depth,
+                                                         tallies[-1].t_count)
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (2, 3), (3, 2), (4, 4), (5, 3)])
@@ -551,7 +461,7 @@ def test_the_reversed_loader_runs_as_the_inverse_loader(n, m):
     rng = random.Random(350 + n)
     layout = QdamLayout(n, m)
     for _ in range(3):
-        keys, (pattern,) = _random_keys(rng, n, m), _random_keys(rng, 0, m)
+        keys, (pattern,) = random_keys(rng, n, m), random_keys(rng, 0, m)
         circuits = build_kernel_circuits(layout, keys, pattern)
         block = (SlicedState(n, layout.total_qubits).run(circuits.loader)
                  .run(circuits.target_reflection))
@@ -585,7 +495,7 @@ def test_measure_equals_the_flat_oracle_at_the_headline_widths():
 @example(n=4, m=3, seed=7)  # staggered records, fed by one block's two runs
 def test_measure_kernel_equals_the_flat_oracle_on_random_keys(n, m, seed):
     rng = random.Random(seed)
-    keys, (query,) = _random_keys(rng, n, m), _random_keys(rng, 0, m)
+    keys, (query,) = random_keys(rng, n, m), random_keys(rng, 0, m)
     circuits = build_kernel_circuits(QdamLayout(n, m), keys, query)
     assert measure_kernel(circuits, 2) == flat_measure_kernel(circuits, 2)
 
@@ -616,7 +526,7 @@ def test_stage_two_tally_equals_all_three_parts_on_zero_keys(n):
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 6), m=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
 def test_stage_two_tally_equals_all_three_parts_on_random_keys(n, m, seed):
-    keys = _random_keys(random.Random(seed), n, m)
+    keys = random_keys(random.Random(seed), n, m)
     _check_the_fan_in_moves_no_tally(QdamLayout(n, m), keys)
 
 
@@ -627,7 +537,7 @@ def test_preparing_the_database_before_stage_one_moves_no_kernel_tally(n, m, see
     # stage 1 never touches a database qubit, so the preparation may run
     # first, and undo last, without moving a figure of the kernel's schedule
     rng = random.Random(seed)
-    keys, (query,) = _random_keys(rng, n, m), _random_keys(rng, 0, m)
+    keys, (query,) = random_keys(rng, n, m), random_keys(rng, 0, m)
     circuits = build_kernel_circuits(QdamLayout(n, m), keys, query)
     report = measure_kernel(circuits, 1)
     _, prepare, records, fan_in = circuits.loader_parts
@@ -671,34 +581,11 @@ def test_measure_kernel_feeds_the_fan_in_twice(monkeypatch):
                    *reflection, *diffusion]
 
 
-def _refuse_to_materialize(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the report materialized stage 2")
-
-    monkeypatch.setattr(qdam, "build_m2", refuse)
-    monkeypatch.setattr(circuit, "shared_control_layer", refuse)
-    monkeypatch.setattr(RecordBlock, "gates", property(refuse))
-    monkeypatch.setattr(FanIn, "gates", property(refuse))
-
-
-def test_measure_never_materializes_stage_two(monkeypatch):
-    # the records' two evaluations agree on zero keys, and on any keys from
-    # m = 2, so no record gate is built, not even record 0's block; the
-    # fan-in is a closed form
-    _refuse_to_materialize(monkeypatch)
-    for n, m in ((1, 1), (3, 2), (6, 3), (8, 5)):
-        measure(n, m)
-    rng = random.Random(33)
-    for n, m in ((1, 2), (2, 3), (4, 2), (5, 6), (7, 4), (10, 2)):
-        keys, (query,) = _random_keys(rng, n, m), _random_keys(rng, 0, m)
-        measure_kernel(build_kernel_circuits(QdamLayout(n, m), keys, query), 2)
-
-
 def _baseline_key_sets(rng, n, m):
     """Zero, all-ones and three random key sets for n index bits and m
     bits per key."""
     return [["0" * m] * (1 << n), ["1" * m] * (1 << n),
-            *(_random_keys(rng, n, m) for _ in range(3))]
+            *(random_keys(rng, n, m) for _ in range(3))]
 
 
 def test_the_records_feed_their_gates_only_in_the_m1_stage_two_tally(monkeypatch):
@@ -724,7 +611,7 @@ def test_the_records_feed_their_gates_only_in_the_m1_stage_two_tally(monkeypatch
     for n in range(1, 9):
         for m in range(1, min(6, (1 << 11) >> n) + 1):
             for keys in _baseline_key_sets(rng, n, m):
-                query = _random_keys(rng, 0, m)[0]
+                query = random_keys(rng, 0, m)[0]
                 circuits = build_kernel_circuits(QdamLayout(n, m), keys, query)
                 feeds.clear()
                 measure_kernel(circuits, 1)
@@ -733,49 +620,6 @@ def test_the_records_feed_their_gates_only_in_the_m1_stage_two_tally(monkeypatch
                 fallbacks += mixed
     # the random sets drew both bit values in 22 of their 24 cells at m = 1
     assert fallbacks == 22
-
-
-def test_measure_builds_no_fold(monkeypatch):
-    # the fan-in is fed by its closed form on any keys, so not even its
-    # one fold is built
-    def refuse(*args):
-        raise AssertionError("the report built a fold")
-
-    monkeypatch.setattr(circuit, "fold_gates", refuse)
-    measure(7, 5)
-    rng = random.Random(28)
-    keys, (query,) = _random_keys(rng, 5, 3), _random_keys(rng, 0, 3)
-    measure_kernel(build_kernel_circuits(QdamLayout(5, 3), keys, query), 2)
-
-
-def test_measure_builds_no_stage_one(monkeypatch):
-    # stage 1 is fed by its closed form in both passes, on any keys
-    def refuse(*args):
-        raise AssertionError("the report built stage 1")
-
-    monkeypatch.setattr(qdam, "build_m1", refuse)
-    monkeypatch.setattr(OneHotDecoder, "gates", property(refuse))
-    for n, m in ((1, 1), (3, 2), (6, 3), (8, 5)):
-        measure(n, m)
-    rng = random.Random(30)
-    for n, m in ((1, 1), (2, 3), (4, 1), (5, 3), (6, 2)):
-        keys, (query,) = _random_keys(rng, n, m), _random_keys(rng, 0, m)
-        measure_kernel(build_kernel_circuits(QdamLayout(n, m), keys, query), 2)
-
-
-def test_measure_builds_no_sync_block(monkeypatch):
-    # the reflections' sync blocks are fed by their closed form in every
-    # pass and tally, on any keys and any query
-    def refuse(*args):
-        raise AssertionError("the report built a sync block")
-
-    monkeypatch.setattr(SyncBlock, "gates", property(refuse))
-    for n, m in ((1, 1), (4, 5), (6, 3), (5, 33)):
-        measure(n, m)
-    rng = random.Random(34)
-    for n, m in ((1, 2), (2, 3), (4, 1), (4, 6), (5, 3), (6, 2)):
-        keys, (query,) = _random_keys(rng, n, m), _random_keys(rng, 0, m)
-        measure_kernel(build_kernel_circuits(QdamLayout(n, m), keys, query), 2)
 
 
 def test_measure_schedules_fewer_gates_than_stage_two_holds(monkeypatch):
@@ -796,49 +640,12 @@ def test_measure_schedules_fewer_gates_than_stage_two_holds(monkeypatch):
     assert sum(fed) < len(stage2)
 
 
-def test_run_search_materializes_stage_two_once(monkeypatch):
-    built = []
-    real = qdam.build_m2
-
-    def counting(layout, db):
-        built.append(db)
-        return real(layout, db)
-
-    monkeypatch.setattr(qdam, "build_m2", counting)
-    run_search(toy_db(3), SearchQuery("101", "val"))
-    assert len(built) == 1
-
-
-def test_run_search_builds_each_stage_two_part_once(monkeypatch):
-    # the records' gates and the fan-in's, with its one fold, are built
-    # once, for the simulator alone: the report feeds the records' block
-    # and the fan-in's closed form; the preparation is a circuit, never built
-    built, folds = [], []
-    for part in (RecordBlock, FanIn):
-        real = part.__dict__["gates"]
-
-        def counting(owner, real=real, part=part):
-            # a build is a read that finds no kept tuple on the part
-            if "gates" not in vars(owner):
-                built.append(owner)
-            return real.__get__(owner, part)
-
-        monkeypatch.setattr(part, "gates", property(counting))
-    real_fold = circuit.fold_gates
-    monkeypatch.setattr(circuit, "fold_gates",
-                        lambda *args: folds.append(args) or real_fold(*args))
-    run_search(toy_db(3), SearchQuery("101", "val"))
-    assert len(built) == 2 == len(set(built))
-    assert sorted(type(part).__name__ for part in built) == ["FanIn", "RecordBlock"]
-    assert len(folds) == 1
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_lowered_stages_concatenate_to_the_lowered_loader(n):
     rng = random.Random(300 + n)
     for m in (1, 2, 3):
         layout = QdamLayout(n, m)
-        keys = _random_keys(rng, n, m)
+        keys = random_keys(rng, n, m)
         circuits = build_kernel_circuits(layout, keys, keys[0])
         assert (lower_circuit(circuits.stage1).gates
                 + lower_circuit(circuits.stage2).gates

@@ -21,7 +21,7 @@ from qsearch.sim import (
     reflect_about_uniform,
 )
 
-from conftest import random_lowered_circuit, toy_db
+from conftest import random_keys, random_lowered_circuit, toy_db
 from oracles import (
     amplitude,
     basis_pattern,
@@ -71,18 +71,6 @@ def test_diagonal_gates_preserve_support_keys():
                             gate(GateKind.T, _anc(2)), gate(GateKind.CZ, _anc(0), _anc(3))])
     after = state.apply(diag)
     assert set(after.amplitudes) == keys
-
-
-def test_full_qdam_on_uniform_index_state_has_support_eight():
-    layout = QdamLayout(3, 3)
-    db = toy_db(3, value_width=2)
-    sizes = layout.register_sizes
-    state = SparseState(layout.total_qubits)
-    state = state.apply(Circuit(sizes, [gate(GateKind.H, b) for b in range(3)]))
-    state = state.apply(lower_circuit(build_qdam(layout, db)))
-    assert state.support() == 8
-    for amp in state.amplitudes.values():
-        assert probability(amp, state.k) == Fraction(1, 8)
 
 
 def test_index_probabilities_uniform_and_phase_invariant():
@@ -222,7 +210,7 @@ def _loader_cases():
     for n in (1, 2, 3):
         yield pytest.param(QdamLayout(n, n), toy_db(n).keys(), id=f"toy-{n}")
     for n, m in ((1, 3), (2, 1), (3, 2), (4, 2), (4, 3)):
-        keys = ["".join(rng.choice("01") for _ in range(m)) for _ in range(1 << n)]
+        keys = random_keys(rng, n, m)
         yield pytest.param(QdamLayout(n, m), keys, id=f"random-{n}-{m}")
 
 

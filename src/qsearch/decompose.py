@@ -19,7 +19,6 @@ All emitted ancillas are returned to |0> on every input.
 """
 from __future__ import annotations
 
-from collections import Counter
 from typing import Iterable, Sequence
 
 from .circuit import (
@@ -38,6 +37,8 @@ _S, _SDG, _TOFFOLI, _MCZ = GateKind.S, GateKind.SDG, GateKind.TOFFOLI, GateKind.
 
 # the flip over at most three qubits needs no ancilla
 _SMALL_FLIP = {1: GateKind.Z, 2: GateKind.CZ, 3: _MCZ}
+# the gates a macro's fragment adds in place of the macro, each length read once
+_GROWTH = {_TOFFOLI: len(decompose_toffoli(0, 1, 2)) - 1, _MCZ: len(ccz_gates(0, 1, 2)) - 1}
 
 
 def mcz_tree(qubits: Sequence[int], ancillas: Sequence[int] = ()) -> list[Gate]:
@@ -128,9 +129,7 @@ def lower_gates(gates: Iterable[Gate]) -> tuple[list[Gate], list[FragmentSpan]]:
 def lowered_length(circuit: Circuit) -> int:
     """``len(lower_circuit(circuit))``, counted without lowering: every
     macro kind's fragment has a fixed length."""
-    kinds = Counter(kind for kind, _ in circuit.gates)
-    return (len(circuit) + (len(decompose_toffoli(0, 1, 2)) - 1) * kinds[_TOFFOLI]
-            + (len(ccz_gates(0, 1, 2)) - 1) * kinds[_MCZ])
+    return len(circuit) + sum(_GROWTH.get(kind, 0) for kind, _ in circuit.gates)
 
 
 def lower_circuit(circuit: Circuit, ladder: Sequence[int] = ()) -> Circuit:

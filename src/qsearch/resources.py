@@ -122,15 +122,15 @@ def _zero_keys(n: int, m: int) -> list[str]:
 def measure(n: int, m: int) -> ResourceReport:
     """Measured report for the optimized kernel at the given widths.
 
-    Its figures follow exact laws, which the tests check over the measured
-    sweep: stage 1 3(n - 1), stage 2 3, the loader 3n, the target
-    reflection R(m), the diffusion R(n) and the kernel 6n + R(m) + R(n),
-    with R(k) 0 for k <= 2, 3 for k = 3 and 3(2 ceil(log2(k/3)) + 1) above
-    (an AND tree, :func:`qsearch.decompose.mcz_tree`); the kernel's T-count
-    is 7 per Toffoli or CCZ, 2(2^n - 2 + m 2^n) in the two loaders and
-    2k - 5 in a reflection on k >= 3 qubits.  So the loader has 3n T layers
-    against the bound's 4n, and a reflection R(k), logarithmic in its width,
-    against 6(k - 1)."""
+    Its figures follow exact laws, which ``tests/test_resources.MEASURED``
+    checks cell by cell: stage 1 3(n - 1), stage 2 3, the loader 3n, the
+    target reflection R(m), the diffusion R(n) and the kernel 6n + R(m) +
+    R(n), with R(k) 0 for k <= 2, 3 for k = 3 and 3(2 ceil(log2(k/3)) + 1)
+    above (an AND tree, :func:`qsearch.decompose.mcz_tree`); the kernel's
+    T-count is 7 per Toffoli or CCZ, 2(2^n - 2 + m 2^n) in the two loaders
+    and 2k - 5 in a reflection on k >= 3 qubits.  So the loader has 3n T
+    layers against the bound's 4n, and a reflection R(k), logarithmic in its
+    width, against 6(k - 1)."""
     n, m = _check_widths(n, m, MAX_MEASURED_N, 1 << MAX_MEASURED_N)
     layout = QdamLayout(n, m)
     keys = _zero_keys(n, m)

@@ -70,10 +70,6 @@ _DEPTH_FIELDS = (
 _LAW_FIELDS = (*_DEPTH_FIELDS, "t_count_total")
 
 
-def _by_law(report) -> dict[str, int]:
-    return {field: getattr(report, field) for field in _LAW_FIELDS}
-
-
 def test_bound_headline_n10_m8():
     report = estimate_bounds(10, 8)
     assert report.t_depth_qdam == 40
@@ -130,89 +126,70 @@ def test_kernel_identity_in_bound_mode():
         assert report.t_cost == report.query_count * report.t_depth_kernel
 
 
-@pytest.mark.parametrize("n,m", [(1, 1), (2, 2), (3, 2), (4, 5), (6, 3)])
-def test_measured_fits_under_bounds(n, m):
-    measured = measure(n, m)
-    bound = estimate_bounds(n, m)
-    assert measured.mode is ReportMode.MEASURED
-    assert _by_law(measured) == measured_law(n, m)
-    for field in _DEPTH_FIELDS:
-        assert getattr(measured, field) <= getattr(bound, field), field
+def _zero_key_circuits(n, m):
+    return build_kernel_circuits(QdamLayout(n, m), ["0" * m] * (1 << n), "0" * m)
 
 
-@pytest.mark.parametrize("n", range(1, 13))
-def test_measured_fits_under_bounds_in_every_small_cell(n):
-    # every key width up to 8 with m * 2^n <= 2^12
-    for m in range(1, min(8, (1 << 12) >> n) + 1):
-        measured, bound = measure(n, m), estimate_bounds(n, m)
-        assert _by_law(measured) == measured_law(n, m), m
-        for field in (*_DEPTH_FIELDS, "t_cost"):
-            assert getattr(measured, field) <= getattr(bound, field), (m, field)
-
-
-@pytest.mark.parametrize("k", range(5, 13))
-def test_measured_fits_under_bounds_at_wide_keys(k):
-    # key widths on both sides of a power of two, with m * 2^n <= 2^13
-    for m in ((1 << k) - 1, 1 << k, (1 << k) + 1):
-        for n in range(1, ((1 << 13) // m).bit_length()):
-            measured, bound = measure(n, m), estimate_bounds(n, m)
-            assert _by_law(measured) == measured_law(n, m), (n, m)
-            for field in (*_DEPTH_FIELDS, "t_cost"):
-                assert getattr(measured, field) <= getattr(bound, field), (n, m, field)
-
-
-@pytest.mark.parametrize("k", range(5, 13))
-def test_measured_fits_under_bounds_up_to_two_to_the_sixteen_record_bits(k):
-    # m = 2^k - 1, 2^k and 2^k + 1, each at the widest n with m * 2^n <= 2^16:
-    # (11, 31), (11, 32), (10, 33) at k = 5 up to (4, 4095), (4, 4096),
-    # (3, 4097) at k = 12; wider keys cost about a second a cell
-    for m in ((1 << k) - 1, 1 << k, (1 << k) + 1):
-        n = ((1 << 16) // m).bit_length() - 1
-        measured, bound = measure(n, m), estimate_bounds(n, m)
-        assert _by_law(measured) == measured_law(n, m), (n, m)
-        for field in (*_DEPTH_FIELDS, "t_cost"):
-            assert getattr(measured, field) <= getattr(bound, field), (n, m, field)
-
-
-@pytest.mark.parametrize("k", range(5, 15))
-def test_measured_fits_under_bounds_over_the_wide_key_sweep(k):
-    # the sweep of m = 2^k - 1, 2^k and 2^k + 1, k = 5 .. 14, with
-    # m * 2^n <= 2^16 has 185 cells, 124 of them in the two tests above;
-    # here 55 of the other 61: past 2^13 record bits and short of the
-    # widest n for k <= 12, and for k = 13, 14 every n at m = 2^k + 1,
-    # whose sync blocks are padded the most, but only the widest n at the
-    # other two widths, which keeps the test near 2 s
-    for m in ((1 << k) - 1, 1 << k, (1 << k) + 1):
-        first = max(1, ((1 << 13) // m).bit_length())
-        widest = ((1 << 16) // m).bit_length() - 1
-        cells = range(first, widest + (k > 12))
-        for n in cells if k <= 12 or m == (1 << k) + 1 else cells[-1:]:
-            measured, bound = measure(n, m), estimate_bounds(n, m)
-            assert _by_law(measured) == measured_law(n, m), (n, m)
-            for field in (*_DEPTH_FIELDS, "t_cost"):
-                assert getattr(measured, field) <= getattr(bound, field), (n, m, field)
-
-
-def test_measured_headline_n10_m8_within_bounds():
-    measured = measure(10, 8)
-    bound = estimate_bounds(10, 8)
-    assert _by_law(measured) == measured_law(10, 8)
-    for field in (*_DEPTH_FIELDS, "t_cost"):
-        assert getattr(measured, field) <= getattr(bound, field), field
-    assert measured.query_count == bound.query_count == 25
-    assert (measured.t_depth_qdam, measured.t_depth_oracle_reflection,
-            measured.t_depth_diffusion, measured.t_depth_kernel,
-            measured.t_cost) == (30, 15, 15, 90, 2250)
-
-
-@pytest.mark.parametrize("n", range(1, 9))
-def test_stage2_starts_as_stage1_ends(n):
+def _by_the_law(n, m, report):
+    assert report.mode is ReportMode.MEASURED
+    fields = {field: getattr(report, field) for field in _LAW_FIELDS}
+    assert fields == measured_law(n, m), m
     # stage 2 leases fan-out ancillas past stage 1's, so its T layers follow
     # stage 1's without a gap
-    for m in range(2, 7):
-        report = measure(n, m)
-        assert report.t_depth_qdam == report.t_depth_m1 + report.t_depth_m2, m
-        assert _by_law(report) == measured_law(n, m), m
+    assert report.t_depth_qdam == report.t_depth_m1 + report.t_depth_m2, m
+
+
+def _under_the_bounds(n, m, report):
+    bound = estimate_bounds(n, m)
+    for field in (*_DEPTH_FIELDS, "t_cost"):
+        assert getattr(report, field) <= getattr(bound, field), (m, field)
+
+
+def _as_the_flat_oracle(n, m, report):
+    circuits = _zero_key_circuits(n, m)
+    assert report == flat_measure_kernel(circuits, optimal_iterations(1 << n)), m
+
+
+def _the_headline(n, m, report):
+    assert report.query_count == estimate_bounds(n, m).query_count == 25
+    assert (report.t_depth_qdam, report.t_depth_oracle_reflection,
+            report.t_depth_diffusion, report.t_depth_kernel,
+            report.t_cost) == (30, 15, 15, 90, 2250)
+
+
+def _wide_key_cells():
+    # key widths on both sides of a power of two, k = 5 .. 14, at every n
+    # with m * 2^n <= 2^16; past 2^13 bits only the widest n, except at
+    # m = 2^k + 1, whose sync blocks are padded the most
+    for k in range(5, 15):
+        for m in ((1 << k) - 1, 1 << k, (1 << k) + 1):
+            widest = ((1 << 16) // m).bit_length() - 1
+            first = 1 if k <= 12 or m == (1 << k) + 1 else widest
+            yield from ((n, m) for n in range(first, widest + 1))
+
+
+_EVERY_CELL = (_by_the_law, _under_the_bounds)
+
+# (n, m) -> the checks its zero-key measured report gets: the law and the
+# bounds everywhere, the flat oracle on every key width up to 8 with
+# m * 2^n <= 2^12 and at the headline, and the headline's exact figures
+MEASURED = {
+    **{(n, m): (*_EVERY_CELL, _as_the_flat_oracle)
+       for n in range(1, 13) for m in range(1, min(8, (1 << 12) >> n) + 1)},
+    (10, 8): (*_EVERY_CELL, _as_the_flat_oracle, _the_headline),
+    **{cell: _EVERY_CELL for cell in _wide_key_cells()},
+}
+
+
+@pytest.mark.parametrize("n", sorted({n for n, _ in MEASURED}))
+def test_each_measured_cell_passes_its_checks(n):
+    # one test per index width, not per cell: 259 test ids cost more in
+    # pytest's overhead than the table saves by measuring each cell once
+    for (width, m), checks in MEASURED.items():
+        if width == n:
+            report = measure(n, m)
+            for check in checks:
+                check(n, m, report)
 
 
 @settings(max_examples=60, deadline=None)
@@ -471,23 +448,6 @@ def test_the_reversed_loader_runs_as_the_inverse_loader(n, m):
         assert reversed_run.phase == inverse_run.phase
         assert reversed_run.diagonal_signs() == sum(
             1 << q for q, key in enumerate(keys) if key == pattern)
-
-
-def _zero_key_circuits(n, m):
-    return build_kernel_circuits(QdamLayout(n, m), ["0" * m] * (1 << n), "0" * m)
-
-
-@pytest.mark.parametrize("n", range(1, 13))
-def test_measure_equals_the_flat_oracle_in_every_small_cell(n):
-    # the grid of the bounds test: every key width up to 8 with m * 2^n <= 2^12
-    for m in range(1, min(8, (1 << 12) >> n) + 1):
-        expected = flat_measure_kernel(_zero_key_circuits(n, m),
-                                       optimal_iterations(1 << n))
-        assert measure(n, m) == expected, m
-
-
-def test_measure_equals_the_flat_oracle_at_the_headline_widths():
-    assert measure(10, 8) == flat_measure_kernel(_zero_key_circuits(10, 8), 25)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,6 +1,7 @@
 """Resource accounting: bound formulas, measured reports, and the bench."""
 from __future__ import annotations
 
+import functools
 import importlib.util
 import json
 import math
@@ -168,17 +169,38 @@ def _wide_key_cells():
             yield from ((n, m) for n in range(first, widest + 1))
 
 
+def _small_cells(n):
+    # every key width up to 8 with m * 2^n <= 2^12
+    return [(n, m) for m in range(1, min(8, (1 << 12) >> n) + 1)]
+
+
 _EVERY_CELL = (_by_the_law, _under_the_bounds)
 
 # (n, m) -> the checks its zero-key measured report gets: the law and the
 # bounds everywhere, the flat oracle on every key width up to 8 with
 # m * 2^n <= 2^12 and at the headline, and the headline's exact figures
 MEASURED = {
-    **{(n, m): (*_EVERY_CELL, _as_the_flat_oracle)
-       for n in range(1, 13) for m in range(1, min(8, (1 << 12) >> n) + 1)},
+    **{cell: (*_EVERY_CELL, _as_the_flat_oracle)
+       for n in range(1, 13) for cell in _small_cells(n)},
     (10, 8): (*_EVERY_CELL, _as_the_flat_oracle, _the_headline),
     **{cell: _EVERY_CELL for cell in _wide_key_cells()},
 }
+
+
+@functools.cache
+def _measured(n, m):
+    # each cell of MEASURED is measured once, however many tests read it
+    return measure(n, m)
+
+
+def _check(cells, *checks):
+    # runs the given checks on each cell's report; each must be one of the
+    # cell's checks in MEASURED, so the table keeps every cell named below
+    for n, m in cells:
+        report = _measured(n, m)
+        for check in checks:
+            assert check in MEASURED[n, m], (n, m, check.__name__)
+            check(n, m, report)
 
 
 @pytest.mark.parametrize("n", sorted({n for n, _ in MEASURED}))
@@ -187,9 +209,35 @@ def test_each_measured_cell_passes_its_checks(n):
     # pytest's overhead than the table saves by measuring each cell once
     for (width, m), checks in MEASURED.items():
         if width == n:
-            report = measure(n, m)
-            for check in checks:
-                check(n, m, report)
+            _check([(n, m)], *checks)
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 2), (3, 2), (4, 5), (6, 3)])
+def test_measured_fits_under_bounds(n, m):
+    _check([(n, m)], *_EVERY_CELL)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_measured_fits_under_bounds_in_every_small_cell(n):
+    _check(_small_cells(n), *_EVERY_CELL)
+
+
+def test_measured_headline_n10_m8_within_bounds():
+    _check([(10, 8)], *_EVERY_CELL, _the_headline)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_stage2_starts_as_stage1_ends(n):
+    _check([(n, m) for m in range(2, 7)], _by_the_law)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_measure_equals_the_flat_oracle_in_every_small_cell(n):
+    _check(_small_cells(n), _as_the_flat_oracle)
+
+
+def test_measure_equals_the_flat_oracle_at_the_headline_widths():
+    _check([(10, 8)], _as_the_flat_oracle)
 
 
 @settings(max_examples=60, deadline=None)

@@ -13,18 +13,18 @@ follow, under the bounds subroutine by subroutine.
 :func:`qsearch.kernel.measure_kernel`.  The naive report takes its loader's
 tally by the closed form :meth:`qsearch.qdam.NaiveLoader.tally`, which
 builds no gate, and its qubit count from the loader's own registers; it
-tallies its two reflections, a few hundred gates, on their lowering
-through :func:`tally_flat`.  Each report checks its widths against its own
-cap, and :func:`bench_scaling` checks every row against the caps of both
-reports it runs.
+tallies its two reflections as macro gates through :func:`tally_flat`.
+Each report checks its widths against its own cap, and
+:func:`bench_scaling` checks every row against the caps of both reports it
+runs.
 """
 from __future__ import annotations
 
 import operator
 from typing import Iterable, Sequence
 
+from . import decompose
 from .circuit import join_parts, tally_flat
-from .decompose import lower_circuit
 from .errors import InputError
 from .grover import build_kernel_circuits, optimal_iterations
 from .kernel import (
@@ -37,6 +37,8 @@ from .kernel import (
 from .qdam import QdamLayout, build_naive_qdam
 
 CSV_HEADER = "N,K,td_opt,td_naive,tcost_opt,tcost_naive"
+# no report lowers; bound here only for the benchmark's tracer, which patches it
+lower_circuit = decompose.lower_circuit
 
 
 def reflection_depth_bound(width: int) -> int:
@@ -53,8 +55,9 @@ def reflection_depth_bound(width: int) -> int:
 # scheduler time per qubit, O(m * 2^n), so it caps m * 2^n at n's cap at
 # m = 1 (its heaviest op, measure(1, 2^19), took 3.9-5.0 s at 434 MB peak
 # RSS on a 2-vCPU Xeon); the naive report tallies its loader by closed form
-# and holds only its zero keys and two lowered reflections (17 MB peak RSS
-# at n = 15, m = 1, 0.5 MB above what importing the CLI takes)
+# and holds only its zero keys and two macro reflections: its heaviest op,
+# n = 1, m = 2^14, took 0.08-0.09 s at 47 MB peak RSS, and n = 15, m = 1
+# peaks at 17.3-17.7 MB, 1.1-1.2 MB above what importing the CLI takes
 MAX_BOUND_N = 109
 MAX_MEASURED_N = 20
 MAX_NAIVE_BITS = 1 << 15
@@ -147,17 +150,17 @@ def measure_naive(n: int, m: int) -> ResourceReport:
     """Measured report with the naive loader substituted for the optimized
     one.  The naive loader's tally is its closed form, equal to its
     ladders' macro gates scheduled alone, and builds none of them; the two
-    reflections are scheduled on their lowering.  The kernel depth is
-    composed per subroutine (2*loader + both reflections); scheduling the
-    concatenation twice would add nothing but runtime."""
+    reflections are scheduled as macro gates, each by its template.  The
+    kernel depth is composed per subroutine (2*loader + both reflections);
+    scheduling the concatenation twice would add nothing but runtime."""
     n, m = _check_widths(n, m, MAX_MEASURED_N, MAX_NAIVE_BITS)
     loader = build_naive_qdam(n, m, _zero_keys(n, m))
     tally = loader.tally()
     total = sum(loader.register_sizes.values())
     ref_layout = QdamLayout(n, m)
     sizes = ref_layout.register_sizes
-    oracle = lower_circuit(join_parts(sizes, build_target_reflection(ref_layout, "0" * m)))
-    diff = lower_circuit(join_parts(sizes, build_diffusion(ref_layout)))
+    oracle = join_parts(sizes, build_target_reflection(ref_layout, "0" * m))
+    diff = join_parts(sizes, build_diffusion(ref_layout))
     t_oracle = tally_flat(_expand_flat(oracle), oracle.total_qubits)
     t_diff = tally_flat(_expand_flat(diff), diff.total_qubits)
     return ResourceReport(

@@ -657,6 +657,25 @@ def measured_law(n: int, m: int) -> dict[str, int]:
     }
 
 
+def naive_law(n: int, m: int) -> dict[str, int]:
+    """The fields of :func:`measured_law` for the naive report at (n, m):
+    its loader is L = m 2^n (2n - 1) macros in one chain, 3L T layers and
+    7L T (:meth:`qsearch.qdam.NaiveLoader.tally`), all of it stage 2; the
+    reflections are the optimized kernel's, R(m) and R(n); the kernel is
+    6L + R(m) + R(n), and its T-count 14L plus 7 per reflection macro."""
+    macros = (m << n) * (2 * n - 1)
+    flip_macros = max(0, 2 * m - 5) + max(0, 2 * n - 5)
+    return {
+        "t_depth_m1": 0,
+        "t_depth_m2": 3 * macros,
+        "t_depth_qdam": 3 * macros,
+        "t_depth_oracle_reflection": reflection_law(m),
+        "t_depth_diffusion": reflection_law(n),
+        "t_depth_kernel": 6 * macros + reflection_law(m) + reflection_law(n),
+        "t_count_total": 7 * (2 * macros + flip_macros),
+    }
+
+
 def macro_counts(circuit: Circuit) -> dict[GateKind, int]:
     counts: dict[GateKind, int] = {}
     for kind, _ in circuit.gates:

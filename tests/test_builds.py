@@ -118,10 +118,9 @@ def _reports(cells: int, fallbacks: int = 0) -> dict[str, int]:
     return {"_prepare": cells, "mcz_tree": 2 * cells, **(block if fallbacks else {})}
 
 
-def _naive(syncs: int, toffolis: int, cczs: int) -> dict[str, int]:
-    # the loader by closed form, and both reflections lowered
-    lowered = {"decompose_toffoli": toffolis, "ccz_gates": toffolis + cczs} if cczs else {}
-    return {"mcz_tree": 2, "SyncBlock.gates": syncs, "lower_gates": 2, **lowered}
+def _naive(syncs: int) -> dict[str, int]:
+    # the loader by closed form, and both reflections as macro gates
+    return {"mcz_tree": 2, "SyncBlock.gates": syncs}
 
 
 def _loader(n: int) -> dict[str, int]:
@@ -148,13 +147,10 @@ BUILDS: dict[str, tuple[Callable[[], object], dict[str, int]]] = {
            (30, [(1, 1), (2, 3), (4, 1), (5, 3), (6, 2)], _reports(5, fallbacks=2)),
            (33, [(1, 2), (2, 3), (4, 2), (5, 6), (7, 4), (10, 2)], _reports(6)),
            (34, [(1, 2), (2, 3), (4, 1), (4, 6), (5, 3), (6, 2)], _reports(6, fallbacks=1)))},
-    # a tree of width k >= 4 holds 2k - 6 Toffolis and one CCZ
-    **{f"measure_naive{cell}": (partial(measure_naive, *cell), _naive(*counts))
-       for cell, counts in (((1, 1), (1, 0, 0)), ((4, 5), (2, 6, 2)),
-                            ((9, 2), (2, 12, 1)), ((15, 1), (2, 24, 1)))},
+    **{f"measure_naive{cell}": (partial(measure_naive, *cell), _naive(syncs))
+       for cell, syncs in (((1, 1), 1), ((4, 5), 2), ((9, 2), 2), ((15, 1), 2))},
     "bench_scaling(1..6, 2)": (partial(bench_scaling, range(1, 7), 2), {
-        "_prepare": 6, "mcz_tree": 24, "SyncBlock.gates": 9, "lower_gates": 12,
-        "decompose_toffoli": 12, "ccz_gates": 16}),
+        "_prepare": 6, "mcz_tree": 24, "SyncBlock.gates": 9}),
     # the search lowers only the loader: 2^n - 2 + m 2^n Toffolis
     "run_search(toy_db(3), 101)": (
         lambda: run_search(toy_db(3), SearchQuery("101", "val")),
@@ -185,7 +181,7 @@ BUILDS: dict[str, tuple[Callable[[], object], dict[str, int]]] = {
     "estimate workload, (7, 3)": (partial(
         cli.main, ["estimate", "--n", "7", "--m", "3", "--mode", "measured"]), _reports(1)),
     "naive workload, (9, 1)": (partial(
-        cli.main, ["estimate", "--n", "9", "--m", "1", "--mode", "naive"]), _naive(2, 12, 1)),
+        cli.main, ["estimate", "--n", "9", "--m", "1", "--mode", "naive"]), _naive(2)),
 }
 
 

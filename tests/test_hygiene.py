@@ -870,8 +870,9 @@ _TRACED_OPS = {
 @pytest.mark.parametrize("workload", sorted(_TRACED_OPS))
 def test_the_benchmark_tracer_traces_one_op(workload, capsys):
     # the tracer's own tests sit outside the tier-1 paths; this one op per
-    # workload fails here when a source change breaks what the tracer wraps
-    from qsearch import cli
+    # workload fails here when a source change breaks what the tracer wraps,
+    # or zeroes a per-layer metric that the tracer's suite pins non-zero
+    from qsearch import cli, decompose, resources
 
     spec = importlib.util.spec_from_file_location("traced_bench", TRACING)
     tracing = importlib.util.module_from_spec(spec)
@@ -889,3 +890,8 @@ def test_the_benchmark_tracer_traces_one_op(workload, capsys):
         tracer.uninstall()
     assert code == 0, capsys.readouterr().err
     assert tracer.spans and all(span["end"] is not None for span in tracer.spans)
+    pinned = {"naive": "resources.expand_s", "search": "sim.apply_calls"}.get(workload)
+    if pinned:
+        assert tracer.metrics()[pinned][0] > 0, pinned
+    # the name the tracer patches is the one lowering, not a second one
+    assert resources.lower_circuit is decompose.lower_circuit

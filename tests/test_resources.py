@@ -53,6 +53,7 @@ from oracles import (
     exact_iterations,
     flat_measure_kernel,
     measured_law,
+    naive_law,
     reflection_law,
     resource_tally,
 )
@@ -429,6 +430,17 @@ def test_naive_report_at_the_benchmark_widths(n, m, expected):
     report = measure_naive(n, m)
     assert (report.t_depth_qdam, report.t_depth_kernel,
             report.t_count_total) == expected
+
+
+def test_naive_report_follows_its_law():
+    # every cell of n 1..15, m in {1, 2, 3, 5, 8} under the naive cap; the
+    # gate-level stream above is the lowered oracle for n <= 6
+    cells = [(n, m) for n in range(1, 16) for m in (1, 2, 3, 5, 8)
+             if m << n <= resources.MAX_NAIVE_BITS]
+    assert len(cells) == 66
+    for n, m in cells:
+        report = measure_naive(n, m)
+        assert {field: getattr(report, field) for field in _LAW_FIELDS} == naive_law(n, m), (n, m)
 
 
 def test_naive_stream_schedules_in_a_few_megabytes():

@@ -334,9 +334,22 @@ class FanIn:
 
     def feed_into(self, schedule: "Schedule", reverse: bool = False) -> None:
         """Feed the folds, forward or reversed alike, by the closed form of
-        :func:`fold_gates`: per fold, one ``max`` and two stores."""
+        :func:`fold_gates`: per fold, one ``max`` and two stores.
+
+        Fold j reads and writes only its own column of the load region and
+        its own target, and the columns tile the region, so the folds do not
+        interact.  When the whole region enters at one time R and every
+        target at one time T, each fold therefore computes the same entry
+        E = max(R + depth, T) and stores the same exits: the region leaves
+        at E + depth + 1 and the targets at E + 1, two slice stores."""
         avail, depth, targets = schedule._avail, self.depth, self.targets
         stop, step, size = self.stop, len(targets), 1 << depth
+        region, ends = avail[self.load:stop], avail[targets.start:targets.stop]
+        if region.count(region[0]) == len(region) and ends.count(ends[0]) == step:
+            entry = max(region[0] + depth, ends[0])
+            avail[self.load:stop] = [entry + depth + 1] * len(region)
+            avail[targets.start:targets.stop] = [entry + 1] * step
+            return
         for start, target in zip(range(self.load, self.load + step), targets):
             entry = max(avail[start:stop:step]) + depth
             if avail[target] > entry:

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from itertools import accumulate, compress
+from itertools import accumulate
 from typing import Sequence
 
 from .circuit import (Circuit, FanIn, Gate, GateKind, OneHotDecoder, Part, RecordBlock,
@@ -131,10 +131,14 @@ def _key_bits(n: int, m: int, source: Database | Sequence[str]) -> list[str]:
 
 def _prepare(database: int, keys: Sequence[str]) -> list[Gate]:
     """An X on database qubit ``database + k`` for every 1 at offset k of
-    the joined keys: bit j of key i sits at offset i*m + j."""
-    bits = "".join(keys)
-    ones = compress(range(database, database + len(bits)), map("1".__eq__, bits))
-    return [(_X, (q,)) for q in ones]
+    the joined keys: bit j of key i sits at offset i*m + j.  ``str.find``
+    steps from one 1 to the next, so the Python work is one step per 1 bit."""
+    bits, gates = "".join(keys), []
+    k = bits.find("1")
+    while k >= 0:
+        gates.append((_X, (database + k,)))
+        k = bits.find("1", k + 1)
+    return gates
 
 
 def _decoder(layout: QdamLayout) -> OneHotDecoder:

@@ -53,8 +53,9 @@ def reflection_depth_bound(width: int) -> int:
 # the largest index width each report can be computed for: the float floor
 # of K is proven exact only up to n = 109; a measured report keeps one
 # scheduler time per qubit, O(m * 2^n), so it caps m * 2^n at n's cap at
-# m = 1 (its heaviest op, measure(1, 2^19), took 3.9-5.0 s at 434 MB peak
-# RSS on a 2-vCPU Xeon); the naive report tallies its loader by closed form
+# m = 1 (its heaviest op, measure(1, 2^19), took 1.6-1.7 s at 419 MB peak
+# RSS in a fresh process on a 2-vCPU AMD EPYC, 1.8-1.9 s as the whole
+# ``estimate`` command); the naive report tallies its loader by closed form
 # and holds only its zero keys and two macro reflections: its heaviest op,
 # n = 1, m = 2^14, took 0.08-0.09 s at 47 MB peak RSS, and n = 15, m = 1
 # peaks at 17.3-17.7 MB, 1.1-1.2 MB above what importing the CLI takes

@@ -322,11 +322,18 @@ def _record_feeds(rng, m, copies):
     return _records_at(m, copies, starts, total), _prior(rng, total, regions), True
 
 
-def _fan_in_feeds(rng, depth, copies):
-    # fold j's column is every copies-th qubit of the load region from j
+def _fan_in_feeds(rng, depth, copies, late=None):
+    # fold j's column is every copies-th qubit of the load region from j.
+    # An edge shape's ``late`` has each region enter at one time, then
+    # delays one qubit of the "load" region or of the "target"s, or none
     (load, target), total = _place(rng, [(copies, 1 << depth), (1, copies)])
-    regions = [(load, copies, 1 << depth, _MODES), (target, 1, copies, _MODES)]
-    return FanIn(load, depth, target, copies, total), _prior(rng, total, regions), True
+    modes = _MODES if late is None else ("uniform",)
+    avail, marks, t_count = _prior(rng, total, [(load, copies, 1 << depth, modes),
+                                                (target, 1, copies, modes)])
+    start, count = {"load": (load, copies << depth), "target": (target, copies)}.get(late, (0, 0))
+    if count:
+        avail[start + rng.randrange(count)] += rng.randrange(1, 4)
+    return FanIn(load, depth, target, copies, total), (avail, marks, t_count), True
 
 
 def _sync_feeds(rng, j, pads):
@@ -373,7 +380,7 @@ PART_FEEDS = {
     RecordBlock: _Row(_record_feeds, st.tuples(st.integers(1, 6), _COPIES),
                       [(1, 1), (4, 5)], 250),
     FanIn: _Row(_fan_in_feeds, st.tuples(st.integers(0, 8), st.integers(1, 6)),
-                [(0, 1), (0, 5)], 100),
+                [(0, 1), (0, 5), (2, 3, "uniform"), (2, 3, "load"), (2, 3, "target")], 100),
     SyncBlock: _Row(_sync_feeds, st.integers(0, 10).flatmap(
         lambda j: st.tuples(st.just(j), st.integers(0, (1 << j) - 1))), [(0, 0), (3, 7)], 100),
     OneHotDecoder: _Row(_decoder_feeds, st.tuples(st.integers(1, 10)), [(1,), (2,)], 150),

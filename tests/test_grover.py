@@ -14,7 +14,6 @@ from qsearch.database import SearchQuery, pad_to_power_of_two
 from qsearch.decompose import lower_circuit
 from qsearch.errors import CircuitError, InputError
 from qsearch.grover import (
-    MAX_SHOTS,
     SearchStatus,
     build_kernel_circuits,
     optimal_iterations,
@@ -22,7 +21,7 @@ from qsearch.grover import (
 )
 from qsearch.kernel import build_diffusion, build_target_reflection
 from qsearch.qdam import QdamLayout, build_m1, build_m2, loader_parts
-from qsearch.resources import MAX_BOUND_N
+from qsearch.resources import MAX_BOUND_N, estimate_bounds
 from qsearch.sim import (
     SlicedState,
     SparseState,
@@ -45,6 +44,7 @@ from oracles import (
     success_probability_formula,
     walsh_hadamard,
 )
+from test_cli import refusal_tests
 
 B = Register.BINARY_INDEX
 D = Register.DATA
@@ -103,12 +103,6 @@ def test_reflection_m3_depth_and_action(pattern):
     assert _register_block(layout, lowered, D, 3) == ideal_flip_matrix(3, int(pattern, 2))
 
 
-def test_reflection_rejects_bad_pattern():
-    layout = QdamLayout(1, 2)
-    with pytest.raises(InputError, match="pattern '1' does not fit 2 data qubits"):
-        build_target_reflection(layout, "1")
-
-
 # -- diffusion ---------------------------------------------------------------
 
 
@@ -146,14 +140,10 @@ def test_optimal_iterations_is_exact_to_the_bound_cap():
     assert MAX_BOUND_N == 109
     for n in range(1, MAX_BOUND_N + 1):
         assert optimal_iterations(1 << n) == exact_iterations(n), n
+    assert estimate_bounds(MAX_BOUND_N, 1).query_count == exact_iterations(MAX_BOUND_N)
     # one width above it is one too low (the oracle's floor agrees with a
     # separate 140-digit computation), so the cap is as wide as it can be
     assert exact_iterations(110) == 28296951008113761 == optimal_iterations(1 << 110) + 1
-
-
-def test_optimal_iterations_rejects_tiny_databases():
-    with pytest.raises(InputError):
-        optimal_iterations(1)
 
 
 # -- phase matching ----------------------------------------------------------
@@ -260,24 +250,6 @@ def test_sampled_mode_is_deterministic_given_seed():
     second = run_search(db, query, seed=9, shots=32)
     assert first.candidate_index == second.candidate_index
     assert first.to_json() == second.to_json()
-    with pytest.raises(InputError, match="sampled mode needs shots and a non-negative seed"):
-        run_search(db, query, shots=32)
-    with pytest.raises(InputError, match="sampled mode needs shots and a non-negative seed"):
-        run_search(db, query, seed=9)  # a seed alone is not silently ignored
-
-
-def test_sampled_mode_rejects_nonpositive_shots():
-    db = toy_db(3)
-    with pytest.raises(InputError, match=r"shots must be in 1\.\.\d+, got 0"):
-        run_search(db, SearchQuery("101", "val"), seed=9, shots=0)
-
-
-def test_sampled_mode_rejects_a_negative_seed_and_too_many_shots():
-    db = toy_db(3)
-    with pytest.raises(InputError, match="sampled mode needs shots and a non-negative seed"):
-        run_search(db, SearchQuery("101", "val"), seed=-1, shots=3)
-    with pytest.raises(InputError, match=f"shots must be in 1..{MAX_SHOTS}, got {MAX_SHOTS + 1}"):
-        run_search(db, SearchQuery("101", "val"), seed=1, shots=MAX_SHOTS + 1)
 
 
 def test_every_draw_picks_an_index_by_its_exact_square():
@@ -336,11 +308,6 @@ def test_search_caps_the_record_bits(monkeypatch):
         run_search(toy_db(2), query)
 
 
-def test_search_rejects_a_nonpositive_iteration_count():
-    with pytest.raises(InputError, match="iteration"):
-        run_search(toy_db(2), SearchQuery("10", "val"), iterations=0)
-
-
 def test_search_caps_iterations_at_a_full_rotation():
     db = toy_db(3)
     bound = 4 * optimal_iterations(db.size) + 4
@@ -356,15 +323,6 @@ def test_search_resources_are_attached_and_measured():
     assert res.resources.query_count == res.iterations
     assert res.resources.t_depth_qdam <= 8
     assert res.resources.t_cost == res.iterations * res.resources.t_depth_kernel
-
-
-def test_search_rejects_unpadded_database():
-    from qsearch.database import Database
-
-    db = toy_db(2)
-    odd = Database(fields=db.fields, records=db.records[:3], key_field="key")
-    with pytest.raises(InputError, match="database must be padded to a power of two"):
-        run_search(odd, SearchQuery("01", "val"))
 
 
 # -- the bit-sliced rounds against Clifford+T --------------------------------
@@ -600,3 +558,8 @@ def test_reload_check_rejects_a_wrong_phase_on_the_right_label(monkeypatch):
     (probe,) = states
     # (0, 0, 1, 0) is w^2 = i
     assert list(probe.amplitudes.items()) == [(label, (0, 0, 1, 0))] and probe.k == 0
+
+
+# the refusals of bad search options and of the three raises the CLI
+# cannot reach are rows of test_cli.REFUSALS
+globals().update(refusal_tests(__name__))

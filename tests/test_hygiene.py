@@ -6,10 +6,11 @@ layouts name the registers, every field of a public record type is read
 somewhere, every public function, class and method is used outside the
 tests, every member name that two classes share is pinned, no keyword is
 always passed as the same literal, the package defines only its three
-error classes, the simulators and the test oracles hold no float outside
-two named helpers and no module binds a tolerance, no test file imports
-numpy, only the two tallies construct a schedule, every part has a
-row in the feed table, the build table counts every gate builder, every
+error classes, every ``raise InputError`` has a row in the refusal table,
+the simulators and the test oracles hold no float outside two named
+helpers and no module binds a tolerance, no test file imports numpy,
+only the two tallies construct a schedule, every part has a row in the
+feed table, the build table counts every gate builder, every
 module-level cap has a comment above it, every name the benchmark's
 tracer patches exists, and the tracer can trace one op of each workload."""
 from __future__ import annotations
@@ -31,6 +32,7 @@ from qsearch.circuit import GateKind, Part
 
 from test_builds import WRAPPED
 from test_circuit import PART_FEEDS
+from test_cli import REFUSALS, input_error_sites
 
 PACKAGE_DIR = pathlib.Path(qsearch.__file__).parent
 MODULES = sorted(PACKAGE_DIR.glob("*.py"))
@@ -603,6 +605,27 @@ def test_the_package_defines_only_three_error_classes():
         [*_ERROR_CLASSES, ("probe", "Bad"), ("probe", "Deeper"), ("probe", "ExtraError")])
     assert _error_classes({**sources, "probe": "class InputError(Exception):\n    pass\n"}) \
         == sorted([*_ERROR_CLASSES, ("probe", "InputError")])
+
+
+def test_every_input_error_has_a_refusal_row():
+    # aim 3: every bad input exits 3 with its exact message, and the refusal
+    # table pins each raise by its site; a raise with no row would go
+    # unchecked, and a row whose site is gone would check nothing
+    sites = {site for p in MODULES for site in input_error_sites(p.read_text(), p.stem)}
+    assert sites == {row.site for row in REFUSALS}
+    # and every row is a case of a test that runs it
+    cases = [case for module in {row.test.partition("::")[0] for row in REFUSALS}
+             for test in vars(importlib.import_module(module)).values()
+             for case in getattr(test, "refusal_cases", ())]
+    assert sorted(cases) == sorted({row.test for row in REFUSALS})
+    # the sites are keyed per function and method, in source order, over
+    # the lines of each call; other errors and unraised calls are spared
+    probe = ("def f(x):\n    if x:\n        raise InputError('a')\n"
+             "    raise InputError(\n        'b') from None\n"
+             "class C:\n    def g(self):\n        raise InputError(f'{self}')\n"
+             "def h():\n    error = InputError('c')\n    raise CircuitError('d')\n")
+    assert input_error_sites(probe, "m") == {
+        ("m", "f", 0): range(3, 4), ("m", "f", 1): range(4, 6), ("m", "C.g", 0): range(8, 9)}
 
 
 def _float_phase_lines(text: str) -> list[int]:

@@ -50,13 +50,13 @@ from qsearch.sim import SlicedState
 from conftest import random_keys
 from oracles import (
     build_qdam,
-    exact_iterations,
     flat_measure_kernel,
     measured_law,
     naive_law,
     reflection_law,
     resource_tally,
 )
+from test_cli import refusal_tests
 
 _DEPTH_FIELDS = (
     "t_depth_m1",
@@ -99,22 +99,6 @@ def test_bound_degenerate_n2_m2():
 def test_bound_clamp_at_width_three():
     assert estimate_bounds(3, 3).t_depth_oracle_reflection == 3
     assert estimate_bounds(3, 3).t_depth_diffusion == 3
-
-
-def test_bound_rejects_nonpositive_widths():
-    with pytest.raises(InputError):
-        estimate_bounds(0, 1)
-
-
-def test_reports_reject_index_widths_above_their_limit():
-    # the bound report prints K only where its float floor is exact (the
-    # widths below are checked in test_optimal_iterations_is_exact_to_the_bound_cap)
-    assert estimate_bounds(109, 1).query_count == exact_iterations(109)
-    with pytest.raises(InputError, match="n <= 109, got 110"):
-        estimate_bounds(110, 1)
-    for report in (measure, measure_naive):
-        with pytest.raises(InputError):
-            report(21, 1)
 
 
 def test_kernel_identity_in_bound_mode():
@@ -337,16 +321,6 @@ def test_bench_single_row_ratio_at_least_one():
     assert len(rows) == 1
     opt, naive = rows[0]
     assert naive.t_cost >= opt.t_cost
-
-
-def test_bench_rejects_out_of_range():
-    # a row is checked against both reports' caps: n = 16 at m = 1 holds
-    # 2^16 record bits, past the naive report's cap, and n = 21 is past the
-    # measured report's
-    with pytest.raises(InputError, match=r"m \* 2\^n <= 32768"):
-        bench_scaling([16], 1)
-    with pytest.raises(InputError, match="n <= 20"):
-        bench_scaling([21], 1)
 
 
 def test_bench_checks_every_row_before_measuring_any(monkeypatch):
@@ -696,3 +670,7 @@ def test_bench_rows_on_numpy_widths_hold_plain_ints():
             doc = report.to_json()
             assert all(type(value) in (int, str) for value in doc.values())
             json.dumps(doc)
+
+
+# the refusals of bad report widths are rows of test_cli.REFUSALS
+globals().update(refusal_tests(__name__))

@@ -170,11 +170,6 @@ class Circuit:
 
     # -- composition ----------------------------------------------------
 
-    def __add__(self, other: "Circuit") -> "Circuit":
-        if self.register_sizes != other.register_sizes:
-            raise CircuitError("cannot concatenate circuits over different registers")
-        return Circuit(self.register_sizes, self.gates + other.gates)
-
     def inverted(self) -> "Circuit":
         """Adjoint circuit: reversed order, T<->TDG and S<->SDG swapped.
 
@@ -616,9 +611,12 @@ def ccz_gates(x: int, y: int, z: int) -> list[Gate]:
 
     Phase polynomial (eighth turns): a + b + c + (a^b^c) - (a^b) - (b^c)
     - (a^c).  The -(a^b) term is realized as SDG+T so the first T layer
-    needs only one CNOT-pair boundary; S/SDG pairs elsewhere are pure
-    schedule padding and cancel exactly.  The 21 gates share 7 operand
-    tuples, built once per call.
+    needs only one CNOT-pair boundary.  The one S/SDG pair on y, around
+    the third T layer, is schedule padding and cancels exactly: it holds
+    y, the middle operand, until 2 layers after it would leave, which
+    both macro templates need (without it the kernel at n = 10, m = 8
+    measures 99, not 90).  The 19 gates share 7 operand tuples, built
+    once per call.
     """
     cnot, s, sdg, t, tdg = _CNOT, _S, _SDG, _T, _TDG
     xy, yz, zx, xz = (x, y), (y, z), (z, x), (x, z)
@@ -633,10 +631,8 @@ def ccz_gates(x: int, y: int, z: int) -> list[Gate]:
         (t, qz),      # +(a^b^c)
         (cnot, zx),   # x = a
         (cnot, xy),   # y = b
-        (s, qz),
         (t, qx),      # +a
         (t, qy),      # +b
-        (sdg, qz),    # cancels the S pad
         (cnot, yz),   # z = a^c
         (cnot, zx),   # x = c
         (s, qy),
@@ -651,9 +647,10 @@ def ccz_gates(x: int, y: int, z: int) -> list[Gate]:
 def decompose_toffoli(c1: int, c2: int, target: int) -> list[Gate]:
     """Lowered Toffoli fragment: the CCZ fragment between two H on the
     target, 7 T gates in three scheduler layers, no ancilla.  CNOT pairs
-    that touch both T carriers, with S/SDG pads on the third qubit, bound
-    the T stages, so they stay aligned whatever the operands' entry times:
-    parallel fragments merge their T layers only if they do."""
+    that touch both T carriers bound the T stages, and the S/SDG pad
+    holds the middle operand 2 layers longer, so the stages stay aligned
+    whatever the operands' entry times: parallel fragments merge their T
+    layers only if they do."""
     if len({c1, c2, target}) != 3:
         raise CircuitError("Toffoli operands must be distinct")
     h = (_H, (target,))

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -99,12 +100,12 @@ def _build_parser() -> _Parser:
 _PARSER = _build_parser()
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        return
+def _write(path: str, text: str, mode: str = "w") -> None:
+    """Write ``text`` to ``path``.  :func:`main` first probes each ``--out``
+    path in mode ``"a"``, which makes a missing file and keeps the bytes of
+    one that is there, so an unwritable path fails before the work."""
     try:
-        with open(path, "w", encoding="ascii") as handle:
+        with open(path, mode, encoding="ascii") as handle:
             handle.write(text)
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
@@ -117,10 +118,8 @@ def _cmd_estimate(args) -> int:
         report = measure(args.n, args.m)
     else:
         report = measure_naive(args.n, args.m)
-    if args.format == "json":
-        _emit(json.dumps(report.to_json(), indent=2) + "\n", None)
-    else:
-        _emit(report.to_csv(), None)
+    sys.stdout.write(json.dumps(report.to_json(), indent=2) + "\n" if args.format == "json"
+                     else report.to_csv())
     return EXIT_OK
 
 
@@ -128,10 +127,11 @@ def _cmd_search(args) -> int:
     db = pad_to_power_of_two(load_database_file(args.db))
     query = SearchQuery(key_value=args.key, return_field=args.return_field)
     result = run_search(db, query, args.iterations, seed=args.seed, shots=args.shots)
-    _emit(json.dumps(result.to_json(), indent=2) + "\n", args.out)
+    text = json.dumps(result.to_json(), indent=2) + "\n"
     if args.out is not None:
-        status = result.status.value
-        sys.stdout.write(f"{status} ({args.out})\n")
+        _write(args.out, text)
+        text = f"{result.status.value} ({args.out})\n"
+    sys.stdout.write(text)
     return EXIT_OK if result.status is SearchStatus.SOLVED else EXIT_SEARCH_FAILED
 
 
@@ -156,7 +156,7 @@ def _cmd_compile(args) -> int:
                          f"{args.part} has {size}")
     if args.lowered:
         circuit = lower_circuit(circuit)
-    _emit(circuit.export_json(), args.out)
+    _write(args.out, circuit.export_json())
     sys.stdout.write(f"wrote {args.part} ({len(circuit)} gates) to {args.out}\n")
     return EXIT_OK
 
@@ -165,7 +165,7 @@ def _cmd_bench(args) -> int:
     if args.n_min > args.n_max:
         raise InputError("--n-min must not exceed --n-max")
     rows = bench_scaling(range(args.n_min, args.n_max + 1), args.m)
-    _emit(bench_csv(rows), args.out)
+    _write(args.out, bench_csv(rows))
     sys.stdout.write(f"wrote {len(rows)} rows to {args.out}\n")
     return EXIT_OK
 
@@ -173,13 +173,19 @@ def _cmd_bench(args) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _PARSER.parse_args(argv)
-        if args.command == "estimate":
-            return _cmd_estimate(args)
-        if args.command == "search":
-            return _cmd_search(args)
-        if args.command == "compile":
-            return _cmd_compile(args)
-        return _cmd_bench(args)
+        command = {"estimate": _cmd_estimate, "search": _cmd_search,
+                   "compile": _cmd_compile, "bench": _cmd_bench}[args.command]
+        out = getattr(args, "out", None)
+        if out is None:
+            return command(args)
+        made = not os.path.lexists(out)
+        _write(out, "", "a")
+        try:
+            return command(args)
+        except BaseException:
+            if made:  # a failed run leaves no file the probe made
+                os.remove(out)
+            raise
     except QsearchError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT

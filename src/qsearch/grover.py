@@ -77,8 +77,8 @@ MAX_SHOTS = 1 << 20
 # the most record bits m * 2^n a search or a compile takes.  A search's
 # reload check runs the lowered loader, slowest at the widest keys, on ones:
 # at n = 1, m = 2^14 on all-ones keys it peaks at 0.16 GB RSS and takes
-# 6.3-6.6 s on a 2-vCPU Xeon (1.2 s on zero keys).  A compile's lowered
-# export holds about 1.2 KB per gate (see ``cli.MAX_EXPORT_GATES``)
+# 3.4-3.6 s on a 2-vCPU AMD EPYC (0.7 s on zero keys).  A compile's
+# lowered export holds about 1.2 KB per gate (see ``cli.MAX_EXPORT_GATES``)
 MAX_SEARCH_BITS = 1 << 15
 
 

@@ -19,62 +19,53 @@ import enum
 import functools
 from dataclasses import dataclass
 
-from .circuit import Circuit, GateKind, Part, Schedule, SyncBlock, join_parts
+from .circuit import Circuit, Gate, GateKind, Part, Schedule, SyncBlock, join_parts
 from .decompose import mcz_tree
 from .errors import InputError
 from . import qdam  # build_m1 and build_m2 looked up at call time, for the benchmark's tracer
 from .qdam import QdamLayout
 
 
-def _sync(layout: QdamLayout, qubits: range) -> SyncBlock:
-    """A sync block over ``qubits``, padded to a power of two with the first
-    ladder ancillas: w qubits need 2^ceil(log2 w) - w <= w - 2 pads for
-    w >= 2, and the pool holds max(n, m) - 2 for w = m or w = n."""
+def _reflection(layout: QdamLayout, qubits: range, before: list[Gate],
+                after: list[Gate]) -> tuple[Part, ...]:
+    """``before``, a sync block over ``qubits``, a phase flip of their
+    all-ones branch by :func:`~qsearch.decompose.mcz_tree`, then ``after``.
+    The sync block puts the tree's leaves in one scheduler layer, which a
+    tree, unlike a serial ladder, needs for its levels to merge their T
+    layers.  Its pads are the first ladder ancillas: w qubits need
+    2^ceil(log2 w) - w, none for w <= 2 and at most w - 2 above, and the
+    pool holds max(n, m) - 2 for w = m or w = n."""
+    ladder, sizes = layout.ladder_qubits(), layout.register_sizes
     pad = (1 << (len(qubits) - 1).bit_length()) - len(qubits)
-    return SyncBlock(qubits, layout.ladder_qubits()[:pad], layout.total_qubits)
+    sync = SyncBlock(qubits, ladder[:pad], layout.total_qubits)
+    return Circuit(sizes, before), sync, Circuit(sizes, mcz_tree(qubits, ladder) + after)
 
 
 def build_target_reflection(layout: QdamLayout, key_pattern: str) -> tuple[Part, ...]:
     """Phase flip of the data-register branch matching ``key_pattern``, as
-    parts: X where the pattern bit is 0, a phase flip on all-ones through
-    :func:`~qsearch.decompose.mcz_tree`, X again.  The name stays for the
-    benchmark's tracer, which times the build.
-
-    A sync block over the data register follows each round of flips.  The
-    first puts every data qubit in one scheduler layer before the tree,
-    whatever the key: the flips touch only the 0 bits, and a tree, unlike
-    a serial ladder, needs its leaves to enter together for its levels to
-    merge their T layers.  The closing one does the same for the inverse
-    loader, whose uncompute Toffolis the tree's leaves would otherwise
-    enter staggered.
-    """
+    parts: X where the pattern bit is 0 (which leaves the data qubits
+    staggered), the flip of the all-ones branch, X again, and the flip's
+    sync block once more, for the inverse loader, whose uncompute Toffolis
+    the tree's leaves would otherwise enter staggered.  The name stays for
+    the benchmark's tracer, which times the build."""
     if len(key_pattern) != layout.m or any(c not in "01" for c in key_pattern):
         raise InputError(f"pattern {key_pattern!r} does not fit {layout.m} data qubits")
     data, x = range(layout.data, layout.data + layout.m), GateKind.X
     flips = [(x, (q,)) for q, c in zip(data, key_pattern) if c == "0"]
-    sync, sizes = _sync(layout, data), layout.register_sizes
-    tree = mcz_tree(data, layout.ladder_qubits())
-    return Circuit(sizes, flips), sync, Circuit(sizes, tree + flips), sync
+    parts = _reflection(layout, data, flips, flips)
+    return (*parts, parts[1])
 
 
 def build_diffusion(layout: QdamLayout) -> tuple[Part, ...]:
     """Reflection about the uniform index state, as parts: H then X
-    conjugation of a phase flip on the all-ones index branch.  The binary
-    index qubits are flat qubits 0 .. n-1.  The name stays for the
-    benchmark's tracer, which times the build.
-
-    From n = 4 the flip is a tree of Toffolis, and a sync block over the
-    index register lines its leaves up first: the inverse loader leaves
-    them staggered, which in a kernel would smear the tree's T layers.
-    Narrower flips are a single fragment and get none, and the diffusion
-    is one circuit."""
-    index, h, x, sizes = range(layout.n), GateKind.H, GateKind.X, layout.register_sizes
+    conjugation of the flip of the all-ones index branch, whose sync block
+    lines up the index qubits the inverse loader leaves staggered.  They
+    are flat qubits 0 .. n-1.  The name stays for the benchmark's tracer,
+    which times the build."""
+    index, h, x = range(layout.n), GateKind.H, GateKind.X
     hs = [(h, (b,)) for b in index]
     xs = [(x, (b,)) for b in index]
-    tree = mcz_tree(index, layout.ladder_qubits())
-    if layout.n < 4:
-        return (Circuit(sizes, [*hs, *xs, *tree, *xs, *hs]),)
-    return Circuit(sizes, hs + xs), _sync(layout, index), Circuit(sizes, tree + xs + hs)
+    return _reflection(layout, index, hs + xs, xs + hs)
 
 
 @dataclass(frozen=True)
@@ -103,7 +94,7 @@ class KernelCircuits:
 
     @functools.cached_property
     def loader(self) -> Circuit:
-        return self.stage1 + self.stage2
+        return join_parts(self.layout.register_sizes, (self.stage1, self.stage2))
 
     @functools.cached_property
     def loader_inverse(self) -> Circuit:
@@ -118,7 +109,8 @@ class KernelCircuits:
         return join_parts(self.layout.register_sizes, self.diffusion_parts)
 
     def kernel(self) -> Circuit:
-        return self.loader + self.target_reflection + self.loader_inverse + self.diffusion
+        return join_parts(self.layout.register_sizes, (
+            self.loader, self.target_reflection, self.loader_inverse, self.diffusion))
 
 
 class ReportMode(enum.Enum):

@@ -48,6 +48,7 @@ from qsearch.circuit import (
     _TEMPLATES,
     fold_gates,
     gate,
+    join_parts,
     tally_flat,
 )
 from qsearch.database import FORMAT_VERSION, Database
@@ -502,7 +503,8 @@ def stage1_per_level_gates(layout) -> tuple[Gate, ...]:
 
 def build_qdam(layout, db) -> Circuit:
     """Full loader: stage 1 then stage 2."""
-    return build_m1(layout) + build_m2(layout, loader_parts(layout, db)[1:])
+    stages = build_m1(layout), build_m2(layout, loader_parts(layout, db)[1:])
+    return join_parts(layout.register_sizes, stages)
 
 
 def stage2_per_record_gates(layout, keys) -> tuple[Gate, ...]:

@@ -32,12 +32,12 @@ DATA_DB = str(PACKAGE_DIR.parents[1] / "data" / "people.json")
 
 # every gate builder, and below its ``module.qualname``: the functions, the
 # methods, and the parts' ``gates``, whose cached ``func`` runs only on a read
-# that finds no tuple.  ``Circuit.__add__`` joins two gate tuples, so a
-# loader joined again on every read shows
+# that finds no tuple.  ``join_parts`` joins gate tuples, so a loader
+# joined again on every read shows
 BUILDERS = (
     circuit.fold_gates, circuit.shared_control_layer, circuit.ccz_gates,
     circuit.decompose_toffoli, decompose.mcz_tree, decompose.lower_gates,
-    qdam._prepare, qdam.build_m1, qdam.build_m2, Circuit.inverted, Circuit.__add__,
+    qdam._prepare, qdam.build_m1, qdam.build_m2, Circuit.inverted, circuit.join_parts,
     *(vars(part)["gates"].func
       for part in (OneHotDecoder, RecordBlock, FanIn, SyncBlock, NaiveLoader)),
 )
@@ -118,21 +118,27 @@ def _reports(cells: int, fallbacks: int = 0) -> dict[str, int]:
     return {"_prepare": cells, "mcz_tree": 2 * cells, **(block if fallbacks else {})}
 
 
-def _naive(syncs: int) -> dict[str, int]:
-    # the loader by closed form, and both reflections as macro gates
-    return {"mcz_tree": 2, "SyncBlock.gates": syncs}
+# the loader by closed form, and both reflections as macro gates, joined
+_NAIVE = {"mcz_tree": 2, "SyncBlock.gates": 2, "join_parts": 2}
 
 
 def _loader(n: int) -> dict[str, int]:
-    # every part, its n shared-control blocks (n - 1 in stage 1), the stages joined
+    # every part, its n shared-control blocks (n - 1 in stage 1), stage 2's
+    # parts joined, then the stages
     return {**_reports(1), "build_m1": 1, "OneHotDecoder.gates": 1, "build_m2": 1,
             "RecordBlock.gates": 1, "FanIn.gates": 1, "fold_gates": 1,
-            "shared_control_layer": n, "Circuit.__add__": 1}
+            "shared_control_layer": n, "join_parts": 2}
 
 
-def _kernel(n: int, syncs: int) -> dict[str, int]:
-    # the loader, inverted once, joined to the reflections
-    return {**_loader(n), "SyncBlock.gates": syncs, "Circuit.inverted": 1, "Circuit.__add__": 4}
+def _search(n: int) -> dict[str, int]:
+    # the loader and both reflections, each joined once
+    return {**_loader(n), "SyncBlock.gates": 2, "join_parts": 4}
+
+
+def _kernel(n: int) -> dict[str, int]:
+    # the loader and both reflections joined, the loader inverted once, and
+    # the four circuits joined
+    return {**_search(n), "Circuit.inverted": 1, "join_parts": 5}
 
 
 # row label -> (call, its builds)
@@ -147,41 +153,39 @@ BUILDS: dict[str, tuple[Callable[[], object], dict[str, int]]] = {
            (30, [(1, 1), (2, 3), (4, 1), (5, 3), (6, 2)], _reports(5, fallbacks=2)),
            (33, [(1, 2), (2, 3), (4, 2), (5, 6), (7, 4), (10, 2)], _reports(6)),
            (34, [(1, 2), (2, 3), (4, 1), (4, 6), (5, 3), (6, 2)], _reports(6, fallbacks=1)))},
-    **{f"measure_naive{cell}": (partial(measure_naive, *cell), _naive(syncs))
-       for cell, syncs in (((1, 1), 1), ((4, 5), 2), ((9, 2), 2), ((15, 1), 2))},
+    **{f"measure_naive{cell}": (partial(measure_naive, *cell), _NAIVE)
+       for cell in ((1, 1), (4, 5), (9, 2), (15, 1))},
     "bench_scaling(1..6, 2)": (partial(bench_scaling, range(1, 7), 2), {
-        "_prepare": 6, "mcz_tree": 24, "SyncBlock.gates": 9}),
+        "_prepare": 6, "mcz_tree": 24, "SyncBlock.gates": 12, "join_parts": 12}),
     # the search lowers only the loader: 2^n - 2 + m 2^n Toffolis
     "run_search(toy_db(3), 101)": (
         lambda: run_search(toy_db(3), SearchQuery("101", "val")),
-        {**_loader(3), "SyncBlock.gates": 1, "lower_gates": 1,
-         "decompose_toffoli": 30, "ccz_gates": 30}),
-    "the kernel after its inverse loader": (_kernel_after_its_inverse, _kernel(3, 1)),
+        {**_search(3), "lower_gates": 1, "decompose_toffoli": 30, "ccz_gates": 30}),
+    "the kernel after its inverse loader": (_kernel_after_its_inverse, _kernel(3)),
     **{f"compile --part {part}": (partial(_compile, DATA_DB, "0101", part), builds)
        for part, builds in (
            ("m1", {**_reports(1), "build_m1": 1, "OneHotDecoder.gates": 1,
                    "shared_control_layer": 2}),
            ("m2", {**_reports(1), "build_m2": 1, "RecordBlock.gates": 1, "FanIn.gates": 1,
-                   "fold_gates": 1, "shared_control_layer": 1}),
+                   "fold_gates": 1, "shared_control_layer": 1, "join_parts": 1}),
            ("qdam", _loader(3)),
-           ("oracle", {**_reports(1), "SyncBlock.gates": 1}),
-           ("diffusion", _reports(1)),
-           ("kernel", _kernel(3, 1)),
+           ("oracle", {**_reports(1), "SyncBlock.gates": 1, "join_parts": 1}),
+           ("diffusion", {**_reports(1), "SyncBlock.gates": 1, "join_parts": 1}),
+           ("kernel", _kernel(3)),
            ("naive", {"_prepare": 1, "NaiveLoader.gates": 1}))},
     # 78 Toffolis and 2 CCZs, each Toffoli's fragment holding a CCZ's
     "compile --lowered --part kernel": (
         partial(_compile, DATA_DB, "0101", "kernel", "--lowered"),
-        {**_kernel(3, 1), "lower_gates": 1, "decompose_toffoli": 78, "ccz_gates": 80}),
+        {**_kernel(3), "lower_gates": 1, "decompose_toffoli": 78, "ccz_gates": 80}),
     "compile over the caps": (_over_the_caps, {
-        **_kernel(11, 2), "_prepare": 2, "NaiveLoader.gates": 1}),
+        **_kernel(11), "_prepare": 2, "NaiveLoader.gates": 1}),
     # the benchmark's workloads, each at its median shape
     "search workload, N=16, m=5": (partial(_seeded_search, 4, 5, 45), {
-        **_loader(4), "SyncBlock.gates": 2, "lower_gates": 1,
-        "decompose_toffoli": 94, "ccz_gates": 94}),
+        **_search(4), "lower_gates": 1, "decompose_toffoli": 94, "ccz_gates": 94}),
     "estimate workload, (7, 3)": (partial(
         cli.main, ["estimate", "--n", "7", "--m", "3", "--mode", "measured"]), _reports(1)),
     "naive workload, (9, 1)": (partial(
-        cli.main, ["estimate", "--n", "9", "--m", "1", "--mode", "naive"]), _naive(2)),
+        cli.main, ["estimate", "--n", "9", "--m", "1", "--mode", "naive"]), _NAIVE),
 }
 
 

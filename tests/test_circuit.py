@@ -23,6 +23,7 @@ from qsearch.circuit import (
     _derive_template,
     fold_gates,
     gate,
+    join_parts,
     shared_control_layer,
     tally_flat,
 )
@@ -652,6 +653,20 @@ def test_macro_templates_are_rank_one():
         (0, 0, 0), (12, 10, 13), (4, 7, 10))
     assert (mcz.entry, mcz.exit, mcz.t_layers) == (
         (0, 0, -1), (12, 10, 12), (4, 7, 10))
+    # a pad that moves neither template moves no schedule, so no schedule
+    # test sees it: each S, SDG pair on a qubit with no gate between them
+    # must move both
+    fragment, h, pad = ccz_gates(0, 1, 2), (GateKind.H, (2,)), {GateKind.S, GateKind.SDG}
+    pairs = []
+    for i, (kind, ops) in enumerate(fragment):
+        j = next((j for j in range(i + 1, len(fragment)) if ops[0] in fragment[j][1]), None)
+        if kind in pad and j is not None and {kind, fragment[j][0]} == pad:
+            pairs.append((i, j))
+    assert pairs
+    for i, j in pairs:
+        without = fragment[:i] + fragment[i + 1:j] + fragment[j + 1:]
+        assert _derive_template(without) != mcz, f"the pad at {i} and {j}"
+        assert _derive_template([h, *without, h]) != toffoli, f"the pad at {i} and {j}"
 
 
 def test_template_derivation_rejects_fragments_that_are_not_rank_one():
@@ -728,7 +743,8 @@ def test_adjoint_involution_preserves_counts():
 def test_circuit_composed_with_its_inverse_is_identity():
     rng = random.Random(13)
     circ = random_lowered_circuit(rng, 4, 50)
-    assert to_unitary(circ + circ.inverted()) == {(b, b): ONE for b in range(1 << 4)}
+    both = join_parts(circ.register_sizes, (circ, circ.inverted()))
+    assert to_unitary(both) == {(b, b): ONE for b in range(1 << 4)}
 
 
 def test_qubit_ordering_is_register_major_msb_first():

@@ -29,6 +29,7 @@ from qsearch.kernel import build_target_reflection
 from qsearch.qdam import QdamLayout
 
 from oracles import database_json, from_json, is_lowered
+from test_builds import built
 
 DATA_DB = os.path.join(os.path.dirname(__file__), "..", "data", "people.json")
 SRC_DIR = os.path.dirname(os.path.dirname(qsearch.__file__))
@@ -188,18 +189,24 @@ def test_compile_above_the_gate_limit_exits_three(tmp_path, capsys, monkeypatch)
 
     out_path = tmp_path / "x.json"
     argv = ["compile", "--db", DATA_DB, "--key", "0101", "--out", str(out_path)]
-    # the macro loader holds 175 gates and the lowered kernel 2,142
+    # the macro loader holds 175 gates and the lowered kernel 1,990
     monkeypatch.setattr(cli, "MAX_EXPORT_GATES", 175)
     assert _run(capsys, *argv)[0] == 0
     out_path.unlink()
     monkeypatch.setattr(cli, "MAX_EXPORT_GATES", 174)
     for extra, message in (([], "qdam has 175"),
-                           (["--part", "kernel", "--lowered"], "kernel has 2142")):
+                           (["--part", "kernel", "--lowered"], "kernel has 1990")):
         code, out, err = _run(capsys, *argv, *extra)
         assert code == 3
         assert out == ""
         assert err == f"error: compile writes at most 174 gates, {message}\n"
         assert not out_path.exists()
+    # the --out probe opens the path without truncating it, so a file that
+    # is there keeps its bytes through a refused run
+    out_path.write_bytes(b"kept\n")
+    assert _run(capsys, *argv) == (
+        3, "", "error: compile writes at most 174 gates, qdam has 175\n")
+    assert out_path.read_bytes() == b"kept\n"
 
 
 @pytest.mark.parametrize(
@@ -327,18 +334,20 @@ class Refusal(NamedTuple):
     ``module::name[case]``; the CLI argv to ``run``, split at spaces, or a
     call for a raise the CLI cannot reach; the exact ``message``; the
     ``site`` that raises it, the k-th ``raise InputError`` in a function as
-    ``(module, qualname, k)``; and the ``db`` written first, as JSON unless
-    it is bytes.  ``{db}`` and ``{out}`` are paths in a fresh directory,
-    and ``{people}`` is ``DATA_DB``."""
+    ``(module, qualname, k)``; the ``db`` written first, as JSON unless
+    it is bytes; and, where given, the exact gate ``builds`` of the run, as
+    :func:`test_builds.built` counts them.  ``{db}`` and ``{out}`` are paths
+    in a fresh directory, and ``{people}`` is ``DATA_DB``."""
 
     test: str
     run: str | Callable[[], object]
     message: str
     site: tuple[str, str, int]
     db: object = None
+    builds: dict[str, int] | None = None
 
 
-_FLAG, _WRITE = ("cli", "_Parser.error", 0), ("cli", "_emit", 0)
+_FLAG, _WRITE = ("cli", "_Parser.error", 0), ("cli", "_write", 0)
 _KEY_WIDTH, _TYPE = ("database", "_check_bits", 0), ("database", "_typed", 0)
 _JSON, _VERSION = ("database", "load_database", 0), ("database", "load_database", 1)
 _DUPLICATE = ("database", "Database.__post_init__", 4)
@@ -512,8 +521,10 @@ REFUSALS = [
         ("test_grover::test_search_rejects_a_nonpositive_iteration_count", "--iterations 0",
          "iteration count must be positive", ("grover", "run_search", 2)),
         (f"{_BAD_ARGUMENT}[too-many-iterations]", "--iterations 100000",
-         "at most 12 iterations at N=8, got 100000", ("grover", "run_search", 3)),
-        (f"{_BAD_ARGUMENT}[search-out-dir-missing]", "--out {out}/x.json", _NO_DIR, _WRITE)]),
+         "at most 12 iterations at N=8, got 100000", ("grover", "run_search", 3))]),
+    # -- an --out path is probed before any work, so its refusal builds nothing
+    Refusal(f"{_BAD_ARGUMENT}[search-out-dir-missing]", f"{_PEOPLE} --out {{out}}/x.json",
+            _NO_DIR, _WRITE, builds={}),
     # -- compile; the lowered lengths over the gate cap are those compile
     # reported when it lowered first
     *(Refusal(f"test_cli::test_compile_one_record_database_exits_three[{part}]",
@@ -528,12 +539,12 @@ REFUSALS = [
               f"compile --db {{db}} --key {'0' * 16} --part {part} --lowered --out {{out}}",
               f"compile writes at most 1048576 gates, {part} has {size}",
               ("cli", "_cmd_compile", 0), _keys(16, 2048))
-      for part, size in (("naive", 15860736), ("kernel", 1891424))),
+      for part, size in (("naive", 14484480), ("kernel", 1752080))),
     Refusal(f"{_BAD_ARGUMENT}[compile-out-dir-missing]",
-            "compile --db {people} --key 0101 --out {out}/x.json", _NO_DIR, _WRITE),
+            "compile --db {people} --key 0101 --out {out}/x.json", _NO_DIR, _WRITE, builds={}),
     # -- flags and widths; a bench row is checked against both reports' caps
     Refusal(f"{_BAD_ARGUMENT}[bench-out-dir-missing]",
-            "bench --n-min 2 --n-max 2 --m 1 --out {out}/x.json", _NO_DIR, _WRITE),
+            "bench --n-min 2 --n-max 2 --m 1 --out {out}/x.json", _NO_DIR, _WRITE, builds={}),
     Refusal("test_cli::test_bad_flags_exit_three", "estimate --n 10",
             "the following arguments are required: --m", _FLAG),
     Refusal("test_cli::test_bad_flags_exit_three", "bench --n-min 4 --n-max 2 --m 1 --out {out}",
@@ -617,9 +628,11 @@ def _refuse(row: Refusal, work: pathlib.Path, capsys, monkeypatch) -> None:
     else:
         if row.db is not None:
             (work / "db.json").write_bytes(_bytes(row.db))
-        code = main([_fill(arg, work) for arg in row.run.split(" ")])
-        assert (code, *capsys.readouterr()) == (3, "", f"error: {_fill(row.message, work)}\n")
+        argv, codes = [_fill(arg, work) for arg in row.run.split(" ")], []
+        builds = built(lambda: codes.append(main(argv)))
+        assert (*codes, *capsys.readouterr()) == (3, "", f"error: {_fill(row.message, work)}\n")
         assert [p.name for p in work.iterdir()] == ["db.json"] * (row.db is not None)
+        assert row.builds is None or builds == row.builds
     assert raised == [row.site]
 
 

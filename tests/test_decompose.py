@@ -15,6 +15,7 @@ from qsearch.circuit import (
     SyncBlock,
     ccz_gates,
     gate,
+    join_parts,
     shared_control_layer,
 )
 from qsearch.decompose import (
@@ -328,10 +329,10 @@ def test_each_fragment_span_holds_its_macros_fragment(n, m):
 
 def test_spans_come_only_from_the_lowering():
     lowered = lower_circuit(Circuit({D: 3}, [gate(GateKind.TOFFOLI, 0, 1, 2)]))
-    assert lowered.fragment_spans == ((0, 23, (0, 1)),)
+    assert lowered.fragment_spans == ((0, 21, (0, 1)),)
     relowered = lower_circuit(lowered)
     assert relowered.gates == lowered.gates and relowered.fragment_spans == ()
-    assert (lowered + lowered).fragment_spans == ()
+    assert join_parts(lowered.register_sizes, (lowered, lowered)).fragment_spans == ()
     assert lowered.inverted().fragment_spans == ()
 
 
@@ -343,7 +344,7 @@ def test_spans_follow_a_patched_fragments_length(monkeypatch):
     macro = Circuit({D: 4}, [gate(GateKind.TOFFOLI, 0, 1, 2), gate(GateKind.X, 3),
                              gate(GateKind.MCZ, 1, 2, 3), gate(GateKind.TOFFOLI, 3, 0, 1)])
     assert lower_circuit(macro).fragment_spans == (
-        (0, 22, (0, 1)), (23, 44, (1, 2, 3)), (44, 66, (3, 0)))
+        (0, 20, (0, 1)), (21, 40, (1, 2, 3)), (40, 60, (3, 0)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -11,7 +11,10 @@ an intended output change, print the table for the current code with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and paste only the entries whose output was meant to change.
+and paste only the entries whose output was meant to change.  With
+``--kinds`` it prints instead the gate-kind counts of each ``compile-*``
+entry, read from the JSON it writes, so that a re-pin can quote what
+moved: run it before and after, and diff.
 """
 from __future__ import annotations
 
@@ -20,7 +23,9 @@ import hashlib
 import io
 import json
 import os
+import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -104,89 +109,89 @@ GOLDEN = {
         0, "47708c284360b72efd5043bbcd680412e085639c33d1cf37540cdc26062ec198",
         "c5509124bb02ce79941d6621f990ab7c194ccd70dd5d60c5256f1ac613549c99"),
     "compile-diffusion": (
-        0, "6f6c7f8c502efaaf9d716065aea57d8d2e9f8fd923252f0414ef8520baab1f4f",
-        "489e4d9fce79d58b12406b14f8fa35795bef203ea290564ac5246a0ff0ad53ba"),
+        0, "3d2e2a85ea761cc7c152a66232073eb360714e573d2f4dedbb4a43ee835b935a",
+        "20c8919f304b8758004ee49fb368a5e55d2328d9697a6737312ac0a3168fdef2"),
     "compile-diffusion-lowered": (
-        0, "09459525981e9d0445e4ee94bc632584470cdf513b343f514ed1c3eaf18e716d",
-        "07273de2c365589632063890c68a217fe323dd68532eb68654857699426318ba"),
+        0, "dfb05e18b2122f215659dc98dfe1575ac00477d4f28c03496842df53167110d5",
+        "a9363c35a2a1f032d219659ad0f16b277b541b7928b498ee773f6d8fe7946876"),
     "compile-kernel": (
-        0, "c3fd18531c3c471e02f21c4bd8ae948934d35927e8f52063f48439d870735f59",
-        "f215e95fd5ccfc0f7b90c2f897a85562b8aa5d9a710627c3494fa4507acda88b"),
+        0, "3321cf825ba10280910885bc5af4e1f155ec08b546bf953534f9ab617ee7440c",
+        "dd0f74f0fa96db724687db6ce61972571634c542b97a29c5cedea6a86f428456"),
     "compile-kernel-lowered": (
-        0, "54ef2726187a9247ebe205122685e793ac4d97768fa194ad50c46b9e542b9232",
-        "7d49d64c49e8c916295b3b7db3b18d791dd9cc121f03a42c16239f6ab21789f5"),
+        0, "4ce6b8e1cc6893de7eaffaa8dba5b35c73e904252a511dde3c913a7d6135d731",
+        "913a0887c4d4ae292d09de900f25f5e550c6adf33ff232cb67ac726bcb00ac43"),
     "compile-m1": (
         0, "7c119692f797cdf295aaea6840dd8766eabba945546d0aef63810e33398e5bae",
         "19d7e61f91275fdb128eb7d53df05677796eb22bb48f71bcc16ef58514d7de9c"),
     "compile-m1-lowered": (
-        0, "0e3a1b2f60ae4170c9b3e0070e7874d5550ad76f5b75f99318bca3c2996da2ec",
-        "a57dd16715cc188cfc2e73fda773356bf3d4f3ad8ef4e7b3a6ae031f1fbfeba2"),
+        0, "8ae2dbea2e29b612b3f673a47b8cef8163d0e13441ca5799ff31d99745d1623f",
+        "f36b00ad02b5cec9baa2cb985d16017bc03bea26f716c4a9250904275a34edf2"),
     "compile-m2": (
         0, "447b7da8608a9e0bcfbb5c57ff34ec6f02fd9d5bb9088361f4e28d4d54bd735b",
         "eb42b76e70bbd9b1cf56d8b35c890354020bf7d053c66d663503cf8e74a30039"),
     "compile-m2-lowered": (
-        0, "ba619aed6c056b7079d7cb83e12285669c73d57a3b97e424a2cbd77221b91a94",
-        "5dde43842e1548b1f521d171f3a6e51e94929472fe13033dabae1d28856f0afc"),
+        0, "bcde66272f05e3dc2d8d5c13e4dc0f1b822aeb40625813bb9cc9d222f7bf6d97",
+        "da08d4f65dea1adc3ce9f1c5dee5f4ec5e6492fd7e8de6e39c34517f964eb8ad"),
     "compile-naive": (
         0, "21ffb53e8a46f90648e467376300e6374ebaa88b21e321db1a26f298689df4bd",
         "0d1501391df2cf40d881a1d23d6e746a50fbb671742a77e9f521e07ad0473cc4"),
     "compile-naive-lowered": (
-        0, "58dd6996f6791a4cbb20ef24a87ddf65b9bf5e2ae1e7f77ad8207c24904e2f86",
-        "c7afc4656c3b1a1af05b7ec7ff38818f47976732e9a60b70d002bc2c0eb23061"),
+        0, "e59981b98645be7c562698ccbe20557688a0c794cd416ef3940e717f2d29b6fb",
+        "610150fbfae6302f91c7493fdb641641f12ac1121deccce1b5c9ed3c35f61948"),
     "compile-oracle": (
         0, "2677bbe726a1e28fc9a7199a430af3b8f6c71a0760da06dc0c5a0fc964c80f50",
         "af952a1ac06a9ba2f365562dc6a02ac296b6ebb951f10df52bad6738559f4c19"),
     "compile-oracle-lowered": (
-        0, "b68d4b438d56f0e9c7fe91d99ba79ee30555b6ae0c377a4c18848507fb02fc6b",
-        "c2e01712534ad4ec2717e3745c22de351808b21fde5a46580d991e0412e2367f"),
+        0, "20b83f7e269a6e32dcc39c0c55275b0719de0a3271dddb0c6d5667e793709e71",
+        "5aa2abfaadeceadde931f73752f8df3e313d1ce84585858e74afd2190dfc3328"),
     "compile-qdam": (
         0, "45012c0cc77b9c9690ce41f310c13f5f1cc63c6c4c230b53cde83e2d139b851f",
         "d68678e97ba34c4762c5d0bdc517ea30205db3e04d1145c92b1e34f54909ac77"),
     "compile-qdam-lowered": (
-        0, "4ee719df2568027ea6616c0c3e745ff7b87def5cfa837ef6dc894022044cc76a",
-        "e71b21bf06146a9d88225d47a157766acc37005e0a53c1a10bdd24c703ebbd12"),
+        0, "95baf3a30f75bffc0cd31193ab0bc9bbc030968f809a364d3a41d60c9acae6da",
+        "4a0b561d341dc4d59d4f4571190ce00d411b1fa188396e41578e11893f9e020e"),
     "compile-twenty-diffusion": (
         0, "faa63b5724e7190a2f07c4912400ea9eafe56cf4227535fe66a91c2f3125921a",
         "16097f53a5864de7143a344f18a184b45800e29671251f56684405a54fee60a7"),
     "compile-twenty-diffusion-lowered": (
-        0, "3e1af79c49e2ff9ff89135965b1514a8d1e46cec554953d62846b8a5363bab45",
-        "36635ae018bc2449497d8b57177c493fb272d2fc5bff0f46a2cfe82e88e6a693"),
+        0, "5740787373074dd458653de9655ce8cea84b4900f5807791b65c0365cddadf35",
+        "58a0e49d5cdc604f15f566dcbd947c002c148dee14e0a9ce40c9561c238ce48c"),
     "compile-twenty-kernel": (
         0, "a9390146359ab87da006a0bd3af24d8ccf7ce418a061e90eb7fa9b24753fdf71",
         "ab0b66a99f750386574b7a7ca9584d598186116993eb5d6494148d7d2ac54851"),
     "compile-twenty-kernel-lowered": (
-        0, "e91327340040fd1333ad7a93678a35d37546aa17f0504d95a6caee7141e0691e",
-        "51849d6b86e9d08d43aebb2413d7dc6fc11cdeb120454ce4979abf42e592e75f"),
+        0, "da1db5da3bf5138377978d4162d4e330c3a15a1e0a67250bd9f237460f6a2d29",
+        "f2f83ce44531810cd28e8e92b113fd232a8160bd160c0485cf0d04b44272d455"),
     "compile-twenty-m1": (
         0, "d1eb94bb2ad246f383b411ab632dc8e2a9f7fe11d97db5388595659fbbb63a68",
         "2e53a3f204165762250f1d6a5cd66d0fca29dcf283eb1d8818b6703db0347582"),
     "compile-twenty-m1-lowered": (
-        0, "341dfff8f9bdbc04a5005a87f193acd047a6105f4a16396da9059b2510adac97",
-        "23d6920880936477fbe90b8ad185cdb6b15b1a44923b1ddd5eef85613888e78e"),
+        0, "36b4f398371031504183f203f9ba22f6ac46010bd9aaf0b344d1cd5c068c881e",
+        "828812a2956ced7f01272a3559c08eb72fc415b9c401664be736544ae4a1f655"),
     "compile-twenty-m2": (
         0, "319ed4b338227fea1138707889cc094e4cf699ecf052ff5dc7bc1c2af4863ae2",
         "343630da930f168a2d49b4c12ab2ef1a9e50ae3b233da190fc67d3513e01b995"),
     "compile-twenty-m2-lowered": (
-        0, "3908f5df0181c0856432b27b1cfaa1d93ec30d12fb7a38fbe56ad9a3e29e5324",
-        "725fe44f3c2ef8d36584c182ba8eeb148cc36c149a5e2f886869231d6c6e9f3d"),
+        0, "450811403dd52831d4024299a8f1448c89be518bb84c00eb75f5835ca00d6586",
+        "e0b2f562898b4c84165a396582febe97faf70a9bf6878e5c9615c2fd89007e2f"),
     "compile-twenty-naive": (
         0, "83f5f6fabab71acb9b0b77e7d65bc4600533f1f6d9edbf901f624e9599d2c6ec",
         "08848a45be688e1627ecead9262eedc62d4c35870951fa2b59f1ff816837c4ef"),
     "compile-twenty-naive-lowered": (
-        0, "e107ed5f8440a517acf95d52931ec814ac1a6f2d7784fa32bc2fae97c4ce612a",
-        "13cd1934e078746d0594a7045c7b639af1ef76f8c753ba178257f67a140590c0"),
+        0, "7a014c1fb9cb20cef6e96444b8ede2e7108353f9fa1675091f2bf8dff863c208",
+        "8e3bf039793ddaa24e37a53d535aa4b2d355e4a1aa14bf1a7f094198b01cd6db"),
     "compile-twenty-oracle": (
         0, "da93e3640162995486fa028ced573cf088c1a5b8ca05fa5b86e4e332ff4d3890",
         "8bd9bbef7bae101fa5fd22d0348c56ad43f5958f1bb6ea572c3f42a6eef19484"),
     "compile-twenty-oracle-lowered": (
-        0, "7126fd108dbd9bb6cc0af6109b2a00f3213c9451f4438ac85829d91fe93c0849",
-        "7d8a0797a2db3190b5a021529a7d1075ff1afcfee32341eae15d3179806bf517"),
+        0, "fafb0c1a51859ca0c0f4e534474aed9c797ea6cca40407a575feb2a46553b7ec",
+        "70d76b73637ee37ab1abea85398d3f486755922d3d1f27b686fc39a36e12d6bd"),
     "compile-twenty-qdam": (
         0, "2585a6f6401b9ea87321e6b3622e69ff1c1065ad9667326bed3d21b670a5d4a3",
         "0bcea679425db7fa40e9917f664dc998660ad66ae05ec685b8a2f286091ae613"),
     "compile-twenty-qdam-lowered": (
-        0, "cd095b82cb54d309843a659ad0a553ffa5133bf7ca64540d9dbd560be679bf31",
-        "8bcb6619535c83e44ba100c605553db7d341897091a0472dc1307e0f6fb01293"),
+        0, "d898ef8a1251e2efa74b3c7d4db21e0df4f3045e66e1e1544f0e4c59511337b3",
+        "41fa827ec07a67208020766b2983e34d51ad1105191a469be03c973f0bb898fb"),
     "estimate-bound": (
         0, "e447ed1fc81bbdf18161bc8efe68ba92757a95af667671d1c881fe05cec7c5e6",
         None),
@@ -271,15 +276,25 @@ def test_cli_output_is_byte_identical(name, tmp_path, monkeypatch):
     assert _digests(name, tmp_path) == GOLDEN[name]
 
 
+def _kinds(path: Path) -> str:
+    """The gate-kind counts of the circuit JSON at ``path``, on one line."""
+    counts = Counter(g["gate"] for g in json.loads(path.read_text())["gates"])
+    return ", ".join(f"{kind} {count}" for kind, count in sorted(counts.items()))
+
+
 if __name__ == "__main__":
-    # print the GOLDEN table for the current code
-    home = os.getcwd()
-    print("GOLDEN = {")
+    # print the GOLDEN table for the current code, or with --kinds the
+    # gate-kind counts of every compile entry
+    kinds = sys.argv[1:] == ["--kinds"]
+    home, rows = os.getcwd(), []
     for name in sorted(COMMANDS):
+        if kinds and not name.startswith("compile-"):
+            continue
         with tempfile.TemporaryDirectory() as tmp:
             os.chdir(tmp)
             code, out, written = _digests(name, Path(tmp))
+            written = f'"{written}"' if written else "None"
+            rows.append(f"{name}: {_kinds(Path('out.json'))}" if kinds else
+                        f'    "{name}": (\n        {code}, "{out}",\n        {written}),')
             os.chdir(home)
-        written = f'"{written}"' if written else "None"
-        print(f'    "{name}": (\n        {code}, "{out}",\n        {written}),')
-    print("}")
+    print(*(rows if kinds else ["GOLDEN = {", *rows, "}"]), sep="\n")

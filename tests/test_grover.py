@@ -426,8 +426,8 @@ def test_lowered_block_is_the_bit_sliced_sign_diagonal(n):
         signs = (SlicedState(n, layout.total_qubits).run(circuits.loader)
                  .run(circuits.target_reflection).run(circuits.loader_inverse)
                  .diagonal_signs())
-        block = lower_circuit(
-            circuits.loader + circuits.target_reflection + circuits.loader_inverse)
+        block = lower_circuit(join_parts(sizes, (
+            circuits.loader, circuits.target_reflection, circuits.loader_inverse)))
         for q in range(1 << n):
             label = basis_pattern(sizes, {B: q})
             out = SparseState.basis(layout.total_qubits, label).apply(block)
@@ -445,7 +445,8 @@ def test_block_with_a_dropped_stage2_gate_is_rejected(m):
     sizes = layout.register_sizes
     stage2 = circuits.stage2.gates
     for i in range(len(stage2)):
-        dropped = circuits.stage1 + Circuit(sizes, stage2[:i] + stage2[i + 1:])
+        kept = Circuit(sizes, stage2[:i] + stage2[i + 1:])
+        dropped = join_parts(sizes, (circuits.stage1, kept))
         state = (SlicedState(2, layout.total_qubits).run(dropped)
                  .run(circuits.target_reflection).run(circuits.loader_inverse))
         with pytest.raises(CircuitError):

@@ -138,7 +138,10 @@ FragmentSpan = tuple[int, int, tuple[int, ...]]
 class Circuit:
     """Ordered gate list over sized registers.  Immutable once built.  It
     stores the gates it is given: the builders emit gates that are valid by
-    construction, and :func:`gate` checks hand-written ones.
+    construction, and :func:`gate` checks hand-written ones.  It stores its
+    register sizes as given too, in ``REGISTER_ORDER``, the order of the
+    flat qubits and of the export's labels: every layout passes all five
+    registers, and a register left out has no qubits.
 
     ``fragment_spans`` lists, in gate order, the span of every fragment a
     lowering emitted (:func:`qsearch.decompose.lower_circuit` alone fills
@@ -153,12 +156,9 @@ class Circuit:
         gates: Iterable[Gate] = (),
         fragment_spans: tuple[FragmentSpan, ...] = (),
     ):
-        sizes = {reg: int(register_sizes.get(reg, 0)) for reg in REGISTER_ORDER}
-        if min(sizes.values()) < 0:
-            raise CircuitError("register sizes must be nonnegative")
-        self.register_sizes: dict[Register, int] = sizes
+        self.register_sizes: Mapping[Register, int] = register_sizes
         self.gates: tuple[Gate, ...] = tuple(gates)
-        self.total_qubits: int = sum(sizes.values())
+        self.total_qubits: int = sum(register_sizes.values())
         self.fragment_spans = fragment_spans
 
     def flat_gates(self) -> tuple[Gate, ...]:

@@ -50,8 +50,8 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Sequence
 
-from .circuit import (Circuit, FanIn, Gate, GateKind, OneHotDecoder, Part, RecordBlock,
-                      Register, ResourceTally, join_parts)
+from .circuit import (REGISTER_ORDER, Circuit, FanIn, Gate, GateKind, OneHotDecoder, Part,
+                      RecordBlock, Register, ResourceTally, join_parts)
 from .database import Database
 from .errors import CircuitError
 
@@ -75,6 +75,8 @@ class QdamLayout:
     * :meth:`ladder_qubits`: max(n, m) - 2 ancillas for the reflections.
 
     The load, fan-out and ladder regions make up the ancilla register.
+    ``total_qubits`` and ``register_sizes``, all five registers in
+    ``REGISTER_ORDER``, are set at construction.
     """
 
     n: int
@@ -84,6 +86,10 @@ class QdamLayout:
     database: int = field(init=False, repr=False)
     load: int = field(init=False, repr=False)
     fanout: int = field(init=False, repr=False)
+    total_qubits: int = field(init=False, repr=False)
+    # every circuit on the layout keeps this one dict, which takes no part
+    # in the equality or the hash
+    register_sizes: dict[Register, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.m < 1:
@@ -93,24 +99,14 @@ class QdamLayout:
         for name, start in zip(("onehot", "data", "database", "load", "fanout"),
                                accumulate(sizes)):
             object.__setattr__(self, name, start)
+        total = self.ladder_qubits().stop
+        object.__setattr__(self, "total_qubits", total)
+        object.__setattr__(self, "register_sizes", dict(zip(
+            REGISTER_ORDER, (*sizes[:4], total - self.load))))
 
     def ladder_qubits(self) -> range:
         first = self.fanout + (1 << self.n - 1) - 1 + (self.m - 1 << self.n)
         return range(first, first + max(0, max(self.n, self.m) - 2))
-
-    @functools.cached_property
-    def total_qubits(self) -> int:
-        return self.ladder_qubits().stop
-
-    @functools.cached_property
-    def register_sizes(self) -> dict[Register, int]:
-        return {
-            Register.BINARY_INDEX: self.n,
-            Register.ONEHOT_INDEX: self.data - self.onehot,
-            Register.DATA: self.m,
-            Register.DATABASE: self.load - self.database,
-            Register.ANCILLA: self.total_qubits - self.load,
-        }
 
     @classmethod
     def for_database(cls, db: Database) -> "QdamLayout":
@@ -124,7 +120,8 @@ def _key_bits(n: int, m: int, source: Database | Sequence[str]) -> list[str]:
             raise CircuitError("database shape does not match the layout")
         return keys
     keys = list(source)
-    if len(keys) != 1 << n or set(map(len, keys)) != {m}:
+    # each distinct key's width once: a naive report's 2^n keys are one
+    if len(keys) != 1 << n or set(map(len, set(keys))) != {m}:
         raise CircuitError("key patterns do not match the layout")
     return keys
 
@@ -187,18 +184,12 @@ class NaiveLoader:
     flipped, one ladder per record bit and the flips undone, and keeps
     them; ``len`` and :meth:`tally` are closed forms that build no gate."""
 
+    register_sizes: dict[Register, int]
+
     def __init__(self, n: int, m: int, keys: list[str]):
         self.n, self.m, self.keys = n, m, keys
-
-    @property
-    def register_sizes(self) -> dict[Register, int]:
-        return {
-            Register.BINARY_INDEX: self.n,
-            Register.ONEHOT_INDEX: 0,
-            Register.DATA: self.m,
-            Register.DATABASE: self.m << self.n,
-            Register.ANCILLA: max(0, self.n - 1),
-        }
+        self.register_sizes = dict(zip(
+            REGISTER_ORDER, (n, 0, m, m << n, max(0, n - 1))))
 
     @functools.cached_property
     def gates(self) -> tuple[Gate, ...]:

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsearch
+from qsearch import cli
 from qsearch.cli import main
 from qsearch.database import load_database
 from qsearch.errors import InputError, QsearchError
@@ -680,3 +681,84 @@ def test_the_module_entry_point_refuses_without_a_traceback(case, tmp_path):
                          text=True, env=dict(os.environ, PYTHONPATH=SRC_DIR), timeout=120)
     assert (run.returncode, run.stdout, run.stderr) == (
         3, "", f"error: {_fill(row.message, tmp_path)}\n")
+
+
+# -- the dispatch: one command's parser, and the full parser's namespace
+
+
+def _full_parse(argv: list[str]) -> dict | str:
+    # what the full parser's two-level pass makes of argv
+    try:
+        return vars(cli._PARSER.parse_args(argv))
+    except InputError as exc:
+        return str(exc)
+
+
+def _main_parse(argv: list[str], monkeypatch, capsys) -> dict | str:
+    """What :func:`main` makes of argv before the work: the namespace it
+    dispatches, with every command stubbed out, or its refusal's message.
+    A command's argv must never reach the full parser."""
+    parsed = []
+    with monkeypatch.context() as patch:
+        for parser in cli._COMMAND_PARSERS.values():
+            def parse(args, real=parser.parse_args):
+                parsed.append(real(args))
+                return parsed[-1]
+            patch.setattr(parser, "parse_args", parse)
+        for name in cli._COMMAND_PARSERS:
+            patch.setattr(cli, f"_cmd_{name}", lambda args: 0)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError(f"{argv} reached the full parser")
+
+        patch.setattr(cli._PARSER, "parse_known_args", unreachable)
+        code = main(argv)
+    err = capsys.readouterr().err
+    if parsed:  # the namespace; an --out probe may still refuse after it
+        return vars(parsed[0])
+    assert code == 3 and err.startswith("error: ")
+    return err.removeprefix("error: ").removesuffix("\n")
+
+
+def test_the_dispatch_parses_as_the_full_parser_does(tmp_path, monkeypatch, capsys):
+    # every argv of the refusal table and of the golden outputs: the same
+    # namespace, command included, or the same argparse message
+    from test_golden import COMMANDS
+
+    monkeypatch.chdir(tmp_path)  # the golden argvs' relative --out paths
+    argvs = [[_fill(arg, tmp_path) for arg in row.run.split(" ")]
+             for row in REFUSALS if not callable(row.run)]
+    argvs += list(COMMANDS.values())
+    assert {argv[0] for argv in argvs} == set(cli._COMMAND_PARSERS)
+    for argv in argvs:
+        assert _main_parse(argv, monkeypatch, capsys) == _full_parse(argv), argv
+    namespaces = [_full_parse(argv) for argv in argvs]
+    assert sum(isinstance(ns, dict) for ns in namespaces) > len(COMMANDS)
+    assert sum(isinstance(ns, str) for ns in namespaces) > 0
+
+
+@pytest.mark.parametrize("command", ["estimate", "search", "compile", "bench"])
+def test_a_command_prints_the_full_parsers_help(command, capsys):
+    # ``qsearch <command> -h`` prints the text it printed through the full parser
+    with pytest.raises(SystemExit) as full:
+        cli._PARSER.parse_args([command, "-h"])
+    expected = capsys.readouterr()
+    with pytest.raises(SystemExit) as own:
+        main([command, "-h"])
+    assert (own.value.code, capsys.readouterr()) == (full.value.code, expected)
+    assert full.value.code == 0 and expected.out.startswith(f"usage: qsearch {command} ")
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--help"], ["--he"], ["nope"], ["estimat"], ["--", "estimate", "--n", "1"],
+    ["-", "estimate"], ["--n", "1", "estimate", "--n", "1", "--m", "1"],
+    ["--mode", "estimate", "--n", "1", "--m", "1"],
+], ids=repr)
+def test_an_argv_that_names_no_command_can_only_print_help_or_refuse(argv, capsys):
+    # only here does the full parser run, and it never returns a namespace
+    try:
+        code, out = main(argv), capsys.readouterr()
+    except SystemExit as exc:  # help
+        assert exc.code == 0 and capsys.readouterr().out.startswith("usage: qsearch [-h]")
+    else:
+        assert (code, out.out) == (3, "") and out.err == f"error: {_full_parse(argv)}\n"

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsearch.circuit import Circuit, GateKind, Register, gate
+from qsearch.circuit import REGISTER_ORDER, Circuit, GateKind, Register, gate
 from qsearch.decompose import lower_circuit
 from qsearch.errors import CircuitError
 from qsearch.grover import build_kernel_circuits
@@ -141,6 +141,24 @@ def test_naive_loader_places_its_qubits_under_their_labels(n, m):
         {"BINARY_INDEX"})
     assert {g["qubits"][0] for g in rest if g["gate"] == "H"} == {
         f"DATA:{j}" for j in range(m)}
+
+
+@pytest.mark.parametrize(("n", "m"), [(1, 1), (1, 4), (3, 2), (5, 7)])
+def test_both_loaders_list_all_five_registers_in_register_order(n, m):
+    # a Circuit keeps the mapping it is given, in the order of its flat
+    # qubits and export labels, so each loader sets its own in that order
+    layout, naive = QdamLayout(n, m), build_naive_qdam(n, m, ["0" * m] * (1 << n))
+    assert layout.total_qubits == sum(layout.register_sizes.values()) == (
+        layout.ladder_qubits().stop)
+    for sizes in (layout.register_sizes, naive.register_sizes):
+        assert list(sizes) == list(REGISTER_ORDER)
+        circuit = Circuit(sizes, [gate(GateKind.X, 0)])
+        assert circuit.register_sizes is sizes
+        assert circuit.inverted().register_sizes is sizes
+        assert circuit.total_qubits == sum(sizes.values())
+    # the dict takes no part in the layout's equality or hash
+    assert QdamLayout(n, m) == layout and hash(QdamLayout(n, m)) == hash(layout)
+    assert QdamLayout(n, m + 1) != layout
 
 
 def test_layout_rejects_zero_widths():
@@ -362,7 +380,14 @@ def test_every_emitted_gate_list_passes_the_gate_check(n):
 
 def test_shape_mismatch_rejected():
     layout = QdamLayout(2, 2)
-    with pytest.raises(CircuitError):
-        loader_parts(layout, ["00"] * 3)
-    with pytest.raises(CircuitError):
-        loader_parts(layout, ["000"] * 4)
+    for keys in (["00"] * 3, ["000"] * 4, ["00", "00", "00", "0"]):
+        with pytest.raises(CircuitError, match="^key patterns do not match the layout$"):
+            loader_parts(layout, keys)
+    # a database whose record count or key width is not the layout's: no
+    # caller in the package makes one, as each sizes its layout by the
+    # database it loads
+    for build in (lambda: loader_parts(layout, toy_db(3)),
+                  lambda: loader_parts(QdamLayout(2, 3), toy_db(2)),
+                  lambda: build_naive_qdam(3, 2, toy_db(2))):
+        with pytest.raises(CircuitError, match="^database shape does not match the layout$"):
+            build()

@@ -50,7 +50,8 @@ builds no gate.  Both stages of the loader share one block,
 level, and a :class:`RecordBlock` (stage 2's records, disjoint copies of
 the block) at its regions' earliest and latest entries, and feeds its
 gates where the two part.  A :class:`FanIn` feeds CNOT folds
-(:func:`fold_gates`), and a :class:`SyncBlock` a reflection's CNOT gossip.
+(:func:`fold_gates`) by slices, or by their gates where its entries are
+staggered, and a :class:`SyncBlock` a reflection's CNOT gossip.
 Each part's closed form is checked against its gates by one table in
 ``tests/test_circuit.py``, and a hygiene test requires a row for every part.
 """
@@ -309,7 +310,9 @@ class FanIn:
     """``copies`` folds side by side (:func:`fold_gates`): fold j XORs the
     2^``depth`` qubits ``load + j + i * copies`` into ``target + j``.  The
     load region and the targets are checked once to lie apart, inside
-    ``total_qubits``.  ``gates`` builds fold 0 and moves it j qubits on for fold j."""
+    ``total_qubits``.  ``gates`` builds fold 0 and moves it j qubits on for
+    fold j.  It feeds by one closed form, or by its gates, whose only
+    production input is the 2-record, 1-bit-key search (ROADMAP item 4)."""
 
     def __init__(self, load: int, depth: int, target: int, copies: int, total_qubits: int):
         stop = load + (copies << depth)
@@ -328,29 +331,20 @@ class FanIn:
         return tuple((_CNOT, ops) for ops in chain.from_iterable(zip(*moved)))
 
     def feed_into(self, schedule: "Schedule", reverse: bool = False) -> None:
-        """Feed the folds, forward or reversed alike, by the closed form of
-        :func:`fold_gates`: per fold, one ``max`` and two stores.
-
-        Fold j reads and writes only its own column of the load region and
-        its own target, and the columns tile the region, so the folds do not
-        interact.  When the whole region enters at one time R and every
-        target at one time T, each fold therefore computes the same entry
-        E = max(R + depth, T) and stores the same exits: the region leaves
-        at E + depth + 1 and the targets at E + 1, two slice stores."""
+        """Feed the folds, forward or reversed alike: by two slice stores
+        when the load region enters at one time R and every target at one
+        time T, else by their gates.  Proof: fold j acts only on its own
+        column of the region, and the columns tile it, and on its own
+        target, so each fold enters at E = max(R + depth, T), the region
+        leaves at E + depth + 1 and the targets at E + 1."""
         avail, depth, targets = schedule._avail, self.depth, self.targets
-        stop, step, size = self.stop, len(targets), 1 << depth
-        region, ends = avail[self.load:stop], avail[targets.start:targets.stop]
-        if region.count(region[0]) == len(region) and ends.count(ends[0]) == step:
-            entry = max(region[0] + depth, ends[0])
-            avail[self.load:stop] = [entry + depth + 1] * len(region)
-            avail[targets.start:targets.stop] = [entry + 1] * step
+        region, ends = avail[self.load:self.stop], avail[targets.start:targets.stop]
+        if region.count(region[0]) != len(region) or ends.count(ends[0]) != len(ends):
+            schedule.feed(reversed(self.gates) if reverse else self.gates)
             return
-        for start, target in zip(range(self.load, self.load + step), targets):
-            entry = max(avail[start:stop:step]) + depth
-            if avail[target] > entry:
-                entry = avail[target]
-            avail[start:stop:step] = [entry + depth + 1] * size
-            avail[target] = entry + 1
+        entry = max(region[0] + depth, ends[0])
+        avail[self.load:self.stop] = [entry + depth + 1] * len(region)
+        avail[targets.start:targets.stop] = [entry + 1] * len(ends)
 
 
 class SyncBlock:
@@ -411,9 +405,9 @@ class OneHotDecoder:
     E + x_c and [0, s) goes on at E + x_a."""
 
     def __init__(self, n: int, onehot: int, lease: int, total_qubits: int):
-        onehot_stop, lease_stop = onehot + (1 << n), lease + (1 << n) // 2 - 1
-        if (n < 1 or min(onehot, lease) < n or onehot < lease_stop and lease < onehot_stop
-                or max(onehot_stop, lease_stop) > total_qubits):
+        size, lent = 1 << n, (1 << n) // 2 - 1  # an empty lease overlaps nothing
+        if n < 1 or not n <= onehot <= total_qubits - size or lent and not (
+                n <= lease <= onehot - lent or onehot + size <= lease <= total_qubits - lent):
             raise CircuitError("the decoder leaves the circuit or overlaps its registers")
         self.n, self.onehot, self.lease = n, onehot, lease
 
@@ -523,7 +517,8 @@ class RecordBlock:
         evaluations', E plus the same constants.  The T gates are the
         Toffolis', and Toffoli j's target, load j, is touched by no other
         gate, forward or reversed, so its exit fixes the Toffoli's entry at
-        E, and with it its T layers."""
+        E, and with it its T layers.  The gate path's only production input
+        is the 2-record, 1-bit-key search's stage-2 tally (ROADMAP item 4)."""
         avail, m, copies, lease = schedule._avail, self.m, self.copies, self.lease
         (onehot, _), (database, _), (load, _) = self.regions[:3]
         control, size = avail[onehot], copies * m

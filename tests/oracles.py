@@ -8,7 +8,7 @@ measurement over built gate lists, the exact iteration count in decimal
 arithmetic, the one-shot tally of a circuit, the gate checks that the IR
 leaves to its builders, the measured depths' exact laws, the register map
 placed from the widths alone, the checked shared-control layer with its
-fan-out lease, the record placement checked by marking, and the circuit,
+fan-out lease, a part's placement checked by marking, and the circuit,
 basis-label, register read-out and database-export helpers that only
 tests use, and a recorder of the sparse states a run makes.
 
@@ -459,9 +459,9 @@ def fanout_lease(regions: dict[str, range], start: int, count: int) -> tuple[int
 
 
 def mark_records(regions, copies: int, total_qubits: int) -> None:
-    """The record regions' placement checked by marking, the oracle of
-    :class:`qsearch.circuit.RecordBlock`'s arithmetic check: ``regions``
-    is ``(start, width)`` per region, record i's qubit k of a region is
+    """A placement checked by marking, the oracle of every part's
+    arithmetic placement check: ``regions`` is ``(start, width)`` per
+    region, and copy i's qubit k of a region is
     ``start + i * width + k``.  Every copy of every local operand is marked
     in a bytearray, and :class:`CircuitError` is raised when one leaves
     ``0 .. total_qubits - 1`` or two copies share a qubit.  The bound check
@@ -480,24 +480,22 @@ def mark_records(regions, copies: int, total_qubits: int) -> None:
         raise CircuitError("copies of the block overlap")
 
 
-def stage1_per_level_gates(layout) -> tuple[Gate, ...]:
-    """Stage 1 built one level at a time: an X on one-hot 0, then for
-    level l one :func:`shared_control_layer` call on index qubit n - l
-    over the pairs (one-hot j, one-hot 2^(l-1) + j) with the first
-    2^(l-1) - 1 fan-out qubits, a lone CNOT at l = 1, and the clearing
-    CNOTs back from each new hot candidate.  It places its qubits by
-    :func:`qdam_regions`, reading only the layout's widths."""
-    regions = qdam_regions(layout.n, layout.m)
-    n, base = layout.n, regions["onehot"].start
-    gates = [gate(GateKind.X, base)]
+def stage1_per_level_gates(n: int, onehot: int, lease: int) -> tuple[Gate, ...]:
+    """Stage 1 built one level at a time, over the one-hot register from
+    ``onehot`` and the fan-out lease from ``lease``: an X on one-hot 0,
+    then for level l one :func:`shared_control_layer` call on index qubit
+    n - l over the pairs (one-hot j, one-hot 2^(l-1) + j) with the first
+    2^(l-1) - 1 lease qubits, a lone CNOT at l = 1, and the clearing
+    CNOTs back from each new hot candidate."""
+    gates = [gate(GateKind.X, onehot)]
     for level in range(1, n + 1):
         span, ctrl = 1 << (level - 1), n - level
         if level == 1:
-            gates.append(gate(GateKind.CNOT, ctrl, base + 1))
+            gates.append(gate(GateKind.CNOT, ctrl, onehot + 1))
         else:
-            pairs = [(base + j, base + span + j) for j in range(span)]
-            gates += shared_control_layer(ctrl, pairs, fanout_lease(regions, 0, span - 1))
-        gates += [gate(GateKind.CNOT, base + span + j, base + j) for j in range(span)]
+            pairs = [(onehot + j, onehot + span + j) for j in range(span)]
+            gates += shared_control_layer(ctrl, pairs, range(lease, lease + span - 1))
+        gates += [gate(GateKind.CNOT, onehot + span + j, onehot + j) for j in range(span)]
     return tuple(gates)
 
 
@@ -602,7 +600,8 @@ def flat_measure_kernel(circuits, iterations: int) -> ResourceReport:
     and standalone, and the loader's gates reversed as the inverse loader."""
     layout = circuits.layout
     total = layout.total_qubits
-    stage1 = stage1_per_level_gates(layout)
+    onehot, fanout = (qdam_regions(layout.n, layout.m)[r].start for r in ("onehot", "fanout"))
+    stage1 = stage1_per_level_gates(layout.n, onehot, fanout)
     kernel = Schedule(total)
     t_m1 = kernel.feed(stage1).tally()
     t_loader = kernel.feed(circuits.stage2.gates).tally()

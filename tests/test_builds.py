@@ -112,9 +112,11 @@ def _over_the_caps() -> None:
 
 
 def _reports(cells: int, fallbacks: int = 0) -> dict[str, int]:
-    # per cell the preparation and both trees; the records' block where they
-    # feed their gates (m = 1 on mixed keys, ROADMAP item 4)
-    block = {"RecordBlock.gates": fallbacks, "shared_control_layer": fallbacks}
+    # per cell the preparation and both trees; where the records and the
+    # fan-in feed their gates (m = 1 on mixed keys, ROADMAP item 4), both
+    # parts' gates
+    block = {"RecordBlock.gates": fallbacks, "shared_control_layer": fallbacks,
+             "FanIn.gates": fallbacks, "fold_gates": fallbacks}
     return {"_prepare": cells, "mcz_tree": 2 * cells, **(block if fallbacks else {})}
 
 

@@ -49,6 +49,7 @@ from oracles import (
     marked_layers,
     reference_feed,
     resource_tally,
+    stage1_per_level_gates,
     sync_touch,
     to_unitary,
 )
@@ -255,20 +256,17 @@ def test_reversed_stream_tallies_as_the_inverse(circ):
             == tally_flat(circ.inverted().gates, total))
 
 
-def _place(rng, shapes):
-    """Regions of ``(width, copies)`` in a random order from a random
-    offset, with a gap of 0 to 3 qubits after each: their starts, in the
-    order given, and the width of the circuit that holds them."""
-    starts, top = [0] * len(shapes), rng.randrange(4)
-    for r in rng.sample(range(len(shapes)), len(shapes)):
+def _place(rng, sizes, gaps=range(4), floor=0):
+    """Regions of ``sizes`` qubits in a random order, from ``floor`` plus a
+    gap drawn from ``gaps``, with a gap after each: their starts, in the
+    order given, and the end of the last gap, the width of a circuit that
+    holds them.  The default gaps place them apart, inside that width; a
+    gap of -1 shares a qubit, or leaves the circuit by one."""
+    starts, top = [0] * len(sizes), floor + rng.choice(gaps)
+    for r in rng.sample(range(len(sizes)), len(sizes)):
         starts[r] = top
-        top += shapes[r][0] * shapes[r][1] + rng.randrange(4)
-    return starts, top
-
-
-def _records_at(m, copies, starts, total):
-    onehot, database, load, lease = starts
-    return RecordBlock(m, copies, onehot, database, load, lease, total)
+        top += sizes[r] + rng.choice(gaps)
+    return starts, max(0, top)
 
 
 def _record_widths(m):
@@ -307,41 +305,79 @@ def _prior(rng, total, regions):
 
 def _circuit_feeds(rng, width, size):
     # a random mix of macro and lowered gates on one region
-    (start,), total = _place(rng, [(width, 1)])
+    (start,), total = _place(rng, [width])
     gates = [gate(kind, *rng.sample(range(start, start + width), _MIX_ARITY.get(kind, 1)))
              for kind in rng.choices(_MACRO_MIX, k=size)]
-    return Circuit({A: total}, gates), _prior(rng, total, [(start, width, 1, _MODES)]), True
+    prior = _prior(rng, total, [(start, width, 1, _MODES)])
+    return Circuit({A: total}, gates), gates, prior, True
+
+
+def _record_stream(m, copies, starts):
+    """The records' gates built record by record, each its own call of the
+    tests' checked layer on its moved qubits."""
+    onehot, database, load, lease = starts
+    stream = []
+    for i in range(copies):
+        pairs = [(database + i * m + j, load + i * m + j) for j in range(m)]
+        lent = range(lease + i * (m - 1), lease + (i + 1) * (m - 1))
+        stream += checked_layer(onehot + i, pairs, lent)
+    return stream
 
 
 def _record_feeds(rng, m, copies):
     # the records feed their gates where the two evaluations part, so every
     # prior is admitted
     widths = _record_widths(m)
-    starts, total = _place(rng, [(w, copies) for w in widths])
+    starts, total = _place(rng, [w * copies for w in widths])
     regions = [(start, width, copies, _MODES + ("keys",) * (r == 1))
                for r, (start, width) in enumerate(zip(starts, widths))]
-    return _records_at(m, copies, starts, total), _prior(rng, total, regions), True
+    records = RecordBlock(m, copies, *starts, total)
+    return records, _record_stream(m, copies, starts), _prior(rng, total, regions), True
+
+
+def _records_placed(rng):
+    m, copies = rng.randint(1, 4), rng.randint(1, 5)
+    starts, total = _place(rng, [w * copies for w in _record_widths(m)], range(-1, 3))
+    return (m, copies, *starts, total), zip(starts, _record_widths(m)), copies
 
 
 def _fan_in_feeds(rng, depth, copies, late=None):
-    # fold j's column is every copies-th qubit of the load region from j.
-    # An edge shape's ``late`` has each region enter at one time, then
-    # delays one qubit of the "load" region or of the "target"s, or none
-    (load, target), total = _place(rng, [(copies, 1 << depth), (1, copies)])
+    # fold j's column is every copies-th qubit of the load region from j,
+    # and the reference builds the folds one by one.  An edge shape's
+    # ``late`` has each region enter at one time, then delays one qubit of
+    # the "load" region or of the "target"s, or none
+    (load, target), total = _place(rng, [copies << depth, copies])
     modes = _MODES if late is None else ("uniform",)
     avail, marks, t_count = _prior(rng, total, [(load, copies, 1 << depth, modes),
                                                 (target, 1, copies, modes)])
     start, count = {"load": (load, copies << depth), "target": (target, copies)}.get(late, (0, 0))
     if count:
         avail[start + rng.randrange(count)] += rng.randrange(1, 4)
-    return FanIn(load, depth, target, copies, total), (avail, marks, t_count), True
+    folds = [g for j in range(copies)
+             for g in fold_gates(range(load + j, load + (copies << depth), copies), target + j)]
+    return FanIn(load, depth, target, copies, total), folds, (avail, marks, t_count), True
+
+
+def _fan_in_placed(rng):
+    depth, copies = rng.randint(0, 3), rng.randint(1, 5)
+    (load, target), total = _place(rng, [copies << depth, copies], range(-1, 3))
+    return (load, depth, target, copies, total), [(load, copies << depth), (target, copies)], 1
 
 
 def _sync_feeds(rng, j, pads):
     width = (1 << j) - pads
-    (start, pad), total = _place(rng, [(1, width), (1, pads)])
-    block = SyncBlock(range(start, start + width), range(pad, pad + pads), total)
-    return block, _prior(rng, total, [(start, 1, width, _MODES), (pad, 1, pads, _MODES)]), True
+    (start, pad), total = _place(rng, [width, pads])
+    qubits, lent = range(start, start + width), range(pad, pad + pads)
+    prior = _prior(rng, total, [(start, 1, width, _MODES), (pad, 1, pads, _MODES)])
+    return SyncBlock(qubits, lent, total), sync_touch([*qubits, *lent]), prior, True
+
+
+def _sync_placed(rng):
+    k = 1 << rng.randint(0, 4)
+    width = rng.randint(0, k)  # the rest are pads
+    (start, pad), total = _place(rng, [width, k - width], range(-1, 3))
+    qubits, pads = range(start, start + width), range(pad, pad + k - width)
+    return (qubits, pads, total), [(start, width), (pad, k - width)], 1
 
 
 def _decoder_feeds(rng, n):
@@ -350,54 +386,127 @@ def _decoder_feeds(rng, n):
     # or none, may enter staggered, and the decoder admits the prior only
     # if each enters at one time
     size = 1 << n
-    (onehot, lease), total = _place(rng, [(1, size), (1, size // 2 - 1)])
-    onehot, lease, total = onehot + n, lease + n, total + n
+    (onehot, lease), total = _place(rng, [size, size // 2 - 1], floor=n)
     regions = [(onehot, size), *((lease + (1 << r) - 1, 1 << r) for r in range(n - 1))]
     late = rng.randrange(len(regions) + 1)
     prior = _prior(rng, total, [(start, 1, count, _MODES if r == late else ("uniform",))
                                 for r, (start, count) in enumerate(regions)])
     admitted = all(len(set(prior[0][start:start + count])) == 1 for start, count in regions)
-    return OneHotDecoder(n, onehot, lease, total), prior, admitted
+    decoder = OneHotDecoder(n, onehot, lease, total)
+    return decoder, stage1_per_level_gates(n, onehot, lease), prior, admitted
+
+
+def _decoder_placed(rng):
+    # the index, on qubits 0 .. n-1, is a region the others must miss
+    n = rng.randint(1, 4)
+    sizes = [1 << n, (1 << n) // 2 - 1]
+    (onehot, lease), total = _place(rng, sizes, range(-1, 3), floor=n)
+    return (n, onehot, lease, total), [(0, n), *zip((onehot, lease), sizes)], 1
 
 
 class _Row(NamedTuple):
-    """A row of the feed table: from a seeded generator and a shape, its
-    builder gives a part placed by _place, a prior and whether the part
-    admits it."""
+    """A part class's row of the feed table.  From a seeded generator and
+    a shape, ``build`` gives a part placed apart, its gates built by the
+    tests' reference, a prior and whether the part admits it.
+    ``placements`` maps constructor arguments to whether they are accepted
+    (else ``refusal`` is raised), and ``place`` draws arguments whose
+    regions may overlap or leave the circuit, with those regions and
+    their copy count, as :func:`oracles.mark_records` takes them."""
 
-    build: Callable  # (rng, *shape) -> (part, (avail, marks, t_count), admitted)
+    build: Callable  # (rng, *shape) -> (part, gates, (avail, marks, t_count), admitted)
     shapes: st.SearchStrategy  # the shapes drawn
     edges: list  # the shapes checked on every run
     examples: int  # per direction
+    placements: dict = {}
+    refusal: str = ""
+    place: Callable | None = None  # rng -> (arguments, regions, copies)
 
 
 _COPIES = st.integers(1, 6) | st.integers(1, 6).map(lambda e: 1 << e)
+
+# the RecordBlock row's placements, at m = 2 and 2 records unless given:
+# one-hot 0..1, database 2..5, load 6..9, lease 10..11, the circuit's last
+# qubit
+_RECORD_REFUSAL = "the records leave the circuit or overlap"
+_RECORD_OVERLAPS = {
+    (2, 2, 0, 2, 6, 10, 12): True,
+    (2, 2, 0, 2, 5, 10, 12): False,  # the load region starts on database bit 3
+    (2, 2, 0, 2, 6, 9, 12): False,  # the lease starts on the last load ancilla
+    (2, 3, 0, 2, 8, 14, 16): False,  # the one-hot qubits run onto the database
+    (2, 0, 0, 2, 6, 10, 12): False,  # no record
+    (0, 2, 0, 2, 6, 10, 12): False,  # no key bit
+    (1, 2, 0, 2, 4, 3, 6): True,  # m = 1 leases none: an empty region overlaps nothing
+}
+_RECORD_BOUNDS = {
+    (2, 2, 0, 2, 6, 10, 11): False,  # the lease leaves the circuit
+    (2, 2, -1, 2, 6, 10, 12): False,  # the one-hot qubits start before qubit 0
+    (1, 3, 9, 0, 3, 6, 11): False,  # one-hot 9, 10, 11 of 11
+}
 
 # one row per part class; test_hygiene requires a row for every member of
 # circuit.Part and every class of the package that defines feed_into
 PART_FEEDS = {
     Circuit: _Row(_circuit_feeds, st.tuples(st.integers(3, 8), st.integers(0, 32)),
                   [(3, 0)], 100),
-    RecordBlock: _Row(_record_feeds, st.tuples(st.integers(1, 6), _COPIES),
-                      [(1, 1), (4, 5)], 250),
-    FanIn: _Row(_fan_in_feeds, st.tuples(st.integers(0, 8), st.integers(1, 6)),
-                [(0, 1), (0, 5), (2, 3, "uniform"), (2, 3, "load"), (2, 3, "target")], 100),
-    SyncBlock: _Row(_sync_feeds, st.integers(0, 10).flatmap(
-        lambda j: st.tuples(st.just(j), st.integers(0, (1 << j) - 1))), [(0, 0), (3, 7)], 100),
-    OneHotDecoder: _Row(_decoder_feeds, st.tuples(st.integers(1, 10)), [(1,), (2,)], 150),
+    RecordBlock: _Row(
+        _record_feeds, st.tuples(st.integers(1, 6), _COPIES), [(1, 1), (4, 5)], 250,
+        {**_RECORD_OVERLAPS, **_RECORD_BOUNDS}, _RECORD_REFUSAL, _records_placed),
+    FanIn: _Row(
+        _fan_in_feeds, st.tuples(st.integers(0, 8), st.integers(1, 6)),
+        [(0, 1), (0, 5), (2, 3, "uniform"), (2, 3, "load"), (2, 3, "target")], 100, {
+            (2, 1, 0, 2, 6): True,  # columns {2, 4} and {3, 5}, targets 0 and 1
+            (0, 1, 4, 2, 6): True,  # the targets after the region
+            (2, 1, 0, 2, 5): False,  # the region ends past the width
+            (0, 1, 4, 2, 5): False,  # so does the second target
+            (1, 1, 0, 2, 6): False,  # the first column holds target 1
+            (0, 1, 3, 2, 6): False,  # target 0 is column 1's last qubit
+            (-1, 1, 4, 2, 6): False,  # the region starts before qubit 0
+            (2, 1, -1, 2, 6): False,  # so does the first target
+        }, "the fan-in leaves the circuit", _fan_in_placed),
+    SyncBlock: _Row(
+        _sync_feeds, st.integers(0, 10).flatmap(
+            lambda j: st.tuples(st.just(j), st.integers(0, (1 << j) - 1))), [(0, 0), (3, 7)], 100, {
+            (range(2, 5), range(5, 6), 6): True,  # the pad right after the register
+            (range(3, 6), range(0, 1), 6): True,  # the pad before it
+            (range(0), range(1, 3), 3): True,  # pads alone
+            (range(0, 3), range(0), 6): False,  # three qubits
+            (range(0, 4), range(4, 6), 8): False,  # six, two of them pads
+            (range(0, 3), range(2, 3), 6): False,  # the pad is qubit 2 again
+            (range(2, 4), range(1, 3), 6): False,  # the pads end on qubit 2
+            (range(3, 7), range(0), 6): False,  # the register ends past the width
+            (range(0, 3), range(6, 7), 6): False,  # so does the pad
+            (range(-1, 1), range(0), 6): False,  # the register starts before 0
+            (range(0), range(0), 6): False,  # no qubit at all
+        }, "the sync block needs", _sync_placed),
+    OneHotDecoder: _Row(
+        _decoder_feeds, st.tuples(st.integers(1, 10)), [(1,), (2,)], 150, {
+            (3, 3, 11, 14): True,  # one-hot 3 .. 10, lease 11 .. 13
+            (3, 6, 3, 14): True,  # the lease before the one-hot register
+            (1, 1, 3, 3): True,  # n = 1 leases no qubit, and an empty lease
+            (1, 1, 0, 3): True,  # overlaps nothing: under the index,
+            (1, 1, 2, 3): True,  # inside the one-hot register
+            (1, 1, 9, 3): True,  # or past the circuit
+            (3, 3, 11, 13): False,  # the lease ends past the width
+            (3, 2, 11, 14): False,  # the one-hot register holds index qubit 2
+            (3, 3, 10, 14): False,  # the lease holds one-hot qubit 10
+            (3, 6, 4, 14): False,  # the one-hot register holds lease qubit 2
+            (0, 1, 1, 4): False,  # no index qubit
+        }, "the decoder leaves the circuit", _decoder_placed),
 }
+_PLACED = [cls for cls, row in PART_FEEDS.items() if row.place]
 
 
 @pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize("cls", PART_FEEDS, ids=lambda cls: cls.__name__)
 def test_feeding_a_part_equals_feeding_its_gates(cls, reverse):
-    # on an admitted prior, the part's feed leaves the availability, the
-    # tally and the marks that both schedulers leave over its gates; on any
-    # other, it refuses
+    # the part's gates are the reference's, and on an admitted prior its
+    # feed leaves the availability, the tally and the marks that both
+    # schedulers leave over them; on any other, it refuses
     row = PART_FEEDS[cls]
 
     def check(shape, seed):
-        part, (avail, marks, t_count), admitted = row.build(random.Random(seed), *shape)
+        part, gates, (avail, marks, t_count), admitted = row.build(random.Random(seed), *shape)
+        assert part.gates == tuple(gates)
         fed, flat, slow = Schedule(len(avail)), Schedule(len(avail)), ReferenceSchedule(0)
         for schedule in (fed, flat):
             schedule._avail, schedule._marks, schedule._t_count = list(avail), marks[:], t_count
@@ -408,7 +517,7 @@ def test_feeding_a_part_equals_feeding_its_gates(cls, reverse):
                 part.feed_into(fed, reverse)
             return
         part.feed_into(fed, reverse)
-        gates = part.gates[::-1] if reverse else part.gates
+        gates = gates[::-1] if reverse else gates
         flat.feed(gates)
         reference_feed(slow, gates)
         assert fed._avail == flat._avail == slow.avail
@@ -419,6 +528,80 @@ def test_feeding_a_part_equals_feeding_its_gates(cls, reverse):
         check = example(shape, 0)(example(shape, 1)(check))
     settings(max_examples=row.examples, deadline=None)(
         given(row.shapes, st.integers(0, 2**32 - 1))(check))()
+
+
+def _check_placements(cls, placements, refusal):
+    for args, accepted in placements.items():
+        if accepted:
+            cls(*args)
+        else:
+            with pytest.raises(CircuitError, match=refusal):
+                cls(*args)
+
+
+@pytest.mark.parametrize("cls", _PLACED, ids=lambda cls: cls.__name__)
+def test_a_part_accepts_exactly_its_placement_rows(cls):
+    row = PART_FEEDS[cls]
+    _check_placements(cls, row.placements, row.refusal)
+
+
+def test_record_block_rejects_overlapping_regions():
+    # a view of the RecordBlock row: the regions that overlap, or may not
+    # since one is empty
+    _check_placements(RecordBlock, _RECORD_OVERLAPS, _RECORD_REFUSAL)
+
+
+def test_record_block_bounds_every_record_explicitly():
+    # the last lease qubit is the circuit's last qubit, which record 1's
+    # one-hot qubit uncopies last; one qubit less, or a record before
+    # qubit 0 or past the last, and the records leave the circuit
+    assert RecordBlock(2, 2, 0, 2, 6, 10, 12).gates[-1][1] == (1, 11)
+    _check_placements(RecordBlock, _RECORD_BOUNDS, _RECORD_REFUSAL)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_record_block_gates_are_the_checked_layers_record_by_record(m, copies, seed):
+    # a view of the RecordBlock row at any copy count, not only powers of
+    # two: the part its builder places is the reference's, record by record
+    records, stream, _, _ = _record_feeds(random.Random(seed), m, copies)
+    assert records.gates == tuple(stream)
+
+
+def test_fan_in_gates_are_the_shifted_folds():
+    # fold j is column j's fold into target j, fold by fold
+    fan_in = FanIn(3, 2, 0, 3, 15)
+    assert fan_in.gates == tuple(
+        g for j in range(3) for g in fold_gates(range(3 + j, 15, 3), j))
+    assert FanIn(0, 0, 1, 1, 2).gates == ((GateKind.CNOT, (0, 1)),)
+
+
+def _refuses(build, *args):
+    try:
+        build(*args)
+    except CircuitError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("cls", _PLACED, ids=lambda cls: cls.__name__)
+def test_each_placement_check_agrees_with_the_marking_oracle(cls):
+    # on random placements, regions apart, sharing a qubit or leaving the
+    # circuit by one, the constructor accepts exactly when marking them does
+    rng = random.Random(cls.__name__)
+    for _ in range(1000):
+        args, regions, copies = PART_FEEDS[cls].place(rng)
+        assert _refuses(cls, *args) == _refuses(mark_records, regions, copies, args[-1]), args
+
+
+@pytest.mark.parametrize("j", range(11))
+def test_sync_block_gates_are_the_rounds_of_the_oracle(j):
+    # a view of the SyncBlock row: its gates at no pad, half the block of
+    # pads and all but one qubit a pad
+    k = 1 << j
+    for pads in {0, k // 2, k - 1}:
+        block, gates, _, _ = PART_FEEDS[SyncBlock].build(random.Random(pads), j, pads)
+        assert block.gates == tuple(gates) and len(gates) == k * j
 
 
 @settings(max_examples=300, deadline=None)
@@ -448,28 +631,6 @@ def test_block_entry_equals_feeding_the_layer(pairs, reverse, data):
     assert fed.tally().t_count == t_n * pairs
 
 
-def _record_stream(m, copies, starts):
-    """The records' gates built record by record, each its own call of the
-    tests' checked layer on its moved qubits."""
-    onehot, database, load, lease = starts
-    stream = []
-    for i in range(copies):
-        pairs = [(database + i * m + j, load + i * m + j) for j in range(m)]
-        lent = range(lease + i * (m - 1), lease + (i + 1) * (m - 1))
-        stream += checked_layer(onehot + i, pairs, lent)
-    return stream
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 5), st.integers(1, 6), st.integers(0, 2**32 - 1))
-def test_record_block_gates_are_the_checked_layers_record_by_record(m, copies, seed):
-    # any copy count, not only powers of two, the regions placed apart in a
-    # random order
-    starts, total = _place(random.Random(seed), [(w, copies) for w in _record_widths(m)])
-    records = _records_at(m, copies, starts, total)
-    assert records.gates == tuple(_record_stream(m, copies, starts))
-
-
 @pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize(("copies", "late"),
                          [(5, None), (5, 0), (5, 1), (1, None)],
@@ -482,7 +643,7 @@ def test_record_block_closed_form_boundary(monkeypatch, reverse, copies, late):
     # the fan-out of its one-hot qubit outwaits
     m, total = 3, 64
     starts = (0, copies, copies * (1 + m), copies * (1 + 2 * m))
-    records = _records_at(m, copies, starts, total)
+    records = RecordBlock(m, copies, *starts, total)
     prior = sync_touch(range(total))
     if late is not None:
         prior.append(gate(GateKind.X, starts[late] + 2 * _record_widths(m)[late]))
@@ -508,127 +669,6 @@ def test_record_block_closed_form_boundary(monkeypatch, reverse, copies, late):
     assert tiled.tally() == flat.tally() == slow.tally()
     assert tiled._avail == flat._avail == slow.avail
     assert marked_layers(tiled) == slow.t_layers
-
-
-def test_record_block_rejects_overlapping_regions():
-    # m = 2, 2 records: one-hot 0..1, database 2..5, load 6..9, lease 10..11
-    RecordBlock(2, 2, 0, 2, 6, 10, 12)
-    with pytest.raises(CircuitError):  # the load region starts on database bit 3
-        RecordBlock(2, 2, 0, 2, 5, 10, 12)
-    with pytest.raises(CircuitError):  # the lease starts on the last load ancilla
-        RecordBlock(2, 2, 0, 2, 6, 9, 12)
-    with pytest.raises(CircuitError):  # the one-hot qubits run onto the database
-        RecordBlock(2, 3, 0, 2, 8, 14, 16)
-    with pytest.raises(CircuitError):
-        RecordBlock(2, 0, 0, 2, 6, 10, 12)
-    with pytest.raises(CircuitError):
-        RecordBlock(0, 2, 0, 2, 6, 10, 12)
-    # at m = 1 the lease is empty, and an empty region overlaps nothing
-    RecordBlock(1, 2, 0, 2, 4, 3, 6)
-
-
-def test_record_block_bounds_every_record_explicitly():
-    # the last lease qubit is the circuit's last qubit, which record 1's
-    # one-hot qubit uncopies last; one qubit less, and the lease leaves the
-    # circuit
-    assert RecordBlock(2, 2, 0, 2, 6, 10, 12).gates[-1][1] == (1, 11)
-    with pytest.raises(CircuitError, match="the records leave the circuit"):
-        RecordBlock(2, 2, 0, 2, 6, 10, 11)
-    with pytest.raises(CircuitError, match="the records leave the circuit"):
-        RecordBlock(2, 2, -1, 2, 6, 10, 12)
-    with pytest.raises(CircuitError, match="the records leave the circuit"):
-        RecordBlock(1, 3, 9, 0, 3, 6, 11)  # one-hot 9, 10, 11 of 11
-
-
-@st.composite
-def _placements(draw):
-    """Records at m 1..4 and 1..5 copies, each region placed after the one
-    before with a gap of -1 (sharing a qubit), 0 or more, from a start of
-    -1 or more, in a circuit that may end a qubit short of them."""
-    m, copies = draw(st.integers(1, 4)), draw(st.integers(1, 5))
-    starts, top = [0] * 4, draw(st.integers(-1, 2))
-    for r in draw(st.permutations(range(4))):
-        starts[r] = top
-        top += _record_widths(m)[r] * copies + draw(st.integers(-1, 2))
-    return m, copies, starts, max(0, top + draw(st.integers(-1, 1)))
-
-
-@settings(max_examples=400, deadline=None)
-@given(_placements())
-def test_the_region_check_agrees_with_the_marking_oracle(case):
-    m, copies, starts, total = case
-    regions = list(zip(starts, _record_widths(m)))
-    try:
-        mark_records(regions, copies, total)
-        marked = True
-    except CircuitError:
-        marked = False
-    try:
-        _records_at(m, copies, starts, total)
-        checked = True
-    except CircuitError:
-        checked = False
-    assert checked == marked
-
-
-def test_fan_in_gates_are_the_shifted_folds():
-    # fold j is column j's fold into target j, fold by fold
-    fan_in = FanIn(3, 2, 0, 3, 15)
-    assert fan_in.gates == tuple(
-        g for j in range(3) for g in fold_gates(range(3 + j, 15, 3), j))
-    assert FanIn(0, 0, 1, 1, 2).gates == ((GateKind.CNOT, (0, 1)),)
-
-
-def test_fan_in_checks_its_region_once():
-    FanIn(2, 1, 0, 2, 6)  # columns {2, 4} and {3, 5}, targets 0 and 1
-    FanIn(0, 1, 4, 2, 6)  # the targets after the region
-    for args in ((2, 1, 0, 2, 5),  # the region ends past the width
-                 (0, 1, 4, 2, 5),  # so does the second target
-                 (1, 1, 0, 2, 6),  # the first column holds target 1
-                 (0, 1, 3, 2, 6),  # target 0 is column 1's last qubit
-                 (-1, 1, 4, 2, 6),  # the region starts before qubit 0
-                 (2, 1, -1, 2, 6)):  # so does the first target
-        with pytest.raises(CircuitError, match="the fan-in leaves the circuit"):
-            FanIn(*args)
-
-
-@pytest.mark.parametrize("j", range(11))
-def test_sync_block_gates_are_the_rounds_of_the_oracle(j):
-    k = 1 << j
-    for width in {k, k - k // 2, 1}:  # no pads, half the block, all but one
-        qubits, pads = range(3, 3 + width), range(3 + width + 1, 3 + k + 1)
-        block = SyncBlock(qubits, pads, 3 + k + 1)
-        assert block.gates == tuple(sync_touch([*qubits, *pads]))
-        assert len(block.gates) == k * j
-
-
-def test_sync_block_checks_its_region_once():
-    SyncBlock(range(2, 5), range(5, 6), 6)  # the pad right after the register
-    SyncBlock(range(3, 6), range(0, 1), 6)  # the pad before it
-    SyncBlock(range(0), range(1, 3), 3)  # pads alone
-    for args in ((range(0, 3), range(0), 6),  # three qubits
-                 (range(0, 4), range(4, 6), 8),  # six, two of them pads
-                 (range(0, 3), range(2, 3), 6),  # the pad is qubit 2 again
-                 (range(2, 4), range(1, 3), 6),  # the pads end on qubit 2
-                 (range(3, 7), range(0), 6),  # the register ends past the width
-                 (range(0, 3), range(6, 7), 6),  # so does the pad
-                 (range(-1, 1), range(0), 6),  # the register starts before 0
-                 (range(0), range(0), 6)):  # no qubit at all
-        with pytest.raises(CircuitError, match="the sync block needs"):
-            SyncBlock(*args)
-
-
-def test_decoder_checks_its_registers_once():
-    OneHotDecoder(3, 3, 11, 14)  # one-hot 3 .. 10, lease 11 .. 13
-    OneHotDecoder(3, 6, 3, 14)  # the lease before the one-hot register
-    OneHotDecoder(1, 1, 3, 3)  # n = 1 leases no qubit
-    for args in ((3, 3, 11, 13),  # the lease ends past the width
-                 (3, 2, 11, 14),  # the one-hot register holds index qubit 2
-                 (3, 3, 10, 14),  # the lease holds one-hot qubit 10
-                 (3, 6, 4, 14),  # the one-hot register holds lease qubit 2
-                 (0, 1, 1, 4)):  # no index qubit
-        with pytest.raises(CircuitError, match="the decoder leaves the circuit"):
-            OneHotDecoder(*args)
 
 
 @pytest.mark.parametrize("depth", range(7))

@@ -17,6 +17,7 @@ from qsearch.circuit import (
     gate,
     join_parts,
     shared_control_layer,
+    tally_flat,
 )
 from qsearch.decompose import (
     decompose_toffoli,
@@ -270,6 +271,28 @@ def test_tree_uses_the_ladders_toffolis_and_ancillas():
     targets = {ops[2] for frag in (tree, ladder)
                for kind, ops in frag if kind is GateKind.TOFFOLI}
     assert targets == set(ancillas[:k - 3])
+
+
+def _pads(gates):
+    """Each S of ``gates`` with the next SDG on its qubit, as index pairs."""
+    return [(i, next(j for j in range(i + 1, len(gates)) if gates[j] == (GateKind.SDG, ops)))
+            for i, (kind, ops) in enumerate(gates) if kind is GateKind.S]
+
+
+def test_removing_any_pad_of_the_tree_or_the_layer_raises_its_t_depth():
+    # the CCZ fragment's guard (test_circuit) for the two other pad
+    # emitters: a pad that moves no T layer would pass every schedule test
+    trees = [(mcz_tree(range(k), range(k, 2 * k - 3)), 2 * k - 3) for k in range(4, 41)]
+    layers = [(shared_control_layer(0, [(1 + j, 1 + p + j) for j in range(p)],
+                                    range(2 * p + 1, 3 * p)), 3 * p) for p in range(1, 40)]
+    counts = []
+    for gates, total in trees + layers:
+        depth, pads = tally_flat(gates, total).t_depth, _pads(gates)
+        for i, j in pads:
+            without = gates[:i] + gates[i + 1:j] + gates[j + 1:]
+            assert tally_flat(without, total).t_depth > depth, (len(gates), total, i, j)
+        counts.append(len(pads))
+    assert (sum(counts[:len(trees)]), sum(counts[len(trees):])) == (252, 351)
 
 
 def test_tree_rejects_bad_operands():

@@ -175,9 +175,9 @@ def test_no_test_file_imports_numpy():
     # the tests compare exact values, so they import only pytest,
     # hypothesis, the package, the standard library and one another
     allowed = {"pytest", "hypothesis", *(p.stem for p in TESTS_DIR.glob("*.py"))}
-    # the A/B tool, which pytest does not collect, reads its ops from
-    # perfbench/workloads.py, and that imports only the standard library
-    also = {"ab_inprocess.py": {"perfbench"}}
+    # the A/B tool and the line lister, which pytest does not collect, read
+    # their ops from perfbench/workloads.py, which imports only the standard library
+    also = {"ab_inprocess.py": {"perfbench"}, "traffic_lines.py": {"perfbench"}}
     assert not _foreign_imports((ROOT / "perfbench" / "workloads.py").read_text())
     found = {p.name: names for p in sorted(TESTS_DIR.glob("*.py"))
              if (names := _foreign_imports(p.read_text()) - allowed - also.get(p.name, set()))}

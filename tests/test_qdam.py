@@ -170,8 +170,8 @@ def test_layout_rejects_zero_widths():
 def test_stage_one_gates_equal_the_per_level_builder(n):
     # the decoder's flat comprehensions emit the gates of one
     # shared-control layer per level, in the same order
-    layout = QdamLayout(n, 2)
-    assert build_m1(layout).gates == stage1_per_level_gates(layout)
+    onehot, fanout = (qdam_regions(n, 2)[r].start for r in ("onehot", "fanout"))
+    assert build_m1(QdamLayout(n, 2)).gates == stage1_per_level_gates(n, onehot, fanout)
 
 
 def test_m1_single_bit_mapping_and_zero_t_depth():

@@ -582,35 +582,43 @@ def _baseline_key_sets(rng, n, m):
             *(random_keys(rng, n, m) for _ in range(3))]
 
 
+def _gate_reads_per_feed(monkeypatch, cls) -> list[int]:
+    """Patch ``cls`` so that each feed appends to the list returned how
+    often it read the part's ``gates``."""
+    fed, reads, real_gates, real_feed = [], [], cls.__dict__["gates"], cls.feed_into
+
+    def reading(part):
+        reads.append(part)
+        return real_gates.__get__(part, cls)
+
+    def recording(part, schedule, reverse=False):
+        reads.clear()
+        real_feed(part, schedule, reverse)
+        fed.append(len(reads))
+
+    monkeypatch.setattr(cls, "gates", property(reading))
+    monkeypatch.setattr(cls, "feed_into", recording)
+    return fed
+
+
 def test_the_records_feed_their_gates_only_in_the_m1_stage_two_tally(monkeypatch):
     # over the Baseline grid, the records' gates are fed once per kernel
     # exactly when m = 1 and the keys hold both bit values, and then in the
     # third feed, stage 2's standalone tally, where the preparation's X
-    # gates stagger a Toffoli's database control against its lone carrier
-    reads, feeds = [], []
-    real_gates, real_feed = RecordBlock.__dict__["gates"], RecordBlock.feed_into
-
-    def reading(records):
-        reads.append(records)
-        return real_gates.__get__(records, RecordBlock)
-
-    def recording(records, schedule, reverse=False):
-        reads.clear()
-        real_feed(records, schedule, reverse)
-        feeds.append(len(reads))
-
-    monkeypatch.setattr(RecordBlock, "gates", property(reading))
-    monkeypatch.setattr(RecordBlock, "feed_into", recording)
+    # gates stagger a Toffoli's database control against its lone carrier;
+    # the fan-in, fed after them, feeds its gates exactly there too
+    feeds = {cls: _gate_reads_per_feed(monkeypatch, cls) for cls in (RecordBlock, FanIn)}
     rng, fallbacks = random.Random(17), 0
     for n in range(1, 9):
         for m in range(1, min(6, (1 << 11) >> n) + 1):
             for keys in _baseline_key_sets(rng, n, m):
                 query = random_keys(rng, 0, m)[0]
                 circuits = build_kernel_circuits(QdamLayout(n, m), keys, query)
-                feeds.clear()
+                for fed in feeds.values():
+                    fed.clear()
                 measure_kernel(circuits, 1)
                 mixed = m == 1 and {"0", "1"} <= set("".join(keys))
-                assert feeds == [0, 0, int(mixed)], (n, m, keys)
+                assert feeds == {cls: [0, 0, int(mixed)] for cls in feeds}, (n, m, keys)
                 fallbacks += mixed
     # the random sets drew both bit values in 22 of their 24 cells at m = 1
     assert fallbacks == 22
